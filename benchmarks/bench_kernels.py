@@ -57,7 +57,6 @@ def run_one(graph, pattern, backend, workers, kernel, steal, seed):
         backend=backend,
         procs=workers,
         seed=seed,
-        wire="columnar",
         kernel=kernel,
         steal=steal,
         steal_tasks=1024 if steal else None,

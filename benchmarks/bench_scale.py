@@ -87,7 +87,6 @@ def _run_once(graph, pattern, workers, seed, spill_dir, watermark):
         graph,
         num_workers=workers,
         seed=seed,
-        wire="columnar",
         shuffle="pipelined",
         **kwargs,
     ).run(pattern)

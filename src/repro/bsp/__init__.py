@@ -13,10 +13,10 @@ from .engine import (
     DEFAULT_CHUNK_GPSIS,
     SHUFFLE_MODES,
     WIRE_PLANES,
+    require_columnar_plane,
 )
 from .message import (
     ChunkedColumnarStore,
-    ColumnarMessageStore,
     ColumnarOutbox,
     GpsiBatch,
     Message,
@@ -38,8 +38,8 @@ __all__ = [
     "DEFAULT_CHUNK_GPSIS",
     "SHUFFLE_MODES",
     "WIRE_PLANES",
+    "require_columnar_plane",
     "ChunkedColumnarStore",
-    "ColumnarMessageStore",
     "ColumnarOutbox",
     "GpsiBatch",
     "Message",

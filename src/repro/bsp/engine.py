@@ -31,19 +31,21 @@ from ..graph.graph import Graph
 from ..graph.partition import Partition
 from ..obs.tracer import make_tracer
 from .aggregate import AggregatorRegistry
-from .message import ChunkedColumnarStore, ColumnarMessageStore, MessageStore
+from .message import ChunkedColumnarStore, MessageStore
 from .metrics import CostLedger
 from .spill import SpillManager
 from .vertex_program import VertexProgram
 from .worker import Worker
 
-#: Wire planes the barrier shuffle can run on (see repro.bsp.message).
+#: Data planes (see repro.bsp.message): ``"object"`` is the reference
+#: plane (per-message payloads, scalar compute — the parity oracle),
+#: ``"columnar"`` the production plane (packed chunks, batch compute).
 WIRE_PLANES = ("object", "columnar")
 
-#: Shuffle modes for the columnar plane: ``"strict"`` ships each
-#: worker's whole outbox at the barrier (the bit-parity reference);
-#: ``"pipelined"`` streams watermark-sized chunks to the barrier store
-#: while workers are still computing (see docs/runtime.md §5).
+#: Shuffle modes of the production plane: ``"strict"`` ships each
+#: worker's whole outbox at the barrier as one chunk; ``"pipelined"``
+#: streams watermark-sized chunks to the same barrier store while
+#: workers are still computing (see docs/runtime.md §5).
 SHUFFLE_MODES = ("strict", "pipelined")
 
 #: Default pipelined-mode flush watermark (rows per chunk) when the
@@ -55,6 +57,43 @@ DEFAULT_CHUNK_GPSIS = 8192
 #: that a straggler's batch splits into many stealable slices, large
 #: enough that per-task overhead stays negligible against expansion.
 DEFAULT_STEAL_TASK_GPSIS = 2048
+
+
+def require_columnar_plane(
+    wire: str,
+    shuffle: str = "strict",
+    steal: bool = False,
+    spill_dir: Optional[str] = None,
+    fallback: Optional[str] = None,
+) -> None:
+    """The one legality rule between options and data planes.
+
+    Pipelined shuffle, work stealing and the spill plane all operate on
+    packed chunks, so they exist on the production plane only.  Raises
+    :class:`~repro.exceptions.EngineError` when one of them is requested
+    for a run on the reference plane — either because ``wire="object"``
+    was asked for, or because the run has to fall back (``fallback``
+    says why: a combiner, no columnar compute).  A run that merely
+    *defaults* to the production plane and falls back without having
+    asked for any of the three is legal and never reaches an error here.
+    """
+    if wire not in WIRE_PLANES:
+        raise EngineError(
+            f"unknown wire plane {wire!r}; available: {list(WIRE_PLANES)}"
+        )
+    if wire == "columnar" and fallback is None:
+        return
+    why = fallback or "wire='object' was requested"
+    for requested, what in (
+        (shuffle == "pipelined", "shuffle='pipelined' streams packed chunks"),
+        (steal, "steal=True splits packed batches into tasks"),
+        (spill_dir is not None, "spill_dir seals packed chunks to disk"),
+    ):
+        if requested:
+            raise EngineError(
+                f"{what} and needs the columnar plane (wire='columnar'), "
+                f"but this run is on the reference plane: {why}"
+            )
 
 
 @dataclass
@@ -70,6 +109,9 @@ class BSPResult:
     #: Number of tasks executed by a worker other than their owner
     #: (work-stealing runs only; 0 under the static schedule).
     steals: int = 0
+    #: The data plane that actually ran: the requested ``wire`` unless
+    #: the program forced the automatic fallback to ``"object"``.
+    wire: str = "object"
 
     @property
     def makespan(self) -> float:
@@ -114,19 +156,23 @@ class BSPEngine:
         or ``True`` to create a fresh tracer (returned on
         :attr:`BSPResult.trace`).  See ``docs/observability.md``.
     wire:
-        Wire plane for the barrier shuffle: ``"object"`` (default; the
-        generic per-payload reference) or ``"columnar"`` (packed Gpsi
-        buffers, combiner-less Gpsi programs only — see
-        :mod:`repro.bsp.message` and ``docs/perf.md``).
+        Data plane: ``"columnar"`` (default; the production plane —
+        packed Gpsi chunks through one barrier store, batch compute) or
+        ``"object"`` (the reference plane — per-payload messages, scalar
+        compute; the parity oracle).  A program that declares a message
+        combiner or no ``supports_columnar_compute`` cannot run on the
+        production plane: the run **falls back** to the reference plane
+        automatically and :attr:`BSPResult.wire` reports the plane that
+        actually ran (see :mod:`repro.bsp.message` and ``docs/perf.md``).
     shuffle:
-        Shuffle mode: ``"strict"`` (default; whole outboxes merge at the
-        barrier in worker-id order — the bit-parity reference) or
-        ``"pipelined"`` (columnar wire only; outboxes stream
-        watermark-sized chunks into the barrier store while workers are
-        still computing, overlapping compute with shuffle and bounding
-        each worker's buffered outbox to one chunk).  Pipelined results
-        are bit-identical to strict: chunks carry ``(sender, seq)`` tags
-        and the store restores strict merge order at the barrier.
+        Delivery schedule of the production plane: ``"strict"``
+        (default; each worker's whole outbox reaches the barrier store
+        as one chunk) or ``"pipelined"`` (outboxes stream watermark-sized
+        chunks into the store while workers are still computing,
+        overlapping compute with shuffle and bounding each worker's
+        buffered outbox to one chunk).  Results are bit-identical:
+        chunks carry ``(sender, seq)`` tags and the store restores
+        worker-id merge order at the barrier.
     chunk_gpsis / chunk_bytes:
         Pipelined-mode flush watermarks — a chunk flushes before an
         append would cross either the row or the exact-wire-bytes bound
@@ -147,7 +193,7 @@ class BSPEngine:
         stragglers and the barrier re-applies outcomes in canonical
         (owner, seq) order, so ledgers/outputs stay bit-identical to the
         static schedule (see :mod:`repro.runtime.stealing` and
-        ``docs/runtime.md``).  Requires ``wire='columnar'``,
+        ``docs/runtime.md``).  Requires the production plane,
         ``shuffle='strict'`` and a program that declares
         ``supports_task_expansion``.
     steal_tasks:
@@ -170,8 +216,9 @@ class BSPEngine:
         :class:`~repro.exceptions.JobCancelled` (cooperative
         cancellation — teardown and tracing run normally).
     spill_dir / memory_watermark_bytes:
-        The out-of-core spill plane (columnar wire only; see
-        :mod:`repro.bsp.spill` and ``docs/scale.md``).  Set together:
+        The out-of-core spill policy of the barrier store (production
+        plane only; see :mod:`repro.bsp.spill` and ``docs/scale.md``).
+        Set together:
         once a superstep's barrier store holds ``memory_watermark_bytes``
         of resident message payload, further sealed chunks are evicted
         to a per-superstep spill file under ``spill_dir`` and re-mapped
@@ -192,7 +239,7 @@ class BSPEngine:
         backend: Union[str, Any] = "serial",
         procs: Optional[int] = None,
         trace: Any = None,
-        wire: str = "object",
+        wire: str = "columnar",
         shuffle: str = "strict",
         chunk_gpsis: Optional[int] = None,
         chunk_bytes: Optional[int] = None,
@@ -210,22 +257,13 @@ class BSPEngine:
                 f"partition covers {partition.num_vertices} vertices, "
                 f"graph has {graph.num_vertices}"
             )
-        if wire not in WIRE_PLANES:
-            raise EngineError(
-                f"unknown wire plane {wire!r}; available: {list(WIRE_PLANES)}"
-            )
         if shuffle not in SHUFFLE_MODES:
             raise EngineError(
                 f"unknown shuffle mode {shuffle!r}; available: "
                 f"{list(SHUFFLE_MODES)}"
             )
+        require_columnar_plane(wire, shuffle, steal, spill_dir)
         if shuffle == "pipelined":
-            if wire != "columnar":
-                raise EngineError(
-                    "the pipelined shuffle streams packed chunks and "
-                    "requires wire='columnar'; run wire='object' with "
-                    "shuffle='strict'"
-                )
             if chunk_gpsis is None and chunk_bytes is None:
                 chunk_gpsis = DEFAULT_CHUNK_GPSIS
             for name, value in (
@@ -248,11 +286,6 @@ class BSPEngine:
                 f"{list(kernels.KERNEL_CHOICES)}"
             )
         if steal:
-            if wire != "columnar":
-                raise EngineError(
-                    "the work-stealing scheduler splits packed columnar "
-                    "batches and requires wire='columnar'"
-                )
             if shuffle != "strict":
                 raise EngineError(
                     "work stealing requires shuffle='strict'; stolen "
@@ -274,18 +307,11 @@ class BSPEngine:
                 "spill_dir and memory_watermark_bytes enable the disk "
                 "spill plane together; set both or neither"
             )
-        if spill_dir is not None:
-            if wire != "columnar":
-                raise EngineError(
-                    "the spill plane seals packed columnar chunks and "
-                    "requires wire='columnar'; run wire='object' fully "
-                    "in memory"
-                )
-            if memory_watermark_bytes < 1:
-                raise EngineError(
-                    "memory_watermark_bytes must be >= 1, got "
-                    f"{memory_watermark_bytes}"
-                )
+        if spill_dir is not None and memory_watermark_bytes < 1:
+            raise EngineError(
+                "memory_watermark_bytes must be >= 1, got "
+                f"{memory_watermark_bytes}"
+            )
         self.spill_dir = spill_dir
         self.memory_watermark_bytes = memory_watermark_bytes
         self.kernel = kernel
@@ -334,11 +360,25 @@ class BSPEngine:
         )
         outputs: List[Any] = []
         combiner = program.message_combiner()
-        if self.wire == "columnar" and combiner is not None:
-            raise EngineError(
-                "the columnar wire plane cannot honour a message combiner; "
-                "run combiner programs with wire='object'"
-            )
+        # The plane follows from what the program is, never from a second
+        # option: the production plane needs combiner-less columnar
+        # compute, anything else runs on the reference plane.
+        fallback = None
+        if self.wire == "columnar":
+            if combiner is not None:
+                fallback = (
+                    f"{type(program).__name__} declares a message combiner"
+                )
+            elif not getattr(program, "supports_columnar_compute", False):
+                fallback = (
+                    f"{type(program).__name__} does not support columnar "
+                    "compute"
+                )
+        require_columnar_plane(
+            self.wire, self.shuffle, self.steal, self.spill_dir, fallback
+        )
+        plane = "object" if fallback else self.wire
+        columnar = plane == "columnar"
         if self.steal and not getattr(
             program, "supports_task_expansion", False
         ):
@@ -347,7 +387,7 @@ class BSPEngine:
                 "split (supports_task_expansion); "
                 f"{type(program).__name__} does not declare it"
             )
-        inbox = MessageStore(combiner)
+        inbox = None  # superstep 0 delivers nothing
         registry = AggregatorRegistry(
             program.aggregators(), program.persistent_aggregators()
         )
@@ -368,6 +408,7 @@ class BSPEngine:
         if tracer.enabled:
             tracer.meta.update(
                 backend=executor.name,
+                wire=plane,
                 num_workers=self.num_workers,
                 graph_vertices=self.graph.num_vertices,
                 graph_edges=self.graph.num_edges,
@@ -388,7 +429,7 @@ class BSPEngine:
                 num_workers=self.num_workers,
                 worker_states=[worker.state for worker in self.workers],
                 tracer=tracer,
-                wire=self.wire,
+                wire=plane,
                 shuffle=self.shuffle,
                 chunk_gpsis=self.chunk_gpsis,
                 chunk_bytes=self.chunk_bytes,
@@ -397,10 +438,8 @@ class BSPEngine:
             )
         )
         merge_program_state = not executor.inprocess
-        pipelined = self.shuffle == "pipelined"
 
         superstep = 0
-        active: List[int] = list(initial)
         status = "completed"
         try:
             while True:
@@ -444,28 +483,30 @@ class BSPEngine:
                     if spill_mgr is not None
                     else (0, 0)
                 )
-                spill_kwargs = (
-                    dict(
-                        spill=spill_mgr.for_superstep(superstep),
-                        watermark_bytes=spill_mgr.watermark_bytes,
-                    )
-                    if spill_mgr is not None
-                    else {}
-                )
-                if pipelined:
+                if columnar:
                     outbox = ChunkedColumnarStore(
                         self.partition.owner_array,
                         self.num_workers,
-                        **spill_kwargs,
+                        spill=(
+                            spill_mgr.for_superstep(superstep)
+                            if spill_mgr is not None
+                            else None
+                        ),
+                        watermark_bytes=self.memory_watermark_bytes,
                     )
-                elif self.wire == "columnar":
-                    outbox = ColumnarMessageStore(**spill_kwargs)
                 else:
                     outbox = MessageStore(combiner)
                 inbound_per_worker = [0] * self.num_workers
 
                 build_started = perf_counter() if tracer.enabled else 0.0
-                batches = self._build_batches(active, inbox)
+                if superstep == 0:
+                    batches = self._group_by_owner(initial, lambda v: [])
+                elif columnar:
+                    batches = inbox.build_worker_batches()
+                else:
+                    batches = self._group_by_owner(
+                        inbox.destinations(), inbox.take
+                    )
                 if spill_mgr is not None:
                     # The previous superstep's messages are delivered;
                     # nothing can re-map its spill file again.
@@ -476,21 +517,21 @@ class BSPEngine:
                     else 0.0
                 )
                 step_started = perf_counter() if tracer.enabled else 0.0
-                if pipelined:
-                    # The sink is called from the backend's drain thread
-                    # while workers are still computing — early chunks
-                    # are owner-split (the bulk of the shuffle) before
-                    # the barrier even starts.
-                    chunk_sink = self._make_chunk_sink(
-                        outbox, tracer, superstep
-                    )
-                    results = executor.run_superstep(
-                        superstep, batches, registry, chunk_sink=chunk_sink
-                    )
-                else:
-                    results = executor.run_superstep(
-                        superstep, batches, registry
-                    )
+                # The shuffle mode is nothing but this: under pipelined
+                # shuffle the executor gets a sink, called from the
+                # backend's drain thread while workers are still
+                # computing, so early chunks are owner-split before the
+                # barrier even starts.
+                results = executor.run_superstep(
+                    superstep,
+                    batches,
+                    registry,
+                    chunk_sink=(
+                        self._make_chunk_sink(outbox, tracer, superstep)
+                        if self.shuffle == "pipelined"
+                        else None
+                    ),
+                )
                 step_wall_ms = (
                     (perf_counter() - step_started) * 1000.0
                     if tracer.enabled
@@ -498,13 +539,11 @@ class BSPEngine:
                 )
                 # Barrier: shuffle messages and fold per-worker effects in
                 # worker-id order (= the serial engine's interleaving).
-                # Under the columnar plane each merge appends a packed
-                # buffer set — the ledger records the exact wire bytes it
-                # shipped, with no per-message encoded_size calls.  Under
-                # pipelined shuffle most chunks already landed; what is
-                # merged here is each worker's residual (its final,
-                # below-watermark chunk), tagged with the next sequence
-                # number after its streamed chunks.
+                # On the production plane each worker's returned outbox
+                # is its last chunk — sequence number ``chunks_flushed``,
+                # i.e. 0 unless earlier chunks already streamed — and the
+                # ledger records the exact wire bytes it shipped, with no
+                # per-message encoded_size calls.
                 merge_started = perf_counter() if tracer.enabled else 0.0
                 for result in results:
                     wid = result.worker_id
@@ -515,21 +554,10 @@ class BSPEngine:
                         ledger.add_wire_bytes(wid, result.wire_bytes)
                     for dest, count in enumerate(result.inbound):
                         inbound_per_worker[dest] += count
-                    if pipelined:
-                        if len(result.outbox):
-                            outbox.merge_chunk(
-                                wid, result.chunks_flushed, result.outbox
-                            )
-                            if tracer.enabled:
-                                tracer.emit(
-                                    "chunk_deliver",
-                                    superstep=superstep,
-                                    worker=wid,
-                                    seq=result.chunks_flushed,
-                                    rows=len(result.outbox),
-                                    nbytes=result.outbox.nbytes,
-                                    residual=True,
-                                )
+                    if columnar:
+                        outbox.merge_chunk(
+                            wid, result.chunks_flushed, result.outbox
+                        )
                     else:
                         outbox.merge_batch(result.outbox)
                     outputs.extend(result.outputs)
@@ -538,26 +566,23 @@ class BSPEngine:
                             for name, value in result.agg_contribs.items():
                                 registry.aggregate(name, value)
                         program.merge_state_delta(result.state_delta)
-                if pipelined:
-                    # Relaxed barrier, exact accounting: the store must
-                    # hold precisely what the workers' own counters say
-                    # was sent — any lost, duplicated or torn chunk
-                    # fails the superstep here instead of corrupting it.
+                if columnar:
+                    # Exact accounting: the store must hold precisely
+                    # what the workers' own counters say was sent — any
+                    # lost, duplicated or torn chunk fails the superstep
+                    # here instead of corrupting it.
                     outbox.finalize()
                     sent_rows = sum(r.messages_sent for r in results)
-                    if len(outbox) != sent_rows:
+                    sent_bytes = sum(r.wire_bytes for r in results)
+                    if (len(outbox), outbox.wire_bytes) != (
+                        sent_rows,
+                        sent_bytes,
+                    ):
                         raise EngineError(
-                            "pipelined shuffle accounting broke at "
-                            f"superstep {superstep}: store holds "
-                            f"{len(outbox)} rows, workers sent {sent_rows}"
-                        )
-                    sent_bytes = sum(r.wire_bytes or 0 for r in results)
-                    if outbox.wire_bytes != sent_bytes:
-                        raise EngineError(
-                            "pipelined shuffle accounting broke at "
-                            f"superstep {superstep}: store merged "
-                            f"{outbox.wire_bytes} wire bytes, workers "
-                            f"packed {sent_bytes}"
+                            "shuffle accounting broke at superstep "
+                            f"{superstep}: store holds {len(outbox)} rows / "
+                            f"{outbox.wire_bytes} wire bytes, workers sent "
+                            f"{sent_rows} rows / {sent_bytes} bytes"
                         )
                 merge_ms = (
                     (perf_counter() - merge_started) * 1000.0
@@ -592,17 +617,14 @@ class BSPEngine:
                                 nbytes=nbytes,
                             )
                     barrier_extra = {}
-                    if any(r.wire_bytes is not None for r in results):
-                        barrier_extra["wire_bytes"] = sum(
-                            r.wire_bytes or 0 for r in results
-                        )
-                    if pipelined:
-                        barrier_extra["chunks"] = outbox.chunks_merged
-                        barrier_extra["max_chunk_bytes"] = (
-                            outbox.max_chunk_bytes
-                        )
-                        barrier_extra["max_send_bytes"] = max(
-                            (r.max_send_bytes for r in results), default=0
+                    if columnar:
+                        barrier_extra.update(
+                            wire_bytes=outbox.wire_bytes,
+                            chunks=outbox.chunks_merged,
+                            max_chunk_bytes=outbox.max_chunk_bytes,
+                            max_send_bytes=max(
+                                (r.max_send_bytes for r in results), default=0
+                            ),
                         )
                     if spill_mgr is not None:
                         barrier_extra["spill_chunks"] = (
@@ -624,7 +646,7 @@ class BSPEngine:
                         "superstep",
                         superstep=superstep,
                         wall_ms=step_wall_ms,
-                        active_vertices=len(active),
+                        active_vertices=sum(len(batch) for batch in batches),
                         batches=sum(1 for batch in batches if batch),
                         build_ms=build_ms,
                     )
@@ -638,7 +660,6 @@ class BSPEngine:
                 if not outbox:
                     break
                 inbox = outbox
-                active = inbox.destinations()
                 superstep += 1
         except Exception as exc:
             # Teardown runs on every exit path — simulated OOM, the
@@ -674,6 +695,7 @@ class BSPEngine:
             aggregated=registry.finals(),
             trace=tracer if tracer.enabled else None,
             steals=int(getattr(executor, "steals_total", 0)),
+            wire=plane,
         )
 
     # ------------------------------------------------------------------
@@ -702,24 +724,12 @@ class BSPEngine:
 
         return sink
 
-    def _build_batches(
-        self, active: List[int], inbox: MessageStore
-    ) -> List[List]:
+    def _group_by_owner(self, active, payloads_of) -> List[List]:
         """Group the active set by owning worker, preserving activation
         order within each worker, and attach each vertex's delivered
-        payloads — the executor-facing unit of work.
-
-        A columnar inbox is never opened here: the whole store partitions
-        into per-worker packed batches with one vectorised pass over its
-        destination column, and payloads stay packed until the executing
-        worker materialises them."""
-        if isinstance(inbox, (ColumnarMessageStore, ChunkedColumnarStore)):
-            return inbox.build_worker_batches(
-                self.partition.owner_array, self.num_workers
-            )
-        by_worker: List[List[int]] = [[] for _ in range(self.num_workers)]
+        payloads — the reference plane's executor-facing unit of work
+        (and every plane's superstep 0, which delivers nothing)."""
+        by_worker: List[List] = [[] for _ in range(self.num_workers)]
         for v in active:
-            by_worker[self.partition.owner(v)].append(v)
-        return [
-            [(v, inbox.take(v)) for v in vertices] for vertices in by_worker
-        ]
+            by_worker[self.partition.owner(v)].append((v, payloads_of(v)))
+        return by_worker

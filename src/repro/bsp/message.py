@@ -1,32 +1,37 @@
-"""Message containers and wire planes for the BSP engine.
+"""Message containers for the BSP engine's two data planes.
 
 Messages are addressed to data vertices (vertex-centric model); the engine
 routes each to the worker owning the destination and delivers it at the
 start of the next superstep, exactly like Pregel/Giraph.
 
-Two *wire planes* implement the barrier crossing:
+Two planes implement the barrier crossing, each with one store:
 
-* the **object plane** (:class:`MessageStore`) moves per-message Python
-  payloads — fully generic, the reference implementation;
-* the **columnar plane** (:class:`ColumnarMessageStore`) moves whole
-  Gpsi outboxes as a handful of contiguous numpy buffers
-  (:class:`GpsiBatch`), shuffles by destination worker with a vectorised
-  partition, and defers ``Gpsi`` object construction to delivery time —
-  the process backend then ships O(1) buffers per worker pair instead of
-  O(#Gpsi) pickled constructor calls.  Gpsi-only, combiner-less; parity
-  with the object plane is pinned message-for-message by tests.
+* the **reference plane** (:class:`MessageStore`) moves per-message Python
+  payloads — fully generic, combiner-aware, the executable specification
+  and the parity oracle;
+* the **production plane** (:class:`ChunkedColumnarStore`) moves Gpsi
+  outboxes as ``(sender, seq)``-tagged chunks of contiguous numpy buffers
+  (:class:`GpsiBatch`), owner-splits each chunk as it arrives and hands
+  every worker a still-packed :class:`PackedWorkerBatch` — no ``Gpsi``
+  object exists anywhere between two supersteps.  Gpsi-only,
+  combiner-less; parity with the reference plane is pinned
+  message-for-message by tests.
 
-The columnar plane additionally supports two *shuffle modes* (see
-:mod:`repro.bsp.engine`):
+The *shuffle mode* (see :mod:`repro.bsp.engine`) is a delivery schedule
+over that one store, not a second one:
 
-* **strict** — each worker's whole outbox crosses the barrier at once,
-  merged in worker-id order (the bit-parity reference);
-* **pipelined** — the outbox flushes fixed-size chunks while compute is
-  still running (:class:`ColumnarOutbox` watermarks), and the barrier
-  store (:class:`ChunkedColumnarStore`) ingests and owner-splits each
-  chunk on arrival.  Chunks are tagged ``(sender, seq)``; sorting by
-  that tag at finalisation reproduces the strict merge order exactly,
-  so pipelining changes *when* bytes move, never what is delivered.
+* **strict** — each worker's whole outbox arrives at the barrier as its
+  single chunk ``(worker_id, 0)``;
+* **pipelined** — the outbox flushes watermark-sized chunks while compute
+  is still running (:class:`ColumnarOutbox`), the store ingests them
+  mid-superstep, and the remainder arrives at the barrier as the sender's
+  last chunk.
+
+Sorting chunks by ``(sender, seq)`` at finalisation yields the same row
+order either way, so the schedule changes *when* bytes move, never what
+is delivered.  Spilling (:mod:`repro.bsp.spill`) is a storage policy of
+the same store: chunks past the resident-bytes watermark wait on disk
+under their tag and rejoin before the sort.
 """
 
 from __future__ import annotations
@@ -188,10 +193,9 @@ class GpsiBatch:
 
     ``dest`` is an ``int64`` destination-vertex column; ``columns`` the
     struct-of-arrays Gpsi payload (:class:`repro.core.psi.GpsiColumns`).
-    Row order is the object plane's ``as_batch`` order — destinations in
-    first-send order, each destination's payloads in send order — so
-    concatenating batches in worker-id order reproduces the object
-    plane's delivery order exactly.
+    Rows are in send order; the barrier store groups them stably by
+    first occurrence of each destination, which is exactly the reference
+    plane's activation and delivery order.
     """
 
     __slots__ = ("dest", "columns")
@@ -199,29 +203,6 @@ class GpsiBatch:
     def __init__(self, dest: np.ndarray, columns: Any):
         self.dest = dest
         self.columns = columns
-
-    @classmethod
-    def pack(cls, outbox: Sequence[Tuple[int, List[Any]]]) -> "GpsiBatch":
-        """Pack a :meth:`MessageStore.as_batch` snapshot of Gpsi payloads."""
-        psi = _psi()
-        slots = len(outbox)
-        total = sum(len(payloads) for _, payloads in outbox)
-        if total == 0:
-            return cls(np.empty(0, dtype=np.int64), psi.GpsiColumns.empty(0))
-        first = outbox[0][1][0]
-        if not isinstance(first, psi.Gpsi):
-            raise TypeError(
-                "the columnar wire plane ships Gpsi payloads only, got "
-                f"{type(first).__name__}; run with wire='object'"
-            )
-        dest_vals = np.fromiter(
-            (dest for dest, _ in outbox), dtype=np.int64, count=slots
-        )
-        counts = np.fromiter(
-            (len(payloads) for _, payloads in outbox), dtype=np.int64, count=slots
-        )
-        gpsis = [g for _, payloads in outbox for g in payloads]
-        return cls(np.repeat(dest_vals, counts), psi.pack_gpsis(gpsis))
 
     @property
     def nbytes(self) -> int:
@@ -235,14 +216,13 @@ class GpsiBatch:
 class ColumnarOutbox:
     """A worker outbox that accumulates packed Gpsi chunks directly.
 
-    The batch-expansion path sends whole child batches per compute call
+    Expansion supersteps send whole child batches per compute call
     (``ctx.send_columns``), so the outbox is a list of ``(dest, columns)``
-    chunk pairs instead of a per-message dict.  ``to_batch`` concatenates
-    them into one :class:`GpsiBatch` in send order — every downstream
-    consumer (:meth:`ColumnarMessageStore.destinations`,
-    :meth:`ColumnarMessageStore.build_worker_batches`, ``take``) groups
-    rows stably by first occurrence, so send-order rows and the object
-    plane's ``as_batch``-grouped rows deliver identically.
+    chunk pairs instead of a per-message dict.  Scalar ``ctx.send`` calls
+    (the initialisation superstep) are buffered and packed together at
+    the next seal point, so they cost one ``pack_gpsis`` per worker, not
+    one per message.  ``to_batch`` concatenates everything into one
+    :class:`GpsiBatch` in send order.
 
     Under the **pipelined shuffle mode** the outbox also streams: give it
     a ``flush`` callback plus a ``chunk_gpsis`` (rows) and/or
@@ -258,6 +238,7 @@ class ColumnarOutbox:
     __slots__ = (
         "_dest_chunks",
         "_col_chunks",
+        "_scalars",
         "_count",
         "_pending_bytes",
         "_flush",
@@ -276,6 +257,8 @@ class ColumnarOutbox:
     ):
         self._dest_chunks: List[np.ndarray] = []
         self._col_chunks: List[Any] = []
+        #: Scalar sends not yet packed (see :meth:`append_message`).
+        self._scalars: List[Message] = []
         self._count = 0
         self._pending_bytes = 0
         self._flush = flush
@@ -307,7 +290,7 @@ class ColumnarOutbox:
 
     def flush_pending(self) -> None:
         """Hand the pending rows to the flush callback as one chunk."""
-        if self._count == 0 or self._flush is None:
+        if self._flush is None or not len(self):
             return
         batch = self.to_batch()
         self._dest_chunks = []
@@ -318,38 +301,53 @@ class ColumnarOutbox:
         self.flushed_bytes += batch.nbytes
         self._flush(batch)
 
+    def _push(self, dest: np.ndarray, columns: Any) -> None:
+        nbytes = dest.nbytes + columns.nbytes
+        if nbytes > self.max_append_bytes:
+            self.max_append_bytes = nbytes
+        self._dest_chunks.append(dest)
+        self._col_chunks.append(columns)
+        self._count += len(columns)
+        self._pending_bytes += nbytes
+
     def append(self, dest: np.ndarray, columns: Any) -> None:
         """Queue one packed chunk: row ``i`` of ``columns`` goes to data
         vertex ``dest[i]``."""
         n = len(columns)
         if n == 0:
             return
+        self._seal_scalars()
         dest = np.asarray(dest, dtype=np.int64)
-        nbytes = dest.nbytes + columns.nbytes
-        if nbytes > self.max_append_bytes:
-            self.max_append_bytes = nbytes
         if self._flush is not None and self._count and self._would_overflow(
-            n, nbytes
+            n, dest.nbytes + columns.nbytes
         ):
             self.flush_pending()
-        self._dest_chunks.append(dest)
-        self._col_chunks.append(columns)
-        self._count += n
-        self._pending_bytes += nbytes
+        self._push(dest, columns)
         if self._flush is not None and self._at_watermark():
             self.flush_pending()
 
     def append_message(self, message: Message) -> None:
-        """Queue one scalar :class:`Message` (a single-row chunk) — keeps
-        ``ctx.send`` functional inside a columnar compute batch."""
-        psi = _psi()
-        self.append(
-            np.array([message.dest], dtype=np.int64),
-            psi.pack_gpsis([message.payload]),
+        """Queue one scalar :class:`Message` — ``ctx.send`` on the
+        production plane.  Buffered: the run of scalar sends is packed as
+        one chunk, in send order, before anything else is queued or read
+        (it never triggers a flush on its own; it rides out with the
+        next one, or as the residual)."""
+        self._scalars.append(message)
+
+    def _seal_scalars(self) -> None:
+        if not self._scalars:
+            return
+        messages, self._scalars = self._scalars, []
+        self._push(
+            np.fromiter(
+                (m.dest for m in messages), dtype=np.int64, count=len(messages)
+            ),
+            _psi().pack_gpsis([m.payload for m in messages]),
         )
 
     def to_batch(self) -> "GpsiBatch":
         """Everything queued, as one packed batch in send order."""
+        self._seal_scalars()
         psi = _psi()
         if not self._col_chunks:
             return GpsiBatch(np.empty(0, dtype=np.int64), psi.GpsiColumns.empty(0))
@@ -359,7 +357,7 @@ class ColumnarOutbox:
         )
 
     def __len__(self) -> int:
-        return self._count
+        return self._count + len(self._scalars)
 
 
 class PackedWorkerBatch:
@@ -368,8 +366,8 @@ class PackedWorkerBatch:
     ``vertices`` lists the worker's active vertices in activation order;
     ``counts[i]`` rows of ``columns`` (consecutive, starting at
     ``sum(counts[:i])``) are the payloads delivered to ``vertices[i]``.
-    The batch kernel calls :meth:`materialize` right before compute — the
-    only point in the whole shuffle where ``Gpsi.__init__`` runs.
+    The executing worker slices it per vertex and hands the slices to
+    ``compute_columns``; the rows are never decoded into objects.
     """
 
     __slots__ = ("vertices", "counts", "columns")
@@ -379,173 +377,8 @@ class PackedWorkerBatch:
         self.counts = counts
         self.columns = columns
 
-    def materialize(self) -> List[Tuple[int, List[Any]]]:
-        """Decode to the executor's ``(vertex, payloads)`` batch form."""
-        gpsis = _psi().unpack_gpsis(self.columns)
-        batch = []
-        pos = 0
-        for vertex, count in zip(self.vertices.tolist(), self.counts.tolist()):
-            batch.append((vertex, gpsis[pos : pos + count]))
-            pos += count
-        return batch
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes shipped to the worker for this batch."""
-        return self.vertices.nbytes + self.counts.nbytes + self.columns.nbytes
-
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-class ColumnarMessageStore:
-    """Barrier store holding packed batches; decodes only at delivery.
-
-    Implements the :class:`MessageStore` barrier surface the engine uses
-    (``merge_batch`` / ``destinations`` / ``take`` / ``len``) over a list
-    of :class:`GpsiBatch` chunks, one per sending worker, merged in
-    worker-id order.  ``take`` and ``build_worker_batches`` group rows
-    with vectorised partitions over the destination column; no Gpsi
-    object exists driver-side unless ``take`` is asked to deliver one.
-
-    Combiner-less by design: Gpsi payloads are not reducible, and the
-    engine refuses to select the columnar plane for programs that declare
-    a combiner.
-    """
-
-    __slots__ = (
-        "_chunks",
-        "_count",
-        "_dest",
-        "_columns",
-        "_groups",
-        "_spill",
-        "_watermark",
-        "_resident_bytes",
-    )
-
-    def __init__(self, spill: Any = None, watermark_bytes: Optional[int] = None):
-        self._chunks: List[Any] = []
-        self._count = 0
-        self._dest: Optional[np.ndarray] = None
-        self._columns: Any = None
-        self._groups: Optional[Dict[int, np.ndarray]] = None
-        #: Optional :class:`repro.bsp.spill.SuperstepSpill`: outboxes
-        #: arriving past ``watermark_bytes`` of resident payload are
-        #: sealed to disk at merge time and re-mapped lazily at first
-        #: delivery, in their original merge slot — delivery order (and
-        #: therefore results) is unchanged.
-        self._spill = spill
-        self._watermark = watermark_bytes
-        self._resident_bytes = 0
-
-    # -- barrier surface ------------------------------------------------
-    def merge_batch(self, batch: GpsiBatch) -> None:
-        """Append one worker's packed outbox (O(1), no decode)."""
-        if len(batch) == 0:
-            return
-        self._count += len(batch)
-        if (
-            self._spill is not None
-            and self._resident_bytes + batch.nbytes > self._watermark
-        ):
-            sender = len(self._chunks)
-            ref = self._spill.spill(sender, 0, batch.dest, batch.columns)
-            self._chunks.append((sender, ref))
-            self._dest = self._columns = self._groups = None
-            return
-        self._resident_bytes += batch.nbytes
-        self._chunks.append(batch)
-        self._dest = self._columns = self._groups = None
-
-    def _merged(self) -> Tuple[np.ndarray, Any]:
-        """Chunks concatenated in merge (= worker-id) order, cached."""
-        if self._dest is None:
-            psi = _psi()
-            for i, chunk in enumerate(self._chunks):
-                if isinstance(chunk, tuple):
-                    sender, ref = chunk
-                    dest, columns = self._spill.load(sender, 0, ref)
-                    # Replace in place: a later merge that invalidates the
-                    # cache must not re-map (and re-count) this chunk.
-                    self._chunks[i] = GpsiBatch(dest, columns)
-            self._dest = (
-                np.concatenate([c.dest for c in self._chunks])
-                if self._chunks
-                else np.empty(0, dtype=np.int64)
-            )
-            self._columns = (
-                psi.GpsiColumns.concat([c.columns for c in self._chunks])
-                if self._chunks
-                else psi.GpsiColumns.empty(0)
-            )
-        return self._dest, self._columns
-
-    def as_batch(self) -> GpsiBatch:
-        """The whole store as one packed batch (first-send row order)."""
-        dest, columns = self._merged()
-        return GpsiBatch(dest, columns)
-
-    def destinations(self) -> List[int]:
-        """Vertices with pending messages, in first-send order."""
-        dest, _ = self._merged()
-        uniq, first = np.unique(dest, return_index=True)
-        return uniq[np.argsort(first, kind="stable")].tolist()
-
-    def take(self, vertex: int) -> List[Any]:
-        """Remove and decode the payloads addressed to ``vertex``."""
-        if self._groups is None:
-            dest, _ = self._merged()
-            uniq, inverse = np.unique(dest, return_inverse=True)
-            order = np.argsort(inverse, kind="stable")
-            bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-            self._groups = {
-                int(uniq[i]): order[bounds[i] : bounds[i + 1]]
-                for i in range(len(uniq))
-            }
-        rows = self._groups.pop(vertex, None)
-        if rows is None:
-            return []
-        self._count -= len(rows)
-        return _psi().unpack_gpsis(self._columns.take(rows))
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
-
-    # -- vectorised shuffle ---------------------------------------------
-    def build_worker_batches(
-        self, owner_of: np.ndarray, num_workers: int
-    ) -> List[Any]:
-        """Partition the store into one packed batch per logical worker.
-
-        ``owner_of`` maps vertex id -> owning worker (the partition's
-        owner array).  Replaces the object plane's per-vertex
-        ``take``-and-regroup with three vectorised passes: an owner
-        gather, a per-worker row select, and a stable grouping of rows by
-        destination in first-send order — exactly the activation and
-        delivery order the object plane produces.  Workers with no
-        messages get an empty (falsy) batch.
-        """
-        dest, columns = self._merged()
-        batches: List[Any] = []
-        owner = owner_of[dest]
-        for w in range(num_workers):
-            rows = np.flatnonzero(owner == w)
-            if len(rows) == 0:
-                batches.append([])
-                continue
-            vertices, counts, perm = _group_first_send(dest[rows])
-            batches.append(
-                PackedWorkerBatch(
-                    vertices=vertices,
-                    counts=counts,
-                    columns=columns.take(rows[perm]),
-                )
-            )
-        return batches
 
 
 def _group_first_send(
@@ -557,7 +390,7 @@ def _group_first_send(
     first-send order, the row count per destination, and the permutation
     that reorders rows so each destination's rows are consecutive (groups
     by first send, rows within a group in send order) — exactly the
-    activation and delivery order the object plane produces.
+    activation and delivery order the reference plane produces.
     """
     uniq, first_idx, inverse = np.unique(
         dest_w, return_index=True, return_inverse=True
@@ -565,55 +398,60 @@ def _group_first_send(
     # Rank each distinct destination by first appearance, then
     # stable-sort rows by that rank: groups ordered by first
     # send, rows within a group in send order.
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(len(uniq))
-    perm = np.argsort(rank[inverse], kind="stable")
     first_order = np.argsort(first_idx, kind="stable")
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[first_order] = np.arange(len(uniq))
+    row_rank = rank[inverse]
     return (
         uniq[first_order],
-        np.bincount(rank[inverse], minlength=len(uniq)),
-        perm,
+        np.bincount(row_rank, minlength=len(uniq)),
+        np.argsort(row_rank, kind="stable"),
     )
 
 
 class ChunkedColumnarStore:
-    """Pipelined-shuffle barrier store: ingests chunks as they stream in.
+    """The production plane's barrier store: ``(sender, seq)``-tagged
+    chunks in, one :class:`PackedWorkerBatch` per worker out.
 
-    The strict :class:`ColumnarMessageStore` receives one whole outbox
-    per worker *after* every worker finished; all shuffle work (owner
-    gather, per-worker row select, copies) then lands on the barrier's
-    critical path.  This store instead accepts fixed-size chunks through
-    :meth:`merge_chunk` **while senders are still computing** and does
-    the owner split per chunk on arrival — overlapping the shuffle with
-    compute and touching each chunk while it is cache-hot.
+    Every sender's outbox reaches the store as a contiguous run of chunks
+    ``seq = 0, 1, ...`` through :meth:`merge_chunk`.  Under strict
+    shuffle that is a single chunk per sender, merged at the barrier;
+    under pipelined shuffle watermark-sized chunks arrive **while senders
+    are still computing** and the remainder follows at the barrier.  Each
+    chunk is split by destination-owning worker on arrival, so what is
+    left for :meth:`build_worker_batches` is one concatenation and one
+    stable per-vertex grouping per worker.
 
     Order and parity
     ----------------
-    Chunks are tagged ``(sender worker id, seq)``; concatenating one
-    sender's chunks in ``seq`` order equals its full outbox, and sorting
-    all chunks by ``(sender, seq)`` at :meth:`finalize` equals the strict
-    store's worker-id merge order.  Every downstream surface
-    (``destinations`` / ``take`` / ``build_worker_batches``) therefore
-    delivers bit-identically to the strict store, no matter how chunks
-    interleaved on the way in.  ``merge_chunk`` is thread-safe (one
-    drain thread per backend feeds it); ``finalize`` validates that each
-    sender's sequence numbers are contiguous from zero, so a lost or
-    duplicated chunk fails loudly instead of corrupting the superstep.
+    Concatenating one sender's chunks in ``seq`` order equals its full
+    outbox, and sorting all chunks by ``(sender, seq)`` at
+    :meth:`finalize` is worker-id merge order — the interleaving a serial
+    run produces — no matter how chunks interleaved on the way in.
+    ``merge_chunk`` is thread-safe (one drain thread per backend feeds
+    it); ``finalize`` validates that each sender's sequence numbers are
+    contiguous from zero, so a lost or duplicated chunk fails loudly
+    instead of corrupting the superstep.
 
     Accounting is exact: ``len(store)`` is the number of deliverable
     rows and :attr:`wire_bytes` the exact bytes of every merged chunk —
     the engine cross-checks both against the workers' own counters at
     every barrier.
+
+    Spilling is a storage policy, not another store: with a
+    :class:`repro.bsp.spill.SuperstepSpill` attached, a chunk arriving
+    past ``watermark_bytes`` of resident payload is sealed to disk at
+    merge time (accounting unchanged) and re-mapped at :meth:`finalize`
+    under the same ``(sender, seq)`` tag, ahead of the order-restoring
+    sort — so delivery is bit-identical.
     """
 
     __slots__ = (
         "_owner_of",
         "_num_workers",
         "_lock",
-        "_chunk_dests",
         "_pieces",
         "_seqs",
-        "_views",
         "_finalized",
         "_count",
         "_spill",
@@ -635,42 +473,36 @@ class ChunkedColumnarStore:
         self._owner_of = owner_of
         self._num_workers = num_workers
         self._lock = threading.Lock()
-        #: ``(sender, seq, dest)`` per chunk — global first-send order.
-        self._chunk_dests: List[Tuple[int, int, np.ndarray]] = []
         #: Per destination worker: ``(sender, seq, dest_sub, cols_sub)``.
         self._pieces: List[List[Tuple[int, int, np.ndarray, Any]]] = [
             [] for _ in range(num_workers)
         ]
         self._seqs: Dict[int, set] = {}
-        #: Optional :class:`repro.bsp.spill.SuperstepSpill`: chunks
-        #: arriving past ``watermark_bytes`` of resident payload are
-        #: sealed to disk at merge time (accounting unchanged) and
-        #: re-mapped at :meth:`finalize` under the same ``(sender, seq)``
-        #: tag, ahead of the order-restoring sort — bit-parity holds.
         self._spill = spill
         self._watermark = watermark_bytes
         self._resident_bytes = 0
         self._spilled: List[Tuple[int, int, Any]] = []
-        #: Per destination worker, built lazily by ``take``:
-        #: ``(dest_w, cols_w, {vertex: rows})``.
-        self._views: Dict[int, Tuple[np.ndarray, Any, Dict[int, np.ndarray]]] = {}
         self._finalized = False
         self._count = 0
         #: Exact bytes of every chunk merged so far.
         self.wire_bytes = 0
         self.chunks_merged = 0
-        #: Largest single merged chunk — pinned by tests/bench against
-        #: ``max(watermark, largest single send)``.
+        #: Largest single merged chunk — pinned by tests against
+        #: ``max(watermark, largest single send)`` under pipelined shuffle.
         self.max_chunk_bytes = 0
 
-    # -- streaming ingest ----------------------------------------------
-    def merge_chunk(self, sender: int, seq: int, batch: GpsiBatch) -> None:
-        """Ingest chunk ``seq`` of worker ``sender``'s outbox (thread-safe).
+    def _split_by_owner(
+        self, sender: int, seq: int, dest: np.ndarray, columns: Any
+    ) -> None:
+        owner = self._owner_of[dest]
+        for w in np.unique(owner).tolist():
+            rows = np.flatnonzero(owner == w)
+            self._pieces[w].append(
+                (sender, seq, dest[rows], columns.take(rows))
+            )
 
-        Splits the chunk by destination-owning worker immediately — the
-        shuffle work that strict mode defers to ``build_worker_batches``
-        — so only the final per-vertex grouping remains at the barrier.
-        """
+    def merge_chunk(self, sender: int, seq: int, batch: GpsiBatch) -> None:
+        """Ingest chunk ``seq`` of worker ``sender``'s outbox (thread-safe)."""
         with self._lock:
             if self._finalized:
                 raise EngineError(
@@ -699,28 +531,13 @@ class ChunkedColumnarStore:
                 self._spilled.append((sender, seq, ref))
                 return
             self._resident_bytes += batch.nbytes
-            self._chunk_dests.append((sender, seq, batch.dest))
-            owner = self._owner_of[batch.dest]
-            for w in np.unique(owner).tolist():
-                rows = np.flatnonzero(owner == w)
-                self._pieces[w].append(
-                    (sender, seq, batch.dest[rows], batch.columns.take(rows))
-                )
-
-    def merge_batch(self, batch: Any) -> None:
-        """Strict-surface guard: pipelined workers must stream chunks."""
-        if batch is not None and len(batch):
-            raise EngineError(
-                "ChunkedColumnarStore receives outboxes via merge_chunk("
-                "sender, seq, batch); merge_batch is the strict-mode surface"
-            )
+            self._split_by_owner(sender, seq, batch.dest, batch.columns)
 
     def finalize(self) -> None:
         """Order chunks by ``(sender, seq)`` and validate completeness.
 
-        Idempotent.  After this the store delivers exactly what a strict
-        barrier would have: senders in worker-id order, each sender's
-        rows in send order.
+        Idempotent.  After this the store delivers senders in worker-id
+        order, each sender's rows in send order.
         """
         with self._lock:
             if self._finalized:
@@ -730,13 +547,7 @@ class ChunkedColumnarStore:
             # from one that never left memory.
             for sender, seq, ref in self._spilled:
                 dest, columns = self._spill.load(sender, seq, ref)
-                self._chunk_dests.append((sender, seq, dest))
-                owner = self._owner_of[dest]
-                for w in np.unique(owner).tolist():
-                    rows = np.flatnonzero(owner == w)
-                    self._pieces[w].append(
-                        (sender, seq, dest[rows], columns.take(rows))
-                    )
+                self._split_by_owner(sender, seq, dest, columns)
             self._spilled = []
             for sender in sorted(self._seqs):
                 seqs = sorted(self._seqs[sender])
@@ -745,80 +556,28 @@ class ChunkedColumnarStore:
                         f"shuffle chunk sequence from worker {sender} has "
                         f"gaps: got seqs {seqs}"
                     )
-            self._chunk_dests.sort(key=lambda c: (c[0], c[1]))
             for pieces in self._pieces:
                 pieces.sort(key=lambda p: (p[0], p[1]))
             self._finalized = True
 
-    # -- barrier surface ------------------------------------------------
-    def destinations(self) -> List[int]:
-        """Vertices with pending messages, in strict first-send order."""
-        self.finalize()
-        if not self._chunk_dests:
-            return []
-        dest = np.concatenate([d for _, _, d in self._chunk_dests])
-        uniq, first = np.unique(dest, return_index=True)
-        return uniq[np.argsort(first, kind="stable")].tolist()
-
-    def _worker_view(
-        self, w: int
-    ) -> Tuple[np.ndarray, Any, Dict[int, np.ndarray]]:
-        view = self._views.get(w)
-        if view is not None:
-            return view
-        psi = _psi()
-        pieces = self._pieces[w]
-        if pieces:
-            dest_w = np.concatenate([p[2] for p in pieces])
-            cols_w = psi.GpsiColumns.concat([p[3] for p in pieces])
-        else:
-            dest_w = np.empty(0, dtype=np.int64)
-            cols_w = psi.GpsiColumns.empty(0)
-        uniq, inverse = np.unique(dest_w, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-        groups = {
-            int(uniq[i]): order[bounds[i] : bounds[i + 1]]
-            for i in range(len(uniq))
-        }
-        view = (dest_w, cols_w, groups)
-        self._views[w] = view
-        return view
-
-    def take(self, vertex: int) -> List[Any]:
-        """Remove and decode the payloads addressed to ``vertex``."""
-        self.finalize()
-        if not (0 <= vertex < len(self._owner_of)):
-            return []
-        _, cols_w, groups = self._worker_view(int(self._owner_of[vertex]))
-        rows = groups.pop(vertex, None)
-        if rows is None:
-            return []
-        self._count -= len(rows)
-        return _psi().unpack_gpsis(cols_w.take(rows))
-
     def __len__(self) -> int:
         return self._count
 
-    def __bool__(self) -> bool:
-        return self._count > 0
-
-    # -- vectorised shuffle ---------------------------------------------
-    def build_worker_batches(
-        self, owner_of: np.ndarray, num_workers: int
-    ) -> List[Any]:
-        """Partition into per-worker packed batches (strict delivery order).
+    def build_worker_batches(self) -> List[Any]:
+        """One packed batch per logical worker, in delivery order.
 
         The owner gather and row select already happened chunk-by-chunk
         at merge time; what remains is one concatenation per worker plus
-        the stable per-vertex grouping — the only shuffle work left on
-        the barrier's critical path under pipelined mode.
+        the stable per-vertex grouping.  Workers with no messages get an
+        empty (falsy) batch.  Consumes the store: each worker's pieces
+        are released as its batch is built, so the delivered batches
+        replace the merged chunks in memory instead of doubling them.
         """
         self.finalize()
         psi = _psi()
         batches: List[Any] = []
-        for w in range(num_workers):
-            pieces = self._pieces[w]
+        for w in range(self._num_workers):
+            pieces, self._pieces[w] = self._pieces[w], []
             if not pieces:
                 batches.append([])
                 continue

@@ -66,14 +66,14 @@ class ComputeContext:
 
     def send_columns(self, dest: Any, columns: Any) -> None:
         """Bulk-send a packed Gpsi batch: row ``i`` of ``columns`` goes to
-        data vertex ``dest[i]``.  Only wired up when the worker runs a
-        columnar compute batch (see :mod:`repro.core.batch_expand`); the
-        rows flow straight into the packed outbox with no per-message
+        data vertex ``dest[i]``.  Only wired up on the production
+        (columnar) plane (see :mod:`repro.core.batch_expand`); the rows
+        flow straight into the packed outbox with no per-message
         objects."""
         if self._send_columns is None:
             raise RuntimeError(
-                "send_columns is only available under the columnar wire "
-                "plane's batch compute path"
+                "send_columns is only available on the production "
+                "(columnar) plane"
             )
         self._send_columns(dest, columns)
 
@@ -112,9 +112,11 @@ class VertexProgram:
     def pre_application(self, graph: Graph, num_workers: int) -> None:
         """One-time setup before superstep 0 (load shared read-only data)."""
 
-    #: Whether the program implements :meth:`compute_columns` and wants
-    #: packed batches delivered without materialising payload objects
-    #: (columnar wire plane only; see ``docs/perf.md``).
+    #: Whether the program implements :meth:`compute_columns` and so can
+    #: run on the production (columnar) plane, where payloads are never
+    #: materialised as objects.  A program that does not — or that
+    #: declares a :meth:`message_combiner` — runs on the reference plane;
+    #: the engine falls back on its own (see ``docs/perf.md``).
     supports_columnar_compute: bool = False
 
     #: Whether the program additionally splits :meth:`compute_columns`

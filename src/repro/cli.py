@@ -18,7 +18,7 @@ Examples
     psgl count --pattern C5 --edge-list my_graph.txt --strategy WA,0.5
     psgl convert soc-LiveJournal1.txt lj.csrbin
     psgl count --pattern PG2 --csrbin lj.csrbin --backend process \\
-        --wire columnar --spill-dir /tmp/spill --memory-watermark-bytes 64000000
+        --spill-dir /tmp/spill --memory-watermark-bytes 64000000
     psgl bench --experiments fig3 fig8 --scale 0.5 --out results/
     psgl serve --dataset wikitalk --port 8707
 
@@ -96,18 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument(
         "--wire",
         choices=["object", "columnar"],
-        default="object",
-        help="barrier wire plane: per-message objects (reference) or "
-        "batch-packed Gpsi buffers (columnar; fastest with --backend "
-        "process)",
+        default="columnar",
+        help="data plane: columnar (production: packed Gpsi buffers, "
+        "batch expansion) or object (reference: per-message objects, "
+        "scalar expansion; identical results)",
     )
     count.add_argument(
         "--shuffle",
         choices=["strict", "pipelined"],
         default="strict",
-        help="barrier shuffle mode (columnar wire only): strict merges "
-        "whole outboxes at the barrier; pipelined streams watermark-"
-        "sized chunks while workers still expand (identical results)",
+        help="barrier shuffle mode: strict merges whole outboxes at the "
+        "barrier; pipelined streams watermark-sized chunks while "
+        "workers still expand (identical results)",
     )
     count.add_argument(
         "--chunk-gpsis",
@@ -122,12 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pipelined shuffle: flush a chunk every N packed wire bytes",
     )
     count.add_argument(
-        "--no-batch-expand",
-        action="store_true",
-        help="pin the scalar per-Gpsi expansion path even under "
-        "--wire columnar (reference/debugging; results are identical)",
-    )
-    count.add_argument(
         "--kernel",
         choices=["auto", "numpy", "native"],
         default="auto",
@@ -138,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument(
         "--steal",
         action="store_true",
-        help="work-stealing superstep scheduler (columnar wire only): "
+        help="work-stealing superstep scheduler: "
         "idle workers steal packed batch slices from stragglers; "
         "results stay bit-identical to the static schedule",
     )
@@ -169,8 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="out-of-core shuffle: spill sealed columnar chunks here once "
-        "the barrier store exceeds the watermark (columnar wire only; "
-        "set together with --memory-watermark-bytes)",
+        "the barrier store exceeds the watermark (set together with "
+        "--memory-watermark-bytes)",
     )
     count.add_argument(
         "--memory-watermark-bytes",
@@ -245,7 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--wire",
         choices=["object", "columnar"],
         default=None,
-        help="barrier wire plane for experiments that support one",
+        help="data plane for experiments that support one "
+        "(default: columnar)",
     )
     bench.add_argument(
         "--kernel",
@@ -335,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="out-of-core shuffle for executed jobs: spill chunks here "
-        "past the watermark (jobs must request a columnar wire; set "
-        "together with --memory-watermark-bytes)",
+        "past the watermark (set together with "
+        "--memory-watermark-bytes)",
     )
     serve.add_argument(
         "--memory-watermark-bytes",
@@ -379,7 +374,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         shuffle=args.shuffle,
         chunk_gpsis=args.chunk_gpsis,
         chunk_bytes=args.chunk_bytes,
-        batch_expand=not args.no_batch_expand,
         kernel=args.kernel,
         steal=args.steal,
         steal_tasks=args.steal_tasks,
@@ -398,7 +392,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     print(f"initial vp : v{result.initial_vertex + 1}")
     print(f"strategy   : {result.strategy}")
     print(f"backend    : {args.backend}")
-    print(f"wire plane : {args.wire}")
+    print(f"wire plane : {result.wire}")
     print(f"shuffle    : {args.shuffle}")
     print(f"kernel     : {result.kernel} (requested {args.kernel})")
     if args.steal:

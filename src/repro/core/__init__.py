@@ -3,11 +3,10 @@
 from .batch_expand import (
     BatchOutcome,
     PendingChildren,
-    coalesce_columns,
     expand_columns,
 )
 from .bloom import BloomFilter, optimal_parameters
-from .candidates import candidate_set, candidate_set_scalar, combination_consistent
+from .candidates import candidate_set_scalar, combination_consistent
 from .codec import (
     CodecError,
     decode_batch,
@@ -57,11 +56,9 @@ from .psi import Gpsi, GpsiColumns, UNMAPPED, pack_gpsis, unpack_gpsis
 __all__ = [
     "BatchOutcome",
     "PendingChildren",
-    "coalesce_columns",
     "expand_columns",
     "BloomFilter",
     "optimal_parameters",
-    "candidate_set",
     "candidate_set_scalar",
     "combination_consistent",
     "CodecError",

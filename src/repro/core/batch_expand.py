@@ -36,7 +36,7 @@ and ledger totals; ``tests/test_batch_expand.py`` pins all of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -119,27 +119,8 @@ def _uncovered_black(black: int, pattern: PatternGraph) -> bool:
     return False
 
 
-def coalesce_columns(
-    chunks: Sequence[GpsiColumns],
-) -> GpsiColumns:
-    """Concatenate delivery chunks into one contiguous slice.
-
-    The pipelined shuffle delivers a vertex's payloads as a *sequence* of
-    :class:`GpsiColumns` pieces (one per barrier chunk that carried rows
-    for it, in chunk order); the expansion kernel wants one contiguous
-    slice.  A single chunk passes through zero-copy, so strict-mode
-    callers pay nothing for the shared entry point.
-    """
-    chunks = [c for c in chunks if len(c)]
-    if len(chunks) == 1:
-        return chunks[0]
-    if not chunks:
-        return GpsiColumns.empty(0)
-    return GpsiColumns.concat(chunks)
-
-
 def expand_columns(
-    columns: Union[GpsiColumns, Sequence[GpsiColumns]],
+    columns: GpsiColumns,
     data_vertex: int,
     pattern: PatternGraph,
     ordered: OrderedGraph,
@@ -155,12 +136,6 @@ def expand_columns(
     but grouped by colouring signature so the per-row Python work
     collapses to a handful of numpy passes per group.
 
-    ``columns`` may also be a sequence of :class:`GpsiColumns` chunks in
-    delivery order (the pipelined shuffle's chunk-granular form); they
-    are coalesced with :func:`coalesce_columns` first, which preserves
-    row order, so the outcome is identical to expanding the contiguous
-    slice.
-
     ``kernel`` selects the per-group inner-loop implementation (see
     :mod:`repro.core.kernels`): ``"numpy"`` is the reference, ``"native"``
     runs the fused jitted GRAY-membership + WHITE-candidate kernels when
@@ -168,8 +143,6 @@ def expand_columns(
     ``"auto"`` picks native exactly when numba is installed.  Outcomes
     are bit-identical across kernels.
     """
-    if not isinstance(columns, GpsiColumns):
-        columns = coalesce_columns(columns)
     use_native = kernels.resolve_kernel(kernel) == "native"
     # Indexes the kernel cannot probe natively keep the numpy candidate
     # path (probe parity requires the kernel to answer probes itself).

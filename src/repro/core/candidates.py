@@ -18,28 +18,17 @@ Injectivity (the candidate must not equal an already mapped data vertex)
 is enforced here too: subgraph listing needs isomorphisms, not
 homomorphisms.
 
-Two implementations produce identical candidate lists *and* identical
-edge-index probe statistics:
-
-* :func:`candidate_set` — the production path.  It filters the whole
-  ``N(vd)`` slice with numpy masks (degree rule against the graph's
-  ``degrees`` array, partial-order rule against the precomputed rank
-  array, injectivity via ``isin``) and then narrows the survivors one
-  GRAY image at a time through the index's batched
-  ``might_contain_many``.  Filtering image-by-image over the shrinking
-  survivor set issues exactly the probes the scalar short-circuit loop
-  would: candidate ``c`` is probed against image ``j`` iff it passed
-  images ``0..j-1``.
-* :func:`candidate_set_scalar` — the original element-by-element loop,
-  kept as the reference the parity tests (and anyone debugging the
-  vectorised path) compare against.
+This module is the *reference* tier: :func:`candidate_set_scalar` walks
+``N(vd)`` one candidate at a time in the paper's rule order, and
+:func:`repro.core.expansion.expand_gpsi` builds on it.  The production
+plane generates candidates for whole delivered batches at once
+(:mod:`repro.core.batch_expand`) and is pinned against this module
+probe-for-probe by the plane-parity tests.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
-
-import numpy as np
 
 from ..graph.ordered import OrderedGraph
 from ..pattern.pattern import PatternGraph
@@ -85,62 +74,6 @@ def _gray_images(
     ]
 
 
-#: Below this many neighbours the per-call overhead of numpy masking
-#: exceeds the scalar loop's cost, so the hybrid dispatches down.  Both
-#: paths produce identical candidate lists and probe statistics, making
-#: the cutoff purely a performance knob.
-SCALAR_CUTOFF = 32
-
-
-def candidate_set(
-    gpsi: Gpsi,
-    white_vp: int,
-    expanding_vp: int,
-    data_vertex: int,
-    pattern: PatternGraph,
-    ordered: OrderedGraph,
-    edge_index: EdgeIndexBase,
-) -> List[int]:
-    """Candidates in ``N(data_vertex)`` that may host ``white_vp``.
-
-    Returns the (possibly empty) list of admissible data vertices.  The
-    caller charges one scan unit per neighbour examined.
-    """
-    graph = ordered.graph
-    neigh = graph.neighbors(data_vertex)
-    if len(neigh) <= SCALAR_CUTOFF:
-        # Tiny slice: the scalar loop wins on constant factors.
-        return candidate_set_scalar(
-            gpsi, white_vp, expanding_vp, data_vertex, pattern, ordered,
-            edge_index,
-        )
-
-    lower_rank, upper_rank = _rank_bounds(gpsi, white_vp, pattern, ordered)
-    if lower_rank >= upper_rank:
-        return []
-
-    # Rules 1a/1b and injectivity as one mask over the whole N(vd) slice.
-    mask = graph.degrees[neigh] >= pattern.degree(white_vp)
-    if lower_rank >= 0 or upper_rank < graph.num_vertices:
-        ranks = ordered.ranks[neigh]
-        if lower_rank >= 0:
-            mask &= ranks > lower_rank
-        if upper_rank < graph.num_vertices:
-            mask &= ranks < upper_rank
-    for vd in gpsi.mapped_data_vertices():
-        mask &= neigh != vd
-    cands = neigh[mask]
-
-    # Rule 2: narrow the survivors one GRAY image at a time; compressing
-    # between images keeps the probe count identical to the scalar loop's
-    # per-candidate short circuit.
-    for image in _gray_images(gpsi, white_vp, expanding_vp, pattern):
-        if len(cands) == 0:
-            break
-        cands = cands[edge_index.might_contain_many(cands, image)]
-    return cands.tolist()
-
-
 def candidate_set_scalar(
     gpsi: Gpsi,
     white_vp: int,
@@ -150,9 +83,14 @@ def candidate_set_scalar(
     ordered: OrderedGraph,
     edge_index: EdgeIndexBase,
 ) -> List[int]:
-    """Reference implementation of :func:`candidate_set`, one candidate at
-    a time.  Kept for parity testing and as executable documentation of
-    Algorithm 5's per-candidate rule order."""
+    """Candidates in ``N(data_vertex)`` that may host ``white_vp``, one
+    candidate at a time — executable documentation of Algorithm 5's
+    per-candidate rule order and the oracle the batch kernel is tested
+    against.
+
+    Returns the (possibly empty) list of admissible data vertices.  The
+    caller charges one scan unit per neighbour examined.
+    """
     graph = ordered.graph
     used = set(gpsi.mapped_data_vertices())
     pattern_degree = pattern.degree(white_vp)

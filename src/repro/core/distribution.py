@@ -83,12 +83,14 @@ class DistributionStrategy:
         Every strategy's batched form consumes the worker RNG / load view
         in exactly the per-child order the scalar loop would, so a
         columnar run reproduces the object path's routing bit for bit.
-        Custom strategies must implement this to run under the batch
-        kernel (or the driver must be built with ``batch_expand=False``).
+        Custom strategies override this to run on the production plane;
+        a strategy that leaves it alone is detected by the driver, which
+        runs the job on the reference plane (scalar :meth:`choose`) and
+        reports that in ``ListingResult.wire``.
         """
         raise NotImplementedError(
-            f"{self.name}: choose_many is not implemented; run with "
-            "batch_expand=False to route children one at a time"
+            f"{self.name}: choose_many is not implemented; the strategy "
+            "can only route children one at a time (reference plane)"
         )
 
     def _require_gray_batches(self, grays: List[tuple]) -> None:

@@ -16,12 +16,12 @@ Three interchangeable implementations support the Table 2 ablation:
 * :class:`NullEdgeIndex` — claims every edge exists, i.e. the index
   disabled ("w/o index" columns).
 
-Every implementation answers both one probe at a time
-(:meth:`~EdgeIndexBase.might_contain`) and a whole candidate batch at
-once (:meth:`~EdgeIndexBase.might_contain_many`) — the batched form is
-what the vectorised expansion hot path uses, and it must agree with the
-scalar form probe-for-probe (including the ``queries``/``positives``
-statistics, which charge one query per candidate either way).
+Every implementation answers one probe at a time
+(:meth:`~EdgeIndexBase.might_contain`, the reference plane) and a whole
+batch of edges at once (:meth:`~EdgeIndexBase.might_contain_pairs`, the
+production plane's batch-expansion kernel); the two must agree
+probe-for-probe, including the ``queries``/``positives`` statistics,
+which charge one query per edge either way.
 """
 
 from __future__ import annotations
@@ -41,24 +41,11 @@ def _edge_key(u: int, v: int, n: int) -> int:
     return u * n + v
 
 
-def _edge_keys_batch(candidates: np.ndarray, image: int, n: int) -> np.ndarray:
-    """Canonical keys of every ``(candidate, image)`` edge, as ``uint64``.
-
-    Matches :func:`_edge_key` value-for-value: keys are ``min * n + max``
-    and ``n**2`` fits 64 bits for any graph this package can hold.
-    """
-    cands = np.asarray(candidates, dtype=np.int64)
-    lo = np.minimum(cands, image).astype(np.uint64)
-    hi = np.maximum(cands, image).astype(np.uint64)
-    return lo * np.uint64(n) + hi
-
-
 def _edge_keys_pairs(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
     """Canonical keys of elementwise ``(us[i], vs[i])`` edges, as ``uint64``.
 
-    The pairwise sibling of :func:`_edge_keys_batch` — both endpoints vary
-    per probe, which is what the batch-expansion kernel's cross-combination
-    checks need.
+    Matches :func:`_edge_key` value-for-value: keys are ``min * n + max``
+    and ``n**2`` fits 64 bits for any graph this package can hold.
     """
     a = np.asarray(us, dtype=np.int64)
     b = np.asarray(vs, dtype=np.int64)
@@ -91,8 +78,8 @@ class EdgeIndexBase:
         """Select the batched-probe implementation (``"numpy"`` or
         ``"native"``).
 
-        ``"native"`` routes :meth:`might_contain_many` /
-        :meth:`might_contain_pairs` through the fused jitted probe loop
+        ``"native"`` routes :meth:`might_contain_pairs` through the
+        fused jitted probe loop
         in :mod:`repro.core.kernels` when a native runtime is available;
         answers and the ``queries``/``positives`` statistics are
         bit-identical either way, so flipping the kernel mid-run is safe.
@@ -131,25 +118,13 @@ class EdgeIndexBase:
         for real implementations)."""
         raise NotImplementedError
 
-    def might_contain_many(self, candidates: np.ndarray, image: int) -> np.ndarray:
-        """Batched form: one bool per edge ``(candidate, image)``.
-
-        The fallback loops over :meth:`might_contain`; concrete indexes
-        override it with a vectorised probe that records the same
-        statistics (one query per candidate).
-        """
-        return np.fromiter(
-            (self.might_contain(int(c), image) for c in candidates),
-            dtype=bool,
-            count=len(candidates),
-        )
-
     def might_contain_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Pairwise batched form: one bool per edge ``(us[i], vs[i])``.
+        """Batched form: one bool per edge ``(us[i], vs[i])``.
 
-        Both endpoints vary per probe — the batch-expansion kernel uses
-        this for cross-combination edge checks.  Statistics account one
-        query per pair, matching a scalar :meth:`might_contain` loop.
+        The batch-expansion kernel's candidate and cross-combination
+        probes.  Statistics account one query per pair, matching a
+        scalar :meth:`might_contain` loop — which is what this fallback
+        runs; concrete indexes override it with a vectorised probe.
         """
         return np.fromiter(
             (self.might_contain(int(u), int(v)) for u, v in zip(us, vs)),
@@ -194,10 +169,6 @@ class BloomEdgeIndex(EdgeIndexBase):
             return kernels.bloom_contains_many(self._bloom, keys)
         return self._bloom.might_contain_many(keys)
 
-    def might_contain_many(self, candidates: np.ndarray, image: int) -> np.ndarray:
-        keys = _edge_keys_batch(candidates, image, self._n)
-        return self._record_many(self._lookup_keys(keys))
-
     def might_contain_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         keys = _edge_keys_pairs(us, vs, self._n)
         return self._record_many(self._lookup_keys(keys))
@@ -234,10 +205,6 @@ class ExactEdgeIndex(EdgeIndexBase):
         key = np.uint64(_edge_key(u, v, self._n))
         return self._record(bool(self._lookup_many(np.array([key]))[0]))
 
-    def might_contain_many(self, candidates: np.ndarray, image: int) -> np.ndarray:
-        keys = _edge_keys_batch(candidates, image, self._n)
-        return self._record_many(self._lookup_many(keys))
-
     def might_contain_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         keys = _edge_keys_pairs(us, vs, self._n)
         return self._record_many(self._lookup_many(keys))
@@ -249,9 +216,6 @@ class NullEdgeIndex(EdgeIndexBase):
 
     def might_contain(self, u: int, v: int) -> bool:
         return self._record(True)
-
-    def might_contain_many(self, candidates: np.ndarray, image: int) -> np.ndarray:
-        return self._record_many(np.ones(len(candidates), dtype=bool))
 
     def might_contain_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return self._record_many(np.ones(len(us), dtype=bool))

@@ -7,7 +7,8 @@ data vertex ``vd``):
    adjacency check ``map(neighbour) in N(vd)`` — ``vd``'s adjacency is
    local to the executing worker, so this costs no communication;
 2. every WHITE pattern neighbour gets a candidate set from ``N(vd)``
-   filtered by Algorithm 5 (:func:`repro.core.candidates.candidate_set`);
+   filtered by Algorithm 5
+   (:func:`repro.core.candidates.candidate_set_scalar`);
 3. ``vp`` turns BLACK; new Gpsis are produced as the cross product of the
    candidate sets, with invalid combinations pruned;
 4. complete instances are reported, incomplete ones handed to the
@@ -27,7 +28,7 @@ from typing import List, Tuple
 
 from ..graph.ordered import OrderedGraph
 from ..pattern.pattern import PatternGraph
-from .candidates import candidate_set, candidate_set_scalar, combination_consistent
+from .candidates import candidate_set_scalar, combination_consistent
 from .cost import CostParameters, DEFAULT_COSTS
 from .edge_index import EdgeIndexBase
 from .psi import Gpsi
@@ -59,16 +60,13 @@ def expand_gpsi(
     ordered: OrderedGraph,
     edge_index: EdgeIndexBase,
     costs: CostParameters = DEFAULT_COSTS,
-    use_scalar_candidates: bool = False,
 ) -> ExpansionOutcome:
     """Run Algorithm 1 on one Gpsi; the caller routes the outcome.
 
-    ``use_scalar_candidates`` swaps the vectorised Algorithm 5 for the
-    scalar reference implementation; results, costs and index statistics
-    are identical either way (the hot-path parity tests pin this), so the
-    flag exists purely for cross-checking and micro-benchmarking.
+    This is the reference expansion — one Gpsi, one candidate at a time.
+    The production plane runs :func:`repro.core.batch_expand.expand_columns`
+    instead, with identical results, costs and index statistics.
     """
-    candidates_fn = candidate_set_scalar if use_scalar_candidates else candidate_set
     outcome = ExpansionOutcome()
     vp = gpsi.next_vertex
     vd = gpsi.mapping[vp]
@@ -88,7 +86,7 @@ def expand_gpsi(
             # WHITE: build the candidate set, paying one scan unit per
             # neighbour of vd examined.
             outcome.cost += costs.scan * graph.degree(vd)
-            cands = candidates_fn(
+            cands = candidate_set_scalar(
                 gpsi, np_, vp, vd, pattern, ordered, edge_index
             )
             if not cands:

@@ -81,6 +81,10 @@ class ListingResult:
     #: Tasks executed by a non-home worker under the work-stealing
     #: scheduler (0 when ``steal=False`` or nothing was stolen).
     steals: int = 0
+    #: The data plane that actually ran: ``"columnar"`` (production) or
+    #: ``"object"`` (reference) — the latter also when a run that asked
+    #: for the production plane had to fall back (see :class:`PSgL`).
+    wire: str = "columnar"
 
     @property
     def makespan(self) -> float:
@@ -132,7 +136,6 @@ class PSgLProgram(VertexProgram):
         collect_instances: bool,
         count_per_vertex: bool = False,
         track_message_bytes: bool = False,
-        batch_expand: bool = True,
         kernel: str = "numpy",
     ):
         self.pattern = pattern
@@ -146,7 +149,6 @@ class PSgLProgram(VertexProgram):
         self.collect_instances = collect_instances
         self.count_per_vertex = count_per_vertex
         self.track_message_bytes = track_message_bytes
-        self.batch_expand = batch_expand
         #: Effective expansion kernel ("numpy"/"native") — resolved by the
         #: driver before construction so every replica agrees.
         self.kernel = kernels.resolve_kernel(kernel)
@@ -160,11 +162,13 @@ class PSgLProgram(VertexProgram):
 
     @property
     def supports_columnar_compute(self) -> bool:
-        # Expansion supersteps run the batched kernel whenever the job is
-        # on the columnar wire plane, unless the caller pinned the scalar
-        # reference path with ``batch_expand=False``.  Custom strategies
-        # that only implement scalar ``choose`` need the scalar path.
-        return self.batch_expand
+        # The batched kernel routes children through ``choose_many``; a
+        # custom strategy that only implements scalar ``choose`` can only
+        # run on the reference plane, and the engine falls back to it.
+        return (
+            type(self.strategy).choose_many
+            is not DistributionStrategy.choose_many
+        )
 
     # ------------------------------------------------------------------
     # Parallel-runtime contract: worker replicas ship without the data
@@ -337,11 +341,9 @@ class PSgLProgram(VertexProgram):
     # ------------------------------------------------------------------
     # Task-expansion contract (work-stealing scheduler)
     # ------------------------------------------------------------------
-    @property
-    def supports_task_expansion(self) -> bool:
-        # Stealable tasks are packed column slices expanded by the pure
-        # kernel; the scalar (batch_expand=False) path has no such split.
-        return self.batch_expand
+    #: Stealable tasks are packed column slices expanded by the pure
+    #: half of :meth:`compute_columns`.
+    supports_task_expansion = True
 
     def task_probe_view(self) -> EdgeIndexBase:
         """A private-counter view of the edge index for one task, so
@@ -462,30 +464,27 @@ class PSgL:
         OS-level parallelism for parallel backends (default:
         ``min(num_workers, cpu_count)``).
     wire:
-        Wire plane for the barrier shuffle: ``"object"`` (default) ships
-        one pickled payload per Gpsi; ``"columnar"`` packs each worker's
-        outbox into contiguous numpy buffers and defers Gpsi decoding to
-        delivery — same embeddings, ledgers and statistics, much less
-        driver-side shuffle work on the process backend (see
-        ``docs/perf.md``).
+        Data plane: ``"columnar"`` (default) is the production plane —
+        Gpsis stay packed in contiguous numpy buffers from one superstep's
+        expansion (:mod:`repro.core.batch_expand`) through the barrier
+        store to the next; ``"object"`` is the reference plane — one
+        ``Gpsi`` object per message, expanded by the scalar
+        :func:`~repro.core.expansion.expand_gpsi`: the executable
+        specification and parity oracle.  Same embeddings, ledgers,
+        statistics and RNG streams on both (see ``docs/perf.md``).  A
+        custom strategy that implements only scalar ``choose`` cannot run
+        on the production plane; such a run falls back to the reference
+        plane automatically and ``ListingResult.wire`` says so.
     shuffle:
-        Barrier shuffle mode (columnar wire only): ``"strict"``
-        (default; whole outboxes cross at the barrier — the bit-parity
-        reference) or ``"pipelined"`` (outboxes stream watermark-sized
-        chunks to the barrier store while workers still expand,
-        overlapping compute with shuffle — same embeddings, counts and
-        ledgers, pinned by tests; see ``docs/runtime.md`` §5).
+        Delivery schedule of the production plane: ``"strict"``
+        (default; whole outboxes cross at the barrier) or
+        ``"pipelined"`` (outboxes stream watermark-sized chunks to the
+        barrier store while workers still expand, overlapping compute
+        with shuffle — same embeddings, counts and ledgers, pinned by
+        tests; see ``docs/runtime.md`` §5).
     chunk_gpsis / chunk_bytes:
         Pipelined-mode flush watermarks (rows / exact wire bytes per
         chunk); both unset picks the engine default.
-    batch_expand:
-        Whether the columnar wire plane also runs the *batched expansion
-        kernel* (:mod:`repro.core.batch_expand`), expanding each worker's
-        packed batches end-to-end without materialising Gpsi objects.
-        Default ``None`` means "yes whenever ``wire='columnar'``";
-        ``False`` pins the scalar reference path (needed for custom
-        strategies that only implement scalar ``choose``).  Ignored on
-        the object wire plane.  Results are bit-identical either way.
     kernel:
         Expansion-kernel selection (``"auto"`` default): ``"numpy"`` is
         the vectorised reference, ``"native"`` the numba-jitted fused
@@ -499,11 +498,12 @@ class PSgL:
         splits into ``(owner, seq)``-tagged tasks that idle workers
         steal, with a canonical-order finalize that keeps instances,
         ledgers and RNG streams bit-identical to the static schedule.
-        Requires ``wire="columnar"`` with ``batch_expand`` on and the
-        strict shuffle (see ``docs/runtime.md``).
+        Requires the production plane and the strict shuffle (see
+        ``docs/runtime.md``).
     steal_tasks:
-        Target rows per stealable task (default: the engine's chunk
-        default); tasks never split a single vertex's slice.
+        Target rows per stealable task (default:
+        ``DEFAULT_STEAL_TASK_GPSIS``); tasks never split a single
+        vertex's slice.
     trace:
         Observability: ``None``/``False`` (default, zero overhead), a
         :class:`repro.obs.Tracer` to record per-superstep events into
@@ -525,8 +525,8 @@ class PSgL:
         setting it cancels the run with
         :class:`~repro.exceptions.JobCancelled`.
     spill_dir / memory_watermark_bytes:
-        The out-of-core spill plane, forwarded to the BSP engine (set
-        together; ``wire="columnar"`` only): barrier chunks past the
+        The out-of-core spill policy, forwarded to the BSP engine (set
+        together; production plane only): barrier chunks past the
         watermark spill to per-superstep files under ``spill_dir`` and
         re-map at delivery, with bit-identical results — see
         :mod:`repro.bsp.spill` and ``docs/scale.md``.
@@ -547,11 +547,10 @@ class PSgL:
         costs: CostParameters = DEFAULT_COSTS,
         backend: str = "serial",
         procs: Optional[int] = None,
-        wire: str = "object",
+        wire: str = "columnar",
         shuffle: str = "strict",
         chunk_gpsis: Optional[int] = None,
         chunk_bytes: Optional[int] = None,
-        batch_expand: Optional[bool] = None,
         kernel: str = "auto",
         steal: bool = False,
         steal_tasks: Optional[int] = None,
@@ -596,7 +595,6 @@ class PSgL:
         self.shuffle = shuffle
         self.chunk_gpsis = chunk_gpsis
         self.chunk_bytes = chunk_bytes
-        self.batch_expand = True if batch_expand is None else batch_expand
         self.kernel = kernel
         self.steal = steal
         self.steal_tasks = steal_tasks
@@ -673,8 +671,8 @@ class PSgL:
         index = self._edge_index
         index.reset_statistics()
         kernel_effective = kernels.resolve_kernel(self.kernel)
-        # Route the index's own batched probes (scalar path, consistency
-        # checks) through the same kernel; answers are bit-identical.
+        # Route the index's own batched probes through the same kernel;
+        # answers are bit-identical.
         index.set_kernel(kernel_effective)
         program = PSgLProgram(
             pattern=pattern,
@@ -688,7 +686,6 @@ class PSgL:
             collect_instances=collect_instances,
             count_per_vertex=count_per_vertex,
             track_message_bytes=track_message_bytes,
-            batch_expand=self.batch_expand,
             kernel=kernel_effective,
         )
         engine = BSPEngine(
@@ -736,6 +733,7 @@ class PSgL:
             trace=bsp_result.trace,
             kernel=kernel_effective,
             steals=bsp_result.steals,
+            wire=bsp_result.wire,
         )
 
     def count(self, pattern: PatternGraph, **kwargs) -> int:

@@ -52,11 +52,11 @@ from ..graph.partition import Partition
 from ..obs.tracer import NULL_TRACER
 
 # One logical worker's superstep input: (vertex, delivered payloads) in
-# delivery order.  Superstep 0 delivers empty payload lists.  Under the
-# columnar wire plane the engine hands over a still-packed
-# ``PackedWorkerBatch`` instead; the kernel materialises it on the
-# executing worker, so packed buffers — not per-message objects — are
-# what crosses any process boundary.
+# delivery order.  Superstep 0 delivers empty payload lists.  On the
+# production plane every later superstep hands over a still-packed
+# ``PackedWorkerBatch`` instead, which the kernel slices per vertex —
+# packed buffers, not per-message objects, are what crosses any process
+# boundary.
 WorkerBatch = List[Tuple[int, List[Any]]]
 
 
@@ -73,14 +73,15 @@ class JobSpec:
     #: pool configuration, shared-memory export sizes); defaults to the
     #: no-op tracer so executors emit unconditionally behind one flag.
     tracer: Any = NULL_TRACER
-    #: Wire plane for outbound messages: ``"object"`` (per-payload Python
-    #: objects, the generic reference) or ``"columnar"`` (packed Gpsi
-    #: buffers; see :mod:`repro.bsp.message`).
+    #: The data plane this job runs on, already resolved by the engine:
+    #: ``"object"`` (reference: per-payload Python objects, scalar
+    #: compute) or ``"columnar"`` (production: packed Gpsi buffers, batch
+    #: compute; see :mod:`repro.bsp.message`).
     wire: str = "object"
-    #: Shuffle mode: ``"strict"`` (whole outboxes cross at the barrier,
-    #: the bit-parity reference) or ``"pipelined"`` (outboxes stream
-    #: fixed-size chunks to the barrier store while compute runs; the
-    #: engine passes ``chunk_sink`` to ``run_superstep``).  Columnar only.
+    #: Shuffle mode: ``"strict"`` (whole outboxes cross at the barrier)
+    #: or ``"pipelined"`` (outboxes stream fixed-size chunks to the
+    #: barrier store while compute runs; the engine passes ``chunk_sink``
+    #: to ``run_superstep``).  Production plane only.
     shuffle: str = "strict"
     #: Pipelined-mode flush watermarks (rows / exact wire bytes); a chunk
     #: flushes before an append would overflow either one.
@@ -90,7 +91,7 @@ class JobSpec:
     #: columnar batch into ``(owner, seq)``-tagged tasks of at most
     #: ``steal_tasks`` rows and let idle workers execute stragglers'
     #: tasks; the barrier re-applies outcomes in canonical order (see
-    #: :mod:`repro.runtime.stealing`).  Columnar + strict shuffle only;
+    #: :mod:`repro.runtime.stealing`).  Production plane + strict shuffle only;
     #: backends accumulate task migrations on ``steals_total``.
     steal: bool = False
     steal_tasks: Optional[int] = None
@@ -109,8 +110,8 @@ class WorkerStepResult:
     """
 
     worker_id: int
-    #: ``(dest, payloads)`` pairs under the object wire plane, a packed
-    #: :class:`~repro.bsp.message.GpsiBatch` under the columnar one.
+    #: ``(dest, payloads)`` pairs on the reference plane, a packed
+    #: :class:`~repro.bsp.message.GpsiBatch` on the production plane.
     outbox: Any
     messages_sent: int
     inbound: List[int]
@@ -120,8 +121,8 @@ class WorkerStepResult:
     agg_contribs: Optional[Dict[str, Any]] = None
     state_delta: Any = None
     worker_state: Optional[Dict[str, Any]] = None
-    #: Exact bytes of the packed outbox buffers (columnar plane only;
-    #: ``None`` when the object plane's size is payload-dependent).
+    #: Exact bytes of the packed outbox buffers (production plane only;
+    #: ``None`` on the reference plane, whose size is payload-dependent).
     #: Under pipelined shuffle this covers streamed chunks *plus* the
     #: residual ``outbox``, so the accounting stays mode-invariant.
     wire_bytes: Optional[int] = None
@@ -134,8 +135,8 @@ class WorkerStepResult:
     #: chunk, offsets measured from the worker batch's start — feeds the
     #: ``chunk_flush`` trace events.
     chunk_stats: Optional[List[Tuple[int, int, float]]] = None
-    #: Largest single ``send_columns`` append (columnar compute only) —
-    #: the slack term in the chunk-size bound.
+    #: Largest single send (production plane only) — the slack term in
+    #: the chunk-size bound.
     max_send_bytes: int = 0
 
 
@@ -177,6 +178,29 @@ def fresh_aggregators(program: VertexProgram) -> Dict[str, Any]:
     return aggs
 
 
+def _compute_batch(
+    program: VertexProgram, ctx: ComputeContext, batch: WorkerBatch
+) -> int:
+    """Call the program once per active vertex, in batch order."""
+    compute_calls = 0
+    if isinstance(batch, PackedWorkerBatch):
+        pos = 0
+        columns = batch.columns
+        for vertex, count in zip(
+            batch.vertices.tolist(), batch.counts.tolist()
+        ):
+            ctx.vertex = vertex
+            compute_calls += 1
+            program.compute_columns(ctx, columns.row_slice(pos, pos + count))
+            pos += count
+    else:
+        for vertex, payloads in batch:
+            ctx.vertex = vertex
+            compute_calls += 1
+            program.compute(ctx, payloads)
+    return compute_calls
+
+
 def run_worker_batch(
     program: VertexProgram,
     graph: Graph,
@@ -187,12 +211,12 @@ def run_worker_batch(
     batch: WorkerBatch,
     worker_state: Dict[str, Any],
     aggregators: Any,
-    combiner: Any,
     collect_delta: bool,
     wire: str = "object",
     chunk_sink: Optional[Callable[[int, int, Any], None]] = None,
     chunk_gpsis: Optional[int] = None,
     chunk_bytes: Optional[int] = None,
+    drive: Optional[Callable[[ComputeContext], int]] = None,
 ) -> WorkerStepResult:
     """Run one logical worker's compute batch and collect its effects.
 
@@ -201,46 +225,41 @@ def run_worker_batch(
     batch and worker state, which it is: vertices run in batch order and
     all side effects accumulate locally in program order.
 
-    Under the columnar wire plane the kernel is also where both packed
-    endpoints live.  Programs that declare ``supports_columnar_compute``
-    never leave packed form: the delivered
+    On the production plane (``wire="columnar"``) nothing ever leaves
+    packed form: the delivered
     :class:`~repro.bsp.message.PackedWorkerBatch` is sliced per vertex and
     handed to ``compute_columns``, and children flow through
     ``ctx.send_columns`` into a :class:`~repro.bsp.message.ColumnarOutbox`
-    — zero Gpsi constructions end to end.  For every other program the
-    packed input is materialised here (batch decode, the only Gpsi
-    construction in the whole shuffle) and the outbox is packed into a
-    :class:`~repro.bsp.message.GpsiBatch` before it travels back — on
-    the process backend both directions therefore cross the pool
-    boundary as a handful of numpy buffers either way.
+    — zero Gpsi constructions end to end, and on the process backend both
+    directions cross the pool boundary as a handful of numpy buffers.
+    Superstep 0 delivers no payloads, so it runs the scalar ``compute``
+    per vertex on either plane; its ``ctx.send`` calls land in the same
+    outbox and are packed once.
 
-    ``chunk_sink`` enables the pipelined shuffle on the columnar compute
-    path: the outbox flushes watermark-sized chunks through
-    ``chunk_sink(worker_id, seq, batch)`` *while compute is running*;
-    whatever is pending at the end returns as the residual ``outbox``
-    with ``chunks_flushed`` recording how many chunks already streamed.
-    The scalar compute path never streams (its outbox materialises as
-    objects and packs once at the end) — with a sink set it simply
-    returns everything as the residual, which degrades to strict-mode
-    behaviour without a special case anywhere downstream.
+    ``chunk_sink`` enables the pipelined shuffle: the outbox flushes
+    watermark-sized chunks through ``chunk_sink(worker_id, seq, batch)``
+    *while compute is running*; whatever is pending at the end returns
+    as the residual ``outbox`` with ``chunks_flushed`` recording how many
+    chunks already streamed.
+
+    ``drive`` replaces the per-vertex compute loop over ``batch``: it is
+    handed the worker's context and returns the number of compute calls
+    it stands for.  The work-stealing scheduler uses it to replay
+    already-expanded outcomes in canonical order — same context, same
+    outbox, same accounting as the static path, by construction.
     """
-    columnar_compute = (
-        isinstance(batch, PackedWorkerBatch)
-        and wire == "columnar"
-        and getattr(program, "supports_columnar_compute", False)
-    )
-    if isinstance(batch, PackedWorkerBatch) and not columnar_compute:
-        batch = batch.materialize()
+    columnar = wire == "columnar"
     inbound = [0] * num_workers
     outputs: List[Any] = []
     acc = {"cost": 0.0, "sent": 0}
+    chunk_stats: Optional[List[Tuple[int, int, float]]] = None
 
     def add_cost(units: float) -> None:
         acc["cost"] += units
 
-    if columnar_compute:
+    if columnar:
         if chunk_sink is not None:
-            chunk_stats: List[Tuple[int, int, float]] = []
+            chunk_stats = []
             batch_started = perf_counter()
 
             def _flush(chunk: GpsiBatch) -> None:
@@ -258,7 +277,6 @@ def run_worker_batch(
                 flush=_flush, chunk_gpsis=chunk_gpsis, chunk_bytes=chunk_bytes
             )
         else:
-            chunk_stats = None
             col_outbox = ColumnarOutbox()
         owner_array = partition.owner_array
 
@@ -278,7 +296,7 @@ def run_worker_batch(
                     inbound[w] += int(c)
 
     else:
-        local_outbox = MessageStore(combiner)
+        local_outbox = MessageStore(program.message_combiner())
         send_columns = None
 
         def send(message: Message) -> None:
@@ -297,45 +315,28 @@ def run_worker_batch(
         aggregators=aggregators,
         send_columns=send_columns,
     )
-    compute_calls = 0
-    if columnar_compute:
-        pos = 0
-        columns = batch.columns
-        for vertex, count in zip(
-            batch.vertices.tolist(), batch.counts.tolist()
-        ):
-            ctx.vertex = vertex
-            compute_calls += 1
-            program.compute_columns(ctx, columns.row_slice(pos, pos + count))
-            pos += count
+    if drive is not None:
+        compute_calls = drive(ctx)
     else:
-        for vertex, payloads in batch:
-            ctx.vertex = vertex
-            compute_calls += 1
-            program.compute(ctx, payloads)
+        compute_calls = _compute_batch(program, ctx, batch)
 
     chunks_flushed = 0
     max_send_bytes = 0
-    if columnar_compute:
+    if columnar:
         outbox = col_outbox.to_batch()
         wire_bytes = col_outbox.flushed_bytes + outbox.nbytes
         chunks_flushed = col_outbox.chunks_flushed
         max_send_bytes = col_outbox.max_append_bytes
-    elif wire == "columnar":
-        outbox = GpsiBatch.pack(local_outbox.as_batch())
-        wire_bytes = outbox.nbytes
-        chunk_stats = None
     else:
         outbox = local_outbox.as_batch()
         wire_bytes = None
-        chunk_stats = None
 
     return WorkerStepResult(
         worker_id=worker_id,
         outbox=outbox,
         wire_bytes=wire_bytes,
         chunks_flushed=chunks_flushed,
-        chunk_stats=chunk_stats if chunk_sink is not None else None,
+        chunk_stats=chunk_stats,
         max_send_bytes=max_send_bytes,
         messages_sent=acc["sent"],
         inbound=inbound,
@@ -390,7 +391,7 @@ class SuperstepExecutor:
         from whatever thread it likes, the sink is thread-safe — and must
         not return until all chunks of this superstep were delivered.
         Backends without a streaming path may ignore it (workers then
-        return whole outboxes as residuals: strict-mode degradation).
+        return whole outboxes as their only chunk: the strict schedule).
         """
         raise NotImplementedError
 

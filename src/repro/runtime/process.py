@@ -118,7 +118,6 @@ def _run_child_batch(
         batch=batch,
         worker_state=worker_state,
         aggregators=shim,
-        combiner=_child_program.message_combiner(),
         collect_delta=True,
         wire=_child_wire,
         chunk_sink=chunk_sink,

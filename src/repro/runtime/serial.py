@@ -32,7 +32,6 @@ class SerialExecutor(SuperstepExecutor):
 
     def start(self, spec: JobSpec) -> None:
         self._spec = spec
-        self._combiner = spec.program.message_combiner()
         if spec.tracer.enabled:
             spec.tracer.emit(
                 "executor", backend=self.name, inprocess=True, pool=None
@@ -97,7 +96,6 @@ class SerialExecutor(SuperstepExecutor):
                     batch=batch,
                     worker_state=spec.worker_states[worker_id],
                     aggregators=registry,
-                    combiner=self._combiner,
                     collect_delta=False,
                     wire=spec.wire,
                 )

@@ -48,12 +48,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..bsp.message import ColumnarOutbox, PackedWorkerBatch
+from ..bsp.message import PackedWorkerBatch
 from ..bsp.vertex_program import ComputeContext
-from .executor import JobSpec, WorkerStepResult
-
-#: Trace event kind emitted once per stolen task (see repro.obs.tracer).
-STEAL_EVENT = "steal"
+from .executor import JobSpec, WorkerStepResult, run_worker_batch
 
 
 @dataclass
@@ -174,76 +171,40 @@ def finalize_owner(
 ) -> WorkerStepResult:
     """Replay one owner's outcomes in canonical order at the barrier.
 
-    This is the stateful half of the split: it rebuilds exactly the
-    context ``run_worker_batch`` gives the static columnar path — same
-    outbox, same inbound accounting, same cost/send accumulation order —
-    and feeds every outcome through ``apply_outcome`` with the *owner's*
+    This is the stateful half of the split: it runs inside exactly the
+    context ``run_worker_batch`` gives the static path — same outbox,
+    same inbound accounting, same cost/send accumulation order — and
+    feeds every outcome through ``apply_outcome`` with the *owner's*
     worker id and state, tasks in ``seq`` order, vertices in delivery
     order.  Result fields are therefore bit-identical to the static
     schedule's ``WorkerStepResult`` for this owner.
     """
-    partition = spec.partition
-    num_workers = spec.num_workers
-    inbound = [0] * num_workers
-    outputs: List[Any] = []
-    acc = {"cost": 0.0, "sent": 0}
-    col_outbox = ColumnarOutbox()
-    owner_array = partition.owner_array
 
-    def add_cost(units: float) -> None:
-        acc["cost"] += units
-
-    def send(message: Any) -> None:
-        col_outbox.append_message(message)
-        acc["sent"] += 1
-        inbound[partition.owner(message.dest)] += 1
-
-    def send_columns(dest, columns) -> None:
-        col_outbox.append(dest, columns)
-        n = len(columns)
-        acc["sent"] += n
-        if n:
-            for w, c in enumerate(
-                np.bincount(owner_array[dest], minlength=num_workers)
+    def replay(ctx: ComputeContext) -> int:
+        compute_calls = 0
+        for result in sorted(task_results, key=lambda r: r.seq):
+            program.absorb_task_stats(result.queries, result.positives)
+            for vertex, outcome in zip(
+                result.vertices.tolist(), result.outcomes
             ):
-                inbound[w] += int(c)
+                ctx.vertex = vertex
+                compute_calls += 1
+                program.apply_outcome(ctx, outcome)
+        return compute_calls
 
-    ctx = ComputeContext(
+    return run_worker_batch(
+        program=program,
         graph=spec.graph,
+        partition=spec.partition,
+        num_workers=spec.num_workers,
+        worker_id=owner,
         superstep=superstep,
-        worker_id=owner,
+        batch=None,
         worker_state=worker_state,
-        send=send,
-        add_cost=add_cost,
-        emit=outputs.append,
         aggregators=aggregators,
-        send_columns=send_columns,
-    )
-    compute_calls = 0
-    for result in sorted(task_results, key=lambda r: r.seq):
-        program.absorb_task_stats(result.queries, result.positives)
-        for vertex, outcome in zip(
-            result.vertices.tolist(), result.outcomes
-        ):
-            ctx.vertex = vertex
-            compute_calls += 1
-            program.apply_outcome(ctx, outcome)
-    outbox = col_outbox.to_batch()
-    return WorkerStepResult(
-        worker_id=owner,
-        outbox=outbox,
-        wire_bytes=col_outbox.flushed_bytes + outbox.nbytes,
-        messages_sent=acc["sent"],
-        inbound=inbound,
-        compute_calls=compute_calls,
-        cost=acc["cost"],
-        outputs=outputs,
-        agg_contribs=(
-            aggregators.contributions()
-            if hasattr(aggregators, "contributions")
-            else None
-        ),
-        state_delta=program.collect_state_delta() if collect_delta else None,
+        collect_delta=collect_delta,
+        wire="columnar",
+        drive=replay,
     )
 
 

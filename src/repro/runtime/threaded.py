@@ -135,7 +135,6 @@ class ThreadExecutor(SuperstepExecutor):
                 batch=batch,
                 worker_state=self._states[worker_id],
                 aggregators=shim,
-                combiner=program.message_combiner(),
                 collect_delta=True,
                 wire=spec.wire,
                 chunk_sink=worker_sink,

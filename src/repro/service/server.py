@@ -46,6 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from ..bsp.engine import require_columnar_plane
 from ..core import kernels
 from ..core.distribution import make_strategy
 from ..core.edge_index import build_edge_index
@@ -53,6 +54,7 @@ from ..core.listing import ListingResult, PSgL
 from ..exceptions import (
     AdmissionError,
     DistributionError,
+    EngineError,
     JobCancelled,
     PatternError,
     QuerySpecError,
@@ -147,7 +149,7 @@ SPEC_DEFAULTS: Dict[str, Any] = {
     "strategy": "WA,0.5",
     "workers": 4,
     "backend": "serial",
-    "wire": "object",
+    "wire": "columnar",
     "seed": 0,
     "collect_instances": False,
     "kernel": "auto",
@@ -202,7 +204,8 @@ class SubgraphService:
         self.trace_jobs = trace_jobs
         self._allow_test_hooks = allow_test_hooks
         # Out-of-core knobs applied to every executed job (the engine
-        # validates the pair + wire compatibility per run).
+        # validates the pair per run; plane compatibility is checked at
+        # submission).
         self.spill_dir = spill_dir
         self.memory_watermark_bytes = memory_watermark_bytes
 
@@ -358,20 +361,21 @@ class SubgraphService:
                 f"unknown backend {spec['backend']!r}; "
                 f"available: {available_backends()}"
             )
-        if spec["wire"] not in ("object", "columnar"):
-            raise QuerySpecError(
-                f"unknown wire plane {spec['wire']!r} (object|columnar)"
-            )
         if spec["kernel"] not in kernels.KERNEL_CHOICES:
             raise QuerySpecError(
                 f"unknown kernel {spec['kernel']!r}; "
                 f"choices: {list(kernels.KERNEL_CHOICES)}"
             )
         spec["steal"] = bool(spec["steal"])
-        if spec["steal"] and spec["wire"] != "columnar":
-            raise QuerySpecError(
-                "steal=true needs the columnar wire plane (wire='columnar')"
+        try:
+            # The engine's own rule for what needs the columnar plane —
+            # checked at submission so a bad combination is a 400, not a
+            # failed job.
+            require_columnar_plane(
+                spec["wire"], steal=spec["steal"], spill_dir=self.spill_dir
             )
+        except EngineError as exc:
+            raise QuerySpecError(str(exc)) from exc
         if spec.get("_hold_seconds") and not self._allow_test_hooks:
             raise QuerySpecError("_hold_seconds requires allow_test_hooks")
         try:
@@ -457,6 +461,7 @@ class SubgraphService:
             "wall_seconds": float(result.wall_seconds),
             "kernel": result.kernel,
             "steals": int(result.steals),
+            "wire": result.wire,
         }
         if spec["collect_instances"] and result.instances is not None:
             payload["instances"] = [list(m) for m in result.instances]

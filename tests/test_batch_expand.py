@@ -5,28 +5,28 @@ The columnar batch kernel (:mod:`repro.core.batch_expand`) must be an
 running :func:`repro.core.expansion.expand_gpsi` row by row would —
 the same instances in the same order, the same pending children with the
 same useful-GRAY sets, the same cost charge, the same edge-index probe
-counters.  These tests pin that equivalence at three levels:
+counters.  These tests pin that equivalence at the kernel level:
 
 1. the kernel directly, driven superstep by superstep against the scalar
    reference on every paper pattern and every index kind (plus a
    hypothesis sweep over random graphs);
-2. whole listing jobs under every distribution strategy and backend,
-   including a spawn-fresh process run;
-3. the ``useful_grays_for`` memo on :class:`PatternGraph` (it is keyed
+2. the ``useful_grays_for`` memo on :class:`PatternGraph` (it is keyed
    per pattern instance and must never leak across patterns).
+
+Whole listing jobs — every strategy, backend, shuffle and spill setting
+against the reference plane — are ``tests/test_plane_parity.py``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import Gpsi, PSgL, expand_columns, expand_gpsi, pack_gpsis
+from repro.core import Gpsi, expand_columns, expand_gpsi, pack_gpsis
 from repro.core.edge_index import build_edge_index
 from repro.core.init_vertex import select_initial_vertex
 from repro.graph import Graph, OrderedGraph
 from repro.graph.generators import chung_lu_power_law, erdos_renyi
 from repro.pattern import PatternGraph, paper_patterns
-from repro.runtime import ProcessExecutor
 
 GRAPHS = {
     "er": erdos_renyi(28, 0.25, seed=13),
@@ -164,110 +164,6 @@ class TestKernelParityProperties:
     def test_random_graphs(self, graph, pattern_name):
         pattern = paper_patterns()[pattern_name]
         drive_parity(graph, pattern, "exact")
-
-
-def run_listing(graph, pattern, strategy, backend="serial", wire="object",
-                batch_expand=None, procs=None):
-    return PSgL(
-        graph,
-        num_workers=4,
-        strategy=strategy,
-        seed=3,
-        backend=backend,
-        procs=procs,
-        wire=wire,
-        batch_expand=batch_expand,
-    ).run(
-        pattern,
-        collect_instances=True,
-        count_per_vertex=True,
-        track_message_bytes=True,
-    )
-
-
-def assert_run_parity(reference, other):
-    assert other.count == reference.count
-    assert other.instances == reference.instances
-    assert other.gpsi_by_vertex == reference.gpsi_by_vertex
-    assert other.per_vertex_counts == reference.per_vertex_counts
-    assert other.message_bytes == reference.message_bytes
-    assert other.index_queries == reference.index_queries
-    assert other.index_pruned == reference.index_pruned
-    for step_ref, step_other in zip(reference.ledger.steps, other.ledger.steps):
-        assert step_other.worker_cost == step_ref.worker_cost
-        assert step_other.worker_messages == step_ref.worker_messages
-        assert step_other.worker_compute_calls == step_ref.worker_compute_calls
-    assert (
-        other.ledger.peak_live_messages == reference.ledger.peak_live_messages
-    )
-
-
-class TestEndToEndParity:
-    """Whole listing jobs: the kernel path vs. the object-plane reference,
-    per distribution strategy (each strategy's ``choose_many`` must
-    replay its scalar ``choose`` RNG stream draw for draw)."""
-
-    @pytest.mark.parametrize("strategy", ["random", "roulette", "WA,0.5"])
-    @pytest.mark.parametrize("pattern_name", ["PG1", "PG2", "PG5"])
-    def test_strategy_parity_serial(self, pattern_name, strategy):
-        graph = GRAPHS["er"]
-        pattern = paper_patterns()[pattern_name]
-        reference = run_listing(graph, pattern, strategy)
-        kernel = run_listing(graph, pattern, strategy, wire="columnar")
-        assert_run_parity(reference, kernel)
-
-    @pytest.mark.parametrize("strategy", ["random", "roulette"])
-    def test_strategy_parity_process(self, strategy):
-        graph = GRAPHS["powerlaw"]
-        pattern = paper_patterns()["PG2"]
-        reference = run_listing(graph, pattern, strategy)
-        kernel = run_listing(
-            graph, pattern, strategy, backend="process", wire="columnar",
-            procs=2,
-        )
-        assert_run_parity(reference, kernel)
-
-    def test_thread_backend(self):
-        graph = GRAPHS["powerlaw"]
-        pattern = paper_patterns()["PG3"]
-        reference = run_listing(graph, pattern, "WA,0.5")
-        kernel = run_listing(
-            graph, pattern, "WA,0.5", backend="thread", wire="columnar",
-            procs=3,
-        )
-        assert_run_parity(reference, kernel)
-
-    def test_spawn_start_method(self):
-        """The kernel's packed buffers and replica state must survive a
-        spawn-fresh interpreter."""
-        graph = GRAPHS["er"]
-        pattern = paper_patterns()["PG2"]
-        reference = run_listing(graph, pattern, "WA,0.5")
-        executor = ProcessExecutor(procs=2, start_method="spawn")
-        kernel = run_listing(
-            graph, pattern, "WA,0.5", backend=executor, wire="columnar"
-        )
-        assert_run_parity(reference, kernel)
-
-    def test_batch_expand_false_pins_scalar_path(self):
-        """``batch_expand=False`` keeps the columnar wire but runs the
-        scalar reference compute — still bit-identical, and the program
-        must report it does not support columnar compute."""
-        graph = GRAPHS["er"]
-        pattern = paper_patterns()["PG2"]
-        reference = run_listing(graph, pattern, "WA,0.5")
-        scalar_col = run_listing(
-            graph, pattern, "WA,0.5", wire="columnar", batch_expand=False
-        )
-        kernel = run_listing(graph, pattern, "WA,0.5", wire="columnar")
-        assert_run_parity(reference, scalar_col)
-        assert_run_parity(reference, kernel)
-
-    def test_found_aggregator_equals_instances(self):
-        graph = GRAPHS["er"]
-        pattern = paper_patterns()["PG1"]
-        kernel = run_listing(graph, pattern, "random", wire="columnar")
-        assert kernel.count == len(kernel.instances)
 
 
 class TestUsefulGraysCache:

@@ -1,6 +1,6 @@
 """Unit tests for candidate-set generation (Algorithm 5)."""
 
-from repro.core import Gpsi, UNMAPPED, candidate_set, combination_consistent
+from repro.core import Gpsi, UNMAPPED, candidate_set_scalar, combination_consistent
 from repro.core.edge_index import ExactEdgeIndex, NullEdgeIndex
 from repro.graph import Graph, OrderedGraph, complete_graph, star_graph
 from repro.pattern import PatternGraph, square, triangle
@@ -18,7 +18,7 @@ class TestDegreeRule:
         ordered, index = make_env(g)
         pattern = triangle()  # every pattern vertex has degree 2
         gpsi = Gpsi.initial(pattern, 0, 0)  # hub mapped to v0
-        cands = candidate_set(gpsi, 1, 0, 0, pattern, ordered, index)
+        cands = candidate_set_scalar(gpsi, 1, 0, 0, pattern, ordered, index)
         assert cands == []  # all leaves fail deg >= 2
 
 
@@ -30,7 +30,7 @@ class TestPartialOrderRule:
         # map v1 (lowest) to data vertex 2: candidates for v2 must rank
         # above 2 -> only vertex 3 (K4 order follows ids).
         gpsi = Gpsi.initial(pattern, 0, 2)
-        cands = candidate_set(gpsi, 1, 0, 2, pattern, ordered, index)
+        cands = candidate_set_scalar(gpsi, 1, 0, 2, pattern, ordered, index)
         assert cands == [3]
 
     def test_upper_bound_from_mapped_above(self):
@@ -40,7 +40,7 @@ class TestPartialOrderRule:
         # v1 -> 0 and v3 -> 2 mapped; candidates for v2 must lie strictly
         # between them: only vertex 1.
         gpsi = Gpsi((0, UNMAPPED, 2), black=0, next_vertex=0)
-        cands = candidate_set(gpsi, 1, 0, 0, pattern, ordered, index)
+        cands = candidate_set_scalar(gpsi, 1, 0, 0, pattern, ordered, index)
         assert cands == [1]
 
     def test_contradictory_bounds_empty(self):
@@ -49,7 +49,7 @@ class TestPartialOrderRule:
         pattern = triangle()
         # v1 -> 4 (highest rank): nothing ranks above it for v2.
         gpsi = Gpsi.initial(pattern, 0, 4)
-        assert candidate_set(gpsi, 1, 0, 4, pattern, ordered, index) == []
+        assert candidate_set_scalar(gpsi, 1, 0, 4, pattern, ordered, index) == []
 
 
 class TestInjectivity:
@@ -58,7 +58,7 @@ class TestInjectivity:
         ordered, index = make_env(g)
         pattern = PatternGraph(3, [(0, 1), (1, 2)])  # path, no order
         gpsi = Gpsi((0, 1, UNMAPPED), black=0b01, next_vertex=1)
-        cands = candidate_set(gpsi, 2, 1, 1, pattern, ordered, index)
+        cands = candidate_set_scalar(gpsi, 2, 1, 1, pattern, ordered, index)
         assert 0 not in cands and 1 not in cands
         assert set(cands) == {2, 3}
 
@@ -76,13 +76,13 @@ class TestConnectivityRule:
         pattern = square().with_partial_order(())  # drop order: isolate rule
         # v1->1 black, v2->0 gray, v4->2 gray; candidates for v3 from N(0)
         gpsi = Gpsi((1, 0, UNMAPPED, 2), black=0b0001, next_vertex=1)
-        cands = candidate_set(gpsi, 2, 1, 0, pattern, ordered, index)
+        cands = candidate_set_scalar(gpsi, 2, 1, 0, pattern, ordered, index)
         # N(0) = {1}; 1 is used -> empty
         assert cands == []
         # now expand from v4's side: N(2) = {1, 3}; 1 used; 3 must have an
         # edge to map(v2)=0 which does not exist -> pruned by the index.
         gpsi2 = Gpsi((1, 0, UNMAPPED, 2), black=0b0001, next_vertex=3)
-        cands2 = candidate_set(gpsi2, 2, 3, 2, pattern, ordered, index)
+        cands2 = candidate_set_scalar(gpsi2, 2, 3, 2, pattern, ordered, index)
         assert cands2 == []
         assert index.pruned >= 1
 
@@ -91,7 +91,7 @@ class TestConnectivityRule:
         ordered = OrderedGraph(g)
         pattern = square().with_partial_order(())
         gpsi = Gpsi((1, 0, UNMAPPED, 2), black=0b0001, next_vertex=3)
-        cands = candidate_set(gpsi, 2, 3, 2, pattern, ordered, NullEdgeIndex())
+        cands = candidate_set_scalar(gpsi, 2, 3, 2, pattern, ordered, NullEdgeIndex())
         # without the index the invalid candidate 3 survives
         assert cands == [3]
 

@@ -14,6 +14,16 @@ class TestCount:
         out = capsys.readouterr().out
         assert "instances  : 10" in out
 
+    def test_wire_plane_default_and_reference(self, tmp_path, capsys):
+        path = tmp_path / "k5.txt"
+        write_edge_list(complete_graph(5), path)
+        base = ["count", "--pattern", "PG1", "--edge-list", str(path)]
+        assert main(base) == 0
+        assert "wire plane : columnar" in capsys.readouterr().out
+        assert main(base + ["--wire", "object"]) == 0
+        out = capsys.readouterr().out
+        assert "wire plane : object" in out and "instances  : 10" in out
+
     def test_count_on_dataset(self, capsys):
         code = main(
             [

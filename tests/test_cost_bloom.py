@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import (
+    BloomEdgeIndex,
     BloomFilter,
     CostParameters,
     binomial,
@@ -14,6 +16,7 @@ from repro.core import (
     optimal_parameters,
 )
 from repro.exceptions import ReproError
+from repro.graph.generators import erdos_renyi
 
 
 class TestBinomial:
@@ -116,3 +119,90 @@ class TestBloomFilter:
 
     def test_repr(self):
         assert "BloomFilter" in repr(BloomFilter(10, 0.1))
+
+
+class TestPackedBloomParity:
+    def test_add_many_matches_scalar_add(self):
+        rng = np.random.default_rng(2)
+        keys = rng.integers(0, 2**40, size=400, dtype=np.uint64)
+        a = BloomFilter(400, fp_rate=0.02, seed=9)
+        b = BloomFilter(400, fp_rate=0.02, seed=9)
+        for k in keys:
+            a.add(int(k))
+        b.add_many(keys)
+        assert np.array_equal(a._bits, b._bits)
+        assert a.count == b.count
+
+    def test_batched_probe_matches_contains(self):
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, 2**40, size=300, dtype=np.uint64)
+        bloom = BloomFilter(300, fp_rate=0.01, seed=4)
+        bloom.add_many(keys[:150])
+        probes = np.concatenate(
+            [keys, rng.integers(0, 2**40, size=300, dtype=np.uint64)]
+        )
+        batched = bloom.might_contain_many(probes)
+        scalar = [int(k) in bloom for k in probes]
+        assert batched.tolist() == scalar
+        # No false negatives on the inserted half.
+        assert batched[:150].all()
+
+    def test_no_false_negatives_after_batch_insert(self):
+        keys = np.arange(1000, dtype=np.uint64) * np.uint64(2654435761)
+        bloom = BloomFilter(1000, fp_rate=0.01, seed=0)
+        bloom.add_many(keys)
+        assert bloom.might_contain_many(keys).all()
+
+
+class TestBloomMemoryReporting:
+    def test_memory_bytes_equals_allocation(self):
+        """Regression: memory_bytes() must report the packed bit array's
+        actual footprint, not a per-bit byte count (the old bug reported
+        ~8x the allocation)."""
+        for items, fp in [(100, 0.01), (5000, 0.001), (1, 0.5)]:
+            bloom = BloomFilter(items, fp_rate=fp)
+            assert bloom.memory_bytes() == bloom._bits.nbytes
+            # Packed: one byte per 8 bits, rounded up to a uint64 word.
+            assert bloom.memory_bytes() == ((bloom.num_bits + 63) // 64) * 8
+            if bloom.num_bits >= 64:
+                assert bloom.memory_bytes() < bloom.num_bits  # packed
+
+    def test_index_reports_filter_footprint(self):
+        index = BloomEdgeIndex(erdos_renyi(60, 0.2, seed=7))
+        assert index.memory_bytes() == index._bloom._bits.nbytes
+
+
+class TestProbeDedupParity:
+    """The batched prober hashes once per *unique* key (repeated keys are
+    gathered back through the ``np.unique`` inverse).  These tests pin
+    that the dedup is invisible: answers, bit patterns and probe-count
+    statistics all match hashing every key individually."""
+
+    def test_repeated_keys_match_scalar_probes(self):
+        bloom = BloomFilter(200, fp_rate=0.05, seed=6)
+        bloom.add_many(np.arange(120, dtype=np.uint64) * np.uint64(97))
+        rng = np.random.default_rng(8)
+        # ~12x average repetition: the expansion hot path's shape, where
+        # one GRAY image pairs against a whole candidate row.
+        base = rng.integers(0, 2**40, size=50, dtype=np.uint64)
+        keys = rng.choice(base, size=600)
+        batched = bloom.might_contain_many(keys)
+        assert batched.tolist() == [int(k) in bloom for k in keys]
+
+    def test_probe_positions_preserve_order_and_duplicates(self):
+        bloom = BloomFilter(64, fp_rate=0.1, seed=2)
+        keys = np.array([9, 3, 9, 9, 3, 7], dtype=np.uint64)
+        positions = bloom._probe_positions(keys)
+        assert positions.shape == (6, bloom.num_hashes)
+        expected = np.array([list(bloom._probes(int(k))) for k in keys])
+        assert np.array_equal(positions, expected)
+
+    def test_add_many_with_duplicates_matches_scalar_adds(self):
+        keys = np.array([5, 5, 11, 5, 11, 23], dtype=np.uint64)
+        a = BloomFilter(50, fp_rate=0.05, seed=1)
+        b = BloomFilter(50, fp_rate=0.05, seed=1)
+        a.add_many(keys)
+        for k in keys:
+            b.add(int(k))
+        assert np.array_equal(a._bits, b._bits)
+        assert a.count == b.count == len(keys)

@@ -48,6 +48,14 @@ def test_fig5_smoke():
     assert all(len(costs) == 4 for costs in per_worker.values())
 
 
+def test_experiments_default_to_the_production_plane():
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    run_experiment("fig5", scale=TINY, num_workers=4, trace=tracer)
+    assert tracer.meta["wire"] == "columnar"
+
+
 def test_fig6_smoke():
     report = run_experiment("fig6", scale=TINY, num_workers=4)
     assert len(report.data) == 8

@@ -1,13 +1,13 @@
-"""Pipelined shuffle: chunk streaming, parity with strict, guards.
+"""The chunk schedule of the production plane: store, guards, trace.
 
-The pipelined mode may change *when* packed chunks cross the barrier —
-mid-compute, at watermarks, interleaved across senders — but never
-*what* arrives.  These tests pin that at three levels: the
-:class:`ChunkedColumnarStore` surface chunk-for-chunk against
-:class:`ColumnarMessageStore`, end-to-end listing runs bit-for-bit
-against the strict reference on every paper pattern and backend
-(including spawn), and the chunk trace events that make the overlap
-observable.
+The barrier store takes ``(sender, seq)``-tagged chunks in any arrival
+order and must deliver as if every sender's outbox had arrived whole, in
+worker-id order — that is what makes strict and pipelined shuffle two
+schedules over one store.  These tests pin the store's surface
+(ordering, accounting, loud failure on gaps/duplicates), the watermark
+guards, and the chunk trace events that make the overlap observable.
+End-to-end parity of every schedule against the reference plane is
+``tests/test_plane_parity.py``.
 """
 
 import numpy as np
@@ -16,128 +16,23 @@ import pytest
 from repro.bsp import (
     BSPEngine,
     ChunkedColumnarStore,
-    ColumnarMessageStore,
+    DEFAULT_CHUNK_GPSIS,
     GpsiBatch,
-    Message,
-    MessageStore,
     SHUFFLE_MODES,
 )
-from repro.core import Gpsi, PSgL, UNMAPPED
+from repro.core import Gpsi, PSgL, UNMAPPED, pack_gpsis, unpack_gpsis
 from repro.exceptions import EngineError
 from repro.graph import Graph, hash_partition
-from repro.graph.generators import chung_lu_power_law, erdos_renyi
+from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
 from repro.pattern import paper_patterns
-from repro.runtime import ProcessExecutor
 
-GRAPHS = {
-    "er": erdos_renyi(28, 0.25, seed=13),
-    "powerlaw": chung_lu_power_law(30, gamma=2.5, avg_degree=4, seed=5),
-}
+GRAPHS = {"er": erdos_renyi(28, 0.25, seed=13)}
 
 #: Tiny watermark so even the 28-vertex graphs stream many chunks per
-#: superstep — the parity tests exercise real interleaving, not the
-#: degenerate everything-in-the-residual case.
+#: superstep — the trace tests see real streaming, not the degenerate
+#: everything-in-the-residual case.
 TINY_CHUNK = 4
-
-
-def run_listing(graph, pattern, backend, procs=None, **kwargs):
-    driver = PSgL(
-        graph,
-        num_workers=4,
-        strategy="WA,0.5",
-        seed=3,
-        backend=backend,
-        procs=procs,
-        wire="columnar",
-        **kwargs,
-    )
-    return driver.run(pattern, collect_instances=True)
-
-
-def assert_bit_parity(reference, other):
-    """Byte-identical observable outputs — including the exact per-step
-    wire-byte ledger, which pipelined mode must preserve because chunks
-    plus residual repack precisely the strict outboxes."""
-    assert other.count == reference.count
-    assert sorted(other.instances) == sorted(reference.instances)
-    assert other.supersteps == reference.supersteps
-    assert other.gpsi_by_vertex == reference.gpsi_by_vertex
-    assert other.index_queries == reference.index_queries
-    assert other.index_pruned == reference.index_pruned
-    for step_ref, step_other in zip(reference.ledger.steps, other.ledger.steps):
-        assert step_other.worker_compute_calls == step_ref.worker_compute_calls
-        assert step_other.worker_messages == step_ref.worker_messages
-        assert step_other.worker_cost == step_ref.worker_cost
-        assert step_other.worker_wire_bytes == step_ref.worker_wire_bytes
-    assert other.ledger.peak_live_messages == reference.ledger.peak_live_messages
-
-
-class TestPipelinedParity:
-    @pytest.mark.parametrize("pattern_name", sorted(paper_patterns()))
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_matches_strict_on_every_pattern(self, backend, pattern_name):
-        graph = GRAPHS["er"]
-        pattern = paper_patterns()[pattern_name]
-        reference = run_listing(graph, pattern, "serial", shuffle="strict")
-        pipelined = run_listing(
-            graph,
-            pattern,
-            backend,
-            procs=2 if backend != "serial" else None,
-            shuffle="pipelined",
-            chunk_gpsis=TINY_CHUNK,
-        )
-        assert_bit_parity(reference, pipelined)
-
-    @pytest.mark.parametrize("pattern_name", ["PG2", "PG3"])
-    def test_byte_watermark_parity(self, pattern_name):
-        """A bytes-denominated watermark chunks differently but delivers
-        identically (powerlaw graph: skewed outbox sizes)."""
-        graph = GRAPHS["powerlaw"]
-        pattern = paper_patterns()[pattern_name]
-        reference = run_listing(graph, pattern, "serial", shuffle="strict")
-        pipelined = run_listing(
-            graph,
-            pattern,
-            "thread",
-            procs=3,
-            shuffle="pipelined",
-            chunk_bytes=256,
-        )
-        assert_bit_parity(reference, pipelined)
-
-    def test_process_parity_under_spawn(self):
-        """Chunks must survive a spawn-fresh interpreter: the bounded
-        mp.Queue pickles every streamed chunk, and the drain protocol
-        must not lose any against the feeder thread's asynchrony."""
-        graph = GRAPHS["er"]
-        pattern = paper_patterns()["PG2"]
-        reference = run_listing(graph, pattern, "serial", shuffle="strict")
-        executor = ProcessExecutor(procs=2, start_method="spawn")
-        pipelined = PSgL(
-            graph,
-            num_workers=4,
-            strategy="WA,0.5",
-            seed=3,
-            backend=executor,
-            wire="columnar",
-            shuffle="pipelined",
-            chunk_gpsis=TINY_CHUNK,
-        ).run(pattern, collect_instances=True)
-        assert_bit_parity(reference, pipelined)
-
-    def test_default_watermark_applied(self):
-        from repro.bsp import DEFAULT_CHUNK_GPSIS
-
-        engine = BSPEngine(
-            Graph(4, [(0, 1), (1, 2)]),
-            hash_partition(4, 2),
-            wire="columnar",
-            shuffle="pipelined",
-        )
-        assert engine.chunk_gpsis == DEFAULT_CHUNK_GPSIS
-        assert engine.chunk_bytes is None
 
 
 class TestEngineGuards:
@@ -147,17 +42,21 @@ class TestEngineGuards:
             BSPEngine(graph, hash_partition(4, 2), shuffle="chaotic")
         assert SHUFFLE_MODES == ("strict", "pipelined")
 
-    def test_pipelined_requires_columnar_wire(self):
-        graph = Graph(4, [(0, 1), (1, 2)])
-        with pytest.raises(EngineError, match="wire='columnar'"):
-            BSPEngine(graph, hash_partition(4, 2), wire="object", shuffle="pipelined")
+    def test_default_watermark_applied(self):
+        engine = BSPEngine(
+            Graph(4, [(0, 1), (1, 2)]),
+            hash_partition(4, 2),
+            shuffle="pipelined",
+        )
+        assert engine.chunk_gpsis == DEFAULT_CHUNK_GPSIS
+        assert engine.chunk_bytes is None
 
     def test_watermarks_refused_under_strict(self):
         graph = Graph(4, [(0, 1), (1, 2)])
         with pytest.raises(EngineError, match="pipelined"):
-            BSPEngine(graph, hash_partition(4, 2), wire="columnar", chunk_gpsis=64)
+            BSPEngine(graph, hash_partition(4, 2), chunk_gpsis=64)
         with pytest.raises(EngineError, match="pipelined"):
-            BSPEngine(graph, hash_partition(4, 2), wire="columnar", chunk_bytes=4096)
+            BSPEngine(graph, hash_partition(4, 2), chunk_bytes=4096)
 
     def test_nonpositive_watermark_rejected(self):
         graph = Graph(4, [(0, 1), (1, 2)])
@@ -165,7 +64,6 @@ class TestEngineGuards:
             BSPEngine(
                 graph,
                 hash_partition(4, 2),
-                wire="columnar",
                 shuffle="pipelined",
                 chunk_gpsis=0,
             )
@@ -178,78 +76,97 @@ def g(i, nxt=1):
     return Gpsi((i, UNMAPPED, i + 100), 0b001, nxt)
 
 
+def batch(*sends):
+    """A packed outbox from ``(dest, gpsi)`` sends, in send order."""
+    return GpsiBatch(
+        np.array([dest for dest, _ in sends], dtype=np.int64),
+        pack_gpsis([gpsi for _, gpsi in sends], k=3),
+    )
+
+
 def outbox_batches():
-    """Two workers' outboxes as packed batches (interleaved dests)."""
-    w0, w1 = MessageStore(), MessageStore()
-    w0.add(Message(5, g(0)))
-    w0.add(Message(2, g(1)))
-    w0.add(Message(5, g(2)))
-    w1.add(Message(2, g(3)))
-    w1.add(Message(9, g(4)))
-    w1.add(Message(5, g(5)))
-    return GpsiBatch.pack(w0.as_batch()), GpsiBatch.pack(w1.as_batch())
+    """Two workers' outboxes (interleaved destinations)."""
+    return (
+        batch((5, g(0)), (2, g(1)), (5, g(2))),
+        batch((2, g(3)), (9, g(4)), (5, g(5))),
+    )
 
 
-def split_rows(batch, size):
+def split_rows(whole, size):
     """Slice a packed batch into ``size``-row chunks, in send order."""
     chunks = []
-    for start in range(0, len(batch), size):
-        rows = np.arange(start, min(start + size, len(batch)))
-        chunks.append(GpsiBatch(batch.dest[rows], batch.columns.take(rows)))
+    for start in range(0, len(whole), size):
+        rows = np.arange(start, min(start + size, len(whole)))
+        chunks.append(GpsiBatch(whole.dest[rows], whole.columns.take(rows)))
     return chunks
 
 
 OWNERS = np.zeros(10, dtype=np.int64)
 OWNERS[5] = 1  # v5 on worker 1; v2, v9 on worker 0
 
+#: What the two outboxes must deliver, whatever the chunking: per worker,
+#: vertices in first-send order (worker 0's sends precede worker 1's),
+#: each vertex's payloads in send order.
+EXPECTED = [
+    [(2, [g(1), g(3)]), (9, [g(4)])],
+    [(5, [g(0), g(2), g(5)])],
+]
 
-def reference_store():
-    b0, b1 = outbox_batches()
-    col = ColumnarMessageStore()
-    col.merge_batch(b0)
-    col.merge_batch(b1)
-    return col
+
+def delivered(store):
+    """Decode ``build_worker_batches`` to ``(vertex, payloads)`` lists."""
+    out = []
+    for packed in store.build_worker_batches():
+        if not packed:
+            out.append([])
+            continue
+        gpsis = unpack_gpsis(packed.columns)
+        bounds = np.concatenate([[0], np.cumsum(packed.counts)]).tolist()
+        out.append(
+            [
+                (vertex, gpsis[bounds[i] : bounds[i + 1]])
+                for i, vertex in enumerate(packed.vertices.tolist())
+            ]
+        )
+    return out
 
 
 class TestChunkedStoreSemantics:
-    def test_out_of_order_chunks_deliver_in_strict_order(self):
+    def test_one_chunk_per_sender_is_the_strict_schedule(self):
+        b0, b1 = outbox_batches()
+        store = ChunkedColumnarStore(OWNERS, 2)
+        store.merge_chunk(0, 0, b0)
+        store.merge_chunk(1, 0, b1)
+        assert delivered(store) == EXPECTED
+        assert len(store) == 6 and store.chunks_merged == 2
+        assert store.wire_bytes == b0.nbytes + b1.nbytes
+
+    def test_out_of_order_chunks_deliver_in_worker_id_order(self):
         """Chunks arriving in scrambled (sender, seq) order must deliver
-        exactly what the strict store delivers for the same outboxes."""
+        exactly what whole outboxes merged in worker-id order deliver."""
         b0, b1 = outbox_batches()
         chunks = [(0, i, c) for i, c in enumerate(split_rows(b0, 1))]
         chunks += [(1, i, c) for i, c in enumerate(split_rows(b1, 2))]
         store = ChunkedColumnarStore(OWNERS, 2)
         for sender, seq, chunk in reversed(chunks):  # worst-case arrival
             store.merge_chunk(sender, seq, chunk)
-        ref = reference_store()
-        assert len(store) == len(ref) == 6
+        assert len(store) == 6
         assert store.wire_bytes == b0.nbytes + b1.nbytes
-        assert store.destinations() == ref.destinations() == [5, 2, 9]
-        for vertex in (5, 2, 9):
-            assert store.take(vertex) == ref.take(vertex)
-        assert len(store) == 0 and not store
+        assert store.max_chunk_bytes == split_rows(b1, 2)[0].nbytes
+        assert delivered(store) == EXPECTED
 
-    def test_build_worker_batches_matches_strict_store(self):
-        b0, b1 = outbox_batches()
-        store = ChunkedColumnarStore(OWNERS, 2)
-        for seq, chunk in enumerate(split_rows(b0, 2)):
-            store.merge_chunk(0, seq, chunk)
-        store.merge_chunk(1, 0, b1)
-        ref = reference_store()
-        got = store.build_worker_batches(OWNERS, 2)
-        expected = ref.build_worker_batches(OWNERS, 2)
-        for batch_got, batch_ref in zip(got, expected):
-            if batch_ref == []:
-                assert batch_got == []
-                continue
-            materialized = batch_got.materialize()
-            assert [v for v, _ in materialized] == [
-                v for v, _ in batch_ref.materialize()
-            ]
-            for (_, payloads_got), (_, payloads_ref) in zip(
-                materialized, batch_ref.materialize()
-            ):
-                assert payloads_got == payloads_ref
+    def test_workers_without_messages_get_falsy_batches(self):
+        b0, _ = outbox_batches()
+        store = ChunkedColumnarStore(OWNERS, 3)
+        store.merge_chunk(0, 0, b0)
+        batches = store.build_worker_batches()
+        assert batches[2] == []
+        assert [len(b) for b in batches[:2]] == [1, 1]  # v2 | v5
+
+    def test_batch_nbytes_is_exact_buffer_size(self):
+        b0, _ = outbox_batches()
+        assert b0.nbytes == b0.dest.nbytes + b0.columns.nbytes
+        assert b0.nbytes == len(b0) * (8 + 8 * 3 + 4 + 1)
 
     def test_duplicate_seq_rejected(self):
         b0, _ = outbox_batches()
@@ -274,20 +191,12 @@ class TestChunkedStoreSemantics:
         with pytest.raises(EngineError, match="finalized"):
             store.merge_chunk(0, 1, b0)
 
-    def test_merge_batch_surface_guarded(self):
-        b0, _ = outbox_batches()
-        store = ChunkedColumnarStore(OWNERS, 2)
-        with pytest.raises(EngineError, match="merge_chunk"):
-            store.merge_batch(b0)
-        # An empty residual is tolerated (the strict code path no-ops).
-        store.merge_batch(GpsiBatch.pack([]))
-
     def test_empty_chunk_counts_toward_sequence_only(self):
         """An empty chunk must keep the seq contiguous without adding
         rows, bytes, or activating anything."""
         b0, _ = outbox_batches()
         store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, 0, GpsiBatch.pack([]))
+        store.merge_chunk(0, 0, batch())
         store.merge_chunk(0, 1, b0)
         store.finalize()
         assert len(store) == len(b0)
@@ -302,7 +211,6 @@ class TestChunkTraceEvents:
             GRAPHS["er"],
             num_workers=4,
             seed=3,
-            wire="columnar",
             trace=tracer,
             **kwargs,
         ).run(paper_patterns()["PG2"])
@@ -321,9 +229,11 @@ class TestChunkTraceEvents:
             assert event.data["nbytes"] > 0
             assert event.data["seq"] >= 0
             assert event.wall_ms is not None and event.wall_ms >= 0
-        # Every worker's final below-watermark remainder arrives as a
-        # residual deliver at the barrier.
-        assert any(e.data.get("residual") for e in delivers)
+        # One deliver per streamed chunk; each worker's below-watermark
+        # remainder rides the step result and is not a streamed chunk.
+        assert len(delivers) == len(flushes)
+        chunks = sum(b.data["chunks"] for b in tracer.by_kind("barrier"))
+        assert chunks > len(flushes)
 
     def test_barrier_pins_chunk_size_bound(self):
         tracer = self.run_traced(

@@ -200,88 +200,6 @@ class TestBinomialMath:
                 assert math.isclose(lhs, rhs, rel_tol=1e-15)
 
 
-class TestHotPathParity:
-    """The vectorised Algorithm 5 is observationally identical to the
-    scalar reference on arbitrary graphs and arbitrary Gpsi prefixes:
-    same candidate lists, same probe statistics, same ledger costs."""
-
-    @settings(**SETTINGS)
-    @given(
-        random_graphs(max_vertices=20, edge_fraction=0.6),
-        small_patterns(),
-        st.randoms(use_true_random=False),
-    )
-    def test_candidate_lists_identical(self, graph, pattern, rng):
-        import repro.core.candidates as cand_mod
-
-        ordered = OrderedGraph(graph)
-        index = ExactEdgeIndex(graph)
-        # Force the vectorised branch even on tiny adjacency slices —
-        # hypothesis graphs rarely clear the production cutoff.
-        old_cutoff = cand_mod.SCALAR_CUTOFF
-        cand_mod.SCALAR_CUTOFF = 0
-        try:
-            for vd in graph.vertices():
-                if graph.degree(vd) < pattern.degree(0):
-                    continue
-                gpsi = Gpsi.initial(pattern, 0, vd)
-                frontier = [gpsi]
-                # Random Gpsi prefixes: walk a few expansion rounds,
-                # comparing both paths at every step.
-                for _ in range(2):
-                    next_frontier = []
-                    for g in frontier:
-                        vp = g.next_vertex
-                        image = g.mapping[vp]
-                        for wp in pattern.neighbors(vp):
-                            if g.is_black(wp) or g.is_gray(wp):
-                                continue
-                            index.reset_statistics()
-                            vec = cand_mod.candidate_set(
-                                g, wp, vp, image, pattern, ordered, index
-                            )
-                            vec_stats = (index.queries, index.positives)
-                            index.reset_statistics()
-                            ref = cand_mod.candidate_set_scalar(
-                                g, wp, vp, image, pattern, ordered, index
-                            )
-                            assert vec == ref
-                            assert vec_stats == (index.queries, index.positives)
-                        outcome = expand_gpsi(g, pattern, ordered, index)
-                        for child in outcome.pending:
-                            grays = child.useful_grays(pattern)
-                            if grays:
-                                next_frontier.append(
-                                    child.with_next(rng.choice(grays))
-                                )
-                    frontier = next_frontier[:4]
-        finally:
-            cand_mod.SCALAR_CUTOFF = old_cutoff
-
-    @settings(deadline=None, max_examples=15)
-    @given(random_graphs(max_vertices=16, edge_fraction=0.6), small_patterns())
-    def test_expansion_costs_identical(self, graph, pattern):
-        import repro.core.candidates as cand_mod
-
-        ordered = OrderedGraph(graph)
-        index = ExactEdgeIndex(graph)
-        old_cutoff = cand_mod.SCALAR_CUTOFF
-        cand_mod.SCALAR_CUTOFF = 0
-        try:
-            for vd in graph.vertices():
-                gpsi = Gpsi.initial(pattern, 0, vd)
-                vec = expand_gpsi(gpsi, pattern, ordered, index)
-                ref = expand_gpsi(
-                    gpsi, pattern, ordered, index, use_scalar_candidates=True
-                )
-                assert vec.cost == ref.cost
-                assert vec.complete == ref.complete
-                assert vec.pending == ref.pending
-                assert vec.generated == ref.generated
-        finally:
-            cand_mod.SCALAR_CUTOFF = old_cutoff
-
-
 class TestExpansionInvariants:
     @settings(**SETTINGS)
     @given(random_graphs(max_vertices=14))

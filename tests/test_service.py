@@ -23,11 +23,13 @@ from repro.graph import complete_graph, erdos_renyi
 from repro.obs import SCHEMA
 from repro.pattern import paper_patterns
 from repro.service import (
+    GraphContext,
     Job,
     JobManager,
     MetricsRegistry,
     ResourceBudget,
     ResultCache,
+    SubgraphService,
     cache_key,
     parse_metrics,
     running_service,
@@ -117,6 +119,37 @@ class TestSpecValidation:
         client, _ = service_pair
         with pytest.raises(QuerySpecError, match="backend"):
             client.submit(pattern="PG1", backend="quantum")
+
+    def test_job_reports_the_plane_that_ran(self, service_pair):
+        client, _ = service_pair
+        default = client.count(pattern="PG1", seed=901)
+        assert default["spec"]["wire"] == "columnar"
+        assert default["result"]["wire"] == "columnar"
+        reference = client.count(pattern="PG1", seed=902, wire="object")
+        assert reference["result"]["wire"] == "object"
+        assert reference["result"]["count"] == default["result"]["count"]
+
+    def test_plane_legality_is_the_engines_rule(self, service_pair, tmp_path):
+        """The service re-derives nothing: what needs the columnar plane
+        is the engine's ``require_columnar_plane``, surfaced as a 400."""
+        client, _ = service_pair
+        with pytest.raises(QuerySpecError, match="wire plane"):
+            client.submit(pattern="PG1", wire="quantum")
+        with pytest.raises(QuerySpecError, match="steal=True.*columnar"):
+            client.submit(pattern="PG1", wire="object", steal=True)
+        spilling = SubgraphService(
+            GraphContext(complete_graph(5)),
+            spill_dir=str(tmp_path),
+            memory_watermark_bytes=1,
+        )
+        try:
+            with pytest.raises(QuerySpecError, match="spill_dir.*columnar"):
+                spilling.submit({"pattern": "PG1", "wire": "object"})
+            job, cached = spilling.submit({"pattern": "PG1"})
+            assert not cached
+            assert spilling.manager.wait(job.id, 10.0).result["count"] == 10
+        finally:
+            spilling.close()
 
     def test_test_hooks_gated(self):
         with running_service(complete_graph(5)) as (client, _):

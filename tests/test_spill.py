@@ -5,7 +5,8 @@ The contract under test is the one ``docs/scale.md`` promises: setting
 wait* between send and delivery — never what the run computes.  A run
 that spills every chunk (watermark = 1 byte) must be bit-identical to
 the unbounded in-memory run: same count, same instances, same ledger
-summary, on every backend and both shuffle modes.
+summary (the every-backend, both-shuffles sweep of that is part of
+``tests/test_plane_parity.py``).
 
 Also covered: the spill observability surface (``chunk_spill``/
 ``chunk_map`` trace events, ledger counters, the straggler report
@@ -22,10 +23,10 @@ import pytest
 from repro.bsp.spill import SpillManager, SpillRef
 from repro.core import GpsiColumns, PSgL
 from repro.exceptions import EngineError
+from repro.graph import Graph, Partition
 from repro.graph.generators import erdos_renyi, rmat
 from repro.obs import Tracer, straggler_report
 from repro.pattern import paper_patterns
-from repro.runtime import ProcessExecutor
 
 GRAPH = erdos_renyi(30, 0.22, seed=11)
 PATTERN = paper_patterns()["PG2"]
@@ -39,7 +40,6 @@ def run_listing(backend, spill_dir=None, watermark=None, shuffle="strict", **kwa
         strategy="WA,0.5",
         seed=3,
         backend=backend,
-        wire="columnar",
         shuffle=shuffle,
         spill_dir=None if spill_dir is None else str(spill_dir),
         memory_watermark_bytes=watermark,
@@ -61,38 +61,10 @@ def reference():
     return result
 
 
-class TestForcedSpillParity:
-    """watermark=1 byte: every sealed chunk spills, results unchanged."""
-
-    @pytest.mark.parametrize("shuffle", ["strict", "pipelined"])
-    def test_serial(self, tmp_path, reference, shuffle):
-        result, tracer = run_listing(
-            "serial", tmp_path, 1, shuffle=shuffle
-        )
-        assert_bit_parity(reference, result)
-        assert result.ledger.spill_chunks >= 1
-        assert tracer.by_kind("chunk_spill")
-
-    @pytest.mark.parametrize("shuffle", ["strict", "pipelined"])
-    def test_thread(self, tmp_path, reference, shuffle):
-        result, _ = run_listing(
-            "thread", tmp_path, 1, shuffle=shuffle, procs=3
-        )
-        assert_bit_parity(reference, result)
-        assert result.ledger.spill_chunks >= 1
-
-    def test_process(self, tmp_path, reference):
-        result, _ = run_listing(
-            "process", tmp_path, 1, shuffle="pipelined", procs=2
-        )
-        assert_bit_parity(reference, result)
-        assert result.ledger.spill_chunks >= 1
-
-    def test_process_spawn(self, tmp_path, reference):
-        executor = ProcessExecutor(procs=2, start_method="spawn")
-        result, _ = run_listing(executor, tmp_path, 1, shuffle="pipelined")
-        assert_bit_parity(reference, result)
-        assert result.ledger.spill_chunks >= 1
+class TestSpillParity:
+    """Forced spill (watermark = 1 byte) on every backend and shuffle is
+    part of the plane matrix in ``tests/test_plane_parity.py``; this
+    keeps the partial regime."""
 
     def test_intermediate_watermark(self, tmp_path, reference):
         """A watermark between 0 and the peak spills some chunks but not
@@ -114,6 +86,37 @@ class TestSpillObservability:
             e.data["bytes"] for e in spills
         )
         assert result.ledger.spill_bytes_mapped == result.ledger.spill_bytes
+
+    def test_spill_events_name_the_sending_worker(self, tmp_path):
+        """Regression: under strict shuffle a spilled chunk used to be
+        tagged with its *arrival slot*, so once an earlier worker's
+        outbox was empty every later event named the wrong worker.
+        Worker 0 owns only isolated vertices here — it never sends —
+        and a 1-byte watermark spills every chunk of workers 1..3."""
+        n = GRAPH.num_vertices
+        graph = Graph(n + 4, list(GRAPH.edges()))
+        owner = np.concatenate([1 + np.arange(n) % 3, np.zeros(4, dtype=np.int64)])
+        tracer = Tracer()
+        result = PSgL(
+            graph,
+            num_workers=4,
+            partition=Partition(owner, 4),
+            seed=3,
+            spill_dir=str(tmp_path),
+            memory_watermark_bytes=1,
+            trace=tracer,
+        ).run(PATTERN)
+        assert result.count == PSgL(GRAPH, num_workers=4, seed=3).run(PATTERN).count
+        senders = {
+            (e.superstep, e.worker)
+            for e in tracer.by_kind("worker")
+            if e.data["messages"]
+        }
+        assert {w for _, w in senders} == {1, 2, 3}
+        for kind in ("chunk_spill", "chunk_map"):
+            events = tracer.by_kind(kind)
+            assert {(e.superstep, e.worker) for e in events} == senders
+            assert all(e.data["seq"] == 0 for e in events)
 
     def test_summary_excludes_spill_counters(self, tmp_path, reference):
         """summary() must not leak spill volume, or parity comparisons
@@ -151,11 +154,11 @@ class TestSpillObservability:
 class TestKnobValidation:
     def test_spill_dir_alone_rejected(self, tmp_path):
         with pytest.raises(EngineError, match="both or neither"):
-            PSgL(GRAPH, wire="columnar", spill_dir=str(tmp_path)).run(PATTERN)
+            PSgL(GRAPH, spill_dir=str(tmp_path)).run(PATTERN)
 
     def test_watermark_alone_rejected(self):
         with pytest.raises(EngineError, match="both or neither"):
-            PSgL(GRAPH, wire="columnar", memory_watermark_bytes=1).run(PATTERN)
+            PSgL(GRAPH, memory_watermark_bytes=1).run(PATTERN)
 
     def test_object_wire_rejected(self, tmp_path):
         with pytest.raises(EngineError, match="columnar"):
@@ -170,7 +173,6 @@ class TestKnobValidation:
         with pytest.raises(EngineError):
             PSgL(
                 GRAPH,
-                wire="columnar",
                 spill_dir=str(tmp_path),
                 memory_watermark_bytes=0,
             ).run(PATTERN)
@@ -251,13 +253,12 @@ def test_scale18_out_of_core_parity(tmp_path):
     mapped = load_mapped(tmp_path / "g.csrbin")
     pattern = paper_patterns()["PG2"]
     ref = PSgL(
-        mapped, num_workers=4, seed=3, wire="columnar"
+        mapped, num_workers=4, seed=3
     ).run(pattern)
     spilled = PSgL(
         mapped,
         num_workers=4,
         seed=3,
-        wire="columnar",
         shuffle="pipelined",
         spill_dir=str(tmp_path / "spill"),
         memory_watermark_bytes=1 << 20,

@@ -13,10 +13,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.bsp import BSPEngine, VertexProgram
 from repro.bsp.message import PackedWorkerBatch
 from repro.core import PSgL
 from repro.core.listing import PSgLProgram
 from repro.exceptions import EngineError
+from repro.graph import hash_partition
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer, straggler_report
 from repro.pattern import paper_patterns
@@ -27,7 +29,6 @@ GRAPH = erdos_renyi(40, 0.25, seed=7)
 
 
 def run(pattern_name="PG3", steal=False, **kwargs):
-    kwargs.setdefault("wire", "columnar")
     driver = PSgL(GRAPH, num_workers=4, steal=steal, **kwargs)
     return driver.run(paper_patterns()[pattern_name], collect_instances=True)
 
@@ -160,11 +161,18 @@ class TestValidation:
             run("PG2", steal=True, steal_tasks=0)
 
     def test_steal_needs_task_expansion_program(self):
-        # batch_expand=False leaves compute_columns monolithic — no pure
-        # half to relocate, so the engine refuses rather than silently
+        # A program with a monolithic compute_columns has no pure half
+        # to relocate, so the engine refuses rather than silently
         # running the static schedule.
-        with pytest.raises(EngineError, match="task"):
-            run("PG2", steal=True, batch_expand=False)
+        class Monolithic(VertexProgram):
+            supports_columnar_compute = True
+
+            def compute(self, ctx, messages):
+                pass
+
+        engine = BSPEngine(GRAPH, hash_partition(GRAPH.num_vertices, 4), steal=True)
+        with pytest.raises(EngineError, match="task-expansion"):
+            engine.run(Monolithic())
 
 
 # ----------------------------------------------------------------------
