@@ -50,12 +50,8 @@ def _module_for(experiment: str):
 
 
 def _supported_kwargs(run_func: Callable, kwargs: Dict[str, object]) -> Dict[str, object]:
-    """Keep only kwargs the experiment's ``run`` actually accepts.
-
-    Experiments adopt runtime options (``backend``, ``procs``, ...) at
-    their own pace; the runner forwards what each supports and silently
-    drops the rest so one CLI flag can apply fleet-wide.
-    """
+    """Keep only kwargs the experiment's ``run`` actually accepts
+    (today: ``trace``, which fig5 alone takes)."""
     signature = inspect.signature(run_func)
     if any(
         p.kind is inspect.Parameter.VAR_KEYWORD
@@ -84,39 +80,22 @@ def run_all(
     experiments: Optional[Sequence[str]] = None,
     out_dir: Optional[Path] = None,
     progress: Optional[Callable[[str], None]] = print,
-    backend: Optional[str] = None,
-    procs: Optional[int] = None,
-    wire: Optional[str] = None,
-    kernel: Optional[str] = None,
-    steal: Optional[bool] = None,
     trace_dir: Optional[Path] = None,
 ) -> List[ExperimentReport]:
     """Run every (or the selected) experiment, optionally persisting the
-    rendered text under ``out_dir``.  ``backend``/``procs``/``wire``/
-    ``kernel``/``steal`` forward to experiments whose ``run`` supports
-    them; with ``trace_dir`` set, each
+    rendered text under ``out_dir``.  Experiments run on the ``PSgL``
+    defaults (the production plane); with ``trace_dir`` set, each
     experiment that accepts a ``trace`` kwarg records its runs into a
     tracer and a Chrome trace file lands at ``<trace_dir>/<id>_trace.json``.
     """
     from ..obs import Tracer, write_chrome_trace
 
     chosen = list(experiments) if experiments else list(EXPERIMENT_IDS)
-    runtime_kwargs = {}
-    if backend is not None:
-        runtime_kwargs["backend"] = backend
-    if procs is not None:
-        runtime_kwargs["procs"] = procs
-    if wire is not None:
-        runtime_kwargs["wire"] = wire
-    if kernel is not None:
-        runtime_kwargs["kernel"] = kernel
-    if steal is not None:
-        runtime_kwargs["steal"] = steal
     reports = []
     for experiment in chosen:
         if progress:
             progress(f"running {experiment} (scale={scale}) ...")
-        kwargs = dict(runtime_kwargs)
+        kwargs = {}
         tracer = None
         if trace_dir is not None:
             tracer = Tracer()

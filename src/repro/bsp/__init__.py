@@ -7,14 +7,14 @@ from .aggregate import (
     min_aggregator,
     sum_aggregator,
 )
-from .engine import (
-    BSPEngine,
-    BSPResult,
+from .config import (
     DEFAULT_CHUNK_GPSIS,
+    KERNEL_CHOICES,
     SHUFFLE_MODES,
     WIRE_PLANES,
-    require_columnar_plane,
+    ExecutionConfig,
 )
+from .engine import BSPEngine, BSPResult
 from .message import (
     ChunkedColumnarStore,
     ColumnarOutbox,
@@ -35,10 +35,11 @@ __all__ = [
     "sum_aggregator",
     "BSPEngine",
     "BSPResult",
+    "ExecutionConfig",
     "DEFAULT_CHUNK_GPSIS",
+    "KERNEL_CHOICES",
     "SHUFFLE_MODES",
     "WIRE_PLANES",
-    "require_columnar_plane",
     "ChunkedColumnarStore",
     "ColumnarOutbox",
     "GpsiBatch",

@@ -22,78 +22,21 @@ did regardless of where it physically ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Any, List, Optional, Union
+from typing import Any, List, Optional
 
 from ..exceptions import BudgetExceededError, EngineError, JobCancelled
 from ..graph.graph import Graph
 from ..graph.partition import Partition
 from ..obs.tracer import make_tracer
 from .aggregate import AggregatorRegistry
+from .config import ExecutionConfig
 from .message import ChunkedColumnarStore, MessageStore
 from .metrics import CostLedger
 from .spill import SpillManager
 from .vertex_program import VertexProgram
 from .worker import Worker
-
-#: Data planes (see repro.bsp.message): ``"object"`` is the reference
-#: plane (per-message payloads, scalar compute — the parity oracle),
-#: ``"columnar"`` the production plane (packed chunks, batch compute).
-WIRE_PLANES = ("object", "columnar")
-
-#: Shuffle modes of the production plane: ``"strict"`` ships each
-#: worker's whole outbox at the barrier as one chunk; ``"pipelined"``
-#: streams watermark-sized chunks to the same barrier store while
-#: workers are still computing (see docs/runtime.md §5).
-SHUFFLE_MODES = ("strict", "pipelined")
-
-#: Default pipelined-mode flush watermark (rows per chunk) when the
-#: caller sets neither ``chunk_gpsis`` nor ``chunk_bytes``.
-DEFAULT_CHUNK_GPSIS = 8192
-
-#: Default work-stealing task granularity (rows per steal task) when
-#: ``steal=True`` and the caller sets no ``steal_tasks``.  Small enough
-#: that a straggler's batch splits into many stealable slices, large
-#: enough that per-task overhead stays negligible against expansion.
-DEFAULT_STEAL_TASK_GPSIS = 2048
-
-
-def require_columnar_plane(
-    wire: str,
-    shuffle: str = "strict",
-    steal: bool = False,
-    spill_dir: Optional[str] = None,
-    fallback: Optional[str] = None,
-) -> None:
-    """The one legality rule between options and data planes.
-
-    Pipelined shuffle, work stealing and the spill plane all operate on
-    packed chunks, so they exist on the production plane only.  Raises
-    :class:`~repro.exceptions.EngineError` when one of them is requested
-    for a run on the reference plane — either because ``wire="object"``
-    was asked for, or because the run has to fall back (``fallback``
-    says why: a combiner, no columnar compute).  A run that merely
-    *defaults* to the production plane and falls back without having
-    asked for any of the three is legal and never reaches an error here.
-    """
-    if wire not in WIRE_PLANES:
-        raise EngineError(
-            f"unknown wire plane {wire!r}; available: {list(WIRE_PLANES)}"
-        )
-    if wire == "columnar" and fallback is None:
-        return
-    why = fallback or "wire='object' was requested"
-    for requested, what in (
-        (shuffle == "pipelined", "shuffle='pipelined' streams packed chunks"),
-        (steal, "steal=True splits packed batches into tasks"),
-        (spill_dir is not None, "spill_dir seals packed chunks to disk"),
-    ):
-        if requested:
-            raise EngineError(
-                f"{what} and needs the columnar plane (wire='columnar'), "
-                f"but this run is on the reference plane: {why}"
-            )
 
 
 @dataclass
@@ -134,203 +77,53 @@ class BSPEngine:
         partitions plus the paper's replicated shared data).
     partition:
         Vertex-to-worker assignment.
-    memory_budget:
-        Optional cap on in-flight messages at a superstep barrier; crossing
-        it raises :class:`~repro.exceptions.SimulatedOOMError`.
-    worker_memory_budget:
-        Optional cap on the messages queued for any single worker.
-    max_supersteps:
-        Safety valve against non-terminating programs.
-    backend:
-        Execution backend: ``"serial"`` (default; the reference
-        single-process loop), ``"thread"``, ``"process"``, any name
-        registered with :func:`repro.runtime.register_backend`, or a
-        pre-built :class:`~repro.runtime.SuperstepExecutor` instance
-        (single-use: it is closed when the job ends).
-    procs:
-        OS-level parallelism for parallel backends (defaults to
-        ``min(num_workers, cpu_count)``); ignored by ``serial``.
+    config:
+        The :class:`~repro.bsp.config.ExecutionConfig` — backend, data
+        plane, shuffle, kernel, stealing, spill and budgets; every knob
+        is declared, documented and validated there (table in
+        ``docs/api.md``).  ``None`` means the defaults.
     trace:
         Observability: ``None``/``False`` (default, zero overhead), a
         :class:`repro.obs.Tracer` to record per-superstep events into,
         or ``True`` to create a fresh tracer (returned on
         :attr:`BSPResult.trace`).  See ``docs/observability.md``.
-    wire:
-        Data plane: ``"columnar"`` (default; the production plane —
-        packed Gpsi chunks through one barrier store, batch compute) or
-        ``"object"`` (the reference plane — per-payload messages, scalar
-        compute; the parity oracle).  A program that declares a message
-        combiner or no ``supports_columnar_compute`` cannot run on the
-        production plane: the run **falls back** to the reference plane
-        automatically and :attr:`BSPResult.wire` reports the plane that
-        actually ran (see :mod:`repro.bsp.message` and ``docs/perf.md``).
-    shuffle:
-        Delivery schedule of the production plane: ``"strict"``
-        (default; each worker's whole outbox reaches the barrier store
-        as one chunk) or ``"pipelined"`` (outboxes stream watermark-sized
-        chunks into the store while workers are still computing,
-        overlapping compute with shuffle and bounding each worker's
-        buffered outbox to one chunk).  Results are bit-identical:
-        chunks carry ``(sender, seq)`` tags and the store restores
-        worker-id merge order at the barrier.
-    chunk_gpsis / chunk_bytes:
-        Pipelined-mode flush watermarks — a chunk flushes before an
-        append would cross either the row or the exact-wire-bytes bound
-        (so each chunk is at most ``max(watermark, one send)``).  Both
-        unset defaults to ``chunk_gpsis=DEFAULT_CHUNK_GPSIS``.  Setting
-        one under strict shuffle is refused (loud misconfiguration).
-    kernel:
-        Expansion-kernel selection recorded into the trace metadata:
-        ``"auto"``, ``"numpy"`` or ``"native"`` (see
-        :mod:`repro.core.kernels`).  The engine itself never expands —
-        the program carries the resolved kernel — but validating and
-        recording the knob here keeps misconfiguration loud and traces
-        self-describing.  ``None`` means the program's default.
-    steal:
-        Enable the work-stealing superstep scheduler: each worker's
-        delivered columnar batch splits into ``(owner, seq)``-tagged
-        tasks on a shared deque; idle workers steal packed slices from
-        stragglers and the barrier re-applies outcomes in canonical
-        (owner, seq) order, so ledgers/outputs stay bit-identical to the
-        static schedule (see :mod:`repro.runtime.stealing` and
-        ``docs/runtime.md``).  Requires the production plane,
-        ``shuffle='strict'`` and a program that declares
-        ``supports_task_expansion``.
-    steal_tasks:
-        Work-stealing task granularity in Gpsi rows (vertex slices never
-        split below a single vertex's delivery).  Defaults to
-        ``DEFAULT_STEAL_TASK_GPSIS``; only valid with ``steal=True``.
-    superstep_budget:
-        Per-job superstep budget: unlike ``max_supersteps`` (a safety
-        valve that raises :class:`~repro.exceptions.EngineError`),
-        crossing it raises
-        :class:`~repro.exceptions.BudgetExceededError` — the structured
-        resource-kill the service layer's ``ResourceBudget`` maps to a
-        clean job termination.
-    wall_budget_seconds:
-        Per-job wall-clock budget, checked at every superstep boundary;
-        crossing it raises :class:`~repro.exceptions.BudgetExceededError`.
     abort_event:
         Optional ``threading.Event``-like object polled at every
         superstep boundary; once set, the run raises
         :class:`~repro.exceptions.JobCancelled` (cooperative
         cancellation — teardown and tracing run normally).
-    spill_dir / memory_watermark_bytes:
-        The out-of-core spill policy of the barrier store (production
-        plane only; see :mod:`repro.bsp.spill` and ``docs/scale.md``).
-        Set together:
-        once a superstep's barrier store holds ``memory_watermark_bytes``
-        of resident message payload, further sealed chunks are evicted
-        to a per-superstep spill file under ``spill_dir`` and re-mapped
-        at delivery.  Results, ledgers and delivery order are
-        bit-identical to the in-memory plane; only where sealed chunks
-        wait for the barrier changes.  Spill volume is reported on the
-        ledger (``spill_chunks``/``spill_bytes``) and as
-        ``chunk_spill``/``chunk_map`` trace events.
+    **overrides:
+        ``ExecutionConfig`` fields by name, applied over ``config`` with
+        :func:`dataclasses.replace` — ``BSPEngine(g, p, backend="process",
+        procs=4)``.  An illegal value or combination raises
+        :class:`~repro.exceptions.EngineError` here, at construction.
+
+    A program that declares a message combiner or no
+    ``supports_columnar_compute`` cannot run on the production plane: the
+    run **falls back** to the reference plane automatically and
+    :attr:`BSPResult.wire` reports the plane that actually ran (see
+    :mod:`repro.bsp.message` and ``docs/perf.md``).
     """
 
     def __init__(
         self,
         graph: Graph,
         partition: Partition,
-        memory_budget: Optional[int] = None,
-        worker_memory_budget: Optional[int] = None,
-        max_supersteps: int = 1000,
-        backend: Union[str, Any] = "serial",
-        procs: Optional[int] = None,
+        config: Optional[ExecutionConfig] = None,
+        *,
         trace: Any = None,
-        wire: str = "columnar",
-        shuffle: str = "strict",
-        chunk_gpsis: Optional[int] = None,
-        chunk_bytes: Optional[int] = None,
-        kernel: Optional[str] = None,
-        steal: bool = False,
-        steal_tasks: Optional[int] = None,
-        superstep_budget: Optional[int] = None,
-        wall_budget_seconds: Optional[float] = None,
         abort_event: Optional[Any] = None,
-        spill_dir: Optional[str] = None,
-        memory_watermark_bytes: Optional[int] = None,
+        **overrides: Any,
     ):
         if partition.num_vertices != graph.num_vertices:
             raise EngineError(
                 f"partition covers {partition.num_vertices} vertices, "
                 f"graph has {graph.num_vertices}"
             )
-        if shuffle not in SHUFFLE_MODES:
-            raise EngineError(
-                f"unknown shuffle mode {shuffle!r}; available: "
-                f"{list(SHUFFLE_MODES)}"
-            )
-        require_columnar_plane(wire, shuffle, steal, spill_dir)
-        if shuffle == "pipelined":
-            if chunk_gpsis is None and chunk_bytes is None:
-                chunk_gpsis = DEFAULT_CHUNK_GPSIS
-            for name, value in (
-                ("chunk_gpsis", chunk_gpsis),
-                ("chunk_bytes", chunk_bytes),
-            ):
-                if value is not None and value < 1:
-                    raise EngineError(f"{name} must be >= 1, got {value}")
-        elif chunk_gpsis is not None or chunk_bytes is not None:
-            raise EngineError(
-                "chunk watermarks only apply to shuffle='pipelined'"
-            )
-        # Imported here: repro.core.listing imports this module at load
-        # time, so a module-level core import would be circular.
-        from ..core import kernels
-
-        if kernel is not None and kernel not in kernels.KERNEL_CHOICES:
-            raise EngineError(
-                f"unknown kernel {kernel!r}; available: "
-                f"{list(kernels.KERNEL_CHOICES)}"
-            )
-        if steal:
-            if shuffle != "strict":
-                raise EngineError(
-                    "work stealing requires shuffle='strict'; stolen "
-                    "tasks buffer their sends for canonical re-merge, "
-                    "which the pipelined chunk stream cannot express"
-                )
-            if steal_tasks is None:
-                steal_tasks = DEFAULT_STEAL_TASK_GPSIS
-            if steal_tasks < 1:
-                raise EngineError(
-                    f"steal_tasks must be >= 1, got {steal_tasks}"
-                )
-        elif steal_tasks is not None:
-            raise EngineError(
-                "steal_tasks only applies to steal=True"
-            )
-        if (spill_dir is None) != (memory_watermark_bytes is None):
-            raise EngineError(
-                "spill_dir and memory_watermark_bytes enable the disk "
-                "spill plane together; set both or neither"
-            )
-        if spill_dir is not None and memory_watermark_bytes < 1:
-            raise EngineError(
-                "memory_watermark_bytes must be >= 1, got "
-                f"{memory_watermark_bytes}"
-            )
-        self.spill_dir = spill_dir
-        self.memory_watermark_bytes = memory_watermark_bytes
-        self.kernel = kernel
-        self.steal = steal
-        self.steal_tasks = steal_tasks
-        self.wire = wire
-        self.shuffle = shuffle
-        self.chunk_gpsis = chunk_gpsis
-        self.chunk_bytes = chunk_bytes
+        self.config = replace(config or ExecutionConfig(), **overrides)
         self.graph = graph
         self.partition = partition
-        self.memory_budget = memory_budget
-        self.worker_memory_budget = worker_memory_budget
-        self.max_supersteps = max_supersteps
-        self.backend = backend
-        self.procs = procs
         self.trace = trace
-        self.superstep_budget = superstep_budget
-        self.wall_budget_seconds = wall_budget_seconds
         self.abort_event = abort_event
         self.workers = [
             Worker(w, partition.vertices_of(w))
@@ -345,18 +138,17 @@ class BSPEngine:
     # ------------------------------------------------------------------
     def run(self, program: VertexProgram) -> BSPResult:
         """Execute ``program`` to completion and return its results."""
-        # Imported here: repro.runtime builds on repro.bsp, not vice versa
-        # (and repro.core.listing imports this module at load time).
-        from ..core import kernels
+        # Imported here: repro.runtime builds on repro.bsp, not vice versa.
         from ..runtime.executor import JobSpec
         from ..runtime.registry import make_executor
 
+        cfg = self.config
         started = perf_counter()
         for worker in self.workers:
             worker.reset_state()
         program.pre_application(self.graph, self.num_workers)
         ledger = CostLedger(
-            self.num_workers, self.memory_budget, self.worker_memory_budget
+            self.num_workers, cfg.memory_budget, cfg.worker_memory_budget
         )
         outputs: List[Any] = []
         combiner = program.message_combiner()
@@ -364,7 +156,7 @@ class BSPEngine:
         # option: the production plane needs combiner-less columnar
         # compute, anything else runs on the reference plane.
         fallback = None
-        if self.wire == "columnar":
+        if cfg.wire == "columnar":
             if combiner is not None:
                 fallback = (
                     f"{type(program).__name__} declares a message combiner"
@@ -374,12 +166,11 @@ class BSPEngine:
                     f"{type(program).__name__} does not support columnar "
                     "compute"
                 )
-        require_columnar_plane(
-            self.wire, self.shuffle, self.steal, self.spill_dir, fallback
-        )
-        plane = "object" if fallback else self.wire
+        if fallback:
+            cfg.require_columnar_plane(fallback)
+        plane = "object" if fallback else cfg.wire
         columnar = plane == "columnar"
-        if self.steal and not getattr(
+        if cfg.steal and not getattr(
             program, "supports_task_expansion", False
         ):
             raise EngineError(
@@ -396,13 +187,13 @@ class BSPEngine:
         if initial is None:
             initial = list(self.graph.vertices())
 
-        executor = make_executor(self.backend, procs=self.procs)
+        executor = make_executor(cfg.backend, procs=cfg.procs)
         tracer = make_tracer(self.trace)
         spill_mgr: Optional[SpillManager] = None
-        if self.spill_dir is not None:
+        if cfg.spill_dir is not None:
             spill_mgr = SpillManager(
-                self.spill_dir,
-                self.memory_watermark_bytes,
+                cfg.spill_dir,
+                cfg.memory_watermark_bytes,
                 tracer if tracer.enabled else None,
             )
         if tracer.enabled:
@@ -413,13 +204,11 @@ class BSPEngine:
                 graph_vertices=self.graph.num_vertices,
                 graph_edges=self.graph.num_edges,
             )
-            if self.kernel is not None:
-                tracer.meta["kernel"] = kernels.kernel_info(self.kernel)
-            if self.steal:
-                tracer.meta["steal_tasks"] = self.steal_tasks
+            if cfg.steal:
+                tracer.meta["steal_tasks"] = cfg.steal_tasks
             if spill_mgr is not None:
                 tracer.meta["memory_watermark_bytes"] = (
-                    self.memory_watermark_bytes
+                    cfg.memory_watermark_bytes
                 )
         executor.start(
             JobSpec(
@@ -429,12 +218,8 @@ class BSPEngine:
                 num_workers=self.num_workers,
                 worker_states=[worker.state for worker in self.workers],
                 tracer=tracer,
+                config=cfg,
                 wire=plane,
-                shuffle=self.shuffle,
-                chunk_gpsis=self.chunk_gpsis,
-                chunk_bytes=self.chunk_bytes,
-                steal=self.steal,
-                steal_tasks=self.steal_tasks,
             )
         )
         merge_program_state = not executor.inprocess
@@ -443,9 +228,9 @@ class BSPEngine:
         status = "completed"
         try:
             while True:
-                if superstep >= self.max_supersteps:
+                if superstep >= cfg.max_supersteps:
                     raise EngineError(
-                        f"exceeded max_supersteps={self.max_supersteps}; "
+                        f"exceeded max_supersteps={cfg.max_supersteps}; "
                         "program may not terminate"
                     )
                 if self.abort_event is not None and self.abort_event.is_set():
@@ -454,27 +239,27 @@ class BSPEngine:
                         "(cancellation requested)"
                     )
                 if (
-                    self.superstep_budget is not None
-                    and superstep >= self.superstep_budget
+                    cfg.superstep_budget is not None
+                    and superstep >= cfg.superstep_budget
                 ):
                     raise BudgetExceededError(
-                        f"superstep budget of {self.superstep_budget} "
+                        f"superstep budget of {cfg.superstep_budget} "
                         f"exhausted at superstep {superstep}",
                         resource="supersteps",
                         used=superstep,
-                        budget=self.superstep_budget,
+                        budget=cfg.superstep_budget,
                         where=f"superstep {superstep}",
                     )
-                if self.wall_budget_seconds is not None:
+                if cfg.wall_budget_seconds is not None:
                     elapsed = perf_counter() - started
-                    if elapsed > self.wall_budget_seconds:
+                    if elapsed > cfg.wall_budget_seconds:
                         raise BudgetExceededError(
                             f"wall-clock budget of "
-                            f"{self.wall_budget_seconds:g}s exhausted after "
+                            f"{cfg.wall_budget_seconds:g}s exhausted after "
                             f"{elapsed:.3f}s at superstep {superstep}",
                             resource="wall_seconds",
                             used=elapsed,
-                            budget=self.wall_budget_seconds,
+                            budget=cfg.wall_budget_seconds,
                             where=f"superstep {superstep}",
                         )
                 ledger.begin_superstep(superstep)
@@ -492,7 +277,7 @@ class BSPEngine:
                             if spill_mgr is not None
                             else None
                         ),
-                        watermark_bytes=self.memory_watermark_bytes,
+                        watermark_bytes=cfg.memory_watermark_bytes,
                     )
                 else:
                     outbox = MessageStore(combiner)
@@ -528,7 +313,7 @@ class BSPEngine:
                     registry,
                     chunk_sink=(
                         self._make_chunk_sink(outbox, tracer, superstep)
-                        if self.shuffle == "pipelined"
+                        if cfg.shuffle == "pipelined"
                         else None
                     ),
                 )

@@ -30,6 +30,7 @@ messages with a distinct exit code per failure family (see
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -37,7 +38,8 @@ from typing import List, Optional
 from .bench.datasets import dataset_summary, load_dataset
 from .bench.runner import EXPERIMENT_IDS, run_all
 from .bench.tables import format_table
-from .core.listing import PSgL
+from .bsp.config import ExecutionConfig
+from .core.listing import PSgL, check_num_workers
 from .exceptions import (
     BudgetExceededError,
     DistributionError,
@@ -52,6 +54,35 @@ from .graph.stats import skew_report
 from .obs import Tracer, straggler_report, write_chrome_trace, write_jsonl
 from .pattern.catalog import describe, get_pattern, paper_patterns, pattern_from_edges
 from .runtime import available_backends
+
+
+def _count_execution_fields():
+    """The ``ExecutionConfig`` fields ``psgl count`` has a flag for."""
+    return [
+        spec for spec in dataclasses.fields(ExecutionConfig)
+        if spec.metadata["cli"]
+    ]
+
+
+def _add_execution_flag(parser, spec: dataclasses.Field) -> None:
+    """One flag for one ``ExecutionConfig`` field, rendered from the
+    field's own declaration: name, type, choices, default, help."""
+    flag = "--" + spec.name.replace("_", "-")
+    if spec.metadata["kind"] is bool:
+        parser.add_argument(flag, action="store_true", help=spec.metadata["help"])
+        return
+    parser.add_argument(
+        flag,
+        type=spec.metadata["kind"],
+        default=spec.default,
+        # Backend names live in the runtime's open registry.
+        choices=(
+            available_backends()
+            if spec.name == "backend"
+            else spec.metadata["choices"]
+        ),
+        help=spec.metadata["help"],
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,70 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "opened as memory-mapped views, nothing is copied into RAM",
     )
     count.add_argument("--workers", type=int, default=8)
-    count.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="serial",
-        help="execution backend (process = real parallelism over a "
-        "shared-memory graph)",
-    )
-    count.add_argument(
-        "--procs",
-        type=int,
-        default=None,
-        help="OS processes/threads for parallel backends "
-        "(default: min(workers, cpu count))",
-    )
-    count.add_argument(
-        "--wire",
-        choices=["object", "columnar"],
-        default="columnar",
-        help="data plane: columnar (production: packed Gpsi buffers, "
-        "batch expansion) or object (reference: per-message objects, "
-        "scalar expansion; identical results)",
-    )
-    count.add_argument(
-        "--shuffle",
-        choices=["strict", "pipelined"],
-        default="strict",
-        help="barrier shuffle mode: strict merges whole outboxes at the "
-        "barrier; pipelined streams watermark-sized chunks while "
-        "workers still expand (identical results)",
-    )
-    count.add_argument(
-        "--chunk-gpsis",
-        type=int,
-        default=None,
-        help="pipelined shuffle: flush a chunk every N queued Gpsis",
-    )
-    count.add_argument(
-        "--chunk-bytes",
-        type=int,
-        default=None,
-        help="pipelined shuffle: flush a chunk every N packed wire bytes",
-    )
-    count.add_argument(
-        "--kernel",
-        choices=["auto", "numpy", "native"],
-        default="auto",
-        help="expansion/probe kernel: numpy (vectorised reference), "
-        "native (numba-jitted fused loops), or auto (native when a "
-        "numba runtime is installed, else numpy; identical results)",
-    )
-    count.add_argument(
-        "--steal",
-        action="store_true",
-        help="work-stealing superstep scheduler: "
-        "idle workers steal packed batch slices from stragglers; "
-        "results stay bit-identical to the static schedule",
-    )
-    count.add_argument(
-        "--steal-tasks",
-        type=int,
-        default=None,
-        help="work-stealing task granularity in Gpsi rows "
-        "(default: engine default; requires --steal)",
-    )
     count.add_argument("--strategy", default="WA,0.5")
     count.add_argument("--scale", type=float, default=1.0)
     count.add_argument("--seed", type=int, default=0)
@@ -159,26 +126,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the straggler/imbalance report after the run",
     )
     count.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help="out-of-core shuffle: spill sealed columnar chunks here once "
-        "the barrier store exceeds the watermark (set together with "
-        "--memory-watermark-bytes)",
-    )
-    count.add_argument(
-        "--memory-watermark-bytes",
-        type=int,
-        default=None,
-        help="resident-bytes watermark for the barrier store before "
-        "chunks spill to --spill-dir (results stay bit-identical)",
-    )
-    count.add_argument(
         "--no-index", action="store_true", help="disable the bloom edge index"
     )
     count.add_argument(
         "--initial-vertex", type=int, default=None, help="force the initial pattern vertex (1-based)"
     )
+    execution = count.add_argument_group(
+        "execution", "how the job runs; results are identical (docs/api.md)"
+    )
+    for spec in _count_execution_fields():
+        _add_execution_flag(execution, spec)
 
     sub.add_parser("datasets", help="show the dataset registry (Table 1 analogs)")
     sub.add_parser("patterns", help="show the PG1-PG5 catalog")
@@ -228,31 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"subset of: {' '.join(EXPERIMENT_IDS)} (default: all)",
     )
     bench.add_argument("--scale", type=float, default=1.0)
-    bench.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="serial",
-        help="execution backend for experiments that support one",
-    )
-    bench.add_argument("--procs", type=int, default=None)
-    bench.add_argument(
-        "--wire",
-        choices=["object", "columnar"],
-        default=None,
-        help="data plane for experiments that support one "
-        "(default: columnar)",
-    )
-    bench.add_argument(
-        "--kernel",
-        choices=["auto", "numpy", "native"],
-        default=None,
-        help="expansion/probe kernel for experiments that support one",
-    )
-    bench.add_argument(
-        "--steal",
-        action="store_true",
-        help="work-stealing scheduler for experiments that support it",
-    )
     bench.add_argument("--out", type=Path, default=None, help="directory for .txt reports")
     bench.add_argument(
         "--trace",
@@ -325,21 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip per-job tracing (disables /jobs/<id>/trace)",
     )
-    serve.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help="out-of-core shuffle for executed jobs: spill chunks here "
-        "past the watermark (set together with "
-        "--memory-watermark-bytes)",
-    )
-    serve.add_argument(
-        "--memory-watermark-bytes",
-        type=int,
-        default=None,
-        help="resident-bytes watermark before job shuffle chunks spill "
-        "to --spill-dir",
-    )
+    # The server-owned execution fields, applied to every executed job.
+    for spec in dataclasses.fields(ExecutionConfig):
+        if spec.name in ("spill_dir", "memory_watermark_bytes"):
+            _add_execution_flag(serve, spec)
     return parser
 
 
@@ -356,6 +277,12 @@ def _load_graph_source(args: argparse.Namespace):
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    # Everything that can be refused without the graph is refused first:
+    # a typo must not cost a multi-minute load.
+    config = ExecutionConfig.from_mapping(
+        {spec.name: getattr(args, spec.name) for spec in _count_execution_fields()}
+    )
+    check_num_workers(args.workers)
     if args.pattern:
         pattern = get_pattern(args.pattern)
     else:
@@ -368,17 +295,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         edge_index="none" if args.no_index else "bloom",
         seed=args.seed,
-        backend=args.backend,
-        procs=args.procs,
-        wire=args.wire,
-        shuffle=args.shuffle,
-        chunk_gpsis=args.chunk_gpsis,
-        chunk_bytes=args.chunk_bytes,
-        kernel=args.kernel,
-        steal=args.steal,
-        steal_tasks=args.steal_tasks,
-        spill_dir=args.spill_dir,
-        memory_watermark_bytes=args.memory_watermark_bytes,
+        config=config,
         trace=tracer,
     )
     initial = None if args.initial_vertex is None else args.initial_vertex - 1
@@ -391,13 +308,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
     print(f"gpsis      : {result.total_gpsis:,}")
     print(f"initial vp : v{result.initial_vertex + 1}")
     print(f"strategy   : {result.strategy}")
-    print(f"backend    : {args.backend}")
+    print(f"backend    : {config.backend}")
     print(f"wire plane : {result.wire}")
-    print(f"shuffle    : {args.shuffle}")
-    print(f"kernel     : {result.kernel} (requested {args.kernel})")
-    if args.steal:
+    print(f"shuffle    : {config.shuffle}")
+    print(f"kernel     : {result.kernel} (requested {config.kernel})")
+    if config.steal:
         print(f"steals     : {result.steals}")
-    if args.spill_dir is not None:
+    if config.spill_dir is not None:
         print(
             f"spilled    : {result.ledger.spill_chunks} chunk(s) / "
             f"{result.ledger.spill_bytes:,} bytes past the watermark"
@@ -493,11 +410,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scale=args.scale,
         experiments=args.experiments,
         out_dir=args.out,
-        backend=args.backend,
-        procs=args.procs,
-        wire=args.wire,
-        kernel=args.kernel,
-        steal=args.steal or None,
         trace_dir=args.trace,
     )
     return 0

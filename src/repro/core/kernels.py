@@ -43,6 +43,8 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..bsp.config import KERNEL_CHOICES
+
 __all__ = [
     "HAVE_NUMBA",
     "NUMBA_VERSION",
@@ -73,10 +75,6 @@ except ImportError:  # the container's default: plain numpy
 #: (uncompiled) Python when numba is missing.  Far slower than numpy —
 #: only the parity tests should enable it.
 ALLOW_INTERPRETED = os.environ.get("PSGL_KERNEL_INTERPRETED", "") not in ("", "0")
-
-#: The knob values accepted everywhere a kernel can be selected.
-KERNEL_CHOICES = ("auto", "numpy", "native")
-
 
 def _jit(func):
     if HAVE_NUMBA:  # pragma: no cover - CI numba leg

@@ -26,19 +26,21 @@ Example
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..bsp.aggregate import sum_aggregator
+from ..bsp.config import ExecutionConfig, coerce
 from ..bsp.engine import BSPEngine, BSPResult
 from ..bsp.metrics import CostLedger
 from ..bsp.vertex_program import ComputeContext, VertexProgram
-from ..exceptions import GraphError, PatternError
+from ..exceptions import EngineError, GraphError, PatternError
 from ..graph.graph import Graph
 from ..graph.ordered import OrderedGraph
 from ..graph.partition import Partition, random_partition
+from ..obs.tracer import make_tracer
 from ..pattern.automorphism import automorphisms, break_automorphisms
 from ..pattern.pattern import PatternGraph
 from . import kernels
@@ -421,6 +423,16 @@ class PSgLProgram(VertexProgram):
         ctx.send_columns(dest, addressed)
 
 
+def check_num_workers(num_workers: object) -> int:
+    """``K`` as a positive int, or :class:`~repro.exceptions.EngineError`
+    — shared by :class:`PSgL`, ``psgl count`` (before the graph is read)
+    and the query service (at submission)."""
+    num_workers = coerce("num_workers", int, num_workers)
+    if num_workers < 1:
+        raise EngineError(f"num_workers must be >= 1, got {num_workers}")
+    return num_workers
+
+
 class PSgL:
     """Parallel subgraph listing on a simulated BSP cluster.
 
@@ -444,92 +456,42 @@ class PSgL:
         cheap :meth:`~repro.core.edge_index.EdgeIndexBase.detached_view`.
     edge_index_fp:
         Target false-positive rate of the bloom index.
-    memory_budget:
-        Optional cap on total in-flight Gpsis; exceeding it raises
-        :class:`~repro.exceptions.SimulatedOOMError` like the paper's OOM
-        failures.
-    worker_memory_budget:
-        Optional cap on the Gpsis queued for any single worker (the
-        paper's "OOM on some nodes" failure mode).
     partition:
         Optional explicit partition; defaults to the paper's random one.
     seed:
         Master seed for partitioning and the stochastic strategies.
-    backend:
-        Execution backend for the BSP engine: ``"serial"`` (default),
-        ``"thread"``, or ``"process"`` — the parallel backends run
-        logical workers concurrently over a shared read-only graph and
-        produce the same embeddings and per-worker ledger statistics.
-    procs:
-        OS-level parallelism for parallel backends (default:
-        ``min(num_workers, cpu_count)``).
-    wire:
-        Data plane: ``"columnar"`` (default) is the production plane —
-        Gpsis stay packed in contiguous numpy buffers from one superstep's
-        expansion (:mod:`repro.core.batch_expand`) through the barrier
-        store to the next; ``"object"`` is the reference plane — one
-        ``Gpsi`` object per message, expanded by the scalar
-        :func:`~repro.core.expansion.expand_gpsi`: the executable
-        specification and parity oracle.  Same embeddings, ledgers,
-        statistics and RNG streams on both (see ``docs/perf.md``).  A
-        custom strategy that implements only scalar ``choose`` cannot run
-        on the production plane; such a run falls back to the reference
-        plane automatically and ``ListingResult.wire`` says so.
-    shuffle:
-        Delivery schedule of the production plane: ``"strict"``
-        (default; whole outboxes cross at the barrier) or
-        ``"pipelined"`` (outboxes stream watermark-sized chunks to the
-        barrier store while workers still expand, overlapping compute
-        with shuffle — same embeddings, counts and ledgers, pinned by
-        tests; see ``docs/runtime.md`` §5).
-    chunk_gpsis / chunk_bytes:
-        Pipelined-mode flush watermarks (rows / exact wire bytes per
-        chunk); both unset picks the engine default.
-    kernel:
-        Expansion-kernel selection (``"auto"`` default): ``"numpy"`` is
-        the vectorised reference, ``"native"`` the numba-jitted fused
-        kernels of :mod:`repro.core.kernels` (graceful numpy fallback
-        when numba is absent), ``"auto"`` picks native exactly when
-        numba is installed.  Results are bit-identical across kernels
-        (see ``docs/perf.md``).
-    steal:
-        Run expansion supersteps under the work-stealing scheduler
-        (:mod:`repro.runtime.stealing`): each worker's delivered batch
-        splits into ``(owner, seq)``-tagged tasks that idle workers
-        steal, with a canonical-order finalize that keeps instances,
-        ledgers and RNG streams bit-identical to the static schedule.
-        Requires the production plane and the strict shuffle (see
-        ``docs/runtime.md``).
-    steal_tasks:
-        Target rows per stealable task (default:
-        ``DEFAULT_STEAL_TASK_GPSIS``); tasks never split a single
-        vertex's slice.
-    trace:
-        Observability: ``None``/``False`` (default, zero overhead), a
-        :class:`repro.obs.Tracer` to record per-superstep events into
-        (one tracer may observe several runs), or ``True`` for a fresh
-        tracer per run, returned on ``ListingResult.trace``.  See
-        ``docs/observability.md``.
+    costs:
+        The cost-model constants (:mod:`repro.core.cost`).
     ordered:
         Optional prebuilt :class:`~repro.graph.ordered.OrderedGraph` of
         ``graph``.  The degree order is deterministic, so a long-lived
         server computes it once and shares the (read-only) instance
         across every concurrent job instead of re-deriving it per
         driver.
-    superstep_budget / wall_budget_seconds:
-        Per-job resource budgets forwarded to the BSP engine; crossing
-        one raises :class:`~repro.exceptions.BudgetExceededError` (see
-        ``docs/service.md``).
+    config:
+        The :class:`~repro.bsp.config.ExecutionConfig`: *how* the job
+        runs (backend, data plane, shuffle, kernel, stealing, spill,
+        budgets) — result-neutral by the bit-parity contract, declared
+        and validated in one place (table in ``docs/api.md``).
+    trace:
+        Observability: ``None``/``False`` (default, zero overhead), a
+        :class:`repro.obs.Tracer` to record per-superstep events into
+        (one tracer may observe several runs), or ``True`` for a fresh
+        tracer per run, returned on ``ListingResult.trace``.  See
+        ``docs/observability.md``.
     abort_event:
         Optional ``threading.Event`` polled at superstep boundaries;
         setting it cancels the run with
         :class:`~repro.exceptions.JobCancelled`.
-    spill_dir / memory_watermark_bytes:
-        The out-of-core spill policy, forwarded to the BSP engine (set
-        together; production plane only): barrier chunks past the
-        watermark spill to per-superstep files under ``spill_dir`` and
-        re-map at delivery, with bit-identical results — see
-        :mod:`repro.bsp.spill` and ``docs/scale.md``.
+    **overrides:
+        ``ExecutionConfig`` fields by name, applied over ``config`` —
+        ``PSgL(g, backend="process", procs=4, wire="columnar")``.  An
+        illegal value or combination raises
+        :class:`~repro.exceptions.EngineError` here, not inside ``run``.
+
+    A custom strategy that implements only scalar ``choose`` cannot run
+    on the production plane; such a run falls back to the reference plane
+    automatically and ``ListingResult.wire`` says so.
     """
 
     def __init__(
@@ -540,28 +502,19 @@ class PSgL:
         alpha: float = 0.5,
         edge_index: Union[str, EdgeIndexBase] = "bloom",
         edge_index_fp: float = 0.01,
-        memory_budget: Optional[int] = None,
-        worker_memory_budget: Optional[int] = None,
         partition: Optional[Partition] = None,
         seed: int = 0,
         costs: CostParameters = DEFAULT_COSTS,
-        backend: str = "serial",
-        procs: Optional[int] = None,
-        wire: str = "columnar",
-        shuffle: str = "strict",
-        chunk_gpsis: Optional[int] = None,
-        chunk_bytes: Optional[int] = None,
-        kernel: str = "auto",
-        steal: bool = False,
-        steal_tasks: Optional[int] = None,
-        trace: object = None,
         ordered: Optional[OrderedGraph] = None,
-        superstep_budget: Optional[int] = None,
-        wall_budget_seconds: Optional[float] = None,
+        config: Optional[ExecutionConfig] = None,
+        *,
+        trace: object = None,
         abort_event: Optional[threading.Event] = None,
-        spill_dir: Optional[str] = None,
-        memory_watermark_bytes: Optional[int] = None,
+        **overrides: object,
     ):
+        self.config = replace(config or ExecutionConfig(), **overrides)
+        if partition is None:
+            num_workers = check_num_workers(num_workers)
         self.graph = graph
         if ordered is not None and ordered.graph is not graph:
             raise GraphError(
@@ -582,28 +535,13 @@ class PSgL:
             self.edge_index_kind = edge_index
             self._edge_index = None
         self.edge_index_fp = edge_index_fp
-        self.memory_budget = memory_budget
-        self.worker_memory_budget = worker_memory_budget
         #: Guards the lazy index build when several threads share one
         #: driver (the index itself is read-only once built).
         self._index_lock = threading.Lock()
         self.seed = seed
         self.costs = costs
-        self.backend = backend
-        self.procs = procs
-        self.wire = wire
-        self.shuffle = shuffle
-        self.chunk_gpsis = chunk_gpsis
-        self.chunk_bytes = chunk_bytes
-        self.kernel = kernel
-        self.steal = steal
-        self.steal_tasks = steal_tasks
         self.trace = trace
-        self.superstep_budget = superstep_budget
-        self.wall_budget_seconds = wall_budget_seconds
         self.abort_event = abort_event
-        self.spill_dir = spill_dir
-        self.memory_watermark_bytes = memory_watermark_bytes
 
     # ------------------------------------------------------------------
     def run(
@@ -670,7 +608,7 @@ class PSgL:
                     )
         index = self._edge_index
         index.reset_statistics()
-        kernel_effective = kernels.resolve_kernel(self.kernel)
+        kernel_effective = kernels.resolve_kernel(self.config.kernel)
         # Route the index's own batched probes through the same kernel;
         # answers are bit-identical.
         index.set_kernel(kernel_effective)
@@ -688,26 +626,17 @@ class PSgL:
             track_message_bytes=track_message_bytes,
             kernel=kernel_effective,
         )
+        # The kernel is resolved here, not in the engine (which never
+        # expands), so the trace's description of it is recorded here too.
+        tracer = make_tracer(self.trace)
+        if tracer.enabled:
+            tracer.meta["kernel"] = kernels.kernel_info(self.config.kernel)
         engine = BSPEngine(
             self.graph,
             self.partition,
-            memory_budget=self.memory_budget,
-            worker_memory_budget=self.worker_memory_budget,
-            backend=self.backend,
-            procs=self.procs,
-            wire=self.wire,
-            shuffle=self.shuffle,
-            chunk_gpsis=self.chunk_gpsis,
-            chunk_bytes=self.chunk_bytes,
-            kernel=self.kernel,
-            steal=self.steal,
-            steal_tasks=self.steal_tasks,
-            trace=self.trace,
-            superstep_budget=self.superstep_budget,
-            wall_budget_seconds=self.wall_budget_seconds,
+            self.config,
+            trace=tracer,
             abort_event=self.abort_event,
-            spill_dir=self.spill_dir,
-            memory_watermark_bytes=self.memory_watermark_bytes,
         )
         bsp_result: BSPResult = engine.run(program)
         # The serial backend never collects state deltas, so pending

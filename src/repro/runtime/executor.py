@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..bsp.config import ExecutionConfig
 from ..bsp.message import (
     ColumnarOutbox,
     GpsiBatch,
@@ -73,28 +74,13 @@ class JobSpec:
     #: pool configuration, shared-memory export sizes); defaults to the
     #: no-op tracer so executors emit unconditionally behind one flag.
     tracer: Any = NULL_TRACER
-    #: The data plane this job runs on, already resolved by the engine:
-    #: ``"object"`` (reference: per-payload Python objects, scalar
-    #: compute) or ``"columnar"`` (production: packed Gpsi buffers, batch
-    #: compute; see :mod:`repro.bsp.message`).
+    #: The job's :class:`~repro.bsp.config.ExecutionConfig`: executors
+    #: read shuffle mode, chunk watermarks and the steal settings off it.
+    config: ExecutionConfig = ExecutionConfig()
+    #: The data plane this job runs on, *resolved* by the engine — it is
+    #: ``config.wire`` unless the program forced the fallback to the
+    #: reference plane (see :mod:`repro.bsp.message`).
     wire: str = "object"
-    #: Shuffle mode: ``"strict"`` (whole outboxes cross at the barrier)
-    #: or ``"pipelined"`` (outboxes stream fixed-size chunks to the
-    #: barrier store while compute runs; the engine passes ``chunk_sink``
-    #: to ``run_superstep``).  Production plane only.
-    shuffle: str = "strict"
-    #: Pipelined-mode flush watermarks (rows / exact wire bytes); a chunk
-    #: flushes before an append would overflow either one.
-    chunk_gpsis: Optional[int] = None
-    chunk_bytes: Optional[int] = None
-    #: Work-stealing superstep scheduler: split each worker's delivered
-    #: columnar batch into ``(owner, seq)``-tagged tasks of at most
-    #: ``steal_tasks`` rows and let idle workers execute stragglers'
-    #: tasks; the barrier re-applies outcomes in canonical order (see
-    #: :mod:`repro.runtime.stealing`).  Production plane + strict shuffle only;
-    #: backends accumulate task migrations on ``steals_total``.
-    steal: bool = False
-    steal_tasks: Optional[int] = None
 
 
 @dataclass

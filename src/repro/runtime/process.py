@@ -197,7 +197,7 @@ class ProcessExecutor(SuperstepExecutor):
             method = "fork" if "fork" in methods else "spawn"
         procs = self._procs or default_procs(spec.num_workers)
         mp_context = multiprocessing.get_context(method)
-        if spec.shuffle == "pipelined":
+        if spec.config.shuffle == "pipelined":
             # One queue for the whole job, created from the pool's own
             # context so it survives spawn pickling.  Bounded: a full
             # queue blocks senders, capping driver-side in-flight chunks.
@@ -214,8 +214,8 @@ class ProcessExecutor(SuperstepExecutor):
                     spec.num_workers,
                     spec.wire,
                     self._chunk_queue,
-                    spec.chunk_gpsis,
-                    spec.chunk_bytes,
+                    spec.config.chunk_gpsis,
+                    spec.config.chunk_bytes,
                 ),
             )
         except Exception:
@@ -241,7 +241,7 @@ class ProcessExecutor(SuperstepExecutor):
         chunk_sink: Any = None,
     ) -> List[WorkerStepResult]:
         spec = self._spec
-        if spec.steal and any(
+        if spec.config.steal and any(
             isinstance(batch, PackedWorkerBatch) for batch in batches
         ):
             return self._run_stolen(superstep, batches, registry)
@@ -361,7 +361,7 @@ class ProcessExecutor(SuperstepExecutor):
         futures = []
         for owner, batch in enumerate(batches):
             if isinstance(batch, PackedWorkerBatch) and len(batch.vertices):
-                tasks = split_batch(owner, batch, spec.steal_tasks or 1)
+                tasks = split_batch(owner, batch, spec.config.steal_tasks)
                 tasks_by_owner[owner] = tasks
                 futures.extend(
                     self._pool.submit(_run_child_task, task) for task in tasks

@@ -50,7 +50,7 @@ class SerialExecutor(SuperstepExecutor):
         # outboxes as residuals and the chunked barrier store receives
         # them at the merge — strict-mode behaviour, bit for bit.
         spec = self._spec
-        if spec.steal and any(
+        if spec.config.steal and any(
             isinstance(batch, PackedWorkerBatch) for batch in batches
         ):
             # One lane, so every owner is "home" and nothing is ever

@@ -32,7 +32,7 @@ deltas — is bit-identical to the static schedule's, which is what the
 parity tests pin.  Stealing changes *wall-clock placement*, never
 results.
 
-Task granularity is bounded in Gpsi rows (``JobSpec.steal_tasks``) but
+Task granularity is bounded in Gpsi rows (``ExecutionConfig.steal_tasks``) but
 vertex slices never split: one vertex's delivered rows always stay in
 one task, so per-vertex expansion remains one pure call.  A vertex whose
 delivery alone exceeds the bound becomes a single oversized task.
@@ -291,7 +291,7 @@ def run_stolen_superstep(
     for owner, batch in enumerate(batches):
         if isinstance(batch, PackedWorkerBatch) and len(batch.vertices):
             tasks_by_owner[owner] = split_batch(
-                owner, batch, spec.steal_tasks or 1
+                owner, batch, spec.config.steal_tasks
             )
     scheduler = StealScheduler(tasks_by_owner, max(lanes, 1))
     done: List[TaskResult] = []

@@ -64,15 +64,15 @@ class ThreadExecutor(SuperstepExecutor):
             replica.bind_shared(spec.graph, shared_arrays)
             self._replicas.append(replica)
         self._states = [{} for _ in range(spec.num_workers)]
-        workers = self._procs or min(spec.num_workers, 4)
-        self._pool = ThreadPoolExecutor(max_workers=max(workers, 1))
+        self._width = max(self._procs or min(spec.num_workers, 4), 1)
+        self._pool = ThreadPoolExecutor(max_workers=self._width)
         if spec.tracer.enabled:
             spec.tracer.emit(
                 "executor",
                 wall_ms=(perf_counter() - setup_started) * 1000.0,
                 backend=self.name,
                 inprocess=False,
-                pool=max(workers, 1),
+                pool=self._width,
                 replicas=len(self._replicas),
                 replica_bytes=len(payload),
             )
@@ -86,7 +86,7 @@ class ThreadExecutor(SuperstepExecutor):
     ) -> List[WorkerStepResult]:
         spec = self._spec
         snapshot = registry.snapshot()
-        if spec.steal and any(
+        if spec.config.steal and any(
             isinstance(batch, PackedWorkerBatch) for batch in batches
         ):
             return self._run_stolen(superstep, batches, spec, snapshot)
@@ -101,8 +101,7 @@ class ThreadExecutor(SuperstepExecutor):
         sink_errors: List[BaseException] = []
         worker_sink = None
         if chunk_sink is not None:
-            pool_width = self._procs or min(spec.num_workers, 4)
-            chunk_queue = queue.Queue(maxsize=max(4, 2 * pool_width))
+            chunk_queue = queue.Queue(maxsize=max(4, 2 * self._width))
 
             def _drain() -> None:
                 while True:
@@ -138,8 +137,8 @@ class ThreadExecutor(SuperstepExecutor):
                 collect_delta=True,
                 wire=spec.wire,
                 chunk_sink=worker_sink,
-                chunk_gpsis=spec.chunk_gpsis,
-                chunk_bytes=spec.chunk_bytes,
+                chunk_gpsis=spec.config.chunk_gpsis,
+                chunk_bytes=spec.config.chunk_bytes,
             )
 
         futures = [
@@ -187,8 +186,6 @@ class ThreadExecutor(SuperstepExecutor):
             run_stolen_superstep,
         )
 
-        lanes = max(self._procs or min(spec.num_workers, 4), 1)
-
         def expand(task):
             return expand_steal_task(self._replicas[task.owner], task)
 
@@ -218,7 +215,7 @@ class ThreadExecutor(SuperstepExecutor):
             batches,
             expand=expand,
             finalize=finalize,
-            lanes=lanes,
+            lanes=self._width,
             runner=runner,
         )
         self.steals_total += steals

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..exceptions import QuerySpecError
+from ..bsp.config import coerce
+from ..exceptions import EngineError, QuerySpecError
 
 __all__ = ["ResourceBudget"]
 
@@ -74,12 +75,13 @@ class ResourceBudget:
             value = obj.get(name)
             if value is None:
                 continue
-            number = float(value)
-            if number <= 0:
+            kind = float if name == "max_wall_seconds" else int
+            try:
+                values[name] = coerce(f"budget field {name}", kind, value)
+            except EngineError as exc:  # "abc", 2.7 supersteps: no guessing
+                raise QuerySpecError(str(exc)) from exc
+            if values[name] <= 0:
                 raise QuerySpecError(f"budget field {name} must be > 0")
-            values[name] = (
-                number if name == "max_wall_seconds" else int(number)
-            )
         return cls(**values)
 
     def merged_over(self, base: "ResourceBudget") -> "ResourceBudget":
@@ -101,7 +103,8 @@ class ResourceBudget:
         )
 
     def psgl_kwargs(self) -> Dict[str, Any]:
-        """The ``PSgL`` constructor arguments enforcing this budget."""
+        """The ``ExecutionConfig`` fields enforcing this budget (apply
+        with ``dataclasses.replace`` or as ``PSgL`` overrides)."""
         return {
             "memory_budget": self.max_live_gpsis,
             "worker_memory_budget": self.max_worker_live_gpsis,

@@ -42,15 +42,16 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..bsp.engine import require_columnar_plane
+from ..bsp.config import ExecutionConfig, coerce
 from ..core import kernels
 from ..core.distribution import make_strategy
 from ..core.edge_index import build_edge_index
-from ..core.listing import ListingResult, PSgL
+from ..core.listing import ListingResult, PSgL, check_num_workers
 from ..exceptions import (
     AdmissionError,
     DistributionError,
@@ -144,21 +145,27 @@ class GraphContext:
         }
 
 
-#: Query-spec fields accepted by ``POST /jobs``, with their defaults.
+#: The ``ExecutionConfig`` fields an HTTP client may set.  This is input
+#: policy, not a copy of the knobs: every other field — where chunks
+#: spill, how many processes run, the budgets' engine-side names — is
+#: owned by the server (its constructor arguments and ``budget`` merge).
+CLIENT_EXECUTION_FIELDS = ("backend", "wire", "kernel", "steal")
+
+#: Query-spec fields accepted by ``POST /jobs``, with their defaults: the
+#: query's own, then the client-settable execution fields with the
+#: defaults ``ExecutionConfig`` declares.
 SPEC_DEFAULTS: Dict[str, Any] = {
     "strategy": "WA,0.5",
     "workers": 4,
-    "backend": "serial",
-    "wire": "columnar",
     "seed": 0,
     "collect_instances": False,
-    "kernel": "auto",
-    "steal": False,
+    **{name: getattr(ExecutionConfig(), name) for name in CLIENT_EXECUTION_FIELDS},
 }
 
 #: Spec fields that shape the result payload — the cache-key params.
-#: ``kernel``/``steal`` are deliberately absent: both are bit-identical
-#: execution choices, so a cached result answers any kernel/steal combo.
+#: All are *query* fields: an ``ExecutionConfig`` field is result-neutral
+#: by contract and never part of a cache key, so a cached result answers
+#: any backend/wire/kernel/steal combination.
 CACHE_PARAM_FIELDS = ("workers", "seed", "collect_instances")
 
 
@@ -203,11 +210,11 @@ class SubgraphService:
         self.cache = cache if cache is not None else ResultCache()
         self.trace_jobs = trace_jobs
         self._allow_test_hooks = allow_test_hooks
-        # Out-of-core knobs applied to every executed job (the engine
-        # validates the pair per run; plane compatibility is checked at
-        # submission).
-        self.spill_dir = spill_dir
-        self.memory_watermark_bytes = memory_watermark_bytes
+        # Server-owned execution fields, applied under every job's
+        # client-settable ones (a half-set spill pair fails right here).
+        self.base_config = ExecutionConfig(
+            spill_dir=spill_dir, memory_watermark_bytes=memory_watermark_bytes
+        )
 
         self.registry = MetricsRegistry()
         self._m_jobs = self.registry.counter(
@@ -351,29 +358,22 @@ class SubgraphService:
         pattern = self._pattern_for(spec)
         for name, default in SPEC_DEFAULTS.items():
             spec.setdefault(name, default)
-        spec["workers"] = int(spec["workers"])
-        if spec["workers"] < 1:
-            raise QuerySpecError("workers must be >= 1")
-        spec["seed"] = int(spec["seed"])
-        spec["collect_instances"] = bool(spec["collect_instances"])
         if spec["backend"] not in available_backends():
             raise QuerySpecError(
                 f"unknown backend {spec['backend']!r}; "
                 f"available: {available_backends()}"
             )
-        if spec["kernel"] not in kernels.KERNEL_CHOICES:
-            raise QuerySpecError(
-                f"unknown kernel {spec['kernel']!r}; "
-                f"choices: {list(kernels.KERNEL_CHOICES)}"
-            )
-        spec["steal"] = bool(spec["steal"])
         try:
-            # The engine's own rule for what needs the columnar plane —
-            # checked at submission so a bad combination is a 400, not a
-            # failed job.
-            require_columnar_plane(
-                spec["wire"], steal=spec["steal"], spill_dir=self.spill_dir
+            # Strict coercion and every legality rule are the library's
+            # own, checked at submission so a bad value or combination is
+            # a 400, not a failed job — and never a guess ("false" is not
+            # False, 2.7 workers is not 2).
+            spec["workers"] = check_num_workers(spec["workers"])
+            spec["seed"] = coerce("seed", int, spec["seed"])
+            spec["collect_instances"] = coerce(
+                "collect_instances", bool, spec["collect_instances"]
             )
+            self._config_for(spec)
         except EngineError as exc:
             raise QuerySpecError(str(exc)) from exc
         if spec.get("_hold_seconds") and not self._allow_test_hooks:
@@ -384,6 +384,14 @@ class SubgraphService:
             raise QuerySpecError(str(exc)) from exc
         ResourceBudget.from_json(spec.get("budget"))  # validate early → 400
         return spec, priority, pattern, strategy_name
+
+    def _config_for(self, spec: Dict[str, Any]) -> ExecutionConfig:
+        """The job's execution config: the client's allow-listed fields
+        over the server-owned ones."""
+        return replace(
+            self.base_config,
+            **{name: spec[name] for name in CLIENT_EXECUTION_FIELDS},
+        )
 
     def _pattern_for(self, spec: Dict[str, Any]) -> PatternGraph:
         try:
@@ -410,16 +418,10 @@ class SubgraphService:
             strategy=spec["strategy"],
             edge_index=self.context.edge_index.detached_view(),
             seed=spec["seed"],
-            backend=spec["backend"],
-            wire=spec["wire"],
-            kernel=spec["kernel"],
-            steal=spec["steal"],
-            trace=job.tracer,
             ordered=self.context.ordered,
+            config=replace(self._config_for(spec), **budget.psgl_kwargs()),
+            trace=job.tracer,
             abort_event=job.abort_event,
-            spill_dir=self.spill_dir,
-            memory_watermark_bytes=self.memory_watermark_bytes,
-            **budget.psgl_kwargs(),
         )
         result = driver.run(
             pattern, collect_instances=spec["collect_instances"]

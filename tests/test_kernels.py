@@ -9,10 +9,13 @@ Python, so this suite pins the native path's behaviour everywhere; the
 CI numba leg runs the same tests against the compiled kernels.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bsp import ExecutionConfig
 from repro.core import PSgL, kernels
 from repro.core.bloom import BloomFilter
 from repro.core.edge_index import (
@@ -24,7 +27,12 @@ from repro.core.edge_index import (
 from repro.graph.generators import erdos_renyi
 from repro.pattern import paper_patterns
 
+from .parity import assert_equivalent, assert_illegal, reference_run
+
 GRAPH = erdos_renyi(48, 0.22, seed=11)
+#: The end-to-end legs compare against the reference plane, which is
+#: several times slower than either kernel: a smaller graph keeps PG5 cheap.
+LISTING_GRAPH = erdos_renyi(36, 0.22, seed=11)
 
 INDEX_KINDS = ("none", "bloom", "exact")
 
@@ -37,32 +45,9 @@ def interpreted_native(monkeypatch):
     yield
 
 
-def run_listing(kernel, index_kind, pattern_name, **psgl_kwargs):
-    index = build_edge_index(GRAPH, kind=index_kind, seed=5)
-    driver = PSgL(
-        GRAPH, num_workers=4, edge_index=index, kernel=kernel, **psgl_kwargs
-    )
-    return driver.run(paper_patterns()[pattern_name], collect_instances=True)
-
-
-def signature(result):
-    """Everything the parity contract pins, per superstep where possible."""
-    return (
-        result.count,
-        sorted(map(tuple, result.instances)),
-        result.index_queries,
-        result.index_pruned,
-        dict(result.gpsi_by_vertex),
-        [
-            (
-                step.superstep,
-                step.worker_cost,
-                step.worker_messages,
-                step.worker_compute_calls,
-            )
-            for step in result.ledger.steps
-        ],
-    )
+@lru_cache(maxsize=None)
+def reference(pattern_name, index_kind):
+    return reference_run(LISTING_GRAPH, pattern_name, edge_index=index_kind)
 
 
 # ----------------------------------------------------------------------
@@ -97,9 +82,9 @@ class TestResolution:
         assert info["numba"] == kernels.HAVE_NUMBA
 
     def test_result_records_effective_kernel(self, interpreted_native):
-        result = run_listing("native", "bloom", "PG2")
-        assert result.kernel == "native"
-        assert run_listing("numpy", "bloom", "PG2").kernel == "numpy"
+        for kernel in ("native", "numpy"):
+            result = PSgL(GRAPH, kernel=kernel).run(paper_patterns()["PG2"])
+            assert result.kernel == kernel
 
 
 # ----------------------------------------------------------------------
@@ -184,15 +169,17 @@ class TestListingParity:
     def test_native_matches_numpy(
         self, interpreted_native, pattern_name, index_kind
     ):
-        reference = run_listing("numpy", index_kind, pattern_name)
-        native = run_listing("native", index_kind, pattern_name)
-        assert signature(native) == signature(reference)
+        for kernel in ("numpy", "native"):
+            assert_equivalent(
+                ExecutionConfig(kernel=kernel),
+                reference(pattern_name, index_kind),
+            )
 
     def test_parity_on_columnar_thread_backend(self, interpreted_native):
-        kwargs = dict(backend="thread", wire="columnar")
-        reference = run_listing("numpy", "bloom", "PG3", **kwargs)
-        native = run_listing("native", "bloom", "PG3", **kwargs)
-        assert signature(native) == signature(reference)
+        assert_equivalent(
+            ExecutionConfig(kernel="native", backend="thread"),
+            reference("PG3", "bloom"),
+        )
 
     def test_trace_meta_records_kernel(self, interpreted_native):
         from repro.obs import Tracer
@@ -208,10 +195,7 @@ class TestListingParity:
         assert info["effective"] == "native"
 
     def test_unknown_kernel_rejected(self):
-        from repro.exceptions import EngineError
-
-        with pytest.raises((ValueError, EngineError)):
-            run_listing("fused", "none", "PG1")
+        assert_illegal(dict(kernel="fused"), "unknown kernel")
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.bsp import (
     BSPEngine,
     ChunkedColumnarStore,
     DEFAULT_CHUNK_GPSIS,
+    ExecutionConfig,
     GpsiBatch,
     SHUFFLE_MODES,
 )
@@ -26,6 +27,8 @@ from repro.graph import Graph, hash_partition
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
 from repro.pattern import paper_patterns
+
+from .parity import assert_illegal
 
 GRAPHS = {"er": erdos_renyi(28, 0.25, seed=13)}
 
@@ -37,9 +40,7 @@ TINY_CHUNK = 4
 
 class TestEngineGuards:
     def test_unknown_shuffle_mode_rejected(self):
-        graph = Graph(4, [(0, 1), (1, 2)])
-        with pytest.raises(EngineError, match="shuffle mode"):
-            BSPEngine(graph, hash_partition(4, 2), shuffle="chaotic")
+        assert_illegal(dict(shuffle="chaotic"), "unknown shuffle")
         assert SHUFFLE_MODES == ("strict", "pipelined")
 
     def test_default_watermark_applied(self):
@@ -48,25 +49,18 @@ class TestEngineGuards:
             hash_partition(4, 2),
             shuffle="pipelined",
         )
-        assert engine.chunk_gpsis == DEFAULT_CHUNK_GPSIS
-        assert engine.chunk_bytes is None
+        assert engine.config.chunk_gpsis == DEFAULT_CHUNK_GPSIS
+        assert engine.config.chunk_bytes is None
+        # An explicit byte watermark is not joined by a default row one.
+        config = ExecutionConfig(shuffle="pipelined", chunk_bytes=4096)
+        assert config.chunk_gpsis is None
 
     def test_watermarks_refused_under_strict(self):
-        graph = Graph(4, [(0, 1), (1, 2)])
-        with pytest.raises(EngineError, match="pipelined"):
-            BSPEngine(graph, hash_partition(4, 2), chunk_gpsis=64)
-        with pytest.raises(EngineError, match="pipelined"):
-            BSPEngine(graph, hash_partition(4, 2), chunk_bytes=4096)
+        assert_illegal(dict(chunk_gpsis=64), "pipelined")
+        assert_illegal(dict(chunk_bytes=4096), "pipelined")
 
     def test_nonpositive_watermark_rejected(self):
-        graph = Graph(4, [(0, 1), (1, 2)])
-        with pytest.raises(EngineError, match="chunk_gpsis"):
-            BSPEngine(
-                graph,
-                hash_partition(4, 2),
-                shuffle="pipelined",
-                chunk_gpsis=0,
-            )
+        assert_illegal(dict(shuffle="pipelined", chunk_gpsis=0), "chunk_gpsis")
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,12 @@ Also here: the automatic fallback (a run that cannot use the production
 plane runs on the reference plane and says so), and the plane guards.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
-from repro.bsp import BSPEngine, VertexProgram
+from repro.bsp import BSPEngine, ExecutionConfig, VertexProgram
 from repro.core import PSgL
 from repro.core.distribution import DistributionStrategy, RandomStrategy
 from repro.exceptions import EngineError
@@ -29,6 +30,13 @@ from repro.graph.generators import chung_lu_power_law, erdos_renyi
 from repro.obs import Tracer
 from repro.pattern import paper_patterns
 from repro.runtime import ProcessExecutor
+
+from .parity import (
+    assert_equivalent,
+    assert_illegal,
+    reference_run,
+    run_listing,
+)
 
 GRAPHS = {
     "er": erdos_renyi(28, 0.25, seed=13),
@@ -41,57 +49,25 @@ GRAPHS = {
 TINY_CHUNK = 4
 
 
-def run_listing(pattern_name, graph="er", strategy="WA,0.5", **kwargs):
-    kwargs.setdefault("num_workers", 4)
-    return PSgL(GRAPHS[graph], strategy=strategy, seed=3, **kwargs).run(
-        paper_patterns()[pattern_name],
-        collect_instances=True,
-        count_per_vertex=True,
-        track_message_bytes=True,
-    )
-
-
 @lru_cache(maxsize=None)
 def reference(pattern_name, graph="er", strategy="WA,0.5"):
     """The oracle: serial backend, reference plane."""
-    result = run_listing(pattern_name, graph, strategy, wire="object")
-    assert result.wire == "object"
-    return result
+    return reference_run(
+        GRAPHS[graph], pattern_name, strategy=strategy, seed=3
+    )
 
 
 @lru_cache(maxsize=None)
 def production_baseline(pattern_name):
     """Serial / strict / in-memory production run: the wire-byte yardstick."""
-    return run_listing(pattern_name)
-
-
-def observables(result):
-    """Everything a run computes, in a form that compares with ``==``."""
-    return {
-        "count": result.count,
-        "instances": sorted(result.instances),
-        "supersteps": result.supersteps,
-        "gpsi_by_vertex": result.gpsi_by_vertex,
-        "index": (result.index_queries, result.index_pruned),
-        "per_vertex_counts": result.per_vertex_counts,
-        "message_bytes": result.message_bytes,
-        "summary": result.ledger.summary(),
-        # Per-step, per-worker: a single diverging RNG draw in the
-        # distribution strategy moves a Gpsi to another worker and shows
-        # up here one superstep later.
-        "steps": [
-            (s.worker_cost, s.worker_messages, s.worker_compute_calls)
-            for s in result.ledger.steps
-        ],
-        "peak_live": result.ledger.peak_live_messages,
-    }
+    return assert_equivalent(ExecutionConfig(), reference(pattern_name))
 
 
 def wire_bytes(result):
     return [step.worker_wire_bytes for step in result.ledger.steps]
 
 
-def production_kwargs(backend, shuffle, spill, tmp_path):
+def production_config(backend, shuffle, spill, tmp_path):
     kwargs = dict(backend=backend, shuffle=shuffle)
     if backend != "serial":
         kwargs["procs"] = 2
@@ -100,7 +76,7 @@ def production_kwargs(backend, shuffle, spill, tmp_path):
     if spill:
         # Watermark of one byte: every sealed chunk goes through disk.
         kwargs.update(spill_dir=str(tmp_path), memory_watermark_bytes=1)
-    return kwargs
+    return ExecutionConfig(**kwargs)
 
 
 class TestReferenceVsProduction:
@@ -109,12 +85,11 @@ class TestReferenceVsProduction:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("pattern_name", sorted(paper_patterns()))
     def test_matrix(self, pattern_name, backend, shuffle, spill, tmp_path):
-        result = run_listing(
-            pattern_name, **production_kwargs(backend, shuffle, spill, tmp_path)
+        result = assert_equivalent(
+            production_config(backend, shuffle, spill, tmp_path),
+            reference(pattern_name),
         )
         assert result.wire == "columnar"
-        assert result.count == len(result.instances)
-        assert observables(result) == observables(reference(pattern_name))
         assert wire_bytes(result) == wire_bytes(
             production_baseline(pattern_name)
         )
@@ -128,11 +103,12 @@ class TestReferenceVsProduction:
     def test_spawn_process_leg(self, shuffle, spill, tmp_path):
         """Packed chunks, replica state and the chunk queue must survive
         a spawn-fresh interpreter (everything crossing by pickle)."""
-        kwargs = production_kwargs("process", shuffle, spill, tmp_path)
-        kwargs["backend"] = ProcessExecutor(procs=2, start_method="spawn")
-        del kwargs["procs"]
-        result = run_listing("PG2", **kwargs)
-        assert observables(result) == observables(reference("PG2"))
+        config = replace(
+            production_config("process", shuffle, spill, tmp_path),
+            backend=ProcessExecutor(procs=2, start_method="spawn"),
+            procs=None,
+        )
+        result = assert_equivalent(config, reference("PG2"))
         assert wire_bytes(result) == wire_bytes(production_baseline("PG2"))
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
@@ -141,22 +117,20 @@ class TestReferenceVsProduction:
     def test_rng_routing_per_strategy(self, pattern_name, strategy, backend):
         """Each strategy's ``choose_many`` must replay its scalar
         ``choose`` RNG stream draw for draw."""
-        kwargs = production_kwargs(backend, "pipelined", False, None)
-        result = run_listing(
-            pattern_name, "powerlaw", strategy, **kwargs
-        )
-        assert observables(result) == observables(
-            reference(pattern_name, "powerlaw", strategy)
+        assert_equivalent(
+            production_config(backend, "pipelined", False, None),
+            reference(pattern_name, "powerlaw", strategy),
         )
 
     def test_byte_watermark_and_thread_pool_width(self):
         """A bytes-denominated watermark chunks differently but delivers
         identically (powerlaw graph: skewed outbox sizes)."""
-        result = run_listing(
-            "PG3", "powerlaw", backend="thread", procs=3,
-            shuffle="pipelined", chunk_bytes=256,
+        assert_equivalent(
+            ExecutionConfig(
+                backend="thread", procs=3, shuffle="pipelined", chunk_bytes=256
+            ),
+            reference("PG3", "powerlaw"),
         )
-        assert observables(result) == observables(reference("PG3", "powerlaw"))
 
     def test_trace_totals_identical(self):
         """Traced runs record the same per-worker cost totals and
@@ -165,7 +139,9 @@ class TestReferenceVsProduction:
         tracers = {}
         for wire in ("object", "columnar"):
             tracers[wire] = Tracer()
-            run_listing("PG2", wire=wire, trace=tracers[wire])
+            assert_equivalent(
+                ExecutionConfig(wire=wire), reference("PG2"), trace=tracers[wire]
+            )
             assert tracers[wire].meta["wire"] == wire
         assert (
             tracers["columnar"].worker_totals()
@@ -187,7 +163,7 @@ class TestDefaults:
         col = production_baseline("PG2")
         per_step = [sum(step) for step in wire_bytes(col)]
         assert sum(per_step) == col.ledger.total_wire_bytes() > 0
-        assert reference("PG2").ledger.total_wire_bytes() == 0
+        assert reference("PG2").result.ledger.total_wire_bytes() == 0
 
 
 class ScalarOnlyRandom(DistributionStrategy):
@@ -220,23 +196,23 @@ class TestAutomaticFallback:
     scalar-only strategy — never from a second option."""
 
     def test_scalar_only_strategy_runs_on_reference_plane(self):
-        fallen = run_listing("PG2", strategy=ScalarOnlyRandom())
-        assert fallen.wire == "object"
-        # Bit-identical to asking for the reference plane outright, and
-        # (same RNG stream) to the built-in random strategy on it.
-        explicit = run_listing("PG2", strategy=ScalarOnlyRandom(), wire="object")
-        assert observables(fallen) == observables(explicit)
-        builtin = observables(reference("PG2", "er", "random"))
-        assert observables(fallen) == builtin
+        # Bit-identical whether the reference plane was asked for or
+        # fallen back to, and (same RNG stream) to the built-in random
+        # strategy on it.
+        for config in (ExecutionConfig(), ExecutionConfig(wire="object")):
+            fallen = assert_equivalent(
+                config, reference("PG2", "er", "random"),
+                strategy=ScalarOnlyRandom(),
+            )
+            assert fallen.wire == "object"
 
     def test_scalar_only_strategy_on_process_backend(self):
-        fallen = run_listing(
-            "PG1", strategy=ScalarOnlyRandom(), backend="process", procs=2
+        fallen = assert_equivalent(
+            ExecutionConfig(backend="process", procs=2),
+            reference("PG1", "er", "random"),
+            strategy=ScalarOnlyRandom(),
         )
         assert fallen.wire == "object"
-        assert observables(fallen) == observables(
-            reference("PG1", "er", "random")
-        )
 
     def test_combiner_program_through_engine(self):
         graph = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
@@ -263,7 +239,9 @@ class TestAutomaticFallback:
         only the production plane has, on a run that must fall back,
         stays a typed error naming the reason."""
         with pytest.raises(EngineError, match="columnar compute"):
-            run_listing("PG1", strategy=ScalarOnlyRandom(), **kwargs)
+            run_listing(
+                GRAPHS["er"], "PG1", strategy=ScalarOnlyRandom(), **kwargs
+            )
         graph = Graph(4, [(0, 1), (1, 2)])
         engine = BSPEngine(graph, hash_partition(4, 2), **kwargs)
         with pytest.raises(EngineError, match="combiner"):
@@ -271,11 +249,8 @@ class TestAutomaticFallback:
 
 
 class TestPlaneGuards:
-    GRAPH = Graph(4, [(0, 1), (1, 2)])
-
     def test_unknown_wire_plane_rejected(self):
-        with pytest.raises(EngineError, match="wire plane"):
-            BSPEngine(self.GRAPH, hash_partition(4, 2), wire="quantum")
+        assert_illegal(dict(wire="quantum"), "unknown wire")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -287,7 +262,4 @@ class TestPlaneGuards:
         ids=["pipelined", "steal", "spill"],
     )
     def test_reference_plane_refuses_production_features(self, kwargs):
-        with pytest.raises(EngineError, match="wire='columnar'"):
-            BSPEngine(
-                self.GRAPH, hash_partition(4, 2), wire="object", **kwargs
-            )
+        assert_illegal(dict(wire="object", **kwargs), "wire='columnar'")

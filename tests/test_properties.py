@@ -5,6 +5,7 @@ across random graphs, agreement of every engine with the oracle,
 Property 1 identities, bloom soundness, and cost-ledger consistency.
 """
 
+import dataclasses
 import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +19,7 @@ from repro.baselines import (
     powergraph_triangles,
     sgia_mr_listing,
 )
+from repro.bsp import ExecutionConfig, KERNEL_CHOICES, WIRE_PLANES
 from repro.core import BloomFilter, Gpsi, binomial, expand_gpsi
 from repro.core.edge_index import ExactEdgeIndex
 from repro.graph import Graph, OrderedGraph
@@ -28,6 +30,8 @@ from repro.pattern import (
     count_order_preserving_automorphisms,
     paper_patterns,
 )
+
+from .parity import assert_equivalent, reference_run
 
 SETTINGS = dict(
     deadline=None,
@@ -98,6 +102,86 @@ class TestExactOnceEnumeration:
             assert len(set(mapping)) == pattern.num_vertices
             for a, b in pattern.edges():
                 assert graph.has_edge(mapping[a], mapping[b])
+
+
+@st.composite
+def legal_execution_kwargs(draw):
+    """A legal ``ExecutionConfig``, as keyword arguments, drawn over
+    every field (``spill_dir`` is a placeholder the test points at a
+    real directory).  Process legs are a sixth of the draws: each forks
+    a pool."""
+    backend = draw(st.sampled_from(["serial"] * 3 + ["thread"] * 2 + ["process"]))
+    # The reference plane has nothing but the backend to vary: one draw
+    # in four.
+    wire = draw(st.sampled_from(WIRE_PLANES + ("columnar",) * 2))
+    kwargs = dict(
+        backend=backend,
+        procs=None if backend == "serial" else draw(st.integers(1, 3)),
+        wire=wire,
+        kernel=draw(st.sampled_from(KERNEL_CHOICES)),
+        # Budgets far above anything a 14-vertex graph needs: legal,
+        # enforced, and never the reason a run ends.
+        memory_budget=draw(st.sampled_from([None, 10**9])),
+        worker_memory_budget=draw(st.sampled_from([None, 10**9])),
+        max_supersteps=draw(st.sampled_from([1000, 50])),
+        superstep_budget=draw(st.sampled_from([None, 50])),
+        wall_budget_seconds=draw(st.sampled_from([None, 600.0])),
+    )
+    if wire == "columnar":
+        schedule = draw(st.sampled_from(["strict", "pipelined", "steal"]))
+        if schedule == "pipelined":
+            kwargs["shuffle"] = "pipelined"
+            kwargs["chunk_gpsis"] = draw(st.sampled_from([None, 1, 4, 64]))
+            kwargs["chunk_bytes"] = draw(st.sampled_from([None, 64, 4096]))
+        elif schedule == "steal":
+            kwargs["steal"] = True
+            kwargs["steal_tasks"] = draw(st.sampled_from([None, 1, 16]))
+        if draw(st.booleans()):
+            kwargs["spill_dir"] = "<tmp>"
+            kwargs["memory_watermark_bytes"] = draw(
+                st.sampled_from([1, 512, 1 << 30])
+            )
+    return kwargs
+
+
+class TestAnyLegalConfigurationIsEquivalent:
+    """The whole legal configuration space against one oracle: whatever
+    ``ExecutionConfig`` is drawn, the run equals the serial reference-
+    plane run observable for observable, and the centralized counter."""
+
+    def test_strategy_draws_every_field(self):
+        # A knob added to the dataclass must be added to the strategy:
+        # that is what keeps "covered by existing" true.
+        drawable = {
+            "backend", "procs", "wire", "kernel", "memory_budget",
+            "worker_memory_budget", "max_supersteps", "superstep_budget",
+            "wall_budget_seconds", "shuffle", "chunk_gpsis", "chunk_bytes",
+            "steal", "steal_tasks", "spill_dir", "memory_watermark_bytes",
+        }
+        assert drawable == {
+            spec.name for spec in dataclasses.fields(ExecutionConfig)
+        }
+
+    @settings(**{**SETTINGS, "max_examples": 40})
+    @given(
+        random_graphs(max_vertices=14),
+        st.sampled_from(sorted(paper_patterns())),
+        st.integers(1, 4),
+        st.integers(0, 50),
+        legal_execution_kwargs(),
+    )
+    def test_drawn_config_matches_reference_and_oracle(
+        self, tmp_path_factory, graph, pattern_name, workers, seed, kwargs
+    ):
+        if "spill_dir" in kwargs:
+            kwargs["spill_dir"] = str(tmp_path_factory.mktemp("spill"))
+        reference = reference_run(
+            graph, pattern_name, num_workers=workers, seed=seed
+        )
+        result = assert_equivalent(ExecutionConfig(**kwargs), reference)
+        assert result.count == count_instances(
+            graph, paper_patterns()[pattern_name]
+        )
 
 
 class TestEnginesAgree:

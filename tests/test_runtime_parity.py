@@ -7,13 +7,16 @@ work runs, never what work happens.  This is the core guarantee that
 lets every simulator-era result stand on the real runtime.
 """
 
+from functools import lru_cache
+
 import pytest
 
-from repro.bsp import BSPEngine, VertexProgram, sum_aggregator
-from repro.core import PSgL
+from repro.bsp import BSPEngine, ExecutionConfig, VertexProgram, sum_aggregator
 from repro.graph import hash_partition
 from repro.graph.generators import chung_lu_power_law, erdos_renyi
 from repro.pattern import paper_patterns
+
+from .parity import assert_equivalent, reference_run
 
 GRAPHS = {
     "er": erdos_renyi(28, 0.25, seed=13),
@@ -21,66 +24,37 @@ GRAPHS = {
 }
 
 
-def run_listing(graph, pattern, backend, procs=None):
-    driver = PSgL(
-        graph,
-        num_workers=4,
-        strategy="WA,0.5",
-        seed=3,
-        backend=backend,
-        procs=procs,
+@lru_cache(maxsize=None)
+def reference(graph_name, pattern_name, **psgl_kwargs):
+    return reference_run(
+        GRAPHS[graph_name], pattern_name, **{"seed": 3, **psgl_kwargs}
     )
-    return driver.run(pattern, collect_instances=True)
 
 
-def assert_parity(reference, other):
-    assert other.count == reference.count
-    assert sorted(other.instances) == sorted(reference.instances)
-    assert other.supersteps == reference.supersteps
-    assert other.gpsi_by_vertex == reference.gpsi_by_vertex
-    assert other.index_queries == reference.index_queries
-    assert other.index_pruned == reference.index_pruned
-    for step_ref, step_other in zip(reference.ledger.steps, other.ledger.steps):
-        assert step_other.worker_compute_calls == step_ref.worker_compute_calls
-        assert step_other.worker_messages == step_ref.worker_messages
-        assert step_other.worker_cost == step_ref.worker_cost
-    assert other.ledger.peak_live_messages == reference.ledger.peak_live_messages
+PROCESS = ExecutionConfig(backend="process", procs=2)
 
 
 @pytest.mark.parametrize("pattern_name", sorted(paper_patterns()))
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 def test_process_backend_matches_serial(graph_name, pattern_name):
-    graph = GRAPHS[graph_name]
-    pattern = paper_patterns()[pattern_name]
-    reference = run_listing(graph, pattern, "serial")
-    parallel = run_listing(graph, pattern, "process", procs=2)
-    assert_parity(reference, parallel)
+    assert_equivalent(PROCESS, reference(graph_name, pattern_name))
 
 
 @pytest.mark.parametrize("pattern_name", ["PG1", "PG3"])
 def test_thread_backend_matches_serial(pattern_name):
-    graph = GRAPHS["er"]
-    pattern = paper_patterns()[pattern_name]
-    reference = run_listing(graph, pattern, "serial")
-    threaded = run_listing(graph, pattern, "thread", procs=3)
-    assert_parity(reference, threaded)
+    assert_equivalent(
+        ExecutionConfig(backend="thread", procs=3), reference("er", pattern_name)
+    )
 
 
 def test_process_backend_respects_strategy_determinism():
     """Stochastic distribution strategies seed per logical worker, so
     even the roulette strategy must agree across backends."""
-    graph = GRAPHS["er"]
-    pattern = paper_patterns()["PG2"]
     for strategy in ("random", "roulette"):
-        serial = PSgL(
-            graph, num_workers=3, strategy=strategy, seed=7, backend="serial"
-        ).run(pattern, collect_instances=True)
-        process = PSgL(
-            graph, num_workers=3, strategy=strategy, seed=7, backend="process", procs=2
-        ).run(pattern, collect_instances=True)
-        assert sorted(process.instances) == sorted(serial.instances)
-        assert process.total_gpsis == serial.total_gpsis
-        assert process.makespan == serial.makespan
+        assert_equivalent(
+            PROCESS,
+            reference("er", "PG2", strategy=strategy, num_workers=3, seed=7),
+        )
 
 
 class SnapshotEcho(VertexProgram):
@@ -138,15 +112,7 @@ def test_snapshot_pickled_once_per_superstep(monkeypatch):
 
 
 def test_per_vertex_counts_and_message_bytes_parity():
-    graph = GRAPHS["powerlaw"]
-    pattern = paper_patterns()["PG1"]
-    kwargs = dict(count_per_vertex=True, track_message_bytes=True)
-    serial = PSgL(graph, num_workers=3, seed=1, backend="serial").run(
-        pattern, **kwargs
+    result = assert_equivalent(
+        PROCESS, reference("powerlaw", "PG1", num_workers=3, seed=1)
     )
-    process = PSgL(
-        graph, num_workers=3, seed=1, backend="process", procs=2
-    ).run(pattern, **kwargs)
-    assert process.per_vertex_counts == serial.per_vertex_counts
-    assert process.message_bytes == serial.message_bytes
-    assert process.count == serial.count
+    assert result.per_vertex_counts and result.message_bytes

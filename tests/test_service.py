@@ -133,7 +133,7 @@ class TestSpecValidation:
         """The service re-derives nothing: what needs the columnar plane
         is the engine's ``require_columnar_plane``, surfaced as a 400."""
         client, _ = service_pair
-        with pytest.raises(QuerySpecError, match="wire plane"):
+        with pytest.raises(QuerySpecError, match="unknown wire"):
             client.submit(pattern="PG1", wire="quantum")
         with pytest.raises(QuerySpecError, match="steal=True.*columnar"):
             client.submit(pattern="PG1", wire="object", steal=True)
@@ -150,6 +150,49 @@ class TestSpecValidation:
             assert spilling.manager.wait(job.id, 10.0).result["count"] == 10
         finally:
             spilling.close()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("workers", "abc"),
+            ("workers", 2.7),
+            ("workers", 0),
+            ("seed", None),
+            ("seed", "7"),
+            ("steal", "false"),
+            ("steal", 1),
+            ("collect_instances", "yes"),
+            ("max_supersteps", "abc"),
+            ("max_supersteps", 2.7),
+        ],
+    )
+    def test_mistyped_value_is_a_400_not_a_guess(self, service_pair, field, value):
+        """No ``int("abc")`` 500, no ``bool("false") is True``: a value of
+        the wrong JSON type is refused, and the service keeps answering."""
+        client, _ = service_pair
+        fragment = {field: value}
+        if field.startswith("max_"):
+            fragment = {"budget": fragment}
+        status, text = client._request(
+            "POST", "/jobs", {"pattern": "PG1", **fragment}
+        )
+        assert status == 400
+        error = json.loads(text)["error"]
+        assert error["type"] == "QuerySpecError" and field in error["message"]
+        assert client.count(pattern="PG1")["state"] == "completed"
+
+    def test_real_json_types_behave_as_before(self, service_pair):
+        client, _ = service_pair
+        spec = dict(
+            pattern="PG2", workers=2, seed=41, steal=True, collect_instances=True
+        )
+        job = client.count(**spec)
+        assert job["state"] == "completed" and job["result"]["steals"] >= 0
+        assert job["spec"]["workers"] == 2 and job["spec"]["steal"] is True
+        # An integral float is the integer; execution fields never enter
+        # the cache key, so the first answer serves this one too.
+        again = client.submit(**{**spec, "workers": 2.0, "steal": False})
+        assert again["cached"] and again["result"] == job["result"]
 
     def test_test_hooks_gated(self):
         with running_service(complete_graph(5)) as (client, _):

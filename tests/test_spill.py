@@ -20,6 +20,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.bsp import ExecutionConfig
 from repro.bsp.spill import SpillManager, SpillRef
 from repro.core import GpsiColumns, PSgL
 from repro.exceptions import EngineError
@@ -28,37 +29,29 @@ from repro.graph.generators import erdos_renyi, rmat
 from repro.obs import Tracer, straggler_report
 from repro.pattern import paper_patterns
 
+from .parity import assert_equivalent, assert_illegal, reference_run
+
 GRAPH = erdos_renyi(30, 0.22, seed=11)
 PATTERN = paper_patterns()["PG2"]
 
 
-def run_listing(backend, spill_dir=None, watermark=None, shuffle="strict", **kwargs):
+def run_listing(spill_dir, watermark):
+    """One traced spilling run, for the mechanism tests."""
     tracer = Tracer()
     result = PSgL(
         GRAPH,
         num_workers=4,
-        strategy="WA,0.5",
         seed=3,
-        backend=backend,
-        shuffle=shuffle,
-        spill_dir=None if spill_dir is None else str(spill_dir),
+        spill_dir=str(spill_dir),
         memory_watermark_bytes=watermark,
         trace=tracer,
-        **kwargs,
-    ).run(PATTERN, collect_instances=True)
+    ).run(PATTERN)
     return result, tracer
-
-
-def assert_bit_parity(reference, other):
-    assert other.count == reference.count
-    assert sorted(other.instances) == sorted(reference.instances)
-    assert other.ledger.summary() == reference.ledger.summary()
 
 
 @pytest.fixture(scope="module")
 def reference():
-    result, _ = run_listing("serial")
-    return result
+    return reference_run(GRAPH, "PG2", seed=3)
 
 
 class TestSpillParity:
@@ -69,13 +62,17 @@ class TestSpillParity:
     def test_intermediate_watermark(self, tmp_path, reference):
         """A watermark between 0 and the peak spills some chunks but not
         all — the partial regime must be as exact as the total one."""
-        result, _ = run_listing("serial", tmp_path, 64 * 1024)
-        assert_bit_parity(reference, result)
+        assert_equivalent(
+            ExecutionConfig(
+                spill_dir=str(tmp_path), memory_watermark_bytes=64 * 1024
+            ),
+            reference,
+        )
 
 
 class TestSpillObservability:
     def test_events_and_ledger_agree(self, tmp_path):
-        result, tracer = run_listing("serial", tmp_path, 1)
+        result, tracer = run_listing(tmp_path, 1)
         spills = tracer.by_kind("chunk_spill")
         maps = tracer.by_kind("chunk_map")
         assert len(spills) == result.ledger.spill_chunks
@@ -121,61 +118,53 @@ class TestSpillObservability:
     def test_summary_excludes_spill_counters(self, tmp_path, reference):
         """summary() must not leak spill volume, or parity comparisons
         between spilled and in-memory runs would break by design."""
-        result, _ = run_listing("serial", tmp_path, 1)
+        result, _ = run_listing(tmp_path, 1)
         assert result.ledger.spill_chunks > 0
-        assert result.ledger.summary() == reference.ledger.summary()
+        assert result.ledger.summary() == reference.result.ledger.summary()
 
     def test_straggler_report_mentions_spill(self, tmp_path):
-        _, tracer = run_listing("serial", tmp_path, 1)
+        _, tracer = run_listing(tmp_path, 1)
         report = straggler_report(tracer)
         assert "spill plane" in report
         assert "re-mapped at delivery" in report
 
     def test_no_spill_no_events(self, tmp_path):
-        result, tracer = run_listing("serial", tmp_path, 1 << 40)
+        result, tracer = run_listing(tmp_path, 1 << 40)
         assert result.ledger.spill_chunks == 0
         assert not tracer.by_kind("chunk_spill")
         report = straggler_report(tracer)
         assert "spill plane" not in report
 
     def test_barrier_events_carry_deltas(self, tmp_path):
-        _, tracer = run_listing("serial", tmp_path, 1)
+        _, tracer = run_listing(tmp_path, 1)
         barrier_totals = sum(
             e.data.get("spill_chunks", 0) for e in tracer.by_kind("barrier")
         )
         assert barrier_totals == len(tracer.by_kind("chunk_spill"))
 
     def test_spill_dir_cleaned_up(self, tmp_path):
-        run_listing("serial", tmp_path, 1)
+        run_listing(tmp_path, 1)
         # the private run directory is removed; the parent stays
         assert list(tmp_path.iterdir()) == []
 
 
 class TestKnobValidation:
     def test_spill_dir_alone_rejected(self, tmp_path):
-        with pytest.raises(EngineError, match="both or neither"):
-            PSgL(GRAPH, spill_dir=str(tmp_path)).run(PATTERN)
+        assert_illegal(dict(spill_dir=str(tmp_path)), "both or neither")
 
     def test_watermark_alone_rejected(self):
-        with pytest.raises(EngineError, match="both or neither"):
-            PSgL(GRAPH, memory_watermark_bytes=1).run(PATTERN)
+        assert_illegal(dict(memory_watermark_bytes=1), "both or neither")
 
     def test_object_wire_rejected(self, tmp_path):
-        with pytest.raises(EngineError, match="columnar"):
-            PSgL(
-                GRAPH,
-                wire="object",
-                spill_dir=str(tmp_path),
-                memory_watermark_bytes=1,
-            ).run(PATTERN)
+        assert_illegal(
+            dict(wire="object", spill_dir=str(tmp_path), memory_watermark_bytes=1),
+            "columnar",
+        )
 
     def test_non_positive_watermark_rejected(self, tmp_path):
-        with pytest.raises(EngineError):
-            PSgL(
-                GRAPH,
-                spill_dir=str(tmp_path),
-                memory_watermark_bytes=0,
-            ).run(PATTERN)
+        assert_illegal(
+            dict(spill_dir=str(tmp_path), memory_watermark_bytes=0), ">= 1"
+        )
 
 
 def _sample_columns(n=8, k=4):

@@ -9,11 +9,12 @@ validation and observability surfaces.
 """
 
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine, VertexProgram
+from repro.bsp import BSPEngine, ExecutionConfig, VertexProgram
 from repro.bsp.message import PackedWorkerBatch
 from repro.core import PSgL
 from repro.core.listing import PSgLProgram
@@ -25,74 +26,51 @@ from repro.pattern import paper_patterns
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.stealing import StealScheduler, StealTask, split_batch
 
+from .parity import assert_equivalent, assert_illegal, reference_run
+
 GRAPH = erdos_renyi(40, 0.25, seed=7)
 
 
-def run(pattern_name="PG3", steal=False, **kwargs):
-    driver = PSgL(GRAPH, num_workers=4, steal=steal, **kwargs)
-    return driver.run(paper_patterns()[pattern_name], collect_instances=True)
+@lru_cache(maxsize=None)
+def reference(pattern_name="PG3"):
+    return reference_run(GRAPH, pattern_name)
 
 
-def signature(result):
-    return (
-        result.count,
-        sorted(map(tuple, result.instances)),
-        result.index_queries,
-        result.index_pruned,
-        dict(result.gpsi_by_vertex),
-        [
-            (step.superstep, step.worker_cost, step.worker_messages)
-            for step in result.ledger.steps
-        ],
+def stolen(pattern_name="PG3", steal_tasks=16, **config):
+    """A steal run, already checked bit-identical to the reference."""
+    return assert_equivalent(
+        ExecutionConfig(steal=True, steal_tasks=steal_tasks, **config),
+        reference(pattern_name),
     )
 
 
 # ----------------------------------------------------------------------
-# Bit-identical parity: dynamic schedule vs static, every backend
+# Bit-identical parity: dynamic schedule vs reference, every backend
 # ----------------------------------------------------------------------
 class TestParity:
     @pytest.mark.parametrize("pattern_name", ["PG1", "PG3", "PG5"])
     def test_serial_steal_matches_static(self, pattern_name):
-        static = run(pattern_name, steal=False)
-        stolen = run(pattern_name, steal=True, steal_tasks=16)
-        assert signature(stolen) == signature(static)
         # One lane can never run a task off its owner's home lane.
-        assert stolen.steals == 0
+        assert stolen(pattern_name).steals == 0
 
     @pytest.mark.parametrize("pattern_name", ["PG2", "PG3"])
     def test_thread_steal_matches_static(self, pattern_name):
-        static = run(pattern_name, steal=False)
-        stolen = run(
-            pattern_name, steal=True, steal_tasks=16, backend="thread"
-        )
-        assert signature(stolen) == signature(static)
+        stolen(pattern_name, backend="thread")
 
     def test_process_steal_matches_static(self):
-        static = run("PG2", steal=False)
-        stolen = run(
-            "PG2", steal=True, steal_tasks=16, backend="process", procs=2
-        )
-        assert signature(stolen) == signature(static)
+        stolen("PG2", backend="process", procs=2)
 
     def test_spawn_steal_matches_static(self):
         # spawn re-imports everything in the children: the strictest
         # pickling path the steal tasks must survive.
-        static = run("PG2", steal=False)
-        backend = ProcessExecutor(procs=2, start_method="spawn")
-        stolen = run("PG2", steal=True, steal_tasks=16, backend=backend)
-        assert signature(stolen) == signature(static)
+        stolen("PG2", backend=ProcessExecutor(procs=2, start_method="spawn"))
 
     def test_steal_composes_with_native_kernel(self, monkeypatch):
         from repro.core import kernels
 
         if not kernels.HAVE_NUMBA:
             monkeypatch.setattr(kernels, "ALLOW_INTERPRETED", True)
-        static = run("PG3", steal=False, kernel="numpy")
-        stolen = run(
-            "PG3", steal=True, steal_tasks=16,
-            backend="thread", kernel="native",
-        )
-        assert signature(stolen) == signature(static)
+        stolen("PG3", backend="thread", kernel="native")
 
 
 # ----------------------------------------------------------------------
@@ -100,8 +78,6 @@ class TestParity:
 # ----------------------------------------------------------------------
 class TestForcedStraggler:
     def test_straggler_tasks_get_stolen_bit_identically(self, monkeypatch):
-        static = run("PG3", steal=False)
-
         # Sleep-inject the pure half for one slice of the data vertices:
         # whichever owner holds them becomes the straggler, and idle
         # lanes (sleeps release the GIL) must steal its remaining tasks.
@@ -114,14 +90,15 @@ class TestForcedStraggler:
 
         monkeypatch.setattr(PSgLProgram, "expand_task", slow_expand)
         tracer = Tracer()
-        stolen = run(
-            "PG3", steal=True, steal_tasks=8, backend="thread", trace=tracer
+        robbed = assert_equivalent(
+            ExecutionConfig(steal=True, steal_tasks=8, backend="thread"),
+            reference("PG3"),
+            trace=tracer,
         )
-        assert stolen.steals > 0
-        assert signature(stolen) == signature(static)
+        assert robbed.steals > 0
 
         events = tracer.by_kind("steal")
-        assert len(events) == stolen.steals
+        assert len(events) == robbed.steals
         for event in events:
             assert event.data["rows"] > 0
             assert "seq" in event.data and "lane" in event.data
@@ -135,7 +112,9 @@ class TestForcedStraggler:
 
     def test_static_run_emits_no_steal_events(self):
         tracer = Tracer()
-        result = run("PG3", steal=False, backend="thread", trace=tracer)
+        result = PSgL(GRAPH, backend="thread", trace=tracer).run(
+            paper_patterns()["PG3"]
+        )
         assert result.steals == 0
         assert tracer.by_kind("steal") == []
 
@@ -145,20 +124,16 @@ class TestForcedStraggler:
 # ----------------------------------------------------------------------
 class TestValidation:
     def test_steal_requires_columnar_wire(self):
-        with pytest.raises(EngineError, match="columnar"):
-            run("PG2", steal=True, wire="object")
+        assert_illegal(dict(steal=True, wire="object"), "columnar")
 
     def test_steal_requires_strict_shuffle(self):
-        with pytest.raises(EngineError, match="shuffle|pipelined|strict"):
-            run("PG2", steal=True, shuffle="pipelined")
+        assert_illegal(dict(steal=True, shuffle="pipelined"), "strict")
 
     def test_steal_tasks_without_steal_rejected(self):
-        with pytest.raises(EngineError, match="steal_tasks"):
-            run("PG2", steal_tasks=64)
+        assert_illegal(dict(steal_tasks=64), "steal_tasks")
 
     def test_steal_tasks_must_be_positive(self):
-        with pytest.raises(EngineError, match="steal_tasks"):
-            run("PG2", steal=True, steal_tasks=0)
+        assert_illegal(dict(steal=True, steal_tasks=0), "steal_tasks")
 
     def test_steal_needs_task_expansion_program(self):
         # A program with a monolithic compute_columns has no pure half
