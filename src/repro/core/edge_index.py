@@ -56,13 +56,9 @@ def _edge_keys_pairs(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
 
 def _all_edge_keys(graph: Graph) -> np.ndarray:
     """Key of every undirected edge, one numpy pass over the CSR arrays."""
-    indptr, indices = graph.to_csr()
-    n = graph.num_vertices
-    us = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    once = us < indices  # each undirected edge once, at its (u < v) slot
-    return (
-        us[once].astype(np.uint64) * np.uint64(n)
-        + indices[once].astype(np.uint64)
+    us, vs = graph.edge_arrays()
+    return us.astype(np.uint64) * np.uint64(graph.num_vertices) + vs.astype(
+        np.uint64
     )
 
 

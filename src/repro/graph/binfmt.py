@@ -1,9 +1,9 @@
 """On-disk binary CSR graph format (``.csrbin``) and mmap loading.
 
-The paper runs PSgL on real SNAP releases with millions of edges; keeping
-such a graph as Python-built adjacency lists (or re-parsing the text edge
-list on every run) caps the reproduction at toy scale.  This module is
-the out-of-core plane's graph half:
+The paper runs PSgL on real SNAP releases with millions of edges;
+re-parsing the text edge list into memory on every run caps the
+reproduction at toy scale.  This module is the out-of-core plane's graph
+half:
 
 * :func:`write_csrbin` / :func:`convert_edge_list` produce a flat binary
   file holding the same CSR ``indptr``/``indices`` arrays
@@ -50,7 +50,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import GraphFormatError
+from ..exceptions import GraphError, GraphFormatError
 from .graph import Graph, MappedCSR
 from . import io as graph_io
 
@@ -178,36 +178,22 @@ def _checksum_file_arrays(path: Path, header: CSRBinHeader) -> bytes:
 
 
 def write_csrbin(graph: Graph, path: PathLike) -> CSRBinHeader:
-    """Write ``graph``'s CSR arrays as a ``.csrbin`` file."""
-    indptr, indices = graph.to_csr()
-    return write_csrbin_arrays(indptr, indices, path)
+    """Write ``graph``'s CSR arrays as a ``.csrbin`` file.
 
-
-def write_csrbin_arrays(
-    indptr: np.ndarray, indices: np.ndarray, path: PathLike
-) -> CSRBinHeader:
-    """Write pre-built CSR arrays; validates shape/monotonicity first."""
-    indptr = np.ascontiguousarray(indptr, dtype="<i8")
-    indices = np.ascontiguousarray(indices, dtype="<i8")
-    if indptr.ndim != 1 or len(indptr) < 1:
-        raise GraphFormatError("indptr must be a non-empty 1-d array")
-    if indptr[0] != 0 or int(indptr[-1]) != len(indices):
-        raise GraphFormatError(
-            f"indptr endpoints ({int(indptr[0])}, {int(indptr[-1])}) do not "
-            f"bracket {len(indices)} indices"
-        )
-    if len(indptr) > 1 and bool(np.any(np.diff(indptr) < 0)):
-        raise GraphFormatError("indptr must be non-decreasing")
+    The arrays go out as held (a :class:`Graph` cannot hold an
+    inconsistent ``indptr``), hashed and written through the buffer
+    protocol — no byte-string copy of either.
+    """
+    indptr, indices = (a.astype("<i8", copy=False) for a in graph.to_csr())
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(indptr.tobytes())
-    digest.update(indices.tobytes())
+    digest.update(indptr)
+    digest.update(indices)
     checksum = digest.digest()
-    path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(_pack_header(len(indptr) - 1, len(indices), checksum))
-        fh.write(indptr.tobytes())
-        fh.write(indices.tobytes())
-    return CSRBinHeader(len(indptr) - 1, len(indices), checksum)
+        fh.write(_pack_header(graph.num_vertices, len(indices), checksum))
+        fh.write(indptr)
+        fh.write(indices)
+    return CSRBinHeader(graph.num_vertices, len(indices), checksum)
 
 
 def load_mapped(path: PathLike, verify_checksum: bool = False) -> Graph:
@@ -248,13 +234,10 @@ def load_mapped(path: PathLike, verify_checksum: bool = False) -> Graph:
         mm, dtype="<i8", count=header.num_indices,
         offset=header.indices_offset,
     )
-    if int(indptr[0]) != 0 or int(indptr[-1]) != header.num_indices:
-        raise GraphFormatError(
-            f"{path}: indptr endpoints ({int(indptr[0])}, "
-            f"{int(indptr[-1])}) do not bracket {header.num_indices} "
-            "indices; the file is corrupt"
-        )
-    graph = Graph.from_csr(indptr, indices)
+    try:
+        graph = Graph.from_csr(indptr, indices)
+    except GraphError as exc:
+        raise GraphFormatError(f"{path}: {exc}; the file is corrupt") from exc
     graph.mmap_spec = MappedCSR(
         path=str(path),
         indptr_offset=header.indptr_offset,

@@ -191,8 +191,7 @@ def rmat(
     powers = 1 << np.arange(scale - 1, -1, -1)
     us = (row_bits * powers).sum(axis=1)
     vs = (col_bits * powers).sum(axis=1)
-    edges = [(int(u), int(v)) for u, v in zip(us, vs) if u != v]
-    return Graph(n, edges)
+    return Graph(n, np.column_stack((us, vs)))
 
 
 def complete_graph(n: int) -> Graph:

@@ -4,18 +4,22 @@ The data graph is the substrate every other subsystem builds on.  It follows
 the paper's preliminaries (Section 3): simple, undirected, no labels on
 vertices or edges, no self loops.  Vertices are dense integers ``0..n-1``.
 
-Adjacency is stored as one sorted ``numpy`` array per vertex, which gives
+The graph *is* its CSR: two read-only, contiguous ``int64`` arrays —
+``indptr`` (``n + 1`` slice boundaries) and ``indices`` (the sorted
+neighbour lists back to back) — plus the derived ``degrees``.  ``N(v)`` is
+the slice ``indices[indptr[v]:indptr[v + 1]]``, which gives
 
 * ``O(log deg(v))`` edge-existence tests via binary search,
 * cache-friendly neighbourhood scans for the expansion inner loop,
-* cheap set intersections for the centralized baselines.
+* one representation whoever owns the buffers: an in-memory graph, a
+  ``/dev/shm`` block and a mapped ``.csrbin`` differ only in that.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +52,51 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _as_pairs(edges: Iterable[Edge]) -> np.ndarray:
+    """``edges`` (an iterable of pairs or an ``(m, 2)`` array) as int64."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise GraphError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    return pairs.reshape(-1, 2)
+
+
+def _csr_from_pairs(n: int, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The one edge-list -> CSR build: drop self loops, range-check,
+    symmetrise, then sort and dedup on the ``src * n + dst`` key."""
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        pairs = pairs[~loops]
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        u, v = pairs[int(np.argmax(bad))].tolist()
+        raise GraphError(f"edge ({u}, {v}) out of range for {n} vertices")
+    if n > (1 << 31):
+        raise GraphError(f"{n} vertices overflow the int64 edge sort key")
+    base = max(n, 1)
+    us, vs = pairs[:, 0], pairs[:, 1]
+    keys = np.append(us * base + vs, vs * base + us)
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]  # not np.unique: it imports numpy.ma
+    keys = keys[fresh]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // base, minlength=n), out=indptr[1:])
+    return indptr, keys % base
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` as read-only contiguous int64, backed by the caller's
+    buffer: a writeable array is frozen through a view, so the caller's
+    own array object stays writeable."""
+    array = np.ascontiguousarray(array, dtype=np.int64)
+    if array.flags.writeable:
+        array = array.view()
+        array.flags.writeable = False
+    return array
+
+
 class Graph:
     """A simple undirected graph with dense integer vertex ids.
 
@@ -56,55 +105,59 @@ class Graph:
     num_vertices:
         Number of vertices; vertex ids are ``0..num_vertices-1``.
     edges:
-        Iterable of ``(u, v)`` pairs.  Duplicates and self loops are
-        silently dropped, matching the paper's preprocessing ("adding
-        reciprocal edge and eliminating loops").
+        Iterable of ``(u, v)`` pairs or an ``(m, 2)`` integer array.
+        Duplicates and self loops are silently dropped, matching the
+        paper's preprocessing ("adding reciprocal edge and eliminating
+        loops").
+
+    Attributes
+    ----------
+    indptr, indices, degrees:
+        The CSR arrays and ``np.diff(indptr)``; read-only ``int64``.
+    mmap_spec:
+        Backing ``.csrbin`` mapping (:class:`MappedCSR`), or ``None``
+        unless :func:`~repro.graph.binfmt.load_mapped` built the graph.
+        Non-None means the CSR arrays are views into a file on disk;
+        the shared-memory runtime then exports the file path instead of
+        a ``/dev/shm`` copy.
     """
 
     __slots__ = (
-        "_n", "_adj", "_degrees", "_m", "_hash", "_fingerprint", "_mmap_spec"
+        "indptr", "indices", "degrees", "mmap_spec",
+        "_n", "_m", "_hash", "_fingerprint",
     )
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge]):
         if num_vertices < 0:
             raise GraphError(f"num_vertices must be >= 0, got {num_vertices}")
-        self._n = int(num_vertices)
-        neighbor_sets: List[set] = [set() for _ in range(self._n)]
-        for u, v in edges:
-            if u == v:
-                continue
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise GraphError(
-                    f"edge ({u}, {v}) out of range for {self._n} vertices"
-                )
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-        self._adj: List[np.ndarray] = [
-            np.fromiter(sorted(s), dtype=np.int64, count=len(s))
-            for s in neighbor_sets
-        ]
-        self._degrees = np.array([len(a) for a in self._adj], dtype=np.int64)
-        self._m = int(self._degrees.sum()) // 2
+        indptr, indices = _csr_from_pairs(int(num_vertices), _as_pairs(edges))
+        indptr.flags.writeable = indices.flags.writeable = False  # ours
+        self._wrap(indptr, indices)
+
+    def _wrap(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Adopt CSR arrays after an O(n) shape check that never reads
+        ``indices`` (a mapped ``.csrbin`` stays lazily paged)."""
+        indptr, indices = _frozen(indptr), _frozen(indices)
+        if len(indptr) == 0:
+            raise GraphError("indptr must have at least one entry")
+        degrees = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != len(indices):
+            raise GraphError(
+                f"indptr endpoints ({int(indptr[0])}, {int(indptr[-1])}) do "
+                f"not bracket {len(indices)} indices"
+            )
+        if len(degrees) and degrees.min() < 0:
+            raise GraphError("indptr must be non-decreasing")
+        degrees.flags.writeable = False
+        self.indptr, self.indices, self.degrees = indptr, indices, degrees
+        self.mmap_spec: Optional[MappedCSR] = None
+        self._n = len(degrees)
+        self._m = len(indices) // 2
         self._hash = None
         self._fingerprint = None
-        self._mmap_spec: Optional[MappedCSR] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
-    # ------------------------------------------------------------------
-    @property
-    def mmap_spec(self) -> Optional[MappedCSR]:
-        """Backing ``.csrbin`` mapping, or ``None`` for in-memory graphs.
-
-        Non-None means the CSR arrays (and every adjacency slice) are
-        read-only views into a file on disk; the shared-memory runtime
-        then exports the file path instead of a ``/dev/shm`` copy.
-        """
-        return self._mmap_spec
-
-    @mmap_spec.setter
-    def mmap_spec(self, spec: Optional[MappedCSR]) -> None:
-        self._mmap_spec = spec
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
@@ -121,88 +174,79 @@ class Graph:
         return range(self._n)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbour array of ``v`` (do not mutate)."""
-        return self._adj[v]
+        """Sorted neighbour array of ``v`` (a read-only CSR slice)."""
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def degree(self, v: int) -> int:
         """``deg(v) = |N(v)|``."""
-        return int(self._degrees[v])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Degree of every vertex as an ``int64`` array (do not mutate)."""
-        return self._degrees
+        return int(self.degrees[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``(u, v)`` exists."""
         if not (0 <= u < self._n and 0 <= v < self._n):
             return False
-        adj = self._adj[u]
         # Probe the smaller adjacency list: same answer, less work.
-        if len(self._adj[v]) < len(adj):
-            adj, v = self._adj[v], u
+        if self.degrees[v] < self.degrees[u]:
+            u, v = v, u
+        adj = self.neighbors(u)
         i = int(np.searchsorted(adj, v))
         return i < len(adj) and int(adj[i]) == v
 
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every undirected edge once, as ``(us, vs)`` arrays with
+        ``us < vs`` elementwise, sorted by ``(u, v)``."""
+        us = np.repeat(np.arange(self._n, dtype=np.int64), self.degrees)
+        once = us < self.indices  # each edge at its (u < v) slot
+        return us[once], self.indices[once]
+
     def edges(self) -> Iterator[Edge]:
         """Iterate every undirected edge once, as ``(u, v)`` with ``u < v``."""
-        for u in range(self._n):
-            adj = self._adj[u]
-            start = int(np.searchsorted(adj, u, side="right"))
-            for v in adj[start:]:
-                yield (u, int(v))
+        us, vs = self.edge_arrays()
+        return zip(us.tolist(), vs.tolist())
 
     # ------------------------------------------------------------------
     # CSR (compressed sparse row) export / import
     # ------------------------------------------------------------------
     def to_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Flatten the adjacency into CSR ``(indptr, indices)`` arrays.
+        """The CSR ``(indptr, indices)`` arrays themselves — O(1), no copy.
 
         ``indices[indptr[v]:indptr[v+1]]`` is the sorted neighbour list of
-        ``v``.  Both arrays are ``int64`` and contiguous, which is what the
-        shared-memory runtime exports to worker processes.
+        ``v``.  Both arrays are ``int64``, contiguous and read-only.
         """
-        indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(self._degrees, out=indptr[1:])
-        if self._n and indptr[-1]:
-            indices = np.concatenate(self._adj)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-        return indptr, np.ascontiguousarray(indices, dtype=np.int64)
+        return self.indptr, self.indices
 
     @classmethod
     def from_csr(cls, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
-        """Rebuild a graph around existing CSR arrays **without copying**.
+        """Wrap existing CSR arrays **without copying**.
 
-        The per-vertex adjacency arrays are views into ``indices``, so the
-        caller's buffer (e.g. a ``multiprocessing.shared_memory`` block)
-        backs the whole graph.  Neighbour lists must already be sorted and
-        duplicate/self-loop free, as produced by :meth:`to_csr`.
+        The caller's buffers (e.g. a ``multiprocessing.shared_memory``
+        block or a file mapping) back the whole graph.  ``indptr`` is
+        checked (starts at 0, non-decreasing, ends at ``len(indices)``);
+        neighbour lists must already be sorted and duplicate/self-loop
+        free, as produced by :meth:`to_csr`.
         """
-        if len(indptr) == 0:
-            raise GraphError("indptr must have at least one entry")
         graph = cls.__new__(cls)
-        n = len(indptr) - 1
-        graph._n = n
-        graph._adj = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
-        graph._degrees = np.asarray(np.diff(indptr), dtype=np.int64)
-        graph._m = int(graph._degrees.sum()) // 2
-        graph._hash = None
-        graph._fingerprint = None
-        graph._mmap_spec = None
+        graph._wrap(indptr, indices)
         return graph
 
     # ------------------------------------------------------------------
     # Convenience constructors and views
     # ------------------------------------------------------------------
     @classmethod
-    def from_edges(cls, edges: Sequence[Edge]) -> "Graph":
+    def from_edges(cls, edges: Iterable[Edge]) -> "Graph":
         """Build a graph sized to the maximum vertex id in ``edges``."""
-        edges = list(edges)
-        if not edges:
-            return cls(0, [])
-        n = max(max(u, v) for u, v in edges) + 1
-        return cls(n, edges)
+        pairs = _as_pairs(edges)
+        return cls(int(pairs.max()) + 1 if pairs.size else 0, pairs)
+
+    def _gather(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sources, neighbours)`` over the adjacency slices of
+        ``vertices`` — ``O(sum of their degrees)``."""
+        lens = self.degrees[vertices]
+        ends = np.cumsum(lens)
+        slots = np.arange(lens.sum()) + np.repeat(
+            self.indptr[vertices] - (ends - lens), lens
+        )
+        return np.repeat(vertices, lens), self.indices[slots]
 
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on ``keep``, *relabelled* to ``0..k-1``.
@@ -214,40 +258,24 @@ class Graph:
         Ids in ``keep`` outside the graph become isolated vertices, as
         before.
         """
-        keep_sorted = sorted(set(keep))
-        keep_arr = np.asarray(keep_sorted, dtype=np.int64)
-        k = len(keep_arr)
-        sub_edges: List[Edge] = []
-        for new_u, u in enumerate(keep_sorted):
-            if not 0 <= u < self._n:
-                continue  # isolated in the subgraph
-            adj = self._adj[u]
-            # Edges to higher original ids only: each edge counted once,
-            # and the relabelling is monotone so (new_u, new_v) stays
-            # canonical.
-            higher = adj[np.searchsorted(adj, u, side="right"):]
-            pos = np.searchsorted(keep_arr, higher)
-            kept = (pos < k) & (keep_arr[np.minimum(pos, k - 1)] == higher)
-            sub_edges.extend((new_u, int(new_v)) for new_v in pos[kept])
-        return Graph(k, sub_edges)
+        keep_arr = np.unique(np.fromiter(keep, dtype=np.int64))
+        inside = keep_arr[(keep_arr >= 0) & (keep_arr < self._n)]
+        src, dst = self._gather(inside)
+        kept = np.isin(dst, inside)
+        # The relabelling is each id's position in the sorted keep set.
+        pairs = np.searchsorted(keep_arr, (src[kept], dst[kept])).T
+        return Graph(len(keep_arr), pairs)
 
     def max_degree(self) -> int:
         """Largest degree in the graph (0 for an empty graph)."""
-        if self._n == 0:
-            return 0
-        return int(self._degrees.max())
+        return int(self.degrees.max(initial=0))
 
     def triangles_at(self, v: int) -> int:
         """Number of triangles incident to ``v`` (neighbour-intersection)."""
-        count = 0
-        adj_v = self._adj[v]
-        adj_v_set = set(int(x) for x in adj_v)
-        for u in adj_v:
-            for w in self._adj[int(u)]:
-                w = int(w)
-                if w > u and w in adj_v_set:
-                    count += 1
-        return count
+        adj = self.neighbors(v)
+        us, ws = self._gather(adj)
+        # Edges (u, w), u < w, with both ends in N(v).
+        return int(np.count_nonzero(np.isin(ws[ws > us], adj)))
 
     # ------------------------------------------------------------------
     # Dunder plumbing
@@ -261,10 +289,8 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        if self._n != other._n or self._m != other._m:
-            return False
-        return all(
-            np.array_equal(a, b) for a, b in zip(self._adj, other._adj)
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(
+            self.indices, other.indices
         )
 
     def fingerprint(self) -> str:
@@ -278,11 +304,10 @@ class Graph:
         ``/graph``.
         """
         if self._fingerprint is None:
-            indptr, indices = self.to_csr()
             digest = hashlib.blake2b(digest_size=16)
             digest.update(np.int64(self._n).tobytes())
-            digest.update(indptr.tobytes())
-            digest.update(indices.tobytes())
+            digest.update(self.indptr)
+            digest.update(self.indices)
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 

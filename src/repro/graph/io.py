@@ -240,47 +240,28 @@ def read_edge_list(
     original_ids, inverse = np.unique(raw, return_inverse=True)
     dense = inverse.reshape(-1, 2).astype(np.int64)
     n = len(original_ids)
-    if n > (1 << 31):
-        raise GraphFormatError(
-            f"{n} distinct vertex ids overflow the int64 edge sort key"
-        )
     id_map = {i: int(orig) for i, orig in enumerate(original_ids)}
-    if len(dense) == 0:
-        return Graph(n, []), id_map
-
-    # Canonicalise each edge to (min, max) and dedup on the composite key.
-    lo = np.minimum(dense[:, 0], dense[:, 1])
-    hi = np.maximum(dense[:, 0], dense[:, 1])
-    keys = lo * n + hi
-    uniq_keys, key_counts = np.unique(keys, return_counts=True)
-    if not dedup and bool(np.any(key_counts > 1)):
-        bad = int(uniq_keys[int(np.flatnonzero(key_counts > 1)[0])])
+    graph = Graph(n, dense)
+    if not dedup and graph.num_edges != len(dense):
+        # Error path only: name the smallest duplicated (min, max) edge.
+        keys = dense.min(axis=1) * n + dense.max(axis=1)
+        uniq_keys, key_counts = np.unique(keys, return_counts=True)
+        bad = int(uniq_keys[int(np.argmax(key_counts > 1))])
         raise GraphFormatError(
             f"duplicate edge ({id_map[bad // n]}, {id_map[bad % n]}); "
             "pass dedup=True to collapse duplicates"
         )
-    u, v = uniq_keys // n, uniq_keys % n
-
-    # CSR build: both directions of each unique edge, sorted by
-    # (src, dst) via the same composite key trick.
-    directed = np.concatenate([u * n + v, v * n + u])
-    directed.sort()
-    src, dst = directed // n, directed % n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    graph = Graph.from_csr(indptr, np.ascontiguousarray(dst, dtype=np.int64))
     return graph, id_map
 
 
 def write_edge_list(graph: Graph, target: Union[PathLike, TextIO]) -> None:
     """Write ``graph`` as a ``u v`` per-line edge list (each edge once)."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            write_edge_list(graph, fh)
-            return
-    target.write(f"# undirected graph |V|={graph.num_vertices} |E|={graph.num_edges}\n")
-    for u, v in graph.edges():
-        target.write(f"{u} {v}\n")
+    np.savetxt(
+        target,
+        np.column_stack(graph.edge_arrays()),
+        fmt="%d",
+        header=f"undirected graph |V|={graph.num_vertices} |E|={graph.num_edges}",
+    )
 
 
 def graph_from_string(text: str) -> Graph:

@@ -3,13 +3,13 @@
 The paper replicates the data graph on every Giraph worker; shared-memory
 subgraph enumerators (Kimmig et al.) instead keep **one** read-only copy
 that every worker scans.  This module gives the process backend the same
-property on a single machine: the driver flattens the :class:`~repro.graph.graph.Graph`
-into CSR ``indptr``/``indices`` arrays, copies them once into two
-``multiprocessing.shared_memory`` blocks, and ships only the block *names*
-to worker processes.  Each worker re-wraps the blocks as numpy arrays and
-rebuilds a :class:`Graph` whose per-vertex adjacency lists are views into
-the shared buffer — attaching is O(num_vertices) pointer setup, never a
-copy or a pickle of the edge data.
+property on a single machine: the driver copies the
+:class:`~repro.graph.graph.Graph`'s CSR ``indptr``/``indices`` arrays once
+into two ``multiprocessing.shared_memory`` blocks and ships only the block
+*names* to worker processes.  Each worker wraps the blocks as read-only
+numpy arrays and hands them to :meth:`Graph.from_csr` — attaching is two
+array objects plus the O(num_vertices) ``degrees`` array, never a copy or
+a pickle of the edge data.
 
 Layout
 ------
@@ -85,29 +85,25 @@ class SharedGraphExport:
         self._shm_indptr: Optional[shared_memory.SharedMemory] = None
         self._shm_indices: Optional[shared_memory.SharedMemory] = None
         self._mapped_bytes = 0
-        num_indices = 0
+        indptr, indices = graph.to_csr()
         if spec is not None:
             # File-backed graph: ship the path, not the bytes.  Workers
             # re-map the .csrbin read-only; the page cache is the shared
             # copy.
-            num_indices = int(graph.degrees.sum())
-            self._mapped_bytes = (graph.num_vertices + 1 + num_indices) * 8
+            self._mapped_bytes = indptr.nbytes + indices.nbytes
         else:
-            indptr, indices = graph.to_csr()
-            num_indices = len(indices)
             self._shm_indptr = shared_memory.SharedMemory(
                 create=True, size=max(indptr.nbytes, 1)
             )
             self._shm_indices = shared_memory.SharedMemory(
                 create=True, size=max(indices.nbytes, 1)
             )
-            np.ndarray(indptr.shape, dtype=np.int64, buffer=self._shm_indptr.buf)[
-                :
-            ] = indptr
-            if len(indices):
-                np.ndarray(
-                    indices.shape, dtype=np.int64, buffer=self._shm_indices.buf
-                )[:] = indices
+            # Fill each block through a writeable view of its own; workers
+            # (and Graph.from_csr) only ever see read-only ones.
+            for shm, array in (
+                (self._shm_indptr, indptr), (self._shm_indices, indices)
+            ):
+                np.ndarray(array.shape, dtype=np.int64, buffer=shm.buf)[:] = array
         self._shm_aux: Optional[shared_memory.SharedMemory] = None
         aux_name = None
         aux_specs: Tuple[Tuple[str, int], ...] = ()
@@ -135,7 +131,7 @@ class SharedGraphExport:
                 self._shm_indices.name if self._shm_indices is not None else None
             ),
             num_vertices=graph.num_vertices,
-            num_indices=num_indices,
+            num_indices=len(indices),
             aux_name=aux_name,
             aux_specs=aux_specs,
             mmap_path=spec.path if spec is not None else None,
@@ -250,7 +246,7 @@ class AttachedSharedGraph:
 
     def close(self) -> None:
         """Drop this process's mapping (the export owns the lifetime)."""
-        # The Graph's adjacency views alias the buffers; drop them first so
+        # The Graph's CSR arrays alias the buffers; drop them first so
         # closing the mapping cannot invalidate live arrays.
         self.graph = None
         self.aux = {}

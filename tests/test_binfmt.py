@@ -199,6 +199,16 @@ class TestCorruptFiles:
         # without verification the map still opens (lazy by design)
         load_mapped(bad)
 
+    def test_non_monotone_indptr(self, tmp_path, good):
+        # Endpoints intact, interior out of order: used to load with
+        # negative degrees.
+        raw = bytearray(good.read_bytes())
+        raw[HEADER_SIZE + 8:HEADER_SIZE + 16] = (1 << 40).to_bytes(8, "little")
+        bad = tmp_path / "order.csrbin"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(GraphFormatError, match="order.csrbin.*non-decreasing"):
+            load_mapped(bad)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(GraphFormatError):
             load_mapped(tmp_path / "nope.csrbin")

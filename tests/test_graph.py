@@ -1,10 +1,22 @@
 """Unit tests for repro.graph.graph."""
 
+import contextlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graph import Graph, complete_graph, normalize_edge
+from repro.graph import (
+    Graph,
+    complete_graph,
+    load_mapped,
+    normalize_edge,
+    read_edge_list,
+    write_csrbin,
+)
+from repro.runtime.shared_graph import AttachedSharedGraph, SharedGraphExport
 
 
 class TestConstruction:
@@ -202,3 +214,143 @@ def test_normalize_edge():
 def test_neighbor_arrays_are_int64():
     g = Graph(3, [(0, 1), (1, 2)])
     assert g.neighbors(1).dtype == np.int64
+
+
+# ----------------------------------------------------------------------
+# One representation: however a graph is built or attached, it is the same
+# read-only CSR.
+# ----------------------------------------------------------------------
+
+# Duplicates, reversed pairs and self loops; every vertex has a real edge,
+# so read_edge_list's id compaction is the identity.
+MESSY_EDGES = [
+    (0, 1), (1, 0), (0, 1), (2, 2), (3, 1), (1, 3), (4, 0), (2, 4), (5, 2),
+    (5, 5), (3, 5), (5, 3),
+]
+
+
+def _from_edge_list_text(edges):
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    graph, id_map = read_edge_list(io.StringIO(text), allow_self_loops=True)
+    assert id_map == {v: v for v in range(6)}
+    return graph
+
+
+@contextlib.contextmanager
+def _every_kind(graph, tmp_path):
+    """``graph`` as an in-memory, re-wrapped, mapped and attached graph."""
+    path = tmp_path / "g.csrbin"
+    write_csrbin(graph, path)
+    with SharedGraphExport(graph) as export:
+        attached = AttachedSharedGraph(export.handle)
+        try:
+            yield {
+                "memory": graph,
+                "from_csr": Graph.from_csr(*graph.to_csr()),
+                "mapped": load_mapped(path),
+                "attached": attached.graph,
+            }
+        finally:
+            attached.close()
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        MESSY_EDGES,
+        (edge for edge in MESSY_EDGES),
+        np.array(MESSY_EDGES),
+    ],
+    ids=["list", "generator", "ndarray"],
+)
+def test_every_construction_is_the_same_graph(edges, tmp_path):
+    reference = Graph(6, MESSY_EDGES)
+    expected_edges = [
+        (0, 1), (0, 4), (1, 3), (2, 4), (2, 5), (3, 5),
+    ]
+    assert list(reference.edges()) == expected_edges
+    built = Graph(6, edges)
+    with _every_kind(built, tmp_path) as kinds:
+        kinds["read_edge_list"] = _from_edge_list_text(MESSY_EDGES)
+        kinds["from_edges"] = Graph.from_edges(MESSY_EDGES)
+        for name, g in kinds.items():
+            assert g == reference, name
+            assert g.fingerprint() == reference.fingerprint(), name
+            assert list(g.edges()) == expected_edges, name
+            for v in range(6):
+                assert g.degree(v) == reference.degree(v), name
+                assert np.array_equal(g.neighbors(v), reference.neighbors(v))
+                for u in range(6):
+                    assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in expected_edges)
+
+
+def test_from_csr_wraps_the_callers_buffers(tmp_path):
+    indptr = np.array([0, 1, 3, 4], dtype=np.int64)
+    indices = np.array([1, 0, 2, 1], dtype=np.int64)
+    g = Graph.from_csr(indptr, indices)
+    assert np.shares_memory(g.to_csr()[0], indptr)
+    assert np.shares_memory(g.to_csr()[1], indices)
+    assert np.shares_memory(g.neighbors(1), indices)
+    # O(1): the held arrays themselves, every call.
+    assert g.to_csr()[0] is g.to_csr()[0] and g.to_csr()[1] is g.to_csr()[1]
+    # The caller's own array object is not frozen behind its back.
+    assert indices.flags.writeable
+
+    path = tmp_path / "g.csrbin"
+    write_csrbin(g, path)
+    mapped = load_mapped(path)
+    mapping = mapped.mmap_spec.keepalive
+    assert all(np.shares_memory(arr, mapping) for arr in mapped.to_csr())
+    assert mapped == g
+
+
+def test_from_csr_allocates_only_degrees():
+    # 2^18 vertices x degree 8, built flat: the parent allocated 32 MiB of
+    # per-vertex view objects here; the CSR graph needs only np.diff(indptr).
+    n = 1 << 18
+    offsets = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
+    indices = np.sort((np.arange(n)[:, None] + offsets) % n, axis=1).ravel()
+    indptr = np.arange(n + 1, dtype=np.int64) * 8
+    tracemalloc.start()
+    try:
+        g = Graph.from_csr(indptr, indices)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20, f"from_csr peaked at {peak / 2**20:.1f} MiB"
+    assert g.num_edges == 4 * n and g.degree(n - 1) == 8
+    assert list(g.neighbors(0)) == [1, 2, 3, 4, n - 4, n - 3, n - 2, n - 1]
+
+
+@pytest.mark.parametrize(
+    "indptr, indices",
+    [
+        ([0, 5], [1]),  # end beyond the indices: was degree(0) == 5
+        ([0, 1], [0, 0]),  # end short of the indices
+        ([1, 2, 2], [1, 0]),  # does not start at 0
+        ([0, 2, 1, 2], [1, 2]),  # non-monotone: was a negative degree
+        ([], []),
+    ],
+)
+def test_from_csr_rejects_inconsistent_indptr(indptr, indices):
+    with pytest.raises(GraphError):
+        Graph.from_csr(np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
+
+
+def test_malformed_edges_rejected():
+    with pytest.raises(GraphError, match=r"edge \(0, 5\) out of range for 2 vertices"):
+        Graph(2, np.array([[1, 1], [0, 1], [0, 5]]))
+    with pytest.raises(GraphError, match="pairs"):
+        Graph(4, [(0, 1, 2), (1, 2, 3)])
+
+
+def test_graph_arrays_are_read_only(tmp_path):
+    # "Do not mutate" is enforced: a write through any handed-out array would
+    # leave the cached hash/fingerprint stale.
+    with _every_kind(Graph(4, [(0, 1), (1, 2), (2, 3)]), tmp_path) as kinds:
+        for name, g in kinds.items():
+            before = g.fingerprint()
+            for array in (g.neighbors(1), *g.to_csr(), g.degrees):
+                with pytest.raises(ValueError):
+                    array[0] = 2
+            assert g.fingerprint() == before, name
