@@ -25,7 +25,6 @@ from .message import (
 )
 from .metrics import CostLedger, SuperstepStats
 from .vertex_program import ComputeContext, VertexProgram
-from .worker import Worker
 
 __all__ = [
     "Aggregator",
@@ -50,5 +49,4 @@ __all__ = [
     "SuperstepStats",
     "ComputeContext",
     "VertexProgram",
-    "Worker",
 ]

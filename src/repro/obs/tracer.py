@@ -72,13 +72,14 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
     maps back exactly once — an imbalance means a superstep died
     between spill and delivery.
 ``steal``
-    Work-stealing scheduler (``steal=True``), one per task executed
-    away from its owner's home lane: ``worker`` is the task's *owner*,
-    ``seq`` its position in the owner's batch, ``lane`` the thread
-    index (thread backend) or child pid (process backend) that ran it,
-    ``rows`` the packed Gpsi rows it carried, and ``wall_ms`` the
-    task's expansion time on the thief.  Zero events means the static
-    schedule was never behind (see :mod:`repro.runtime.stealing`).
+    Work-stealing schedule (``steal=True``), one per task executed
+    away from its owner's home lane — the lane that ran the owner's
+    ``seq 0`` task: ``worker`` is the task's *owner*, ``seq`` its
+    position in the owner's batch, ``lane`` the OS thread id that ran
+    it (a pool process's pid), ``rows`` the packed Gpsi rows it
+    carried, and ``wall_ms`` the task's expansion time on the thief.
+    Zero events means every owner's tasks stayed on its home lane (see
+    :mod:`repro.runtime.stealing`).
 
 Workers whose batch was empty in a superstep emit no ``worker`` event;
 their cost/message/compute contribution is zero by construction.

@@ -2,9 +2,10 @@
 
 Turns the single-process simulator into a real parallel runtime behind a
 pluggable executor interface: a zero-copy shared graph over
-``multiprocessing.shared_memory``, per-superstep batch execution on a
-serial loop, a thread pool, or a process pool, and deterministic message
-shuffling at the barrier.  See ``docs/runtime.md`` for the protocol.
+``multiprocessing.shared_memory``, one superstep schedule (static,
+work-stealing, pipelined) that submits its units inline, to a thread
+pool or to a process pool, and deterministic message shuffling at the
+barrier.  See ``docs/runtime.md`` for the protocol.
 """
 
 from .executor import (
@@ -14,6 +15,8 @@ from .executor import (
     WorkerBatch,
     WorkerStepResult,
     fresh_aggregators,
+    run_inline,
+    run_replica_batch,
     run_worker_batch,
 )
 from .process import ProcessExecutor, default_procs
@@ -34,6 +37,8 @@ __all__ = [
     "WorkerBatch",
     "WorkerStepResult",
     "fresh_aggregators",
+    "run_inline",
+    "run_replica_batch",
     "run_worker_batch",
     "SerialExecutor",
     "ThreadExecutor",

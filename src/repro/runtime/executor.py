@@ -1,19 +1,29 @@
-"""The superstep executor interface and the shared worker-batch kernel.
+"""The superstep schedule, the executor interface and the worker-batch kernel.
 
-The BSP engine no longer runs logical workers itself: each superstep it
-builds one *batch* per logical worker — the worker's active vertices with
-their delivered messages, in deterministic order — and hands all batches
-to a :class:`SuperstepExecutor`.  The executor runs them (sequentially,
-on threads, or on a process pool) and returns one
-:class:`WorkerStepResult` per non-empty batch.  The engine then merges
-results **in worker-id order**, which makes every backend reproduce the
-serial engine's outputs, ledger and message order exactly:
+Each superstep the BSP engine builds one *batch* per logical worker — the
+worker's active vertices with their delivered messages, in deterministic
+order — and hands all batches to a :class:`SuperstepExecutor`, which
+returns one :class:`WorkerStepResult` per non-empty batch.  The engine
+then merges results **in worker-id order**, which makes every backend
+reproduce the serial engine's outputs, ledger and message order exactly:
 
 * per-worker iteration order is fixed by the batch,
 * per-worker accumulation (cost, sends, outputs) happens locally in that
   order, and
 * the merge concatenates per-worker effects in the same order the serial
   loop interleaved them (worker 0's sends always precede worker 1's).
+
+One schedule, many pools
+------------------------
+:meth:`SuperstepExecutor.run_superstep` is the runtime's only execution
+loop: submit one unit of work per non-empty owner — or, under
+``steal=True``, one per steal task — gather in worker-id order, cancel
+and wait out everything on failure, drain the job's chunk queue into the
+engine's sink under pipelined shuffle, finalize stolen owners canonically
+on the driver.  A backend only says *where* a unit runs: ``start`` /
+``close`` own its pool and shared resources, and the two submit hooks
+(``_submit_batch``, ``_submit_task``) hand a unit to that pool and return
+its future.
 
 Executor families
 -----------------
@@ -33,7 +43,11 @@ the superstep barrier rather than mid-superstep live values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import pickle
+import queue
+import threading
+from concurrent.futures import Future, wait
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -48,6 +62,7 @@ from ..bsp.message import (
     PackedWorkerBatch,
 )
 from ..bsp.vertex_program import ComputeContext, VertexProgram
+from ..exceptions import EngineError
 from ..graph.graph import Graph
 from ..graph.partition import Partition
 from ..obs.tracer import NULL_TRACER
@@ -63,13 +78,14 @@ WorkerBatch = List[Tuple[int, List[Any]]]
 
 @dataclass
 class JobSpec:
-    """Everything an executor needs to set up a job."""
+    """Everything an executor needs to set up a job, and everything a
+    worker batch reads while it runs (:func:`run_worker_batch` takes the
+    spec, not a dozen copies of its fields)."""
 
     program: VertexProgram
     graph: Graph
     partition: Partition
     num_workers: int
-    worker_states: List[Dict[str, Any]]
     #: Observability sink for backend lifecycle events (setup wall time,
     #: pool configuration, shared-memory export sizes); defaults to the
     #: no-op tracer so executors emit unconditionally behind one flag.
@@ -81,6 +97,15 @@ class JobSpec:
     #: ``config.wire`` unless the program forced the fallback to the
     #: reference plane (see :mod:`repro.bsp.message`).
     wire: str = "object"
+    #: The job's chunk queue, filled in by a pooled backend's ``start``
+    #: under pipelined shuffle (``queue.Queue`` for threads, the pool
+    #: context's ``mp.Queue`` for processes; both bounded, so a stalled
+    #: driver back-pressures senders and in-flight chunk memory stays
+    #: O(depth × chunk)).  Workers ``put((worker_id, seq, chunk))`` while
+    #: they compute; the schedule's drain thread is the one consumer.
+    #: ``None`` means workers hold their whole outbox: the strict
+    #: schedule.
+    chunk_queue: Any = None
 
 
 @dataclass
@@ -106,16 +131,19 @@ class WorkerStepResult:
     outputs: List[Any]
     agg_contribs: Optional[Dict[str, Any]] = None
     state_delta: Any = None
+    #: The worker's private state dict as the batch left it, set when the
+    #: batch ran on a copy (a pool process) so the schedule can adopt it;
+    #: ``None`` when the driver's own dict was mutated in place.
     worker_state: Optional[Dict[str, Any]] = None
     #: Exact bytes of the packed outbox buffers (production plane only;
     #: ``None`` on the reference plane, whose size is payload-dependent).
     #: Under pipelined shuffle this covers streamed chunks *plus* the
     #: residual ``outbox``, so the accounting stays mode-invariant.
     wire_bytes: Optional[int] = None
-    #: Pipelined shuffle: chunks streamed through the chunk sink before
+    #: Pipelined shuffle: chunks streamed through the chunk queue before
     #: this result returned (the residual ``outbox`` rides on top with
-    #: sequence number ``chunks_flushed``).  The process backend's drain
-    #: loop uses the sum over results as its completion count.
+    #: sequence number ``chunks_flushed``).  The schedule's drain uses
+    #: the sum over results as its completion count.
     chunks_flushed: int = 0
     #: Pipelined shuffle: ``(rows, nbytes, offset_ms)`` per streamed
     #: chunk, offsets measured from the worker batch's start — feeds the
@@ -188,20 +216,14 @@ def _compute_batch(
 
 
 def run_worker_batch(
+    spec: JobSpec,
     program: VertexProgram,
-    graph: Graph,
-    partition: Partition,
-    num_workers: int,
     worker_id: int,
     superstep: int,
     batch: WorkerBatch,
     worker_state: Dict[str, Any],
     aggregators: Any,
     collect_delta: bool,
-    wire: str = "object",
-    chunk_sink: Optional[Callable[[int, int, Any], None]] = None,
-    chunk_gpsis: Optional[int] = None,
-    chunk_bytes: Optional[int] = None,
     drive: Optional[Callable[[ComputeContext], int]] = None,
 ) -> WorkerStepResult:
     """Run one logical worker's compute batch and collect its effects.
@@ -209,10 +231,13 @@ def run_worker_batch(
     This is the kernel every backend shares; determinism of the whole
     runtime reduces to this function being deterministic given the same
     batch and worker state, which it is: vertices run in batch order and
-    all side effects accumulate locally in program order.
+    all side effects accumulate locally in program order.  Graph,
+    partition, worker count, data plane and chunk watermarks come off
+    ``spec``; ``program`` is the object compute runs against — the
+    driver's own (serial) or a replica (thread/process).
 
-    On the production plane (``wire="columnar"``) nothing ever leaves
-    packed form: the delivered
+    On the production plane (``spec.wire == "columnar"``) nothing ever
+    leaves packed form: the delivered
     :class:`~repro.bsp.message.PackedWorkerBatch` is sliced per vertex and
     handed to ``compute_columns``, and children flow through
     ``ctx.send_columns`` into a :class:`~repro.bsp.message.ColumnarOutbox`
@@ -222,19 +247,21 @@ def run_worker_batch(
     per vertex on either plane; its ``ctx.send`` calls land in the same
     outbox and are packed once.
 
-    ``chunk_sink`` enables the pipelined shuffle: the outbox flushes
-    watermark-sized chunks through ``chunk_sink(worker_id, seq, batch)``
-    *while compute is running*; whatever is pending at the end returns
-    as the residual ``outbox`` with ``chunks_flushed`` recording how many
-    chunks already streamed.
+    A ``spec.chunk_queue`` enables the pipelined shuffle: the outbox puts
+    watermark-sized chunks on it as ``(worker_id, seq, batch)`` *while
+    compute is running*; whatever is pending at the end returns as the
+    residual ``outbox`` with ``chunks_flushed`` recording how many chunks
+    already streamed.
 
     ``drive`` replaces the per-vertex compute loop over ``batch``: it is
     handed the worker's context and returns the number of compute calls
-    it stands for.  The work-stealing scheduler uses it to replay
+    it stands for.  The work-stealing schedule uses it to replay
     already-expanded outcomes in canonical order — same context, same
     outbox, same accounting as the static path, by construction.
     """
-    columnar = wire == "columnar"
+    columnar = spec.wire == "columnar"
+    partition = spec.partition
+    num_workers = spec.num_workers
     inbound = [0] * num_workers
     outputs: List[Any] = []
     acc = {"cost": 0.0, "sent": 0}
@@ -244,9 +271,13 @@ def run_worker_batch(
         acc["cost"] += units
 
     if columnar:
-        if chunk_sink is not None:
+        if spec.chunk_queue is not None:
             chunk_stats = []
             batch_started = perf_counter()
+            # Bounded queue: when it is full the sender blocks here, so
+            # in-flight chunk memory stays O(queue depth × chunk bytes)
+            # however fast workers expand.
+            put_chunk = spec.chunk_queue.put
 
             def _flush(chunk: GpsiBatch) -> None:
                 seq = len(chunk_stats)
@@ -257,10 +288,12 @@ def run_worker_batch(
                         (perf_counter() - batch_started) * 1000.0,
                     )
                 )
-                chunk_sink(worker_id, seq, chunk)
+                put_chunk((worker_id, seq, chunk))
 
             col_outbox = ColumnarOutbox(
-                flush=_flush, chunk_gpsis=chunk_gpsis, chunk_bytes=chunk_bytes
+                flush=_flush,
+                chunk_gpsis=spec.config.chunk_gpsis,
+                chunk_bytes=spec.config.chunk_bytes,
             )
         else:
             col_outbox = ColumnarOutbox()
@@ -291,7 +324,7 @@ def run_worker_batch(
             inbound[partition.owner(message.dest)] += 1
 
     ctx = ComputeContext(
-        graph=graph,
+        graph=spec.graph,
         superstep=superstep,
         worker_id=worker_id,
         worker_state=worker_state,
@@ -338,13 +371,142 @@ def run_worker_batch(
     )
 
 
+def run_replica_batch(
+    spec: JobSpec,
+    program: VertexProgram,
+    worker_id: int,
+    superstep: int,
+    batch: WorkerBatch,
+    worker_state: Dict[str, Any],
+    snapshot: Dict[str, Any],
+) -> WorkerStepResult:
+    """A batch on a program *replica* — what a pooled backend submits.
+
+    Aggregator calls go to a fresh identity-value shim over the barrier
+    ``snapshot``, the replica's state delta is collected, and the worker's
+    state dict rides home on the result: where the batch ran on a copy of
+    it (another process) that is how the logical worker can land on a
+    different pool member next superstep.
+    """
+    result = run_worker_batch(
+        spec,
+        program,
+        worker_id,
+        superstep,
+        batch,
+        worker_state,
+        WorkerAggregators(fresh_aggregators(program), snapshot),
+        collect_delta=True,
+    )
+    result.worker_state = worker_state
+    return result
+
+
+def pickle_program(program: VertexProgram, backend: str) -> bytes:
+    """Serialise ``program`` for the replica contract (its ``__getstate__``
+    drops the graph), or say which program a pooled backend cannot run."""
+    try:
+        return pickle.dumps(program)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise EngineError(
+            f"backend {backend!r} runs workers on pickled replicas of the "
+            f"program, and {type(program).__name__} does not pickle: {exc}"
+        ) from exc
+
+
+def run_inline(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
+    """Run ``fn(*args, **kwargs)`` on the calling thread; return its
+    result as an already-completed future — the submit hook of a backend
+    without a pool.  A failure raises here, at the submit site, which
+    the schedule handles like any other failed unit."""
+    future: Future = Future()
+    future.set_result(fn(*args, **kwargs))
+    return future
+
+
+class _ChunkDrain:
+    """The pipelined shuffle's single consumer for one superstep.
+
+    A driver-side thread feeds the job's chunk queue into the engine's
+    sink while workers are still computing — this is where shuffle
+    overlaps compute.  The sink touches the barrier store, so one
+    consumer keeps it race-free without per-chunk lock contention from
+    the pool.  Both queue flavours (``queue.Queue``, ``mp.Queue``) serve
+    ``get(timeout=)`` / ``queue.Empty``, and polling with a timeout
+    (rather than blocking on a sentinel) means a pool process that died
+    mid-``put`` can never wedge the driver.
+    """
+
+    def __init__(self, chunk_queue: Any, sink: Callable[[int, int, Any], None]):
+        self._queue = chunk_queue
+        self._sink = sink
+        self._expected: Optional[int] = None
+        self.received = 0
+        self.errors: List[BaseException] = []
+        self._thread = threading.Thread(
+            target=self._run, name="psgl-chunk-drain", daemon=True
+        )
+        self._thread.start()
+
+    def _run(self) -> None:
+        while self._expected is None or self.received < self._expected:
+            try:
+                item = self._queue.get(timeout=0.005)
+            except queue.Empty:
+                continue
+            try:
+                self._sink(*item)
+            except BaseException as exc:  # noqa: BLE001 - re-raised by finish()
+                self.errors.append(exc)
+            finally:
+                self.received += 1
+
+    def finish(self, expected: int, superstep: int) -> None:
+        """Return once ``expected`` chunks went through the sink.
+
+        ``mp.Queue`` puts are asynchronous (a feeder thread ships the
+        bytes), so a worker's future can resolve before its last chunk
+        arrives; each result carries its exact flush count and the drain
+        keeps consuming until the sum is in.  Threads satisfy the same
+        count trivially.
+        """
+        self._expected = expected
+        self._thread.join(60.0)
+        if self._thread.is_alive():
+            self.abort()
+            raise RuntimeError(
+                f"pipelined shuffle lost chunks: received {self.received} "
+                f"of {expected} at superstep {superstep}"
+            )
+        if self.errors:
+            raise self.errors[0]
+
+    def abort(self) -> None:
+        """Stop now (producers must already be done) and drop, best
+        effort, whatever the failed superstep left undelivered."""
+        self._expected = 0
+        self._thread.join()
+        try:
+            while True:
+                self._queue.get_nowait()
+        except queue.Empty:
+            pass
+
+
 class SuperstepExecutor:
-    """Pluggable parallel backend for the BSP engine.
+    """The superstep schedule over a pluggable pool.
 
     Lifecycle: ``start(spec)`` once per job, ``run_superstep(...)`` once
     per superstep, ``close()`` exactly once (the engine guarantees it in a
-    ``finally``).  ``run_superstep`` must return results sorted by
-    ``worker_id`` and may omit workers with empty batches.
+    ``finally``, also when ``start`` itself failed half-way).
+
+    Writing a backend means saying where work runs, not how a superstep
+    is scheduled: extend ``start`` / ``close`` for the pool and whatever
+    it shares (calling the base versions, which keep the spec and the
+    per-logical-worker state dicts), and implement the two submit hooks.
+    Overriding ``run_superstep`` wholesale remains legal; it must return
+    results sorted by ``worker_id`` and may omit workers with empty
+    batches.
     """
 
     #: Whether batches run against the driver's own program/registry
@@ -354,13 +516,40 @@ class SuperstepExecutor:
     #: Registry name (filled by the backend registry on instantiation).
     name: str = "abstract"
 
-    #: Tasks executed by a worker other than their owner, accumulated
-    #: across the job (work-stealing runs only; stays 0 otherwise).  The
-    #: engine reads this once at job end into ``BSPResult.steals``.
+    #: Tasks executed on a different lane than their owner's first task,
+    #: accumulated across the job (work-stealing runs only; stays 0
+    #: otherwise).  The engine reads this once at job end into
+    #: ``BSPResult.steals``.
     steals_total: int = 0
+
+    _spec: Optional[JobSpec] = None
 
     def start(self, spec: JobSpec) -> None:
         """Prepare for a job (export shared state, warm pools, ...)."""
+        self._spec = spec
+        # One private state dict per logical worker, alive for the job —
+        # the paper's per-worker "local view of the entire workload
+        # distribution" (Section 6): distribution RNG streams and load
+        # views live here.  Logical workers are location independent: a
+        # batch that ran on a copy hands the dict back on
+        # ``WorkerStepResult.worker_state``.
+        self._states: List[Dict[str, Any]] = [
+            {} for _ in range(spec.num_workers)
+        ]
+
+    def _submit_batch(
+        self, worker_id: int, superstep: int, batch: WorkerBatch, shared: Any
+    ) -> Future:
+        """Submit one owner's whole batch; the future resolves to its
+        :class:`WorkerStepResult`.  ``shared`` is the aggregator view of
+        this superstep: the driver's live registry when ``inprocess``,
+        else the barrier snapshot (one ``dict`` object per superstep)."""
+        raise NotImplementedError
+
+    def _submit_task(self, expand: Callable[[Any, Any], Any], task: Any) -> Future:
+        """Submit ``expand(program, task)`` — the pure half of one steal
+        task — against the task owner's program (any replica of it); the
+        future resolves to what ``expand`` returned."""
         raise NotImplementedError
 
     def run_superstep(
@@ -372,14 +561,113 @@ class SuperstepExecutor:
     ) -> List[WorkerStepResult]:
         """Run all non-empty batches; ``batches[w]`` belongs to worker ``w``.
 
+        **Static schedule**: one unit per owner.  **Dynamic schedule**
+        (``steal=True``, delivered packed batches): one unit per
+        :func:`~repro.runtime.stealing.split_batch` task.  The pool's
+        submission queue *is* the steal deque — whichever lane frees up
+        first takes the next task regardless of owner — and a task
+        counts as *stolen* when it ran on a different lane than its
+        owner's ``seq 0`` task.  Owners are then finalized on this
+        (driver) thread against the driver's program, in worker-id / seq
+        order, which keeps results bit-identical to the static schedule
+        (see :mod:`repro.runtime.stealing`).
+
         ``chunk_sink`` is passed (non-None) only under pipelined shuffle:
-        the backend must route every worker's flushed chunks into it —
-        from whatever thread it likes, the sink is thread-safe — and must
-        not return until all chunks of this superstep were delivered.
-        Backends without a streaming path may ignore it (workers then
-        return whole outboxes as their only chunk: the strict schedule).
+        every chunk a worker put on the job's chunk queue is fed to it
+        from one drain thread, and this method does not return until all
+        chunks of the superstep were delivered.  A backend that set up no
+        chunk queue ignores the sink — its workers return whole outboxes
+        as their only chunk: the strict schedule, bit for bit (serial
+        does exactly that; one thread could overlap with nothing).
         """
-        raise NotImplementedError
+        spec = self._spec
+        steal = spec.config.steal
+        if steal:
+            from .stealing import expand_steal_task, finalize_owner, split_batch
+        shared = registry if self.inprocess else registry.snapshot()
+        drain = None
+        if chunk_sink is not None and spec.chunk_queue is not None:
+            drain = _ChunkDrain(spec.chunk_queue, chunk_sink)
+        # ``owners`` and ``futures`` are both in canonical order: owners
+        # ascending, an owner's tasks in ``seq`` order.
+        owners: List[Tuple[int, Optional[List[Any]]]] = []
+        futures: List[Future] = []
+        try:
+            for owner, batch in enumerate(batches):
+                if not batch:
+                    continue
+                if steal and isinstance(batch, PackedWorkerBatch):
+                    tasks = split_batch(owner, batch, spec.config.steal_tasks)
+                    owners.append((owner, tasks))
+                    futures.extend(
+                        self._submit_task(expand_steal_task, task)
+                        for task in tasks
+                    )
+                else:
+                    owners.append((owner, None))
+                    futures.append(
+                        self._submit_batch(owner, superstep, batch, shared)
+                    )
+            done = iter([future.result() for future in futures])
+        except BaseException:
+            # A unit raised.  The remaining futures keep running in the
+            # pool — cancel what has not started and *wait out* what has,
+            # so the engine's teardown (which unlinks the shared CSR
+            # blocks in close()) can never race live workers still
+            # scanning them.  Only then stop the drain: a producer
+            # blocked on the full queue needs its consumer to finish.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            if drain is not None:
+                drain.abort()
+            raise
+
+        results: List[WorkerStepResult] = []
+        for owner, tasks in owners:
+            if tasks is None:
+                result = next(done)
+                if result.worker_state is not None:
+                    self._states[owner] = result.worker_state
+                    result.worker_state = None  # driver-side bookkeeping only
+            else:
+                task_results = [next(done) for _ in tasks]
+                home = task_results[0].lane
+                for task, ran in zip(tasks, task_results):
+                    if ran.lane != home:
+                        self.steals_total += 1
+                        if spec.tracer.enabled:
+                            spec.tracer.emit(
+                                "steal",
+                                superstep=superstep,
+                                worker=owner,
+                                wall_ms=ran.wall_ms,
+                                seq=task.seq,
+                                lane=ran.lane,
+                                rows=task.rows,
+                            )
+                aggregators = (
+                    shared
+                    if self.inprocess
+                    else WorkerAggregators(fresh_aggregators(spec.program), shared)
+                )
+                result = finalize_owner(
+                    spec,
+                    owner,
+                    superstep,
+                    tasks,
+                    task_results,
+                    self._states[owner],
+                    aggregators,
+                    collect_delta=not self.inprocess,
+                )
+            results.append(result)
+        if drain is not None:
+            drain.finish(sum(r.chunks_flushed for r in results), superstep)
+        return results
 
     def close(self) -> None:
-        """Tear down pools and shared resources (idempotent)."""
+        """Tear down pools and shared resources (idempotent, and safe
+        after a ``start`` that raised half-way)."""
+        self._spec = None
+        self._states = []
