@@ -52,6 +52,7 @@ from typing import (
 import numpy as np
 
 from ..exceptions import EngineError
+from ..unique import sorted_unique
 
 
 def _psi():
@@ -228,8 +229,9 @@ class ColumnarOutbox:
     a ``flush`` callback plus a ``chunk_gpsis`` (rows) and/or
     ``chunk_bytes`` watermark and it hands off the pending rows as one
     packed :class:`GpsiBatch` whenever a watermark is reached, *before*
-    an append that would overflow it — so every flushed chunk is bounded
-    by ``max(watermark, one send)`` in both dimensions and the worker's
+    an append that would overflow it, and cuts a send that is itself
+    larger at the watermark — so every flushed chunk is bounded by the
+    watermark in both dimensions (one row at least) and the worker's
     peak buffered outbox shrinks from O(superstep volume) to O(chunk).
     Whatever is still pending when compute ends stays in the outbox as
     the *residual* (``to_batch``); callers ship it with the step result.
@@ -268,8 +270,7 @@ class ColumnarOutbox:
         self.chunks_flushed = 0
         #: Exact bytes of every flushed chunk (residual not included).
         self.flushed_bytes = 0
-        #: Largest single ``append`` seen — the slack term in the chunk
-        #: size bound ``max(watermark, max_append_bytes)``.
+        #: Largest single ``append`` seen, whole (before any cut).
         self.max_append_bytes = 0
 
     def _would_overflow(self, n: int, nbytes: int) -> bool:
@@ -311,20 +312,29 @@ class ColumnarOutbox:
         self._pending_bytes += nbytes
 
     def append(self, dest: np.ndarray, columns: Any) -> None:
-        """Queue one packed chunk: row ``i`` of ``columns`` goes to data
-        vertex ``dest[i]``."""
+        """Queue one packed send: row ``i`` of ``columns`` goes to data
+        vertex ``dest[i]``.  When streaming, a send larger than the
+        watermark is cut *at* the watermark (one send is a whole block's
+        children): full chunks leave at once, its tail stays pending."""
         n = len(columns)
         if n == 0:
             return
         self._seal_scalars()
         dest = np.asarray(dest, dtype=np.int64)
-        if self._flush is not None and self._count and self._would_overflow(
-            n, dest.nbytes + columns.nbytes
-        ):
+        if self._flush is None:
+            self._push(dest, columns)
+            return
+        nbytes = dest.nbytes + columns.nbytes
+        if self._count and self._would_overflow(n, nbytes):
             self.flush_pending()
-        self._push(dest, columns)
-        if self._flush is not None and self._at_watermark():
-            self.flush_pending()
+        self.max_append_bytes = max(self.max_append_bytes, nbytes)
+        cut = n if self._chunk_gpsis is None else self._chunk_gpsis
+        if self._chunk_bytes is not None:
+            cut = min(cut, max(1, self._chunk_bytes // (nbytes // n)))
+        for lo in range(0, n, cut):
+            self._push(dest[lo : lo + cut], columns.row_slice(lo, lo + cut))
+            if lo + cut < n or self._at_watermark():
+                self.flush_pending()
 
     def append_message(self, message: Message) -> None:
         """Queue one scalar :class:`Message` — ``ctx.send`` on the
@@ -366,8 +376,9 @@ class PackedWorkerBatch:
     ``vertices`` lists the worker's active vertices in activation order;
     ``counts[i]`` rows of ``columns`` (consecutive, starting at
     ``sum(counts[:i])``) are the payloads delivered to ``vertices[i]``.
-    The executing worker slices it per vertex and hands the slices to
-    ``compute_columns``; the rows are never decoded into objects.
+    The executing worker cuts ``columns`` into row blocks — the rows carry
+    their own destination, so a block may span or split vertices — and
+    hands each to ``compute_columns``; rows are never decoded into objects.
     """
 
     __slots__ = ("vertices", "counts", "columns")
@@ -392,9 +403,7 @@ def _group_first_send(
     by first send, rows within a group in send order) — exactly the
     activation and delivery order the reference plane produces.
     """
-    uniq, first_idx, inverse = np.unique(
-        dest_w, return_index=True, return_inverse=True
-    )
+    uniq, first_idx, inverse = sorted_unique(dest_w)
     # Rank each distinct destination by first appearance, then
     # stable-sort rows by that rank: groups ordered by first
     # send, rows within a group in send order.
@@ -488,14 +497,14 @@ class ChunkedColumnarStore:
         self.wire_bytes = 0
         self.chunks_merged = 0
         #: Largest single merged chunk — pinned by tests against
-        #: ``max(watermark, largest single send)`` under pipelined shuffle.
+        #: the watermark under pipelined shuffle.
         self.max_chunk_bytes = 0
 
     def _split_by_owner(
         self, sender: int, seq: int, dest: np.ndarray, columns: Any
     ) -> None:
         owner = self._owner_of[dest]
-        for w in np.unique(owner).tolist():
+        for w in np.flatnonzero(np.bincount(owner)).tolist():
             rows = np.flatnonzero(owner == w)
             self._pieces[w].append(
                 (sender, seq, dest[rows], columns.take(rows))

@@ -122,7 +122,7 @@ class VertexProgram:
     #: Whether the program additionally splits :meth:`compute_columns`
     #: into a pure expansion half and a stateful apply half — the
     #: contract the work-stealing scheduler requires
-    #: (``expand_task(vertex, columns, edge_index)``,
+    #: (``expand_task(columns, edge_index)``,
     #: ``apply_outcome(ctx, outcome)``, ``task_probe_view()``,
     #: ``absorb_task_stats(queries, positives)``; see
     #: :mod:`repro.runtime.stealing`).  Programs without the split can
@@ -136,15 +136,19 @@ class VertexProgram:
         raise NotImplementedError
 
     def compute_columns(self, ctx: ComputeContext, columns: Any) -> None:
-        """Columnar twin of :meth:`compute`: process one active vertex
-        whose delivered payloads arrive as a packed
-        :class:`~repro.core.psi.GpsiColumns` slice instead of a list of
-        objects.  Called only when :attr:`supports_columnar_compute` is
-        set and the job runs on the columnar wire plane; superstep 0
-        (empty message lists) always goes through :meth:`compute`.
-        Implementations must produce exactly the observable effects of
-        ``compute`` on the equivalent message list — costs, aggregations,
-        sends — since the two paths are interchangeable per superstep."""
+        """Columnar twin of :meth:`compute`: one call per delivered
+        block — rows of several destination vertices in delivery order,
+        as a packed :class:`~repro.core.psi.GpsiColumns` instead of lists
+        of objects.  A worker's delivery reaches the program as one or
+        more consecutive blocks, cut at arbitrary rows (also inside one
+        vertex's delivery), and ``ctx.vertex`` is not set: every row
+        carries its own destination.  Called only when
+        :attr:`supports_columnar_compute` is set and the job runs on the
+        columnar wire plane; superstep 0 (empty message lists) always
+        goes through :meth:`compute`.  Implementations must produce
+        exactly the observable effects of ``compute`` on the equivalent
+        per-vertex message lists — costs, aggregations, sends — since
+        the two paths are interchangeable per superstep."""
         raise NotImplementedError
 
     def post_application(self) -> None:

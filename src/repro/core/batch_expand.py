@@ -4,22 +4,26 @@ The object hot path (:func:`repro.core.expansion.expand_gpsi`) runs once
 per delivered Gpsi: it constructs Python objects, walks the pattern
 neighbours in a Python loop, and materialises the candidate cross product
 with ``itertools.product``.  Under the columnar wire plane the messages
-already arrive as a :class:`~repro.core.psi.GpsiColumns` slice per data
-vertex, so this module expands the *whole slice at once* without ever
-constructing a :class:`~repro.core.psi.Gpsi`:
+already arrive as packed :class:`~repro.core.psi.GpsiColumns`, so this
+module expands a *whole delivered block at once* — rows addressed to any
+data vertices; row ``i`` expands at ``mapping[i, next_vertex[i]]`` —
+without ever constructing a :class:`~repro.core.psi.Gpsi`:
 
 1. rows are grouped by their ``(black, mapped_mask, next_vertex)``
-   colouring signature with one ``np.unique`` pass — every row in a group
-   shares the expanding vertex, the GRAY/WHITE classification of its
+   colouring signature with one sort pass — every row in a group shares
+   the expanding pattern vertex, the GRAY/WHITE classification of its
    pattern neighbours, the completeness of its children and their
-   ``useful_grays``;
-2. per group, GRAY verification is one vectorised ``searchsorted``
-   membership test against ``N(vd)`` and WHITE candidate generation is
-   one masked matrix over ``rows x N(vd)`` (degree/rank/injectivity rules
-   against the shared ``degrees``/``ranks`` arrays, GRAY-image prefilter
-   through the index's pairwise batch probe);
-3. candidate cross products materialise as vectorised repeat/tile over
-   the mapping matrix, and :func:`~repro.core.candidates.combination_consistent`
+   ``useful_grays``; nothing in Algorithm 1 needs them to share a data
+   vertex;
+2. per group, GRAY verification is one vectorised binary search over the
+   rows' CSR segments (:meth:`Graph.has_edges
+   <repro.graph.graph.Graph.has_edges>`) and WHITE candidate generation
+   one flat ragged gather of every row's ``N(vd)`` with a ``row_of``
+   index (degree/rank/injectivity rules against the shared
+   ``degrees``/``ranks`` arrays, GRAY-image prefilter through one pairwise
+   batch probe per image);
+3. candidate cross products materialise by segment arithmetic over the
+   flat candidate lists, and :func:`~repro.core.candidates.combination_consistent`
    runs as a batch mask with the same short-circuit probe compression as
    the scalar loop;
 4. children are merged back into the parents' delivery order, so every
@@ -44,8 +48,9 @@ from ..graph.ordered import OrderedGraph
 from ..pattern.pattern import PatternGraph
 from . import kernels
 from .cost import CostParameters, DEFAULT_COSTS
+from ..unique import sorted_unique
 from .edge_index import EdgeIndexBase
-from .psi import GpsiColumns, PACKED_UNSET_NEXT, UNMAPPED, _black_words
+from .psi import GpsiColumns, PACKED_UNSET_NEXT, UNMAPPED
 
 
 @dataclass
@@ -74,7 +79,7 @@ class PendingChildren:
 
 @dataclass
 class BatchOutcome:
-    """What expanding one delivered column slice produced.
+    """What expanding one delivered block of rows produced.
 
     ``complete`` rows and ``pending`` children are both in the object
     path's order: parents in delivery order, combinations in
@@ -89,6 +94,12 @@ class BatchOutcome:
     generated_by_vp: Dict[int, int] = field(default_factory=dict)
 
 
+#: Attempted combinations per cross-product run (see
+#: :func:`_cross_product`): bounds its temporaries, a few hundred bytes
+#: per combination once the consistency probes hash them.
+CROSS_BLOCK_COMBOS = 1 << 13
+
+
 def _combine_black_words(words: np.ndarray) -> int:
     """One row of uint32 mask words -> the Python int bitmask."""
     return sum(int(w) << (32 * i) for i, w in enumerate(words))
@@ -101,16 +112,6 @@ def _black_to_words(black: int, words: int) -> np.ndarray:
     )
 
 
-def _sorted_membership(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Vectorised ``needle in haystack`` for a sorted haystack — the
-    batched form of ``Graph.has_edge(vd, image)`` against ``N(vd)``."""
-    m = len(haystack)
-    if m == 0:
-        return np.zeros(len(needles), dtype=bool)
-    pos = np.searchsorted(haystack, needles)
-    return (pos < m) & (haystack[np.minimum(pos, m - 1)] == needles)
-
-
 def _uncovered_black(black: int, pattern: PatternGraph) -> bool:
     """Whether any pattern edge still lacks a BLACK endpoint."""
     for a, b in pattern.edges():
@@ -121,20 +122,22 @@ def _uncovered_black(black: int, pattern: PatternGraph) -> bool:
 
 def expand_columns(
     columns: GpsiColumns,
-    data_vertex: int,
     pattern: PatternGraph,
     ordered: OrderedGraph,
     edge_index: EdgeIndexBase,
     costs: CostParameters = DEFAULT_COSTS,
     kernel: str = "numpy",
 ) -> BatchOutcome:
-    """Run Algorithm 1 on every row of ``columns`` at ``data_vertex``.
+    """Run Algorithm 1 on every row of ``columns``, each at its own
+    expanding data vertex ``mapping[i, next_vertex[i]]``.
 
     Equivalent to calling :func:`~repro.core.expansion.expand_gpsi` on
     each row in order and concatenating the outcomes — same instances,
     same children in the same order, same cost, same probe statistics —
     but grouped by colouring signature so the per-row Python work
-    collapses to a handful of numpy passes per group.
+    collapses to a handful of numpy passes per group, whatever vertices
+    the rows are addressed to.  Cutting a block anywhere and
+    concatenating the outcomes of the pieces gives the same result.
 
     ``kernel`` selects the per-group inner-loop implementation (see
     :mod:`repro.core.kernels`): ``"numpy"`` is the reference, ``"native"``
@@ -152,8 +155,6 @@ def expand_columns(
     if n == 0:
         return outcome
     graph = ordered.graph
-    neigh_vd = graph.neighbors(data_vertex)
-    deg_vd = len(neigh_vd)
     mapping = columns.mapping
     next_col = columns.next_vertex
     if bool(np.any(next_col == PACKED_UNSET_NEXT)):
@@ -167,20 +168,14 @@ def expand_columns(
     mask_key = (mapped_bits << np.arange(k, dtype=np.uint64)).sum(
         axis=1, dtype=np.uint64
     )
-    if n == 1:
-        first_idx = np.zeros(1, dtype=np.int64)
-        inverse = np.zeros(1, dtype=np.int64)
-    elif columns.black.shape[1] == 1 and k <= 24:
+    if columns.black.shape[1] == 1 and k <= 24:
         # One mask word and a short mapping (every paper pattern): the
-        # whole signature packs into one uint64 — 1-D np.unique is far
-        # cheaper than the axis=0 structured sort.
-        key = (
+        # whole signature packs into one uint64 — a 1-D sort is far
+        # cheaper than the lexicographic one.
+        sig = (
             (columns.black[:, 0].astype(np.uint64) << np.uint64(32))
             | (mask_key << np.uint64(8))
             | next_col.astype(np.uint64)
-        )
-        _, first_idx, inverse = np.unique(
-            key, return_index=True, return_inverse=True
         )
     else:
         sig = np.column_stack(
@@ -190,10 +185,7 @@ def expand_columns(
                 next_col.astype(np.int64),
             ]
         )
-        _, first_idx, inverse = np.unique(
-            sig, axis=0, return_index=True, return_inverse=True
-        )
-        inverse = inverse.ravel()
+    _, first_idx, inverse = sorted_unique(sig)
 
     # Per-chunk accumulators; ``order`` keys restore delivery order.
     complete_chunks: List[np.ndarray] = []
@@ -215,75 +207,65 @@ def expand_columns(
         group_mask = int(mask_key[template])
         new_black = black | (1 << vp)
         sub_map = mapping[rows]
+        vd = sub_map[:, vp]
         m = len(rows)
 
         # Walk vp's pattern neighbours in sorted order with a live-row
         # mask; dead rows stop being charged exactly where the scalar
         # loop returns.
         alive = np.ones(m, dtype=bool)
-        white_masks: List[Tuple[int, np.ndarray]] = []
+        # Per WHITE neighbour: (vertex, candidates per group row, the
+        # candidates themselves, flat, rows ascending).
+        whites: List[Tuple[int, np.ndarray, np.ndarray]] = []
         for np_ in pattern.neighbors(vp):
-            n_alive = int(np.count_nonzero(alive))
-            if n_alive == 0:
+            live = np.flatnonzero(alive)
+            if len(live) == 0:
                 break
             if black >> np_ & 1:
                 continue
             if group_mask >> np_ & 1:
                 # GRAY: exact adjacency verification against N(vd).
-                outcome.cost += costs.gray_check * n_alive
-                live = np.flatnonzero(alive)
+                outcome.cost += costs.gray_check * len(live)
                 if use_native:
-                    ok = kernels.membership_sorted(neigh_vd, sub_map[live, np_])
+                    ok = kernels.membership_sorted(
+                        graph.indptr, graph.indices, vd[live], sub_map[live, np_]
+                    )
                 else:
-                    ok = _sorted_membership(neigh_vd, sub_map[live, np_])
+                    ok = graph.has_edges(vd[live], sub_map[live, np_])
                 alive[live[~ok]] = False
             else:
-                # WHITE: candidate matrix over rows x N(vd).
-                outcome.cost += costs.scan * deg_vd * n_alive
-                if probe_pack is not None:
-                    cand_mask = _candidate_matrix_native(
-                        sub_map, alive, np_, vp, black, group_mask,
-                        neigh_vd, pattern, ranks, degrees,
-                        graph.num_vertices, edge_index, probe_pack,
-                    )
-                else:
-                    cand_mask = _candidate_matrix(
-                        sub_map, alive, np_, vp, black, group_mask,
-                        neigh_vd, pattern, ranks, degrees,
-                        graph.num_vertices, edge_index,
-                    )
-                alive &= cand_mask.any(axis=1)
-                white_masks.append((np_, cand_mask))
+                # WHITE: one flat candidate list over the live rows' N(vd).
+                outcome.cost += costs.scan * int(degrees[vd[live]].sum())
+                row_of, cand = _white_candidates(
+                    sub_map[live], vd[live], np_, vp, black, group_mask,
+                    pattern, graph, ranks, edge_index, probe_pack,
+                )
+                per_row = np.zeros(m, dtype=np.int64)
+                per_row[live] = np.bincount(row_of, minlength=len(live))
+                alive &= per_row > 0
+                whites.append((np_, per_row, cand))
 
         live = np.flatnonzero(alive)
         if len(live) == 0:
             continue
 
-        if not white_masks:
+        if not whites:
             # Verification-only expansion: colours change, mapping stays.
-            child_map = sub_map[live].copy()
+            child_map = sub_map[live]
             child_order = rows[live]
-            n_children = len(live)
-            consistent = None
             child_mask = group_mask
         else:
-            child_map, child_order, n_attempted = _cross_product(
-                sub_map, rows, live, white_masks, neigh_vd
+            child_map, parent, attempted = _cross_product(
+                sub_map, live, whites, pattern, ranks, edge_index
             )
-            outcome.cost += costs.ce * n_attempted
-            white_vps = [wp for wp, _ in white_masks]
-            if len(white_vps) > 1:
-                consistent = _consistent_mask(
-                    child_map, white_vps, pattern, ranks, edge_index
-                )
-                child_map = child_map[consistent]
-                child_order = child_order[consistent]
-            n_children = child_map.shape[0]
-            if n_children == 0:
-                continue
+            outcome.cost += costs.ce * attempted
+            child_order = rows[parent]
             child_mask = group_mask
-            for wp in white_vps:
+            for wp, _, _ in whites:
                 child_mask |= 1 << wp
+        n_children = child_map.shape[0]
+        if n_children == 0:
+            continue
 
         outcome.generated += n_children
         outcome.generated_by_vp[vp] = (
@@ -336,201 +318,139 @@ def expand_columns(
     return outcome
 
 
-def _candidate_matrix(
-    sub_map: np.ndarray,
-    alive: np.ndarray,
+def _white_candidates(
+    sub_live: np.ndarray,
+    vd: np.ndarray,
     white_vp: int,
     expanding_vp: int,
     black: int,
     group_mask: int,
-    neigh_vd: np.ndarray,
     pattern: PatternGraph,
+    graph,
     ranks: np.ndarray,
-    degrees: np.ndarray,
-    num_vertices: int,
     edge_index: EdgeIndexBase,
-) -> np.ndarray:
-    """Admissible-candidate mask (rows x N(vd)) for one WHITE neighbour.
+    probe_pack: Optional["kernels.ProbePack"],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Admissible candidates of one WHITE neighbour for every live row,
+    as the flat pair ``(row_of, cand)`` — rows ascending, ``N(vd)`` order
+    within a row.
 
-    Vectorises Algorithm 5 for every live row at once: the degree rule is
-    one group-constant vector, rank bounds and injectivity are per-row
-    gathers over the shared arrays, and the GRAY-image prefilter issues
-    exactly the probes the scalar short-circuit loop would — candidate
-    ``c`` of row ``r`` is probed against image ``j`` iff it survived
-    images ``0..j-1`` (dead rows are never probed at all).
+    Vectorises Algorithm 5 over the concatenated ``N(vd)`` segments of
+    the rows: the degree rule, rank bounds and injectivity are gathers
+    over the shared arrays, and the GRAY-image prefilter issues exactly
+    the probes the scalar short-circuit loop would — candidate ``c`` of
+    row ``r`` is probed against image ``j`` iff it survived images
+    ``0..j-1`` — as one ``might_contain_pairs`` per image.  With a
+    ``probe_pack`` the per-(row, candidate) decisions, probes included,
+    run fused in :func:`repro.core.kernels.white_candidates` and the
+    probe counts it reports are credited to ``edge_index``.
     """
-    m, deg_vd = sub_map.shape[0], len(neigh_vd)
-    mask = np.zeros((m, deg_vd), dtype=bool)
-    live = np.flatnonzero(alive)
-
+    n_live = len(vd)
     # Rule 1b: exclusive rank bounds from order-constrained mapped vertices.
-    lower = np.full(len(live), -1, dtype=np.int64)
-    upper = np.full(len(live), num_vertices, dtype=np.int64)
+    lower = np.full(n_live, -1, dtype=np.int64)
+    upper = np.full(n_live, graph.num_vertices, dtype=np.int64)
     for below in pattern.must_rank_below(white_vp):
         if group_mask >> below & 1:
-            np.maximum(lower, ranks[sub_map[live, below]], out=lower)
+            np.maximum(lower, ranks[sub_live[:, below]], out=lower)
     for above in pattern.must_rank_above(white_vp):
         if group_mask >> above & 1:
-            np.minimum(upper, ranks[sub_map[live, above]], out=upper)
-    feasible = lower < upper
-    if not bool(feasible.any()):
-        return mask
+            np.minimum(upper, ranks[sub_live[:, above]], out=upper)
+    # A candidate is a neighbour of vd, so it never equals vd's own image.
+    mapped_cols = [
+        col
+        for col in range(sub_live.shape[1])
+        if group_mask >> col & 1 and col != expanding_vp
+    ]
+    # Only GRAY (mapped, unexpanded) images prefilter.
+    gray_cols = [
+        np_
+        for np_ in pattern.neighbors(white_vp)
+        if np_ != expanding_vp and group_mask >> np_ & 1 and not black >> np_ & 1
+    ]
+    if probe_pack is not None:
+        row_of, cand, queries, positives = kernels.white_candidates(
+            sub_live, vd,
+            np.array(mapped_cols, dtype=np.int64),
+            np.array(gray_cols, dtype=np.int64),
+            lower, upper, graph, ranks, pattern.degree(white_vp), probe_pack,
+        )
+        edge_index.queries += queries
+        edge_index.positives += positives
+        return row_of, cand
 
-    # Rules 1a + 1b + injectivity as one mask over the live rows.
-    live_mask = np.broadcast_to(
-        degrees[neigh_vd] >= pattern.degree(white_vp), (len(live), deg_vd)
-    ).copy()
-    live_mask &= feasible[:, None]
-    neigh_ranks = ranks[neigh_vd]
-    live_mask &= neigh_ranks[None, :] > lower[:, None]
-    live_mask &= neigh_ranks[None, :] < upper[:, None]
-    k = sub_map.shape[1]
-    for col in range(k):
-        if group_mask >> col & 1:
-            live_mask &= neigh_vd[None, :] != sub_map[live, col][:, None]
-
+    lens = np.where(lower < upper, graph.degrees[vd], 0)
+    ends = np.cumsum(lens)
+    slots = np.repeat(graph.indptr[vd] - (ends - lens), lens)
+    slots += np.arange(len(slots))
+    cand = graph.indices[slots]
+    row_of = np.repeat(np.arange(n_live), lens)
+    # Rules 1a + 1b + injectivity as one mask over the flat list.
+    keep = graph.degrees[cand] >= pattern.degree(white_vp)
+    cand_ranks = ranks[cand]
+    keep &= cand_ranks > lower[row_of]
+    keep &= cand_ranks < upper[row_of]
+    for col in mapped_cols:
+        keep &= cand != sub_live[row_of, col]
+    row_of, cand = row_of[keep], cand[keep]
     # Rule 2: GRAY-image prefilter, one image at a time in pattern-
     # neighbour order, compressing between images (probe-count parity
     # with the scalar loop).
-    for np_ in pattern.neighbors(white_vp):
-        if np_ == expanding_vp:
-            continue
-        if not (group_mask >> np_ & 1) or (black >> np_ & 1):
-            continue  # only GRAY (mapped, unexpanded) images prefilter
-        r_idx, c_idx = np.nonzero(live_mask)
-        if len(r_idx) == 0:
+    for np_ in gray_cols:
+        if len(cand) == 0:
             break
-        res = edge_index.might_contain_pairs(
-            neigh_vd[c_idx], sub_map[live, np_][r_idx]
-        )
-        live_mask[r_idx[~res], c_idx[~res]] = False
-
-    mask[live] = live_mask
-    return mask
-
-
-def _candidate_matrix_native(
-    sub_map: np.ndarray,
-    alive: np.ndarray,
-    white_vp: int,
-    expanding_vp: int,
-    black: int,
-    group_mask: int,
-    neigh_vd: np.ndarray,
-    pattern: PatternGraph,
-    ranks: np.ndarray,
-    degrees: np.ndarray,
-    num_vertices: int,
-    edge_index: EdgeIndexBase,
-    probe_pack: "kernels.ProbePack",
-) -> np.ndarray:
-    """Native twin of :func:`_candidate_matrix`.
-
-    The group-constant classification (rank-bound sources, injectivity
-    columns, GRAY prefilter images, degree rule) is computed here with
-    the same numpy gathers; the per-(row, candidate) decision loop —
-    including the edge probes, which the kernel answers straight from
-    the index's packed data — runs fused in
-    :func:`repro.core.kernels.white_candidates`.  The probe counts the
-    kernel reports are credited to ``edge_index`` so the statistics stay
-    probe-for-probe identical to the numpy path.
-    """
-    m, deg_vd = sub_map.shape[0], len(neigh_vd)
-    mask = np.zeros((m, deg_vd), dtype=bool)
-    live = np.flatnonzero(alive)
-
-    lower = np.full(len(live), -1, dtype=np.int64)
-    upper = np.full(len(live), num_vertices, dtype=np.int64)
-    for below in pattern.must_rank_below(white_vp):
-        if group_mask >> below & 1:
-            np.maximum(lower, ranks[sub_map[live, below]], out=lower)
-    for above in pattern.must_rank_above(white_vp):
-        if group_mask >> above & 1:
-            np.minimum(upper, ranks[sub_map[live, above]], out=upper)
-    if not bool((lower < upper).any()):
-        return mask
-
-    k = sub_map.shape[1]
-    mapped_cols = np.array(
-        [col for col in range(k) if group_mask >> col & 1], dtype=np.int64
-    )
-    gray_cols = np.array(
-        [
-            np_
-            for np_ in pattern.neighbors(white_vp)
-            if np_ != expanding_vp
-            and (group_mask >> np_ & 1)
-            and not (black >> np_ & 1)
-        ],
-        dtype=np.int64,
-    )
-    deg_ok = np.ascontiguousarray(
-        degrees[neigh_vd] >= pattern.degree(white_vp), dtype=np.bool_
-    )
-    neigh_ranks = np.ascontiguousarray(ranks[neigh_vd], dtype=np.int64)
-    live_mask, queries, positives = kernels.white_candidates(
-        sub_map[live],
-        mapped_cols,
-        gray_cols,
-        lower,
-        upper,
-        neigh_vd,
-        neigh_ranks,
-        deg_ok,
-        probe_pack,
-    )
-    edge_index.queries += queries
-    edge_index.positives += positives
-    mask[live] = live_mask
-    return mask
+        res = edge_index.might_contain_pairs(cand, sub_live[row_of, np_])
+        row_of, cand = row_of[res], cand[res]
+    return row_of, cand
 
 
 def _cross_product(
     sub_map: np.ndarray,
-    rows: np.ndarray,
     live: np.ndarray,
-    white_masks: List[Tuple[int, np.ndarray]],
-    neigh_vd: np.ndarray,
+    whites: List[Tuple[int, np.ndarray, np.ndarray]],
+    pattern: PatternGraph,
+    ranks: np.ndarray,
+    edge_index: EdgeIndexBase,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Materialise every candidate combination for the live rows.
+    """Materialise the consistent candidate combinations of the live rows.
 
-    Returns ``(child_mapping, parent_order_keys, combos_attempted)`` with
-    children in ``itertools.product`` order within each parent and
-    parents in delivery order.  The single-WHITE case (the overwhelmingly
-    common one) is a pure ``np.nonzero`` scatter; the multi-WHITE case
-    falls back to a per-row mixed-radix repeat/tile.
+    Returns ``(child_mapping, parent, combos_attempted)`` — ``parent[c]``
+    the group row of child ``c`` — with children in ``itertools.product``
+    order within each parent and parents ascending.  Child ``c`` of a
+    parent is combination number ``c``; its digit for WHITE vertex ``j``
+    (mixed radix, first vertex most significant) picks from the parent's
+    segment of that vertex's flat candidate list.  Combinations grow with
+    the product of the candidate counts, so rows are taken in runs of
+    about :data:`CROSS_BLOCK_COMBOS` attempted combinations (one row at
+    least): the temporaries stay bounded whatever the block expands to.
     """
-    if len(white_masks) == 1:
-        wp, cand_mask = white_masks[0]
-        live_rows = cand_mask[live]
-        r_idx, c_idx = np.nonzero(live_rows)
-        child_map = sub_map[live][r_idx].copy()
-        child_map[:, wp] = neigh_vd[c_idx]
-        return child_map, rows[live][r_idx], len(r_idx)
-
-    chunks: List[np.ndarray] = []
-    orders: List[np.ndarray] = []
-    total = 0
-    for i in live.tolist():
-        lists = [neigh_vd[cand_mask[i]] for _, cand_mask in white_masks]
-        sizes = [len(lst) for lst in lists]
-        n_combos = 1
-        for s in sizes:
-            n_combos *= s
-        total += n_combos
-        idx = np.arange(n_combos)
-        child = np.repeat(sub_map[i][None, :], n_combos, axis=0)
-        stride = n_combos
-        for (wp, _), s, lst in zip(white_masks, sizes, lists):
-            stride //= s
-            child[:, wp] = lst[(idx // stride) % s]
-        chunks.append(child)
-        orders.append(np.full(n_combos, rows[i], dtype=np.int64))
-    return (
-        np.concatenate(chunks, axis=0),
-        np.concatenate(orders),
-        total,
-    )
+    combos = np.ones(len(live), dtype=np.int64)
+    for _, per_row, _ in whites:
+        combos *= per_row[live]
+    begins = np.cumsum(combos) - combos
+    cuts = np.flatnonzero(np.diff(begins // CROSS_BLOCK_COMBOS)) + 1
+    bounds = [0, *cuts.tolist(), len(live)]
+    white_vps = [wp for wp, _, _ in whites]
+    starts = [np.cumsum(per_row) - per_row for _, per_row, _ in whites]
+    maps: List[np.ndarray] = []
+    parents: List[np.ndarray] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = combos[lo:hi]
+        parent = np.repeat(live[lo:hi], run)
+        number = np.arange(len(parent)) - np.repeat(begins[lo:hi] - begins[lo], run)
+        child_map = sub_map[parent]
+        stride = np.repeat(run, run)
+        for (wp, per_row, cand), start in zip(whites, starts):
+            size = per_row[parent]
+            stride //= size
+            child_map[:, wp] = cand[start[parent] + (number // stride) % size]
+        if len(whites) > 1:
+            consistent = _consistent_mask(
+                child_map, white_vps, pattern, ranks, edge_index
+            )
+            child_map, parent = child_map[consistent], parent[consistent]
+        maps.append(child_map)
+        parents.append(parent)
+    return np.concatenate(maps), np.concatenate(parents), int(combos.sum())
 
 
 def _consistent_mask(

@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from ..exceptions import ReproError
+from ..unique import sorted_unique
 
 _MASK64 = (1 << 64) - 1
 _U64 = np.uint64
@@ -105,16 +106,16 @@ class BloomFilter:
         fit uint64 without wrapping and match :meth:`_probes` exactly.
 
         Positions are hashed once per *unique* key and gathered back
-        through the ``np.unique`` inverse: the expansion hot path probes
-        pairwise edge keys whose endpoints repeat heavily (one GRAY image
-        against a whole candidate row), so most batches re-hash the same
-        key many times otherwise.  The gather preserves order and
+        through the :func:`~repro.unique.sorted_unique` inverse: the
+        expansion hot path probes pairwise edge keys whose endpoints
+        repeat heavily (one GRAY image against a whole candidate row), so
+        most batches re-hash the same key many times otherwise.  The gather preserves order and
         duplicates, so the returned matrix — and therefore every add /
         membership answer and probe-count statistic — is identical to
         hashing each key individually.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        unique, inverse = np.unique(keys, return_inverse=True)
+        unique, _, inverse = sorted_unique(keys)
         if len(unique) == len(keys):
             unique, inverse = keys, None
         h1 = _splitmix64_array(unique ^ _U64(self._seed & _MASK64))

@@ -33,6 +33,7 @@ from ..graph.graph import Graph
 from ..graph.ordered import OrderedGraph
 from ..pattern.automorphism import _transitive_closure
 from ..pattern.pattern import PatternGraph
+from ..unique import sorted_unique
 from .cost import CostParameters, DEFAULT_COSTS, expected_f_from_distribution
 
 
@@ -75,7 +76,8 @@ def deterministic_initial_vertex(pattern: PatternGraph) -> Optional[int]:
 # Algorithm 4: the cost-model simulation
 # ----------------------------------------------------------------------
 def _distribution_of(values: np.ndarray) -> Dict[int, float]:
-    uniq, counts = np.unique(values, return_counts=True)
+    uniq, _, inverse = sorted_unique(values)
+    counts = np.bincount(inverse)
     total = counts.sum()
     return {int(v): float(c) / total for v, c in zip(uniq, counts)}
 

@@ -3,9 +3,9 @@
 After the columnar wire plane and the batch-expansion kernel, the
 remaining per-superstep Python cost sits in two loops: the per-signature-
 group work inside :func:`repro.core.batch_expand.expand_columns` (GRAY
-searchsorted verification, the WHITE candidate matrix with its GRAY-image
-prefilter) and the splitmix64 double-hash probe loop behind the bloom
-edge index.  This module provides *fused* single-pass implementations of
+verification by CSR segment search, the flat WHITE candidate list with
+its GRAY-image prefilter) and the splitmix64 double-hash probe loop behind
+the bloom edge index.  This module provides *fused* single-pass implementations of
 both, compiled with numba when it is installed.
 
 Numba is **not** a dependency.  The module degrades in three tiers:
@@ -31,7 +31,7 @@ bloom probe evaluates the same ``(h1 + i*h2) mod m`` positions as
 the fused candidate kernel probes candidate ``c`` of row ``r`` against
 GRAY image ``j`` iff it survived images ``0..j-1`` — exactly the
 short-circuit compression of
-:func:`~repro.core.batch_expand._candidate_matrix` — so edge-index
+:func:`~repro.core.batch_expand._white_candidates` — so edge-index
 ``queries``/``positives`` statistics, instance sets and ledgers are
 bit-identical across kernels (``tests/test_kernels.py`` pins this).
 """
@@ -184,15 +184,26 @@ def _sorted_contains_many(haystack, needles, out):
 
 
 @_jit
+def _segment_contains_many(indptr, indices, vd, needles, out):
+    for i in range(needles.shape[0]):
+        out[i] = _sorted_contains(
+            indices[indptr[vd[i]]:indptr[vd[i] + 1]], needles[i]
+        )
+
+
+@_jit
 def _white_candidates_kernel(
     sub_map,      # int64 (live, k): mappings of the live rows
+    vd,           # int64 (live,): each row's expanding data vertex
     mapped_cols,  # int64 (c,): mapped pattern vertices (injectivity rule)
     gray_cols,    # int64 (g,): GRAY image columns, pattern-neighbour order
     lower,        # int64 (live,): exclusive rank lower bounds
     upper,        # int64 (live,): exclusive rank upper bounds
-    neigh_vd,     # int64 (d,): N(vd), the candidate pool
-    neigh_ranks,  # int64 (d,): ranks[N(vd)]
-    deg_ok,       # bool (d,): degree rule per candidate (group-constant)
+    indptr,       # int64 (n + 1,): CSR slice boundaries
+    indices,      # int64 (2m,): CSR neighbour lists; N(vd) is the pool
+    ranks,        # int64 (n,): degree-order rank per data vertex
+    degrees,      # int64 (n,): degree per data vertex
+    min_degree,   # degree rule: deg(candidate) >= deg(white pattern vertex)
     index_kind,   # 0 = null, 1 = bloom, 2 = exact
     bits,         # uint64 bloom words (empty unless kind 1)
     seed,         # uint64 bloom seed
@@ -200,24 +211,26 @@ def _white_candidates_kernel(
     num_hashes,   # bloom k
     sorted_keys,  # uint64 sorted edge keys (empty unless kind 2)
     n_vertices,   # edge-key base |V|
-    out_mask,     # bool (live, d): result
-    out_stats,    # int64 (2,): probes issued / probes answered positive
+    out_row,      # int64 (sum deg(vd),): row of each survivor, compacted
+    out_cand,     # int64 (sum deg(vd),): the survivor itself
+    out_stats,    # int64 (3,): probes issued / answered positive / survivors
 ):
     n64 = np.uint64(n_vertices)
     queries = 0
     positives = 0
+    kept = 0
     for r in range(sub_map.shape[0]):
         lo = lower[r]
         up = upper[r]
         if lo >= up:
             continue
-        for c in range(neigh_vd.shape[0]):
-            if not deg_ok[c]:
+        for p in range(indptr[vd[r]], indptr[vd[r] + 1]):
+            cand = indices[p]
+            if degrees[cand] < min_degree:
                 continue
-            rank = neigh_ranks[c]
+            rank = ranks[cand]
             if rank <= lo or rank >= up:
                 continue
-            cand = neigh_vd[c]
             ok = True
             for j in range(mapped_cols.shape[0]):
                 if sub_map[r, mapped_cols[j]] == cand:
@@ -244,9 +257,12 @@ def _white_candidates_kernel(
                     ok = False
                     break
             if ok:
-                out_mask[r, c] = True
+                out_row[kept] = r
+                out_cand[kept] = cand
+                kept += 1
     out_stats[0] = queries
     out_stats[1] = positives
+    out_stats[2] = kept
 
 
 # ----------------------------------------------------------------------
@@ -319,48 +335,63 @@ def sorted_contains_many(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarra
     return out
 
 
-def membership_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Jitted twin of :func:`~repro.core.batch_expand._sorted_membership`
-    (GRAY verification against the sorted ``N(vd)``)."""
-    needles = np.ascontiguousarray(needles, dtype=np.int64)
+def membership_sorted(
+    indptr: np.ndarray, indices: np.ndarray, vd: np.ndarray, needles: np.ndarray
+) -> np.ndarray:
+    """Jitted twin of :meth:`Graph.has_edges <repro.graph.graph.Graph.has_edges>`
+    as GRAY verification uses it: ``needles[i] in N(vd[i])``."""
     out = np.zeros(len(needles), dtype=np.bool_)
     if len(needles):
-        _sorted_contains_many(np.ascontiguousarray(haystack, dtype=np.int64), needles, out)
+        _segment_contains_many(
+            np.asarray(indptr),
+            np.asarray(indices),
+            np.ascontiguousarray(vd, dtype=np.int64),
+            np.ascontiguousarray(needles, dtype=np.int64),
+            out,
+        )
     return out
 
 
 def white_candidates(
     sub_map_live: np.ndarray,
+    vd: np.ndarray,
     mapped_cols: np.ndarray,
     gray_cols: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    neigh_vd: np.ndarray,
-    neigh_ranks: np.ndarray,
-    deg_ok: np.ndarray,
+    graph,
+    ranks: np.ndarray,
+    min_degree: int,
     pack: ProbePack,
-) -> Tuple[np.ndarray, int, int]:
-    """Fused WHITE candidate mask over ``live rows x N(vd)``.
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """Fused WHITE candidate list over the live rows of a block.
 
-    Returns ``(mask, queries, positives)`` where the mask equals the
-    live-row block of :func:`~repro.core.batch_expand._candidate_matrix`
-    and the counts equal the probes that path would have charged to the
-    edge index (the caller credits them to the index's counters).
+    Returns ``(row_of, cand, queries, positives)``: the survivors of
+    :func:`~repro.core.batch_expand._white_candidates` in the same order
+    (rows ascending, ``N(vd)`` order within a row) and the probes that
+    path would have charged to the edge index (the caller credits them
+    to the index's counters).
     """
     kind, bits, seed, num_bits, num_hashes, sorted_keys, n_vertices = pack
-    mask = np.zeros((sub_map_live.shape[0], len(neigh_vd)), dtype=np.bool_)
-    stats = np.zeros(2, dtype=np.int64)
-    if mask.size:
+    vd = np.ascontiguousarray(vd, dtype=np.int64)
+    room = int(graph.degrees[vd].sum())
+    row_of = np.empty(room, dtype=np.int64)
+    cand = np.empty(room, dtype=np.int64)
+    stats = np.zeros(3, dtype=np.int64)
+    if room:
         with np.errstate(over="ignore"):
             _white_candidates_kernel(
                 np.ascontiguousarray(sub_map_live, dtype=np.int64),
+                vd,
                 mapped_cols,
                 gray_cols,
                 lower,
                 upper,
-                np.ascontiguousarray(neigh_vd, dtype=np.int64),
-                neigh_ranks,
-                deg_ok,
+                np.asarray(graph.indptr),
+                np.asarray(graph.indices),
+                np.asarray(ranks),
+                np.asarray(graph.degrees),
+                min_degree,
                 kind,
                 bits,
                 seed,
@@ -368,7 +399,9 @@ def white_candidates(
                 num_hashes,
                 sorted_keys,
                 n_vertices,
-                mask,
+                row_of,
+                cand,
                 stats,
             )
-    return mask, int(stats[0]), int(stats[1])
+    kept = int(stats[2])
+    return row_of[:kept], cand[:kept], int(stats[0]), int(stats[1])

@@ -326,25 +326,27 @@ class PSgLProgram(VertexProgram):
 
     # ------------------------------------------------------------------
     def compute_columns(self, ctx: ComputeContext, columns: GpsiColumns) -> None:
-        """Batched twin of the expansion phase: one call per data vertex,
-        consuming the vertex's delivered Gpsis as a packed
-        :class:`~repro.core.psi.GpsiColumns` slice and emitting children
-        through ``ctx.send_columns`` — no per-Gpsi objects anywhere (see
-        :mod:`repro.core.batch_expand`).  Superstep 0 always runs through
-        :meth:`compute`, so this only ever sees expansion supersteps.
+        """Batched twin of the expansion phase: one call per delivered
+        block, consuming rows of several destination vertices in delivery
+        order as packed :class:`~repro.core.psi.GpsiColumns` (each row
+        names its own expanding vertex; ``ctx.vertex`` is not set) and
+        emitting children through ``ctx.send_columns`` — no per-Gpsi
+        objects anywhere (see :mod:`repro.core.batch_expand`).  Superstep
+        0 always runs through :meth:`compute`, so this only ever sees
+        expansion supersteps.
 
         Internally split into the *pure* half (:meth:`expand_task`) and
         the *stateful* half (:meth:`apply_outcome`); the work-stealing
         scheduler runs the two on different workers (see
         :mod:`repro.runtime.stealing`), so any change here must keep the
         composition identical to the split."""
-        self.apply_outcome(ctx, self.expand_task(ctx.vertex, columns))
+        self.apply_outcome(ctx, self.expand_task(columns))
 
     # ------------------------------------------------------------------
     # Task-expansion contract (work-stealing scheduler)
     # ------------------------------------------------------------------
-    #: Stealable tasks are packed column slices expanded by the pure
-    #: half of :meth:`compute_columns`.
+    #: Stealable tasks are row ranges of the packed columns, expanded by
+    #: the pure half of :meth:`compute_columns`.
     supports_task_expansion = True
 
     def task_probe_view(self) -> EdgeIndexBase:
@@ -355,7 +357,6 @@ class PSgLProgram(VertexProgram):
 
     def expand_task(
         self,
-        vertex: int,
         columns: GpsiColumns,
         edge_index: Optional[EdgeIndexBase] = None,
     ) -> BatchOutcome:
@@ -368,7 +369,6 @@ class PSgLProgram(VertexProgram):
         """
         return expand_columns(
             columns,
-            vertex,
             self.pattern,
             self.ordered,
             self.edge_index if edge_index is None else edge_index,

@@ -217,8 +217,8 @@ class GpsiColumns:
         )
 
     def row_slice(self, start: int, stop: int) -> "GpsiColumns":
-        """Contiguous row range as zero-copy views — the per-vertex unit
-        the batch-expansion kernel consumes."""
+        """Contiguous row range as zero-copy views — the unit the
+        runtime cuts a delivered batch into."""
         return GpsiColumns(
             self.mapping[start:stop],
             self.black[start:stop],

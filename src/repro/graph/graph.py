@@ -192,6 +192,35 @@ class Graph:
         i = int(np.searchsorted(adj, v))
         return i < len(adj) and int(adj[i]) == v
 
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`has_edge`: one bool per ``(us[i], vs[i])``.
+
+        A binary search over every pair's CSR segment at once — the
+        shorter adjacency list of the two, as in :meth:`has_edge` — in
+        ``~log2(max degree)`` numpy passes.
+        """
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        n, indices = self._n, self.indices
+        inside = (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
+        if not inside.all():
+            found = np.zeros(len(us), dtype=bool)
+            found[inside] = self.has_edges(us[inside], vs[inside])
+            return found
+        if not len(us) or not len(indices):
+            return np.zeros(len(us), dtype=bool)
+        swap = self.degrees[vs] < self.degrees[us]
+        src, needle = np.where(swap, vs, us), np.where(swap, us, vs)
+        lo, end = self.indptr[src], self.indptr[src + 1]
+        hi, last = end, len(indices) - 1
+        for _ in range(int((end - lo).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            open_ = lo < hi  # then mid < hi <= len(indices)
+            below = open_ & (indices[np.minimum(mid, last)] < needle)
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+        return (lo < end) & (indices[np.minimum(lo, last)] == needle)
+
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every undirected edge once, as ``(us, vs)`` arrays with
         ``us < vs`` elementwise, sorted by ``(u, v)``."""

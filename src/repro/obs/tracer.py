@@ -47,8 +47,9 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
     half of the shuffle's critical path).  On the production plane the
     event adds ``wire_bytes`` and the barrier store's ``chunks`` (chunks
     merged this superstep), ``max_chunk_bytes`` and ``max_send_bytes`` —
-    under pipelined shuffle these pin the in-flight memory bound
-    ``max_chunk_bytes <= max(watermark, max_send_bytes)``.
+    under pipelined shuffle these pin the in-flight memory bound:
+    ``max_chunk_bytes`` stays within the watermark however large
+    ``max_send_bytes`` (the largest whole send, before it was cut) is.
 ``chunk_flush``
     Pipelined shuffle, one per streamed chunk: the sending worker,
     chunk ``seq``, ``rows``/``nbytes``, and ``wall_ms`` as the offset

@@ -70,10 +70,23 @@ from ..obs.tracer import NULL_TRACER
 # One logical worker's superstep input: (vertex, delivered payloads) in
 # delivery order.  Superstep 0 delivers empty payload lists.  On the
 # production plane every later superstep hands over a still-packed
-# ``PackedWorkerBatch`` instead, which the kernel slices per vertex —
+# ``PackedWorkerBatch`` instead, which is cut into row blocks —
 # packed buffers, not per-message objects, are what crosses any process
 # boundary.
 WorkerBatch = List[Tuple[int, List[Any]]]
+
+#: Parent rows per ``compute_columns`` call under the static schedule.
+#: A constant, not a knob: it bounds the flat temporaries of one
+#: expansion, so peak memory does not follow superstep volume, and is
+#: large enough that per-call set-up is noise.
+EXPAND_BLOCK_ROWS = 2048
+
+
+def row_ranges(rows: int, step: int) -> List[Tuple[int, int]]:
+    """``[lo, hi)`` cuts of ``rows`` delivered rows, ``step`` at a time —
+    how both schedules cut a packed batch into compute calls.  Rows carry
+    their own destination vertex, so a cut may fall anywhere."""
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 @dataclass
@@ -195,24 +208,18 @@ def fresh_aggregators(program: VertexProgram) -> Dict[str, Any]:
 def _compute_batch(
     program: VertexProgram, ctx: ComputeContext, batch: WorkerBatch
 ) -> int:
-    """Call the program once per active vertex, in batch order."""
-    compute_calls = 0
+    """Run the program over one worker's batch, in batch order; returns
+    the number of active vertices computed (the Pregel quantity, however
+    many calls a packed batch took)."""
     if isinstance(batch, PackedWorkerBatch):
-        pos = 0
         columns = batch.columns
-        for vertex, count in zip(
-            batch.vertices.tolist(), batch.counts.tolist()
-        ):
-            ctx.vertex = vertex
-            compute_calls += 1
-            program.compute_columns(ctx, columns.row_slice(pos, pos + count))
-            pos += count
+        for lo, hi in row_ranges(len(columns), EXPAND_BLOCK_ROWS):
+            program.compute_columns(ctx, columns.row_slice(lo, hi))
     else:
         for vertex, payloads in batch:
             ctx.vertex = vertex
-            compute_calls += 1
             program.compute(ctx, payloads)
-    return compute_calls
+    return len(batch)
 
 
 def run_worker_batch(
@@ -238,8 +245,8 @@ def run_worker_batch(
 
     On the production plane (``spec.wire == "columnar"``) nothing ever
     leaves packed form: the delivered
-    :class:`~repro.bsp.message.PackedWorkerBatch` is sliced per vertex and
-    handed to ``compute_columns``, and children flow through
+    :class:`~repro.bsp.message.PackedWorkerBatch` is cut into row blocks
+    (:func:`row_ranges`) handed to ``compute_columns``, and children flow through
     ``ctx.send_columns`` into a :class:`~repro.bsp.message.ColumnarOutbox`
     — zero Gpsi constructions end to end, and on the process backend both
     directions cross the pool boundary as a handful of numpy buffers.
@@ -253,9 +260,9 @@ def run_worker_batch(
     residual ``outbox`` with ``chunks_flushed`` recording how many chunks
     already streamed.
 
-    ``drive`` replaces the per-vertex compute loop over ``batch``: it is
-    handed the worker's context and returns the number of compute calls
-    it stands for.  The work-stealing schedule uses it to replay
+    ``drive`` replaces the compute loop over ``batch``: it is handed the
+    worker's context and returns the number of active vertices it stands
+    for.  The work-stealing schedule uses it to replay
     already-expanded outcomes in canonical order — same context, same
     outbox, same accounting as the static path, by construction.
     """
@@ -655,7 +662,7 @@ class SuperstepExecutor:
                     spec,
                     owner,
                     superstep,
-                    tasks,
+                    len(batches[owner]),
                     task_results,
                     self._states[owner],
                     aggregators,

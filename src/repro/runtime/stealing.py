@@ -18,7 +18,7 @@ task-expansion contract (see
 :class:`~repro.bsp.vertex_program.VertexProgram.supports_task_expansion`)
 splits ``compute_columns`` into a *pure* half and a *stateful* half:
 
-* ``expand_task(vertex, columns, edge_index)`` touches only read-only
+* ``expand_task(columns, edge_index)`` touches only read-only
   shared data plus a private-counter index view
   (``task_probe_view()``) — it is location- and order-independent, and
   its :class:`~repro.core.batch_expand.BatchOutcome` is a pure function
@@ -27,8 +27,8 @@ splits ``compute_columns`` into a *pure* half and a *stateful* half:
   distribution RNG, load views, ledger tallies) and therefore runs in
   **canonical order only**: at the barrier, :func:`finalize_owner`
   replays every outcome per owner in worker-id order, tasks in ``seq``
-  order, vertices in delivery order — exactly the order the static
-  schedule would have produced them in.
+  order — rows in delivery order, exactly the order the static schedule
+  would have produced them in.
 
 Because expansion is pure and the replay order is the static order, the
 finalized :class:`~repro.runtime.executor.WorkerStepResult` stream —
@@ -37,10 +37,13 @@ deltas — is bit-identical to the static schedule's, which is what the
 parity tests pin.  Stealing changes *wall-clock placement*, never
 results.
 
-Task granularity is bounded in Gpsi rows (``ExecutionConfig.steal_tasks``) but
-vertex slices never split: one vertex's delivered rows always stay in
-one task, so per-vertex expansion remains one pure call.  A vertex whose
-delivery alone exceeds the bound becomes a single oversized task.
+A task is a row range of the owner's delivered columns, at most
+``ExecutionConfig.steal_tasks`` rows, cut by the same
+:func:`~repro.runtime.executor.row_ranges` the static schedule uses.
+Every row names its own expanding vertex, so a cut may fall inside one
+vertex's delivery: a hub's oversized delivery is shared between thieves
+like any other rows, and a steal moves exactly ``task.rows`` rows of
+expansion work — never owner state.
 """
 
 from __future__ import annotations
@@ -50,23 +53,17 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List
 
-import numpy as np
-
 from ..bsp.message import PackedWorkerBatch
 from ..bsp.vertex_program import ComputeContext
-from .executor import JobSpec, WorkerStepResult, run_worker_batch
+from .executor import JobSpec, WorkerStepResult, row_ranges, run_worker_batch
 
 
 @dataclass
 class StealTask:
-    """One stealable slice of an owner's delivered batch."""
+    """One stealable row range of an owner's delivered batch."""
 
     owner: int
     seq: int
-    #: Data vertices of this slice, in delivery order.
-    vertices: np.ndarray
-    #: Delivered row count per vertex (aligned with ``vertices``).
-    counts: np.ndarray
     #: The packed rows themselves (zero-copy slice of the owner's batch).
     columns: Any
     rows: int
@@ -74,14 +71,14 @@ class StealTask:
 
 @dataclass
 class TaskResult:
-    """A completed task: pure outcomes plus its probe-counter delta —
+    """A completed task: its pure outcome plus its probe-counter delta —
     all that crosses back over a pool boundary (the driver keeps the
     task table)."""
 
     owner: int
     seq: int
-    #: One :class:`~repro.core.batch_expand.BatchOutcome` per vertex.
-    outcomes: List[Any]
+    #: The task's :class:`~repro.core.batch_expand.BatchOutcome`.
+    outcome: Any
     queries: int
     positives: int
     #: Execution lane that ran the task: the OS thread id, which for a
@@ -95,42 +92,13 @@ def split_batch(
     owner: int, batch: PackedWorkerBatch, task_rows: int
 ) -> List[StealTask]:
     """Cut one owner's delivered batch into tasks of ``<= task_rows``
-    rows at vertex boundaries (a vertex's delivery never splits; one
-    oversized vertex becomes one oversized task)."""
-    vertices = batch.vertices
-    counts = batch.counts
-    tasks: List[StealTask] = []
-    start = 0  # first vertex of the open task
-    row0 = 0  # first row of the open task
-    rows = 0  # rows accumulated in the open task
-    pos = 0  # rows consumed overall
-    for i, count in enumerate(counts.tolist()):
-        if rows and rows + count > task_rows:
-            tasks.append(
-                StealTask(
-                    owner=owner,
-                    seq=len(tasks),
-                    vertices=vertices[start:i],
-                    counts=counts[start:i],
-                    columns=batch.columns.row_slice(row0, pos),
-                    rows=rows,
-                )
-            )
-            start, row0, rows = i, pos, 0
-        rows += count
-        pos += count
-    if rows:
-        tasks.append(
-            StealTask(
-                owner=owner,
-                seq=len(tasks),
-                vertices=vertices[start:],
-                counts=counts[start:],
-                columns=batch.columns.row_slice(row0, pos),
-                rows=rows,
-            )
+    rows each, in delivery order."""
+    return [
+        StealTask(owner, seq, batch.columns.row_slice(lo, hi), hi - lo)
+        for seq, (lo, hi) in enumerate(
+            row_ranges(len(batch.columns), task_rows)
         )
-    return tasks
+    ]
 
 
 def expand_steal_task(program: Any, task: StealTask) -> TaskResult:
@@ -143,19 +111,11 @@ def expand_steal_task(program: Any, task: StealTask) -> TaskResult:
     """
     started = perf_counter()
     view = program.task_probe_view()
-    outcomes: List[Any] = []
-    pos = 0
-    for vertex, count in zip(task.vertices.tolist(), task.counts.tolist()):
-        outcomes.append(
-            program.expand_task(
-                vertex, task.columns.row_slice(pos, pos + count), view
-            )
-        )
-        pos += count
+    outcome = program.expand_task(task.columns, view)
     return TaskResult(
         owner=task.owner,
         seq=task.seq,
-        outcomes=outcomes,
+        outcome=outcome,
         queries=view.queries,
         positives=view.positives,
         lane=threading.get_native_id(),
@@ -167,7 +127,7 @@ def finalize_owner(
     spec: JobSpec,
     owner: int,
     superstep: int,
-    tasks: List[StealTask],
+    active_vertices: int,
     results: List[TaskResult],
     worker_state: Dict[str, Any],
     aggregators: Any,
@@ -180,24 +140,20 @@ def finalize_owner(
     ``run_worker_batch`` gives the static path — same outbox, same
     inbound accounting, same cost/send accumulation order — and feeds
     every outcome through ``apply_outcome`` with the *owner's* worker id
-    and state, tasks in ``seq`` order (``tasks`` and ``results`` are
-    aligned and already in it), vertices in delivery order.  Result
-    fields are therefore bit-identical to the static schedule's
-    ``WorkerStepResult`` for this owner; on a replica backend the
-    per-owner ``collect_state_delta`` stream merges at the engine barrier
-    exactly like replica deltas would.
+    and state, in ``seq`` order (``results`` is already in it), which is
+    delivery order.  Result fields are therefore bit-identical to the
+    static schedule's ``WorkerStepResult`` for this owner
+    (``active_vertices`` is its ``compute_calls``); on a replica backend
+    the per-owner ``collect_state_delta`` stream merges at the engine
+    barrier exactly like replica deltas would.
     """
     program = spec.program
 
     def replay(ctx: ComputeContext) -> int:
-        compute_calls = 0
-        for task, result in zip(tasks, results):
+        for result in results:
             program.absorb_task_stats(result.queries, result.positives)
-            for vertex, outcome in zip(task.vertices.tolist(), result.outcomes):
-                ctx.vertex = vertex
-                compute_calls += 1
-                program.apply_outcome(ctx, outcome)
-        return compute_calls
+            program.apply_outcome(ctx, result.outcome)
+        return active_vertices
 
     return run_worker_batch(
         spec,

@@ -9,7 +9,9 @@ counters.  These tests pin that equivalence at the kernel level:
 
 1. the kernel directly, driven superstep by superstep against the scalar
    reference on every paper pattern and every index kind (plus a
-   hypothesis sweep over random graphs);
+   hypothesis sweep over random graphs) — one destination vertex per
+   call, the whole frontier of a superstep in one call, and the frontier
+   cut at arbitrary rows;
 2. the ``useful_grays_for`` memo on :class:`PatternGraph` (it is keyed
    per pattern instance and must never leak across patterns).
 
@@ -38,17 +40,64 @@ def _black_int(words) -> int:
     return sum(int(w) << (32 * i) for i, w in enumerate(words))
 
 
+def scalar_outcomes(gpsis, pattern, ordered, index):
+    """``expand_gpsi`` row by row, concatenated, in comparable form."""
+    out = dict(complete=[], pending=[], cost=0.0, generated=0, by_vp={})
+    for g in gpsis:
+        one = expand_gpsi(g, pattern, ordered, index)
+        out["cost"] += one.cost
+        out["generated"] += one.generated
+        if one.generated:
+            vp = g.next_vertex
+            out["by_vp"][vp] = out["by_vp"].get(vp, 0) + one.generated
+        out["complete"].extend(one.complete)
+        out["pending"].extend(one.pending)
+    return out
+
+
+def batch_outcomes(pieces, pattern, ordered, index):
+    """One ``expand_columns`` call per piece, concatenated likewise
+    (``kernel="auto"``: the compiled kernels on CI's numba leg)."""
+    out = dict(complete=[], pending=[], cost=0.0, generated=0, by_vp={})
+    for gpsis in pieces:
+        b = expand_columns(
+            pack_gpsis(gpsis, k=pattern.num_vertices), pattern, ordered, index,
+            kernel="auto",
+        )
+        out["cost"] += b.cost
+        out["generated"] += b.generated
+        for vp, n in b.generated_by_vp.items():
+            out["by_vp"][vp] = out["by_vp"].get(vp, 0) + n
+        if b.complete is not None:
+            out["complete"].extend(tuple(r) for r in b.complete.tolist())
+        if b.pending is not None:
+            for m, w, grays in zip(
+                b.pending.mapping.tolist(), b.pending.black, b.pending.grays
+            ):
+                child = Gpsi(tuple(m), _black_int(w), -1)
+                assert grays == tuple(child.useful_grays(pattern))
+                out["pending"].append(child)
+    return out
+
+
 def drive_parity(graph, pattern, index_kind, max_supersteps=12):
-    """Run the whole expansion BFS twice — scalar per Gpsi vs. one kernel
-    call per (vertex, delivered slice) — asserting parity at every
-    superstep and returning the total completed-instance count.
+    """Run the whole expansion BFS on the scalar path and on the kernel,
+    asserting parity at every superstep and returning the total
+    completed-instance count.  The kernel runs three ways: one call per
+    destination vertex's delivery; the whole frontier of the superstep —
+    all destination vertices, in shuffled vertex order — in one call;
+    and that frontier cut at arbitrary rows (mid-vertex too), one call
+    per piece.
 
     Routing is deterministic (first useful GRAY) so the drive needs no
     RNG; each path probes its own index copy so probe counters compare.
     """
     ordered = OrderedGraph(graph)
-    idx_scalar = build_edge_index(graph, kind=index_kind, fp_rate=0.01, seed=7)
-    idx_batch = build_edge_index(graph, kind=index_kind, fp_rate=0.01, seed=7)
+    scalar, per_vertex, whole, cut = (
+        build_edge_index(graph, kind=index_kind, fp_rate=0.01, seed=7)
+        for _ in range(4)
+    )
+    rng = np.random.default_rng(graph.num_edges)
     init_vp = select_initial_vertex(pattern, graph)
     frontier = [
         (vd, Gpsi.initial(pattern, init_vp, vd))
@@ -62,46 +111,39 @@ def drive_parity(graph, pattern, index_kind, max_supersteps=12):
         by_dest = {}
         for vd, g in frontier:
             by_dest.setdefault(vd, []).append(g)
+        deliveries = list(by_dest.values())
+        rows = [g for gpsis in deliveries for g in gpsis]
+
+        expected = scalar_outcomes(rows, pattern, ordered, scalar)
+        assert batch_outcomes(deliveries, pattern, ordered, per_vertex) == expected
+        assert (per_vertex.queries, per_vertex.positives) == (
+            scalar.queries, scalar.positives
+        )
+
+        shuffled = [
+            g for i in rng.permutation(len(deliveries)) for g in deliveries[i]
+        ]
+        expected_shuffled = scalar_outcomes(
+            shuffled, pattern, ordered, scalar.detached_view()
+        )
+        assert batch_outcomes([shuffled], pattern, ordered, whole) == expected_shuffled
+        cuts = sorted(rng.integers(0, len(rows) + 1, size=3).tolist())
+        pieces = [
+            shuffled[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(rows)])
+        ]
+        assert batch_outcomes(pieces, pattern, ordered, cut) == expected_shuffled
+        for index in (whole, cut):
+            assert (index.queries, index.positives) == (
+                scalar.queries, scalar.positives
+            )
+
+        total_complete += len(expected["complete"])
         frontier = []
-        for vd, gpsis in by_dest.items():
-            s_complete, s_pending, s_cost, s_generated = [], [], 0.0, 0
-            for g in gpsis:
-                out = expand_gpsi(g, pattern, ordered, idx_scalar)
-                s_cost += out.cost
-                s_generated += out.generated
-                s_complete.extend(out.complete)
-                s_pending.extend(out.pending)
-
-            b = expand_columns(
-                pack_gpsis(gpsis), vd, pattern, ordered, idx_batch
-            )
-
-            got_complete = (
-                [] if b.complete is None
-                else [tuple(r) for r in b.complete.tolist()]
-            )
-            assert got_complete == s_complete
-            assert b.cost == s_cost
-            assert b.generated == s_generated
-            if b.pending is None:
-                assert not s_pending
-            else:
-                assert len(b.pending) == len(s_pending)
-                for i, child in enumerate(s_pending):
-                    assert tuple(b.pending.mapping[i].tolist()) == child.mapping
-                    assert _black_int(b.pending.black[i]) == child.black
-                    assert b.pending.grays[i] == tuple(
-                        child.useful_grays(pattern)
-                    )
-            assert idx_batch.queries == idx_scalar.queries
-            assert idx_batch.positives == idx_scalar.positives
-
-            total_complete += len(s_complete)
-            for child in s_pending:
-                grays = child.useful_grays(pattern)
-                if grays:
-                    nxt = grays[0]
-                    frontier.append((child.mapping[nxt], child.with_next(nxt)))
+        for child in expected["pending"]:
+            grays = child.useful_grays(pattern)
+            if grays:
+                nxt = grays[0]
+                frontier.append((child.mapping[nxt], child.with_next(nxt)))
     assert not frontier, "expansion did not terminate"
     return total_complete
 
@@ -120,13 +162,21 @@ class TestKernelParity:
         pattern = paper_patterns()[pattern_name]
         drive_parity(GRAPHS["powerlaw"], pattern, "bloom")
 
+    @pytest.mark.parametrize("pattern_name", ["PG2", "PG4"])
+    def test_cross_product_runs_do_not_change_the_outcome(
+        self, monkeypatch, pattern_name
+    ):
+        # Tiny runs: every cross product is cut between (never inside) rows.
+        from repro.core import batch_expand
+
+        monkeypatch.setattr(batch_expand, "CROSS_BLOCK_COMBOS", 5)
+        drive_parity(GRAPHS["powerlaw"], paper_patterns()[pattern_name], "bloom")
+
     def test_empty_slice_is_noop(self):
         graph = GRAPHS["er"]
         pattern = paper_patterns()["PG1"]
         idx = build_edge_index(graph, kind="exact")
-        out = expand_columns(
-            pack_gpsis([], k=3), 0, pattern, OrderedGraph(graph), idx
-        )
+        out = expand_columns(pack_gpsis([], k=3), pattern, OrderedGraph(graph), idx)
         assert out.complete is None and out.pending is None
         assert out.cost == 0.0 and out.generated == 0
 
@@ -137,7 +187,58 @@ class TestKernelParity:
         cols = pack_gpsis([Gpsi.initial(pattern, 0, 5)])
         cols.next_vertex[0] = 0xFF
         with pytest.raises(ValueError, match="no next vertex"):
-            expand_columns(cols, 5, pattern, OrderedGraph(graph), idx)
+            expand_columns(cols, pattern, OrderedGraph(graph), idx)
+
+
+class TestDispatchShape:
+    """The production plane probes and routes per delivered block, not
+    per data vertex: the two entry points the harness times are called
+    O(workers x supersteps x blocks) times, whatever ``num_vertices``."""
+
+    WORKERS = 4
+
+    def entry_point_calls(self, monkeypatch, graph):
+        from repro.core import PSgL
+        from repro.core.distribution import WorkloadAwareStrategy
+        from repro.core.edge_index import BloomEdgeIndex
+
+        calls = {"choose_many": 0, "might_contain_pairs": 0}
+
+        def counted(cls, name):
+            real = getattr(cls, name)
+
+            def proxy(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+
+            monkeypatch.setattr(cls, name, proxy)
+
+        with monkeypatch.context() as monkeypatch:
+            counted(WorkloadAwareStrategy, "choose_many")
+            counted(BloomEdgeIndex, "might_contain_pairs")
+            result = PSgL(graph, num_workers=self.WORKERS).run(
+                paper_patterns()["PG1"]
+            )
+        assert result.wire == "columnar" and result.count > 0
+        return calls, result
+
+    def test_calls_do_not_grow_with_the_graph(self, monkeypatch):
+        from repro.graph.generators import rmat
+        from repro.runtime.executor import EXPAND_BLOCK_ROWS
+
+        small, small_run = self.entry_point_calls(monkeypatch, rmat(7, seed=3))
+        large, large_run = self.entry_point_calls(monkeypatch, rmat(9, seed=3))
+        assert large_run.total_gpsis > 4 * small_run.total_gpsis
+        # Small enough that a worker's delivery is one block in both runs.
+        assert large_run.total_gpsis < self.WORKERS * EXPAND_BLOCK_ROWS
+        assert large == small
+        # PG1: one routing call per (worker, expanding superstep with
+        # pending children) and one probe call — the (v2, v3) cross
+        # check — per block; the parent made one of each per data vertex.
+        assert large == {
+            "choose_many": self.WORKERS,
+            "might_contain_pairs": self.WORKERS,
+        }
 
 
 @st.composite

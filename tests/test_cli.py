@@ -1,12 +1,44 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.graph import complete_graph, write_edge_list
+from repro.graph.generators import erdos_renyi
 
 
 class TestCount:
+    def test_cold_count_never_imports_numpy_ma(self, tmp_path):
+        """``np.unique`` imports ``numpy.ma`` lazily (~20 ms): no grouping
+        on the count path may go through it."""
+        path = tmp_path / "er.txt"
+        write_edge_list(erdos_renyi(40, 0.3, seed=2), path)
+        script = (
+            "import runpy, sys\n"
+            f"sys.argv = ['psgl', 'count', '--pattern', 'PG1', '--edge-list', {str(path)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as done:\n"
+            "    assert not done.code, done.code\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "instances" in done.stdout
+
     def test_count_on_edge_list(self, tmp_path, capsys):
         path = tmp_path / "k5.txt"
         write_edge_list(complete_graph(5), path)

@@ -284,6 +284,23 @@ def test_every_construction_is_the_same_graph(edges, tmp_path):
                     assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in expected_edges)
 
 
+def test_has_edges_matches_scalar_has_edge(tmp_path):
+    # A hub, a tail, isolated vertices (7, 9) and ids outside the graph.
+    graph = Graph(
+        10, [(0, v) for v in range(1, 7)] + [(1, 2), (2, 3), (5, 6), (6, 8)]
+    )
+    ids = np.arange(-2, 13)
+    us, vs = (a.ravel() for a in np.meshgrid(ids, ids))
+    expected = [graph.has_edge(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+    assert sum(expected) == 2 * graph.num_edges
+    with _every_kind(graph, tmp_path) as kinds:
+        for name, g in kinds.items():
+            found = g.has_edges(us, vs)
+            assert found.dtype == bool and found.tolist() == expected, name
+            assert g.has_edges([], []).tolist() == [], name
+    assert Graph(3, []).has_edges([0, 1], [1, 2]).tolist() == [False, False]
+
+
 def test_from_csr_wraps_the_callers_buffers(tmp_path):
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)

@@ -123,11 +123,15 @@ class TestProbeParity:
         np.testing.assert_array_equal(got, expected)
 
     def test_membership_sorted(self):
-        haystack = np.array([1, 4, 9, 16, 25], dtype=np.int64)
-        needles = np.array([0, 1, 5, 16, 26, 25], dtype=np.int64)
+        # Two CSR segments, [1, 4, 9] and [16, 25]; needle i is looked
+        # up in segment vd[i] only.
+        indptr = np.array([0, 3, 5, 5], dtype=np.int64)
+        indices = np.array([1, 4, 9, 16, 25], dtype=np.int64)
+        vd = np.array([0, 0, 0, 1, 1, 0, 2], dtype=np.int64)
+        needles = np.array([0, 1, 5, 16, 26, 25, 1], dtype=np.int64)
         np.testing.assert_array_equal(
-            kernels.membership_sorted(haystack, needles),
-            np.isin(needles, haystack),
+            kernels.membership_sorted(indptr, indices, vd, needles),
+            [False, True, False, True, False, False, False],
         )
 
     def test_empty_inputs(self):

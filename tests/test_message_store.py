@@ -109,17 +109,44 @@ class TestColumnarOutboxWatermarks:
         assert len(residual) == 2
         assert outbox.flushed_bytes == sum(b.nbytes for b in flushed)
 
-    def test_oversized_send_flushes_alone(self):
-        """A single send larger than the watermark must not be split; it
-        flushes alone and the pending rows before it flush first — so
-        every chunk is ≤ max(watermark, one send)."""
+    def test_oversized_send_is_cut_at_the_watermark(self):
+        """A single send larger than the watermark (one send is a whole
+        block's children) leaves in watermark-sized chunks: the pending
+        rows before it flush first, its tail stays pending — so every
+        chunk is ≤ the watermark."""
         flushed = []
         outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=4)
         outbox.append(*self.pack(2))
-        outbox.append(*self.pack(7, base=100))  # overflows: 2 flush, then 7
-        assert [len(b) for b in flushed] == [2, 7]
-        assert len(outbox) == 0
-        assert outbox.max_append_bytes == flushed[1].nbytes
+        dest, cols = self.pack(7, base=100)
+        outbox.append(dest, cols)  # overflows: 2 flush, then 4, 3 pending
+        assert [len(b) for b in flushed] == [2, 4]
+        assert len(outbox) == 3
+        assert outbox.max_append_bytes == dest.nbytes + cols.nbytes
+        sent = np.concatenate([b.dest for b in flushed] + [outbox.to_batch().dest])
+        assert sent.tolist() == [0, 1] + list(range(100, 107))
+
+    def test_one_large_append_flushes_watermark_chunks_in_order(self):
+        flushed = []
+        outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=4)
+        outbox.append(*self.pack(10))
+        assert [b.dest.tolist() for b in flushed] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        residual = outbox.to_batch()
+        assert residual.dest.tolist() == [8, 9]
+        parts = flushed + [residual]
+        whole = self.pack(10)[1]
+        assert np.array_equal(
+            np.concatenate([p.columns.mapping for p in parts]), whole.mapping
+        )
+        assert outbox.flushed_bytes == sum(b.nbytes for b in flushed)
+
+    def test_byte_watermark_cuts_an_oversized_send(self):
+        flushed = []
+        dest, cols = self.pack(7)
+        row_bytes = (dest.nbytes + cols.nbytes) // 7
+        outbox = ColumnarOutbox(flush=flushed.append, chunk_bytes=3 * row_bytes + 1)
+        outbox.append(dest, cols)
+        assert [len(b) for b in flushed] == [3, 3]
+        assert len(outbox) == 1
 
     def test_byte_watermark(self):
         flushed = []

@@ -208,10 +208,12 @@ class TestFaults:
         expected = reference()  # computed before anything is patched
         real_expand = PSgLProgram.expand_task
 
-        def exploding(self, vertex, columns, edge_index=None):
-            if vertex % 5 == 0:
+        def exploding(self, columns, edge_index=None):
+            # Victims are picked from the rows' own destination vertices.
+            dest = columns.mapping[range(columns.n), columns.next_vertex]
+            if (dest % 5 == 0).any():
                 raise ValueError("injected mid-superstep failure")
-            return real_expand(self, vertex, columns, edge_index)
+            return real_expand(self, columns, edge_index)
 
         # Patched before the pool forks, so children inherit it.
         monkeypatch.setattr(PSgLProgram, "expand_task", exploding)

@@ -78,15 +78,16 @@ class TestParity:
 # ----------------------------------------------------------------------
 class TestForcedStraggler:
     def test_straggler_tasks_get_stolen_bit_identically(self, monkeypatch):
-        # Sleep-inject the pure half for one slice of the data vertices:
-        # whichever owner holds them becomes the straggler, and idle
-        # lanes (sleeps release the GIL) must steal its remaining tasks.
+        # Sleep-inject the pure half for one slice of the data vertices
+        # (the rows' own destinations): whichever owner holds them
+        # becomes the straggler, and idle lanes (sleeps release the GIL)
+        # must steal its remaining tasks.
         real_expand = PSgLProgram.expand_task
 
-        def slow_expand(self, vertex, columns, edge_index=None):
-            if vertex % 4 == 0:
-                time.sleep(0.002)
-            return real_expand(self, vertex, columns, edge_index)
+        def slow_expand(self, columns, edge_index=None):
+            dest = columns.mapping[np.arange(columns.n), columns.next_vertex]
+            time.sleep(0.002 * np.count_nonzero(dest % 4 == 0))
+            return real_expand(self, columns, edge_index)
 
         monkeypatch.setattr(PSgLProgram, "expand_task", slow_expand)
         tracer = Tracer()
@@ -178,21 +179,23 @@ def make_batch(vertices, counts, width=3):
 
 
 class TestSplitBatch:
-    def test_cuts_at_vertex_boundaries(self):
+    def test_cuts_at_row_ranges(self):
+        # Vertex boundaries (3, 6, 9) are not where the cuts fall.
         batch = make_batch([10, 11, 12, 13], [3, 3, 3, 3])
-        tasks = split_batch(7, batch, task_rows=6)
-        assert [t.seq for t in tasks] == [0, 1]
+        tasks = split_batch(7, batch, task_rows=5)
+        assert [t.seq for t in tasks] == [0, 1, 2]
         assert all(t.owner == 7 for t in tasks)
-        assert [t.rows for t in tasks] == [6, 6]
-        assert [list(t.vertices) for t in tasks] == [[10, 11], [12, 13]]
+        assert [t.rows for t in tasks] == [5, 5, 2]
         # Row slices tile the batch contiguously.
-        assert [(t.columns.lo, t.columns.hi) for t in tasks] == [(0, 6), (6, 12)]
+        assert [(t.columns.lo, t.columns.hi) for t in tasks] == [
+            (0, 5), (5, 10), (10, 12),
+        ]
 
-    def test_oversized_vertex_is_one_task(self):
+    def test_oversized_vertex_splits_across_tasks(self):
         batch = make_batch([1, 2, 3], [2, 50, 2])
         tasks = split_batch(0, batch, task_rows=8)
-        assert [list(t.vertices) for t in tasks] == [[1], [2], [3]]
-        assert [t.rows for t in tasks] == [2, 50, 2]
+        assert [t.rows for t in tasks] == [8] * 6 + [6]
+        assert tasks[0].columns.lo == 0 and tasks[-1].columns.hi == 54
 
     def test_single_task_when_under_budget(self):
         batch = make_batch([4, 5], [2, 2])
