@@ -39,6 +39,7 @@ from .bench.datasets import dataset_summary, load_dataset
 from .bench.runner import EXPERIMENT_IDS, run_all
 from .bench.tables import format_table
 from .bsp.config import ExecutionConfig
+from .core.distribution import make_strategy
 from .core.listing import PSgL, check_num_workers
 from .exceptions import (
     BudgetExceededError,
@@ -283,6 +284,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         {spec.name: getattr(args, spec.name) for spec in _count_execution_fields()}
     )
     check_num_workers(args.workers)
+    strategy = make_strategy(args.strategy)
     if args.pattern:
         pattern = get_pattern(args.pattern)
     else:
@@ -292,7 +294,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     psgl = PSgL(
         graph,
         num_workers=args.workers,
-        strategy=args.strategy,
+        strategy=strategy,
         edge_index="none" if args.no_index else "bloom",
         seed=args.seed,
         config=config,

@@ -57,17 +57,18 @@ from .psi import GpsiColumns, PACKED_UNSET_NEXT, UNMAPPED
 class PendingChildren:
     """Incomplete children of one batch expansion, still in columns.
 
-    ``grays``/``white_counts`` are per-child tuples shared across each
-    signature group (the same tuple object, not copies): ``grays[i]`` are
-    the useful GRAY vertices of child ``i`` and ``white_counts[i][j]`` the
-    number of WHITE pattern neighbours of ``grays[i][j]`` — everything a
-    distribution strategy's ``choose_many`` needs.
+    ``groups`` is the group table — one ``(grays, white_counts)`` pair per
+    signature group that produced children, a handful per block — and
+    ``group_of[i]`` child ``i``'s row in it: ``grays`` are the child's
+    useful GRAY vertices and ``white_counts[j]`` the number of WHITE
+    pattern neighbours of ``grays[j]`` — everything a distribution
+    strategy's ``choose_many`` needs.
     """
 
     mapping: np.ndarray
     black: np.ndarray
-    grays: List[Tuple[int, ...]]
-    white_counts: List[Tuple[int, ...]]
+    group_of: np.ndarray
+    groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
 
     @property
     def n(self) -> int:
@@ -193,7 +194,7 @@ def expand_columns(
     pending_chunks: List[np.ndarray] = []
     pending_black: List[np.ndarray] = []
     pending_order: List[np.ndarray] = []
-    pending_meta: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
+    pending_groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
 
     words = columns.black.shape[1]
     ranks = ordered.ranks
@@ -295,7 +296,7 @@ def expand_columns(
                 )
                 for gvp in grays
             )
-            pending_meta.append((n_children, grays, white_counts))
+            pending_groups.append((grays, white_counts))
 
     if complete_chunks:
         order = np.concatenate(complete_order)
@@ -304,16 +305,12 @@ def expand_columns(
     if pending_chunks:
         order = np.concatenate(pending_order)
         perm = np.argsort(order, kind="stable")
-        grays_flat: List[Tuple[int, ...]] = []
-        whites_flat: List[Tuple[int, ...]] = []
-        for count, grays, white_counts in pending_meta:
-            grays_flat.extend([grays] * count)
-            whites_flat.extend([white_counts] * count)
+        counts = [len(chunk) for chunk in pending_chunks]
         outcome.pending = PendingChildren(
             mapping=np.concatenate(pending_chunks, axis=0)[perm],
             black=np.concatenate(pending_black, axis=0)[perm],
-            grays=[grays_flat[i] for i in perm],
-            white_counts=[whites_flat[i] for i in perm],
+            group_of=np.repeat(np.arange(len(counts)), counts)[perm],
+            groups=pending_groups,
         )
     return outcome
 

@@ -25,7 +25,7 @@ Each strategy only sees GRAY vertices whose expansion makes progress
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -35,6 +35,15 @@ from ..graph.partition import Partition
 from ..pattern.pattern import PatternGraph
 from .cost import estimate_f
 from .psi import Gpsi
+
+
+def _padded(rows: List[Tuple[int, ...]], fill: int) -> np.ndarray:
+    """Ragged ``rows`` as one ``int64`` matrix, ``fill`` past each row's end."""
+    width = max(map(len, rows), default=0)
+    matrix = np.full((len(rows), width), fill, dtype=np.int64)
+    for out, row in zip(matrix, rows):
+        out[: len(row)] = row
+    return matrix
 
 
 def _num_white_neighbors(gpsi: Gpsi, pattern: PatternGraph, vp: int) -> int:
@@ -66,38 +75,46 @@ class DistributionStrategy:
     def choose_many(
         self,
         mapping: np.ndarray,
-        grays: List[tuple],
-        white_counts: List[tuple],
+        group_of: np.ndarray,
+        groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
         graph: Graph,
         partition: Partition,
         worker_state: Dict[str, Any],
     ) -> np.ndarray:
         """Vectorised :meth:`choose` over a batch of children.
 
-        ``mapping`` is the children's ``(n, k)`` data-vertex matrix,
-        ``grays[i]`` child ``i``'s useful GRAY vertices, and
-        ``white_counts[i][j]`` the number of WHITE pattern neighbours of
-        ``grays[i][j]`` (what the workload-aware estimator needs).
+        ``mapping`` is the children's ``(n, k)`` data-vertex matrix.
+        Children of one signature group share their candidates, so those
+        arrive once per group, not once per child: ``groups`` is the
+        block's group table — one ``(grays, white_counts)`` pair per
+        group, a handful per block, ``grays`` the group's useful GRAY
+        vertices and ``white_counts[j]`` the number of WHITE pattern
+        neighbours of ``grays[j]`` (what the workload-aware estimator
+        needs) — and ``group_of[i]`` is child ``i``'s row in it.
         Returns one chosen GRAY vertex per child, as ``int64``.
 
         Every strategy's batched form consumes the worker RNG / load view
         in exactly the per-child order the scalar loop would, so a
         columnar run reproduces the object path's routing bit for bit.
-        Custom strategies override this to run on the production plane;
-        a strategy that leaves it alone is detected by the driver, which
-        runs the job on the reference plane (scalar :meth:`choose`) and
-        reports that in ``ListingResult.wire``.
+        Custom strategies override this — with these six positional
+        parameters; the engine passes no keywords — to run on the
+        production plane; a strategy that leaves it alone is detected by
+        the driver, which runs the job on the reference plane (scalar
+        :meth:`choose`) and reports that in ``ListingResult.wire``.
         """
         raise NotImplementedError(
             f"{self.name}: choose_many is not implemented; the strategy "
             "can only route children one at a time (reference plane)"
         )
 
-    def _require_gray_batches(self, grays: List[tuple]) -> None:
-        """Batched form of :meth:`_require_candidates`."""
-        for g in grays:
-            if not g:
-                self._require_candidates([])
+    def _candidate_table(self, groups) -> Tuple[np.ndarray, np.ndarray]:
+        """The group table's candidates as ``(vps, lens)``: ``vps[g]`` is
+        group ``g``'s GRAY vertices, zero-padded past ``lens[g]``.  An
+        empty group fails like :meth:`_require_candidates`."""
+        for grays, _ in groups:
+            self._require_candidates(grays)
+        lens = np.array([len(grays) for grays, _ in groups], dtype=np.int64)
+        return _padded([grays for grays, _ in groups], 0), lens
 
     # ------------------------------------------------------------------
     def _require_candidates(self, candidates: List[int]) -> None:
@@ -139,26 +156,18 @@ class RandomStrategy(DistributionStrategy):
         rng = self._rng(worker_state)
         return candidates[int(rng.integers(len(candidates)))]
 
-    def choose_many(self, mapping, grays, white_counts, graph, partition, worker_state):
-        self._require_gray_batches(grays)
-        n = len(grays)
-        lens = np.fromiter((len(g) for g in grays), dtype=np.int64, count=n)
-        chosen = np.fromiter(
-            (g[0] for g in grays), dtype=np.int64, count=n
-        )
-        multi = np.flatnonzero(lens > 1)
+    def choose_many(self, mapping, group_of, groups, graph, partition, worker_state):
+        group_vps, lens = self._candidate_table(groups)
+        chosen = group_vps[group_of, 0]
+        multi = np.flatnonzero(lens[group_of] > 1)
         if len(multi):
             # One bulk draw over the multi-candidate children in child
             # order: Generator.integers with an array of highs consumes
             # the stream exactly like the equivalent sequence of scalar
             # draws (single-candidate children skip the RNG, as above).
-            rng = self._rng(worker_state)
-            draws = rng.integers(lens[multi])
-            chosen[multi] = np.fromiter(
-                (grays[i][d] for i, d in zip(multi.tolist(), draws.tolist())),
-                dtype=np.int64,
-                count=len(multi),
-            )
+            rows = group_of[multi]
+            draws = self._rng(worker_state).integers(lens[rows])
+            chosen[multi] = group_vps[rows, draws]
         return chosen
 
 
@@ -182,26 +191,21 @@ class RouletteStrategy(DistributionStrategy):
             randnum -= weight
         return candidates[-1]
 
-    def choose_many(self, mapping, grays, white_counts, graph, partition, worker_state):
-        self._require_gray_batches(grays)
-        n = len(grays)
-        lens = np.fromiter((len(g) for g in grays), dtype=np.int64, count=n)
-        chosen = np.fromiter((g[0] for g in grays), dtype=np.int64, count=n)
-        multi = np.flatnonzero(lens > 1)
+    def choose_many(self, mapping, group_of, groups, graph, partition, worker_state):
+        group_vps, lens = self._candidate_table(groups)
+        chosen = group_vps[group_of, 0]
+        multi = np.flatnonzero(lens[group_of] > 1)
         m = len(multi)
         if m == 0:
             return chosen
-        width = int(lens[multi].max())
         # Ragged candidate/weight matrices, padded past each child's
         # length; weights replicate the scalar loop's exact arithmetic
         # (IEEE division, left-to-right total, sequential subtraction) so
         # the selected wheel slot is bit-identical per child.
-        vps = np.zeros((m, width), dtype=np.int64)
-        valid = np.zeros((m, width), dtype=bool)
-        for r, i in enumerate(multi.tolist()):
-            g = grays[i]
-            vps[r, : len(g)] = g
-            valid[r, : len(g)] = True
+        rows = group_of[multi]
+        vps = group_vps[rows]
+        width = vps.shape[1]
+        valid = np.arange(width) < lens[rows, None]
         images = mapping[multi[:, None], vps]
         weights = 1.0 / np.maximum(graph.degrees[images], 1)
         total = np.zeros(m)
@@ -218,7 +222,7 @@ class RouletteStrategy(DistributionStrategy):
                 undecided & ~hit, remaining - weights[:, pos], remaining
             )
         fallback = pick < 0  # numerical leftovers take the last slot
-        pick[fallback] = lens[multi[fallback]] - 1
+        pick[fallback] = lens[rows[fallback]] - 1
         chosen[multi] = vps[np.arange(m), pick]
         return chosen
 
@@ -233,7 +237,7 @@ class WorkloadAwareStrategy(DistributionStrategy):
     """
 
     def __init__(self, alpha: float = 0.5):
-        if alpha < 0.0 or alpha > 1.0:
+        if not 0.0 <= alpha <= 1.0:  # also refuses nan
             raise DistributionError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
         self.name = f"workload-aware({alpha})"
@@ -264,53 +268,58 @@ class WorkloadAwareStrategy(DistributionStrategy):
         load_view[best_worker] += best_increase
         return best_vp
 
-    def choose_many(self, mapping, grays, white_counts, graph, partition, worker_state):
-        self._require_gray_batches(grays)
+    def choose_many(self, mapping, group_of, groups, graph, partition, worker_state):
+        group_vps, _ = self._candidate_table(groups)
         load_view = worker_state.get("dist_load_view")
         if load_view is None:
             load_view = [0.0] * partition.num_workers
             worker_state["dist_load_view"] = load_view
-        n = len(grays)
+        n, width = len(group_of), group_vps.shape[1]
+        # Owner targets and image degrees of every candidate slot come
+        # from one gather through the group table.  C(deg, w) is a table,
+        # one row per white count over the degrees the call sees; padded
+        # slots read a last row of inf, which can never win the strict
+        # ``<`` below.
+        images = mapping[np.arange(n)[:, None], group_vps[group_of]]
+        targets = partition.owner_array[images]
+        image_degrees = graph.degrees[images]
+        white_values = {w for _, whites in groups for w in whites}
+        inf_row = max(white_values) + 1
+        group_whites = _padded([whites for _, whites in groups], inf_row)
+        seen_degrees = np.flatnonzero(np.bincount(image_degrees.ravel()))
+        estimates = np.full((inf_row + 1, seen_degrees[-1] + 1), np.inf)
+        for whites in white_values:
+            estimates[whites, seen_degrees] = [
+                estimate_f(degree, whites) for degree in seen_degrees.tolist()
+            ]
+        increases = estimates[group_whites[group_of], image_degrees]
         # The load view is sequentially dependent — child i's argmin sees
         # the updates of children 0..i-1 — so the argmin itself stays a
-        # Python loop over pure floats (bit-identical to the scalar path).
-        # Everything else is hoisted out: owner targets come from one
-        # vectorised gather, and the C(deg, w) estimates are memoised per
-        # distinct (degree, white-count) pair, of which a superstep sees a
-        # handful across millions of children.
-        width = max((len(g) for g in grays), default=0)
-        vps = np.zeros((n, width), dtype=np.int64)
-        for i, g in enumerate(grays):
-            vps[i, : len(g)] = g
-        images = mapping[np.arange(n)[:, None], vps]
-        targets = partition.owner_array[images].tolist()
-        image_degrees = graph.degrees[images].tolist()
-        estimate_cache: Dict[tuple, float] = {}
+        # Python loop over pure floats (bit-identical to the scalar path:
+        # same additions in the same order, first minimum wins) over one
+        # flat list per candidate slot.  Slot 0 is always a real candidate
+        # and seeds the minimum; ``W_j ** alpha`` is kept per worker and
+        # refreshed only for the worker that just took an increase.
         alpha = self.alpha
-        chosen = np.empty(n, dtype=np.int64)
-        for i, g in enumerate(grays):
-            row_targets = targets[i]
-            row_degrees = image_degrees[i]
-            row_whites = white_counts[i]
-            best_vp = -1
-            best_worker = -1
-            best_score = float("inf")
-            best_increase = 0.0
-            for j, vp in enumerate(g):
-                key = (row_degrees[j], row_whites[j])
-                increase = estimate_cache.get(key)
-                if increase is None:
-                    increase = estimate_f(key[0], key[1])
-                    estimate_cache[key] = increase
-                score = load_view[row_targets[j]] ** alpha + increase
+        powers = [load ** alpha for load in load_view]
+        target_slots = targets.T.tolist()
+        increase_slots = increases.T.tolist()
+        later_slots = range(1, width)
+        picks = [0] * n
+        for i, (worker, increase) in enumerate(
+            zip(target_slots[0], increase_slots[0])
+        ):
+            best_score = powers[worker] + increase
+            for slot in later_slots:
+                score = powers[target_slots[slot][i]] + increase_slots[slot][i]
                 if score < best_score:
                     best_score = score
-                    best_vp = vp
-                    best_worker = row_targets[j]
-                    best_increase = increase
-            load_view[best_worker] += best_increase
-            chosen[i] = best_vp
-        return chosen
+                    picks[i] = slot
+                    worker = target_slots[slot][i]
+                    increase = increase_slots[slot][i]
+            load_view[worker] += increase
+            powers[worker] = load_view[worker] ** alpha
+        return group_vps[group_of, picks]
 
 
 def make_strategy(name: str, alpha: float = 0.5) -> DistributionStrategy:
@@ -319,6 +328,10 @@ def make_strategy(name: str, alpha: float = 0.5) -> DistributionStrategy:
     ``"random"``, ``"roulette"``, ``"workload-aware"`` (uses ``alpha``),
     and the paper's shorthands ``"WA,0"``, ``"WA,0.5"``, ``"WA,1"``.
     """
+    if not isinstance(name, str):
+        raise DistributionError(
+            f"distribution strategy must be a name, got {name!r}"
+        )
     lowered = name.lower()
     if lowered == "random":
         return RandomStrategy()
@@ -327,5 +340,11 @@ def make_strategy(name: str, alpha: float = 0.5) -> DistributionStrategy:
     if lowered in ("workload-aware", "wa"):
         return WorkloadAwareStrategy(alpha)
     if lowered.startswith("wa,"):
-        return WorkloadAwareStrategy(float(lowered.split(",", 1)[1]))
+        try:
+            alpha = float(lowered[3:])
+        except ValueError:
+            raise DistributionError(
+                f"distribution strategy {name!r}: alpha is not a number"
+            ) from None
+        return WorkloadAwareStrategy(alpha)
     raise DistributionError(f"unknown distribution strategy {name!r}")

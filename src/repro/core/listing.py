@@ -404,12 +404,12 @@ class PSgLProgram(VertexProgram):
             if self.count_per_vertex:
                 self._pvc_chunks.append(outcome.complete)
         pending = outcome.pending
-        if pending is None or not len(pending.grays):
+        if pending is None or not len(pending):
             return
         chosen = self.strategy.choose_many(
             pending.mapping,
-            pending.grays,
-            pending.white_counts,
+            pending.group_of,
+            pending.groups,
             ctx.graph,
             self.partition,
             ctx.worker_state,

@@ -71,8 +71,9 @@ def batch_outcomes(pieces, pattern, ordered, index):
         if b.complete is not None:
             out["complete"].extend(tuple(r) for r in b.complete.tolist())
         if b.pending is not None:
-            for m, w, grays in zip(
-                b.pending.mapping.tolist(), b.pending.black, b.pending.grays
+            for m, w, (grays, _) in zip(
+                b.pending.mapping.tolist(), b.pending.black,
+                (b.pending.groups[g] for g in b.pending.group_of.tolist()),
             ):
                 child = Gpsi(tuple(m), _black_int(w), -1)
                 assert grays == tuple(child.useful_grays(pattern))

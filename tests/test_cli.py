@@ -266,11 +266,19 @@ class TestErrorHandling:
             ["--workers", "0"],
             ["--backend", "process", "--procs", "-1"],
             ["--backend", "thread", "--procs", "0"],
+            ["--strategy", "bogus"],
+            ["--strategy", "WA,x"],
+            ["--strategy", "WA,"],
+            ["--strategy", "WA,nan"],
         ],
-        ids=["workers-0", "process-procs--1", "thread-procs-0"],
+        ids=[
+            "workers-0", "process-procs--1", "thread-procs-0",
+            "strategy-bogus", "strategy-WA,x", "strategy-WA,", "strategy-WA,nan",
+        ],
     )
     def test_misconfiguration_exit_5_before_the_graph_is_read(self, flags, capsys):
-        """One ``psgl: error:`` line, the EngineError exit code — and the
+        """One ``psgl: error:`` line, the EngineError / DistributionError
+        exit code — it reports the flag, not the file: the
         nonexistent edge list was never opened (that would be exit 4).
         The illegal-combination sweep is in ``test_config_surface.py``."""
         code = main(
@@ -280,7 +288,7 @@ class TestErrorHandling:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("psgl: error:") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "file not found" not in err
 
     def test_exit_code_table_is_ordered_most_specific_first(self):
         from repro.cli import EXIT_CODES, _exit_code_for

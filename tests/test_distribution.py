@@ -1,9 +1,14 @@
 """Unit tests for the distribution strategies (Algorithm 3)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import PSgL, erdos_renyi
 from repro.core import (
+    DistributionStrategy,
     Gpsi,
     RandomStrategy,
     RouletteStrategy,
@@ -12,8 +17,8 @@ from repro.core import (
     make_strategy,
 )
 from repro.exceptions import DistributionError
-from repro.graph import Graph, hash_partition
-from repro.pattern import square
+from repro.graph import Graph, Partition, hash_partition
+from repro.pattern import PatternGraph, square
 
 
 def worker_state(seed=0):
@@ -46,6 +51,15 @@ class TestFactory:
     def test_alpha_out_of_range(self):
         with pytest.raises(DistributionError):
             WorkloadAwareStrategy(alpha=2.0)
+
+    @pytest.mark.parametrize("name", ["WA,x", "WA,", "WA,nan", "WA,inf", 5, None])
+    def test_malformed_name_is_a_distribution_error(self, name):
+        """Regression: ``WA,x``/``WA,`` escaped as a bare ValueError, a
+        non-string as AttributeError, and ``WA,nan`` was *accepted* (both
+        ``nan < 0`` and ``nan > 1`` are false) — every score NaN, the
+        argmin's ``-1`` sentinel routed a superstep later."""
+        with pytest.raises(DistributionError):
+            make_strategy(name)
 
 
 class TestRandom:
@@ -174,3 +188,192 @@ class TestWorkloadAware:
         a = strategy.choose(gpsi, [1, 3], pattern, g, partition, worker_state(7))
         b = strategy.choose(gpsi, [1, 3], pattern, g, partition, worker_state(7))
         assert a == b
+
+
+# ----------------------------------------------------------------------
+# choose_many against its oracle, the scalar choose
+# ----------------------------------------------------------------------
+#: Sparse 7-vertex pattern: candidates of one group see 0-3 WHITE
+#: neighbours each.
+ROUTING_PATTERN = PatternGraph(
+    7,
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0),
+     (0, 3), (1, 4), (2, 6), (0, 2)],
+)
+#: Vertex 0 is a hub (degree 30), 1-30 its leaves with a few chords,
+#: 31-39 have degree 0.
+ROUTING_GRAPH = Graph(
+    40, [(0, v) for v in range(1, 31)] + [(v, v + 1) for v in range(1, 12)]
+)
+STRATEGY_NAMES = ["random", "roulette", "WA,0", "WA,0.5", "WA,1"]
+
+
+@st.composite
+def routing_blocks(draw):
+    """``(mapping, group_of, groups, partition, load_view, seed)``: 1-4
+    signature groups of 1-4 candidates (width 1 is drawn because no paper
+    pattern produces it), their children interleaved in arbitrary order,
+    over hub and degree-0 images, with a pre-loaded load view or none."""
+    k = ROUTING_PATTERN.num_vertices
+    masks, groups = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        grays = tuple(
+            draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4, unique=True))
+        )
+        mapped = set(grays) | draw(st.sets(st.integers(0, k - 1)))
+        masks.append(sorted(mapped))
+        groups.append((
+            grays,
+            tuple(
+                sum(1 for w in ROUTING_PATTERN.neighbors(vp) if w not in mapped)
+                for vp in grays
+            ),
+        ))
+    group_of = draw(
+        st.lists(st.integers(0, len(groups) - 1), min_size=1, max_size=30)
+    )
+    image = st.sampled_from([0, 1, 2, 5, 12, 30, 31, 39])
+    mapping = np.full((len(group_of), k), UNMAPPED, dtype=np.int64)
+    for row, g in zip(mapping, group_of):
+        row[masks[g]] = draw(
+            st.lists(image, min_size=len(masks[g]), max_size=len(masks[g]))
+        )
+    workers = draw(st.integers(2, 4))
+    load_view = draw(
+        st.none()
+        | st.lists(
+            st.floats(0.5, 1e6), min_size=workers, max_size=workers
+        )
+    )
+    return (
+        mapping, np.array(group_of), groups,
+        hash_partition(ROUTING_GRAPH.num_vertices, workers),
+        load_view, draw(st.integers(0, 2**16)),
+    )
+
+
+def routing_state(load_view, seed):
+    state = worker_state(seed)
+    if load_view is not None:
+        state["dist_load_view"] = list(load_view)
+    return state
+
+
+class TestChooseManyAgainstChoose:
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    @settings(deadline=None, max_examples=60)
+    @given(block=routing_blocks())
+    def test_same_choices_load_view_and_rng_stream(self, name, block):
+        mapping, group_of, groups, partition, load_view, seed = block
+        strategy = make_strategy(name)
+        batched_state = routing_state(load_view, seed)
+        scalar_state = routing_state(load_view, seed)
+        batched = strategy.choose_many(
+            mapping, group_of, groups, ROUTING_GRAPH, partition, batched_state
+        )
+        scalar = [
+            strategy.choose(
+                Gpsi(tuple(row), 0, -1), list(groups[g][0]), ROUTING_PATTERN,
+                ROUTING_GRAPH, partition, scalar_state,
+            )
+            for row, g in zip(mapping.tolist(), group_of.tolist())
+        ]
+        assert batched.dtype == np.int64 and batched.tolist() == scalar
+        assert batched_state.get("dist_load_view") == scalar_state.get(
+            "dist_load_view"
+        )
+        assert (
+            batched_state["dist_rng"].bit_generator.state
+            == scalar_state["dist_rng"].bit_generator.state
+        )
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_empty_group_raises_before_the_load_view_exists(self, name):
+        state = worker_state()
+        with pytest.raises(DistributionError, match="no GRAY candidates"):
+            make_strategy(name).choose_many(
+                np.zeros((2, 7), dtype=np.int64), np.array([0, 1]),
+                [((1, 2), (0, 1)), ((), ())],
+                ROUTING_GRAPH, hash_partition(40, 2), state,
+            )
+        assert "dist_load_view" not in state
+
+
+class TestTheorem3Bound:
+    """``WA,0.5`` makespan <= K * OPT on instances small enough for a
+    brute-force optimum — the guard ROADMAP item 1(d) asks for before
+    any change to what the load view sees."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        workers=st.integers(2, 3),
+        children=st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 2), st.integers(1, 40)),
+                min_size=1, max_size=3,
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_greedy_within_k_times_brute_force_optimum(self, workers, children):
+        # Candidate slot s is its own data vertex with ``increase`` private
+        # leaves and one WHITE pattern neighbour: C(deg, 1) == increase.
+        slots = [slot for child in children for slot in child]
+        edges, leaf = [], len(slots)
+        for vertex, (_, increase) in enumerate(slots):
+            edges += [(vertex, leaf + i) for i in range(increase)]
+            leaf += increase
+        owner = np.zeros(leaf, dtype=np.int64)
+        owner[: len(slots)] = [worker % workers for worker, _ in slots]
+        mapping = np.zeros((len(children), 3), dtype=np.int64)
+        vertex = 0
+        for row, child in zip(mapping, children):
+            row[: len(child)] = range(vertex, vertex + len(child))
+            vertex += len(child)
+        groups = [(tuple(range(w)), (1,) * w) for w in (1, 2, 3)]
+        state = worker_state()
+        WorkloadAwareStrategy(0.5).choose_many(
+            mapping, np.array([len(child) - 1 for child in children]), groups,
+            Graph(leaf, edges), Partition(owner, workers), state,
+        )
+        optimum = float("inf")
+        for assignment in itertools.product(*children):
+            loads = [0.0] * workers
+            for worker, increase in assignment:
+                loads[worker % workers] += increase
+            optimum = min(optimum, max(loads))
+        assert sum(state["dist_load_view"]) > 0
+        assert max(state["dist_load_view"]) <= workers * optimum
+
+
+class TestFrozenHarnessSeam:
+    def test_positional_proxy_runs_the_production_plane(self):
+        """``benchmarks/e2e/layers.py::TimedStrategy`` — which this repo
+        may not edit — forwards ``choose_many``'s six arguments
+        positionally, counts ``len(mapping)`` rows and forwards no
+        attributes: the engine must keep calling it that way."""
+
+        class Forwarding(DistributionStrategy):
+            def __init__(self, inner):
+                self.inner = inner
+                self.name = inner.name
+                self.rows = 0
+
+            def choose(self, *args):
+                self.rows += 1
+                return self.inner.choose(*args)
+
+            def choose_many(self, *args):
+                assert len(args) == 6
+                self.rows += len(args[0])
+                return self.inner.choose_many(*args)
+
+        graph = erdos_renyi(60, 0.15, seed=3)
+        runs = {}
+        for wire in ("columnar", "object"):
+            proxy = Forwarding(make_strategy("WA,0.5"))
+            result = PSgL(graph, num_workers=4, strategy=proxy, wire=wire).run(square())
+            assert result.wire == wire
+            runs[wire] = (proxy.rows, result.count, result.makespan)
+        assert runs["columnar"][0] > 0
+        assert runs["columnar"] == runs["object"]

@@ -10,7 +10,13 @@
   client disconnected before reading its response, splatting a
   traceback per impatient client; drops are now counted silently in
   ``psgl_http_dropped_responses``.
+* ``POST /jobs`` with a malformed ``strategy`` (``"WA,x"``, ``"WA,"``, a
+  non-string) was a 500 — ``make_strategy`` raised ``ValueError`` /
+  ``AttributeError`` past ``_normalize`` — and ``"WA,nan"`` was accepted
+  and failed the job a superstep later; all are 400s now.
 """
+
+import json
 
 import threading
 import time
@@ -18,7 +24,9 @@ import types
 
 import pytest
 
+from repro.graph import complete_graph
 from repro.service import jobs as jobs_mod
+from repro.service import running_service
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobManager, JobState
 from repro.service.server import ServiceHTTPHandler
@@ -227,3 +235,18 @@ class TestDroppedResponses:
         assert stub.dropped == 0
         assert stub.http == [("GET", 200)]
         assert wfile.writes > 0
+
+
+# ----------------------------------------------------------------------
+# Malformed strategy names
+# ----------------------------------------------------------------------
+class TestMalformedStrategy:
+    @pytest.mark.parametrize("strategy", ["WA,x", "WA,", "WA,nan", 5])
+    def test_is_a_400_at_submission(self, strategy):
+        with running_service(complete_graph(6)) as (client, _):
+            status, text = client._request(
+                "POST", "/jobs", {"pattern": "PG1", "strategy": strategy}
+            )
+            assert status == 400
+            assert json.loads(text)["error"]["type"] == "QuerySpecError"
+            assert client.count(pattern="PG1")["state"] == "completed"
