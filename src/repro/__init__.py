@@ -25,113 +25,60 @@ Package layout
 * :mod:`repro.bench` — datasets, runner and per-figure/table experiments;
 * :mod:`repro.service` — the resident query service (``psgl serve``):
   job scheduling, result caching, admission control, per-job budgets.
+
+``import repro`` loads none of them: each public name imports its
+submodule on first use (:mod:`repro._lazy`).
 """
 
-from .core import PSgL, ListingResult
-
-# After .core on purpose: entering the package through repro.bsp first
-# loads the same modules in an order that measured ~40 ms slower cold.
-from .bsp.config import ExecutionConfig
-from .exceptions import (
-    AdmissionError,
-    BudgetExceededError,
-    DistributionError,
-    EngineError,
-    GraphError,
-    GraphFormatError,
-    JobCancelled,
-    PartialOrderError,
-    PatternError,
-    QuerySpecError,
-    ReproError,
-    SimulatedOOMError,
-)
-from .graph import (
-    Graph,
-    OrderedGraph,
-    chung_lu_power_law,
-    complete_graph,
-    cycle_graph,
-    erdos_renyi,
-    grid_graph,
-    random_partition,
-    star_graph,
-)
-from .pattern import (
-    PatternGraph,
-    all_connected_patterns,
-    break_automorphisms,
-    clique,
-    clique4,
-    cycle,
-    diamond,
-    get_pattern,
-    house,
-    motif_census,
-    paper_patterns,
-    pattern_from_edges,
-    square,
-    triangle,
-)
-from .obs import (
-    Tracer,
-    straggler_report,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .runtime import (
-    available_backends,
-    make_executor,
-    register_backend,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "PSgL",
-    "ListingResult",
-    "ExecutionConfig",
-    "ReproError",
-    "GraphError",
-    "GraphFormatError",
-    "PatternError",
-    "PartialOrderError",
-    "EngineError",
-    "DistributionError",
-    "SimulatedOOMError",
-    "BudgetExceededError",
-    "JobCancelled",
-    "QuerySpecError",
-    "AdmissionError",
-    "Graph",
-    "OrderedGraph",
-    "chung_lu_power_law",
-    "complete_graph",
-    "cycle_graph",
-    "erdos_renyi",
-    "grid_graph",
-    "random_partition",
-    "star_graph",
-    "PatternGraph",
-    "all_connected_patterns",
-    "break_automorphisms",
-    "motif_census",
-    "pattern_from_edges",
-    "clique",
-    "clique4",
-    "cycle",
-    "diamond",
-    "get_pattern",
-    "house",
-    "paper_patterns",
-    "square",
-    "triangle",
-    "available_backends",
-    "make_executor",
-    "register_backend",
-    "Tracer",
-    "straggler_report",
-    "write_chrome_trace",
-    "write_jsonl",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("PSgL", "ListingResult"),
+    ".bsp": ("ExecutionConfig",),
+    ".exceptions": (
+        "ReproError",
+        "GraphError",
+        "GraphFormatError",
+        "PatternError",
+        "PartialOrderError",
+        "EngineError",
+        "DistributionError",
+        "SimulatedOOMError",
+        "BudgetExceededError",
+        "JobCancelled",
+        "QuerySpecError",
+        "AdmissionError",
+    ),
+    ".graph": (
+        "Graph",
+        "OrderedGraph",
+        "chung_lu_power_law",
+        "complete_graph",
+        "cycle_graph",
+        "erdos_renyi",
+        "grid_graph",
+        "random_partition",
+        "star_graph",
+    ),
+    ".pattern": (
+        "PatternGraph",
+        "all_connected_patterns",
+        "break_automorphisms",
+        "motif_census",
+        "pattern_from_edges",
+        "clique",
+        "clique4",
+        "cycle",
+        "diamond",
+        "get_pattern",
+        "house",
+        "paper_patterns",
+        "square",
+        "triangle",
+    ),
+    ".runtime": ("available_backends", "make_executor", "register_backend"),
+    ".obs": ("Tracer", "straggler_report", "write_chrome_trace", "write_jsonl"),
+})
+__all__ += ["__version__"]

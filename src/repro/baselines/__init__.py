@@ -1,60 +1,36 @@
 """Comparator systems: the centralized oracle, MapReduce joins
 (Afrati, SGIA-MR), and graph-engine baselines (PowerGraph, GraphChi)."""
 
-from .afrati import AfratiResult, afrati_listing
-from .centralized import (
-    count_instances,
-    count_triangles,
-    enumerate_instances,
-    list_triangles,
-)
-from .graphchi import GraphChiResult, graphchi_triangles
-from .mapreduce import (
-    MapReduceEngine,
-    MapReduceJobResult,
-    MapReduceRound,
-    RoundStats,
-)
-from .powergraph import (
-    PowerGraphResult,
-    powergraph_general,
-    powergraph_triangles,
-    validate_traversal_order,
-)
-from .sgia_mr import SgiaMrResult, default_edge_order, sgia_mr_listing
-from .streaming import (
-    StreamEstimate,
-    doulion_estimate,
-    edge_sampling_triangles,
-    total_wedges,
-    wedge_sampling_error_bound,
-    wedge_sampling_triangles,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AfratiResult",
-    "afrati_listing",
-    "count_instances",
-    "count_triangles",
-    "enumerate_instances",
-    "list_triangles",
-    "GraphChiResult",
-    "graphchi_triangles",
-    "MapReduceEngine",
-    "MapReduceJobResult",
-    "MapReduceRound",
-    "RoundStats",
-    "PowerGraphResult",
-    "powergraph_general",
-    "powergraph_triangles",
-    "validate_traversal_order",
-    "SgiaMrResult",
-    "default_edge_order",
-    "sgia_mr_listing",
-    "StreamEstimate",
-    "doulion_estimate",
-    "edge_sampling_triangles",
-    "total_wedges",
-    "wedge_sampling_error_bound",
-    "wedge_sampling_triangles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".afrati": ("AfratiResult", "afrati_listing"),
+    ".centralized": (
+        "count_instances",
+        "count_triangles",
+        "enumerate_instances",
+        "list_triangles",
+    ),
+    ".graphchi": ("GraphChiResult", "graphchi_triangles"),
+    ".mapreduce": (
+        "MapReduceEngine",
+        "MapReduceJobResult",
+        "MapReduceRound",
+        "RoundStats",
+    ),
+    ".powergraph": (
+        "PowerGraphResult",
+        "powergraph_general",
+        "powergraph_triangles",
+        "validate_traversal_order",
+    ),
+    ".sgia_mr": ("SgiaMrResult", "default_edge_order", "sgia_mr_listing"),
+    ".streaming": (
+        "StreamEstimate",
+        "doulion_estimate",
+        "edge_sampling_triangles",
+        "total_wedges",
+        "wedge_sampling_error_bound",
+        "wedge_sampling_triangles",
+    ),
+})

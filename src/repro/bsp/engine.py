@@ -30,6 +30,8 @@ from ..exceptions import BudgetExceededError, EngineError, JobCancelled
 from ..graph.graph import Graph
 from ..graph.partition import Partition
 from ..obs.tracer import make_tracer
+from ..runtime.executor import JobSpec
+from ..runtime.registry import make_executor
 from .aggregate import AggregatorRegistry
 from .config import ExecutionConfig
 from .message import ChunkedColumnarStore, MessageStore
@@ -133,11 +135,9 @@ class BSPEngine:
     # ------------------------------------------------------------------
     def run(self, program: VertexProgram) -> BSPResult:
         """Execute ``program`` to completion and return its results."""
-        # Imported here: repro.runtime builds on repro.bsp, not vice versa.
-        from ..runtime.executor import JobSpec
-        from ..runtime.registry import make_executor
-
         cfg = self.config
+        # Before the clock: a built-in backend imports its module here.
+        executor = make_executor(cfg.backend, procs=cfg.procs)
         started = perf_counter()
         program.pre_application(self.graph, self.num_workers)
         ledger = CostLedger(
@@ -156,7 +156,6 @@ class BSPEngine:
         if initial is None:
             initial = list(self.graph.vertices())
 
-        executor = make_executor(cfg.backend, procs=cfg.procs)
         tracer = make_tracer(self.trace)
         spill_mgr: Optional[SpillManager] = None
         superstep = 0

@@ -31,17 +31,25 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .bench.datasets import dataset_summary, load_dataset
-from .bench.runner import EXPERIMENT_IDS, run_all
-from .bench.tables import format_table
-from .bsp.config import ExecutionConfig
-from .core.distribution import make_strategy
-from .core.listing import PSgL, check_num_workers
-from .exceptions import (
+# Nothing in repro calls BLAS, but importing numpy starts OpenBLAS's
+# worker pool, which competes with the main thread for a core while it
+# is still importing.  The program pins it to one thread before any
+# module that imports numpy loads (a value the user set is kept);
+# process-backend children inherit it.  A library caller of
+# ``import repro`` keeps its own setting.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+# Light on purpose: everything else a subcommand runs is imported in
+# its handler, so ``psgl count`` loads no benchmark, service, stats or
+# exporter module and no unused backend.
+from .bsp.config import ExecutionConfig  # noqa: E402
+from .exceptions import (  # noqa: E402
     BudgetExceededError,
     DistributionError,
     EngineError,
@@ -50,11 +58,7 @@ from .exceptions import (
     QuerySpecError,
     ReproError,
 )
-from .graph.io import read_edge_list
-from .graph.stats import skew_report
-from .obs import Tracer, straggler_report, write_chrome_trace, write_jsonl
-from .pattern.catalog import describe, get_pattern, paper_patterns, pattern_from_edges
-from .runtime import available_backends
+from .runtime.registry import available_backends  # noqa: E402
 
 
 def _count_execution_fields():
@@ -84,6 +88,19 @@ def _add_execution_flag(parser, spec: dataclasses.Field) -> None:
         ),
         help=spec.metadata["help"],
     )
+
+
+def _experiment_id(value: str) -> str:
+    """``--experiments`` values, checked when ``bench`` is parsed: the
+    list lives in the benchmark package, which no other subcommand
+    loads."""
+    from .bench.runner import EXPERIMENT_IDS
+
+    if value not in EXPERIMENT_IDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {value!r}; choose from {' '.join(EXPERIMENT_IDS)}"
+        )
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,7 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--experiments",
         nargs="*",
         default=None,
-        help=f"subset of: {' '.join(EXPERIMENT_IDS)} (default: all)",
+        type=_experiment_id,
+        metavar="ID",
+        help="subset of the experiment ids, e.g. table1 fig3 fig8 "
+        "(default: all; an unknown id lists them)",
     )
     bench.add_argument("--scale", type=float, default=1.0)
     bench.add_argument("--out", type=Path, default=None, help="directory for .txt reports")
@@ -268,16 +288,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_graph_source(args: argparse.Namespace):
     """Resolve the ``--dataset``/``--edge-list``/``--csrbin`` source group."""
     if args.dataset:
+        from .bench.datasets import load_dataset
+
         return load_dataset(args.dataset, args.scale)
     if getattr(args, "csrbin", None):
         from .graph.binfmt import load_mapped
 
         return load_mapped(args.csrbin)
+    from .graph.io import read_edge_list
+
     graph, _ = read_edge_list(args.edge_list)
     return graph
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .core.distribution import make_strategy
+    from .core.listing import PSgL, check_num_workers
+    from .pattern.catalog import describe, get_pattern, pattern_from_edges
+
     # Everything that can be refused without the graph is refused first:
     # a typo must not cost a multi-minute load.
     config = ExecutionConfig.from_mapping(
@@ -290,7 +318,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
     else:
         pattern = pattern_from_edges(args.pattern_edges)
     graph = _load_graph_source(args)
-    tracer = Tracer() if (args.trace or args.trace_report) else None
+    tracer = None
+    if args.trace or args.trace_report:
+        from .obs.tracer import Tracer
+
+        tracer = Tracer()
     psgl = PSgL(
         graph,
         num_workers=args.workers,
@@ -323,6 +355,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         )
     print(f"wall time  : {result.wall_seconds:.3f}s")
     if tracer is not None and args.trace:
+        from .obs.exporters import write_chrome_trace, write_jsonl
+
         path = Path(args.trace)
         if path.suffix == ".jsonl":
             write_jsonl(tracer, path)
@@ -332,12 +366,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
             trace_format = "chrome trace-event"
         print(f"trace      : {path} ({len(tracer)} events, {trace_format})")
     if tracer is not None and args.trace_report:
+        from .obs.report import straggler_report
+
         print()
         print(straggler_report(tracer))
     return 0
 
 
 def _cmd_datasets(_: argparse.Namespace) -> int:
+    from .bench.datasets import dataset_summary
+    from .bench.tables import format_table
+
     rows = dataset_summary()
     print(
         format_table(
@@ -360,6 +399,8 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
 
 
 def _cmd_patterns(_: argparse.Namespace) -> int:
+    from .pattern.catalog import describe, paper_patterns
+
     for pattern in paper_patterns().values():
         print(describe(pattern))
         print()
@@ -367,8 +408,6 @@ def _cmd_patterns(_: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    # Deferred import: keeps `psgl count --dataset ...` from paying for
-    # the converter machinery it never touches.
     from .graph import binfmt
 
     kwargs = {}
@@ -394,6 +433,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .graph.stats import skew_report
+
     graph = _load_graph_source(args)
     report = skew_report(graph)
     avg = 2 * graph.num_edges / max(graph.num_vertices, 1)
@@ -408,6 +449,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench.runner import run_all
+
     run_all(
         scale=args.scale,
         experiments=args.experiments,
@@ -418,8 +461,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # Deferred import: the service package pulls in the HTTP stack,
-    # which no other subcommand needs.
     from .service import GraphContext, ResourceBudget, ResultCache, SubgraphService, serve
 
     if args.dataset:
@@ -496,8 +537,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         print(f"psgl: error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except FileNotFoundError as exc:
-        print(f"psgl: error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:
+        # A path the user gave: its name and the system's reason.
+        if exc.filename is not None and exc.strerror:
+            print(f"psgl: error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        else:
+            print(f"psgl: error: {exc}", file=sys.stderr)
         return 4
     except KeyboardInterrupt:
         return 130

@@ -1,69 +1,42 @@
 """Data-graph substrate: storage, ordering, generation, I/O, partitioning."""
 
-from .graph import Edge, Graph, MappedCSR, normalize_edge
-from .ordered import OrderedGraph
-from .binfmt import (
-    ConvertStats,
-    CSRBinHeader,
-    convert_edge_list,
-    load_mapped,
-    read_header,
-    write_csrbin,
-)
-from .generators import (
-    barabasi_albert,
-    rmat,
-    chung_lu_power_law,
-    complete_graph,
-    cycle_graph,
-    erdos_renyi,
-    grid_graph,
-    star_graph,
-)
-from .io import graph_from_string, read_edge_list, write_edge_list
-from .partition import Partition, hash_partition, random_partition, range_partition
-from .stats import (
-    SkewReport,
-    degree_distribution,
-    degree_histogram,
-    expected_nb_ns,
-    fit_power_law_gamma,
-    sampled_degree_distribution,
-    skew_report,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Edge",
-    "Graph",
-    "MappedCSR",
-    "normalize_edge",
-    "OrderedGraph",
-    "ConvertStats",
-    "CSRBinHeader",
-    "convert_edge_list",
-    "load_mapped",
-    "read_header",
-    "write_csrbin",
-    "barabasi_albert",
-    "rmat",
-    "chung_lu_power_law",
-    "complete_graph",
-    "cycle_graph",
-    "erdos_renyi",
-    "grid_graph",
-    "star_graph",
-    "graph_from_string",
-    "read_edge_list",
-    "write_edge_list",
-    "Partition",
-    "hash_partition",
-    "random_partition",
-    "range_partition",
-    "SkewReport",
-    "degree_distribution",
-    "degree_histogram",
-    "expected_nb_ns",
-    "fit_power_law_gamma",
-    "sampled_degree_distribution",
-    "skew_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".graph": ("Edge", "Graph", "MappedCSR", "normalize_edge"),
+    ".ordered": ("OrderedGraph",),
+    ".binfmt": (
+        "ConvertStats",
+        "CSRBinHeader",
+        "convert_edge_list",
+        "load_mapped",
+        "read_header",
+        "write_csrbin",
+    ),
+    ".generators": (
+        "barabasi_albert",
+        "rmat",
+        "chung_lu_power_law",
+        "complete_graph",
+        "cycle_graph",
+        "erdos_renyi",
+        "grid_graph",
+        "star_graph",
+    ),
+    ".io": ("graph_from_string", "read_edge_list", "write_edge_list"),
+    ".partition": (
+        "Partition",
+        "hash_partition",
+        "random_partition",
+        "range_partition",
+    ),
+    ".stats": (
+        "SkewReport",
+        "degree_distribution",
+        "degree_histogram",
+        "expected_nb_ns",
+        "fit_power_law_gamma",
+        "sampled_degree_distribution",
+        "skew_report",
+    ),
+})

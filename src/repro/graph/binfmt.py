@@ -41,6 +41,7 @@ escape this module.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import tempfile
@@ -348,13 +349,22 @@ def convert_edge_list(
     duplicates an error too, ``allow_self_loops=True`` drops loops.
 
     Temp files land next to ``target`` (or in ``tmp_dir``) so staging
-    stays on the same filesystem as the output.
+    stays on the same filesystem as the output.  An ``OSError`` names a
+    path the caller gave: a ``target`` that is a directory is refused
+    before staging begins, and a temp file that cannot be created is
+    reported against ``tmp_dir`` or, without one, ``target``.
     """
     source = Path(source)
     target = Path(target)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     directory = Path(tmp_dir) if tmp_dir is not None else target.parent
-    directory.mkdir(parents=True, exist_ok=True)
-    stage = _PairStage(directory)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        stage = _PairStage(directory)
+    except OSError as exc:
+        staging_for = tmp_dir if tmp_dir is not None else target
+        raise OSError(exc.errno, exc.strerror, str(staging_for)) from exc
     key_path: Optional[Path] = None
     raw_edges = 0
     self_loops = 0

@@ -10,34 +10,23 @@ the no-op :data:`NULL_TRACER`, so untraced runs pay nothing.  See
 ``docs/observability.md``.
 """
 
-from .exporters import (
-    chrome_trace_events,
-    read_jsonl,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .report import straggler_report
-from .tracer import (
-    NULL_TRACER,
-    SCHEMA,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-    make_tracer,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA",
-    "TraceEvent",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "make_tracer",
-    "write_jsonl",
-    "read_jsonl",
-    "write_chrome_trace",
-    "chrome_trace_events",
-    "validate_chrome_trace",
-    "straggler_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".tracer": (
+        "SCHEMA",
+        "TraceEvent",
+        "Tracer",
+        "NullTracer",
+        "NULL_TRACER",
+        "make_tracer",
+    ),
+    ".exporters": (
+        "write_jsonl",
+        "read_jsonl",
+        "write_chrome_trace",
+        "chrome_trace_events",
+        "validate_chrome_trace",
+    ),
+    ".report": ("straggler_report",),
+})

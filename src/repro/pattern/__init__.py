@@ -1,70 +1,42 @@
 """Pattern-graph machinery: structure, automorphisms, the PG1-PG5 catalog."""
 
-from .pattern import OrderPair, PatternGraph
-from .automorphism import (
-    automorphisms,
-    break_automorphisms,
-    count_order_preserving_automorphisms,
-    orbits,
-    stabilizer,
-)
-from .induced import (
-    conversion_matrix,
-    count_monomorphisms,
-    induced_census,
-    induced_from_noninduced,
-    instances_within,
-)
-from .enumeration import (
-    all_connected_patterns,
-    are_isomorphic,
-    canonical_form,
-    motif_census,
-)
-from .catalog import (
-    clique,
-    pattern_from_edges,
-    clique4,
-    cycle,
-    describe,
-    diamond,
-    get_pattern,
-    house,
-    paper_patterns,
-    path,
-    square,
-    star,
-    triangle,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "OrderPair",
-    "PatternGraph",
-    "automorphisms",
-    "break_automorphisms",
-    "count_order_preserving_automorphisms",
-    "orbits",
-    "stabilizer",
-    "conversion_matrix",
-    "count_monomorphisms",
-    "induced_census",
-    "induced_from_noninduced",
-    "instances_within",
-    "all_connected_patterns",
-    "are_isomorphic",
-    "canonical_form",
-    "motif_census",
-    "clique",
-    "pattern_from_edges",
-    "clique4",
-    "cycle",
-    "describe",
-    "diamond",
-    "get_pattern",
-    "house",
-    "paper_patterns",
-    "path",
-    "square",
-    "star",
-    "triangle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".pattern": ("OrderPair", "PatternGraph"),
+    ".automorphism": (
+        "automorphisms",
+        "break_automorphisms",
+        "count_order_preserving_automorphisms",
+        "orbits",
+        "stabilizer",
+    ),
+    ".induced": (
+        "conversion_matrix",
+        "count_monomorphisms",
+        "induced_census",
+        "induced_from_noninduced",
+        "instances_within",
+    ),
+    ".enumeration": (
+        "all_connected_patterns",
+        "are_isomorphic",
+        "canonical_form",
+        "motif_census",
+    ),
+    ".catalog": (
+        "clique",
+        "pattern_from_edges",
+        "clique4",
+        "cycle",
+        "describe",
+        "diamond",
+        "get_pattern",
+        "house",
+        "paper_patterns",
+        "path",
+        "square",
+        "star",
+        "triangle",
+    ),
+})

@@ -8,47 +8,28 @@ pool or to a process pool, and deterministic message shuffling at the
 barrier.  See ``docs/runtime.md`` for the protocol.
 """
 
-from .executor import (
-    JobSpec,
-    SuperstepExecutor,
-    WorkerAggregators,
-    WorkerBatch,
-    WorkerStepResult,
-    fresh_aggregators,
-    run_inline,
-    run_replica_batch,
-    run_worker_batch,
-)
-from .process import ProcessExecutor, default_procs
-from .registry import available_backends, make_executor, register_backend
-from .serial import SerialExecutor
-from .shared_graph import (
-    AttachedSharedGraph,
-    SharedGraphExport,
-    SharedGraphHandle,
-    attach_shared_graph,
-)
-from .threaded import ThreadExecutor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "JobSpec",
-    "SuperstepExecutor",
-    "WorkerAggregators",
-    "WorkerBatch",
-    "WorkerStepResult",
-    "fresh_aggregators",
-    "run_inline",
-    "run_replica_batch",
-    "run_worker_batch",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "default_procs",
-    "available_backends",
-    "make_executor",
-    "register_backend",
-    "AttachedSharedGraph",
-    "SharedGraphExport",
-    "SharedGraphHandle",
-    "attach_shared_graph",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".executor": (
+        "JobSpec",
+        "SuperstepExecutor",
+        "WorkerAggregators",
+        "WorkerBatch",
+        "WorkerStepResult",
+        "fresh_aggregators",
+        "run_inline",
+        "run_replica_batch",
+        "run_worker_batch",
+    ),
+    ".serial": ("SerialExecutor",),
+    ".threaded": ("ThreadExecutor",),
+    ".process": ("ProcessExecutor", "default_procs"),
+    ".registry": ("available_backends", "make_executor", "register_backend"),
+    ".shared_graph": (
+        "AttachedSharedGraph",
+        "SharedGraphExport",
+        "SharedGraphHandle",
+        "attach_shared_graph",
+    ),
+})

@@ -3,20 +3,22 @@
 ``BSPEngine(..., backend="process", procs=4)`` resolves here.  A backend
 is any callable accepting ``procs`` and returning a
 :class:`~repro.runtime.executor.SuperstepExecutor`; third parties can
-register their own (e.g. an async or NUMA-aware shuffler in a later PR).
+register their own (e.g. an async or NUMA-aware shuffler).  The built-in
+backends import their module when first made: a serial run never loads
+the process pool's ``multiprocessing`` stack or the thread pool.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+import importlib
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from ..exceptions import EngineError
-from .executor import SuperstepExecutor
-from .process import ProcessExecutor
-from .serial import SerialExecutor
-from .threaded import ThreadExecutor
 
-ExecutorFactory = Callable[..., SuperstepExecutor]
+if TYPE_CHECKING:
+    from .executor import SuperstepExecutor
+
+ExecutorFactory = Callable[..., "SuperstepExecutor"]
 
 _BACKENDS: Dict[str, ExecutorFactory] = {}
 
@@ -42,6 +44,8 @@ def make_executor(
     Accepts a registered name, an executor instance (returned as-is, for
     callers that pre-configured one), or ``None`` (serial).
     """
+    from .executor import SuperstepExecutor
+
     if backend is None:
         backend = "serial"
     if isinstance(backend, SuperstepExecutor):
@@ -56,6 +60,16 @@ def make_executor(
     return executor
 
 
-register_backend("serial", SerialExecutor)
-register_backend("thread", ThreadExecutor)
-register_backend("process", ProcessExecutor)
+def _builtin(module: str, name: str) -> ExecutorFactory:
+    """Factory for the executor class ``name`` of ``module``, imported
+    on the first call."""
+
+    def factory(**kwargs) -> SuperstepExecutor:
+        return getattr(importlib.import_module(module, __package__), name)(**kwargs)
+
+    return factory
+
+
+register_backend("serial", _builtin(".serial", "SerialExecutor"))
+register_backend("thread", _builtin(".threaded", "ThreadExecutor"))
+register_backend("process", _builtin(".process", "ProcessExecutor"))

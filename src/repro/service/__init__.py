@@ -19,44 +19,31 @@ Start one with ``psgl serve --dataset wikitalk`` or, in-process::
 See ``docs/service.md``.
 """
 
-from .budget import ResourceBudget
-from .cache import ResultCache, cache_key
-from .client import ServiceClient, running_service
-from .jobs import Job, JobManager, JobState, PRIORITIES, TERMINAL_STATES
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    parse_metrics,
-)
-from .server import (
-    GraphContext,
-    ServiceHTTPHandler,
-    SubgraphService,
-    make_server,
-    serve,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ResourceBudget",
-    "ResultCache",
-    "cache_key",
-    "ServiceClient",
-    "running_service",
-    "Job",
-    "JobManager",
-    "JobState",
-    "PRIORITIES",
-    "TERMINAL_STATES",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "parse_metrics",
-    "GraphContext",
-    "ServiceHTTPHandler",
-    "SubgraphService",
-    "make_server",
-    "serve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".budget": ("ResourceBudget",),
+    ".cache": ("ResultCache", "cache_key"),
+    ".client": ("ServiceClient", "running_service"),
+    ".jobs": (
+        "Job",
+        "JobManager",
+        "JobState",
+        "PRIORITIES",
+        "TERMINAL_STATES",
+    ),
+    ".metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "parse_metrics",
+    ),
+    ".server": (
+        "GraphContext",
+        "ServiceHTTPHandler",
+        "SubgraphService",
+        "make_server",
+        "serve",
+    ),
+})

@@ -13,31 +13,109 @@ from repro.graph import complete_graph, write_edge_list
 from repro.graph.generators import erdos_renyi
 
 
-class TestCount:
-    def test_cold_count_never_imports_numpy_ma(self, tmp_path):
-        """``np.unique`` imports ``numpy.ma`` lazily (~20 ms): no grouping
-        on the count path may go through it."""
-        path = tmp_path / "er.txt"
-        write_edge_list(erdos_renyi(40, 0.3, seed=2), path)
-        script = (
-            "import runpy, sys\n"
-            f"sys.argv = ['psgl', 'count', '--pattern', 'PG1', '--edge-list', {str(path)!r}]\n"
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: Modules a cold serial ``psgl count`` on a text edge list never loads:
+#: other subcommands' machinery, unused backends, and ``numpy.ma``
+#: (``np.unique`` imports it lazily, ~20 ms: no grouping on the count
+#: path may go through it).
+COLD_COUNT_NEVER_LOADS = (
+    "numpy.ma",
+    "repro.bench",
+    "repro.service",
+    "repro.graph.stats",
+    "repro.graph.binfmt",
+    "repro.obs.exporters",
+    "repro.runtime.process",
+    "repro.runtime.threaded",
+    "multiprocessing",
+    "json",
+    "subprocess",
+    "socket",
+)
+
+#: The OpenBLAS / OpenMP pool sizes ``psgl`` pins.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_python(script, **env):
+    """``script`` in a fresh interpreter on this checkout, with neither
+    BLAS variable inherited: only what ``env`` sets, or the program
+    itself, can decide the pool size."""
+    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**child_env, "PYTHONPATH": SRC, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def cold_count_script(path, via):
+    """A cold serial ``psgl count`` of ``path``, through ``python -m
+    repro`` (``via="runpy"``) or the console script's ``main`` call."""
+    argv = ["count", "--pattern", "PG1", "--edge-list", str(path)]
+    if via == "runpy":
+        run = (
+            f"sys.argv = ['psgl', *{argv!r}]\n"
             "try:\n"
             "    runpy.run_module('repro', run_name='__main__')\n"
             "except SystemExit as done:\n"
             "    assert not done.code, done.code\n"
-            "assert 'numpy.ma' not in sys.modules\n"
         )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
+    else:
+        run = f"from repro.cli import main\nassert main({argv!r}) == 0\n"
+    return "import os, runpy, sys\n" + run
+
+
+@pytest.fixture
+def er_edge_list(tmp_path):
+    path = tmp_path / "er.txt"
+    write_edge_list(erdos_renyi(40, 0.3, seed=2), path)
+    return path
+
+
+class TestCount:
+    def test_cold_count_never_imports_numpy_ma(self, er_edge_list):
+        """The modules a serial count has no use for stay unloaded."""
+        script = cold_count_script(er_edge_list, "runpy") + (
+            f"loaded = [m for m in {COLD_COUNT_NEVER_LOADS!r} if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
         )
-        assert done.returncode == 0, done.stderr
-        assert "instances" in done.stdout
+        assert "instances" in run_python(script).stdout
+
+    def test_bare_import_loads_no_numpy(self):
+        run_python(
+            "import sys, repro\n"
+            "assert 'numpy' not in sys.modules\n"
+            "loaded = [m for m in sys.modules if m.startswith('repro.')]\n"
+            "assert loaded == ['repro._lazy'], loaded\n"
+        )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs Linux /proc"
+    )
+    @pytest.mark.parametrize("via", ["runpy", "main"])
+    def test_cold_count_runs_on_one_os_thread(self, er_edge_list, via):
+        """``psgl`` pins the BLAS pool before numpy loads: no OpenBLAS
+        worker thread is ever started for an engine that calls no BLAS."""
+        script = cold_count_script(er_edge_list, via) + (
+            "threads = len(os.listdir('/proc/self/task'))\n"
+            "assert threads == 1, threads\n"
+            f"assert all(os.environ[v] == '1' for v in {BLAS_VARS!r})\n"
+        )
+        run_python(script)
+
+    def test_user_blas_setting_is_kept(self, er_edge_list):
+        script = cold_count_script(er_edge_list, "main") + (
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n"
+            "assert os.environ['OMP_NUM_THREADS'] == '1'\n"
+        )
+        run_python(script, OPENBLAS_NUM_THREADS="2")
+
 
     def test_count_on_edge_list(self, tmp_path, capsys):
         path = tmp_path / "k5.txt"
@@ -246,7 +324,57 @@ class TestErrorHandling:
             ["count", "--pattern", "PG1", "--edge-list", "/no/such/file.txt"]
         )
         assert code == 4
-        assert "file not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "psgl: error: /no/such/file.txt: No such file or directory\n"
+
+    def test_edge_list_directory_exit_4(self, tmp_path, capsys):
+        code = main(["count", "--pattern", "PG1", "--edge-list", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().err == f"psgl: error: {tmp_path}: Is a directory\n"
+
+    def test_convert_into_a_directory_exit_4(self, tmp_path, capsys):
+        source = tmp_path / "k4.txt"
+        write_edge_list(complete_graph(4), source)
+        target = tmp_path / "out"
+        target.mkdir()
+        code = main(["convert", str(source), str(target)])
+        assert code == 4
+        assert capsys.readouterr().err == f"psgl: error: {target}: Is a directory\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["k4.txt", "out"]
+
+    @pytest.mark.parametrize("staging", ["target", "tmp-dir"])
+    def test_convert_staging_failure_names_the_users_path(
+        self, tmp_path, capsys, staging
+    ):
+        """The temp file cannot be created: the error names the path the
+        user typed, never the staging file, and nothing is left behind."""
+        source = tmp_path / "k4.txt"
+        write_edge_list(complete_graph(4), source)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        if staging == "target":
+            named = blocker / "g.csrbin"
+            argv = ["convert", str(source), str(named)]
+        else:
+            named = blocker / "tmp"
+            argv = ["convert", str(source), str(tmp_path / "g.csrbin"),
+                    "--tmp-dir", str(named)]
+        code = main(argv)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"psgl: error: {named}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-file", "k4.txt"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs Linux /proc")
+    def test_convert_into_proc_names_the_target(self, tmp_path, capsys):
+        source = tmp_path / "k4.txt"
+        write_edge_list(complete_graph(4), source)
+        code = main(["convert", str(source), "/proc/x.csrbin"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("psgl: error: /proc/x.csrbin: ")
+        assert ".pairs" not in err and ".keys" not in err
 
     def test_bad_strategy_exit_5(self, tmp_path, capsys):
         path = tmp_path / "k4.txt"
@@ -288,7 +416,7 @@ class TestErrorHandling:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("psgl: error:") and err.count("\n") == 1
-        assert "Traceback" not in err and "file not found" not in err
+        assert "Traceback" not in err and "/no/such/file.txt" not in err
 
     def test_exit_code_table_is_ordered_most_specific_first(self):
         from repro.cli import EXIT_CODES, _exit_code_for

@@ -318,10 +318,14 @@ class TestAdmissionControl:
             max_queue_depth=1,
         ) as (client, _):
             client.count(pattern="PG1")  # populate the cache
-            held = [
-                client.submit(pattern="PG2", _hold_seconds=5, seed=s)
-                for s in range(2)  # saturate pool + queue
-            ]
+            # Saturate pool + queue: the first held job must have left
+            # the depth-1 queue before the second is submitted.
+            running = client.submit(pattern="PG2", _hold_seconds=5, seed=0)
+            deadline = time.monotonic() + 5
+            while client.job(running["id"])["state"] == "queued":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            held = [running, client.submit(pattern="PG2", _hold_seconds=5, seed=1)]
             hit = client.submit(pattern="PG1")  # full queue, still served
             assert hit["cached"] and hit["state"] == "completed"
             for h in held:
