@@ -21,7 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".message": (
         "ChunkedColumnarStore",
         "ColumnarOutbox",
-        "GpsiBatch",
         "Message",
         "MessageStore",
         "PackedWorkerBatch",

@@ -4,7 +4,9 @@ Semantics follow Pregel/Giraph:
 
 * **Superstep 0** runs ``compute`` on every vertex (or the program's
   declared initial set) with an empty message list — this hosts PSgL's
-  initialization phase.
+  initialization phase.  On the production plane each worker instead
+  gets its initial vertices as one ``int64`` array, handed to
+  ``initialize_columns`` in one call.
 * **Superstep i > 0** runs ``compute`` only on vertices that received
   messages at the end of superstep ``i-1``.
 * The job **halts** when a superstep ends with no pending messages.
@@ -26,6 +28,8 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Any, List, Optional
 
+import numpy as np
+
 from ..exceptions import BudgetExceededError, EngineError, JobCancelled
 from ..graph.graph import Graph
 from ..graph.partition import Partition
@@ -36,7 +40,6 @@ from .aggregate import AggregatorRegistry
 from .config import ExecutionConfig
 from .message import ChunkedColumnarStore, MessageStore
 from .metrics import CostLedger
-from .spill import SpillManager
 from .vertex_program import VertexProgram
 
 
@@ -153,11 +156,9 @@ class BSPEngine:
         )
 
         initial = program.initial_active_vertices(self.graph)
-        if initial is None:
-            initial = list(self.graph.vertices())
 
         tracer = make_tracer(self.trace)
-        spill_mgr: Optional[SpillManager] = None
+        spill_mgr = None
         superstep = 0
         status = "completed"
         try:
@@ -166,6 +167,9 @@ class BSPEngine:
             # inside the guarded region, so a set-up that fails half-way
             # is torn down like any other fault.
             if cfg.spill_dir is not None:
+                # Imported here: a run without a spill plane never loads it.
+                from .spill import SpillManager
+
                 spill_mgr = SpillManager(
                     cfg.spill_dir,
                     cfg.memory_watermark_bytes,
@@ -220,7 +224,7 @@ class BSPEngine:
 
                 build_started = perf_counter() if tracer.enabled else 0.0
                 if superstep == 0:
-                    batches = self._group_by_owner(initial, lambda v: [])
+                    batches = self._initial_batches(initial, columnar)
                 elif columnar:
                     batches = inbox.build_worker_batches()
                 else:
@@ -529,7 +533,7 @@ class BSPEngine:
             superstep=superstep,
             wall_ms=step_wall_ms,
             active_vertices=sum(len(batch) for batch in batches),
-            batches=sum(1 for batch in batches if batch),
+            batches=sum(1 for batch in batches if len(batch)),
             build_ms=build_ms,
         )
 
@@ -538,7 +542,7 @@ class BSPEngine:
     def _make_chunk_sink(store: ChunkedColumnarStore, tracer: Any, superstep: int):
         """The pipelined barrier's ingest callback for one superstep.
 
-        Backends call it as ``sink(sender, seq, batch)`` from a single
+        Backends call it as ``sink(sender, seq, columns)`` from a single
         drain thread; the store's merge is itself locked, and trace
         emission stays on that one thread, so no tracer synchronisation
         is needed.
@@ -546,24 +550,39 @@ class BSPEngine:
         if not tracer.enabled:
             return store.merge_chunk
 
-        def sink(sender: int, seq: int, batch: Any) -> None:
-            store.merge_chunk(sender, seq, batch)
+        def sink(sender: int, seq: int, columns: Any) -> None:
+            store.merge_chunk(sender, seq, columns)
             tracer.emit(
                 "chunk_deliver",
                 superstep=superstep,
                 worker=sender,
                 seq=seq,
-                rows=len(batch),
-                nbytes=batch.nbytes,
+                rows=len(columns),
+                nbytes=columns.nbytes,
             )
 
         return sink
 
+    def _initial_batches(self, initial, columnar: bool) -> List[Any]:
+        """Superstep 0's work: the initial active set (``None`` = every
+        vertex) split by owning worker in activation order — one
+        ``int64`` array per worker on the production plane, ``(v, [])``
+        pairs on the reference plane."""
+        if not columnar:
+            if initial is None:
+                initial = self.graph.vertices()
+            return self._group_by_owner(initial, lambda v: [])
+        if initial is None:
+            vertices = np.arange(self.graph.num_vertices, dtype=np.int64)
+        else:
+            vertices = np.asarray(initial, dtype=np.int64)
+        owner = self.partition.owner_array[vertices]
+        return [vertices[owner == w] for w in range(self.num_workers)]
+
     def _group_by_owner(self, active, payloads_of) -> List[List]:
         """Group the active set by owning worker, preserving activation
         order within each worker, and attach each vertex's delivered
-        payloads — the reference plane's executor-facing unit of work
-        (and every plane's superstep 0, which delivers nothing)."""
+        payloads — the reference plane's executor-facing unit of work."""
         by_worker: List[List] = [[] for _ in range(self.num_workers)]
         for v in active:
             by_worker[self.partition.owner(v)].append((v, payloads_of(v)))

@@ -10,11 +10,14 @@ Two planes implement the barrier crossing, each with one store:
   payloads — fully generic, combiner-aware, the executable specification
   and the parity oracle;
 * the **production plane** (:class:`ChunkedColumnarStore`) moves Gpsi
-  outboxes as ``(sender, seq)``-tagged chunks of contiguous numpy buffers
-  (:class:`GpsiBatch`), owner-splits each chunk as it arrives and hands
-  every worker a still-packed :class:`PackedWorkerBatch` — no ``Gpsi``
-  object exists anywhere between two supersteps.  Gpsi-only,
-  combiner-less; parity with the reference plane is pinned
+  outboxes as ``(sender, seq)``-tagged chunks, each one packed
+  :class:`~repro.core.psi.GpsiColumns` and nothing else: a row is
+  self-addressed (PSgL sends a Gpsi to the data image of its next
+  vertex, ``GpsiColumns.destinations()``), so no destination column
+  travels beside it.  The store owner-splits each chunk as it arrives
+  and hands every worker a still-packed :class:`PackedWorkerBatch` — no
+  ``Gpsi`` or :class:`Message` object exists anywhere on this plane.
+  Gpsi-only, combiner-less; parity with the reference plane is pinned
   message-for-message by tests.
 
 The *shuffle mode* (see :mod:`repro.bsp.engine`) is a delivery schedule
@@ -189,58 +192,30 @@ class MessageStore:
 # ----------------------------------------------------------------------
 
 
-class GpsiBatch:
-    """One worker's packed Gpsi outbox: the columnar plane's wire unit.
-
-    ``dest`` is an ``int64`` destination-vertex column; ``columns`` the
-    struct-of-arrays Gpsi payload (:class:`repro.core.psi.GpsiColumns`).
-    Rows are in send order; the barrier store groups them stably by
-    first occurrence of each destination, which is exactly the reference
-    plane's activation and delivery order.
-    """
-
-    __slots__ = ("dest", "columns")
-
-    def __init__(self, dest: np.ndarray, columns: Any):
-        self.dest = dest
-        self.columns = columns
-
-    @property
-    def nbytes(self) -> int:
-        """Exact bytes of the buffers this batch ships across the barrier."""
-        return self.dest.nbytes + self.columns.nbytes
-
-    def __len__(self) -> int:
-        return len(self.dest)
-
-
 class ColumnarOutbox:
     """A worker outbox that accumulates packed Gpsi chunks directly.
 
-    Expansion supersteps send whole child batches per compute call
-    (``ctx.send_columns``), so the outbox is a list of ``(dest, columns)``
-    chunk pairs instead of a per-message dict.  Scalar ``ctx.send`` calls
-    (the initialisation superstep) are buffered and packed together at
-    the next seal point, so they cost one ``pack_gpsis`` per worker, not
-    one per message.  ``to_batch`` concatenates everything into one
-    :class:`GpsiBatch` in send order.
+    Every send is a whole packed batch (``ctx.send_columns``: superstep
+    0's initial Gpsis, then one block's children per compute call), so
+    the outbox is a list of :class:`~repro.core.psi.GpsiColumns` chunks
+    instead of a per-message dict.  Rows are self-addressed — row ``i``
+    goes to ``columns.destinations()[i]`` — so nothing but the columns is
+    queued.  ``to_columns`` concatenates everything in send order.
 
     Under the **pipelined shuffle mode** the outbox also streams: give it
     a ``flush`` callback plus a ``chunk_gpsis`` (rows) and/or
     ``chunk_bytes`` watermark and it hands off the pending rows as one
-    packed :class:`GpsiBatch` whenever a watermark is reached, *before*
-    an append that would overflow it, and cuts a send that is itself
-    larger at the watermark — so every flushed chunk is bounded by the
-    watermark in both dimensions (one row at least) and the worker's
-    peak buffered outbox shrinks from O(superstep volume) to O(chunk).
-    Whatever is still pending when compute ends stays in the outbox as
-    the *residual* (``to_batch``); callers ship it with the step result.
+    packed chunk whenever a watermark is reached, *before* an append that
+    would overflow it, and cuts a send that is itself larger at the
+    watermark — so every flushed chunk is bounded by the watermark in
+    both dimensions (one row at least) and the worker's peak buffered
+    outbox shrinks from O(superstep volume) to O(chunk).  Whatever is
+    still pending when compute ends stays in the outbox as the
+    *residual* (``to_columns``); callers ship it with the step result.
     """
 
     __slots__ = (
-        "_dest_chunks",
-        "_col_chunks",
-        "_scalars",
+        "_chunks",
         "_count",
         "_pending_bytes",
         "_flush",
@@ -253,14 +228,11 @@ class ColumnarOutbox:
 
     def __init__(
         self,
-        flush: Optional[Callable[["GpsiBatch"], None]] = None,
+        flush: Optional[Callable[[Any], None]] = None,
         chunk_gpsis: Optional[int] = None,
         chunk_bytes: Optional[int] = None,
     ):
-        self._dest_chunks: List[np.ndarray] = []
-        self._col_chunks: List[Any] = []
-        #: Scalar sends not yet packed (see :meth:`append_message`).
-        self._scalars: List[Message] = []
+        self._chunks: List[Any] = []
         self._count = 0
         self._pending_bytes = 0
         self._flush = flush
@@ -291,117 +263,82 @@ class ColumnarOutbox:
 
     def flush_pending(self) -> None:
         """Hand the pending rows to the flush callback as one chunk."""
-        if self._flush is None or not len(self):
+        if self._flush is None or not self._count:
             return
-        batch = self.to_batch()
-        self._dest_chunks = []
-        self._col_chunks = []
+        columns = self.to_columns()
+        self._chunks = []
         self._count = 0
         self._pending_bytes = 0
         self.chunks_flushed += 1
-        self.flushed_bytes += batch.nbytes
-        self._flush(batch)
+        self.flushed_bytes += columns.nbytes
+        self._flush(columns)
 
-    def _push(self, dest: np.ndarray, columns: Any) -> None:
-        nbytes = dest.nbytes + columns.nbytes
-        if nbytes > self.max_append_bytes:
-            self.max_append_bytes = nbytes
-        self._dest_chunks.append(dest)
-        self._col_chunks.append(columns)
+    def _push(self, columns: Any) -> None:
+        self._chunks.append(columns)
         self._count += len(columns)
-        self._pending_bytes += nbytes
+        self._pending_bytes += columns.nbytes
 
-    def append(self, dest: np.ndarray, columns: Any) -> None:
-        """Queue one packed send: row ``i`` of ``columns`` goes to data
-        vertex ``dest[i]``.  When streaming, a send larger than the
+    def append(self, columns: Any) -> None:
+        """Queue one packed send.  When streaming, a send larger than the
         watermark is cut *at* the watermark (one send is a whole block's
         children): full chunks leave at once, its tail stays pending."""
         n = len(columns)
         if n == 0:
             return
-        self._seal_scalars()
-        dest = np.asarray(dest, dtype=np.int64)
+        nbytes = columns.nbytes
+        self.max_append_bytes = max(self.max_append_bytes, nbytes)
         if self._flush is None:
-            self._push(dest, columns)
+            self._push(columns)
             return
-        nbytes = dest.nbytes + columns.nbytes
         if self._count and self._would_overflow(n, nbytes):
             self.flush_pending()
-        self.max_append_bytes = max(self.max_append_bytes, nbytes)
         cut = n if self._chunk_gpsis is None else self._chunk_gpsis
         if self._chunk_bytes is not None:
             cut = min(cut, max(1, self._chunk_bytes // (nbytes // n)))
         for lo in range(0, n, cut):
-            self._push(dest[lo : lo + cut], columns.row_slice(lo, lo + cut))
+            self._push(columns.row_slice(lo, lo + cut))
             if lo + cut < n or self._at_watermark():
                 self.flush_pending()
 
-    def append_message(self, message: Message) -> None:
-        """Queue one scalar :class:`Message` — ``ctx.send`` on the
-        production plane.  Buffered: the run of scalar sends is packed as
-        one chunk, in send order, before anything else is queued or read
-        (it never triggers a flush on its own; it rides out with the
-        next one, or as the residual)."""
-        self._scalars.append(message)
-
-    def _seal_scalars(self) -> None:
-        if not self._scalars:
-            return
-        messages, self._scalars = self._scalars, []
-        self._push(
-            np.fromiter(
-                (m.dest for m in messages), dtype=np.int64, count=len(messages)
-            ),
-            _psi().pack_gpsis([m.payload for m in messages]),
-        )
-
-    def to_batch(self) -> "GpsiBatch":
-        """Everything queued, as one packed batch in send order."""
-        self._seal_scalars()
-        psi = _psi()
-        if not self._col_chunks:
-            return GpsiBatch(np.empty(0, dtype=np.int64), psi.GpsiColumns.empty(0))
-        return GpsiBatch(
-            np.concatenate(self._dest_chunks),
-            psi.GpsiColumns.concat(self._col_chunks),
-        )
+    def to_columns(self) -> Any:
+        """Everything queued, as one packed chunk in send order."""
+        if not self._chunks:
+            return _psi().GpsiColumns.empty(0)
+        return _psi().GpsiColumns.concat(self._chunks)
 
     def __len__(self) -> int:
-        return self._count + len(self._scalars)
+        return self._count
 
 
 class PackedWorkerBatch:
     """One logical worker's superstep input, still in packed form.
 
     ``vertices`` lists the worker's active vertices in activation order;
-    ``counts[i]`` rows of ``columns`` (consecutive, starting at
-    ``sum(counts[:i])``) are the payloads delivered to ``vertices[i]``.
-    The executing worker cuts ``columns`` into row blocks — the rows carry
-    their own destination, so a block may span or split vertices — and
-    hands each to ``compute_columns``; rows are never decoded into objects.
+    ``columns`` holds their delivered rows, grouped by destination in
+    that order.  The executing worker cuts ``columns`` into row blocks —
+    every row names its own destination, so a block may span or split
+    vertices — and hands each to ``compute_columns``; rows are never
+    decoded into objects.
     """
 
-    __slots__ = ("vertices", "counts", "columns")
+    __slots__ = ("vertices", "columns")
 
-    def __init__(self, vertices: np.ndarray, counts: np.ndarray, columns: Any):
+    def __init__(self, vertices: np.ndarray, columns: Any):
         self.vertices = vertices
-        self.counts = counts
         self.columns = columns
 
     def __len__(self) -> int:
         return len(self.vertices)
 
 
-def _group_first_send(
-    dest_w: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _group_first_send(dest_w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Stable grouping of one worker's rows by destination vertex.
 
-    Returns ``(vertices, counts, perm)``: distinct destinations in
-    first-send order, the row count per destination, and the permutation
-    that reorders rows so each destination's rows are consecutive (groups
-    by first send, rows within a group in send order) — exactly the
-    activation and delivery order the reference plane produces.
+    Returns ``(vertices, perm)``: distinct destinations in first-send
+    order, and the permutation that reorders rows so each destination's
+    rows are consecutive (groups by first send, rows within a group in
+    send order) — exactly the activation and delivery order the
+    reference plane produces.
     """
     uniq, first_idx, inverse = sorted_unique(dest_w)
     # Rank each distinct destination by first appearance, then
@@ -410,12 +347,7 @@ def _group_first_send(
     first_order = np.argsort(first_idx, kind="stable")
     rank = np.empty(len(uniq), dtype=np.int64)
     rank[first_order] = np.arange(len(uniq))
-    row_rank = rank[inverse]
-    return (
-        uniq[first_order],
-        np.bincount(row_rank, minlength=len(uniq)),
-        np.argsort(row_rank, kind="stable"),
-    )
+    return uniq[first_order], np.argsort(rank[inverse], kind="stable")
 
 
 class ChunkedColumnarStore:
@@ -427,9 +359,9 @@ class ChunkedColumnarStore:
     shuffle that is a single chunk per sender, merged at the barrier;
     under pipelined shuffle watermark-sized chunks arrive **while senders
     are still computing** and the remainder follows at the barrier.  Each
-    chunk is split by destination-owning worker on arrival, so what is
-    left for :meth:`build_worker_batches` is one concatenation and one
-    stable per-vertex grouping per worker.
+    chunk is split on arrival by the worker owning each row's derived
+    destination, so what is left for :meth:`build_worker_batches` is one
+    concatenation and one stable per-vertex grouping per worker.
 
     Order and parity
     ----------------
@@ -482,8 +414,8 @@ class ChunkedColumnarStore:
         self._owner_of = owner_of
         self._num_workers = num_workers
         self._lock = threading.Lock()
-        #: Per destination worker: ``(sender, seq, dest_sub, cols_sub)``.
-        self._pieces: List[List[Tuple[int, int, np.ndarray, Any]]] = [
+        #: Per destination worker: ``(sender, seq, columns_sub)``.
+        self._pieces: List[List[Tuple[int, int, Any]]] = [
             [] for _ in range(num_workers)
         ]
         self._seqs: Dict[int, set] = {}
@@ -500,18 +432,15 @@ class ChunkedColumnarStore:
         #: the watermark under pipelined shuffle.
         self.max_chunk_bytes = 0
 
-    def _split_by_owner(
-        self, sender: int, seq: int, dest: np.ndarray, columns: Any
-    ) -> None:
-        owner = self._owner_of[dest]
+    def _split_by_owner(self, sender: int, seq: int, columns: Any) -> None:
+        owner = self._owner_of[columns.destinations()]
         for w in np.flatnonzero(np.bincount(owner)).tolist():
             rows = np.flatnonzero(owner == w)
-            self._pieces[w].append(
-                (sender, seq, dest[rows], columns.take(rows))
-            )
+            self._pieces[w].append((sender, seq, columns.take(rows)))
 
-    def merge_chunk(self, sender: int, seq: int, batch: GpsiBatch) -> None:
-        """Ingest chunk ``seq`` of worker ``sender``'s outbox (thread-safe)."""
+    def merge_chunk(self, sender: int, seq: int, columns: Any) -> None:
+        """Ingest chunk ``seq`` of worker ``sender``'s outbox (thread-safe);
+        a chunk is a packed :class:`~repro.core.psi.GpsiColumns`."""
         with self._lock:
             if self._finalized:
                 raise EngineError(
@@ -524,23 +453,24 @@ class ChunkedColumnarStore:
                     f"duplicate shuffle chunk (worker {sender}, seq {seq})"
                 )
             seqs.add(seq)
-            n = len(batch)
+            n = len(columns)
             if n == 0:
                 return
+            nbytes = columns.nbytes
             self._count += n
-            self.wire_bytes += batch.nbytes
+            self.wire_bytes += nbytes
             self.chunks_merged += 1
-            if batch.nbytes > self.max_chunk_bytes:
-                self.max_chunk_bytes = batch.nbytes
+            if nbytes > self.max_chunk_bytes:
+                self.max_chunk_bytes = nbytes
             if (
                 self._spill is not None
-                and self._resident_bytes + batch.nbytes > self._watermark
+                and self._resident_bytes + nbytes > self._watermark
             ):
-                ref = self._spill.spill(sender, seq, batch.dest, batch.columns)
+                ref = self._spill.spill(sender, seq, columns)
                 self._spilled.append((sender, seq, ref))
                 return
-            self._resident_bytes += batch.nbytes
-            self._split_by_owner(sender, seq, batch.dest, batch.columns)
+            self._resident_bytes += nbytes
+            self._split_by_owner(sender, seq, columns)
 
     def finalize(self) -> None:
         """Order chunks by ``(sender, seq)`` and validate completeness.
@@ -555,8 +485,9 @@ class ChunkedColumnarStore:
             # the (sender, seq) sort below cannot tell a mapped chunk
             # from one that never left memory.
             for sender, seq, ref in self._spilled:
-                dest, columns = self._spill.load(sender, seq, ref)
-                self._split_by_owner(sender, seq, dest, columns)
+                self._split_by_owner(
+                    sender, seq, self._spill.load(sender, seq, ref)
+                )
             self._spilled = []
             for sender in sorted(self._seqs):
                 seqs = sorted(self._seqs[sender])
@@ -590,14 +521,7 @@ class ChunkedColumnarStore:
             if not pieces:
                 batches.append([])
                 continue
-            dest_w = np.concatenate([p[2] for p in pieces])
-            cols_w = psi.GpsiColumns.concat([p[3] for p in pieces])
-            vertices, counts, perm = _group_first_send(dest_w)
-            batches.append(
-                PackedWorkerBatch(
-                    vertices=vertices,
-                    counts=counts,
-                    columns=cols_w.take(perm),
-                )
-            )
+            columns = psi.GpsiColumns.concat([p[2] for p in pieces])
+            vertices, perm = _group_first_send(columns.destinations())
+            batches.append(PackedWorkerBatch(vertices, columns.take(perm)))
         return batches

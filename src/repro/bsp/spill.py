@@ -11,8 +11,9 @@ codec (:func:`repro.core.codec.encode_columns`).
 This module supplies the two pieces the stores plug in:
 
 * :class:`SuperstepSpill` — one append-only spill file per superstep.
-  ``spill`` seals a chunk to disk (destination column + encoded Gpsi
-  columns, 8-byte aligned records) and returns a :class:`SpillRef`;
+  ``spill`` seals a chunk to disk (its encoded Gpsi columns, 8-byte
+  aligned records; rows are self-addressed, so no destination column is
+  written) and returns a :class:`SpillRef`;
   ``load`` re-maps the record as **views** into an ``np.memmap`` —
   delivery reads page in lazily, nothing is eagerly copied back.
 * :class:`SpillManager` — owns the spill directory, the
@@ -39,7 +40,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class SpillRef:
     superstep: int
     offset: int
     num_rows: int
-    nbytes: int  # dest column + encoded columns, without padding
+    nbytes: int  # encoded columns, without padding
 
 
 def _pad8(size: int) -> int:
@@ -71,9 +72,9 @@ def _pad8(size: int) -> int:
 class SuperstepSpill:
     """Append-only spill file for one superstep's evicted chunks.
 
-    Record layout (8-byte aligned): ``n`` int64 destination ids, then the
-    chunk's :func:`~repro.core.codec.encode_columns` bytes, then zero
-    padding to the next 8-byte boundary.  Refs carry the offsets, so the
+    Record layout (8-byte aligned): the chunk's
+    :func:`~repro.core.codec.encode_columns` bytes, then zero padding to
+    the next 8-byte boundary.  Refs carry the offsets, so the
     file needs no framing of its own.  Writes happen under the owning
     store's merge lock; loads start only at finalize, after the last
     write, so the lazily created read mapping always sees every record.
@@ -87,22 +88,18 @@ class SuperstepSpill:
         self._offset = 0
         self._mm: Optional[np.memmap] = None
 
-    def spill(
-        self, sender: int, seq: int, dest: np.ndarray, columns: Any
-    ) -> SpillRef:
+    def spill(self, sender: int, seq: int, columns: Any) -> SpillRef:
         """Seal one chunk to disk; returns the ref that re-maps it."""
         if self._fh is None:
             self._fh = open(self.path, "wb")
-        dest_bytes = np.ascontiguousarray(dest, dtype="<i8").tobytes()
         col_bytes = _codec().encode_columns(columns)
-        size = len(dest_bytes) + len(col_bytes)
+        size = len(col_bytes)
         ref = SpillRef(
             superstep=self._superstep,
             offset=self._offset,
-            num_rows=len(dest),
+            num_rows=len(columns),
             nbytes=size,
         )
-        self._fh.write(dest_bytes)
         self._fh.write(col_bytes)
         padded = _pad8(size)
         if padded != size:
@@ -111,7 +108,7 @@ class SuperstepSpill:
         self._manager.record_spill(sender, seq, ref)
         return ref
 
-    def load(self, sender: int, seq: int, ref: SpillRef) -> Tuple[np.ndarray, Any]:
+    def load(self, sender: int, seq: int, ref: SpillRef) -> Any:
         """Re-map one spilled chunk as read-only views into the file."""
         if self._mm is None:
             if self._fh is not None:
@@ -129,20 +126,15 @@ class SuperstepSpill:
                 f"{ref.offset} needs {ref.nbytes} bytes, file has "
                 f"{len(self._mm)}"
             )
-        dest = np.frombuffer(
-            self._mm, dtype="<i8", count=ref.num_rows, offset=ref.offset
-        )
         codec = _codec()
         try:
-            columns, _ = codec.map_columns(
-                self._mm, ref.offset + ref.num_rows * 8
-            )
+            columns, _ = codec.map_columns(self._mm, ref.offset)
         except codec.CodecError as exc:
             raise EngineError(
                 f"spill file {self.path} corrupted mid-run: {exc}"
             ) from exc
         self._manager.record_map(sender, seq, ref)
-        return dest, columns
+        return columns
 
     def close(self) -> None:
         """Drop the write handle and mapping (idempotent; file stays)."""

@@ -43,11 +43,11 @@ class ComputeContext:
         superstep: int,
         worker_id: int,
         worker_state: Dict[str, Any],
-        send: Callable[[Message], None],
+        send: Optional[Callable[[Message], None]],
         add_cost: Callable[[float], None],
         emit: Callable[[Any], None],
         aggregators: Optional["AggregatorRegistry"] = None,
-        send_columns: Optional[Callable[[Any, Any], None]] = None,
+        send_columns: Optional[Callable[[Any], None]] = None,
     ):
         self.graph = graph
         self.superstep = superstep
@@ -61,21 +61,29 @@ class ComputeContext:
         self._aggregators = aggregators
 
     def send(self, dest: int, payload: Any) -> None:
-        """Send ``payload`` to data vertex ``dest`` (delivered next superstep)."""
+        """Send ``payload`` to data vertex ``dest`` (delivered next
+        superstep).  Only wired up on the reference (object) plane; the
+        production plane moves nothing but packed columns."""
+        if self._send is None:
+            raise RuntimeError(
+                "send is only available on the reference (object) plane; "
+                "the production plane sends through send_columns"
+            )
         self._send(Message(dest, payload))
 
-    def send_columns(self, dest: Any, columns: Any) -> None:
-        """Bulk-send a packed Gpsi batch: row ``i`` of ``columns`` goes to
-        data vertex ``dest[i]``.  Only wired up on the production
-        (columnar) plane (see :mod:`repro.core.batch_expand`); the rows
-        flow straight into the packed outbox with no per-message
-        objects."""
+    def send_columns(self, columns: Any) -> None:
+        """Bulk-send a packed :class:`~repro.core.psi.GpsiColumns` batch.
+        Every row is self-addressed: it goes to the data vertex
+        ``columns.destinations()`` names for it, the image of its
+        ``next_vertex``.  Only wired up on the production (columnar)
+        plane; the rows flow straight into the packed outbox with no
+        per-message objects."""
         if self._send_columns is None:
             raise RuntimeError(
                 "send_columns is only available on the production "
                 "(columnar) plane"
             )
-        self._send_columns(dest, columns)
+        self._send_columns(columns)
 
     def add_cost(self, units: float) -> None:
         """Charge ``units`` of simulated work to the executing worker."""
@@ -112,11 +120,12 @@ class VertexProgram:
     def pre_application(self, graph: Graph, num_workers: int) -> None:
         """One-time setup before superstep 0 (load shared read-only data)."""
 
-    #: Whether the program implements :meth:`compute_columns` and so can
-    #: run on the production (columnar) plane, where payloads are never
-    #: materialised as objects.  A program that does not — or that
-    #: declares a :meth:`message_combiner` — runs on the reference plane;
-    #: the engine falls back on its own (see ``docs/perf.md``).
+    #: Whether the program implements :meth:`initialize_columns` and
+    #: :meth:`compute_columns` and so can run on the production
+    #: (columnar) plane, where payloads are never materialised as
+    #: objects.  A program that does not — or that declares a
+    #: :meth:`message_combiner` — runs on the reference plane; the engine
+    #: falls back on its own (see ``docs/perf.md``).
     supports_columnar_compute: bool = False
 
     #: Whether the program additionally splits :meth:`compute_columns`
@@ -135,20 +144,30 @@ class VertexProgram:
         superstep 0)."""
         raise NotImplementedError
 
+    def initialize_columns(self, ctx: ComputeContext, vertices: Any) -> None:
+        """Columnar twin of superstep-0 :meth:`compute`: one call per
+        worker with its initial active vertices as an ``int64`` array,
+        in activation order; ``ctx.vertex`` is not set.  Called only on
+        the production plane.  Implementations must produce exactly the
+        observable effects of ``compute`` run on each vertex in turn with
+        an empty message list — costs, aggregations, and sends, made
+        through ``ctx.send_columns`` in the same row order."""
+        raise NotImplementedError
+
     def compute_columns(self, ctx: ComputeContext, columns: Any) -> None:
-        """Columnar twin of :meth:`compute`: one call per delivered
-        block — rows of several destination vertices in delivery order,
-        as a packed :class:`~repro.core.psi.GpsiColumns` instead of lists
-        of objects.  A worker's delivery reaches the program as one or
-        more consecutive blocks, cut at arbitrary rows (also inside one
+        """Columnar twin of :meth:`compute` for supersteps after 0: one
+        call per delivered block — rows of several destination vertices
+        in delivery order, as a packed
+        :class:`~repro.core.psi.GpsiColumns` instead of lists of objects.
+        A worker's delivery reaches the program as one or more
+        consecutive blocks, cut at arbitrary rows (also inside one
         vertex's delivery), and ``ctx.vertex`` is not set: every row
         carries its own destination.  Called only when
         :attr:`supports_columnar_compute` is set and the job runs on the
-        columnar wire plane; superstep 0 (empty message lists) always
-        goes through :meth:`compute`.  Implementations must produce
-        exactly the observable effects of ``compute`` on the equivalent
-        per-vertex message lists — costs, aggregations, sends — since
-        the two paths are interchangeable per superstep."""
+        columnar wire plane.  Implementations must produce exactly the
+        observable effects of ``compute`` on the equivalent per-vertex
+        message lists — costs, aggregations, sends — since the two paths
+        are interchangeable per superstep."""
         raise NotImplementedError
 
     def post_application(self) -> None:

@@ -45,11 +45,9 @@ from ..pattern.automorphism import automorphisms, break_automorphisms
 from ..pattern.pattern import PatternGraph
 from . import kernels
 from .batch_expand import BatchOutcome, expand_columns
-from .codec import encoded_size, encoded_size_batch
 from .cost import CostParameters, DEFAULT_COSTS
 from .distribution import DistributionStrategy, make_strategy
 from .edge_index import EdgeIndexBase, build_edge_index
-from .expansion import expand_gpsi
 from .init_vertex import select_initial_vertex
 from .psi import Gpsi, GpsiColumns
 
@@ -123,6 +121,10 @@ class PSgLProgram(VertexProgram):
     addresses it to itself.  Every later superstep expands incoming Gpsis
     via Algorithm 1 and routes the offspring through the distribution
     strategy.
+
+    Both phases exist twice: :meth:`compute` is the paper-faithful
+    per-vertex, per-Gpsi reference; :meth:`initialize_columns` and
+    :meth:`compute_columns` are the production plane's packed twins.
     """
 
     def __init__(
@@ -292,6 +294,10 @@ class PSgLProgram(VertexProgram):
         ctx.send(vd, gpsi)
 
     def _expand(self, ctx: ComputeContext, gpsi: Gpsi) -> None:
+        # The reference plane's modules load only when it runs.
+        from .codec import encoded_size
+        from .expansion import expand_gpsi
+
         source_vp = gpsi.next_vertex
         outcome = expand_gpsi(
             gpsi, self.pattern, self.ordered, self.edge_index, self.costs
@@ -325,15 +331,26 @@ class PSgLProgram(VertexProgram):
             ctx.send(child.mapping[chosen], addressed)
 
     # ------------------------------------------------------------------
+    def initialize_columns(self, ctx: ComputeContext, vertices: np.ndarray) -> None:
+        """Packed twin of the initialization phase: one call per worker.
+        Every vertex costs one unit; those whose degree admits the
+        initial pattern vertex (pruning rule 1) each send the one-pair
+        Gpsi to themselves, as one self-addressed packed batch."""
+        ctx.add_cost(float(len(vertices)))
+        v0 = self.initial_vertex
+        hosts = vertices[ctx.graph.degrees[vertices] >= self.pattern.degree(v0)]
+        if not len(hosts):
+            return
+        self.gpsi_by_vertex[v0] = self.gpsi_by_vertex.get(v0, 0) + len(hosts)
+        ctx.send_columns(GpsiColumns.initial(self.pattern, v0, hosts))
+
     def compute_columns(self, ctx: ComputeContext, columns: GpsiColumns) -> None:
         """Batched twin of the expansion phase: one call per delivered
         block, consuming rows of several destination vertices in delivery
         order as packed :class:`~repro.core.psi.GpsiColumns` (each row
         names its own expanding vertex; ``ctx.vertex`` is not set) and
         emitting children through ``ctx.send_columns`` — no per-Gpsi
-        objects anywhere (see :mod:`repro.core.batch_expand`).  Superstep
-        0 always runs through :meth:`compute`, so this only ever sees
-        expansion supersteps.
+        objects anywhere (see :mod:`repro.core.batch_expand`).
 
         Internally split into the *pure* half (:meth:`expand_task`) and
         the *stateful* half (:meth:`apply_outcome`); the work-stealing
@@ -418,9 +435,10 @@ class PSgLProgram(VertexProgram):
             pending.mapping, pending.black, chosen.astype(np.uint8)
         )
         if self.track_message_bytes:
+            from .codec import encoded_size_batch
+
             self.message_bytes += encoded_size_batch(addressed)
-        dest = pending.mapping[np.arange(len(chosen)), chosen]
-        ctx.send_columns(dest, addressed)
+        ctx.send_columns(addressed)
 
 
 def check_num_workers(num_workers: object) -> int:

@@ -66,10 +66,6 @@ class Gpsi:
         return cls(tuple(mapping), 0, init_vertex)
 
     # ------------------------------------------------------------------
-    def is_mapped(self, vp: int) -> bool:
-        """Whether pattern vertex ``vp`` has a data image (GRAY or BLACK)."""
-        return self.mapping[vp] != UNMAPPED
-
     def is_black(self, vp: int) -> bool:
         """Whether ``vp`` has been expanded."""
         return bool(self.black >> vp & 1)
@@ -183,9 +179,9 @@ class GpsiColumns:
     * ``next_vertex`` — ``uint8 (n,)`` with :data:`PACKED_UNSET_NEXT`
       (0xFF) standing in for the unset ``-1``.
 
-    This is the unit the columnar message plane ships across the BSP
-    barrier: a handful of buffers per worker pair instead of one pickled
-    constructor call per Gpsi.
+    This is the one unit the columnar message plane ships across the BSP
+    barrier — three buffers per chunk instead of one pickled constructor
+    call per Gpsi, and no destination column: see :meth:`destinations`.
     """
 
     mapping: np.ndarray
@@ -210,6 +206,16 @@ class GpsiColumns:
     def __len__(self) -> int:
         return self.n
 
+    def destinations(self) -> np.ndarray:
+        """Each row's destination data vertex, ``mapping[i, next_vertex[i]]``.
+
+        PSgL sends a Gpsi to the worker owning the data image of the
+        vertex it will expand next (Algorithm 3), so a routed row is
+        self-addressed: no destination column travels beside it.  Only
+        meaningful for rows whose ``next_vertex`` is set.
+        """
+        return self.mapping[np.arange(self.n), self.next_vertex]
+
     def take(self, rows: np.ndarray) -> "GpsiColumns":
         """Row subset/permutation (fancy-indexed copy) as new columns."""
         return GpsiColumns(
@@ -223,6 +229,21 @@ class GpsiColumns:
             self.mapping[start:stop],
             self.black[start:stop],
             self.next_vertex[start:stop],
+        )
+
+    @classmethod
+    def initial(
+        cls, pattern: PatternGraph, init_vertex: int, data_vertices: np.ndarray
+    ) -> "GpsiColumns":
+        """The initialization phase's one-pair Gpsis, one row per data
+        vertex — the packed twin of :meth:`Gpsi.initial`."""
+        n, k = len(data_vertices), pattern.num_vertices
+        mapping = np.full((n, k), UNMAPPED, dtype=np.int64)
+        mapping[:, init_vertex] = data_vertices
+        return cls(
+            mapping,
+            np.zeros((n, _black_words(k)), dtype=np.uint32),
+            np.full(n, init_vertex, dtype=np.uint8),
         )
 
     @classmethod

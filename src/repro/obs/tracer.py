@@ -97,7 +97,7 @@ attribute load per superstep, not per vertex — unmeasurable next to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 #: Version tag written by every exporter and checked by every reader.
 SCHEMA = "repro.obs/v1"
@@ -273,8 +273,3 @@ def make_tracer(trace: TraceLike) -> Union[Tracer, NullTracer]:
     raise TypeError(
         f"trace must be None, bool, Tracer or NullTracer, got {type(trace).__name__}"
     )
-
-
-def events_as_json(events: Iterable[TraceEvent]) -> List[Dict[str, Any]]:
-    """Convenience: a list of flat dicts for serialisation."""
-    return [event.to_json() for event in events]

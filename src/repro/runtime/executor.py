@@ -56,7 +56,6 @@ import numpy as np
 from ..bsp.config import ExecutionConfig
 from ..bsp.message import (
     ColumnarOutbox,
-    GpsiBatch,
     Message,
     MessageStore,
     PackedWorkerBatch,
@@ -67,19 +66,23 @@ from ..graph.graph import Graph
 from ..graph.partition import Partition
 from ..obs.tracer import NULL_TRACER
 
-# One logical worker's superstep input: (vertex, delivered payloads) in
-# delivery order.  Superstep 0 delivers empty payload lists.  On the
-# production plane every later superstep hands over a still-packed
-# ``PackedWorkerBatch`` instead, which is cut into row blocks —
-# packed buffers, not per-message objects, are what crosses any process
-# boundary.
-WorkerBatch = List[Tuple[int, List[Any]]]
+# One logical worker's superstep input.  On the reference plane:
+# (vertex, delivered payloads) in delivery order, with empty payload lists
+# at superstep 0.  On the production plane: the worker's initial vertices
+# as one ``int64`` array at superstep 0, then a still-packed
+# ``PackedWorkerBatch``, cut into row blocks — packed buffers, not
+# per-message objects, are what crosses any process boundary.
+WorkerBatch = Any
 
 #: Parent rows per ``compute_columns`` call under the static schedule.
 #: A constant, not a knob: it bounds the flat temporaries of one
 #: expansion, so peak memory does not follow superstep volume, and is
 #: large enough that per-call set-up is noise.
 EXPAND_BLOCK_ROWS = 2048
+
+#: How long the pipelined barrier waits for a superstep's missing chunks
+#: before it calls them lost.  A constant, not a knob.
+DRAIN_JOIN_SECONDS = 60.0
 
 
 def row_ranges(rows: int, step: int) -> List[Tuple[int, int]]:
@@ -125,17 +128,17 @@ class JobSpec:
 class WorkerStepResult:
     """What one logical worker produced in one superstep.
 
-    ``outbox`` is the worker's sent messages as ``(dest, payloads)`` pairs
-    in first-send order, already combined per destination when the program
-    declares a message combiner.  ``messages_sent`` counts raw ``send``
-    calls (pre-combining), matching the ledger's accounting.  ``inbound``
-    counts raw sends per *destination-owning* worker, which feeds the
-    per-worker OOM budget.
+    ``outbox`` is the worker's sent messages: on the reference plane
+    ``(dest, payloads)`` pairs in first-send order, already combined per
+    destination when the program declares a message combiner; on the
+    production plane one packed, self-addressed
+    :class:`~repro.core.psi.GpsiColumns` in send order.
+    ``messages_sent`` counts raw sends (pre-combining), matching the
+    ledger's accounting.  ``inbound`` counts raw sends per
+    *destination-owning* worker, which feeds the per-worker OOM budget.
     """
 
     worker_id: int
-    #: ``(dest, payloads)`` pairs on the reference plane, a packed
-    #: :class:`~repro.bsp.message.GpsiBatch` on the production plane.
     outbox: Any
     messages_sent: int
     inbound: List[int]
@@ -215,6 +218,8 @@ def _compute_batch(
         columns = batch.columns
         for lo, hi in row_ranges(len(columns), EXPAND_BLOCK_ROWS):
             program.compute_columns(ctx, columns.row_slice(lo, hi))
+    elif isinstance(batch, np.ndarray):
+        program.initialize_columns(ctx, batch)
     else:
         for vertex, payloads in batch:
             ctx.vertex = vertex
@@ -244,18 +249,18 @@ def run_worker_batch(
     driver's own (serial) or a replica (thread/process).
 
     On the production plane (``spec.wire == "columnar"``) nothing ever
-    leaves packed form: the delivered
-    :class:`~repro.bsp.message.PackedWorkerBatch` is cut into row blocks
-    (:func:`row_ranges`) handed to ``compute_columns``, and children flow through
-    ``ctx.send_columns`` into a :class:`~repro.bsp.message.ColumnarOutbox`
-    — zero Gpsi constructions end to end, and on the process backend both
-    directions cross the pool boundary as a handful of numpy buffers.
-    Superstep 0 delivers no payloads, so it runs the scalar ``compute``
-    per vertex on either plane; its ``ctx.send`` calls land in the same
-    outbox and are packed once.
+    leaves packed form: superstep 0 hands the worker's initial vertices to
+    ``initialize_columns`` in one call, every later superstep cuts the
+    delivered :class:`~repro.bsp.message.PackedWorkerBatch` into row
+    blocks (:func:`row_ranges`) handed to ``compute_columns``, and every
+    send flows through ``ctx.send_columns`` into a
+    :class:`~repro.bsp.message.ColumnarOutbox` — zero ``Gpsi`` or
+    ``Message`` constructions end to end (``ctx.send`` raises), and on the
+    process backend both directions cross the pool boundary as a handful
+    of numpy buffers.
 
     A ``spec.chunk_queue`` enables the pipelined shuffle: the outbox puts
-    watermark-sized chunks on it as ``(worker_id, seq, batch)`` *while
+    watermark-sized chunks on it as ``(worker_id, seq, columns)`` *while
     compute is running*; whatever is pending at the end returns as the
     residual ``outbox`` with ``chunks_flushed`` recording how many chunks
     already streamed.
@@ -286,7 +291,7 @@ def run_worker_batch(
             # however fast workers expand.
             put_chunk = spec.chunk_queue.put
 
-            def _flush(chunk: GpsiBatch) -> None:
+            def _flush(chunk: Any) -> None:
                 seq = len(chunk_stats)
                 chunk_stats.append(
                     (
@@ -305,21 +310,20 @@ def run_worker_batch(
         else:
             col_outbox = ColumnarOutbox()
         owner_array = partition.owner_array
+        send = None
 
-        def send(message: Message) -> None:
-            col_outbox.append_message(message)
-            acc["sent"] += 1
-            inbound[partition.owner(message.dest)] += 1
-
-        def send_columns(dest, columns) -> None:
-            col_outbox.append(dest, columns)
+        def send_columns(columns) -> None:
             n = len(columns)
+            if not n:
+                return
+            col_outbox.append(columns)
             acc["sent"] += n
-            if n:
-                for w, c in enumerate(
-                    np.bincount(owner_array[dest], minlength=num_workers)
-                ):
-                    inbound[w] += int(c)
+            for w, c in enumerate(
+                np.bincount(
+                    owner_array[columns.destinations()], minlength=num_workers
+                )
+            ):
+                inbound[w] += int(c)
 
     else:
         local_outbox = MessageStore(program.message_combiner())
@@ -349,7 +353,7 @@ def run_worker_batch(
     chunks_flushed = 0
     max_send_bytes = 0
     if columnar:
-        outbox = col_outbox.to_batch()
+        outbox = col_outbox.to_columns()
         wire_bytes = col_outbox.flushed_bytes + outbox.nbytes
         chunks_flushed = col_outbox.chunks_flushed
         max_send_bytes = col_outbox.max_append_bytes
@@ -478,10 +482,10 @@ class _ChunkDrain:
         count trivially.
         """
         self._expected = expected
-        self._thread.join(60.0)
+        self._thread.join(DRAIN_JOIN_SECONDS)
         if self._thread.is_alive():
             self.abort()
-            raise RuntimeError(
+            raise EngineError(
                 f"pipelined shuffle lost chunks: received {self.received} "
                 f"of {expected} at superstep {superstep}"
             )
@@ -601,7 +605,7 @@ class SuperstepExecutor:
         futures: List[Future] = []
         try:
             for owner, batch in enumerate(batches):
-                if not batch:
+                if not len(batch):
                     continue
                 if steal and isinstance(batch, PackedWorkerBatch):
                     tasks = split_batch(owner, batch, spec.config.steal_tasks)

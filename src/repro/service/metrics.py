@@ -245,11 +245,6 @@ class Histogram(_Metric):
                 self._children[()] = child
             child.observe(value)
 
-    def observation_count(self) -> int:
-        with self._lock:
-            child = self._children.get(())
-        return child.count if child is not None else 0
-
     def _child_samples(self, key, child):
         lines = []
         cumulative_names = list(self.labelnames) + ["le"]

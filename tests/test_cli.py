@@ -16,11 +16,16 @@ from repro.graph.generators import erdos_renyi
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Modules a cold serial ``psgl count`` on a text edge list never loads:
-#: other subcommands' machinery, unused backends, and ``numpy.ma``
+#: other subcommands' machinery, unused backends, the reference plane's
+#: scalar expansion and codec, the spill plane, and ``numpy.ma``
 #: (``np.unique`` imports it lazily, ~20 ms: no grouping on the count
 #: path may go through it).
 COLD_COUNT_NEVER_LOADS = (
     "numpy.ma",
+    "repro.core.expansion",
+    "repro.core.candidates",
+    "repro.core.codec",
+    "repro.bsp.spill",
     "repro.bench",
     "repro.service",
     "repro.graph.stats",

@@ -11,13 +11,15 @@ watermark machinery the pipelined shuffle is built on.
 import numpy as np
 import pytest
 
-from repro.bsp import GpsiBatch, Message, MessageStore
+from repro.bsp import Message, MessageStore
 from repro.bsp.message import ColumnarOutbox
 from repro.core import Gpsi, UNMAPPED
 
 
-def g(i, nxt=1):
-    return Gpsi((i, UNMAPPED, i + 100), 0b001, nxt)
+def g(dest):
+    """A Gpsi whose next vertex (v1) is mapped to ``dest``: a routed,
+    self-addressed row."""
+    return Gpsi((dest + 100, dest, UNMAPPED), 0b001, 1)
 
 
 class TestMergeBatchCombinerFold:
@@ -93,19 +95,19 @@ class TestMessageStoreCountInvariant:
 
 class TestColumnarOutboxWatermarks:
     def pack(self, n, base=0):
-        return np.arange(base, base + n, dtype=np.int64), _cols(n, base)
+        """``n`` packed rows addressed to ``base, base + 1, ...``."""
+        return _cols(n, base)
 
     def test_row_watermark_flushes_bounded_chunks(self):
         flushed = []
         outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=4)
         for i in range(5):
-            dest, cols = self.pack(2, base=10 * i)
-            outbox.append(dest, cols)
+            outbox.append(self.pack(2, base=10 * i))
         # 10 rows at watermark 4 → two 4-row chunks out, 2-row residual.
         assert [len(b) for b in flushed] == [4, 4]
         assert outbox.chunks_flushed == 2
         assert len(outbox) == 2
-        residual = outbox.to_batch()
+        residual = outbox.to_columns()
         assert len(residual) == 2
         assert outbox.flushed_bytes == sum(b.nbytes for b in flushed)
 
@@ -116,45 +118,49 @@ class TestColumnarOutboxWatermarks:
         chunk is ≤ the watermark."""
         flushed = []
         outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=4)
-        outbox.append(*self.pack(2))
-        dest, cols = self.pack(7, base=100)
-        outbox.append(dest, cols)  # overflows: 2 flush, then 4, 3 pending
+        outbox.append(self.pack(2))
+        cols = self.pack(7, base=100)
+        outbox.append(cols)  # overflows: 2 flush, then 4, 3 pending
         assert [len(b) for b in flushed] == [2, 4]
         assert len(outbox) == 3
-        assert outbox.max_append_bytes == dest.nbytes + cols.nbytes
-        sent = np.concatenate([b.dest for b in flushed] + [outbox.to_batch().dest])
+        assert outbox.max_append_bytes == cols.nbytes
+        sent = np.concatenate(
+            [b.destinations() for b in flushed + [outbox.to_columns()]]
+        )
         assert sent.tolist() == [0, 1] + list(range(100, 107))
 
     def test_one_large_append_flushes_watermark_chunks_in_order(self):
         flushed = []
         outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=4)
-        outbox.append(*self.pack(10))
-        assert [b.dest.tolist() for b in flushed] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        residual = outbox.to_batch()
-        assert residual.dest.tolist() == [8, 9]
+        outbox.append(self.pack(10))
+        assert [b.destinations().tolist() for b in flushed] == [
+            [0, 1, 2, 3],
+            [4, 5, 6, 7],
+        ]
+        residual = outbox.to_columns()
+        assert residual.destinations().tolist() == [8, 9]
         parts = flushed + [residual]
-        whole = self.pack(10)[1]
+        whole = self.pack(10)
         assert np.array_equal(
-            np.concatenate([p.columns.mapping for p in parts]), whole.mapping
+            np.concatenate([p.mapping for p in parts]), whole.mapping
         )
         assert outbox.flushed_bytes == sum(b.nbytes for b in flushed)
 
     def test_byte_watermark_cuts_an_oversized_send(self):
         flushed = []
-        dest, cols = self.pack(7)
-        row_bytes = (dest.nbytes + cols.nbytes) // 7
+        cols = self.pack(7)
+        row_bytes = cols.nbytes // 7
         outbox = ColumnarOutbox(flush=flushed.append, chunk_bytes=3 * row_bytes + 1)
-        outbox.append(dest, cols)
+        outbox.append(cols)
         assert [len(b) for b in flushed] == [3, 3]
         assert len(outbox) == 1
 
     def test_byte_watermark(self):
         flushed = []
-        dest, cols = self.pack(1)
-        row_bytes = dest.nbytes + cols.nbytes
+        row_bytes = self.pack(1).nbytes
         outbox = ColumnarOutbox(flush=flushed.append, chunk_bytes=3 * row_bytes)
         for i in range(7):
-            outbox.append(*self.pack(1, base=i))
+            outbox.append(self.pack(1, base=i))
         assert [len(b) for b in flushed] == [3, 3]
         assert len(outbox) == 1
 
@@ -165,30 +171,30 @@ class TestColumnarOutboxWatermarks:
         streaming = []
         chunked = ColumnarOutbox(flush=streaming.append, chunk_gpsis=3)
         for i in range(4):
-            dest, cols = self.pack(2, base=10 * i)
-            plain.append(dest.copy(), cols)
-            chunked.append(dest, cols)
-        reference = plain.to_batch()
-        parts = streaming + [chunked.to_batch()]
-        rebuilt_dest = np.concatenate([p.dest for p in parts])
-        assert rebuilt_dest.tolist() == reference.dest.tolist()
+            cols = self.pack(2, base=10 * i)
+            plain.append(cols)
+            chunked.append(cols)
+        reference = plain.to_columns()
+        parts = streaming + [chunked.to_columns()]
+        rebuilt = np.concatenate([p.mapping for p in parts])
+        assert rebuilt.tolist() == reference.mapping.tolist()
         assert sum(p.nbytes for p in parts) == reference.nbytes
         assert (
-            chunked.flushed_bytes + chunked.to_batch().nbytes == reference.nbytes
+            chunked.flushed_bytes + chunked.to_columns().nbytes
+            == reference.nbytes
         )
 
     def test_no_flush_callback_never_chunks(self):
         outbox = ColumnarOutbox()
         for i in range(100):
-            outbox.append(*self.pack(3, base=i))
+            outbox.append(self.pack(3, base=i))
         assert outbox.chunks_flushed == 0
         assert len(outbox) == 300
 
     def test_empty_append_is_free(self):
         flushed = []
         outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=1)
-        dest, cols = self.pack(0)
-        outbox.append(dest, cols)
+        outbox.append(self.pack(0))
         assert len(outbox) == 0 and flushed == []
 
 

@@ -18,7 +18,6 @@ from repro.bsp import (
     ChunkedColumnarStore,
     DEFAULT_CHUNK_GPSIS,
     ExecutionConfig,
-    GpsiBatch,
     SHUFFLE_MODES,
 )
 from repro.core import Gpsi, PSgL, UNMAPPED, pack_gpsis, unpack_gpsis
@@ -66,33 +65,30 @@ class TestEngineGuards:
 # ----------------------------------------------------------------------
 # ChunkedColumnarStore unit semantics
 # ----------------------------------------------------------------------
-def g(i, nxt=1):
-    return Gpsi((i, UNMAPPED, i + 100), 0b001, nxt)
+def g(dest, i):
+    """Gpsi ``i`` routed to ``dest``: its next vertex (v1) maps there."""
+    return Gpsi((i, dest, UNMAPPED), 0b001, 1)
 
 
 def batch(*sends):
-    """A packed outbox from ``(dest, gpsi)`` sends, in send order."""
-    return GpsiBatch(
-        np.array([dest for dest, _ in sends], dtype=np.int64),
-        pack_gpsis([gpsi for _, gpsi in sends], k=3),
-    )
+    """A packed outbox from ``(dest, i)`` sends, in send order."""
+    return pack_gpsis([g(dest, i) for dest, i in sends], k=3)
 
 
 def outbox_batches():
     """Two workers' outboxes (interleaved destinations)."""
     return (
-        batch((5, g(0)), (2, g(1)), (5, g(2))),
-        batch((2, g(3)), (9, g(4)), (5, g(5))),
+        batch((5, 0), (2, 1), (5, 2)),
+        batch((2, 3), (9, 4), (5, 5)),
     )
 
 
 def split_rows(whole, size):
-    """Slice a packed batch into ``size``-row chunks, in send order."""
-    chunks = []
-    for start in range(0, len(whole), size):
-        rows = np.arange(start, min(start + size, len(whole)))
-        chunks.append(GpsiBatch(whole.dest[rows], whole.columns.take(rows)))
-    return chunks
+    """Slice a packed outbox into ``size``-row chunks, in send order."""
+    return [
+        whole.take(np.arange(start, min(start + size, len(whole))))
+        for start in range(0, len(whole), size)
+    ]
 
 
 OWNERS = np.zeros(10, dtype=np.int64)
@@ -102,26 +98,29 @@ OWNERS[5] = 1  # v5 on worker 1; v2, v9 on worker 0
 #: vertices in first-send order (worker 0's sends precede worker 1's),
 #: each vertex's payloads in send order.
 EXPECTED = [
-    [(2, [g(1), g(3)]), (9, [g(4)])],
-    [(5, [g(0), g(2), g(5)])],
+    [(2, [g(2, 1), g(2, 3)]), (9, [g(9, 4)])],
+    [(5, [g(5, 0), g(5, 2), g(5, 5)])],
 ]
 
 
 def delivered(store):
-    """Decode ``build_worker_batches`` to ``(vertex, payloads)`` lists."""
+    """Decode ``build_worker_batches`` to ``(vertex, payloads)`` lists;
+    each row's vertex is the destination it derives."""
     out = []
     for packed in store.build_worker_batches():
         if not packed:
             out.append([])
             continue
+        dest = packed.columns.destinations().tolist()
         gpsis = unpack_gpsis(packed.columns)
-        bounds = np.concatenate([[0], np.cumsum(packed.counts)]).tolist()
         out.append(
             [
-                (vertex, gpsis[bounds[i] : bounds[i + 1]])
-                for i, vertex in enumerate(packed.vertices.tolist())
+                (vertex, [p for d, p in zip(dest, gpsis) if d == vertex])
+                for vertex in packed.vertices.tolist()
             ]
         )
+        # Grouped delivery: each vertex's rows are one consecutive run.
+        assert dest == sorted(dest, key=packed.vertices.tolist().index)
     return out
 
 
@@ -158,9 +157,13 @@ class TestChunkedStoreSemantics:
         assert [len(b) for b in batches[:2]] == [1, 1]  # v2 | v5
 
     def test_batch_nbytes_is_exact_buffer_size(self):
+        """A chunk is the three Gpsi columns and nothing else: no
+        destination column rides beside the rows."""
         b0, _ = outbox_batches()
-        assert b0.nbytes == b0.dest.nbytes + b0.columns.nbytes
-        assert b0.nbytes == len(b0) * (8 + 8 * 3 + 4 + 1)
+        assert b0.nbytes == (
+            b0.mapping.nbytes + b0.black.nbytes + b0.next_vertex.nbytes
+        )
+        assert b0.nbytes == len(b0) * (8 * 3 + 4 + 1)
 
     def test_duplicate_seq_rejected(self):
         b0, _ = outbox_batches()

@@ -12,8 +12,10 @@ instances, probe statistics, per-worker ledgers (which pin the
 RNG-dependent routing step by step) — and the exact wire bytes across
 all production configurations.
 
-Also here: the automatic fallback (a run that cannot use the production
-plane runs on the reference plane and says so), and the plane guards.
+Also here: the production plane's one payload (self-addressed packed
+columns, no ``Gpsi``/``Message`` object, exact wire bytes), the automatic
+fallback (a run that cannot use the production plane runs on the
+reference plane and says so), and the plane guards.
 """
 
 from dataclasses import replace
@@ -21,8 +23,8 @@ from functools import lru_cache
 
 import pytest
 
-from repro.bsp import BSPEngine, ExecutionConfig, VertexProgram
-from repro.core import PSgL
+from repro.bsp import BSPEngine, ExecutionConfig, Message, VertexProgram
+from repro.core import Gpsi, PSgL
 from repro.core.distribution import DistributionStrategy, RandomStrategy
 from repro.exceptions import EngineError
 from repro.graph import Graph, hash_partition
@@ -164,6 +166,55 @@ class TestDefaults:
         per_step = [sum(step) for step in wire_bytes(col)]
         assert sum(per_step) == col.ledger.total_wire_bytes() > 0
         assert reference("PG2").result.ledger.total_wire_bytes() == 0
+
+
+class TestOnePayload:
+    """The production plane moves self-addressed ``GpsiColumns`` from
+    superstep 0 to delivery, and nothing else."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_builds_no_gpsi_or_message(self, monkeypatch, backend):
+        expected = reference("PG2")  # computed before anything is patched
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("production plane built a per-row object")
+
+        monkeypatch.setattr(Gpsi, "__init__", refuse)
+        monkeypatch.setattr(Message, "__new__", refuse)
+        assert_equivalent(
+            production_config(backend, "strict", False, None), expected
+        )
+
+    @pytest.mark.parametrize("pattern_name", ["PG1", "PG2", "PG4", "PG5"])
+    def test_wire_bytes_are_the_packed_columns_only(self, pattern_name):
+        """Per step and worker: rows x (8k mapping + 4 per 32-bit BLACK
+        word + 1 next-vertex byte) — no destination column."""
+        k = paper_patterns()[pattern_name].num_vertices
+        row_bytes = 8 * k + 4 * -(-k // 32) + 1
+        result = production_baseline(pattern_name)
+        for step in result.ledger.steps:
+            assert step.worker_wire_bytes == [
+                row_bytes * sent for sent in step.worker_messages
+            ]
+
+    def test_each_plane_refuses_the_others_send(self):
+        class ScalarSend(VertexProgram):
+            supports_columnar_compute = True
+
+            def initialize_columns(self, ctx, vertices):
+                ctx.send(int(vertices[0]), None)
+
+        class ColumnSend(VertexProgram):
+            def compute(self, ctx, messages):
+                ctx.send_columns(None)
+
+        graph = Graph(4, [(0, 1), (1, 2)])
+        for program, plane in (
+            (ScalarSend(), "reference"),
+            (ColumnSend(), "production"),
+        ):
+            with pytest.raises(RuntimeError, match=f"available on the {plane}"):
+                BSPEngine(graph, hash_partition(4, 2)).run(program)
 
 
 class ScalarOnlyRandom(DistributionStrategy):

@@ -29,6 +29,7 @@ from repro.exceptions import EngineError
 from repro.graph import hash_partition
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
+from repro.runtime import executor
 from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
@@ -201,6 +202,17 @@ class TestFaults:
         assert list(tmp_path.iterdir()) == []
         assert program.torn_down
         assert tracer.by_kind("job")[-1].data["status"] == "EngineError"
+
+    def test_lost_chunk_is_a_typed_error(self, monkeypatch):
+        """Regression: a pipelined superstep whose chunks never all
+        arrive raised a bare ``RuntimeError`` — a traceback from
+        ``psgl count``, an untyped failure in the service."""
+        monkeypatch.setattr(executor, "DRAIN_JOIN_SECONDS", 0.05)
+        before = leftovers()
+        drain = executor._ChunkDrain(queue.Queue(), lambda *chunk: None)
+        with pytest.raises(EngineError, match="lost chunks: received 0 of 1"):
+            drain.finish(1, superstep=3)
+        assert leftovers() == before
 
     @pytest.mark.parametrize("schedule", [STEAL, PIPELINED], ids=["steal", "pipelined"])
     @pytest.mark.parametrize("backend", ["thread", "process"])

@@ -23,6 +23,7 @@ import pytest
 from repro.bsp import ExecutionConfig
 from repro.bsp.spill import SpillManager, SpillRef
 from repro.core import GpsiColumns, PSgL
+from repro.core.codec import encode_columns
 from repro.exceptions import EngineError
 from repro.graph import Graph, Partition
 from repro.graph.generators import erdos_renyi, rmat
@@ -182,8 +183,7 @@ class TestSpillFileFailures:
         try:
             spill = manager.for_superstep(0)
             columns = _sample_columns()
-            dest = np.arange(len(columns), dtype=np.int64)
-            ref = spill.spill(0, 0, dest, columns)
+            ref = spill.spill(0, 0, columns)
             assert isinstance(ref, SpillRef)
             os.unlink(spill.path)
             with pytest.raises(EngineError, match="vanished mid-run"):
@@ -196,8 +196,7 @@ class TestSpillFileFailures:
         try:
             spill = manager.for_superstep(0)
             columns = _sample_columns()
-            dest = np.arange(len(columns), dtype=np.int64)
-            ref = spill.spill(0, 0, dest, columns)
+            ref = spill.spill(0, 0, columns)
             spill.close()  # flush the write handle; the file stays
             with open(spill.path, "r+b") as fh:
                 fh.truncate(ref.nbytes // 2)
@@ -211,10 +210,13 @@ class TestSpillFileFailures:
         try:
             spill = manager.for_superstep(0)
             columns = _sample_columns()
-            dest = np.arange(len(columns), dtype=np.int64) * 3
-            ref = spill.spill(1, 2, dest, columns)
-            got_dest, got_columns = spill.load(1, 2, ref)
-            np.testing.assert_array_equal(got_dest, dest)
+            ref = spill.spill(1, 2, columns)
+            # The record is the encoded columns alone: no dest prefix.
+            assert ref.nbytes == len(encode_columns(columns))
+            got_columns = spill.load(1, 2, ref)
+            np.testing.assert_array_equal(
+                got_columns.destinations(), columns.destinations()
+            )
             np.testing.assert_array_equal(got_columns.mapping, columns.mapping)
             np.testing.assert_array_equal(got_columns.black, columns.black)
             np.testing.assert_array_equal(

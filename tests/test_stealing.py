@@ -159,7 +159,8 @@ class TestValidation:
 # Scheduler internals
 # ----------------------------------------------------------------------
 def make_batch(vertices, counts, width=3):
-    """A minimal PackedWorkerBatch-shaped object for split_batch."""
+    """A minimal PackedWorkerBatch for split_batch: ``counts[i]`` rows
+    are delivered to ``vertices[i]``."""
 
     class FakeColumns:
         def __init__(self, lo, hi):
@@ -171,11 +172,9 @@ def make_batch(vertices, counts, width=3):
         def __len__(self):
             return self.hi - self.lo
 
-    batch = PackedWorkerBatch.__new__(PackedWorkerBatch)
-    batch.vertices = np.asarray(vertices, dtype=np.int64)
-    batch.counts = np.asarray(counts, dtype=np.int64)
-    batch.columns = FakeColumns(0, int(sum(counts)))
-    return batch
+    return PackedWorkerBatch(
+        np.asarray(vertices, dtype=np.int64), FakeColumns(0, int(sum(counts)))
+    )
 
 
 class TestSplitBatch:
