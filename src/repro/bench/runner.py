@@ -84,7 +84,7 @@ def run_all(
 ) -> List[ExperimentReport]:
     """Run every (or the selected) experiment, optionally persisting the
     rendered text under ``out_dir``.  Experiments run on the ``PSgL``
-    defaults (the production plane); with ``trace_dir`` set, each
+    defaults; with ``trace_dir`` set, each
     experiment that accepts a ``trace`` kwarg records its runs into a
     tracer and a Chrome trace file lands at ``<trace_dir>/<id>_trace.json``.
     """

@@ -21,8 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".message": (
         "ChunkedColumnarStore",
         "ColumnarOutbox",
-        "Message",
-        "MessageStore",
         "PackedWorkerBatch",
     ),
     ".metrics": ("CostLedger", "SuperstepStats"),

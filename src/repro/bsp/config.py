@@ -20,21 +20,33 @@ unknown name surfaces when the engine resolves it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Any, Mapping, Optional, Tuple
 
 from ..exceptions import EngineError
 
-#: Data planes (see repro.bsp.message): ``"object"`` is the reference
-#: plane (per-message payloads, scalar compute — the parity oracle),
-#: ``"columnar"`` the production plane (packed chunks, batch compute).
-WIRE_PLANES = ("object", "columnar")
+#: Data planes (see repro.bsp.message): only ``"columnar"``, packed
+#: self-addressed chunks.  The field stays so callers that name the
+#: plane keep working; the paper-faithful scalar path is not a plane but
+#: the parity oracle, :mod:`repro.core.reference`.
+WIRE_PLANES = ("columnar",)
 
-#: Shuffle modes of the production plane: ``"strict"`` ships each
-#: worker's whole outbox at the barrier as one chunk; ``"pipelined"``
-#: streams watermark-sized chunks to the same barrier store while
-#: workers are still computing (see docs/runtime.md §5).
+#: Knob values that used to be legal, with where their job went: the
+#: refusal says so instead of leaving the caller to guess.
+RETIRED = {
+    ("wire", "object"): (
+        " (the object plane is gone: wire='columnar' is the one plane, "
+        "and the paper-faithful scalar path is the parity oracle "
+        "repro.core.run_reference)"
+    ),
+}
+
+#: Shuffle modes: ``"strict"`` ships each worker's whole outbox at the
+#: barrier as one chunk; ``"pipelined"`` streams watermark-sized chunks
+#: to the same barrier store while workers are still computing (see
+#: docs/runtime.md §5).
 SHUFFLE_MODES = ("strict", "pipelined")
 
 #: Expansion kernels (see repro.core.kernels, which resolves them).
@@ -115,9 +127,8 @@ class ExecutionConfig:
     )
     wire: str = _knob(
         "columnar", str,
-        "data plane: columnar (production: packed Gpsi buffers, batch "
-        "expansion) or object (reference: per-message objects, scalar "
-        "expansion; identical results)",
+        "data plane: columnar, the one plane (packed Gpsi buffers, batch "
+        "expansion)",
         choices=WIRE_PLANES,
     )
     shuffle: str = _knob(
@@ -211,14 +222,16 @@ class ExecutionConfig:
             if choices is not None and value not in choices:
                 raise EngineError(
                     f"unknown {spec.name} {value!r}; available: {list(choices)}"
+                    + RETIRED.get((spec.name, value), "")
                 )
             if kind is int and value < 1:
                 raise EngineError(f"{spec.name} must be >= 1, got {value}")
-            if kind is float and value <= 0:
-                raise EngineError(f"{spec.name} must be > 0, got {value}")
+            if kind is float and not (math.isfinite(value) and value > 0):
+                raise EngineError(
+                    f"{spec.name} must be a finite number > 0, got {value}"
+                )
             put(spec.name, value)
 
-        self.require_columnar_plane()
         if self.shuffle == "pipelined":
             if self.chunk_gpsis is None and self.chunk_bytes is None:
                 put("chunk_gpsis", DEFAULT_CHUNK_GPSIS)
@@ -242,33 +255,6 @@ class ExecutionConfig:
                 "spill_dir and memory_watermark_bytes enable the disk "
                 "spill plane together; set both or neither"
             )
-
-    def require_columnar_plane(self, fallback: Optional[str] = None) -> None:
-        """The one legality rule between options and data planes.
-
-        Pipelined shuffle, work stealing and the spill plane all operate
-        on packed chunks, so they exist on the production plane only.
-        Raises :class:`~repro.exceptions.EngineError` when one of them
-        is requested for a run on the reference plane — either because
-        ``wire="object"`` was asked for (checked at construction), or
-        because the run has to fall back (``fallback`` says why: a
-        combiner, no columnar compute — only ``BSPEngine.run`` can
-        know).  A run that merely *defaults* to the production plane and
-        falls back without having asked for any of the three is legal.
-        """
-        if self.wire == "columnar" and fallback is None:
-            return
-        why = fallback or "wire='object' was requested"
-        for requested, what in (
-            (self.shuffle == "pipelined", "shuffle='pipelined' streams packed chunks"),
-            (self.steal, "steal=True splits packed batches into tasks"),
-            (self.spill_dir is not None, "spill_dir seals packed chunks to disk"),
-        ):
-            if requested:
-                raise EngineError(
-                    f"{what} and needs the columnar plane (wire='columnar'), "
-                    f"but this run is on the reference plane: {why}"
-                )
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, Any]) -> "ExecutionConfig":

@@ -2,18 +2,17 @@
 
 Semantics follow Pregel/Giraph:
 
-* **Superstep 0** runs ``compute`` on every vertex (or the program's
-  declared initial set) with an empty message list — this hosts PSgL's
-  initialization phase.  On the production plane each worker instead
-  gets its initial vertices as one ``int64`` array, handed to
-  ``initialize_columns`` in one call.
-* **Superstep i > 0** runs ``compute`` only on vertices that received
-  messages at the end of superstep ``i-1``.
+* **Superstep 0** hands every worker its share of the initial vertices
+  (every vertex, or the program's declared initial set) as one ``int64``
+  array, in one ``initialize_columns`` call — this hosts PSgL's
+  initialization phase.
+* **Superstep i > 0** runs ``compute_columns`` only on the rows
+  delivered at the end of superstep ``i-1``, block by block.
 * The job **halts** when a superstep ends with no pending messages.
 
 Execution is delegated to a pluggable :mod:`repro.runtime` backend: the
 engine builds one deterministic batch per logical worker each superstep
-(active vertices plus their delivered messages), the executor runs the
+(active vertices plus their delivered rows), the executor runs the
 batches — sequentially, on threads, or on a process pool over a
 shared-memory graph — and the engine merges the returned outboxes,
 ledger deltas and outputs in worker-id order at the barrier.  The merge
@@ -38,7 +37,7 @@ from ..runtime.executor import JobSpec
 from ..runtime.registry import make_executor
 from .aggregate import AggregatorRegistry
 from .config import ExecutionConfig
-from .message import ChunkedColumnarStore, MessageStore
+from .message import ChunkedColumnarStore
 from .metrics import CostLedger
 from .vertex_program import VertexProgram
 
@@ -56,9 +55,6 @@ class BSPResult:
     #: Number of tasks executed by a worker other than their owner
     #: (work-stealing runs only; 0 under the static schedule).
     steals: int = 0
-    #: The data plane that actually ran: the requested ``wire`` unless
-    #: the program forced the automatic fallback to ``"object"``.
-    wire: str = "object"
 
     @property
     def makespan(self) -> float:
@@ -101,12 +97,6 @@ class BSPEngine:
         :func:`dataclasses.replace` — ``BSPEngine(g, p, backend="process",
         procs=4)``.  An illegal value or combination raises
         :class:`~repro.exceptions.EngineError` here, at construction.
-
-    A program that declares a message combiner or no
-    ``supports_columnar_compute`` cannot run on the production plane: the
-    run **falls back** to the reference plane automatically and
-    :attr:`BSPResult.wire` reports the plane that actually ran (see
-    :mod:`repro.bsp.message` and ``docs/perf.md``).
     """
 
     def __init__(
@@ -139,6 +129,12 @@ class BSPEngine:
     def run(self, program: VertexProgram) -> BSPResult:
         """Execute ``program`` to completion and return its results."""
         cfg = self.config
+        if cfg.steal and not program.supports_task_expansion:
+            raise EngineError(
+                "steal=True needs a program with the task-expansion "
+                "split (supports_task_expansion); "
+                f"{type(program).__name__} does not declare it"
+            )
         # Before the clock: a built-in backend imports its module here.
         executor = make_executor(cfg.backend, procs=cfg.procs)
         started = perf_counter()
@@ -147,9 +143,6 @@ class BSPEngine:
             self.num_workers, cfg.memory_budget, cfg.worker_memory_budget
         )
         outputs: List[Any] = []
-        combiner = program.message_combiner()
-        plane = self._resolve_plane(program, combiner)
-        columnar = plane == "columnar"
         inbox = None  # superstep 0 delivers nothing
         registry = AggregatorRegistry(
             program.aggregators(), program.persistent_aggregators()
@@ -178,7 +171,6 @@ class BSPEngine:
             if tracer.enabled:
                 tracer.meta.update(
                     backend=executor.name,
-                    wire=plane,
                     num_workers=self.num_workers,
                     graph_vertices=self.graph.num_vertices,
                     graph_edges=self.graph.num_edges,
@@ -197,7 +189,6 @@ class BSPEngine:
                     num_workers=self.num_workers,
                     tracer=tracer,
                     config=cfg,
-                    wire=plane,
                 )
             )
             while True:
@@ -208,29 +199,22 @@ class BSPEngine:
                     if spill_mgr is not None
                     else (0, 0)
                 )
-                if columnar:
-                    outbox = ChunkedColumnarStore(
-                        self.partition.owner_array,
-                        self.num_workers,
-                        spill=(
-                            spill_mgr.for_superstep(superstep)
-                            if spill_mgr is not None
-                            else None
-                        ),
-                        watermark_bytes=cfg.memory_watermark_bytes,
-                    )
-                else:
-                    outbox = MessageStore(combiner)
+                outbox = ChunkedColumnarStore(
+                    self.partition.owner_array,
+                    self.num_workers,
+                    spill=(
+                        spill_mgr.for_superstep(superstep)
+                        if spill_mgr is not None
+                        else None
+                    ),
+                    watermark_bytes=cfg.memory_watermark_bytes,
+                )
 
                 build_started = perf_counter() if tracer.enabled else 0.0
                 if superstep == 0:
-                    batches = self._initial_batches(initial, columnar)
-                elif columnar:
-                    batches = inbox.build_worker_batches()
+                    batches = self._initial_batches(initial)
                 else:
-                    batches = self._group_by_owner(
-                        inbox.destinations(), inbox.take
-                    )
+                    batches = inbox.build_worker_batches()
                 if spill_mgr is not None:
                     # The previous superstep's messages are delivered;
                     # nothing can re-map its spill file again.
@@ -331,40 +315,9 @@ class BSPEngine:
             aggregated=registry.finals(),
             trace=tracer if tracer.enabled else None,
             steals=int(getattr(executor, "steals_total", 0)),
-            wire=plane,
         )
 
     # ------------------------------------------------------------------
-    def _resolve_plane(self, program: VertexProgram, combiner: Any) -> str:
-        """The data plane this run uses.  It follows from what the
-        program is, never from a second option: the production plane
-        needs combiner-less columnar compute, anything else runs on the
-        reference plane — unless the configuration asked for something
-        only the production plane has, which is refused here."""
-        cfg = self.config
-        fallback = None
-        if cfg.wire == "columnar":
-            if combiner is not None:
-                fallback = (
-                    f"{type(program).__name__} declares a message combiner"
-                )
-            elif not getattr(program, "supports_columnar_compute", False):
-                fallback = (
-                    f"{type(program).__name__} does not support columnar "
-                    "compute"
-                )
-        if fallback:
-            cfg.require_columnar_plane(fallback)
-        if cfg.steal and not getattr(
-            program, "supports_task_expansion", False
-        ):
-            raise EngineError(
-                "steal=True needs a program with the task-expansion "
-                "split (supports_task_expansion); "
-                f"{type(program).__name__} does not declare it"
-            )
-        return "object" if fallback else cfg.wire
-
     def _check_limits(self, superstep: int, started: float) -> None:
         """The superstep-boundary guards: the runaway-program cap,
         cooperative cancellation, and the superstep and wall budgets."""
@@ -408,7 +361,7 @@ class BSPEngine:
         self,
         superstep: int,
         results: List[Any],
-        outbox: Any,
+        outbox: ChunkedColumnarStore,
         ledger: CostLedger,
         outputs: List[Any],
         registry: AggregatorRegistry,
@@ -420,51 +373,43 @@ class BSPEngine:
         interleaving).  Returns the raw sends per destination-owning
         worker.
 
-        On the production plane each worker's returned outbox is its
-        last chunk — sequence number ``chunks_flushed``, i.e. 0 unless
-        earlier chunks already streamed — and the ledger records the
-        exact wire bytes it shipped, with no per-message encoded_size
-        calls.  ``from_replicas`` says workers ran on program replicas,
+        Each worker's returned outbox is its last chunk — sequence
+        number ``chunks_flushed``, i.e. 0 unless earlier chunks already
+        streamed — and the ledger records the exact wire bytes it
+        shipped.  ``from_replicas`` says workers ran on program replicas,
         whose aggregator contributions and state deltas fold into the
         driver's ``registry`` and ``program`` here; in-process workers
         already wrote to both directly.
         """
-        columnar = isinstance(outbox, ChunkedColumnarStore)
         inbound_per_worker = [0] * self.num_workers
         for result in results:
             wid = result.worker_id
             ledger.add_cost(wid, result.cost)
             ledger.add_messages(wid, result.messages_sent)
             ledger.add_compute(wid, result.compute_calls)
-            if result.wire_bytes is not None:
-                ledger.add_wire_bytes(wid, result.wire_bytes)
+            ledger.add_wire_bytes(wid, result.wire_bytes)
             for dest, count in enumerate(result.inbound):
                 inbound_per_worker[dest] += count
-            if columnar:
-                outbox.merge_chunk(wid, result.chunks_flushed, result.outbox)
-            else:
-                outbox.merge_batch(result.outbox)
+            outbox.merge_chunk(wid, result.chunks_flushed, result.outbox)
             outputs.extend(result.outputs)
             if from_replicas:
                 if result.agg_contribs:
                     for name, value in result.agg_contribs.items():
                         registry.aggregate(name, value)
                 program.merge_state_delta(result.state_delta)
-        if columnar:
-            # Exact accounting: the store must hold precisely what the
-            # workers' own counters say was sent — any lost, duplicated
-            # or torn chunk fails the superstep here instead of
-            # corrupting it.
-            outbox.finalize()
-            sent_rows = sum(r.messages_sent for r in results)
-            sent_bytes = sum(r.wire_bytes for r in results)
-            if (len(outbox), outbox.wire_bytes) != (sent_rows, sent_bytes):
-                raise EngineError(
-                    "shuffle accounting broke at superstep "
-                    f"{superstep}: store holds {len(outbox)} rows / "
-                    f"{outbox.wire_bytes} wire bytes, workers sent "
-                    f"{sent_rows} rows / {sent_bytes} bytes"
-                )
+        # Exact accounting: the store must hold precisely what the
+        # workers' own counters say was sent — any lost, duplicated or
+        # torn chunk fails the superstep here instead of corrupting it.
+        outbox.finalize()
+        sent_rows = sum(r.messages_sent for r in results)
+        sent_bytes = sum(r.wire_bytes for r in results)
+        if (len(outbox), outbox.wire_bytes) != (sent_rows, sent_bytes):
+            raise EngineError(
+                "shuffle accounting broke at superstep "
+                f"{superstep}: store holds {len(outbox)} rows / "
+                f"{outbox.wire_bytes} wire bytes, workers sent "
+                f"{sent_rows} rows / {sent_bytes} bytes"
+            )
         return inbound_per_worker
 
     @staticmethod
@@ -473,7 +418,7 @@ class BSPEngine:
         superstep: int,
         batches: List[Any],
         results: List[Any],
-        outbox: Any,
+        outbox: ChunkedColumnarStore,
         inbound_per_worker: List[int],
         build_ms: float,
         step_wall_ms: float,
@@ -507,16 +452,12 @@ class BSPEngine:
                     rows=rows,
                     nbytes=nbytes,
                 )
-        barrier_extra = {}
-        if isinstance(outbox, ChunkedColumnarStore):
-            barrier_extra.update(
-                wire_bytes=outbox.wire_bytes,
-                chunks=outbox.chunks_merged,
-                max_chunk_bytes=outbox.max_chunk_bytes,
-                max_send_bytes=max(
-                    (r.max_send_bytes for r in results), default=0
-                ),
-            )
+        barrier_extra = dict(
+            wire_bytes=outbox.wire_bytes,
+            chunks=outbox.chunks_merged,
+            max_chunk_bytes=outbox.max_chunk_bytes,
+            max_send_bytes=max((r.max_send_bytes for r in results), default=0),
+        )
         if spilled is not None:
             barrier_extra["spill_chunks"], barrier_extra["spill_bytes"] = spilled
         tracer.emit(
@@ -563,27 +504,13 @@ class BSPEngine:
 
         return sink
 
-    def _initial_batches(self, initial, columnar: bool) -> List[Any]:
+    def _initial_batches(self, initial) -> List[np.ndarray]:
         """Superstep 0's work: the initial active set (``None`` = every
-        vertex) split by owning worker in activation order — one
-        ``int64`` array per worker on the production plane, ``(v, [])``
-        pairs on the reference plane."""
-        if not columnar:
-            if initial is None:
-                initial = self.graph.vertices()
-            return self._group_by_owner(initial, lambda v: [])
+        vertex) split by owning worker in activation order, one
+        ``int64`` array per worker."""
         if initial is None:
             vertices = np.arange(self.graph.num_vertices, dtype=np.int64)
         else:
             vertices = np.asarray(initial, dtype=np.int64)
         owner = self.partition.owner_array[vertices]
         return [vertices[owner == w] for w in range(self.num_workers)]
-
-    def _group_by_owner(self, active, payloads_of) -> List[List]:
-        """Group the active set by owning worker, preserving activation
-        order within each worker, and attach each vertex's delivered
-        payloads — the reference plane's executor-facing unit of work."""
-        by_worker: List[List] = [[] for _ in range(self.num_workers)]
-        for v in active:
-            by_worker[self.partition.owner(v)].append((v, payloads_of(v)))
-        return by_worker

@@ -1,24 +1,19 @@
-"""Message containers for the BSP engine's two data planes.
+"""The BSP engine's message plane: packed, self-addressed Gpsi chunks.
 
 Messages are addressed to data vertices (vertex-centric model); the engine
 routes each to the worker owning the destination and delivers it at the
 start of the next superstep, exactly like Pregel/Giraph.
 
-Two planes implement the barrier crossing, each with one store:
-
-* the **reference plane** (:class:`MessageStore`) moves per-message Python
-  payloads — fully generic, combiner-aware, the executable specification
-  and the parity oracle;
-* the **production plane** (:class:`ChunkedColumnarStore`) moves Gpsi
-  outboxes as ``(sender, seq)``-tagged chunks, each one packed
-  :class:`~repro.core.psi.GpsiColumns` and nothing else: a row is
-  self-addressed (PSgL sends a Gpsi to the data image of its next
-  vertex, ``GpsiColumns.destinations()``), so no destination column
-  travels beside it.  The store owner-splits each chunk as it arrives
-  and hands every worker a still-packed :class:`PackedWorkerBatch` — no
-  ``Gpsi`` or :class:`Message` object exists anywhere on this plane.
-  Gpsi-only, combiner-less; parity with the reference plane is pinned
-  message-for-message by tests.
+The one message a PSgL job moves is a Gpsi, and it travels packed:
+outboxes cross the barrier as ``(sender, seq)``-tagged chunks of
+:class:`~repro.core.psi.GpsiColumns` and nothing else.  A row is
+self-addressed (PSgL sends a Gpsi to the data image of its next vertex,
+``GpsiColumns.destinations()``), so no destination column travels
+beside it.  The barrier store (:class:`ChunkedColumnarStore`)
+owner-splits each chunk as it arrives and hands every worker a
+still-packed :class:`PackedWorkerBatch`; no per-message object exists
+anywhere on this plane.  Its parity with the paper-faithful reference
+(:mod:`repro.core.reference`) is pinned message-for-message by tests.
 
 The *shuffle mode* (see :mod:`repro.bsp.engine`) is a delivery schedule
 over that one store, not a second one:
@@ -40,17 +35,7 @@ under their tag and rejoin before the sort.
 from __future__ import annotations
 
 import threading
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,132 +49,6 @@ def _psi():
     from ..core import psi
 
     return psi
-
-
-class Message(NamedTuple):
-    """A payload addressed to a data vertex."""
-
-    dest: int
-    payload: Any
-
-
-class MessageStore:
-    """Holds messages for one superstep, grouped by destination vertex.
-
-    With a ``combiner`` (a commutative binary reduction over payloads),
-    messages to the same destination collapse into one — Pregel's message
-    combiner, which shrinks both network volume and barrier memory.
-    """
-
-    __slots__ = ("_by_vertex", "_count", "_combiner")
-
-    def __init__(self, combiner=None):
-        self._by_vertex: Dict[int, List[Any]] = {}
-        self._count = 0
-        self._combiner = combiner
-
-    def add(self, message: Message) -> None:
-        """Queue a message for delivery next superstep."""
-        existing = self._by_vertex.get(message.dest)
-        if self._combiner is not None and existing:
-            existing[0] = self._combiner(existing[0], message.payload)
-            return
-        if existing is None:
-            self._by_vertex[message.dest] = [message.payload]
-        else:
-            existing.append(message.payload)
-        self._count += 1
-
-    def extend(self, messages: Iterable[Message]) -> None:
-        """Queue several messages.
-
-        Combiner-less stores take a bulk fast path: one dict probe and an
-        append per message, no per-message ``add`` dispatch or combiner
-        checks — this is the worker outbox's hot loop.
-        """
-        if self._combiner is not None:
-            for msg in messages:
-                self.add(msg)
-            return
-        by_vertex = self._by_vertex
-        added = 0
-        for dest, payload in messages:
-            existing = by_vertex.get(dest)
-            if existing is None:
-                by_vertex[dest] = [payload]
-            else:
-                existing.append(payload)
-            added += 1
-        self._count += added
-
-    def as_batch(self) -> List[Tuple[int, List[Any]]]:
-        """Snapshot as ``(dest, payloads)`` pairs in first-send order.
-
-        This is the wire format one worker's outbox crosses the barrier
-        in; rebuild with :meth:`merge_batch`.
-        """
-        return list(self._by_vertex.items())
-
-    def merge_batch(self, batch: Sequence[Tuple[int, List[Any]]]) -> None:
-        """Fold one worker's outbox batch into this store.
-
-        Merging batches in worker-id order reproduces exactly the store a
-        serial run builds, because a serial superstep never interleaves
-        two workers' sends: payload lists concatenate in worker order and
-        the combiner (if any) folds across workers in that same order.
-        """
-        for dest, payloads in batch:
-            if not payloads:
-                # Guard against empty slots: they would activate the
-                # vertex next superstep with zero messages and (in the
-                # no-combiner branch) leave ``_count`` out of sync with
-                # the payloads ``take`` can ever deliver.
-                continue
-            existing = self._by_vertex.get(dest)
-            if self._combiner is not None:
-                # A fold into an existing slot replaces its single
-                # payload, so ``_count`` must not move — ``len(store)``
-                # stays the number of deliverable (post-combine)
-                # payloads, exactly as ``add`` maintains it.
-                merged = existing[0] if existing else None
-                for payload in payloads:
-                    merged = (
-                        payload
-                        if merged is None
-                        else self._combiner(merged, payload)
-                    )
-                if existing:
-                    existing[0] = merged
-                else:
-                    self._by_vertex[dest] = [merged]
-                    self._count += 1
-            else:
-                if existing is None:
-                    self._by_vertex[dest] = list(payloads)
-                else:
-                    existing.extend(payloads)
-                self._count += len(payloads)
-
-    def destinations(self) -> List[int]:
-        """Vertices with pending messages (the next superstep's active set)."""
-        return list(self._by_vertex.keys())
-
-    def take(self, vertex: int) -> List[Any]:
-        """Remove and return the payloads addressed to ``vertex``."""
-        payloads = self._by_vertex.pop(vertex, [])
-        self._count -= len(payloads)
-        return payloads
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
-
-
-# ----------------------------------------------------------------------
-# Columnar wire plane
-# ----------------------------------------------------------------------
 
 
 class ColumnarOutbox:
@@ -337,8 +196,8 @@ def _group_first_send(dest_w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(vertices, perm)``: distinct destinations in first-send
     order, and the permutation that reorders rows so each destination's
     rows are consecutive (groups by first send, rows within a group in
-    send order) — exactly the activation and delivery order the
-    reference plane produces.
+    send order) — exactly the activation and delivery order of the
+    paper-faithful reference (:mod:`repro.core.reference`).
     """
     uniq, first_idx, inverse = sorted_unique(dest_w)
     # Rank each distinct destination by first appearance, then
@@ -351,7 +210,7 @@ def _group_first_send(dest_w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class ChunkedColumnarStore:
-    """The production plane's barrier store: ``(sender, seq)``-tagged
+    """The engine's barrier store: ``(sender, seq)``-tagged
     chunks in, one :class:`PackedWorkerBatch` per worker out.
 
     Every sender's outbox reaches the store as a contiguous run of chunks

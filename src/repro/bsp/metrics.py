@@ -33,7 +33,8 @@ class SuperstepStats:
     worker_messages: List[int]
     worker_compute_calls: List[int]
     #: Exact bytes each worker's packed outbox shipped across the barrier
-    #: (filled by wire planes that can measure it; zeros otherwise).
+    #: (zeros from a driver that moves no packed buffers, such as the
+    #: scalar reference).
     worker_wire_bytes: Optional[List[int]] = None
 
     @property
@@ -174,9 +175,8 @@ class CostLedger:
     def add_wire_bytes(self, worker: int, nbytes: int) -> None:
         """Record exact barrier bytes shipped by ``worker``'s outbox.
 
-        Only wire planes that can measure their buffers feed this (the
-        columnar plane reports its packed-column sizes); the object
-        plane's volume is payload-defined and stays with the program's
+        The engine reports its packed-column sizes here; the scalar
+        reference moves no buffers, and its volume stays with the
         codec-based accounting (``track_message_bytes``)."""
         self._require_open().worker_wire_bytes[worker] += nbytes
 
@@ -201,8 +201,8 @@ class CostLedger:
         return int(sum(s.total_messages for s in self.steps))
 
     def total_wire_bytes(self) -> int:
-        """Exact barrier bytes over the whole run (0 when the selected
-        wire plane does not measure them; see :meth:`add_wire_bytes`)."""
+        """Exact barrier bytes over the whole run (0 when nothing measured
+        them; see :meth:`add_wire_bytes`)."""
         return int(
             sum(
                 sum(s.worker_wire_bytes)

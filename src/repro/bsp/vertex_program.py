@@ -1,11 +1,15 @@
-"""Vertex-centric programming API (the Pregel/Giraph contract).
+"""Vertex-centric programming API (the Pregel/Giraph contract, packed).
 
-A :class:`VertexProgram` is instantiated once per job and invoked once per
-active vertex per superstep.  Superstep 0 runs on *every* vertex with no
-messages (the paper's initialization phase); later supersteps run only on
-vertices that received messages.  The program does its work through the
-:class:`ComputeContext`, which routes messages, charges simulated cost to
-the executing worker, and collects outputs.
+A :class:`VertexProgram` is instantiated once per job.  Superstep 0 runs
+on every vertex (or the program's declared initial set) with nothing
+delivered — the paper's initialization phase; later supersteps run only
+on vertices that received messages.  Messages are packed, self-addressed
+rows (:class:`~repro.core.psi.GpsiColumns`), and the program sees them
+as such: :meth:`VertexProgram.initialize_columns` gets one worker's
+initial vertices in one call, :meth:`VertexProgram.compute_columns` one
+delivered block of rows per call.  The program does its work through
+the :class:`ComputeContext`, which routes messages, charges simulated
+cost to the executing worker, and collects outputs.
 """
 
 from __future__ import annotations
@@ -14,23 +18,19 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..graph.graph import Graph
 from .aggregate import AggregatorRegistry, Aggregator
-from .message import Message
 
 
 class ComputeContext:
-    """Everything a vertex program may touch during one ``compute`` call.
+    """Everything a vertex program may touch during one call.
 
-    Instances are reused across vertices of the same worker within a
-    superstep; the engine rebinds :attr:`vertex` before each call.
+    One instance serves one worker's batch in one superstep.
     """
 
     __slots__ = (
         "graph",
         "superstep",
         "worker_id",
-        "vertex",
         "worker_state",
-        "_send",
         "_send_columns",
         "_add_cost",
         "_emit",
@@ -43,46 +43,26 @@ class ComputeContext:
         superstep: int,
         worker_id: int,
         worker_state: Dict[str, Any],
-        send: Optional[Callable[[Message], None]],
+        send_columns: Callable[[Any], None],
         add_cost: Callable[[float], None],
         emit: Callable[[Any], None],
         aggregators: Optional["AggregatorRegistry"] = None,
-        send_columns: Optional[Callable[[Any], None]] = None,
     ):
         self.graph = graph
         self.superstep = superstep
         self.worker_id = worker_id
-        self.vertex: int = -1
         self.worker_state = worker_state
-        self._send = send
         self._send_columns = send_columns
         self._add_cost = add_cost
         self._emit = emit
         self._aggregators = aggregators
 
-    def send(self, dest: int, payload: Any) -> None:
-        """Send ``payload`` to data vertex ``dest`` (delivered next
-        superstep).  Only wired up on the reference (object) plane; the
-        production plane moves nothing but packed columns."""
-        if self._send is None:
-            raise RuntimeError(
-                "send is only available on the reference (object) plane; "
-                "the production plane sends through send_columns"
-            )
-        self._send(Message(dest, payload))
-
     def send_columns(self, columns: Any) -> None:
-        """Bulk-send a packed :class:`~repro.core.psi.GpsiColumns` batch.
-        Every row is self-addressed: it goes to the data vertex
-        ``columns.destinations()`` names for it, the image of its
-        ``next_vertex``.  Only wired up on the production (columnar)
-        plane; the rows flow straight into the packed outbox with no
-        per-message objects."""
-        if self._send_columns is None:
-            raise RuntimeError(
-                "send_columns is only available on the production "
-                "(columnar) plane"
-            )
+        """Bulk-send a packed :class:`~repro.core.psi.GpsiColumns` batch
+        (delivered next superstep).  Every row is self-addressed: it goes
+        to the data vertex ``columns.destinations()`` names for it, the
+        image of its ``next_vertex``.  The rows flow straight into the
+        worker's packed outbox."""
         self._send_columns(columns)
 
     def add_cost(self, units: float) -> None:
@@ -111,22 +91,16 @@ class ComputeContext:
 class VertexProgram:
     """Base class for vertex-centric algorithms.
 
-    Subclasses override :meth:`compute`; they may also override
+    Subclasses implement :meth:`initialize_columns` and
+    :meth:`compute_columns`; they may also override
     :meth:`pre_application` (mirrors Giraph's ``preApplication()`` hook the
-    paper uses to load shared data and initialise the distributor) and
-    :meth:`post_application`.
+    paper uses to load shared data and initialise the distributor),
+    :meth:`post_application`, the aggregator declarations and the
+    parallel-runtime hooks below.
     """
 
     def pre_application(self, graph: Graph, num_workers: int) -> None:
         """One-time setup before superstep 0 (load shared read-only data)."""
-
-    #: Whether the program implements :meth:`initialize_columns` and
-    #: :meth:`compute_columns` and so can run on the production
-    #: (columnar) plane, where payloads are never materialised as
-    #: objects.  A program that does not — or that declares a
-    #: :meth:`message_combiner` — runs on the reference plane; the engine
-    #: falls back on its own (see ``docs/perf.md``).
-    supports_columnar_compute: bool = False
 
     #: Whether the program additionally splits :meth:`compute_columns`
     #: into a pure expansion half and a stateful apply half — the
@@ -138,36 +112,19 @@ class VertexProgram:
     #: never run under ``steal=True``.
     supports_task_expansion: bool = False
 
-    def compute(self, ctx: ComputeContext, messages: List[Any]) -> None:
-        """Process one active vertex.  ``ctx.vertex`` is the vertex id;
-        ``messages`` are the payloads delivered this superstep (empty at
-        superstep 0)."""
-        raise NotImplementedError
-
     def initialize_columns(self, ctx: ComputeContext, vertices: Any) -> None:
-        """Columnar twin of superstep-0 :meth:`compute`: one call per
-        worker with its initial active vertices as an ``int64`` array,
-        in activation order; ``ctx.vertex`` is not set.  Called only on
-        the production plane.  Implementations must produce exactly the
-        observable effects of ``compute`` run on each vertex in turn with
-        an empty message list — costs, aggregations, and sends, made
-        through ``ctx.send_columns`` in the same row order."""
+        """Superstep 0: one call per worker with its initial active
+        vertices as an ``int64`` array, in activation order.  Sends go
+        through ``ctx.send_columns``."""
         raise NotImplementedError
 
     def compute_columns(self, ctx: ComputeContext, columns: Any) -> None:
-        """Columnar twin of :meth:`compute` for supersteps after 0: one
-        call per delivered block — rows of several destination vertices
-        in delivery order, as a packed
-        :class:`~repro.core.psi.GpsiColumns` instead of lists of objects.
-        A worker's delivery reaches the program as one or more
-        consecutive blocks, cut at arbitrary rows (also inside one
-        vertex's delivery), and ``ctx.vertex`` is not set: every row
-        carries its own destination.  Called only when
-        :attr:`supports_columnar_compute` is set and the job runs on the
-        columnar wire plane.  Implementations must produce exactly the
-        observable effects of ``compute`` on the equivalent per-vertex
-        message lists — costs, aggregations, sends — since the two paths
-        are interchangeable per superstep."""
+        """Supersteps after 0: one call per delivered block — rows of
+        several destination vertices in delivery order, as a packed
+        :class:`~repro.core.psi.GpsiColumns`.  A worker's delivery
+        reaches the program as one or more consecutive blocks, cut at
+        arbitrary rows (also inside one vertex's delivery): every row
+        carries its own destination, ``columns.destinations()``."""
         raise NotImplementedError
 
     def post_application(self) -> None:
@@ -185,19 +142,12 @@ class VertexProgram:
         """Aggregators accumulating across the whole job (Giraph-style)."""
         return {}
 
-    def message_combiner(self) -> Optional[Callable[[Any, Any], Any]]:
-        """Optional commutative combine of two payloads addressed to the
-        same vertex in the same superstep (Pregel's combiner — cuts
-        message volume when payloads are reducible, e.g. partial sums).
-        ``None`` disables combining."""
-        return None
-
     # ------------------------------------------------------------------
     # Parallel-runtime contract (thread/process backends)
     # ------------------------------------------------------------------
-    # The serial backend runs ``compute`` against this very object, so
-    # programs may freely mutate ``self``.  Parallel backends instead run
-    # each logical worker against a pickled *replica*; the three hooks
+    # The serial backend runs the program itself, so programs may freely
+    # mutate ``self``.  Parallel backends instead run each logical
+    # worker against a pickled *replica*; the three hooks
     # below let driver-side mutable state survive that split.  Programs
     # that never run on a parallel backend can ignore all of them.
 

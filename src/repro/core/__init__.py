@@ -50,5 +50,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "select_initial_vertex",
     ),
     ".listing": ("ListingResult", "PSgL", "PSgLProgram"),
+    ".reference": ("run_reference",),
     ".psi": ("Gpsi", "GpsiColumns", "UNMAPPED", "pack_gpsis", "unpack_gpsis"),
 })

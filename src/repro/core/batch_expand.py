@@ -1,9 +1,9 @@
 """Batched Gpsi expansion: Algorithm 1 over packed columns.
 
-The object hot path (:func:`repro.core.expansion.expand_gpsi`) runs once
-per delivered Gpsi: it constructs Python objects, walks the pattern
+The reference expansion (:func:`repro.core.expansion.expand_gpsi`) runs
+once per Gpsi: it constructs Python objects, walks the pattern
 neighbours in a Python loop, and materialises the candidate cross product
-with ``itertools.product``.  Under the columnar wire plane the messages
+with ``itertools.product``.  On the engine's message plane the messages
 already arrive as packed :class:`~repro.core.psi.GpsiColumns`, so this
 module expands a *whole delivered block at once* — rows addressed to any
 data vertices; row ``i`` expands at ``mapping[i, next_vertex[i]]`` —

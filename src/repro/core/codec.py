@@ -294,7 +294,8 @@ def encoded_size_batch(columns: GpsiColumns) -> int:
 
     Answers "how many bytes would these Gpsis cost one-by-one through
     :func:`encode_gpsi`" without touching a single Python object — the
-    accounting stays comparable across wire planes.  Equality with
+    engine's accounting stays comparable with the scalar reference's
+    (:mod:`repro.core.reference`).  Equality with
     ``sum(encoded_size(g) for g in unpack(columns))`` is pinned by tests.
     """
     n, k = columns.n, columns.k

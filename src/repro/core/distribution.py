@@ -50,6 +50,14 @@ def _num_white_neighbors(gpsi: Gpsi, pattern: PatternGraph, vp: int) -> int:
     return sum(1 for w in pattern.neighbors(vp) if gpsi.is_white(w))
 
 
+def worker_rng(seed: int, worker_id: int) -> np.random.Generator:
+    """Logical worker ``worker_id``'s private routing RNG in a job seeded
+    ``seed`` — the ``dist_rng`` of its state dict.  One stream per
+    worker: routing needs no cross-worker coordination and replays draw
+    for draw wherever the worker runs."""
+    return np.random.default_rng((seed + 1) * 1_000_003 + worker_id)
+
+
 class DistributionStrategy:
     """Chooses the next expansion vertex for a freshly created Gpsi."""
 
@@ -94,18 +102,14 @@ class DistributionStrategy:
         Returns one chosen GRAY vertex per child, as ``int64``.
 
         Every strategy's batched form consumes the worker RNG / load view
-        in exactly the per-child order the scalar loop would, so a
-        columnar run reproduces the object path's routing bit for bit.
-        Custom strategies override this — with these six positional
-        parameters; the engine passes no keywords — to run on the
-        production plane; a strategy that leaves it alone is detected by
-        the driver, which runs the job on the reference plane (scalar
-        :meth:`choose`) and reports that in ``ListingResult.wire``.
+        in exactly the per-child order the scalar loop would, so the
+        engine reproduces the reference's routing
+        (:mod:`repro.core.reference`) bit for bit.  This is what the
+        engine calls — with these six positional parameters, no
+        keywords — so every strategy must override it: ``PSgL`` refuses
+        one that does not at construction.
         """
-        raise NotImplementedError(
-            f"{self.name}: choose_many is not implemented; the strategy "
-            "can only route children one at a time (reference plane)"
-        )
+        raise NotImplementedError(f"{self.name}: choose_many is not implemented")
 
     def _candidate_table(self, groups) -> Tuple[np.ndarray, np.ndarray]:
         """The group table's candidates as ``(vps, lens)``: ``vps[g]`` is

@@ -17,9 +17,9 @@ Three interchangeable implementations support the Table 2 ablation:
   disabled ("w/o index" columns).
 
 Every implementation answers one probe at a time
-(:meth:`~EdgeIndexBase.might_contain`, the reference plane) and a whole
-batch of edges at once (:meth:`~EdgeIndexBase.might_contain_pairs`, the
-production plane's batch-expansion kernel); the two must agree
+(:meth:`~EdgeIndexBase.might_contain`, the scalar reference's) and a
+whole batch of edges at once (:meth:`~EdgeIndexBase.might_contain_pairs`,
+the engine's batch-expansion kernel); the two must agree
 probe-for-probe, including the ``queries``/``positives`` statistics,
 which charge one query per edge either way.
 """

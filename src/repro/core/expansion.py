@@ -63,9 +63,10 @@ def expand_gpsi(
 ) -> ExpansionOutcome:
     """Run Algorithm 1 on one Gpsi; the caller routes the outcome.
 
-    This is the reference expansion — one Gpsi, one candidate at a time.
-    The production plane runs :func:`repro.core.batch_expand.expand_columns`
-    instead, with identical results, costs and index statistics.
+    This is the reference expansion — one Gpsi, one candidate at a time
+    (:mod:`repro.core.reference`).  The engine runs
+    :func:`repro.core.batch_expand.expand_columns` instead, with identical
+    results, costs and index statistics.
     """
     outcome = ExpansionOutcome()
     vp = gpsi.next_vertex

@@ -1,6 +1,6 @@
 """Optional native (numba-jitted) kernels for the expansion hot path.
 
-After the columnar wire plane and the batch-expansion kernel, the
+After the columnar message plane and the batch-expansion kernel, the
 remaining per-superstep Python cost sits in two loops: the per-signature-
 group work inside :func:`repro.core.batch_expand.expand_columns` (GRAY
 verification by CSR segment search, the flat WHITE candidate list with

@@ -36,7 +36,12 @@ from ..bsp.config import ExecutionConfig, coerce
 from ..bsp.engine import BSPEngine, BSPResult
 from ..bsp.metrics import CostLedger
 from ..bsp.vertex_program import ComputeContext, VertexProgram
-from ..exceptions import EngineError, GraphError, PatternError
+from ..exceptions import (
+    DistributionError,
+    EngineError,
+    GraphError,
+    PatternError,
+)
 from ..graph.graph import Graph
 from ..graph.ordered import OrderedGraph
 from ..graph.partition import Partition, random_partition
@@ -46,10 +51,10 @@ from ..pattern.pattern import PatternGraph
 from . import kernels
 from .batch_expand import BatchOutcome, expand_columns
 from .cost import CostParameters, DEFAULT_COSTS
-from .distribution import DistributionStrategy, make_strategy
+from .distribution import DistributionStrategy, make_strategy, worker_rng
 from .edge_index import EdgeIndexBase, build_edge_index
 from .init_vertex import select_initial_vertex
-from .psi import Gpsi, GpsiColumns
+from .psi import GpsiColumns
 
 
 @dataclass
@@ -81,10 +86,6 @@ class ListingResult:
     #: Tasks executed by a non-home worker under the work-stealing
     #: scheduler (0 when ``steal=False`` or nothing was stolen).
     steals: int = 0
-    #: The data plane that actually ran: ``"columnar"`` (production) or
-    #: ``"object"`` (reference) — the latter also when a run that asked
-    #: for the production plane had to fall back (see :class:`PSgL`).
-    wire: str = "columnar"
 
     @property
     def makespan(self) -> float:
@@ -120,11 +121,9 @@ class PSgLProgram(VertexProgram):
     degree admits the initial pattern vertex creates the one-pair Gpsi and
     addresses it to itself.  Every later superstep expands incoming Gpsis
     via Algorithm 1 and routes the offspring through the distribution
-    strategy.
-
-    Both phases exist twice: :meth:`compute` is the paper-faithful
-    per-vertex, per-Gpsi reference; :meth:`initialize_columns` and
-    :meth:`compute_columns` are the production plane's packed twins.
+    strategy — a delivered block of packed rows at a time.  The
+    per-vertex, per-Gpsi statement of the same two phases is the parity
+    oracle, :mod:`repro.core.reference`.
     """
 
     def __init__(
@@ -163,16 +162,6 @@ class PSgLProgram(VertexProgram):
         #: into ``per_vertex_counts`` (see :meth:`_fold_per_vertex`).
         self._pvc_chunks: List[np.ndarray] = []
         self.message_bytes = 0
-
-    @property
-    def supports_columnar_compute(self) -> bool:
-        # The batched kernel routes children through ``choose_many``; a
-        # custom strategy that only implements scalar ``choose`` can only
-        # run on the reference plane, and the engine falls back to it.
-        return (
-            type(self.strategy).choose_many
-            is not DistributionStrategy.choose_many
-        )
 
     # ------------------------------------------------------------------
     # Parallel-runtime contract: worker replicas ship without the data
@@ -271,71 +260,11 @@ class PSgLProgram(VertexProgram):
         return {"found": sum_aggregator(0)}
 
     # ------------------------------------------------------------------
-    def compute(self, ctx: ComputeContext, messages: List[Gpsi]) -> None:
-        if "dist_rng" not in ctx.worker_state:
-            ctx.worker_state["dist_rng"] = np.random.default_rng(
-                (self.seed + 1) * 1_000_003 + ctx.worker_id
-            )
-        if ctx.superstep == 0:
-            self._initialize(ctx)
-            return
-        for gpsi in messages:
-            self._expand(ctx, gpsi)
-
-    def _initialize(self, ctx: ComputeContext) -> None:
-        vd = ctx.vertex
-        ctx.add_cost(1.0)
-        if ctx.graph.degree(vd) < self.pattern.degree(self.initial_vertex):
-            return  # pruning rule 1: this vertex can never host v0
-        gpsi = Gpsi.initial(self.pattern, self.initial_vertex, vd)
-        self.gpsi_by_vertex[self.initial_vertex] = (
-            self.gpsi_by_vertex.get(self.initial_vertex, 0) + 1
-        )
-        ctx.send(vd, gpsi)
-
-    def _expand(self, ctx: ComputeContext, gpsi: Gpsi) -> None:
-        # The reference plane's modules load only when it runs.
-        from .codec import encoded_size
-        from .expansion import expand_gpsi
-
-        source_vp = gpsi.next_vertex
-        outcome = expand_gpsi(
-            gpsi, self.pattern, self.ordered, self.edge_index, self.costs
-        )
-        ctx.add_cost(outcome.cost)
-        if outcome.generated:
-            self.gpsi_by_vertex[source_vp] = (
-                self.gpsi_by_vertex.get(source_vp, 0) + outcome.generated
-            )
-        if outcome.complete:
-            ctx.aggregate("found", len(outcome.complete))
-            if self.collect_instances:
-                self.instances.extend(outcome.complete)
-            if self.count_per_vertex:
-                self._pvc_chunks.append(
-                    np.asarray(outcome.complete, dtype=np.int64)
-                )
-        for child in outcome.pending:
-            grays = child.useful_grays(self.pattern)
-            chosen = self.strategy.choose(
-                child,
-                grays,
-                self.pattern,
-                ctx.graph,
-                self.partition,
-                ctx.worker_state,
-            )
-            addressed = child.with_next(chosen)
-            if self.track_message_bytes:
-                self.message_bytes += encoded_size(addressed)
-            ctx.send(child.mapping[chosen], addressed)
-
-    # ------------------------------------------------------------------
     def initialize_columns(self, ctx: ComputeContext, vertices: np.ndarray) -> None:
-        """Packed twin of the initialization phase: one call per worker.
-        Every vertex costs one unit; those whose degree admits the
-        initial pattern vertex (pruning rule 1) each send the one-pair
-        Gpsi to themselves, as one self-addressed packed batch."""
+        """The initialization phase, one call per worker.  Every vertex
+        costs one unit; those whose degree admits the initial pattern
+        vertex (pruning rule 1) each send the one-pair Gpsi to
+        themselves, as one self-addressed packed batch."""
         ctx.add_cost(float(len(vertices)))
         v0 = self.initial_vertex
         hosts = vertices[ctx.graph.degrees[vertices] >= self.pattern.degree(v0)]
@@ -345,12 +274,12 @@ class PSgLProgram(VertexProgram):
         ctx.send_columns(GpsiColumns.initial(self.pattern, v0, hosts))
 
     def compute_columns(self, ctx: ComputeContext, columns: GpsiColumns) -> None:
-        """Batched twin of the expansion phase: one call per delivered
-        block, consuming rows of several destination vertices in delivery
-        order as packed :class:`~repro.core.psi.GpsiColumns` (each row
-        names its own expanding vertex; ``ctx.vertex`` is not set) and
-        emitting children through ``ctx.send_columns`` — no per-Gpsi
-        objects anywhere (see :mod:`repro.core.batch_expand`).
+        """The expansion phase, one call per delivered block: consumes
+        rows of several destination vertices in delivery order as packed
+        :class:`~repro.core.psi.GpsiColumns` (each row names its own
+        expanding vertex) and emits children through
+        ``ctx.send_columns`` — no per-Gpsi objects anywhere (see
+        :mod:`repro.core.batch_expand`).
 
         Internally split into the *pure* half (:meth:`expand_task`) and
         the *stateful* half (:meth:`apply_outcome`); the work-stealing
@@ -408,9 +337,7 @@ class PSgLProgram(VertexProgram):
         the static path and the stealing scheduler's canonical finalize
         invoke it."""
         if "dist_rng" not in ctx.worker_state:
-            ctx.worker_state["dist_rng"] = np.random.default_rng(
-                (self.seed + 1) * 1_000_003 + ctx.worker_id
-            )
+            ctx.worker_state["dist_rng"] = worker_rng(self.seed, ctx.worker_id)
         ctx.add_cost(outcome.cost)
         for vp, n in outcome.generated_by_vp.items():
             self.gpsi_by_vertex[vp] = self.gpsi_by_vertex.get(vp, 0) + n
@@ -503,13 +430,13 @@ class PSgL:
         :class:`~repro.exceptions.JobCancelled`.
     **overrides:
         ``ExecutionConfig`` fields by name, applied over ``config`` —
-        ``PSgL(g, backend="process", procs=4, wire="columnar")``.  An
-        illegal value or combination raises
-        :class:`~repro.exceptions.EngineError` here, not inside ``run``.
+        ``PSgL(g, backend="process", procs=4)``.  An illegal value or
+        combination raises :class:`~repro.exceptions.EngineError` here,
+        not inside ``run``.
 
-    A custom strategy that implements only scalar ``choose`` cannot run
-    on the production plane; such a run falls back to the reference plane
-    automatically and ``ListingResult.wire`` says so.
+    A custom strategy must implement ``choose_many`` (the engine routes
+    whole blocks of children at once); one that implements only scalar
+    ``choose`` raises :class:`~repro.exceptions.DistributionError` here.
     """
 
     def __init__(
@@ -543,6 +470,12 @@ class PSgL:
             self.strategy = strategy
         else:
             self.strategy = make_strategy(strategy, alpha)
+        if type(self.strategy).choose_many is DistributionStrategy.choose_many:
+            raise DistributionError(
+                f"strategy {self.strategy.name!r} implements only scalar "
+                "choose; the engine routes through choose_many, which a "
+                "custom strategy must override"
+            )
         self.partition = partition or random_partition(
             graph.num_vertices, num_workers, seed=seed
         )
@@ -562,6 +495,50 @@ class PSgL:
         self.abort_event = abort_event
 
     # ------------------------------------------------------------------
+    def prepare(
+        self,
+        pattern: PatternGraph,
+        initial_vertex: Optional[int] = None,
+        initial_vertex_method: str = "auto",
+        auto_break: bool = True,
+    ) -> Tuple[PatternGraph, int, EdgeIndexBase]:
+        """Steps 2–4 of the pipeline: the pattern with its automorphisms
+        broken, the initial pattern vertex, and this driver's edge index
+        with fresh probe statistics.  Shared by :meth:`run` and the
+        parity oracle (:func:`repro.core.reference.run_reference`); the
+        arguments are :meth:`run`'s."""
+        if pattern.num_vertices < 1:
+            raise PatternError("cannot list an empty pattern")
+        if auto_break and not pattern.partial_order:
+            if len(automorphisms(pattern)) > 1:
+                pattern = break_automorphisms(pattern)
+        if initial_vertex is None:
+            initial_vertex = select_initial_vertex(
+                pattern, self.graph, method=initial_vertex_method
+            )
+        elif not 0 <= initial_vertex < pattern.num_vertices:
+            raise PatternError(
+                f"initial vertex {initial_vertex} out of range for {pattern.name}"
+            )
+
+        # The index depends only on the data graph: build once per driver,
+        # reset its probe statistics per run.  The lock only serialises
+        # the build — concurrent runs sharing a built index are safe
+        # (probes are read-only; only the statistics counters race, and
+        # servers hand each job a detached_view to keep those clean too).
+        if self._edge_index is None:
+            with self._index_lock:
+                if self._edge_index is None:
+                    self._edge_index = build_edge_index(
+                        self.graph,
+                        kind=self.edge_index_kind,
+                        fp_rate=self.edge_index_fp,
+                        seed=self.seed,
+                    )
+        index = self._edge_index
+        index.reset_statistics()
+        return pattern, initial_vertex, index
+
     def run(
         self,
         pattern: PatternGraph,
@@ -596,36 +573,9 @@ class PSgL:
             Also account the wire volume of every routed Gpsi using the
             compact codec (slower; for communication studies).
         """
-        if pattern.num_vertices < 1:
-            raise PatternError("cannot list an empty pattern")
-        if auto_break and not pattern.partial_order:
-            if len(automorphisms(pattern)) > 1:
-                pattern = break_automorphisms(pattern)
-        if initial_vertex is None:
-            initial_vertex = select_initial_vertex(
-                pattern, self.graph, method=initial_vertex_method
-            )
-        elif not 0 <= initial_vertex < pattern.num_vertices:
-            raise PatternError(
-                f"initial vertex {initial_vertex} out of range for {pattern.name}"
-            )
-
-        # The index depends only on the data graph: build once per driver,
-        # reset its probe statistics per run.  The lock only serialises
-        # the build — concurrent runs sharing a built index are safe
-        # (probes are read-only; only the statistics counters race, and
-        # servers hand each job a detached_view to keep those clean too).
-        if self._edge_index is None:
-            with self._index_lock:
-                if self._edge_index is None:
-                    self._edge_index = build_edge_index(
-                        self.graph,
-                        kind=self.edge_index_kind,
-                        fp_rate=self.edge_index_fp,
-                        seed=self.seed,
-                    )
-        index = self._edge_index
-        index.reset_statistics()
+        pattern, initial_vertex, index = self.prepare(
+            pattern, initial_vertex, initial_vertex_method, auto_break
+        )
         kernel_effective = kernels.resolve_kernel(self.config.kernel)
         # Route the index's own batched probes through the same kernel;
         # answers are bit-identical.
@@ -680,7 +630,6 @@ class PSgL:
             trace=bsp_result.trace,
             kernel=kernel_effective,
             steals=bsp_result.steals,
-            wire=bsp_result.wire,
         )
 
     def count(self, pattern: PatternGraph, **kwargs) -> int:

@@ -161,7 +161,7 @@ class Gpsi:
 
 
 # ----------------------------------------------------------------------
-# Array <-> Gpsi bridging (the columnar wire plane's struct-of-arrays)
+# Array <-> Gpsi bridging (the message plane's struct-of-arrays)
 # ----------------------------------------------------------------------
 
 def _black_words(k: int) -> int:
@@ -311,11 +311,9 @@ def pack_gpsis(gpsis: Sequence[Gpsi], k: int = None) -> GpsiColumns:
 
 
 def unpack_gpsis(columns: GpsiColumns) -> List[Gpsi]:
-    """Materialise :class:`Gpsi` objects from packed columns.
-
-    This is the *delivery-time* decode: the columnar plane defers it until
-    a destination vertex's payloads are actually handed to ``compute``, so
-    ``Gpsi.__init__`` never runs during the shuffle itself.
+    """Materialise :class:`Gpsi` objects from packed columns (the
+    inverse of :func:`pack_gpsis`; the engine itself never decodes —
+    this serves the codec and tests that compare rows with objects).
     """
     rows = columns.mapping.tolist()
     nv = columns.next_vertex.astype(np.int64)

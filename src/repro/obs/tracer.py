@@ -44,9 +44,9 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
     runs still record their fatal barrier): total live messages, the
     largest single worker's queue, the per-worker queue depths, and
     ``merge_ms`` (driver time merging worker results — the post-compute
-    half of the shuffle's critical path).  On the production plane the
-    event adds ``wire_bytes`` and the barrier store's ``chunks`` (chunks
-    merged this superstep), ``max_chunk_bytes`` and ``max_send_bytes`` —
+    half of the shuffle's critical path), ``wire_bytes`` and the barrier
+    store's ``chunks`` (chunks merged this superstep),
+    ``max_chunk_bytes`` and ``max_send_bytes`` —
     under pipelined shuffle these pin the in-flight memory bound:
     ``max_chunk_bytes`` stays within the watermark however large
     ``max_send_bytes`` (the largest whole send, before it was cut) is.

@@ -1,7 +1,7 @@
 """The superstep schedule, the executor interface and the worker-batch kernel.
 
 Each superstep the BSP engine builds one *batch* per logical worker — the
-worker's active vertices with their delivered messages, in deterministic
+worker's active vertices with their delivered rows, in deterministic
 order — and hands all batches to a :class:`SuperstepExecutor`, which
 returns one :class:`WorkerStepResult` per non-empty batch.  The engine
 then merges results **in worker-id order**, which makes every backend
@@ -30,7 +30,7 @@ Executor families
 ``inprocess = True`` (serial): the batch kernel runs against the driver's
 own program object and aggregator registry, preserving the simulator's
 legacy semantics bit-for-bit — including programs that mutate ``self``
-inside ``compute`` and read persistent aggregators mid-superstep.
+while computing and read persistent aggregators mid-superstep.
 
 ``inprocess = False`` (thread, process): each logical worker computes on
 a *replica* of the program; driver-side mutable state crosses back via
@@ -54,22 +54,15 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..bsp.config import ExecutionConfig
-from ..bsp.message import (
-    ColumnarOutbox,
-    Message,
-    MessageStore,
-    PackedWorkerBatch,
-)
+from ..bsp.message import ColumnarOutbox, PackedWorkerBatch
 from ..bsp.vertex_program import ComputeContext, VertexProgram
 from ..exceptions import EngineError
 from ..graph.graph import Graph
 from ..graph.partition import Partition
 from ..obs.tracer import NULL_TRACER
 
-# One logical worker's superstep input.  On the reference plane:
-# (vertex, delivered payloads) in delivery order, with empty payload lists
-# at superstep 0.  On the production plane: the worker's initial vertices
-# as one ``int64`` array at superstep 0, then a still-packed
+# One logical worker's superstep input: its initial vertices as one
+# ``int64`` array at superstep 0, then a still-packed
 # ``PackedWorkerBatch``, cut into row blocks — packed buffers, not
 # per-message objects, are what crosses any process boundary.
 WorkerBatch = Any
@@ -109,10 +102,6 @@ class JobSpec:
     #: The job's :class:`~repro.bsp.config.ExecutionConfig`: executors
     #: read shuffle mode, chunk watermarks and the steal settings off it.
     config: ExecutionConfig = ExecutionConfig()
-    #: The data plane this job runs on, *resolved* by the engine — it is
-    #: ``config.wire`` unless the program forced the fallback to the
-    #: reference plane (see :mod:`repro.bsp.message`).
-    wire: str = "object"
     #: The job's chunk queue, filled in by a pooled backend's ``start``
     #: under pipelined shuffle (``queue.Queue`` for threads, the pool
     #: context's ``mp.Queue`` for processes; both bounded, so a stalled
@@ -128,14 +117,12 @@ class JobSpec:
 class WorkerStepResult:
     """What one logical worker produced in one superstep.
 
-    ``outbox`` is the worker's sent messages: on the reference plane
-    ``(dest, payloads)`` pairs in first-send order, already combined per
-    destination when the program declares a message combiner; on the
-    production plane one packed, self-addressed
+    ``outbox`` is the worker's sent messages: one packed, self-addressed
     :class:`~repro.core.psi.GpsiColumns` in send order.
-    ``messages_sent`` counts raw sends (pre-combining), matching the
-    ledger's accounting.  ``inbound`` counts raw sends per
-    *destination-owning* worker, which feeds the per-worker OOM budget.
+    ``messages_sent`` counts every row the worker sent (streamed chunks
+    included), matching the ledger's accounting.  ``inbound`` counts them
+    per *destination-owning* worker, which feeds the per-worker OOM
+    budget.
     """
 
     worker_id: int
@@ -151,11 +138,10 @@ class WorkerStepResult:
     #: batch ran on a copy (a pool process) so the schedule can adopt it;
     #: ``None`` when the driver's own dict was mutated in place.
     worker_state: Optional[Dict[str, Any]] = None
-    #: Exact bytes of the packed outbox buffers (production plane only;
-    #: ``None`` on the reference plane, whose size is payload-dependent).
-    #: Under pipelined shuffle this covers streamed chunks *plus* the
-    #: residual ``outbox``, so the accounting stays mode-invariant.
-    wire_bytes: Optional[int] = None
+    #: Exact bytes of the packed outbox buffers.  Under pipelined shuffle
+    #: this covers streamed chunks *plus* the residual ``outbox``, so the
+    #: accounting stays mode-invariant.
+    wire_bytes: int = 0
     #: Pipelined shuffle: chunks streamed through the chunk queue before
     #: this result returned (the residual ``outbox`` rides on top with
     #: sequence number ``chunks_flushed``).  The schedule's drain uses
@@ -165,8 +151,7 @@ class WorkerStepResult:
     #: chunk, offsets measured from the worker batch's start — feeds the
     #: ``chunk_flush`` trace events.
     chunk_stats: Optional[List[Tuple[int, int, float]]] = None
-    #: Largest single send (production plane only) — the slack term in
-    #: the chunk-size bound.
+    #: Largest single send — the slack term in the chunk-size bound.
     max_send_bytes: int = 0
 
 
@@ -218,12 +203,8 @@ def _compute_batch(
         columns = batch.columns
         for lo, hi in row_ranges(len(columns), EXPAND_BLOCK_ROWS):
             program.compute_columns(ctx, columns.row_slice(lo, hi))
-    elif isinstance(batch, np.ndarray):
-        program.initialize_columns(ctx, batch)
     else:
-        for vertex, payloads in batch:
-            ctx.vertex = vertex
-            program.compute(ctx, payloads)
+        program.initialize_columns(ctx, batch)
     return len(batch)
 
 
@@ -244,20 +225,19 @@ def run_worker_batch(
     runtime reduces to this function being deterministic given the same
     batch and worker state, which it is: vertices run in batch order and
     all side effects accumulate locally in program order.  Graph,
-    partition, worker count, data plane and chunk watermarks come off
-    ``spec``; ``program`` is the object compute runs against — the
-    driver's own (serial) or a replica (thread/process).
+    partition, worker count and chunk watermarks come off ``spec``;
+    ``program`` is the object compute runs against — the driver's own
+    (serial) or a replica (thread/process).
 
-    On the production plane (``spec.wire == "columnar"``) nothing ever
-    leaves packed form: superstep 0 hands the worker's initial vertices to
-    ``initialize_columns`` in one call, every later superstep cuts the
-    delivered :class:`~repro.bsp.message.PackedWorkerBatch` into row
-    blocks (:func:`row_ranges`) handed to ``compute_columns``, and every
-    send flows through ``ctx.send_columns`` into a
-    :class:`~repro.bsp.message.ColumnarOutbox` — zero ``Gpsi`` or
-    ``Message`` constructions end to end (``ctx.send`` raises), and on the
-    process backend both directions cross the pool boundary as a handful
-    of numpy buffers.
+    Nothing ever leaves packed form: superstep 0 hands the worker's
+    initial vertices to ``initialize_columns`` in one call, every later
+    superstep cuts the delivered
+    :class:`~repro.bsp.message.PackedWorkerBatch` into row blocks
+    (:func:`row_ranges`) handed to ``compute_columns``, and every send
+    flows through ``ctx.send_columns`` into a
+    :class:`~repro.bsp.message.ColumnarOutbox` — no per-message object
+    end to end, and on the process backend both directions cross the
+    pool boundary as a handful of numpy buffers.
 
     A ``spec.chunk_queue`` enables the pipelined shuffle: the outbox puts
     watermark-sized chunks on it as ``(worker_id, seq, columns)`` *while
@@ -271,9 +251,8 @@ def run_worker_batch(
     already-expanded outcomes in canonical order — same context, same
     outbox, same accounting as the static path, by construction.
     """
-    columnar = spec.wire == "columnar"
-    partition = spec.partition
     num_workers = spec.num_workers
+    owner_array = spec.partition.owner_array
     inbound = [0] * num_workers
     outputs: List[Any] = []
     acc = {"cost": 0.0, "sent": 0}
@@ -282,92 +261,66 @@ def run_worker_batch(
     def add_cost(units: float) -> None:
         acc["cost"] += units
 
-    if columnar:
-        if spec.chunk_queue is not None:
-            chunk_stats = []
-            batch_started = perf_counter()
-            # Bounded queue: when it is full the sender blocks here, so
-            # in-flight chunk memory stays O(queue depth × chunk bytes)
-            # however fast workers expand.
-            put_chunk = spec.chunk_queue.put
+    if spec.chunk_queue is not None:
+        chunk_stats = []
+        batch_started = perf_counter()
+        # Bounded queue: when it is full the sender blocks here, so
+        # in-flight chunk memory stays O(queue depth × chunk bytes)
+        # however fast workers expand.
+        put_chunk = spec.chunk_queue.put
 
-            def _flush(chunk: Any) -> None:
-                seq = len(chunk_stats)
-                chunk_stats.append(
-                    (
-                        len(chunk),
-                        chunk.nbytes,
-                        (perf_counter() - batch_started) * 1000.0,
-                    )
+        def _flush(chunk: Any) -> None:
+            seq = len(chunk_stats)
+            chunk_stats.append(
+                (
+                    len(chunk),
+                    chunk.nbytes,
+                    (perf_counter() - batch_started) * 1000.0,
                 )
-                put_chunk((worker_id, seq, chunk))
-
-            col_outbox = ColumnarOutbox(
-                flush=_flush,
-                chunk_gpsis=spec.config.chunk_gpsis,
-                chunk_bytes=spec.config.chunk_bytes,
             )
-        else:
-            col_outbox = ColumnarOutbox()
-        owner_array = partition.owner_array
-        send = None
+            put_chunk((worker_id, seq, chunk))
 
-        def send_columns(columns) -> None:
-            n = len(columns)
-            if not n:
-                return
-            col_outbox.append(columns)
-            acc["sent"] += n
-            for w, c in enumerate(
-                np.bincount(
-                    owner_array[columns.destinations()], minlength=num_workers
-                )
-            ):
-                inbound[w] += int(c)
-
+        col_outbox = ColumnarOutbox(
+            flush=_flush,
+            chunk_gpsis=spec.config.chunk_gpsis,
+            chunk_bytes=spec.config.chunk_bytes,
+        )
     else:
-        local_outbox = MessageStore(program.message_combiner())
-        send_columns = None
+        col_outbox = ColumnarOutbox()
 
-        def send(message: Message) -> None:
-            local_outbox.add(message)
-            acc["sent"] += 1
-            inbound[partition.owner(message.dest)] += 1
+    def send_columns(columns) -> None:
+        n = len(columns)
+        if not n:
+            return
+        col_outbox.append(columns)
+        acc["sent"] += n
+        owners = owner_array[columns.destinations()]
+        for w, c in enumerate(np.bincount(owners, minlength=num_workers)):
+            inbound[w] += int(c)
 
     ctx = ComputeContext(
         graph=spec.graph,
         superstep=superstep,
         worker_id=worker_id,
         worker_state=worker_state,
-        send=send,
+        send_columns=send_columns,
         add_cost=add_cost,
         emit=outputs.append,
         aggregators=aggregators,
-        send_columns=send_columns,
     )
     if drive is not None:
         compute_calls = drive(ctx)
     else:
         compute_calls = _compute_batch(program, ctx, batch)
 
-    chunks_flushed = 0
-    max_send_bytes = 0
-    if columnar:
-        outbox = col_outbox.to_columns()
-        wire_bytes = col_outbox.flushed_bytes + outbox.nbytes
-        chunks_flushed = col_outbox.chunks_flushed
-        max_send_bytes = col_outbox.max_append_bytes
-    else:
-        outbox = local_outbox.as_batch()
-        wire_bytes = None
-
+    outbox = col_outbox.to_columns()
     return WorkerStepResult(
         worker_id=worker_id,
         outbox=outbox,
-        wire_bytes=wire_bytes,
-        chunks_flushed=chunks_flushed,
+        wire_bytes=col_outbox.flushed_bytes + outbox.nbytes,
+        chunks_flushed=col_outbox.chunks_flushed,
         chunk_stats=chunk_stats,
-        max_send_bytes=max_send_bytes,
+        max_send_bytes=col_outbox.max_append_bytes,
         messages_sent=acc["sent"],
         inbound=inbound,
         compute_calls=compute_calls,

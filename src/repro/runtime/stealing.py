@@ -1,4 +1,4 @@
-"""Steal tasks: split, pure expansion, canonical finalize (columnar plane only).
+"""Steal tasks: split, pure expansion, canonical finalize.
 
 The static schedule binds each delivered batch to its owning logical
 worker for a whole superstep, so one straggler — a worker whose vertices

@@ -17,6 +17,7 @@ a killed job still has a complete trace and straggler report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -80,8 +81,12 @@ class ResourceBudget:
                 values[name] = coerce(f"budget field {name}", kind, value)
             except EngineError as exc:  # "abc", 2.7 supersteps: no guessing
                 raise QuerySpecError(str(exc)) from exc
-            if values[name] <= 0:
-                raise QuerySpecError(f"budget field {name} must be > 0")
+            # NaN passes every comparison check and would disable the
+            # axis instead of setting it; infinity is "unset" spelt badly.
+            if not (math.isfinite(values[name]) and values[name] > 0):
+                raise QuerySpecError(
+                    f"budget field {name} must be a finite number > 0"
+                )
         return cls(**values)
 
     def merged_over(self, base: "ResourceBudget") -> "ResourceBudget":

@@ -463,7 +463,6 @@ class SubgraphService:
             "wall_seconds": float(result.wall_seconds),
             "kernel": result.kernel,
             "steals": int(result.steals),
-            "wire": result.wire,
         }
         if spec["collect_instances"] and result.instances is not None:
             payload["instances"] = [list(m) for m in result.instances]

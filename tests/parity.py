@@ -2,9 +2,9 @@
 
 Every ``ExecutionConfig`` field is result-neutral by contract, so every
 "this feature changes nothing" test in the suite is the same test: run a
-configuration on the inputs a *reference* run was computed from — serial
-backend, reference plane (``wire="object"``) — and require identical
-:func:`observables`.  Feature files keep their mechanism tests (forced
+configuration on the inputs a *reference* run was computed from — the
+paper-faithful scalar simulator, :mod:`repro.core.reference` — and
+require identical :func:`observables`.  Feature files keep their mechanism tests (forced
 stragglers, spill-file failures, trace events) and express parity as
 ``assert_equivalent(ExecutionConfig(...), reference)``.
 
@@ -20,7 +20,7 @@ from typing import Any, Dict
 import pytest
 
 from repro.bsp import BSPEngine, ExecutionConfig
-from repro.core import PSgL
+from repro.core import PSgL, run_reference
 from repro.core.listing import ListingResult
 from repro.exceptions import EngineError
 from repro.graph import Graph, hash_partition
@@ -56,8 +56,8 @@ def observables(result: ListingResult) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class Reference:
-    """A reference-plane run together with the inputs it was computed
-    from, so any configuration can be replayed on exactly those."""
+    """A reference run together with the inputs it was computed from, so
+    any configuration can be replayed on exactly those."""
 
     graph: Graph
     pattern_name: str
@@ -75,11 +75,12 @@ def run_listing(graph, pattern_name, config=None, **psgl_kwargs) -> ListingResul
 
 
 def reference_run(graph, pattern_name, **psgl_kwargs) -> Reference:
-    """The oracle: serial backend, reference plane."""
-    result = run_listing(
-        graph, pattern_name, ExecutionConfig(wire="object"), **psgl_kwargs
+    """The oracle: :func:`repro.core.reference.run_reference` on a driver
+    built from the same algorithm-level arguments."""
+    psgl_kwargs.setdefault("num_workers", 4)
+    result = run_reference(
+        PSgL(graph, **psgl_kwargs), paper_patterns()[pattern_name], **RUN_FLAGS
     )
-    assert result.wire == "object"
     return Reference(graph, pattern_name, psgl_kwargs, result)
 
 
@@ -103,17 +104,18 @@ def assert_equivalent(
 
 #: Every illegal value or combination, once: ``(overrides, message
 #: regex)``.  JSON-expressible values only, so the same rows drive the
-#: CLI and service legs.
+#: CLI and service legs.  A row's index is part of its test id: add new
+#: rows at the end.
 ILLEGAL = [
     (dict(wire="quantum"), "unknown wire"),
     (dict(shuffle="chaotic"), "unknown shuffle"),
     (dict(kernel="fused"), "unknown kernel"),
+    # The scalar reference is an oracle, not a plane: naming it, with or
+    # without a feature of the one plane, points at that plane.
     (dict(wire="object", shuffle="pipelined"), "wire='columnar'"),
-    (dict(wire="object", steal=True), "steal=True.*wire='columnar'"),
-    (
-        dict(wire="object", spill_dir="unused", memory_watermark_bytes=1),
-        "spill_dir.*wire='columnar'",
-    ),
+    # NaN passes every comparison and would switch the budget off.
+    (dict(wall_budget_seconds=float("nan")), "must be a finite number > 0"),
+    (dict(wall_budget_seconds=float("inf")), "must be a finite number > 0"),
     (dict(chunk_gpsis=64), "chunk watermarks only apply"),
     (dict(chunk_bytes=4096), "chunk watermarks only apply"),
     (dict(shuffle="pipelined", chunk_gpsis=0), "chunk_gpsis must be >= 1"),
@@ -133,13 +135,17 @@ ILLEGAL = [
     (dict(worker_memory_budget=-1), "worker_memory_budget must be >= 1"),
     (dict(max_supersteps=0), "max_supersteps must be >= 1"),
     (dict(superstep_budget=0), "superstep_budget must be >= 1"),
-    (dict(wall_budget_seconds=0), "wall_budget_seconds must be > 0"),
+    (
+        dict(wall_budget_seconds=0),
+        "wall_budget_seconds must be a finite number > 0",
+    ),
     # Strict coercion: no guessing what a mistyped value meant.
     (dict(steal="false"), "steal must be bool"),
     (dict(procs=2.7), "procs must be int"),
     (dict(procs="2"), "procs must be int"),
     (dict(wire=None), "wire must be str"),
     (dict(steal=1), "steal must be bool"),
+    (dict(wire="object"), "unknown wire 'object'"),
 ]
 
 _TINY = Graph(4, [(0, 1), (1, 2)])

@@ -1,27 +1,14 @@
-"""Unit tests for the BSP engine, messages, metrics and workers."""
+"""Unit tests for the BSP engine, its barrier store, metrics and
+partitions."""
 
+import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine, CostLedger, Message, MessageStore, VertexProgram
+from repro.bsp import BSPEngine, ChunkedColumnarStore, CostLedger, VertexProgram
 from repro.exceptions import EngineError, SimulatedOOMError
-from repro.graph import Graph, hash_partition, random_partition
+from repro.graph import Graph, Partition, hash_partition, random_partition
 
-
-class EchoOnce(VertexProgram):
-    """Superstep 0: every vertex sends its id to each neighbour.
-    Superstep 1: sums arrive; nothing further is sent."""
-
-    def __init__(self):
-        self.received = {}
-
-    def compute(self, ctx, messages):
-        if ctx.superstep == 0:
-            for u in ctx.graph.neighbors(ctx.vertex):
-                ctx.send(int(u), ctx.vertex)
-            ctx.add_cost(ctx.graph.degree(ctx.vertex))
-        else:
-            self.received[ctx.vertex] = sorted(messages)
-            ctx.emit((ctx.vertex, len(messages)))
+from .programs import Ripple, payload_columns
 
 
 def path_graph(n):
@@ -30,23 +17,26 @@ def path_graph(n):
 
 class TestEngineBasics:
     def test_two_superstep_echo(self):
+        """Superstep 0: every vertex pings each neighbour with its id;
+        superstep 1: the pings arrive, nothing further is sent."""
         g = path_graph(4)
         engine = BSPEngine(g, hash_partition(4, 2))
-        program = EchoOnce()
+        program = Ripple(rounds=1)
         result = engine.run(program)
         assert result.supersteps == 2
-        assert program.received[0] == [1]
-        assert program.received[1] == [0, 2]
-        assert sorted(result.outputs) == [(0, 1), (1, 2), (2, 2), (3, 1)]
+        assert sorted(result.outputs) == [
+            (1, 0, 1), (1, 1, 0), (1, 1, 2), (1, 2, 1), (1, 2, 3), (1, 3, 2),
+        ]
+        assert program.seen == {0: 1, 1: 2, 2: 2, 3: 1}
 
     def test_messages_counted(self):
         g = path_graph(4)
-        result = BSPEngine(g, hash_partition(4, 2)).run(EchoOnce())
+        result = BSPEngine(g, hash_partition(4, 2)).run(Ripple(rounds=1))
         assert result.ledger.total_messages() == 6  # 2 * |E|
 
     def test_makespan_positive(self):
         g = path_graph(5)
-        result = BSPEngine(g, hash_partition(5, 2)).run(EchoOnce())
+        result = BSPEngine(g, hash_partition(5, 2)).run(Ripple(rounds=1))
         assert result.makespan > 0
 
     def test_partition_size_mismatch_rejected(self):
@@ -55,56 +45,47 @@ class TestEngineBasics:
             BSPEngine(g, hash_partition(3, 2))
 
     def test_program_without_messages_halts_after_one_superstep(self):
-        class Silent(VertexProgram):
-            def compute(self, ctx, messages):
-                ctx.add_cost(1)
-
-        result = BSPEngine(path_graph(3), hash_partition(3, 1)).run(Silent())
+        result = BSPEngine(path_graph(3), hash_partition(3, 1)).run(
+            Ripple(rounds=0)
+        )
         assert result.supersteps == 1
 
     def test_max_supersteps_guard(self):
-        class PingPong(VertexProgram):
-            def compute(self, ctx, messages):
-                ctx.send(ctx.vertex, "again")
-
         engine = BSPEngine(path_graph(2), hash_partition(2, 1), max_supersteps=5)
         with pytest.raises(EngineError):
-            engine.run(PingPong())
+            engine.run(Ripple(rounds=100))
 
     def test_initial_active_subset(self):
-        class OnlyZero(VertexProgram):
-            seen = []
-
+        class OnlyZero(Ripple):
             def initial_active_vertices(self, graph):
                 return [0]
 
-            def compute(self, ctx, messages):
-                OnlyZero.seen.append(ctx.vertex)
-
-        OnlyZero.seen = []
-        BSPEngine(path_graph(4), hash_partition(4, 2)).run(OnlyZero())
-        assert OnlyZero.seen == [0]
+        result = BSPEngine(path_graph(4), hash_partition(4, 2)).run(
+            OnlyZero(rounds=1)
+        )
+        assert sum(result.ledger.steps[0].worker_compute_calls) == 1
+        assert result.outputs == [(1, 1, 0)]  # only vertex 0 pinged
 
     def test_memory_budget_triggers_oom(self):
-        class Flood(VertexProgram):
-            def compute(self, ctx, messages):
-                if ctx.superstep == 0:
-                    for _ in range(10):
-                        ctx.send(ctx.vertex, "x")
-
+        # Superstep 0 puts 6 pings in flight.
         engine = BSPEngine(path_graph(4), hash_partition(4, 2), memory_budget=5)
         with pytest.raises(SimulatedOOMError):
-            engine.run(Flood())
+            engine.run(Ripple(rounds=1))
 
     def test_worker_state_persists_across_supersteps(self):
         class Counter(VertexProgram):
             totals = {}
 
-            def compute(self, ctx, messages):
-                ctx.worker_state["n"] = ctx.worker_state.get("n", 0) + 1
+            def initialize_columns(self, ctx, vertices):
+                self.tick(ctx, len(vertices))
+                ctx.send_columns(payload_columns(vertices, vertices))
+
+            def compute_columns(self, ctx, columns):
+                self.tick(ctx, len(columns))
+
+            def tick(self, ctx, vertices):
+                ctx.worker_state["n"] = ctx.worker_state.get("n", 0) + vertices
                 Counter.totals[ctx.worker_id] = ctx.worker_state["n"]
-                if ctx.superstep == 0:
-                    ctx.send(ctx.vertex, "tick")
 
         Counter.totals = {}
         BSPEngine(path_graph(4), hash_partition(4, 2)).run(Counter())
@@ -113,26 +94,37 @@ class TestEngineBasics:
 
 
 class TestMessageStore:
+    """The barrier store: packed rows in, per-worker deliveries out."""
+
+    OWNERS = Partition(np.array([0, 1, 0, 1, 0, 1]), 2).owner_array
+
     def test_add_take(self):
-        store = MessageStore()
-        store.add(Message(3, "a"))
-        store.add(Message(3, "b"))
+        store = ChunkedColumnarStore(self.OWNERS, 2)
+        store.merge_chunk(0, 0, payload_columns([2, 2], [7, 8]))
         assert len(store) == 2
-        assert store.take(3) == ["a", "b"]
-        assert len(store) == 0
+        batch = store.build_worker_batches()[0]
+        assert batch.vertices.tolist() == [2]
+        assert batch.columns.mapping[:, 1].tolist() == [7, 8]
 
     def test_take_missing_vertex(self):
-        assert MessageStore().take(9) == []
+        store = ChunkedColumnarStore(self.OWNERS, 2)
+        store.merge_chunk(0, 0, payload_columns([2], [1]))
+        assert not len(store.build_worker_batches()[1])
 
     def test_destinations(self):
-        store = MessageStore()
-        store.extend([Message(1, "x"), Message(2, "y")])
-        assert sorted(store.destinations()) == [1, 2]
+        store = ChunkedColumnarStore(self.OWNERS, 2)
+        store.merge_chunk(0, 0, payload_columns([4, 1, 2, 4], [0, 1, 2, 3]))
+        batches = store.build_worker_batches()
+        # Per owning worker, the next superstep's active set in first-send
+        # order, each vertex's rows together.
+        assert batches[0].vertices.tolist() == [4, 2]
+        assert batches[0].columns.mapping[:, 1].tolist() == [0, 3, 2]
+        assert batches[1].vertices.tolist() == [1]
 
     def test_bool(self):
-        store = MessageStore()
+        store = ChunkedColumnarStore(self.OWNERS, 2)
         assert not store
-        store.add(Message(0, 1))
+        store.merge_chunk(0, 0, payload_columns([0], [1]))
         assert store
 
 

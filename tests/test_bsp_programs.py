@@ -1,96 +1,92 @@
 """Classic Pregel programs on the BSP substrate.
 
-PageRank, connected components and single-source shortest paths prove the
-engine implements the full vertex-centric contract (message combiners,
-aggregators, data-dependent halting) and is not a PSgL-only scaffold.
+PageRank, connected components and single-source shortest paths exercise
+what the engine promises any vertex program beyond PSgL's: data-dependent
+halting, a declared initial active set, and aggregator visibility across
+supersteps.  Reductions a Pregel combiner would do (the rank sum, the
+minimum label, the shortest candidate) happen on the receiving side.
 """
+
+import struct
 
 import pytest
 
-from repro.bsp import (
-    BSPEngine,
-    VertexProgram,
-    max_aggregator,
-    min_aggregator,
-    sum_aggregator,
-)
+from repro.bsp import BSPEngine, max_aggregator, min_aggregator, sum_aggregator
 from repro.graph import Graph, complete_graph, hash_partition
 
+from .programs import PerVertex
 
-class PageRank(VertexProgram):
-    """Fixed-iteration PageRank with a sum combiner and a mass aggregator."""
+
+def float_bits(x):
+    """``x`` as the int64 with the same bits: a float rides in an
+    integer payload column unchanged."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def bits_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+class PageRank(PerVertex):
+    """Fixed-iteration PageRank with a mass aggregator."""
 
     def __init__(self, iterations=10, damping=0.85):
         self.iterations = iterations
         self.damping = damping
         self.ranks = {}
 
-    def message_combiner(self):
-        return lambda a, b: a + b
-
     def aggregators(self):
         return {"mass": sum_aggregator(0.0)}
 
-    def compute(self, ctx, messages):
+    def visit(self, ctx, vertex, shares):
         n = ctx.graph.num_vertices
         if ctx.superstep == 0:
             rank = 1.0 / n
         else:
-            rank = (1 - self.damping) / n + self.damping * sum(messages)
-        self.ranks[ctx.vertex] = rank
+            received = sum(bits_float(share) for share in shares)
+            rank = (1 - self.damping) / n + self.damping * received
+        self.ranks[vertex] = rank
         ctx.aggregate("mass", rank)
-        if ctx.superstep < self.iterations:
-            degree = ctx.graph.degree(ctx.vertex)
-            if degree:
-                share = rank / degree
-                for u in ctx.graph.neighbors(ctx.vertex):
-                    ctx.send(int(u), share)
+        degree = ctx.graph.degree(vertex)
+        if ctx.superstep < self.iterations and degree:
+            return float_bits(rank / degree)
+        return None
 
 
-class ConnectedComponents(VertexProgram):
+class ConnectedComponents(PerVertex):
     """Label propagation: every vertex converges to its component's
     minimum id; halts when no label changes (no messages sent)."""
 
     def __init__(self):
         self.labels = {}
 
-    def message_combiner(self):
-        return min
-
-    def compute(self, ctx, messages):
+    def visit(self, ctx, vertex, labels):
         if ctx.superstep == 0:
-            label = ctx.vertex
+            label = vertex
         else:
-            best = min(messages)
-            if best >= self.labels[ctx.vertex]:
-                return  # no improvement: stay silent (vote to halt)
-            label = best
-        self.labels[ctx.vertex] = label
-        for u in ctx.graph.neighbors(ctx.vertex):
-            ctx.send(int(u), label)
+            label = min(labels)
+            if label >= self.labels[vertex]:
+                return None  # no improvement: stay silent (vote to halt)
+        self.labels[vertex] = label
+        return label
 
 
-class SSSP(VertexProgram):
+class SSSP(PerVertex):
     """Single-source shortest paths (unit weights)."""
 
     def __init__(self, source):
         self.source = source
         self.dist = {}
 
-    def message_combiner(self):
-        return min
+    def initial_active_vertices(self, graph):
+        return [self.source]
 
-    def compute(self, ctx, messages):
-        if ctx.superstep == 0:
-            if ctx.vertex != self.source:
-                return
-            candidate = 0
-        else:
-            candidate = min(messages)
-        if candidate < self.dist.get(ctx.vertex, float("inf")):
-            self.dist[ctx.vertex] = candidate
-            for u in ctx.graph.neighbors(ctx.vertex):
-                ctx.send(int(u), candidate + 1)
+    def visit(self, ctx, vertex, distances):
+        candidate = min(distances) if ctx.superstep else 0
+        if candidate >= self.dist.get(vertex, float("inf")):
+            return None
+        self.dist[vertex] = candidate
+        return candidate + 1
 
 
 def two_triangles_and_isolate():
@@ -117,17 +113,6 @@ class TestPageRank:
         program = PageRank(iterations=20)
         BSPEngine(g, hash_partition(5, 2)).run(program)
         assert program.ranks[0] > 2 * program.ranks[1]
-
-    def test_combiner_reduces_messages(self):
-        g = complete_graph(8)
-        with_comb = BSPEngine(g, hash_partition(8, 2)).run(PageRank(iterations=3))
-
-        class NoCombiner(PageRank):
-            def message_combiner(self):
-                return None
-
-        without = BSPEngine(g, hash_partition(8, 2)).run(NoCombiner(iterations=3))
-        assert with_comb.ledger.peak_live_messages < without.ledger.peak_live_messages
 
 
 class TestConnectedComponents:
@@ -171,45 +156,44 @@ class TestAggregatorSemantics:
     def test_per_step_visible_next_superstep(self):
         observed = []
 
-        class Observer(VertexProgram):
+        class Observer(PerVertex):
             def aggregators(self):
                 return {"tick": sum_aggregator(0)}
 
-            def compute(self, ctx, messages):
+            def visit(self, ctx, vertex, payloads):
                 observed.append((ctx.superstep, ctx.aggregated("tick")))
                 ctx.aggregate("tick", 1)
-                if ctx.superstep == 0:
-                    ctx.send(ctx.vertex, "again")
+                return vertex if ctx.superstep == 0 else None
 
         g = Graph(3, [(0, 1), (1, 2)])
         BSPEngine(g, hash_partition(3, 1)).run(Observer())
         step0 = [v for s, v in observed if s == 0]
         step1 = [v for s, v in observed if s == 1]
+        assert len(step1) == 3  # every vertex was pinged back
         assert all(v == 0 for v in step0)  # nothing visible yet
         assert all(v == 3 for v in step1)  # superstep 0's total
 
     def test_persistent_accumulates(self):
-        class Accumulator(VertexProgram):
+        class Accumulator(PerVertex):
             def persistent_aggregators(self):
                 return {"total": sum_aggregator(0)}
 
-            def compute(self, ctx, messages):
+            def visit(self, ctx, vertex, payloads):
                 ctx.aggregate("total", 1)
-                if ctx.superstep == 0:
-                    ctx.send(ctx.vertex, "again")
+                return vertex if ctx.superstep == 0 else None
 
         g = Graph(4, [(0, 1), (2, 3)])
         result = BSPEngine(g, hash_partition(4, 2)).run(Accumulator())
         assert result.aggregated["total"] == 8  # 4 vertices x 2 supersteps
 
     def test_min_max_aggregators(self):
-        class Extremes(VertexProgram):
+        class Extremes(PerVertex):
             def aggregators(self):
                 return {"lo": min_aggregator(), "hi": max_aggregator()}
 
-            def compute(self, ctx, messages):
-                ctx.aggregate("lo", ctx.vertex)
-                ctx.aggregate("hi", ctx.vertex)
+            def visit(self, ctx, vertex, payloads):
+                ctx.aggregate("lo", vertex)
+                ctx.aggregate("hi", vertex)
 
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         result = BSPEngine(g, hash_partition(5, 2)).run(Extremes())
@@ -217,8 +201,8 @@ class TestAggregatorSemantics:
         assert result.aggregated["hi"] == 4
 
     def test_unknown_aggregator_raises(self):
-        class Bad(VertexProgram):
-            def compute(self, ctx, messages):
+        class Bad(PerVertex):
+            def visit(self, ctx, vertex, payloads):
                 ctx.aggregate("nope", 1)
 
         g = Graph(2, [(0, 1)])

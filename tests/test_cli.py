@@ -16,12 +16,13 @@ from repro.graph.generators import erdos_renyi
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Modules a cold serial ``psgl count`` on a text edge list never loads:
-#: other subcommands' machinery, unused backends, the reference plane's
-#: scalar expansion and codec, the spill plane, and ``numpy.ma``
+#: other subcommands' machinery, unused backends, the parity oracle and
+#: its scalar expansion and codec, the spill plane, and ``numpy.ma``
 #: (``np.unique`` imports it lazily, ~20 ms: no grouping on the count
 #: path may go through it).
 COLD_COUNT_NEVER_LOADS = (
     "numpy.ma",
+    "repro.core.reference",
     "repro.core.expansion",
     "repro.core.candidates",
     "repro.core.codec",
@@ -130,14 +131,19 @@ class TestCount:
         assert "instances  : 10" in out
 
     def test_wire_plane_default_and_reference(self, tmp_path, capsys):
+        """One plane: ``--wire columnar`` is accepted by name and prints
+        nothing extra; the scalar reference is not a plane argparse
+        knows (exit 2)."""
         path = tmp_path / "k5.txt"
         write_edge_list(complete_graph(5), path)
         base = ["count", "--pattern", "PG1", "--edge-list", str(path)]
-        assert main(base) == 0
-        assert "wire plane : columnar" in capsys.readouterr().out
-        assert main(base + ["--wire", "object"]) == 0
+        assert main(base + ["--wire", "columnar"]) == 0
         out = capsys.readouterr().out
-        assert "wire plane : object" in out and "instances  : 10" in out
+        assert "instances  : 10" in out and "wire" not in out
+        with pytest.raises(SystemExit) as refused:
+            main(base + ["--wire", "object"])
+        assert refused.value.code == 2
+        assert "invalid choice: 'object'" in capsys.readouterr().err
 
     def test_count_on_dataset(self, capsys):
         code = main(

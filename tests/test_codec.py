@@ -237,7 +237,7 @@ class TestBatchRoundTrip:
 
     @given(st.lists(valid_gpsis(k=4, max_id=500), min_size=1, max_size=30))
     def test_columnar_vs_scalar_bytes_per_gpsi(self, gpsis):
-        """Cross-check the two planes' wire volume on random Gpsis: the
+        """Cross-check the two layouts' wire volume on random Gpsis: the
         columnar format is fixed-width (8k + 4*words + 1 per instance plus
         one 8-byte header per batch), the scalar codec varint-compressed;
         for small ids scalar stays below fixed-width, and both accountings

@@ -134,9 +134,8 @@ def test_no_signature_re_declares_a_knob():
     ):
         named = set(inspect.signature(func).parameters) & set(FIELDS)
         assert not named, f"{func.__qualname__} re-declares {sorted(named)}"
-    # JobSpec keeps exactly one: the *resolved* plane, which differs from
-    # config.wire when the program forced the fallback.
-    assert set(JobSpec.__dataclass_fields__) & set(FIELDS) == {"wire"}
+    # Nor does the job spec: executors read the config it carries.
+    assert not set(JobSpec.__dataclass_fields__) & set(FIELDS)
 
 
 def _cli_flags(overrides):

@@ -15,6 +15,7 @@ from repro.core import (
     UNMAPPED,
     WorkloadAwareStrategy,
     make_strategy,
+    run_reference,
 )
 from repro.exceptions import DistributionError
 from repro.graph import Graph, Partition, hash_partition
@@ -351,7 +352,9 @@ class TestFrozenHarnessSeam:
         """``benchmarks/e2e/layers.py::TimedStrategy`` — which this repo
         may not edit — forwards ``choose_many``'s six arguments
         positionally, counts ``len(mapping)`` rows and forwards no
-        attributes: the engine must keep calling it that way."""
+        attributes: the engine must keep calling it that way, and route
+        exactly the children the oracle routes one ``choose`` at a
+        time."""
 
         class Forwarding(DistributionStrategy):
             def __init__(self, inner):
@@ -370,10 +373,9 @@ class TestFrozenHarnessSeam:
 
         graph = erdos_renyi(60, 0.15, seed=3)
         runs = {}
-        for wire in ("columnar", "object"):
+        for name, run in (("engine", PSgL.run), ("oracle", run_reference)):
             proxy = Forwarding(make_strategy("WA,0.5"))
-            result = PSgL(graph, num_workers=4, strategy=proxy, wire=wire).run(square())
-            assert result.wire == wire
-            runs[wire] = (proxy.rows, result.count, result.makespan)
-        assert runs["columnar"][0] > 0
-        assert runs["columnar"] == runs["object"]
+            result = run(PSgL(graph, num_workers=4, strategy=proxy), square())
+            runs[name] = (proxy.rows, result.count, result.makespan)
+        assert runs["engine"][0] > 0
+        assert runs["engine"] == runs["oracle"]

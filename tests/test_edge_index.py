@@ -93,7 +93,7 @@ class TestFactory:
 
 
 class TestBatchedProbes:
-    """``might_contain_pairs`` — the production plane's probe — agrees
+    """``might_contain_pairs`` — the engine's probe — agrees
     with a scalar ``might_contain`` loop answer-for-answer and
     counter-for-counter on every index kind."""
 

@@ -49,11 +49,13 @@ def test_fig5_smoke():
 
 
 def test_experiments_default_to_the_production_plane():
+    """Experiments run on the engine: every barrier ships packed bytes."""
     from repro.obs import Tracer
 
     tracer = Tracer()
     run_experiment("fig5", scale=TINY, num_workers=4, trace=tracer)
-    assert tracer.meta["wire"] == "columnar"
+    barriers = tracer.by_kind("barrier")
+    assert barriers and all("wire_bytes" in e.data for e in barriers)
 
 
 def test_fig6_smoke():

@@ -30,7 +30,7 @@ from repro.pattern import paper_patterns
 from .parity import assert_equivalent, assert_illegal, reference_run
 
 GRAPH = erdos_renyi(48, 0.22, seed=11)
-#: The end-to-end legs compare against the reference plane, which is
+#: The end-to-end legs compare against the reference oracle, which is
 #: several times slower than either kernel: a smaller graph keeps PG5 cheap.
 LISTING_GRAPH = erdos_renyi(36, 0.22, seed=11)
 

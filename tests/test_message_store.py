@@ -1,18 +1,16 @@
 """Store-level invariants the barrier accounting relies on.
 
 The engine's memory valve and the ledgers both trust ``len(store)`` to
-be the number of deliverable payloads; the trace and wire ledgers trust
-``wire_bytes`` to be exact.  These tests hammer the merge surfaces those
-figures are maintained through — combiner folds across worker batches,
-empty slots, duplicate destinations — plus the :class:`ColumnarOutbox`
-watermark machinery the pipelined shuffle is built on.
+be the number of deliverable rows; the trace and wire ledgers trust
+``wire_bytes`` to be exact.  These tests hammer the surfaces those
+figures are maintained through — the barrier store's merge-and-deliver
+cycle and the :class:`ColumnarOutbox` watermark machinery the pipelined
+shuffle is built on.
 """
 
 import numpy as np
-import pytest
 
-from repro.bsp import Message, MessageStore
-from repro.bsp.message import ColumnarOutbox
+from repro.bsp.message import ChunkedColumnarStore, ColumnarOutbox
 from repro.core import Gpsi, UNMAPPED
 
 
@@ -22,75 +20,20 @@ def g(dest):
     return Gpsi((dest + 100, dest, UNMAPPED), 0b001, 1)
 
 
-class TestMergeBatchCombinerFold:
-    def test_fold_across_batches_matches_live_adds(self):
-        """merge_batch folding worker outboxes in worker-id order must
-        equal a serial store fed the same messages through ``add``."""
-        combine = lambda a, b: a + b  # noqa: E731
-        messages = [(3, 1), (4, 10), (3, 2), (4, 30), (3, 4)]
-        live = MessageStore(combine)
-        for dest, payload in messages:
-            live.add(Message(dest, payload))
-        merged = MessageStore(combine)
-        merged.merge_batch([(3, [1]), (4, [10])])  # worker 0's outbox
-        merged.merge_batch([(3, [2]), (4, [30])])  # worker 1's outbox
-        merged.merge_batch([(3, [4])])  # worker 2's outbox
-        assert len(merged) == len(live) == 2
-        assert merged.take(3) == live.take(3) == [7]
-        assert merged.take(4) == live.take(4) == [40]
-        assert len(merged) == 0 and not merged
-
-    def test_fold_is_order_sensitive_like_serial(self):
-        """A non-commutative combiner pins the fold order: payloads fold
-        left-to-right within a batch, batches in merge order — the same
-        order a serial superstep would apply ``add``."""
-        combine = lambda a, b: f"({a}+{b})"  # noqa: E731
-        merged = MessageStore(combine)
-        merged.merge_batch([(0, ["a", "b"])])
-        merged.merge_batch([(0, ["c"])])
-        assert merged.take(0) == ["((a+b)+c)"]
-
-    def test_count_stable_under_duplicate_destination_folds(self):
-        """Folding into an existing slot must not move ``_count``: one
-        deliverable payload per destination, however many batches fed it."""
-        combine = lambda a, b: a + b  # noqa: E731
-        merged = MessageStore(combine)
-        for k in range(5):
-            merged.merge_batch([(7, [k]), (8, [k])])
-            assert len(merged) == 2
-        assert merged.take(7) == [sum(range(5))]
-        assert len(merged) == 1
-
-    def test_empty_slot_never_activates_or_counts(self):
-        combine = lambda a, b: a + b  # noqa: E731
-        for store in (MessageStore(), MessageStore(combine)):
-            store.merge_batch([(5, []), (6, [1])])
-            assert len(store) == 1
-            assert store.destinations() == [6]
-            assert store.take(5) == []
-            assert len(store) == 1  # taking a never-activated vertex is free
-
-
 class TestMessageStoreCountInvariant:
     def test_count_tracks_takes_through_merge_cycle(self):
-        store = MessageStore()
-        store.merge_batch([(1, [10, 11]), (2, [20])])
-        store.merge_batch([(1, [12]), (3, [30])])
-        assert len(store) == 5
-        assert store.take(1) == [10, 11, 12]
-        assert len(store) == 2  # 5 - 3: duplicate-destination lists concatenated
-        assert store.take(2) == [20]
-        assert store.take(3) == [30]
-        assert len(store) == 0 and not store
-
-    def test_extend_fast_path_matches_add(self):
-        fast, slow = MessageStore(), MessageStore()
-        msgs = [Message(1, "a"), Message(2, "b"), Message(1, "c")]
-        fast.extend(msgs)
-        for msg in msgs:
-            slow.add(msg)
-        assert len(fast) == len(slow) == 3
-        assert fast.as_batch() == slow.as_batch()
+        """``len(store)`` counts every merged row across senders and
+        chunks, and delivery hands out exactly those rows — senders in
+        worker-id order, each sender's chunks in ``seq`` order."""
+        store = ChunkedColumnarStore(np.zeros(40, dtype=np.int64), 1)
+        store.merge_chunk(0, 0, _cols(2, base=10))
+        store.merge_chunk(1, 0, _cols(3, base=20))
+        store.merge_chunk(0, 1, _cols(1, base=30))
+        assert len(store) == 6
+        assert store.wire_bytes == 6 * _cols(1).nbytes
+        batch = store.build_worker_batches()[0]
+        assert len(batch.columns) == 6
+        assert batch.vertices.tolist() == [10, 11, 30, 20, 21, 22]
 
 
 class TestColumnarOutboxWatermarks:

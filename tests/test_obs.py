@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import PSgL, Tracer, complete_graph
-from repro.bsp import BSPEngine, CostLedger, VertexProgram
+from repro.bsp import BSPEngine, CostLedger
 from repro.graph import hash_partition
 from repro.graph.generators import erdos_renyi
 from repro.obs import (
@@ -23,15 +23,14 @@ from repro.obs import (
 )
 from repro.pattern import triangle
 
+from .programs import Ripple
 
-class Chatter(VertexProgram):
+
+class Chatter(Ripple):
     """Two rounds of neighbour pings with per-worker-skewed cost."""
 
-    def compute(self, ctx, messages):
-        ctx.add_cost(1.0 + ctx.worker_id + len(messages))
-        if ctx.superstep < 2:
-            for u in ctx.graph.neighbors(ctx.vertex):
-                ctx.send(int(u), ctx.vertex)
+    def __init__(self):
+        super().__init__(rounds=2, skew=1.0)
 
 
 def traced_run(backend="serial", **engine_kwargs):

@@ -1,4 +1,4 @@
-"""The chunk schedule of the production plane: store, guards, trace.
+"""The engine's chunk schedule: store, default watermark, trace.
 
 The barrier store takes ``(sender, seq)``-tagged chunks in any arrival
 order and must deliver as if every sender's outbox had arrived whole, in
@@ -6,7 +6,7 @@ worker-id order — that is what makes strict and pipelined shuffle two
 schedules over one store.  These tests pin the store's surface
 (ordering, accounting, loud failure on gaps/duplicates), the watermark
 guards, and the chunk trace events that make the overlap observable.
-End-to-end parity of every schedule against the reference plane is
+End-to-end parity of every schedule against the reference oracle is
 ``tests/test_plane_parity.py``.
 """
 

@@ -111,13 +111,10 @@ def legal_execution_kwargs(draw):
     real directory).  Process legs are a sixth of the draws: each forks
     a pool."""
     backend = draw(st.sampled_from(["serial"] * 3 + ["thread"] * 2 + ["process"]))
-    # The reference plane has nothing but the backend to vary: one draw
-    # in four.
-    wire = draw(st.sampled_from(WIRE_PLANES + ("columnar",) * 2))
     kwargs = dict(
         backend=backend,
         procs=None if backend == "serial" else draw(st.integers(1, 3)),
-        wire=wire,
+        wire=draw(st.sampled_from(WIRE_PLANES)),
         kernel=draw(st.sampled_from(KERNEL_CHOICES)),
         # Budgets far above anything a 14-vertex graph needs: legal,
         # enforced, and never the reason a run ends.
@@ -127,27 +124,27 @@ def legal_execution_kwargs(draw):
         superstep_budget=draw(st.sampled_from([None, 50])),
         wall_budget_seconds=draw(st.sampled_from([None, 600.0])),
     )
-    if wire == "columnar":
-        schedule = draw(st.sampled_from(["strict", "pipelined", "steal"]))
-        if schedule == "pipelined":
-            kwargs["shuffle"] = "pipelined"
-            kwargs["chunk_gpsis"] = draw(st.sampled_from([None, 1, 4, 64]))
-            kwargs["chunk_bytes"] = draw(st.sampled_from([None, 64, 4096]))
-        elif schedule == "steal":
-            kwargs["steal"] = True
-            kwargs["steal_tasks"] = draw(st.sampled_from([None, 1, 16]))
-        if draw(st.booleans()):
-            kwargs["spill_dir"] = "<tmp>"
-            kwargs["memory_watermark_bytes"] = draw(
-                st.sampled_from([1, 512, 1 << 30])
-            )
+    schedule = draw(st.sampled_from(["strict", "pipelined", "steal"]))
+    if schedule == "pipelined":
+        kwargs["shuffle"] = "pipelined"
+        kwargs["chunk_gpsis"] = draw(st.sampled_from([None, 1, 4, 64]))
+        kwargs["chunk_bytes"] = draw(st.sampled_from([None, 64, 4096]))
+    elif schedule == "steal":
+        kwargs["steal"] = True
+        kwargs["steal_tasks"] = draw(st.sampled_from([None, 1, 16]))
+    if draw(st.booleans()):
+        kwargs["spill_dir"] = "<tmp>"
+        kwargs["memory_watermark_bytes"] = draw(
+            st.sampled_from([1, 512, 1 << 30])
+        )
     return kwargs
 
 
 class TestAnyLegalConfigurationIsEquivalent:
     """The whole legal configuration space against one oracle: whatever
-    ``ExecutionConfig`` is drawn, the run equals the serial reference-
-    plane run observable for observable, and the centralized counter."""
+    ``ExecutionConfig`` is drawn, the run equals the paper-faithful
+    reference run observable for observable, and the centralized
+    counter."""
 
     def test_strategy_draws_every_field(self):
         # A knob added to the dataclass must be added to the strategy:

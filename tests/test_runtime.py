@@ -4,8 +4,7 @@ backend registry, executor semantics, and engine regressions."""
 import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine, MessageStore, VertexProgram, sum_aggregator
-from repro.bsp.message import Message
+from repro.bsp import BSPEngine, ChunkedColumnarStore, ColumnarOutbox
 from repro.exceptions import EngineError
 from repro.graph import Graph, hash_partition
 from repro.graph.generators import erdos_renyi
@@ -19,6 +18,8 @@ from repro.runtime import (
     make_executor,
     register_backend,
 )
+
+from .programs import Ripple, payload_columns
 
 
 def path_graph(n):
@@ -111,71 +112,30 @@ class TestRegistry:
 
 
 class TestMessageStoreBatches:
+    """A worker's outbox crosses the barrier as one packed chunk."""
+
+    def store(self):
+        return ChunkedColumnarStore(np.zeros(8, dtype=np.int64), 1)
+
     def test_as_batch_merge_batch_roundtrip(self):
-        a = MessageStore()
-        a.add(Message(2, "x"))
-        a.add(Message(1, "y"))
-        a.add(Message(2, "z"))
-        merged = MessageStore()
-        merged.merge_batch(a.as_batch())
+        outbox = ColumnarOutbox()
+        outbox.append(payload_columns([2, 1], [10, 11]))
+        outbox.append(payload_columns([2], [12]))
+        merged = self.store()
+        merged.merge_chunk(0, 0, outbox.to_columns())
         assert len(merged) == 3
-        assert merged.destinations() == [2, 1]
-        assert merged.take(2) == ["x", "z"]
+        batch = merged.build_worker_batches()[0]
+        assert batch.vertices.tolist() == [2, 1]
+        assert batch.columns.mapping[:, 1].tolist() == [10, 12, 11]
 
     def test_merge_preserves_worker_order(self):
-        w0, w1 = MessageStore(), MessageStore()
-        w0.add(Message(5, "a0"))
-        w1.add(Message(5, "b0"))
-        w1.add(Message(6, "b1"))
-        merged = MessageStore()
-        merged.merge_batch(w0.as_batch())
-        merged.merge_batch(w1.as_batch())
-        assert merged.destinations() == [5, 6]
-        assert merged.take(5) == ["a0", "b0"]
-
-    def test_merge_applies_combiner_across_workers(self):
-        combine = lambda a, b: a + b  # noqa: E731
-        w0, w1 = MessageStore(combine), MessageStore(combine)
-        w0.add(Message(3, 1))
-        w0.add(Message(3, 2))
-        w1.add(Message(3, 4))
-        merged = MessageStore(combine)
-        merged.merge_batch(w0.as_batch())
-        merged.merge_batch(w1.as_batch())
-        # combined payload, counted once per destination like live adds
-        assert len(merged) == 1
-        assert merged.take(3) == [7]
-
-
-class Ripple(VertexProgram):
-    """Sends its vertex id along the path for ``rounds`` supersteps and
-    tallies everything through the parallel-safe delta hooks."""
-
-    def __init__(self, rounds=3):
-        self.rounds = rounds
-        self.seen = {}
-
-    def compute(self, ctx, messages):
-        for payload in messages:
-            self.seen[payload] = self.seen.get(payload, 0) + 1
-            ctx.emit((ctx.superstep, ctx.vertex, payload))
-        ctx.aggregate("hops", len(messages))
-        ctx.add_cost(1.0 + len(messages))
-        if ctx.superstep < self.rounds:
-            for u in ctx.graph.neighbors(ctx.vertex):
-                ctx.send(int(u), ctx.vertex)
-
-    def persistent_aggregators(self):
-        return {"hops": sum_aggregator(0)}
-
-    def collect_state_delta(self):
-        delta = self.seen
-        self.seen = {}
-        return delta
-
-    def merge_state_delta(self, delta):
-        for key, n in delta.items():
-            self.seen[key] = self.seen.get(key, 0) + n
+        # Worker 1's chunk arrives first; delivery is still worker order.
+        merged = self.store()
+        merged.merge_chunk(1, 0, payload_columns([5, 6], [20, 21]))
+        merged.merge_chunk(0, 0, payload_columns([5], [10]))
+        batch = merged.build_worker_batches()[0]
+        assert batch.vertices.tolist() == [5, 6]
+        assert batch.columns.mapping[:, 1].tolist() == [10, 20, 21]
 
 
 class TestBackendEquivalence:
@@ -224,17 +184,17 @@ class TestBackendEquivalence:
             engine.run(Ripple(rounds=2))
 
 
-class FaultyCompute(VertexProgram):
-    """Raises inside ``compute`` on one worker in superstep 1 — the
+class FaultyCompute(Ripple):
+    """Raises while computing on one worker in superstep 1 — the
     child-failure path of the parallel backends."""
 
-    def compute(self, ctx, messages):
+    def __init__(self):
+        super().__init__(rounds=2)
+
+    def visit(self, ctx, vertex, senders):
         if ctx.superstep == 1 and ctx.worker_id == 1:
             raise ValueError("injected child failure")
-        ctx.add_cost(1.0)
-        if ctx.superstep < 2:
-            for u in ctx.graph.neighbors(ctx.vertex):
-                ctx.send(int(u), ctx.vertex)
+        return super().visit(ctx, vertex, senders)
 
 
 class FaultyWithTeardown(FaultyCompute):
@@ -288,17 +248,13 @@ class TestEngineTeardown:
         """Regression: the max_supersteps overflow path must tear the
         program down exactly like the OOM path does."""
 
-        class PingPong(VertexProgram):
-            def __init__(self):
-                self.torn_down = False
-
-            def compute(self, ctx, messages):
-                ctx.send(ctx.vertex, "again")
+        class PingPong(Ripple):
+            torn_down = False
 
             def post_application(self):
                 self.torn_down = True
 
-        program = PingPong()
+        program = PingPong(rounds=100)
         engine = BSPEngine(
             path_graph(2), hash_partition(2, 1), max_supersteps=4
         )
@@ -307,17 +263,14 @@ class TestEngineTeardown:
         assert program.torn_down
 
     def test_post_application_called_once_on_success(self):
-        class Silent(VertexProgram):
+        class Silent(Ripple):
             calls = 0
-
-            def compute(self, ctx, messages):
-                pass
 
             def post_application(self):
                 Silent.calls += 1
 
         Silent.calls = 0
-        BSPEngine(path_graph(3), hash_partition(3, 1)).run(Silent())
+        BSPEngine(path_graph(3), hash_partition(3, 1)).run(Silent(rounds=0))
         assert Silent.calls == 1
 
     def test_shared_memory_released_after_process_run(self):

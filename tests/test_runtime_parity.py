@@ -11,12 +11,13 @@ from functools import lru_cache
 
 import pytest
 
-from repro.bsp import BSPEngine, ExecutionConfig, VertexProgram, sum_aggregator
+from repro.bsp import BSPEngine, ExecutionConfig, sum_aggregator
 from repro.graph import hash_partition
 from repro.graph.generators import chung_lu_power_law, erdos_renyi
 from repro.pattern import paper_patterns
 
 from .parity import assert_equivalent, reference_run
+from .programs import PerVertex
 
 GRAPHS = {
     "er": erdos_renyi(28, 0.25, seed=13),
@@ -57,7 +58,7 @@ def test_process_backend_respects_strategy_determinism():
         )
 
 
-class SnapshotEcho(VertexProgram):
+class SnapshotEcho(PerVertex):
     """Emits what each vertex *sees* through the per-superstep aggregator
     snapshot, so any skew in how the snapshot reaches pool processes —
     staleness, per-worker divergence — changes the outputs, not just the
@@ -66,13 +67,11 @@ class SnapshotEcho(VertexProgram):
     def __init__(self, rounds=3):
         self.rounds = rounds
 
-    def compute(self, ctx, messages):
+    def visit(self, ctx, vertex, messages):
         if ctx.superstep:
-            ctx.emit((ctx.vertex, ctx.superstep, ctx.aggregated("activity")))
+            ctx.emit((vertex, ctx.superstep, ctx.aggregated("activity")))
         ctx.aggregate("activity", 1 + len(messages))
-        if ctx.superstep < self.rounds:
-            for u in ctx.graph.neighbors(ctx.vertex):
-                ctx.send(int(u), ctx.vertex)
+        return vertex if ctx.superstep < self.rounds else None
 
     def aggregators(self):
         return {"activity": sum_aggregator(0)}

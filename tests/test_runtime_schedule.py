@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bsp import BSPEngine, ExecutionConfig, VertexProgram
+from repro.bsp import BSPEngine, ExecutionConfig
 from repro.core.listing import PSgLProgram
 from repro.exceptions import EngineError
 from repro.graph import hash_partition
@@ -40,6 +40,7 @@ from repro.runtime import (
 )
 
 from .parity import assert_equivalent, reference_run
+from .programs import PerVertex
 
 SRC = Path(repro.__file__).resolve().parent
 GRAPH = erdos_renyi(40, 0.25, seed=7)
@@ -162,17 +163,16 @@ def leftovers():
     )
 
 
-class Unpicklable(VertexProgram):
+class Unpicklable(PerVertex):
     """Runs anywhere but in a pool: replicas are made by pickling."""
 
-    supports_columnar_compute = True
     torn_down = False
 
     def __init__(self):
         self.hook = lambda: None
 
-    def compute(self, ctx, messages):
-        pass
+    def visit(self, ctx, vertex, payloads):
+        return None
 
     def post_application(self):
         self.torn_down = True

@@ -121,21 +121,22 @@ class TestSpecValidation:
             client.submit(pattern="PG1", backend="quantum")
 
     def test_job_reports_the_plane_that_ran(self, service_pair):
+        """One plane: the spec echoes ``wire``, the result payload has
+        no plane to report."""
         client, _ = service_pair
         default = client.count(pattern="PG1", seed=901)
         assert default["spec"]["wire"] == "columnar"
-        assert default["result"]["wire"] == "columnar"
-        reference = client.count(pattern="PG1", seed=902, wire="object")
-        assert reference["result"]["wire"] == "object"
-        assert reference["result"]["count"] == default["result"]["count"]
+        assert "wire" not in default["result"]
+        named = client.count(pattern="PG1", seed=902, wire="columnar")
+        assert named["result"]["count"] == default["result"]["count"]
 
     def test_plane_legality_is_the_engines_rule(self, service_pair, tmp_path):
-        """The service re-derives nothing: what needs the columnar plane
-        is the engine's ``require_columnar_plane``, surfaced as a 400."""
+        """The service re-derives nothing: an unknown plane — the scalar
+        reference included — is the engine's error, surfaced as a 400."""
         client, _ = service_pair
         with pytest.raises(QuerySpecError, match="unknown wire"):
             client.submit(pattern="PG1", wire="quantum")
-        with pytest.raises(QuerySpecError, match="steal=True.*columnar"):
+        with pytest.raises(QuerySpecError, match="unknown wire 'object'"):
             client.submit(pattern="PG1", wire="object", steal=True)
         spilling = SubgraphService(
             GraphContext(complete_graph(5)),
@@ -143,7 +144,7 @@ class TestSpecValidation:
             memory_watermark_bytes=1,
         )
         try:
-            with pytest.raises(QuerySpecError, match="spill_dir.*columnar"):
+            with pytest.raises(QuerySpecError, match="unknown wire 'object'"):
                 spilling.submit({"pattern": "PG1", "wire": "object"})
             job, cached = spilling.submit({"pattern": "PG1"})
             assert not cached

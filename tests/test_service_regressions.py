@@ -1,4 +1,4 @@
-"""Regression tests for three service-layer bugs.
+"""Regression tests for service-layer bugs.
 
 * Job durations were computed from ``time.time()`` deltas — an NTP step
   (or any wall-clock adjustment) mid-job produced negative
@@ -14,6 +14,10 @@
   non-string) was a 500 — ``make_strategy`` raised ``ValueError`` /
   ``AttributeError`` past ``_normalize`` — and ``"WA,nan"`` was accepted
   and failed the job a superstep later; all are 400s now.
+* A ``NaN`` budget axis (``{"max_wall_seconds": NaN}``, which Python's
+  JSON parser accepts) passed the ``<= 0`` check, replaced the server's
+  default axis, and disabled the wall-clock kill — ``elapsed > nan`` is
+  never true.  Non-finite budgets are 400s now.
 """
 
 import json
@@ -250,3 +254,22 @@ class TestMalformedStrategy:
             assert status == 400
             assert json.loads(text)["error"]["type"] == "QuerySpecError"
             assert client.count(pattern="PG1")["state"] == "completed"
+
+
+# ----------------------------------------------------------------------
+# Non-finite budgets
+# ----------------------------------------------------------------------
+class TestNonFiniteBudget:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_is_a_400_at_submission(self, value):
+        with running_service(complete_graph(6)) as (client, _):
+            # json.dumps writes the raw NaN / Infinity literal.
+            status, text = client._request(
+                "POST",
+                "/jobs",
+                {"pattern": "PG1", "budget": {"max_wall_seconds": value}},
+            )
+            assert status == 400
+            error = json.loads(text)["error"]
+            assert error["type"] == "QuerySpecError"
+            assert "finite number > 0" in error["message"]

@@ -157,9 +157,11 @@ class TestKnobValidation:
         assert_illegal(dict(memory_watermark_bytes=1), "both or neither")
 
     def test_object_wire_rejected(self, tmp_path):
+        # The object plane is gone: naming it is an unknown wire, and
+        # the refusal points at the one plane.
         assert_illegal(
             dict(wire="object", spill_dir=str(tmp_path), memory_watermark_bytes=1),
-            "columnar",
+            "wire='columnar'",
         )
 
     def test_non_positive_watermark_rejected(self, tmp_path):

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine, ExecutionConfig, VertexProgram
+from repro.bsp import BSPEngine, ExecutionConfig
 from repro.bsp.message import PackedWorkerBatch
 from repro.core import PSgL
 from repro.core.listing import PSgLProgram
@@ -27,6 +27,7 @@ from repro.runtime.process import ProcessExecutor
 from repro.runtime.stealing import split_batch
 
 from .parity import assert_equivalent, assert_illegal, reference_run
+from .programs import PerVertex
 
 GRAPH = erdos_renyi(40, 0.25, seed=7)
 
@@ -129,7 +130,9 @@ class TestForcedStraggler:
 # ----------------------------------------------------------------------
 class TestValidation:
     def test_steal_requires_columnar_wire(self):
-        assert_illegal(dict(steal=True, wire="object"), "columnar")
+        # The object plane is gone: naming it is an unknown wire, and
+        # the refusal points at the one plane.
+        assert_illegal(dict(steal=True, wire="object"), "wire='columnar'")
 
     def test_steal_requires_strict_shuffle(self):
         assert_illegal(dict(steal=True, shuffle="pipelined"), "strict")
@@ -144,11 +147,9 @@ class TestValidation:
         # A program with a monolithic compute_columns has no pure half
         # to relocate, so the engine refuses rather than silently
         # running the static schedule.
-        class Monolithic(VertexProgram):
-            supports_columnar_compute = True
-
-            def compute(self, ctx, messages):
-                pass
+        class Monolithic(PerVertex):
+            def visit(self, ctx, vertex, payloads):
+                return None
 
         engine = BSPEngine(GRAPH, hash_partition(GRAPH.num_vertices, 4), steal=True)
         with pytest.raises(EngineError, match="task-expansion"):
