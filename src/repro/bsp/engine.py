@@ -138,7 +138,6 @@ class BSPEngine:
         # Before the clock: a built-in backend imports its module here.
         executor = make_executor(cfg.backend, procs=cfg.procs)
         started = perf_counter()
-        program.pre_application(self.graph, self.num_workers)
         ledger = CostLedger(
             self.num_workers, cfg.memory_budget, cfg.worker_memory_budget
         )
@@ -244,7 +243,6 @@ class BSPEngine:
                     outputs,
                     registry,
                     program,
-                    from_replicas=not executor.inprocess,
                 )
                 if tracer.enabled:
                     # Emitted before the budget check so an OOM-aborted
@@ -366,7 +364,6 @@ class BSPEngine:
         outputs: List[Any],
         registry: AggregatorRegistry,
         program: VertexProgram,
-        from_replicas: bool,
     ) -> List[int]:
         """The barrier: shuffle messages into ``outbox`` and fold
         per-worker effects in worker-id order (= the serial engine's
@@ -376,10 +373,9 @@ class BSPEngine:
         Each worker's returned outbox is its last chunk — sequence
         number ``chunks_flushed``, i.e. 0 unless earlier chunks already
         streamed — and the ledger records the exact wire bytes it
-        shipped.  ``from_replicas`` says workers ran on program replicas,
-        whose aggregator contributions and state deltas fold into the
-        driver's ``registry`` and ``program`` here; in-process workers
-        already wrote to both directly.
+        shipped.  Every worker ran on a program replica, so its
+        aggregator contributions and state delta fold into the driver's
+        ``registry`` and ``program`` here.
         """
         inbound_per_worker = [0] * self.num_workers
         for result in results:
@@ -392,11 +388,9 @@ class BSPEngine:
                 inbound_per_worker[dest] += count
             outbox.merge_chunk(wid, result.chunks_flushed, result.outbox)
             outputs.extend(result.outputs)
-            if from_replicas:
-                if result.agg_contribs:
-                    for name, value in result.agg_contribs.items():
-                        registry.aggregate(name, value)
-                program.merge_state_delta(result.state_delta)
+            for name, value in result.agg_contribs.items():
+                registry.aggregate(name, value)
+            program.merge_state_delta(result.state_delta)
         # Exact accounting: the store must hold precisely what the
         # workers' own counters say was sent — any lost, duplicated or
         # torn chunk fails the superstep here instead of corrupting it.

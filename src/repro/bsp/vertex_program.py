@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..graph.graph import Graph
-from .aggregate import AggregatorRegistry, Aggregator
+from .aggregate import Aggregator
 
 
 class ComputeContext:
@@ -46,7 +46,7 @@ class ComputeContext:
         send_columns: Callable[[Any], None],
         add_cost: Callable[[float], None],
         emit: Callable[[Any], None],
-        aggregators: Optional["AggregatorRegistry"] = None,
+        aggregators: Any,
     ):
         self.graph = graph
         self.superstep = superstep
@@ -76,15 +76,12 @@ class ComputeContext:
     def aggregate(self, name: str, value: Any) -> None:
         """Contribute ``value`` to a named aggregator (visible next
         superstep; persistent aggregators accumulate across the job)."""
-        if self._aggregators is None:
-            raise RuntimeError("the program registered no aggregators")
         self._aggregators.aggregate(name, value)
 
     def aggregated(self, name: str) -> Any:
-        """Read an aggregator: last superstep's reduction (per-step) or
-        the running total (persistent)."""
-        if self._aggregators is None:
-            raise RuntimeError("the program registered no aggregators")
+        """Read an aggregator as of the last barrier: last superstep's
+        reduction (per-step) or the running total (persistent) — never
+        this superstep's contributions, on any backend."""
         return self._aggregators.visible(name)
 
 
@@ -93,14 +90,9 @@ class VertexProgram:
 
     Subclasses implement :meth:`initialize_columns` and
     :meth:`compute_columns`; they may also override
-    :meth:`pre_application` (mirrors Giraph's ``preApplication()`` hook the
-    paper uses to load shared data and initialise the distributor),
     :meth:`post_application`, the aggregator declarations and the
-    parallel-runtime hooks below.
+    replica hooks below.
     """
-
-    def pre_application(self, graph: Graph, num_workers: int) -> None:
-        """One-time setup before superstep 0 (load shared read-only data)."""
 
     #: Whether the program additionally splits :meth:`compute_columns`
     #: into a pure expansion half and a stateful apply half — the
@@ -143,21 +135,13 @@ class VertexProgram:
         return {}
 
     # ------------------------------------------------------------------
-    # Parallel-runtime contract (thread/process backends)
+    # Replica contract (every backend)
     # ------------------------------------------------------------------
-    # The serial backend runs the program itself, so programs may freely
-    # mutate ``self``.  Parallel backends instead run each logical
-    # worker against a pickled *replica*; the three hooks
-    # below let driver-side mutable state survive that split.  Programs
-    # that never run on a parallel backend can ignore all of them.
-
-    def bind_graph(self, graph: Graph) -> None:
-        """Re-attach the (shared, read-only) data graph after unpickling.
-
-        Replicas are shipped without the graph — ``__getstate__`` should
-        drop any embedded reference — and the runtime calls this hook with
-        the worker-side graph (shared-memory CSR view in the process
-        backend, the driver's own object in the thread backend)."""
+    # Every backend runs each logical worker's batch on a *replica* of
+    # the program — the driver's own object on the serial backend, a
+    # pickled copy on the thread and process backends — and merges the
+    # replica's state delta into the driver's program at the barrier.
+    # The hooks below let driver-side mutable state survive that split.
 
     def export_shared(self) -> Dict[str, Any]:
         """Read-only ``int64`` numpy arrays to ship alongside the shared
@@ -174,15 +158,16 @@ class VertexProgram:
 
     def bind_shared(self, graph: Graph, arrays: Dict[str, Any]) -> None:
         """Re-attach the shared graph *and* the :meth:`export_shared`
-        arrays on the worker side.  The default ignores ``arrays`` and
-        falls back to :meth:`bind_graph` for programs that share nothing
-        beyond the graph."""
-        self.bind_graph(graph)
+        arrays on a freshly unpickled replica — the shared-memory CSR
+        view in the process backend, the driver's own objects in the
+        thread backend.  The default does nothing: a program that drops
+        nothing in ``__getstate__`` reads the graph off ``ctx.graph``."""
 
     def collect_state_delta(self) -> Any:
         """Return and *reset* the driver-relevant state this replica
-        accumulated since the last collection (called once per batch).
-        The default ``None`` means the program keeps no such state."""
+        accumulated since the last collection (called once per batch, on
+        the driver's own object too when it is the replica).  The default
+        ``None`` means the program keeps no such state."""
         return None
 
     def merge_state_delta(self, delta: Any) -> None:

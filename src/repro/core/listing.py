@@ -164,9 +164,9 @@ class PSgLProgram(VertexProgram):
         self.message_bytes = 0
 
     # ------------------------------------------------------------------
-    # Parallel-runtime contract: worker replicas ship without the data
-    # graph (the runtime rebinds a shared view), and driver-side tallies
-    # cross back as per-superstep deltas merged in worker-id order.
+    # Replica contract: pickled replicas ship without the data graph
+    # (the runtime rebinds a shared view), and on every backend the
+    # tallies cross back as per-batch deltas merged in worker-id order.
     # ------------------------------------------------------------------
     def __getstate__(self):
         # Ship neither the O(n + m) graph nor the O(n) order arrays:
@@ -193,14 +193,6 @@ class PSgLProgram(VertexProgram):
             arrays["order_nb"],
             arrays["order_ns"],
         )
-
-    def bind_graph(self, graph: Graph) -> None:
-        # Fallback for callers outside the runtime's bind_shared protocol:
-        # recompute the (deterministic) order arrays from the graph.
-        if self.__dict__.get("ordered") is None:
-            self.ordered = OrderedGraph(graph)
-        else:
-            self.ordered.graph = graph
 
     def _fold_per_vertex(self) -> None:
         """Fold pending completed-mapping chunks into ``per_vertex_counts``.
@@ -607,9 +599,6 @@ class PSgL:
             abort_event=self.abort_event,
         )
         bsp_result: BSPResult = engine.run(program)
-        # The serial backend never collects state deltas, so pending
-        # per-vertex-count chunks may still be buffered on the program.
-        program._fold_per_vertex()
         return ListingResult(
             count=int(bsp_result.aggregated["found"]),
             pattern=pattern,

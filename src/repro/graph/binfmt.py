@@ -434,8 +434,9 @@ def convert_edge_list(
             if dupes_here and not dedup:
                 bad = int(block[int(np.flatnonzero(~fresh)[0])])
                 raise GraphFormatError(
-                    f"duplicate edge ({bad // n}, {bad % n}) "
-                    "(dense ids); pass dedup=True to collapse duplicates"
+                    f"duplicate edge ({int(original_ids[bad // n])}, "
+                    f"{int(original_ids[bad % n])}); "
+                    "pass dedup=True to collapse duplicates"
                 )
             duplicates += dupes_here
             uniq = block[fresh]

@@ -11,9 +11,10 @@ chunks, each chunk's tokens convert to ``int64`` in one ``numpy`` call,
 and compaction/dedup run as array passes — no per-line Python tuple ever
 exists, which is what makes million-edge SNAP files practical (the
 streaming ``.csrbin`` converter in :mod:`repro.graph.binfmt` builds on
-the same chunk iterator).  Chunks that do not fit the strict two-column
-shape — comments mid-file, extra columns, malformed tokens — fall back
-to the original scalar per-line parser, which preserves the exact
+the same chunk iterator).  Comment lines are dropped inside the
+vectorised pass; chunks that do not fit the strict two-column shape —
+extra columns, malformed tokens — fall back to the original scalar
+per-line parser, which preserves the exact
 ``line N:`` diagnostics in :class:`~repro.exceptions.GraphFormatError`
 and the lenient "extra columns ignored" behaviour.
 
@@ -81,8 +82,8 @@ def _parse_chunk_scalar(
     """Reference per-line parser: exact diagnostics, lenient extra columns.
 
     This is the original small-file code path, kept both for inputs the
-    vectorised parser cannot shape-check (comments mid-chunk, >2 columns)
-    and to attribute errors to exact line numbers.
+    vectorised parser cannot shape-check (>2 columns) and to attribute
+    errors in malformed lines to exact line numbers.
     """
     pairs: List[Tuple[int, int]] = []
     linenos: List[int] = []
@@ -113,15 +114,14 @@ def _parse_chunk(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Parse one chunk of complete lines into ``(pairs, linenos)`` arrays.
 
-    Fast path: verify every non-blank line carries exactly two tokens
-    with one vectorised pass over the raw bytes, then convert all tokens
-    in a single ``np.array(..., dtype=int64)`` call.  Any irregularity
-    defers to :func:`_parse_chunk_scalar`.
+    Fast path: drop comment lines (first token starting with ``#`` or
+    ``%``) and verify every other non-blank line carries exactly two
+    tokens with one vectorised pass over the raw bytes, then convert all
+    tokens in a single ``np.array(..., dtype=int64)`` call.  A malformed
+    line or an extra column defers to :func:`_parse_chunk_scalar`.
     """
     if not data:
         return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
-    if b"#" in data or b"%" in data:
-        return _parse_chunk_scalar(data, first_lineno)
     buf = np.frombuffer(data, dtype=np.uint8)
     is_nl = buf == 0x0A
     is_ws = (
@@ -137,9 +137,21 @@ def _parse_chunk(
     # Line index of each byte = newlines strictly before it.
     line_id = np.cumsum(is_nl) - is_nl
     num_lines = int(is_nl.sum()) + (0 if is_nl[-1] else 1)
-    counts = np.bincount(line_id[token_start], minlength=num_lines)
+    starts = np.flatnonzero(token_start)
+    token_line = line_id[starts]
+    first = np.ones(len(starts), dtype=bool)
+    first[1:] = token_line[1:] != token_line[:-1]
+    lead = buf[starts[first]]
+    comment = np.zeros(num_lines, dtype=bool)
+    comment[token_line[first][(lead == 0x23) | (lead == 0x25)]] = True  # '#' '%'
+    counts = np.bincount(token_line, minlength=num_lines)
+    counts[comment] = 0
     if not bool(np.all((counts == 0) | (counts == 2))):
         return _parse_chunk_scalar(data, first_lineno)
+    if comment.any():
+        # Cut comment lines out whole, newline included: every kept line
+        # still ends in its own newline, so no two tokens merge.
+        data = buf[~comment[line_id]].tobytes()
     try:
         tokens = np.array(data.split(), dtype=np.int64)
     except (ValueError, OverflowError):

@@ -20,7 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "fresh_aggregators",
         "run_inline",
         "run_replica_batch",
-        "run_worker_batch",
     ),
     ".serial": ("SerialExecutor",),
     ".threaded": ("ThreadExecutor",),

@@ -21,24 +21,22 @@ loop: submit one unit of work per non-empty owner — or, under
 and wait out everything on failure, drain the job's chunk queue into the
 engine's sink under pipelined shuffle, finalize stolen owners canonically
 on the driver.  A backend only says *where* a unit runs: ``start`` /
-``close`` own its pool and shared resources, and the two submit hooks
-(``_submit_batch``, ``_submit_task``) hand a unit to that pool and return
-its future.
+``close`` own its pool and shared resources, and one hook,
+``_submit(owner, unit, *args)``, runs ``unit(spec, program, *args)`` on a
+replica of the program and returns its future.
 
-Executor families
------------------
-``inprocess = True`` (serial): the batch kernel runs against the driver's
-own program object and aggregator registry, preserving the simulator's
-legacy semantics bit-for-bit — including programs that mutate ``self``
-while computing and read persistent aggregators mid-superstep.
-
-``inprocess = False`` (thread, process): each logical worker computes on
-a *replica* of the program; driver-side mutable state crosses back via
-:meth:`~repro.bsp.vertex_program.VertexProgram.collect_state_delta`, and
-aggregator contributions are reduced locally and merged at the barrier.
-Programs that need driver state in parallel backends implement the delta
-hooks (the PSgL program does); aggregator reads see a snapshot taken at
-the superstep barrier rather than mid-superstep live values.
+One worker contract
+-------------------
+Every batch runs the way a Giraph worker does, through
+:func:`run_replica_batch`: aggregator reads answer from the one
+``registry.snapshot()`` the schedule takes per superstep (the values
+published at the last barrier), contributions reduce locally, and the
+program's tallies come back as a
+:meth:`~repro.bsp.vertex_program.VertexProgram.collect_state_delta` that
+the engine merges in worker-id order.  Only *which* object is the
+replica differs: the driver's own program on the serial backend (nothing
+is pickled), a pickled copy per logical worker on threads, one per pool
+process on processes.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ def row_ranges(rows: int, step: int) -> List[Tuple[int, int]]:
 @dataclass
 class JobSpec:
     """Everything an executor needs to set up a job, and everything a
-    worker batch reads while it runs (:func:`run_worker_batch` takes the
+    worker batch reads while it runs (:func:`run_replica_batch` takes the
     spec, not a dozen copies of its fields)."""
 
     program: VertexProgram
@@ -132,12 +130,15 @@ class WorkerStepResult:
     compute_calls: int
     cost: float
     outputs: List[Any]
-    agg_contribs: Optional[Dict[str, Any]] = None
-    state_delta: Any = None
-    #: The worker's private state dict as the batch left it, set when the
-    #: batch ran on a copy (a pool process) so the schedule can adopt it;
-    #: ``None`` when the driver's own dict was mutated in place.
-    worker_state: Optional[Dict[str, Any]] = None
+    #: Reduced aggregator contributions (touched aggregators only).
+    agg_contribs: Dict[str, Any]
+    #: What ``collect_state_delta`` returned after the batch.
+    state_delta: Any
+    #: The worker's private state dict as the batch left it, which the
+    #: schedule adopts: where the batch ran on a copy of the dict (a pool
+    #: process), that is how the logical worker can land on a different
+    #: pool member next superstep.
+    worker_state: Dict[str, Any]
     #: Exact bytes of the packed outbox buffers.  Under pipelined shuffle
     #: this covers streamed chunks *plus* the residual ``outbox``, so the
     #: accounting stays mode-invariant.
@@ -156,7 +157,8 @@ class WorkerStepResult:
 
 
 class WorkerAggregators:
-    """Per-batch aggregator shim for out-of-process workers.
+    """Per-batch aggregator shim: what ``ctx.aggregate`` and
+    ``ctx.aggregated`` reach on every backend.
 
     Contributions fold into fresh identity-initialised aggregators (so the
     batch's reduced contribution can be shipped to the driver and merged
@@ -208,26 +210,29 @@ def _compute_batch(
     return len(batch)
 
 
-def run_worker_batch(
+def run_replica_batch(
     spec: JobSpec,
     program: VertexProgram,
     worker_id: int,
     superstep: int,
     batch: WorkerBatch,
     worker_state: Dict[str, Any],
-    aggregators: Any,
-    collect_delta: bool,
+    snapshot: Dict[str, Any],
     drive: Optional[Callable[[ComputeContext], int]] = None,
 ) -> WorkerStepResult:
-    """Run one logical worker's compute batch and collect its effects.
+    """Run one logical worker's compute batch on a program replica and
+    collect its effects.
 
     This is the kernel every backend shares; determinism of the whole
     runtime reduces to this function being deterministic given the same
     batch and worker state, which it is: vertices run in batch order and
     all side effects accumulate locally in program order.  Graph,
     partition, worker count and chunk watermarks come off ``spec``;
-    ``program`` is the object compute runs against — the driver's own
-    (serial) or a replica (thread/process).
+    ``program`` is the replica compute runs against — the driver's own
+    object on the serial backend, a pickled copy on thread and process.
+    Aggregator calls go to a fresh identity-value shim over the barrier
+    ``snapshot``, the replica's state delta is collected, and the
+    worker's state dict rides home on the result.
 
     Nothing ever leaves packed form: superstep 0 hands the worker's
     initial vertices to ``initialize_columns`` in one call, every later
@@ -253,6 +258,7 @@ def run_worker_batch(
     """
     num_workers = spec.num_workers
     owner_array = spec.partition.owner_array
+    aggregators = WorkerAggregators(fresh_aggregators(program), snapshot)
     inbound = [0] * num_workers
     outputs: List[Any] = []
     acc = {"cost": 0.0, "sent": 0}
@@ -326,44 +332,10 @@ def run_worker_batch(
         compute_calls=compute_calls,
         cost=acc["cost"],
         outputs=outputs,
-        agg_contribs=(
-            aggregators.contributions()
-            if isinstance(aggregators, WorkerAggregators)
-            else None
-        ),
-        state_delta=program.collect_state_delta() if collect_delta else None,
+        agg_contribs=aggregators.contributions(),
+        state_delta=program.collect_state_delta(),
+        worker_state=worker_state,
     )
-
-
-def run_replica_batch(
-    spec: JobSpec,
-    program: VertexProgram,
-    worker_id: int,
-    superstep: int,
-    batch: WorkerBatch,
-    worker_state: Dict[str, Any],
-    snapshot: Dict[str, Any],
-) -> WorkerStepResult:
-    """A batch on a program *replica* — what a pooled backend submits.
-
-    Aggregator calls go to a fresh identity-value shim over the barrier
-    ``snapshot``, the replica's state delta is collected, and the worker's
-    state dict rides home on the result: where the batch ran on a copy of
-    it (another process) that is how the logical worker can land on a
-    different pool member next superstep.
-    """
-    result = run_worker_batch(
-        spec,
-        program,
-        worker_id,
-        superstep,
-        batch,
-        worker_state,
-        WorkerAggregators(fresh_aggregators(program), snapshot),
-        collect_delta=True,
-    )
-    result.worker_state = worker_state
-    return result
 
 
 def pickle_program(program: VertexProgram, backend: str) -> bytes:
@@ -467,15 +439,11 @@ class SuperstepExecutor:
     Writing a backend means saying where work runs, not how a superstep
     is scheduled: extend ``start`` / ``close`` for the pool and whatever
     it shares (calling the base versions, which keep the spec and the
-    per-logical-worker state dicts), and implement the two submit hooks.
+    per-logical-worker state dicts), and implement :meth:`_submit`.
     Overriding ``run_superstep`` wholesale remains legal; it must return
     results sorted by ``worker_id`` and may omit workers with empty
     batches.
     """
-
-    #: Whether batches run against the driver's own program/registry
-    #: objects (serial) or against replicas (thread/process).
-    inprocess: bool = False
 
     #: Registry name (filled by the backend registry on instantiation).
     name: str = "abstract"
@@ -501,19 +469,13 @@ class SuperstepExecutor:
             {} for _ in range(spec.num_workers)
         ]
 
-    def _submit_batch(
-        self, worker_id: int, superstep: int, batch: WorkerBatch, shared: Any
-    ) -> Future:
-        """Submit one owner's whole batch; the future resolves to its
-        :class:`WorkerStepResult`.  ``shared`` is the aggregator view of
-        this superstep: the driver's live registry when ``inprocess``,
-        else the barrier snapshot (one ``dict`` object per superstep)."""
-        raise NotImplementedError
-
-    def _submit_task(self, expand: Callable[[Any, Any], Any], task: Any) -> Future:
-        """Submit ``expand(program, task)`` — the pure half of one steal
-        task — against the task owner's program (any replica of it); the
-        future resolves to what ``expand`` returned."""
+    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> Future:
+        """Run ``unit(spec, program, *args)`` for logical worker ``owner``,
+        ``program`` being any replica of the job's program; the future
+        resolves to what ``unit`` returned.  A unit is
+        :func:`run_replica_batch` (one owner's whole batch) or
+        :func:`~repro.runtime.stealing.expand_steal_task` (the pure half
+        of one steal task)."""
         raise NotImplementedError
 
     def run_superstep(
@@ -548,7 +510,7 @@ class SuperstepExecutor:
         steal = spec.config.steal
         if steal:
             from .stealing import expand_steal_task, finalize_owner, split_batch
-        shared = registry if self.inprocess else registry.snapshot()
+        snapshot = registry.snapshot()
         drain = None
         if chunk_sink is not None and spec.chunk_queue is not None:
             drain = _ChunkDrain(spec.chunk_queue, chunk_sink)
@@ -564,13 +526,21 @@ class SuperstepExecutor:
                     tasks = split_batch(owner, batch, spec.config.steal_tasks)
                     owners.append((owner, tasks))
                     futures.extend(
-                        self._submit_task(expand_steal_task, task)
+                        self._submit(owner, expand_steal_task, task)
                         for task in tasks
                     )
                 else:
                     owners.append((owner, None))
                     futures.append(
-                        self._submit_batch(owner, superstep, batch, shared)
+                        self._submit(
+                            owner,
+                            run_replica_batch,
+                            owner,
+                            superstep,
+                            batch,
+                            self._states[owner],
+                            snapshot,
+                        )
                     )
             done = iter([future.result() for future in futures])
         except BaseException:
@@ -591,9 +561,6 @@ class SuperstepExecutor:
         for owner, tasks in owners:
             if tasks is None:
                 result = next(done)
-                if result.worker_state is not None:
-                    self._states[owner] = result.worker_state
-                    result.worker_state = None  # driver-side bookkeeping only
             else:
                 task_results = [next(done) for _ in tasks]
                 home = task_results[0].lane
@@ -610,11 +577,6 @@ class SuperstepExecutor:
                                 lane=ran.lane,
                                 rows=task.rows,
                             )
-                aggregators = (
-                    shared
-                    if self.inprocess
-                    else WorkerAggregators(fresh_aggregators(spec.program), shared)
-                )
                 result = finalize_owner(
                     spec,
                     owner,
@@ -622,9 +584,9 @@ class SuperstepExecutor:
                     len(batches[owner]),
                     task_results,
                     self._states[owner],
-                    aggregators,
-                    collect_delta=not self.inprocess,
+                    snapshot,
                 )
+            self._states[owner] = result.worker_state
             results.append(result)
         if drain is not None:
             drain.finish(sum(r.chunks_flushed for r in results), superstep)

@@ -6,7 +6,7 @@ Topology
   ``multiprocessing.shared_memory`` (:mod:`repro.runtime.shared_graph`).
 * A persistent pool of OS processes attaches at initialisation: each
   child maps the blocks, rebuilds a zero-copy :class:`Graph`, unpickles
-  **one** program replica (the pickle omits the graph; ``bind_graph``
+  **one** program replica (the pickle omits the graph; ``bind_shared``
   splices the shared one in) and keeps both for the whole job.
 * Every superstep the schedule submits each non-empty logical worker's
   batch — active vertices, delivered payloads, the worker's private state
@@ -31,17 +31,10 @@ import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 from time import perf_counter
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from ..obs.tracer import NULL_TRACER
-from .executor import (
-    JobSpec,
-    SuperstepExecutor,
-    WorkerBatch,
-    WorkerStepResult,
-    pickle_program,
-    run_replica_batch,
-)
+from .executor import JobSpec, SuperstepExecutor, pickle_program
 from .shared_graph import (
     AttachedSharedGraph,
     SharedGraphExport,
@@ -66,32 +59,11 @@ def _init_child(
     _child_spec = replace(spec, program=program, graph=_child_attached.graph)
 
 
-def _run_child_batch(
-    worker_id: int,
-    superstep: int,
-    batch: WorkerBatch,
-    worker_state: Dict[str, Any],
-    snapshot_bytes: bytes,
-) -> WorkerStepResult:
-    # The state dict arrived as a copy and is mutated in place; the
-    # result ships it back so the logical worker can land on a different
-    # pool process next superstep.
-    return run_replica_batch(
-        _child_spec,
-        _child_spec.program,
-        worker_id,
-        superstep,
-        batch,
-        worker_state,
-        pickle.loads(snapshot_bytes),
-    )
-
-
-def _run_child_task(expand: Callable[[Any, Any], Any], task: Any) -> Any:
-    """Run one steal task's pure expansion half on this process's
-    replica; only outcomes and probe-counter deltas ship back (the
-    driver keeps the task table)."""
-    return expand(_child_spec.program, task)
+def _run_child(unit: Callable[..., Any], *args: Any) -> Any:
+    """Run one unit on this process's replica.  A batch's state dict
+    arrives as a copy and rides home on its result; a steal task ships
+    back only its outcome and probe-counter deltas."""
+    return unit(_child_spec, _child_spec.program, *args)
 
 
 def default_procs(num_workers: int) -> int:
@@ -102,7 +74,6 @@ def default_procs(num_workers: int) -> int:
 class ProcessExecutor(SuperstepExecutor):
     """Process-pool superstep executor over a shared-memory graph."""
 
-    inprocess = False
     name = "process"
 
     def __init__(
@@ -114,8 +85,6 @@ class ProcessExecutor(SuperstepExecutor):
         self._start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
         self._export: Optional[SharedGraphExport] = None
-        self._snapshot: Optional[Dict[str, Any]] = None
-        self._snapshot_bytes = b""
 
     def start(self, spec: JobSpec) -> None:
         setup_started = perf_counter()
@@ -171,37 +140,16 @@ class ProcessExecutor(SuperstepExecutor):
                 "executor",
                 wall_ms=(perf_counter() - setup_started) * 1000.0,
                 backend=self.name,
-                inprocess=False,
                 pool=procs,
                 start_method=method,
             )
 
-    def _submit_batch(
-        self,
-        worker_id: int,
-        superstep: int,
-        batch: WorkerBatch,
-        shared: Dict[str, Any],
-    ) -> Future:
-        if shared is not self._snapshot:
-            # The aggregator snapshot is pickled once per superstep (not
-            # once per submitted worker) and the same bytes ride with
-            # every batch; each child unpickles its copy locally.
-            self._snapshot = shared
-            self._snapshot_bytes = pickle.dumps(shared)
-        return self._pool.submit(
-            _run_child_batch,
-            worker_id,
-            superstep,
-            batch,
-            self._states[worker_id],
-            self._snapshot_bytes,
-        )
-
-    def _submit_task(self, expand: Callable[[Any, Any], Any], task: Any) -> Future:
-        # Ships only the task's packed column slices out and outcome
-        # arrays back; all owner state stays driver-side.
-        return self._pool.submit(_run_child_task, expand, task)
+    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> Future:
+        # Any pool process may run any owner's unit: the program and the
+        # graph are resident in every child, and the unit's arguments —
+        # packed columns, the state dict, the aggregator snapshot — are
+        # all a logical worker is.
+        return self._pool.submit(_run_child, unit, *args)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -212,5 +160,4 @@ class ProcessExecutor(SuperstepExecutor):
         if self._export is not None:
             self._export.close()
             self._export = None
-        self._snapshot = None
         super().close()

@@ -1,11 +1,10 @@
-"""The serial backend: the original simulator semantics behind the executor API.
+"""The serial backend: every unit inline, on the driver thread.
 
-Every unit of the superstep schedule runs inline, on the driver thread,
-against the driver's own program object and aggregator registry — units
-are submitted in worker-id order, so this is exactly what
-``BSPEngine._run_superstep`` did before the runtime existed.  Outputs,
-ledger contents and message order are bit-for-bit identical to the
-legacy engine, so all simulation results remain reproducible.
+Units run in worker-id order against the driver's own program object,
+which serves as every logical worker's replica: the batch reads the
+barrier snapshot and hands its tallies back as a state delta, exactly as
+on the thread and process backends, but nothing is pickled — so a
+program that cannot be pickled still runs here.
 """
 
 from __future__ import annotations
@@ -13,17 +12,11 @@ from __future__ import annotations
 from concurrent.futures import Future
 from typing import Any, Callable
 
-from .executor import (
-    JobSpec,
-    SuperstepExecutor,
-    WorkerBatch,
-    run_inline,
-    run_worker_batch,
-)
+from .executor import JobSpec, SuperstepExecutor, run_inline
 
 
 class SerialExecutor(SuperstepExecutor):
-    """One process, one thread: the reference implementation.
+    """One process, one thread.
 
     No chunk queue is ever set up, so pipelined shuffle degenerates to
     the strict schedule (one thread computes every batch in sequence;
@@ -31,10 +24,9 @@ class SerialExecutor(SuperstepExecutor):
     ``steal=True`` every task runs on the one lane, so nothing is ever
     stolen — the degenerate dynamic schedule, which keeps the
     split/expand/finalize path exercised (and bit-compared) on the
-    reference backend.
+    default backend.
     """
 
-    inprocess = True
     name = "serial"
 
     def __init__(self, procs: int = None):  # ``procs`` ignored: always 1
@@ -43,27 +35,7 @@ class SerialExecutor(SuperstepExecutor):
     def start(self, spec: JobSpec) -> None:
         super().start(spec)
         if spec.tracer.enabled:
-            spec.tracer.emit(
-                "executor", backend=self.name, inprocess=True, pool=None
-            )
+            spec.tracer.emit("executor", backend=self.name, pool=None)
 
-    def _submit_batch(
-        self, worker_id: int, superstep: int, batch: WorkerBatch, shared: Any
-    ) -> Future:
-        return run_inline(
-            run_worker_batch,
-            self._spec,
-            self._spec.program,
-            worker_id,
-            superstep,
-            batch,
-            self._states[worker_id],
-            # The live registry (aggregator reads see this very
-            # superstep), and no delta: state lands on the driver's
-            # program as compute mutates it.
-            shared,
-            collect_delta=False,
-        )
-
-    def _submit_task(self, expand: Callable[[Any, Any], Any], task: Any) -> Future:
-        return run_inline(expand, self._spec.program, task)
+    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> Future:
+        return run_inline(unit, self._spec, self._spec.program, *args)

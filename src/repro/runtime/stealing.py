@@ -55,7 +55,7 @@ from typing import Any, Dict, List
 
 from ..bsp.message import PackedWorkerBatch
 from ..bsp.vertex_program import ComputeContext
-from .executor import JobSpec, WorkerStepResult, row_ranges, run_worker_batch
+from .executor import JobSpec, WorkerStepResult, row_ranges, run_replica_batch
 
 
 @dataclass
@@ -101,8 +101,10 @@ def split_batch(
     ]
 
 
-def expand_steal_task(program: Any, task: StealTask) -> TaskResult:
+def expand_steal_task(spec: JobSpec, program: Any, task: StealTask) -> TaskResult:
     """Run the pure half of one task on ``program`` (any replica).
+    ``spec`` goes unused: every unit a backend runs takes
+    ``(spec, program, ...)``.
 
     Probes go through a detached index view so concurrent thieves never
     race on the shared counters; the view's delta rides home on the
@@ -130,22 +132,20 @@ def finalize_owner(
     active_vertices: int,
     results: List[TaskResult],
     worker_state: Dict[str, Any],
-    aggregators: Any,
-    collect_delta: bool,
+    snapshot: Dict[str, Any],
 ) -> WorkerStepResult:
     """Replay one owner's outcomes in canonical order at the barrier.
 
-    This is the stateful half of the split: it runs against the driver's
-    program (``spec.program``) inside exactly the context
-    ``run_worker_batch`` gives the static path — same outbox, same
-    inbound accounting, same cost/send accumulation order — and feeds
-    every outcome through ``apply_outcome`` with the *owner's* worker id
-    and state, in ``seq`` order (``results`` is already in it), which is
-    delivery order.  Result fields are therefore bit-identical to the
-    static schedule's ``WorkerStepResult`` for this owner
-    (``active_vertices`` is its ``compute_calls``); on a replica backend
-    the per-owner ``collect_state_delta`` stream merges at the engine
-    barrier exactly like replica deltas would.
+    This is the stateful half of the split: it runs through
+    ``run_replica_batch`` with the driver's program (``spec.program``)
+    as the replica — same outbox, same inbound accounting, same
+    cost/send accumulation order, same aggregator snapshot and state
+    delta as the static path — and feeds every outcome through
+    ``apply_outcome`` with the *owner's* worker id and state, in ``seq``
+    order (``results`` is already in it), which is delivery order.
+    Result fields are therefore bit-identical to the static schedule's
+    ``WorkerStepResult`` for this owner (``active_vertices`` is its
+    ``compute_calls``).
     """
     program = spec.program
 
@@ -155,14 +155,13 @@ def finalize_owner(
             program.apply_outcome(ctx, result.outcome)
         return active_vertices
 
-    return run_worker_batch(
+    return run_replica_batch(
         spec,
         program,
         owner,
         superstep,
         None,
         worker_state,
-        aggregators,
-        collect_delta,
+        snapshot,
         drive=replay,
     )

@@ -21,21 +21,14 @@ import queue
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
-from .executor import (
-    JobSpec,
-    SuperstepExecutor,
-    WorkerBatch,
-    pickle_program,
-    run_replica_batch,
-)
+from .executor import JobSpec, SuperstepExecutor, pickle_program
 
 
 class ThreadExecutor(SuperstepExecutor):
     """One replica per logical worker, units on a thread pool."""
 
-    inprocess = False
     name = "thread"
 
     def __init__(self, procs: Optional[int] = None):
@@ -69,36 +62,17 @@ class ThreadExecutor(SuperstepExecutor):
                 "executor",
                 wall_ms=(perf_counter() - setup_started) * 1000.0,
                 backend=self.name,
-                inprocess=False,
                 pool=width,
                 replicas=len(self._replicas),
                 replica_bytes=len(payload),
             )
 
-    def _submit_batch(
-        self,
-        worker_id: int,
-        superstep: int,
-        batch: WorkerBatch,
-        shared: Dict[str, Any],
-    ) -> Future:
-        return self._pool.submit(
-            run_replica_batch,
-            self._spec,
-            self._replicas[worker_id],
-            worker_id,
-            superstep,
-            batch,
-            self._states[worker_id],
-            shared,
-        )
-
-    def _submit_task(self, expand: Callable[[Any, Any], Any], task: Any) -> Future:
-        # Expansion runs on the task owner's *replica* — the pure half
-        # touches only the replica's read-only shared data plus a
+    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> Future:
+        # Every unit runs on its owner's replica.  A steal task's pure
+        # half touches only the replica's read-only shared data plus a
         # detached index view, so concurrent thieves on one replica
         # never race.
-        return self._pool.submit(expand, self._replicas[task.owner], task)
+        return self._pool.submit(unit, self._spec, self._replicas[owner], *args)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -128,6 +128,16 @@ class TestConverter:
         with pytest.raises(GraphFormatError, match="duplicate edge"):
             convert_edge_list(src, tmp_path / "g.csrbin", dedup=False)
 
+    def test_no_dedup_names_original_ids_like_reader(self, tmp_path):
+        src = tmp_path / "edges.txt"
+        src.write_text("10 20\n20 30\n30 10\n20 10\n")
+        with pytest.raises(GraphFormatError) as read:
+            read_edge_list(src, dedup=False)
+        with pytest.raises(GraphFormatError) as converted:
+            convert_edge_list(src, tmp_path / "g.csrbin", dedup=False)
+        assert "duplicate edge (10, 20);" in str(converted.value)
+        assert str(converted.value) == str(read.value)
+
     def test_self_loop_raises_with_line(self, tmp_path):
         src = tmp_path / "edges.txt"
         src.write_text("0 1\n5 5\n1 2\n")

@@ -128,6 +128,27 @@ class TestParserKnobs:
         with pytest.raises(GraphFormatError, match="negative"):
             read_edge_list(io.StringIO("0 -1\n"))
 
+    def test_comment_lines_stay_on_the_vectorised_path(self, monkeypatch):
+        """Regression: one ``#`` or ``%`` anywhere in a chunk sent the
+        whole chunk to the per-line parser, and every SNAP file starts
+        with a ``#`` header."""
+        from repro.graph import io as graph_io
+
+        def no_fallback(data, first_lineno):
+            raise AssertionError("fell back to the scalar parser")
+
+        monkeypatch.setattr(graph_io, "_parse_chunk_scalar", no_fallback)
+        headed = "# Nodes: 3 Edges: 2\n# FromNodeId ToNodeId\n10 20\n20 30\n"
+        assert read_edge_list(io.StringIO(headed)) == (
+            Graph(3, [(0, 1), (1, 2)]), {0: 10, 1: 20, 2: 30}
+        )
+        mid = "0 1\n%a b\n  # indented comment\n\n1 2\n"
+        assert read_edge_list(io.StringIO(mid))[0] == Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphFormatError, match=r"self loop \(5, 5\) at line 4"):
+            read_edge_list(io.StringIO("# header\n\n0 1\n5 5\n"))
+        with pytest.raises(GraphFormatError, match=r"\(-1, 2\) at line 3"):
+            read_edge_list(io.StringIO("0 1\n% comment\n-1 2\n"))
+
 
 class TestDegreeStats:
     def test_histogram(self):

@@ -89,6 +89,35 @@ def test_aggregator_snapshot_parity_on_process_backend():
     assert runs["process"] == runs["serial"]
 
 
+class RunningTotalReader(PerVertex):
+    """Emits the persistent ``total`` each vertex reads *before* adding 1
+    to it, so a backend whose reads see this superstep's contributions —
+    rather than the value published at the last barrier — emits
+    different outputs, not just a different final aggregate."""
+
+    def visit(self, ctx, vertex, messages):
+        ctx.emit((ctx.superstep, vertex, ctx.aggregated("total")))
+        ctx.aggregate("total", 1)
+        return vertex if ctx.superstep < 2 else None
+
+    def persistent_aggregators(self):
+        return {"total": sum_aggregator(0)}
+
+
+def test_backends_agree_on_persistent_aggregator_reads():
+    graph = GRAPHS["er"]
+    runs = {}
+    for backend in ("serial", "thread", "process"):
+        engine = BSPEngine(
+            graph, hash_partition(graph.num_vertices, 4), backend=backend, procs=2
+        )
+        result = engine.run(RunningTotalReader())
+        runs[backend] = (result.outputs, result.aggregated)
+    assert runs["serial"] == runs["thread"] == runs["process"]
+    # Superstep 0 reads the job's initial value everywhere.
+    assert {read for step, _, read in runs["serial"][0] if step == 0} == {0}
+
+
 def test_snapshot_pickled_once_per_superstep(monkeypatch):
     """The driver must snapshot the aggregator registry once per
     superstep, not once per submitted worker batch."""

@@ -1,7 +1,7 @@
 """The one superstep schedule: structure, conformance, faults.
 
 ``SuperstepExecutor.run_superstep`` is the runtime's only execution loop;
-a backend is a pool plus two submit hooks.  This file pins that shape
+a backend is a pool plus one submit hook.  This file pins that shape
 (so a second loop cannot quietly grow back in a backend), proves a
 backend written against the hooks alone inherits the static, the
 work-stealing and the pipelined schedule bit-identically, and checks
@@ -24,6 +24,7 @@ import pytest
 
 import repro
 from repro.bsp import BSPEngine, ExecutionConfig
+from repro.bsp.aggregate import AggregatorRegistry
 from repro.core.listing import PSgLProgram
 from repro.exceptions import EngineError
 from repro.graph import hash_partition
@@ -76,9 +77,41 @@ class TestOneSchedule:
         assert text.count("threading.Thread(") == 1
         assert len(calls.findall(text)) == 2
 
+    def test_one_worker_contract_in_src(self):
+        gone = re.compile(
+            r"inprocess|run_worker_batch|_submit_batch|_submit_task|"
+            r"collect_delta|from_replicas|pre_application|bind_graph"
+        )
+        for path in sorted(SRC.rglob("*.py")):
+            assert not gone.search(path.read_text()), path
+
+    def test_backends_are_start_close_and_one_hook(self):
+        allowed = {"__init__", "start", "close", "_submit"}
+        for cls in (SerialExecutor, ThreadExecutor, ProcessExecutor):
+            methods = {n for n, v in vars(cls).items() if callable(v)}
+            assert methods <= allowed, (cls.__name__, methods - allowed)
+            assert "_submit" in methods, cls.__name__
+
+    @pytest.mark.parametrize("schedule", [{}, STEAL], ids=["static", "steal"])
+    def test_serial_snapshots_the_registry_once_per_superstep(
+        self, monkeypatch, schedule
+    ):
+        calls = []
+        original = AggregatorRegistry.snapshot
+
+        def counting_snapshot(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(AggregatorRegistry, "snapshot", counting_snapshot)
+        result = assert_equivalent(
+            ExecutionConfig(backend="serial", **schedule), reference()
+        )
+        assert len(calls) == result.supersteps
+
 
 # ----------------------------------------------------------------------
-# Conformance: a backend is a pool and two hooks
+# Conformance: a backend is a pool and one hook
 # ----------------------------------------------------------------------
 class InlineReplicas(SuperstepExecutor):
     """A complete third-party backend: pickled replicas, no pool at all."""
@@ -94,22 +127,18 @@ class InlineReplicas(SuperstepExecutor):
         for replica in self._replicas:
             replica.bind_shared(spec.graph, arrays)
 
-    def _submit_batch(self, worker_id, superstep, batch, shared):
-        return run_inline(
-            run_replica_batch, self._spec, self._replicas[worker_id],
-            worker_id, superstep, batch, self._states[worker_id], shared,
-        )
-
-    def _submit_task(self, expand, task):
-        return run_inline(expand, self._replicas[task.owner], task)
+    def _submit(self, owner, unit, *args):
+        return run_inline(unit, self._spec, self._replicas[owner], *args)
 
 
 class AlternatingLanes(InlineReplicas):
     """Pretends odd-``seq`` tasks ran on another lane than even ones."""
 
-    def _submit_task(self, expand, task):
-        future = super()._submit_task(expand, task)
-        future.result().lane = task.seq % 2
+    def _submit(self, owner, unit, *args):
+        future = super()._submit(owner, unit, *args)
+        if unit is not run_replica_batch:  # a steal task
+            ran = future.result()
+            ran.lane = ran.seq % 2
         return future
 
 
