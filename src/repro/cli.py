@@ -317,6 +317,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         pattern = get_pattern(args.pattern)
     else:
         pattern = pattern_from_edges(args.pattern_edges)
+    vertex = args.initial_vertex  # 1-based, as typed
+    if vertex is not None and not 1 <= vertex <= pattern.num_vertices:
+        raise PatternError(f"initial vertex {vertex} out of range for "
+                           f"{pattern.name} (1..{pattern.num_vertices})")
     graph = _load_graph_source(args)
     tracer = None
     if args.trace or args.trace_report:

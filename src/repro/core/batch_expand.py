@@ -15,8 +15,8 @@ without ever constructing a :class:`~repro.core.psi.Gpsi`:
    pattern neighbours, the completeness of its children and their
    ``useful_grays``; nothing in Algorithm 1 needs them to share a data
    vertex;
-2. per group, GRAY verification is one vectorised binary search over the
-   rows' CSR segments (:meth:`Graph.has_edges
+2. per group, GRAY verification is one ``searchsorted`` over the graph's
+   sorted edge-key column (:meth:`Graph.has_edges
    <repro.graph.graph.Graph.has_edges>`) and WHITE candidate generation
    one flat ragged gather of every row's ``N(vd)`` with a ``row_of``
    index (degree/rank/injectivity rules against the shared

@@ -10,10 +10,10 @@ behaviour (Python's builtin ``hash`` is randomised per process, so it is
 unsuitable here).
 
 Storage is a **bit-packed** ``uint64`` word array (64 bits per word), and
-the probe math is vectorised: :meth:`BloomFilter.add_many` and
-:meth:`BloomFilter.might_contain_many` compute every probe position for a
-whole batch of keys with a handful of numpy operations instead of one
-Python-level loop iteration per (key, hash) pair.  The scalar entry
+the probe math is vectorised: :meth:`BloomFilter.add_many` computes every
+probe position for a whole batch of keys with a handful of numpy
+operations, and :meth:`BloomFilter.might_contain_many` reads probe ``i``
+for the whole batch at once, of the keys still alive.  The scalar entry
 points (:meth:`BloomFilter.add`, ``in``) evaluate the *same* position
 formula, so batched and scalar probes are bit-for-bit interchangeable —
 which is exactly what the hot-path parity tests pin down.
@@ -98,32 +98,23 @@ class BloomFilter:
             yield pos
             pos = (pos + h2) % m
 
-    def _probe_positions(self, keys: np.ndarray) -> np.ndarray:
-        """Probe positions of a key batch, shape ``(len(keys), k)``.
-
-        Evaluates ``(h1 + i * h2) mod m`` as
-        ``((h1 mod m) + i * (h2 mod m)) mod m`` so the intermediate terms
-        fit uint64 without wrapping and match :meth:`_probes` exactly.
-
-        Positions are hashed once per *unique* key and gathered back
-        through the :func:`~repro.unique.sorted_unique` inverse: the
-        expansion hot path probes pairwise edge keys whose endpoints
-        repeat heavily (one GRAY image against a whole candidate row), so
-        most batches re-hash the same key many times otherwise.  The gather preserves order and
-        duplicates, so the returned matrix — and therefore every add /
-        membership answer and probe-count statistic — is identical to
-        hashing each key individually.
-        """
+    def _hashes(self, keys: np.ndarray):
+        """``(h1 mod m, h2 mod m)`` per key, so probe ``i`` sits at
+        ``((h1 mod m) + i * (h2 mod m)) mod m``: the intermediate terms
+        fit uint64 without wrapping and match :meth:`_probes` exactly."""
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        unique, _, inverse = sorted_unique(keys)
-        if len(unique) == len(keys):
-            unique, inverse = keys, None
-        h1 = _splitmix64_array(unique ^ _U64(self._seed & _MASK64))
+        h1 = _splitmix64_array(keys ^ _U64(self._seed & _MASK64))
         h2 = _splitmix64_array(h1) | _U64(1)
         m = _U64(self.num_bits)
-        strides = np.arange(self.num_hashes, dtype=np.uint64)
-        positions = (h1[:, None] % m + strides[None, :] * (h2[:, None] % m)) % m
-        return positions if inverse is None else positions[inverse]
+        return h1 % m, h2 % m
+
+    def _probe_positions(self, keys: np.ndarray) -> np.ndarray:
+        """Probe positions of a key batch, shape ``(len(keys), k)``.  No
+        dedup: :meth:`add_many`'s edge keys are unique by construction,
+        and a repeated key only ORs the same bits twice."""
+        start, stride = self._hashes(keys)
+        probes = np.arange(self.num_hashes, dtype=np.uint64)
+        return (start[:, None] + probes * stride[:, None]) % _U64(self.num_bits)
 
     # ------------------------------------------------------------------
     def add(self, key: int) -> None:
@@ -153,14 +144,24 @@ class BloomFilter:
         )
 
     def might_contain_many(self, keys: np.ndarray) -> np.ndarray:
-        """Batched membership: one bool per key, identical to ``in``."""
-        keys = np.asarray(keys)
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        pos = self._probe_positions(keys)
-        words = self._bits[(pos >> _U64(6)).astype(np.int64)]
-        hit = (words >> (pos & _U64(63))) & _U64(1)
-        return hit.all(axis=1)
+        """Batched membership: one bool per key, identical to ``in``.
+
+        Hashes once per *unique* key (expansion batches repeat keys
+        heavily), then reads probe ``i`` only for the keys whose probes
+        ``0..i-1`` all hit, stepping ``pos = (pos + h2) mod m`` like the
+        jitted twin ``kernels._bloom_contains``.
+        """
+        unique, _, inverse = sorted_unique(np.asarray(keys, np.uint64))
+        pos, stride = self._hashes(unique)
+        m, live = _U64(self.num_bits), np.arange(len(unique))
+        for _ in range(self.num_hashes):
+            word = self._bits[(pos >> _U64(6)).astype(np.int64)]
+            hit = np.flatnonzero((word >> (pos & _U64(63))) & _U64(1))
+            live, pos, stride = live[hit], pos[hit], stride[hit]
+            pos = (pos + stride) % m
+        found = np.zeros(len(unique), dtype=bool)
+        found[live] = True
+        return found[inverse]
 
     # ------------------------------------------------------------------
     def estimated_fp_rate(self) -> float:

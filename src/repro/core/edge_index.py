@@ -54,14 +54,6 @@ def _edge_keys_pairs(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
     return lo * np.uint64(n) + hi
 
 
-def _all_edge_keys(graph: Graph) -> np.ndarray:
-    """Key of every undirected edge, one numpy pass over the CSR arrays."""
-    us, vs = graph.edge_arrays()
-    return us.astype(np.uint64) * np.uint64(graph.num_vertices) + vs.astype(
-        np.uint64
-    )
-
-
 class EdgeIndexBase:
     """Common interface: approximate membership plus probe statistics."""
 
@@ -153,7 +145,7 @@ class BloomEdgeIndex(EdgeIndexBase):
         super().__init__()
         self._n = graph.num_vertices
         self._bloom = BloomFilter(max(graph.num_edges, 1), fp_rate, seed)
-        self._bloom.add_many(_all_edge_keys(graph))
+        self._bloom.add_many(graph.edge_keys())
 
     def might_contain(self, u: int, v: int) -> bool:
         return self._record(_edge_key(u, v, self._n) in self._bloom)
@@ -179,12 +171,13 @@ class BloomEdgeIndex(EdgeIndexBase):
 
 
 class ExactEdgeIndex(EdgeIndexBase):
-    """Sorted-array edge index: zero false positives, larger footprint."""
+    """Sorted-array edge index: zero false positives, larger footprint —
+    a ``uint64`` view of the graph's own :meth:`~Graph.edge_keys`."""
 
     def __init__(self, graph: Graph):
         super().__init__()
         self._n = graph.num_vertices
-        self._keys = np.sort(_all_edge_keys(graph))
+        self._keys = graph.edge_keys().view(np.uint64)
 
     def _lookup_many(self, keys: np.ndarray) -> np.ndarray:
         k = len(self._keys)

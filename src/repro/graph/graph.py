@@ -9,7 +9,8 @@ The graph *is* its CSR: two read-only, contiguous ``int64`` arrays —
 neighbour lists back to back) — plus the derived ``degrees``.  ``N(v)`` is
 the slice ``indices[indptr[v]:indptr[v + 1]]``, which gives
 
-* ``O(log deg(v))`` edge-existence tests via binary search,
+* ``O(log m)`` edge-existence tests by one ``searchsorted`` over the
+  sorted edge-key column (:meth:`Graph.edge_keys`, built on first use),
 * cache-friendly neighbourhood scans for the expansion inner loop,
 * one representation whoever owns the buffers: an in-memory graph, a
   ``/dev/shm`` block and a mapped ``.csrbin`` differ only in that.
@@ -124,7 +125,7 @@ class Graph:
 
     __slots__ = (
         "indptr", "indices", "degrees", "mmap_spec",
-        "_n", "_m", "_hash", "_fingerprint",
+        "_n", "_m", "_hash", "_fingerprint", "_edge_keys",
     )
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge]):
@@ -155,6 +156,7 @@ class Graph:
         self._m = len(indices) // 2
         self._hash = None
         self._fingerprint = None
+        self._edge_keys = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -195,31 +197,19 @@ class Graph:
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`has_edge`: one bool per ``(us[i], vs[i])``.
 
-        A binary search over every pair's CSR segment at once — the
-        shorter adjacency list of the two, as in :meth:`has_edge` — in
-        ``~log2(max degree)`` numpy passes.
+        One ``searchsorted`` of every pair's canonical ``(min, max)`` key
+        in :meth:`edge_keys`; ids outside the graph are masked off, since
+        their keys may alias a real edge's.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        n, indices = self._n, self.indices
-        inside = (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
-        if not inside.all():
-            found = np.zeros(len(us), dtype=bool)
-            found[inside] = self.has_edges(us[inside], vs[inside])
-            return found
-        if not len(us) or not len(indices):
+        n, keys = self._n, self.edge_keys()
+        if not len(keys):
             return np.zeros(len(us), dtype=bool)
-        swap = self.degrees[vs] < self.degrees[us]
-        src, needle = np.where(swap, vs, us), np.where(swap, us, vs)
-        lo, end = self.indptr[src], self.indptr[src + 1]
-        hi, last = end, len(indices) - 1
-        for _ in range(int((end - lo).max()).bit_length()):
-            mid = (lo + hi) >> 1
-            open_ = lo < hi  # then mid < hi <= len(indices)
-            below = open_ & (indices[np.minimum(mid, last)] < needle)
-            lo = np.where(below, mid + 1, lo)
-            hi = np.where(open_ & ~below, mid, hi)
-        return (lo < end) & (indices[np.minimum(lo, last)] == needle)
+        inside = (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
+        needles = np.minimum(us, vs) * n + np.maximum(us, vs)
+        at = np.searchsorted(keys, needles)
+        return inside & (keys.take(at, mode="clip") == needles)
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every undirected edge once, as ``(us, vs)`` arrays with
@@ -227,6 +217,18 @@ class Graph:
         us = np.repeat(np.arange(self._n, dtype=np.int64), self.degrees)
         once = us < self.indices  # each edge at its (u < v) slot
         return us[once], self.indices[once]
+
+    def edge_keys(self) -> np.ndarray:
+        """``u * n + v`` for every edge of :meth:`edge_arrays`: ascending,
+        unique, read-only ``int64``, built on first use and cached (8 bytes
+        per edge).  The one sorted key column behind :meth:`has_edges` and
+        both edge indexes."""
+        if self._edge_keys is None:
+            us, vs = self.edge_arrays()
+            keys = us * self._n + vs  # sorted by (u, v): no sort needed
+            keys.flags.writeable = False
+            self._edge_keys = keys
+        return self._edge_keys
 
     def edges(self) -> Iterator[Edge]:
         """Iterate every undirected edge once, as ``(u, v)`` with ``u < v``."""

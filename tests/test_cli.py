@@ -325,6 +325,21 @@ class TestErrorHandling:
         assert code == 3
         assert "connected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vertex", ["9", "0"])
+    def test_initial_vertex_out_of_range_exit_3_before_the_graph_is_read(
+        self, vertex, capsys
+    ):
+        """The 1-based id the user typed, refused before the missing edge
+        list is opened (that would be exit 4)."""
+        code = main(
+            ["count", "--pattern", "PG1", "--edge-list", "/nonexistent",
+             "--initial-vertex", vertex]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"psgl: error: initial vertex {vertex} out of range for PG1 (1..3)\n"
+        )
+
     def test_unknown_dataset_exit_4(self, capsys):
         code = main(["count", "--pattern", "PG1", "--dataset", "nope"])
         assert code == 4

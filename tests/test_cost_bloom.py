@@ -134,18 +134,47 @@ class TestPackedBloomParity:
         assert a.count == b.count
 
     def test_batched_probe_matches_contains(self):
+        """Batched answers equal the scalar ``in`` key by key, and the
+        batched edge-index probe leaves the statistics where a scalar loop
+        does — also on the short-circuit's corners: a saturated filter (no
+        key ever drops out of the probe loop), an empty one (every key
+        drops at probe 0), heavily repeated keys and keys >= 2**63."""
         rng = np.random.default_rng(3)
         keys = rng.integers(0, 2**40, size=300, dtype=np.uint64)
-        bloom = BloomFilter(300, fp_rate=0.01, seed=4)
-        bloom.add_many(keys[:150])
         probes = np.concatenate(
             [keys, rng.integers(0, 2**40, size=300, dtype=np.uint64)]
         )
-        batched = bloom.might_contain_many(probes)
-        scalar = [int(k) in bloom for k in probes]
-        assert batched.tolist() == scalar
+        high = rng.integers(2**63, 2**64, size=300, dtype=np.uint64)
+        cases = {  # name: (inserted keys, or "all" to saturate; probes)
+            "half-full": (keys[:150], probes),
+            "saturated": ("all", probes),
+            "empty": (keys[:0], probes),
+            "repeated": (keys[:150], rng.choice(probes[140:160], size=900)),
+            "high": (high[:150], np.append(high, [2**63, 2**64 - 1])),
+        }
+        for name, (inserted, batch) in cases.items():
+            bloom = BloomFilter(300, fp_rate=0.01, seed=4)
+            if isinstance(inserted, str):
+                bloom._bits[:] = ~np.uint64(0)
+            else:
+                bloom.add_many(inserted)
+            batched = bloom.might_contain_many(batch)
+            assert batched.tolist() == [int(k) in bloom for k in batch], name
         # No false negatives on the inserted half.
-        assert batched[:150].all()
+        assert bloom.might_contain_many(high[:150]).all()
+
+        graph = erdos_renyi(60, 0.2, seed=7)
+        us, vs = rng.integers(0, 60, size=(2, 800)).tolist()
+        for fill in ("built", "saturated", "empty"):
+            index = BloomEdgeIndex(graph)
+            if fill != "built":
+                index._bloom._bits[:] = ~np.uint64(0) if fill == "saturated" else 0
+            batched, scalar = index.detached_view(), index.detached_view()
+            answers = batched.might_contain_pairs(us, vs).tolist()
+            assert answers == [scalar.might_contain(u, v) for u, v in zip(us, vs)]
+            assert (batched.queries, batched.positives) == (
+                scalar.queries, scalar.positives
+            ), fill
 
     def test_no_false_negatives_after_batch_insert(self):
         keys = np.arange(1000, dtype=np.uint64) * np.uint64(2654435761)
@@ -173,10 +202,11 @@ class TestBloomMemoryReporting:
 
 
 class TestProbeDedupParity:
-    """The batched prober hashes once per *unique* key (repeated keys are
-    gathered back through the ``np.unique`` inverse).  These tests pin
-    that the dedup is invisible: answers, bit patterns and probe-count
-    statistics all match hashing every key individually."""
+    """The batched prober hashes once per *unique* key (answers are
+    gathered back through the ``sorted_unique`` inverse); ``add_many``
+    hashes every key as given.  These tests pin that neither is visible:
+    answers, bit patterns and probe-count statistics all match hashing
+    every key individually."""
 
     def test_repeated_keys_match_scalar_probes(self):
         bloom = BloomFilter(200, fp_rate=0.05, seed=6)

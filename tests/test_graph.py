@@ -301,6 +301,25 @@ def test_has_edges_matches_scalar_has_edge(tmp_path):
     assert Graph(3, []).has_edges([0, 1], [1, 2]).tolist() == [False, False]
 
 
+def test_edge_keys_are_the_one_sorted_key_column(tmp_path):
+    """``edge_keys()`` is built once per graph on every kind, and both
+    edge indexes build from it: the exact index as a view, no copy."""
+    from repro.core import edge_index
+    from repro.core.edge_index import BloomEdgeIndex, ExactEdgeIndex
+
+    graph = Graph(9, MESSY_EDGES + [(0, 8), (3, 8), (5, 7), (1, 6)])
+    expected = [u * 9 + v for u, v in graph.edges()]
+    with _every_kind(graph, tmp_path) as kinds:
+        for name, g in kinds.items():
+            keys = g.edge_keys()
+            assert keys.dtype == np.int64 and keys.tolist() == expected, name
+            assert len(keys) == g.num_edges and (np.diff(keys) > 0).all(), name
+            assert not keys.flags.writeable and g.edge_keys() is keys, name
+            assert np.shares_memory(ExactEdgeIndex(g)._keys, keys), name
+            assert BloomEdgeIndex(g).might_contain_pairs(*g.edge_arrays()).all()
+    assert not hasattr(edge_index, "_all_edge_keys")
+
+
 def test_from_csr_wraps_the_callers_buffers(tmp_path):
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)
