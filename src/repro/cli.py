@@ -144,7 +144,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the straggler/imbalance report after the run",
     )
     count.add_argument(
-        "--no-index", action="store_true", help="disable the bloom edge index"
+        "--index",
+        choices=("exact", "bloom", "none"),
+        default="exact",
+        help="edge index: exact (default; a fully mapped Gpsi closes where "
+        "it is generated), bloom (the paper's, with its final "
+        "verification superstep) or none (no pruning rule 2)",
     )
     count.add_argument(
         "--initial-vertex", type=int, default=None, help="force the initial pattern vertex (1-based)"
@@ -331,7 +336,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         graph,
         num_workers=args.workers,
         strategy=strategy,
-        edge_index="none" if args.no_index else "bloom",
+        edge_index=args.index,
         seed=args.seed,
         config=config,
         trace=tracer,

@@ -29,7 +29,10 @@ without ever constructing a :class:`~repro.core.psi.Gpsi`:
 4. children are merged back into the parents' delivery order, so every
    downstream consumer — distribution strategies, RNG streams, outbox row
    order, the cost ledger — observes exactly the sequence the object path
-   would have produced.
+   would have produced.  Under an exact edge index a fully mapped child is
+   complete at once (see :attr:`EdgeIndexBase.exact
+   <repro.core.edge_index.EdgeIndexBase.exact>`); complete rows are only
+   counted unless a consumer reads them.
 
 Parity with the scalar reference is *bit-identical* for instance sets,
 counts, per-group costs (with the default integer-valued
@@ -86,13 +89,39 @@ class BatchOutcome:
     path's order: parents in delivery order, combinations in
     ``itertools.product`` order within each parent.  ``generated_by_vp``
     is the per-expanding-vertex Gpsi tally (the Table 2 statistic).
+
+    ``n_complete`` counts the complete rows; the ordered ``complete``
+    array is only assembled from its per-group chunks when read, so a
+    run that only counts never concatenates or sorts its instances.
     """
 
-    complete: Optional[np.ndarray] = None
     pending: Optional[PendingChildren] = None
     cost: float = 0.0
     generated: int = 0
     generated_by_vp: Dict[int, int] = field(default_factory=dict)
+    n_complete: int = 0
+    _complete_chunks: List[np.ndarray] = field(default_factory=list, repr=False)
+    _complete_order: List[np.ndarray] = field(default_factory=list, repr=False)
+
+    def add_complete(self, rows: np.ndarray, order: np.ndarray) -> None:
+        """Record one group's complete rows and their delivery-order keys."""
+        self._complete_chunks.append(rows)
+        self._complete_order.append(order)
+        self.n_complete += len(rows)
+
+    @property
+    def complete(self) -> Optional[np.ndarray]:
+        """The complete rows in delivery order (``None`` when there are
+        none), assembled on first read."""
+        chunks = self._complete_chunks
+        if not chunks:
+            return None
+        if len(chunks) > 1:
+            order = np.concatenate(self._complete_order)
+            perm = np.argsort(order, kind="stable")
+            self._complete_chunks = [np.concatenate(chunks, axis=0)[perm]]
+            self._complete_order = [order[perm]]
+        return self._complete_chunks[0]
 
 
 #: Attempted combinations per cross-product run (see
@@ -113,12 +142,12 @@ def _black_to_words(black: int, words: int) -> np.ndarray:
     )
 
 
-def _uncovered_black(black: int, pattern: PatternGraph) -> bool:
-    """Whether any pattern edge still lacks a BLACK endpoint."""
-    for a, b in pattern.edges():
-        if not (black >> a & 1) and not (black >> b & 1):
-            return True
-    return False
+def _uncovered(black: int, pattern: PatternGraph) -> int:
+    """How many pattern edges still lack a BLACK endpoint."""
+    return sum(
+        1 for a, b in pattern.edges()
+        if not (black >> a & 1) and not (black >> b & 1)
+    )
 
 
 def expand_columns(
@@ -189,8 +218,6 @@ def expand_columns(
     _, first_idx, inverse = sorted_unique(sig)
 
     # Per-chunk accumulators; ``order`` keys restore delivery order.
-    complete_chunks: List[np.ndarray] = []
-    complete_order: List[np.ndarray] = []
     pending_chunks: List[np.ndarray] = []
     pending_black: List[np.ndarray] = []
     pending_order: List[np.ndarray] = []
@@ -272,13 +299,14 @@ def expand_columns(
         outcome.generated_by_vp[vp] = (
             outcome.generated_by_vp.get(vp, 0) + n_children
         )
-        full = (1 << k) - 1
-        is_complete = child_mask == full and not _uncovered_black(
-            new_black, pattern
-        )
-        if is_complete:
-            complete_chunks.append(child_map)
-            complete_order.append(child_order)
+        full = child_mask == (1 << k) - 1
+        uncovered = _uncovered(new_black, pattern) if full else 0
+        if full and (edge_index.exact or not uncovered):
+            # A full mapping under an exact index closes here: each
+            # uncovered edge was proved by the probe that admitted its
+            # later-mapped endpoint.  Charge its verification here too.
+            outcome.cost += costs.gray_check * uncovered * n_children
+            outcome.add_complete(child_map, child_order)
         else:
             pending_chunks.append(child_map)
             pending_black.append(
@@ -298,10 +326,6 @@ def expand_columns(
             )
             pending_groups.append((grays, white_counts))
 
-    if complete_chunks:
-        order = np.concatenate(complete_order)
-        perm = np.argsort(order, kind="stable")
-        outcome.complete = np.concatenate(complete_chunks, axis=0)[perm]
     if pending_chunks:
         order = np.concatenate(pending_order)
         perm = np.argsort(order, kind="stable")
@@ -434,30 +458,36 @@ def _cross_product(
         run = combos[lo:hi]
         parent = np.repeat(live[lo:hi], run)
         number = np.arange(len(parent)) - np.repeat(begins[lo:hi] - begins[lo], run)
-        child_map = sub_map[parent]
         stride = np.repeat(run, run)
-        for (wp, per_row, cand), start in zip(whites, starts):
+        images = []
+        for (_, per_row, cand), start in zip(whites, starts):
             size = per_row[parent]
             stride //= size
-            child_map[:, wp] = cand[start[parent] + (number // stride) % size]
+            images.append(cand[start[parent] + (number // stride) % size])
         if len(whites) > 1:
+            # Check the WHITE images alone; only survivors get a mapping.
             consistent = _consistent_mask(
-                child_map, white_vps, pattern, ranks, edge_index
+                images, white_vps, pattern, ranks, edge_index
             )
-            child_map, parent = child_map[consistent], parent[consistent]
+            parent = parent[consistent]
+            images = [image[consistent] for image in images]
+        child_map = sub_map[parent]
+        for wp, image in zip(white_vps, images):
+            child_map[:, wp] = image
         maps.append(child_map)
         parents.append(parent)
     return np.concatenate(maps), np.concatenate(parents), int(combos.sum())
 
 
 def _consistent_mask(
-    child_map: np.ndarray,
+    images: List[np.ndarray],
     white_vps: List[int],
     pattern: PatternGraph,
     ranks: np.ndarray,
     edge_index: EdgeIndexBase,
 ) -> np.ndarray:
-    """Batched :func:`~repro.core.candidates.combination_consistent`.
+    """Batched :func:`~repro.core.candidates.combination_consistent` over
+    the combinations' WHITE images (``images[j]`` holds ``white_vps[j]``'s).
 
     Walks the ``(i, j)`` pairs in the scalar loop's order with a running
     survivor mask, so index probes fire for exactly the combinations the
@@ -465,15 +495,13 @@ def _consistent_mask(
     is never probed for pair ``(0,2)``, and within a pair the cheap
     distinctness/order checks gate the probe.
     """
-    n = child_map.shape[0]
-    ok = np.ones(n, dtype=bool)
+    ok = np.ones(len(images[0]), dtype=bool)
     kw = len(white_vps)
     order = pattern.partial_order
     for i in range(kw):
         for j in range(i + 1, kw):
             pa, pb = white_vps[i], white_vps[j]
-            a = child_map[:, pa]
-            b = child_map[:, pb]
+            a, b = images[i], images[j]
             pair_ok = a != b
             if (pa, pb) in order:
                 pair_ok &= ranks[a] < ranks[b]

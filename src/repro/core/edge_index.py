@@ -12,7 +12,8 @@ Three interchangeable implementations support the Table 2 ablation:
 * :class:`BloomEdgeIndex` — the paper's index;
 * :class:`ExactEdgeIndex` — a sorted key array over edges (an upper bound
   on what any such index can prune; also how the tests validate the
-  bloom);
+  bloom).  Its positives are proofs, so a fully mapped Gpsi closes where
+  it is generated (:attr:`EdgeIndexBase.exact`);
 * :class:`NullEdgeIndex` — claims every edge exists, i.e. the index
   disabled ("w/o index" columns).
 
@@ -25,8 +26,6 @@ which charge one query per edge either way.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -56,6 +55,15 @@ def _edge_keys_pairs(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
 
 class EdgeIndexBase:
     """Common interface: approximate membership plus probe statistics."""
+
+    #: Whether a positive answer proves the edge exists.  When it does,
+    #: every uncovered edge of a fully mapped Gpsi has already been
+    #: proved by the probe that admitted its later-mapped endpoint (the
+    #: GRAY-image prefilter or the cross-combination check), so the
+    #: expansion reports the instance at once instead of routing it to a
+    #: final verification superstep.  A class-level fact: subclasses and
+    #: :meth:`detached_view` copies inherit it.
+    exact = False
 
     def __init__(self):
         self.queries = 0
@@ -97,9 +105,16 @@ class EdgeIndexBase:
         never race on the counters.  This is how the query service hands
         each job its own view of the graph's one resident index.
         """
-        clone = copy.copy(self)
+        # Not copy.copy: that goes through __getstate__, which may drop
+        # arrays a pickled replica re-attaches (see ExactEdgeIndex).
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
         clone.reset_statistics()
         return clone
+
+    def attach(self, graph: Graph) -> None:
+        """Re-attach the arrays this index shares with ``graph`` after
+        unpickling.  The default shares nothing."""
 
     def might_contain(self, u: int, v: int) -> bool:
         """Whether edge ``(u, v)`` possibly exists (never a false negative
@@ -172,12 +187,26 @@ class BloomEdgeIndex(EdgeIndexBase):
 
 class ExactEdgeIndex(EdgeIndexBase):
     """Sorted-array edge index: zero false positives, larger footprint —
-    a ``uint64`` view of the graph's own :meth:`~Graph.edge_keys`."""
+    a ``uint64`` view of the graph's own :meth:`~Graph.edge_keys`.
+
+    The view is not pickled: a replica re-attaches it with
+    :meth:`attach` to the graph it runs on, whose key column the
+    process backend ships once per machine in shared memory."""
+
+    exact = True
 
     def __init__(self, graph: Graph):
         super().__init__()
         self._n = graph.num_vertices
+        self.attach(graph)
+
+    def attach(self, graph: Graph) -> None:
         self._keys = graph.edge_keys().view(np.uint64)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_keys", None)
+        return state
 
     def _lookup_many(self, keys: np.ndarray) -> np.ndarray:
         k = len(self._keys)

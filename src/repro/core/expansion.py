@@ -12,7 +12,11 @@ data vertex ``vd``):
 3. ``vp`` turns BLACK; new Gpsis are produced as the cross product of the
    candidate sets, with invalid combinations pruned;
 4. complete instances are reported, incomplete ones handed to the
-   distribution strategy for routing.
+   distribution strategy for routing.  Under an *exact* edge index a
+   fully mapped Gpsi is complete as soon as it is generated: the probe
+   that admitted each later-mapped endpoint already proved its uncovered
+   edges, so their verification is charged here instead of in a final
+   superstep.
 
 BLACK neighbours are skipped — their edges were verified when they
 expanded.  A dead Gpsi (failed GRAY check or empty candidate set) simply
@@ -97,7 +101,7 @@ def expand_gpsi(
     if not white_lists:
         # Verification-only expansion: colours change, mapping does not.
         advanced = Gpsi(gpsi.mapping, new_black, -1)
-        _classify(advanced, pattern, outcome)
+        _classify(advanced, pattern, edge_index, costs, outcome)
         outcome.generated += 1
         return outcome
 
@@ -116,15 +120,24 @@ def expand_gpsi(
         for wv, cand in zip(white_vps, combo):
             mapping[wv] = cand
         new_gpsi = Gpsi(tuple(mapping), new_black, -1)
-        _classify(new_gpsi, pattern, outcome)
+        _classify(new_gpsi, pattern, edge_index, costs, outcome)
         outcome.generated += 1
         for wv in white_vps:
             mapping[wv] = gpsi.mapping[wv]
     return outcome
 
 
-def _classify(new_gpsi: Gpsi, pattern: PatternGraph, outcome: ExpansionOutcome) -> None:
-    if new_gpsi.is_complete(pattern):
-        outcome.complete.append(new_gpsi.mapping)
-    else:
-        outcome.pending.append(new_gpsi)
+def _classify(
+    new_gpsi: Gpsi,
+    pattern: PatternGraph,
+    edge_index: EdgeIndexBase,
+    costs: CostParameters,
+    outcome: ExpansionOutcome,
+) -> None:
+    if new_gpsi.fully_mapped():
+        uncovered = len(new_gpsi.uncovered_edges(pattern))
+        if edge_index.exact or not uncovered:
+            outcome.cost += costs.gray_check * uncovered
+            outcome.complete.append(new_gpsi.mapping)
+            return
+    outcome.pending.append(new_gpsi)

@@ -169,11 +169,12 @@ class PSgLProgram(VertexProgram):
     # tallies cross back as per-batch deltas merged in worker-id order.
     # ------------------------------------------------------------------
     def __getstate__(self):
-        # Ship neither the O(n + m) graph nor the O(n) order arrays:
-        # replicas re-attach both through bind_shared — the process
-        # backend exports the arrays once into shared memory next to the
-        # CSR blocks, the thread backend passes the driver's arrays by
-        # reference.
+        # Ship neither the O(n + m) graph, nor the O(n) order arrays,
+        # nor the O(m) edge-key column (the edge index pickles without
+        # it): replicas re-attach all three through bind_shared — the
+        # process backend exports the arrays once into shared memory next
+        # to the CSR blocks, the thread backend passes the driver's
+        # arrays by reference.
         state = self.__dict__.copy()
         state.pop("ordered")
         return state
@@ -184,15 +185,18 @@ class PSgLProgram(VertexProgram):
             "order_rank": ordered.ranks,
             "order_nb": ordered.nb_values,
             "order_ns": ordered.ns_values,
+            "edge_keys": ordered.graph.edge_keys(),
         }
 
     def bind_shared(self, graph: Graph, arrays) -> None:
+        graph.adopt_edge_keys(arrays["edge_keys"])
         self.ordered = OrderedGraph.from_precomputed(
             graph,
             arrays["order_rank"],
             arrays["order_nb"],
             arrays["order_ns"],
         )
+        self.edge_index.attach(graph)
 
     def _fold_per_vertex(self) -> None:
         """Fold pending completed-mapping chunks into ``per_vertex_counts``.
@@ -333,8 +337,8 @@ class PSgLProgram(VertexProgram):
         ctx.add_cost(outcome.cost)
         for vp, n in outcome.generated_by_vp.items():
             self.gpsi_by_vertex[vp] = self.gpsi_by_vertex.get(vp, 0) + n
-        if outcome.complete is not None and len(outcome.complete):
-            ctx.aggregate("found", int(outcome.complete.shape[0]))
+        if outcome.n_complete:
+            ctx.aggregate("found", outcome.n_complete)
             if self.collect_instances:
                 self.instances.extend(map(tuple, outcome.complete.tolist()))
             if self.count_per_vertex:

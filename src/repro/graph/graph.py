@@ -230,6 +230,16 @@ class Graph:
             self._edge_keys = keys
         return self._edge_keys
 
+    def adopt_edge_keys(self, keys: np.ndarray) -> None:
+        """Seed the :meth:`edge_keys` cache with this graph's column built
+        elsewhere — a process-backend replica adopts the driver's, shipped
+        once per machine in shared memory — instead of rebuilding it."""
+        if len(keys) != self._m:
+            raise GraphError(
+                f"edge key column has {len(keys)} entries for {self._m} edges"
+            )
+        self._edge_keys = _frozen(keys)
+
     def edges(self) -> Iterator[Edge]:
         """Iterate every undirected edge once, as ``(u, v)`` with ``u < v``."""
         us, vs = self.edge_arrays()

@@ -95,7 +95,7 @@ class GraphContext:
         self,
         graph: Graph,
         name: str = "graph",
-        edge_index_kind: str = "bloom",
+        edge_index_kind: str = "exact",
         edge_index_fp: float = 0.01,
         seed: int = 0,
     ):

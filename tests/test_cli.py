@@ -10,7 +10,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.graph import complete_graph, write_edge_list
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, rmat
 
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -181,8 +181,28 @@ class TestCount:
     def test_count_no_index(self, tmp_path, capsys):
         path = tmp_path / "k4.txt"
         write_edge_list(complete_graph(4), path)
-        main(["count", "--pattern", "PG1", "--edge-list", str(path), "--no-index"])
+        main(["count", "--pattern", "PG1", "--edge-list", str(path), "--index", "none"])
         assert "instances  : 4" in capsys.readouterr().out
+
+    def test_exact_index_lists_the_same_in_fewer_supersteps(self, tmp_path, capsys):
+        path = tmp_path / "rmat.txt"
+        write_edge_list(rmat(7, seed=0), path)
+
+        def count(*flags):
+            main(["count", "--pattern", "PG2", "--edge-list", str(path), *flags])
+            lines = capsys.readouterr().out.splitlines()
+            return {
+                key.strip(): value.strip()
+                for key, _, value in (line.partition(":") for line in lines)
+            }
+
+        exact, bloom = count("--index", "exact"), count("--index", "bloom")
+        default = count()
+        for run in (default, exact):
+            del run["wall time"]
+        assert default == exact
+        assert exact["instances"] == bloom["instances"] == "5,015"
+        assert int(exact["supersteps"]) < int(bloom["supersteps"])
 
     def test_family_pattern_name(self, tmp_path, capsys):
         path = tmp_path / "k6.txt"

@@ -1,13 +1,17 @@
 """Unit tests for partial subgraph instance expansion (Algorithms 1-2)."""
 
 from repro.core import Gpsi, UNMAPPED, expand_gpsi
-from repro.core.edge_index import ExactEdgeIndex, NullEdgeIndex
+from repro.core.cost import DEFAULT_COSTS
+from repro.core.edge_index import BloomEdgeIndex, ExactEdgeIndex, NullEdgeIndex
 from repro.graph import Graph, OrderedGraph, complete_graph
 from repro.pattern import PatternGraph, square, triangle
 
 
 def env(graph):
-    return OrderedGraph(graph), ExactEdgeIndex(graph)
+    """The paper's bloom index: a full mapping with an uncovered edge
+    waits for its verification expansion (an exact index closes it at
+    once — :class:`TestExactIndexCloses`)."""
+    return OrderedGraph(graph), BloomEdgeIndex(graph)
 
 
 class TestTriangleExpansion:
@@ -142,3 +146,42 @@ class TestMultiWhiteCombination:
         for child in outcome.pending:
             m = child.mapping
             assert m[1] < m[2] < m[3]
+
+
+class TestExactIndexCloses:
+    """Under an exact index a full mapping is complete where it is
+    generated: its uncovered edges were proved by the probes that
+    admitted their endpoints, and their verification is charged there."""
+
+    def test_initial_triangle_expansion_completes(self):
+        g = complete_graph(4)
+        ordered, index = OrderedGraph(g), ExactEdgeIndex(g)
+        pattern = triangle()
+        start = Gpsi.initial(pattern, 0, 0)
+        closed = expand_gpsi(start, pattern, ordered, index)
+        waiting = expand_gpsi(start, pattern, ordered, BloomEdgeIndex(g))
+        assert closed.pending == []
+        assert sorted(closed.complete) == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        assert closed.generated == waiting.generated == 3
+        # One gray check per closed uncovered edge (v2, v3).
+        assert closed.cost == waiting.cost + 3 * DEFAULT_COSTS.gray_check
+
+    def test_verification_expansion_of_a_full_square_completes(self):
+        g = complete_graph(5)
+        ordered, index = OrderedGraph(g), ExactEdgeIndex(g)
+        pattern = square()
+        gpsi = Gpsi((0, 1, 2, 3), black=0b0001, next_vertex=1)
+        outcome = expand_gpsi(gpsi, pattern, ordered, index)
+        assert outcome.pending == []
+        assert outcome.complete == [(0, 1, 2, 3)]
+        assert outcome.generated == 1
+
+    def test_exactness_is_inherited(self):
+        class Subclassed(ExactEdgeIndex):
+            pass
+
+        g = complete_graph(4)
+        assert ExactEdgeIndex(g).detached_view().exact
+        assert Subclassed(g).exact
+        assert not BloomEdgeIndex(g).exact
+        assert not NullEdgeIndex().exact
