@@ -22,10 +22,12 @@ without ever constructing a :class:`~repro.core.psi.Gpsi`:
    index (degree/rank/injectivity rules against the shared
    ``degrees``/``ranks`` arrays, GRAY-image prefilter through one pairwise
    batch probe per image);
-3. candidate cross products materialise by segment arithmetic over the
-   flat candidate lists, and :func:`~repro.core.candidates.combination_consistent`
-   runs as a batch mask with the same short-circuit probe compression as
-   the scalar loop;
+3. the candidate cross product is a prefix join: combinations grow one
+   WHITE vertex at a time by segment repeats over the flat candidate
+   lists, and each extension is checked against the earlier images in
+   :func:`~repro.core.candidates.combination_consistent`'s colex pair
+   order — a combination failing a pair is never extended, and a prefix
+   is probed once for all the combinations sharing it;
 4. children are merged back into the parents' delivery order, so every
    downstream consumer — distribution strategies, RNG streams, outbox row
    order, the cost ledger — observes exactly the sequence the object path
@@ -432,90 +434,77 @@ def _cross_product(
     ranks: np.ndarray,
     edge_index: EdgeIndexBase,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Materialise the consistent candidate combinations of the live rows.
+    """Join the live rows' WHITE candidates one vertex at a time.
 
     Returns ``(child_mapping, parent, combos_attempted)`` — ``parent[c]``
     the group row of child ``c`` — with children in ``itertools.product``
-    order within each parent and parents ascending.  Child ``c`` of a
-    parent is combination number ``c``; its digit for WHITE vertex ``j``
-    (mixed radix, first vertex most significant) picks from the parent's
-    segment of that vertex's flat candidate list.  Combinations grow with
-    the product of the candidate counts, so rows are taken in runs of
+    order within each parent and parents ascending.  Each prefix of WHITE
+    images is extended by the next vertex's candidates (a segment repeat,
+    so lexicographic order holds) and checked against the earlier images
+    at once, in :func:`~repro.core.candidates.combination_consistent`'s
+    colex pair order: a combination failing pair ``(0, 1)`` is never
+    built with a third image.  A prefix probed at level ``j`` stands for
+    the ``prod(|C_l|, l > j)`` full combinations the scalar loop probes
+    it for, so it is probed once and the other ``weight - 1`` probes
+    are credited to the index's statistics.  The ledger still prices
+    every attempted combination (Equation 2).  Rows are taken in runs of
     about :data:`CROSS_BLOCK_COMBOS` attempted combinations (one row at
-    least): the temporaries stay bounded whatever the block expands to.
+    least), which bounds every join level.
     """
-    combos = np.ones(len(live), dtype=np.int64)
-    for _, per_row, _ in whites:
-        combos *= per_row[live]
+    # weights[j][r]: full combinations of row r sharing a level-j prefix.
+    weights: List[np.ndarray] = []
+    weight = np.ones(len(sub_map), dtype=np.int64)
+    for _, per_row, _ in reversed(whites):
+        weights.append(weight)
+        weight = weight * per_row
+    weights.reverse()
+    combos = weight[live]
     begins = np.cumsum(combos) - combos
     cuts = np.flatnonzero(np.diff(begins // CROSS_BLOCK_COMBOS)) + 1
     bounds = [0, *cuts.tolist(), len(live)]
     white_vps = [wp for wp, _, _ in whites]
     starts = [np.cumsum(per_row) - per_row for _, per_row, _ in whites]
+    order = pattern.partial_order
     maps: List[np.ndarray] = []
     parents: List[np.ndarray] = []
     for lo, hi in zip(bounds, bounds[1:]):
-        run = combos[lo:hi]
-        parent = np.repeat(live[lo:hi], run)
-        number = np.arange(len(parent)) - np.repeat(begins[lo:hi] - begins[lo], run)
-        stride = np.repeat(run, run)
-        images = []
-        for (_, per_row, cand), start in zip(whites, starts):
+        parent = live[lo:hi]
+        images: List[np.ndarray] = []
+        for j, (pb, per_row, cand) in enumerate(whites):
             size = per_row[parent]
-            stride //= size
-            images.append(cand[start[parent] + (number // stride) % size])
-        if len(whites) > 1:
-            # Check the WHITE images alone; only survivors get a mapping.
-            consistent = _consistent_mask(
-                images, white_vps, pattern, ranks, edge_index
-            )
-            parent = parent[consistent]
-            images = [image[consistent] for image in images]
+            ends = np.cumsum(size)
+            slots = np.repeat(starts[j][parent] - (ends - size), size)
+            b = cand[slots + np.arange(len(slots))]
+            parent = np.repeat(parent, size)
+            images = [np.repeat(image, size) for image in images]
+            ok = np.ones(len(b), dtype=bool)
+            for pa, a in zip(white_vps, images):
+                ok &= a != b
+                if (pa, pb) in order:
+                    ok &= ranks[a] < ranks[b]
+                if (pb, pa) in order:
+                    ok &= ranks[b] < ranks[a]
+                if pattern.has_edge(pa, pb):
+                    idx = np.flatnonzero(ok)
+                    if len(idx) == 0:
+                        break
+                    res = edge_index.might_contain_pairs(a[idx], b[idx])
+                    ok[idx] = res
+                    if j + 1 < len(whites):  # the last level weighs 1
+                        extra = weights[j][parent[idx]] - 1
+                        edge_index.queries += int(extra.sum())
+                        edge_index.positives += int(extra[res].sum())
+            if not ok.all():
+                keep = np.flatnonzero(ok)
+                parent = parent[keep]
+                images = [image[keep] for image in images]
+                b = b[keep]
+            images.append(b)
+            if len(parent) == 0:
+                break
         child_map = sub_map[parent]
         for wp, image in zip(white_vps, images):
             child_map[:, wp] = image
         maps.append(child_map)
         parents.append(parent)
     return np.concatenate(maps), np.concatenate(parents), int(combos.sum())
-
-
-def _consistent_mask(
-    images: List[np.ndarray],
-    white_vps: List[int],
-    pattern: PatternGraph,
-    ranks: np.ndarray,
-    edge_index: EdgeIndexBase,
-) -> np.ndarray:
-    """Batched :func:`~repro.core.candidates.combination_consistent` over
-    the combinations' WHITE images (``images[j]`` holds ``white_vps[j]``'s).
-
-    Walks the ``(i, j)`` pairs in the scalar loop's order with a running
-    survivor mask, so index probes fire for exactly the combinations the
-    scalar short circuit would probe: a combination failing pair ``(0,1)``
-    is never probed for pair ``(0,2)``, and within a pair the cheap
-    distinctness/order checks gate the probe.
-    """
-    ok = np.ones(len(images[0]), dtype=bool)
-    kw = len(white_vps)
-    order = pattern.partial_order
-    for i in range(kw):
-        for j in range(i + 1, kw):
-            pa, pb = white_vps[i], white_vps[j]
-            a, b = images[i], images[j]
-            pair_ok = a != b
-            if (pa, pb) in order:
-                pair_ok &= ranks[a] < ranks[b]
-            if (pb, pa) in order:
-                pair_ok &= ranks[b] < ranks[a]
-            if pattern.has_edge(pa, pb):
-                probe = ok & pair_ok
-                idx = np.flatnonzero(probe)
-                if len(idx):
-                    res = edge_index.might_contain_pairs(a[idx], b[idx])
-                    pair_ok[idx] = res
-                ok &= pair_ok
-            else:
-                ok &= pair_ok
-            if not bool(ok.any()):
-                return ok
-    return ok

@@ -135,10 +135,17 @@ def combination_consistent(
     paper folds into "pruning invalid combinations": distinctness, partial
     order between two newly mapped vertices, and (via the index) pattern
     edges joining two newly mapped vertices.
+
+    Pairs are walked in colex order — ``(0, 1), (0, 2), (1, 2), (0, 3),
+    ...`` — so every check on the first ``j + 1`` candidates precedes
+    any check involving a later one.  The order is part of the
+    probe-statistics contract with :mod:`repro.core.batch_expand`, which
+    joins the candidates one WHITE vertex at a time and probes each
+    prefix once for every combination sharing it.
     """
     k = len(white_vps)
-    for i in range(k):
-        for j in range(i + 1, k):
+    for j in range(1, k):
+        for i in range(j):
             a, b = assignment[i], assignment[j]
             if a == b:
                 return False

@@ -12,7 +12,10 @@ counters.  These tests pin that equivalence at the kernel level:
    hypothesis sweep over random graphs) — one destination vertex per
    call, the whole frontier of a superstep in one call, and the frontier
    cut at arbitrary rows;
-2. the ``useful_grays_for`` memo on :class:`PatternGraph` (it is keyed
+2. the cross product's prefix join: probe statistics and ledger totals
+   as the full enumeration reports them, with each shared prefix probed
+   once physically;
+3. the ``useful_grays_for`` memo on :class:`PatternGraph` (it is keyed
    per pattern instance and must never leak across patterns).
 
 Whole listing jobs — every strategy, backend, shuffle and spill setting
@@ -24,16 +27,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import Gpsi, expand_columns, expand_gpsi, pack_gpsis
-from repro.core.edge_index import build_edge_index
+from repro.core.edge_index import ExactEdgeIndex, build_edge_index
 from repro.core.init_vertex import select_initial_vertex
 from repro.graph import Graph, OrderedGraph
 from repro.graph.generators import chung_lu_power_law, erdos_renyi
-from repro.pattern import PatternGraph, paper_patterns
+from repro.pattern import PatternGraph, get_pattern, paper_patterns
+
+
+def _with_planted_clique(graph, k):
+    """``graph`` plus a K_k on its first ``k`` vertices."""
+    planted = {(i, j) for i in range(k) for j in range(i + 1, k)}
+    return Graph(graph.num_vertices, sorted(planted | set(graph.edges())))
+
 
 GRAPHS = {
     "er": erdos_renyi(28, 0.25, seed=13),
     "powerlaw": chung_lu_power_law(30, gamma=2.5, avg_degree=4, seed=5),
 }
+# The ER graph with a K6 planted: six 5-cliques at least.
+GRAPHS["planted"] = _with_planted_clique(GRAPHS["er"], 6)
 
 
 def _black_int(words) -> int:
@@ -163,7 +175,20 @@ class TestKernelParity:
         pattern = paper_patterns()[pattern_name]
         drive_parity(GRAPHS["powerlaw"], pattern, "bloom")
 
-    @pytest.mark.parametrize("pattern_name", ["PG2", "PG4"])
+    @pytest.mark.parametrize("index_kind", ["bloom", "exact", "none"])
+    @pytest.mark.parametrize("pattern_name", ["K5", "S4"])
+    def test_matches_scalar_with_many_white_neighbours(
+        self, pattern_name, index_kind
+    ):
+        # K5's first expansion joins four WHITE vertices (six edge pairs),
+        # S4's hub three leaves held apart by the partial order alone.
+        pattern = get_pattern(pattern_name)
+        count = drive_parity(GRAPHS["planted"], pattern, index_kind)
+        assert count > 0
+        if index_kind != "bloom":
+            assert count == drive_parity(GRAPHS["planted"], pattern, "exact")
+
+    @pytest.mark.parametrize("pattern_name", ["PG2", "PG4", "K5"])
     def test_cross_product_runs_do_not_change_the_outcome(
         self, monkeypatch, pattern_name
     ):
@@ -171,7 +196,8 @@ class TestKernelParity:
         from repro.core import batch_expand
 
         monkeypatch.setattr(batch_expand, "CROSS_BLOCK_COMBOS", 5)
-        drive_parity(GRAPHS["powerlaw"], paper_patterns()[pattern_name], "bloom")
+        graph = GRAPHS["planted" if pattern_name == "K5" else "powerlaw"]
+        drive_parity(graph, get_pattern(pattern_name), "bloom")
 
     def test_empty_slice_is_noop(self):
         graph = GRAPHS["er"]
@@ -189,6 +215,128 @@ class TestKernelParity:
         cols.next_vertex[0] = 0xFF
         with pytest.raises(ValueError, match="no next vertex"):
             expand_columns(cols, pattern, OrderedGraph(graph), idx)
+
+
+class PairCountingIndex(ExactEdgeIndex):
+    """Exact index that records every pair physically probed."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.pairs = []
+
+    def might_contain_pairs(self, us, vs):
+        self.pairs.extend(zip(us.tolist(), vs.tolist()))
+        return super().might_contain_pairs(us, vs)
+
+
+class TestJoinAccounting:
+    """The cross product joins one WHITE vertex at a time and probes a
+    prefix once for all the combinations sharing it; the statistics and
+    the ledger still count every combination the scalar loop tries."""
+
+    #: ``(index_queries, index_pruned, ledger total)`` of each paper
+    #: pattern on R-MAT 8 (seed 0, 4 workers), as the materialise-then-
+    #: mask cross product produced them.
+    PINNED = {
+        ("PG1", "bloom"): (1896, 599, 8886),
+        ("PG1", "exact"): (1896, 603, 8882),
+        ("PG1", "none"): (1896, 0, 9485),
+        ("PG2", "bloom"): (23806, 5708, 95227),
+        ("PG2", "exact"): (23806, 5729, 95185),
+        ("PG2", "none"): (23806, 0, 106643),
+        ("PG3", "bloom"): (39004, 14678, 160011),
+        ("PG3", "exact"): (38809, 14717, 159241),
+        ("PG3", "none"): (59129, 0, 255845),
+        ("PG4", "bloom"): (23139, 6075, 43898),
+        ("PG4", "exact"): (23113, 6095, 43887),
+        ("PG4", "none"): (28557, 0, 47226),
+        ("PG5", "bloom"): (1238180, 523461, 3025393),
+        ("PG5", "exact"): (1238297, 527319, 3017418),
+        ("PG5", "none"): (1235598, 0, 4134301),
+    }
+
+    @pytest.mark.parametrize("index_kind", ["bloom", "exact", "none"])
+    @pytest.mark.parametrize("pattern_name", sorted(paper_patterns()))
+    def test_statistics_and_ledger_are_unchanged(self, pattern_name, index_kind):
+        from repro.core import PSgL
+        from repro.graph.generators import rmat
+
+        result = PSgL(
+            rmat(8, seed=0), num_workers=4, edge_index=index_kind, seed=0
+        ).run(paper_patterns()[pattern_name])
+        assert (
+            result.index_queries, result.index_pruned, result.ledger.total_cost()
+        ) == self.PINNED[pattern_name, index_kind]
+
+    def test_a_failed_first_pair_is_never_extended(self):
+        from itertools import product
+
+        from repro.core import combination_consistent
+        from repro.core.batch_expand import _cross_product
+
+        # K4 without an order; vertex 0 expands, 1-3 are WHITE.  No data
+        # edge joins WHITE 1's candidates {1, 2} to WHITE 2's {3, 4}, so
+        # every pair (0, 1) fails its probe; both join WHITE 3's
+        # {5, 6, 7}, which a probe for (0, 2) or (1, 2) would admit.
+        pattern = PatternGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        graph = Graph(
+            8,
+            [(0, v) for v in range(1, 8)]
+            + [(u, v) for u in range(1, 5) for v in range(5, 8)],
+        )
+        cands = [
+            [[1, 2], [3, 4], [5, 6, 7]],  # row 0: 2 x 2 x 3 combinations
+            [[1], [4], [5, 6]],  # row 1: 1 x 1 x 2
+        ]
+        whites = [
+            (
+                wp,
+                np.array([len(row[j]) for row in cands]),
+                np.array([c for row in cands for c in row[j]]),
+            )
+            for j, wp in enumerate([1, 2, 3])
+        ]
+        sub_map = np.array([[0, -1, -1, -1]] * 2)
+        index = PairCountingIndex(graph)
+        child_map, parent, attempted = _cross_product(
+            sub_map, np.arange(2), whites, pattern,
+            OrderedGraph(graph).ranks, index,
+        )
+        assert child_map.shape == (0, 4) and len(parent) == 0
+        assert attempted == 2 * 2 * 3 + 1 * 1 * 2
+        # Physically: the five (0, 1) pairs, once each.
+        assert sorted(index.pairs) == [(1, 3), (1, 4), (1, 4), (2, 3), (2, 4)]
+        # Statistically: one probe per combination, as the scalar loop.
+        scalar = build_edge_index(graph, kind="exact")
+        ordered = OrderedGraph(graph)
+        for row in cands:
+            for combo in product(*row):
+                assert not combination_consistent(
+                    list(combo), [1, 2, 3], pattern, ordered, scalar
+                )
+        assert (index.queries, index.positives) == (14, 0)
+        assert (scalar.queries, scalar.positives) == (14, 0)
+
+    def test_each_prefix_is_probed_once(self):
+        graph = GRAPHS["er"]
+        pattern = paper_patterns()["PG4"]
+        ordered = OrderedGraph(graph)
+        init_vp = select_initial_vertex(pattern, graph)
+        rows = [
+            Gpsi.initial(pattern, init_vp, vd)
+            for vd in range(graph.num_vertices)
+            if graph.degree(vd) >= pattern.degree(init_vp)
+        ]
+        scalar = build_edge_index(graph, kind="exact")
+        expected = scalar_outcomes(rows, pattern, ordered, scalar)
+        index = PairCountingIndex(graph)
+        assert batch_outcomes([rows], pattern, ordered, index) == expected
+        assert (index.queries, index.positives) == (
+            scalar.queries, scalar.positives
+        )
+        # The statistics count every combination; far fewer pairs were
+        # physically probed.
+        assert 0 < len(index.pairs) < index.queries
 
 
 class TestDispatchShape:
