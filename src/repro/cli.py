@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
 from pathlib import Path
@@ -554,6 +555,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 4
     except KeyboardInterrupt:
         return 130
+    finally:
+        if argv is None:
+            # This call owns the process, which exits next: freezing what
+            # is left spares it the collector's sweep at interpreter
+            # teardown, which the exit frees anyway.  An embedding caller
+            # passes ``argv`` and keeps its collector as it was.
+            gc.freeze()
 
 
 if __name__ == "__main__":

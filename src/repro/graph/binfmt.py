@@ -13,10 +13,11 @@ half:
   ever exists and peak memory stays O(|V| + chunk), not O(|E|);
 * :func:`load_mapped` returns a :class:`~repro.graph.graph.Graph` whose
   CSR arrays are read-only ``np.memmap`` views into the file.  The OS
-  pages neighbour lists in on demand, and
-  :class:`~repro.runtime.shared_graph.SharedGraphExport` recognises the
-  mapping and hands worker processes the *file* instead of copying the
-  arrays into ``/dev/shm`` (see ``docs/scale.md``).
+  pages neighbour lists in on demand.  A forked worker process inherits
+  the mapping; under spawn
+  :class:`~repro.runtime.shared_graph.SharedGraphExport` recognises it
+  and hands worker processes the *file* instead of copying the arrays
+  into ``/dev/shm`` (see ``docs/scale.md``).
 
 File layout (all little-endian, arrays 8-byte aligned)
 ------------------------------------------------------

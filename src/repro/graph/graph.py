@@ -34,12 +34,14 @@ class MappedCSR:
     """Where a graph's CSR arrays live on disk (``.csrbin`` mapping).
 
     Set by :func:`repro.graph.binfmt.load_mapped` on graphs whose
-    ``indptr``/``indices`` are ``np.memmap`` views.  The shared-memory
-    export (:class:`repro.runtime.shared_graph.SharedGraphExport`) reads
-    it to hand worker processes the *file* instead of copying the arrays
-    into ``/dev/shm``.  ``keepalive`` pins the underlying mapping for the
-    graph's lifetime and never crosses a process boundary — only the
-    path and offsets travel.
+    ``indptr``/``indices`` are ``np.memmap`` views.  The spawn start
+    method's shared-memory export
+    (:class:`repro.runtime.shared_graph.SharedGraphExport`) reads it to
+    hand worker processes the *file* instead of copying the arrays into
+    ``/dev/shm``; a forked worker inherits the mapping itself.
+    ``keepalive`` pins the underlying mapping for the graph's lifetime
+    and never crosses a process boundary — only the path and offsets
+    travel.
     """
 
     path: str

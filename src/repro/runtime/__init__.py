@@ -1,8 +1,9 @@
 """Parallel execution runtime for the BSP engine.
 
 Turns the single-process simulator into a real parallel runtime behind a
-pluggable executor interface: a zero-copy shared graph over
-``multiprocessing.shared_memory``, one superstep schedule (static,
+pluggable executor interface: one read-only graph every pool process
+scans (inherited under fork, a ``multiprocessing.shared_memory``
+export under spawn), one superstep schedule (static,
 work-stealing, pipelined) that submits its units inline, to a thread
 pool or to a process pool, and deterministic message shuffling at the
 barrier.  See ``docs/runtime.md`` for the protocol.

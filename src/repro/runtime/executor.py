@@ -555,6 +555,10 @@ class SuperstepExecutor:
             wait(futures)
             if drain is not None:
                 drain.abort()
+            # The caller's traceback keeps this frame: it must not keep
+            # the job's chunk queue too, whose named semaphores (spawn)
+            # are unlinked only when the queue is freed.
+            spec = drain = None
             raise
 
         results: List[WorkerStepResult] = []

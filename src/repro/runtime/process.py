@@ -1,13 +1,12 @@
-"""The process backend: real parallelism over a shared-memory graph.
+"""The process backend: real parallelism over one copy of the graph.
 
 Topology
 --------
-* The driver exports the data graph once as CSR arrays in
-  ``multiprocessing.shared_memory`` (:mod:`repro.runtime.shared_graph`).
-* A persistent pool of OS processes attaches at initialisation: each
-  child maps the blocks, rebuilds a zero-copy :class:`Graph`, unpickles
-  **one** program replica (the pickle omits the graph; ``bind_shared``
-  splices the shared one in) and keeps both for the whole job.
+* A persistent pool of OS processes shares one read-only data graph: a
+  forked child inherits the driver's, a spawned one maps the driver's
+  ``multiprocessing.shared_memory`` export (:mod:`repro.runtime.shared_graph`).
+  Each child unpickles **one** program replica (the pickle omits the
+  graph; ``bind_shared`` splices the shared one in) for the whole job.
 * Every superstep the schedule submits each non-empty logical worker's
   batch — active vertices, delivered payloads, the worker's private state
   dict and an aggregator snapshot — and receives the worker's outbox
@@ -31,32 +30,39 @@ import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 from time import perf_counter
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..obs.tracer import NULL_TRACER
 from .executor import JobSpec, SuperstepExecutor, pickle_program
-from .shared_graph import (
-    AttachedSharedGraph,
-    SharedGraphExport,
-    SharedGraphHandle,
-    attach_shared_graph,
-)
+
+if TYPE_CHECKING:  # spawn's transport is imported only when used
+    from ..graph.graph import Graph
+    from .shared_graph import AttachedSharedGraph, SharedGraphExport, SharedGraphHandle
 
 # Child-process state, set once by the pool initializer: the job's spec
-# re-pointed at this process's program replica and attached graph, and
-# the attachment itself, which owns the mappings the graph's arrays alias.
+# re-pointed at this process's program replica and graph, and under
+# spawn the attachment, which owns the mappings the graph's arrays alias.
 _child_spec: Optional[JobSpec] = None
 _child_attached: Optional[AttachedSharedGraph] = None
 
 
 def _init_child(
+    graph: Graph, arrays: Dict[str, Any], program_bytes: bytes, spec: JobSpec
+) -> None:
+    global _child_spec
+    program = pickle.loads(program_bytes)
+    program.bind_shared(graph, arrays)
+    _child_spec = replace(spec, program=program, graph=graph)
+
+
+def _attach_child(
     handle: SharedGraphHandle, program_bytes: bytes, spec: JobSpec
 ) -> None:
-    global _child_spec, _child_attached
+    global _child_attached
+    from .shared_graph import attach_shared_graph
+
     _child_attached = attach_shared_graph(handle)
-    program = pickle.loads(program_bytes)
-    program.bind_shared(_child_attached.graph, _child_attached.aux)
-    _child_spec = replace(spec, program=program, graph=_child_attached.graph)
+    _init_child(_child_attached.graph, _child_attached.aux, program_bytes, spec)
 
 
 def _run_child(unit: Callable[..., Any], *args: Any) -> Any:
@@ -67,19 +73,32 @@ def _run_child(unit: Callable[..., Any], *args: Any) -> Any:
 
 
 def default_procs(num_workers: int) -> int:
-    """Pool width: one process per logical worker, capped by the machine."""
-    return max(1, min(num_workers, os.cpu_count() or 1))
+    """Pool width: one process per logical worker, capped by the CPUs
+    this process may run on (a cpuset or ``taskset`` narrows them)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    return max(1, min(num_workers, cpus))
+
+
+def _inherited_sizes(graph: Graph, arrays: Dict[str, Any]) -> Dict[str, int]:
+    """The ``export`` event's sizes under fork: those of the blocks a
+    spawn export makes (``SharedGraphExport.block_sizes``)."""
+    indptr, indices = graph.to_csr()
+    sizes = {"indptr": max(indptr.nbytes, 1), "indices": max(indices.nbytes, 1)}
+    if graph.mmap_spec is not None:
+        sizes = {"mapped_file": indptr.nbytes + indices.nbytes}
+    if arrays:
+        sizes["aux"] = max(8 * sum(map(len, arrays.values())), 1)
+    return sizes
 
 
 class ProcessExecutor(SuperstepExecutor):
-    """Process-pool superstep executor over a shared-memory graph."""
+    """Process-pool superstep executor over one read-only graph."""
 
     name = "process"
 
     def __init__(
-        self,
-        procs: Optional[int] = None,
-        start_method: Optional[str] = None,
+        self, procs: Optional[int] = None, start_method: Optional[str] = None
     ):
         self._procs = procs
         self._start_method = start_method
@@ -105,21 +124,27 @@ class ProcessExecutor(SuperstepExecutor):
             )
         # From here on close() releases whatever the rest got to create.
         super().start(spec)
-        # The program's precomputed per-vertex arrays (ranks, degree
-        # statistics) ride along the CSR blocks: one copy per machine,
-        # re-attached zero-copy by every pool process.
-        self._export = SharedGraphExport(
-            spec.graph, aux=spec.program.export_shared()
-        )
+        # The program's per-vertex arrays travel with the graph, one copy
+        # per machine.  A forked child binds both as a thread replica
+        # does: no shared-memory block, hence no resource tracker.
+        arrays = spec.program.export_shared()
+        if method == "fork":
+            initializer, source = _init_child, (spec.graph, arrays)
+            sizes = _inherited_sizes(spec.graph, arrays)
+        else:
+            from .shared_graph import SharedGraphExport
+
+            self._export = SharedGraphExport(spec.graph, aux=arrays)
+            initializer, source = _attach_child, (self._export.handle,)
+            sizes = self._export.block_sizes()
         if spec.tracer.enabled:
             spec.tracer.emit(
-                "export",
-                total_bytes=self._export.nbytes(),
-                **self._export.block_sizes(),
+                "export", transport="fork" if method == "fork" else "shm",
+                total_bytes=sum(sizes.values()), **sizes,
             )
         # What a child needs of the spec: partition, worker count, plane,
         # chunk watermarks and queue.  Program and graph reach it as the
-        # replica bytes and the shared-memory handle; the tracer stays
+        # replica bytes and the graph or its handle; the tracer stays
         # here; and ``config.backend`` may be this very executor, which
         # must not ride into a spawned child.
         child_spec = replace(
@@ -132,8 +157,8 @@ class ProcessExecutor(SuperstepExecutor):
         self._pool = ProcessPoolExecutor(
             max_workers=procs,
             mp_context=mp_context,
-            initializer=_init_child,
-            initargs=(self._export.handle, program_bytes, child_spec),
+            initializer=initializer,
+            initargs=(*source, program_bytes, child_spec),
         )
         if spec.tracer.enabled:
             spec.tracer.emit(

@@ -2,8 +2,8 @@
 
 The paper replicates the data graph on every Giraph worker; shared-memory
 subgraph enumerators (Kimmig et al.) instead keep **one** read-only copy
-that every worker scans.  This module gives the process backend the same
-property on a single machine: the driver copies the
+that every worker scans.  A forked pool inherits the driver's copy; this
+module gives a spawned one the same property: the driver copies the
 :class:`~repro.graph.graph.Graph`'s CSR ``indptr``/``indices`` arrays once
 into two ``multiprocessing.shared_memory`` blocks and ships only the block
 *names* to worker processes.  Each worker wraps the blocks as read-only
@@ -147,14 +147,7 @@ class SharedGraphExport:
         the page cache rather than ``/dev/shm``, but still the single
         machine-wide footprint the trace reports.
         """
-        total = self._mapped_bytes
-        if self._shm_indptr is not None:
-            total += self._shm_indptr.size
-        if self._shm_indices is not None:
-            total += self._shm_indices.size
-        if self._shm_aux is not None:
-            total += self._shm_aux.size
-        return total
+        return sum(self.block_sizes().values())
 
     def block_sizes(self) -> Dict[str, int]:
         """Per-block byte sizes (the trace's ``export`` event payload)."""

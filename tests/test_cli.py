@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -114,6 +115,24 @@ class TestCount:
             f"assert all(os.environ[v] == '1' for v in {BLAS_VARS!r})\n"
         )
         run_python(script)
+
+    def test_one_shot_cli_freezes_the_heap_before_exit(self, er_edge_list):
+        """``python -m repro`` owns its process: what is left when
+        ``main`` returns is frozen, so interpreter teardown skips
+        sweeping it."""
+        script = cold_count_script(er_edge_list, "runpy") + (
+            "import gc\n"
+            "assert gc.get_freeze_count() > 0, gc.get_freeze_count()\n"
+        )
+        run_python(script)
+
+    def test_in_process_main_leaves_the_collector_alone(self, er_edge_list, capsys):
+        """An embedding caller passes ``argv`` and keeps its process's
+        collector as it was."""
+        argv = ["count", "--pattern", "PG1", "--edge-list", str(er_edge_list)]
+        assert main(argv) == 0
+        assert main(["count", "--pattern", "PG1", "--edge-list", "/nonexistent"]) == 4
+        assert gc.get_freeze_count() == 0
 
     def test_user_blas_setting_is_kept(self, er_edge_list):
         script = cold_count_script(er_edge_list, "main") + (

@@ -1,13 +1,22 @@
 """Unit tests for the parallel runtime: CSR export, shared-memory graph,
 backend registry, executor semantics, and engine regressions."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro import PSgL, triangle
 from repro.bsp import BSPEngine, ChunkedColumnarStore, ColumnarOutbox
 from repro.exceptions import EngineError
-from repro.graph import Graph, hash_partition
+from repro.graph import Graph, hash_partition, load_mapped, write_csrbin
 from repro.graph.generators import erdos_renyi
+from repro.obs import Tracer
 from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
@@ -15,6 +24,7 @@ from repro.runtime import (
     ThreadExecutor,
     attach_shared_graph,
     available_backends,
+    default_procs,
     make_executor,
     register_backend,
 )
@@ -80,6 +90,88 @@ class TestSharedGraph:
         export = SharedGraphExport(path_graph(3))
         export.close()
         export.close()
+
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+class TestForkInheritance:
+    """A forked pool binds the graph it inherits, as the thread backend
+    does; only spawn exports it to shared memory."""
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    def test_fork_run_makes_no_block_and_starts_no_tracker(self):
+        """In a fresh interpreter: no ``shm_open`` call (so no ``psm_*``
+        entry in ``/dev/shm``), no resource-tracker process, and the
+        spawn transport's modules are never imported."""
+        script = (
+            "import sys, _posixshmem\n"
+            "opened = []\n"
+            "real_open = _posixshmem.shm_open\n"
+            "def shm_open(name, *args, **kwargs):\n"
+            "    opened.append(name)\n"
+            "    return real_open(name, *args, **kwargs)\n"
+            "_posixshmem.shm_open = shm_open\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro import PSgL, erdos_renyi, triangle\n"
+            "g = erdos_renyi(40, 0.3, seed=3)\n"
+            "parallel = PSgL(g, num_workers=4, backend='process', procs=2)\n"
+            "assert parallel.count(triangle()) == PSgL(g, num_workers=4).count(triangle())\n"
+            "assert opened == [], opened\n"
+            "assert resource_tracker._resource_tracker._pid is None\n"
+            "spawn_only = ('repro.runtime.shared_graph', 'multiprocessing.shared_memory')\n"
+            "loaded = [m for m in spawn_only if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize("mapped", [False, True], ids=["memory", "csrbin"])
+    def test_export_event_is_the_same_under_fork_and_spawn(self, tmp_path, mapped):
+        """The ``export`` event describes what children share in the
+        same sizes whichever way they got it; only ``transport`` differs."""
+        graph = erdos_renyi(30, 0.25, seed=6)
+        if mapped:
+            write_csrbin(graph, tmp_path / "g.csrbin")
+            graph = load_mapped(tmp_path / "g.csrbin")
+        events, counts = {}, set()
+        for method in ("fork", "spawn"):
+            tracer = Tracer()
+            counts.add(PSgL(
+                graph,
+                num_workers=3,
+                backend=ProcessExecutor(procs=2, start_method=method),
+                trace=tracer,
+            ).count(triangle()))
+            (event,) = tracer.by_kind("export")
+            events[method] = dict(event.data)
+        assert len(counts) == 1
+        assert events["fork"].pop("transport") == "fork"
+        assert events["spawn"].pop("transport") == "shm"
+        assert events["fork"] == events["spawn"]
+        assert ("mapped_file" in events["fork"]) == mapped
+
+    def test_default_procs_capped_by_affinity(self, monkeypatch):
+        """Under a cpuset or ``taskset`` the pool is as wide as the CPUs
+        this process may run on, not as the machine."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_procs(4) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert default_procs(4) == 3
+        assert default_procs(2) == 2
+        # Where affinity is unknown, the machine's CPU count caps it.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_procs(4) == 4
+        assert default_procs(16) == 8
 
 
 class TestRegistry:

@@ -192,6 +192,16 @@ def leftovers():
     )
 
 
+class Explodes(PerVertex):
+    """Raises in superstep 1 on a fifth of the vertices; module-level,
+    so a spawned child can unpickle it."""
+
+    def visit(self, ctx, vertex, payloads):
+        if ctx.superstep == 1 and vertex % 5 == 0:
+            raise ValueError("injected mid-superstep failure")
+        return vertex if ctx.superstep < 2 else None
+
+
 class Unpicklable(PerVertex):
     """Runs anywhere but in a pool: replicas are made by pickling."""
 
@@ -231,6 +241,40 @@ class TestFaults:
         assert list(tmp_path.iterdir()) == []
         assert program.torn_down
         assert tracer.by_kind("job")[-1].data["status"] == "EngineError"
+
+    def test_failed_start_is_torn_down_under_spawn(self, tmp_path):
+        """The same fault on a spawn pool, whose set-up differs from
+        fork's: spawn is the start method that exports to ``/dev/shm``."""
+        before = leftovers()
+        engine = BSPEngine(
+            GRAPH,
+            hash_partition(GRAPH.num_vertices, 4),
+            backend=ProcessExecutor(procs=2, start_method="spawn"),
+            spill_dir=str(tmp_path),
+            memory_watermark_bytes=1,
+        )
+        with pytest.raises(EngineError, match="Unpicklable"):
+            engine.run(Unpicklable())
+        assert leftovers() == before
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("schedule", [{}, PIPELINED], ids=["static", "pipelined"])
+    def test_compute_failure_mid_superstep_under_spawn(self, schedule):
+        """A child failure on a spawn pool unlinks the exported blocks
+        and, pipelined, the chunk queue's named semaphores, although the
+        raised exception (and its traceback) is still alive.  The failing
+        program reaches the children by pickle: a patch in the driver
+        does not reach a spawned interpreter."""
+        before = leftovers()
+        engine = BSPEngine(
+            GRAPH,
+            hash_partition(GRAPH.num_vertices, 4),
+            backend=ProcessExecutor(procs=2, start_method="spawn"),
+            **schedule,
+        )
+        with pytest.raises(ValueError, match="injected mid-superstep failure"):
+            engine.run(Explodes())
+        assert leftovers() == before
 
     def test_lost_chunk_is_a_typed_error(self, monkeypatch):
         """Regression: a pipelined superstep whose chunks never all
