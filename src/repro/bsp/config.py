@@ -121,9 +121,10 @@ class ExecutionConfig:
     )
     procs: Optional[int] = _knob(
         None, int,
-        "OS processes/threads for parallel backends (default: thread "
-        "min(workers, 4), process min(workers, cpu count)); ignored by "
-        "serial",
+        "threads (thread backend, default min(workers, 4)) or computing "
+        "lanes (process backend, default min(workers, cpu count)); the "
+        "driver is one lane, so process --procs 1 starts no child; "
+        "ignored by serial",
     )
     wire: str = _knob(
         "columnar", str,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import gc
 import os
 import sys
 from pathlib import Path
@@ -530,7 +529,37 @@ def _exit_code_for(exc: ReproError) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``psgl`` console script."""
+    """Entry point for the ``psgl`` console script.
+
+    Called without ``argv`` (``python -m repro``, the ``psgl`` script),
+    ``main`` owns the process, which exits next: it runs the ``atexit``
+    handlers, flushes stdio and leaves through ``os._exit`` instead of
+    returning into interpreter teardown, which would only free what the
+    exit frees anyway.  An embedding caller passes ``argv`` and gets the
+    exit code back.
+    """
+    code = _run(argv)
+    if argv is None:
+        _exit(code)
+    return code
+
+
+def _exit(code: int) -> None:
+    """End a one-shot process now.  Every file a handler writes is closed
+    by the time it returns, and every pool it starts is shut down, so
+    only the ``atexit`` handlers and stdio buffers are left."""
+    import atexit
+
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            pass
+    os._exit(code)
+
+
+def _run(argv: Optional[List[str]]) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "count": _cmd_count,
@@ -555,13 +584,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 4
     except KeyboardInterrupt:
         return 130
-    finally:
-        if argv is None:
-            # This call owns the process, which exits next: freezing what
-            # is left spares it the collector's sweep at interpreter
-            # teardown, which the exit frees anyway.  An embedding caller
-            # passes ``argv`` and keeps its collector as it was.
-            gc.freeze()
 
 
 if __name__ == "__main__":

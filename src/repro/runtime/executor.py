@@ -23,7 +23,8 @@ engine's sink under pipelined shuffle, finalize stolen owners canonically
 on the driver.  A backend only says *where* a unit runs: ``start`` /
 ``close`` own its pool and shared resources, and one hook,
 ``_submit(owner, unit, *args)``, runs ``unit(spec, program, *args)`` on a
-replica of the program and returns its future.
+replica of the program and returns a *handle*: anything that answers
+``result()`` and ``cancel()`` (a ``concurrent.futures.Future`` does).
 
 One worker contract
 -------------------
@@ -35,16 +36,14 @@ program's tallies come back as a
 :meth:`~repro.bsp.vertex_program.VertexProgram.collect_state_delta` that
 the engine merges in worker-id order.  Only *which* object is the
 replica differs: the driver's own program on the serial backend (nothing
-is pickled), a pickled copy per logical worker on threads, one per pool
-process on processes.
+is pickled), a pickled copy per logical worker on threads, the driver's
+own program on the driver lane and one copy per child lane on processes.
 """
 
 from __future__ import annotations
 
 import pickle
-import queue
 import threading
-from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -350,14 +349,28 @@ def pickle_program(program: VertexProgram, backend: str) -> bytes:
         ) from exc
 
 
-def run_inline(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
+class Completed:
+    """The handle of a unit that already ran: ``result()`` returns its
+    value, ``cancel()`` fails, as a finished future's would."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value: Any):
+        self._value = value
+
+    def result(self) -> Any:
+        return self._value
+
+    def cancel(self) -> bool:
+        return False
+
+
+def run_inline(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Completed:
     """Run ``fn(*args, **kwargs)`` on the calling thread; return its
-    result as an already-completed future — the submit hook of a backend
+    result as a :class:`Completed` handle — the submit hook of a backend
     without a pool.  A failure raises here, at the submit site, which
     the schedule handles like any other failed unit."""
-    future: Future = Future()
-    future.set_result(fn(*args, **kwargs))
-    return future
+    return Completed(fn(*args, **kwargs))
 
 
 class _ChunkDrain:
@@ -374,6 +387,9 @@ class _ChunkDrain:
     """
 
     def __init__(self, chunk_queue: Any, sink: Callable[[int, int, Any], None]):
+        from queue import Empty  # pipelined runs only
+
+        self._empty = Empty
         self._queue = chunk_queue
         self._sink = sink
         self._expected: Optional[int] = None
@@ -388,7 +404,7 @@ class _ChunkDrain:
         while self._expected is None or self.received < self._expected:
             try:
                 item = self._queue.get(timeout=0.005)
-            except queue.Empty:
+            except self._empty:
                 continue
             try:
                 self._sink(*item)
@@ -401,7 +417,7 @@ class _ChunkDrain:
         """Return once ``expected`` chunks went through the sink.
 
         ``mp.Queue`` puts are asynchronous (a feeder thread ships the
-        bytes), so a worker's future can resolve before its last chunk
+        bytes), so a worker's unit can complete before its last chunk
         arrives; each result carries its exact flush count and the drain
         keeps consuming until the sum is in.  Threads satisfy the same
         count trivially.
@@ -419,13 +435,16 @@ class _ChunkDrain:
 
     def abort(self) -> None:
         """Stop now (producers must already be done) and drop, best
-        effort, whatever the failed superstep left undelivered."""
+        effort, whatever the failed superstep left undelivered — until
+        the queue stays empty for a moment, so that a producer's feeder
+        thread (``mp.Queue``, the driver lane's included) can flush what
+        it still buffers and the executor's ``close`` can join it."""
         self._expected = 0
         self._thread.join()
         try:
             while True:
-                self._queue.get_nowait()
-        except queue.Empty:
+                self._queue.get(timeout=0.01)
+        except self._empty:
             pass
 
 
@@ -469,10 +488,12 @@ class SuperstepExecutor:
             {} for _ in range(spec.num_workers)
         ]
 
-    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> Future:
+    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> Any:
         """Run ``unit(spec, program, *args)`` for logical worker ``owner``,
-        ``program`` being any replica of the job's program; the future
-        resolves to what ``unit`` returned.  A unit is
+        ``program`` being any replica of the job's program; the returned
+        handle's ``result()`` is what ``unit`` returned (or raises what it
+        raised), and ``cancel()`` withdraws it if it has not started.  A
+        unit is
         :func:`run_replica_batch` (one owner's whole batch) or
         :func:`~repro.runtime.stealing.expand_steal_task` (the pure half
         of one steal task)."""
@@ -514,10 +535,10 @@ class SuperstepExecutor:
         drain = None
         if chunk_sink is not None and spec.chunk_queue is not None:
             drain = _ChunkDrain(spec.chunk_queue, chunk_sink)
-        # ``owners`` and ``futures`` are both in canonical order: owners
+        # ``owners`` and ``handles`` are both in canonical order: owners
         # ascending, an owner's tasks in ``seq`` order.
         owners: List[Tuple[int, Optional[List[Any]]]] = []
-        futures: List[Future] = []
+        handles: List[Any] = []
         try:
             for owner, batch in enumerate(batches):
                 if not len(batch):
@@ -525,13 +546,13 @@ class SuperstepExecutor:
                 if steal and isinstance(batch, PackedWorkerBatch):
                     tasks = split_batch(owner, batch, spec.config.steal_tasks)
                     owners.append((owner, tasks))
-                    futures.extend(
+                    handles.extend(
                         self._submit(owner, expand_steal_task, task)
                         for task in tasks
                     )
                 else:
                     owners.append((owner, None))
-                    futures.append(
+                    handles.append(
                         self._submit(
                             owner,
                             run_replica_batch,
@@ -542,17 +563,21 @@ class SuperstepExecutor:
                             snapshot,
                         )
                     )
-            done = iter([future.result() for future in futures])
+            done = iter([handle.result() for handle in handles])
         except BaseException:
-            # A unit raised.  The remaining futures keep running in the
+            # A unit raised.  The remaining units keep running in the
             # pool — cancel what has not started and *wait out* what has,
             # so the engine's teardown (which unlinks the shared CSR
             # blocks in close()) can never race live workers still
             # scanning them.  Only then stop the drain: a producer
             # blocked on the full queue needs its consumer to finish.
-            for future in futures:
-                future.cancel()
-            wait(futures)
+            for handle in handles:
+                handle.cancel()
+            for handle in handles:
+                try:
+                    handle.result()
+                except BaseException:  # noqa: BLE001 - the first failure re-raises
+                    pass
             if drain is not None:
                 drain.abort()
             # The caller's traceback keeps this frame: it must not keep

@@ -9,10 +9,9 @@ program that cannot be pickled still runs here.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from typing import Any, Callable
 
-from .executor import JobSpec, SuperstepExecutor, run_inline
+from .executor import Completed, JobSpec, SuperstepExecutor, run_inline
 
 
 class SerialExecutor(SuperstepExecutor):
@@ -37,5 +36,5 @@ class SerialExecutor(SuperstepExecutor):
         if spec.tracer.enabled:
             spec.tracer.emit("executor", backend=self.name, pool=None)
 
-    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> Future:
+    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> Completed:
         return run_inline(unit, self._spec, self._spec.program, *args)

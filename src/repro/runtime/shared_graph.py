@@ -259,8 +259,8 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     segment with the resource tracker, so every worker's exit would try
     to unlink a block the *driver* owns (spurious KeyErrors and
     premature unlinks).  Suppressing registration during attach restores
-    single-owner semantics; attach runs in the single-threaded pool
-    initializer, so the temporary patch cannot race.
+    single-owner semantics; attach runs while a spawned lane starts,
+    before it serves any unit, so the temporary patch cannot race.
     """
     try:
         from multiprocessing import resource_tracker

@@ -9,18 +9,21 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import PSgL, triangle
 from repro.cli import main
-from repro.graph import complete_graph, write_edge_list
+from repro.graph import complete_graph, read_edge_list, write_edge_list
 from repro.graph.generators import erdos_renyi, rmat
+from repro.runtime import ProcessExecutor
 
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Modules a cold serial ``psgl count`` on a text edge list never loads:
-#: other subcommands' machinery, unused backends, the parity oracle and
-#: its scalar expansion and codec, the spill plane, and ``numpy.ma``
-#: (``np.unique`` imports it lazily, ~20 ms: no grouping on the count
-#: path may go through it).
+#: other subcommands' machinery, unused backends and the pools behind
+#: them (serial hands back completed handles, not futures), the parity
+#: oracle and its scalar expansion and codec, the spill plane, and
+#: ``numpy.ma`` (``np.unique`` imports it lazily, ~20 ms: no grouping on
+#: the count path may go through it).
 COLD_COUNT_NEVER_LOADS = (
     "numpy.ma",
     "repro.core.reference",
@@ -39,6 +42,9 @@ COLD_COUNT_NEVER_LOADS = (
     "json",
     "subprocess",
     "socket",
+    "concurrent.futures",
+    "logging",
+    "queue",
 )
 
 #: The OpenBLAS / OpenMP pool sizes ``psgl`` pins.
@@ -61,21 +67,51 @@ def run_python(script, **env):
     return done
 
 
-def cold_count_script(path, via):
+#: The line a cold run prints once every check of it passed.
+CHECKED = "cold-run checks passed"
+
+
+def cold_count_script(path, via, check="pass", argv=None):
     """A cold serial ``psgl count`` of ``path``, through ``python -m
-    repro`` (``via="runpy"``) or the console script's ``main`` call."""
-    argv = ["count", "--pattern", "PG1", "--edge-list", str(path)]
+    repro`` (``via="runpy"``) or the console script's ``main`` call,
+    followed by ``check`` (statements run in a function).
+
+    ``python -m repro`` never returns to the script: ``main`` leaves
+    through ``os._exit`` after the ``atexit`` handlers.  So ``check`` runs
+    as the last of those handlers, a failed check ends the process with
+    status 1, and a passed one prints :data:`CHECKED`, which
+    :func:`run_cold` requires — a check that never ran fails too.
+    """
+    if argv is None:
+        argv = ["count", "--pattern", "PG1", "--edge-list", str(path)]
+    body = "".join(f"    {line}\n" for line in check.splitlines())
+    script = (
+        "import atexit, os, runpy, sys\n"
+        f"def check():\n{body}"
+        "def checked():\n"
+        "    try:\n"
+        "        check()\n"
+        "    except BaseException as exc:\n"
+        "        print('check failed:', repr(exc), file=sys.stderr, flush=True)\n"
+        "        os._exit(1)\n"
+        f"    print({CHECKED!r}, flush=True)\n"
+    )
     if via == "runpy":
-        run = (
+        return script + (
+            "atexit.register(checked)\n"
             f"sys.argv = ['psgl', *{argv!r}]\n"
-            "try:\n"
-            "    runpy.run_module('repro', run_name='__main__')\n"
-            "except SystemExit as done:\n"
-            "    assert not done.code, done.code\n"
+            "runpy.run_module('repro', run_name='__main__')\n"
         )
-    else:
-        run = f"from repro.cli import main\nassert main({argv!r}) == 0\n"
-    return "import os, runpy, sys\n" + run
+    return script + (
+        f"from repro.cli import main\nassert main({argv!r}) == 0\nchecked()\n"
+    )
+
+
+def run_cold(path, via, check="pass", argv=None, **env):
+    """Run :func:`cold_count_script`; its checks must have passed."""
+    done = run_python(cold_count_script(path, via, check, argv), **env)
+    assert CHECKED in done.stdout, done.stdout
+    return done
 
 
 @pytest.fixture
@@ -88,11 +124,34 @@ def er_edge_list(tmp_path):
 class TestCount:
     def test_cold_count_never_imports_numpy_ma(self, er_edge_list):
         """The modules a serial count has no use for stay unloaded."""
-        script = cold_count_script(er_edge_list, "runpy") + (
+        done = run_cold(er_edge_list, "runpy", (
             f"loaded = [m for m in {COLD_COUNT_NEVER_LOADS!r} if m in sys.modules]\n"
             "assert not loaded, loaded\n"
-        )
-        assert "instances" in run_python(script).stdout
+        ))
+        assert "instances" in done.stdout
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_cold_process_count_loads_no_pool_machinery(self, er_edge_list):
+        """Forked lanes are ``os.fork`` and two pipes: a cold process
+        count loads no ``multiprocessing``, futures or socket stack.  A
+        spawn run, which does use ``multiprocessing``, counts the same."""
+        never = ("multiprocessing", "concurrent.futures", "socket",
+                 "subprocess", "selectors")
+        argv = ["count", "--pattern", "PG1", "--edge-list", str(er_edge_list),
+                "--backend", "process", "--procs", "2"]
+        done = run_cold(er_edge_list, "runpy", (
+            f"loaded = [m for m in {never!r} if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        ), argv=argv)
+        graph, _ = read_edge_list(er_edge_list)
+        spawned = PSgL(graph, backend=ProcessExecutor(procs=2, start_method="spawn"))
+        assert f"instances  : {spawned.count(triangle()):,}" in done.stdout
+
+    def test_a_failed_cold_check_fails_the_run(self, er_edge_list):
+        """The exit inside ``main`` cannot swallow a check: a false one
+        fails the run."""
+        with pytest.raises(AssertionError, match="deliberately false"):
+            run_cold(er_edge_list, "runpy", "assert False, 'deliberately false'")
 
     def test_bare_import_loads_no_numpy(self):
         run_python(
@@ -109,22 +168,55 @@ class TestCount:
     def test_cold_count_runs_on_one_os_thread(self, er_edge_list, via):
         """``psgl`` pins the BLAS pool before numpy loads: no OpenBLAS
         worker thread is ever started for an engine that calls no BLAS."""
-        script = cold_count_script(er_edge_list, via) + (
+        run_cold(er_edge_list, via, (
             "threads = len(os.listdir('/proc/self/task'))\n"
             "assert threads == 1, threads\n"
             f"assert all(os.environ[v] == '1' for v in {BLAS_VARS!r})\n"
-        )
-        run_python(script)
+        ))
 
-    def test_one_shot_cli_freezes_the_heap_before_exit(self, er_edge_list):
-        """``python -m repro`` owns its process: what is left when
-        ``main`` returns is frozen, so interpreter teardown skips
-        sweeping it."""
-        script = cold_count_script(er_edge_list, "runpy") + (
-            "import gc\n"
-            "assert gc.get_freeze_count() > 0, gc.get_freeze_count()\n"
+    def test_one_shot_cli_exits_without_teardown(self, er_edge_list):
+        """``python -m repro`` owns its process: ``main`` runs the
+        ``atexit`` handlers and exits with its code, never returning into
+        the script or tearing the interpreter down (no finalizer runs)."""
+        script = (
+            "class Witness:\n"
+            "    def __del__(self):\n"
+            "        os.write(1, b'torn down\\n')\n"
+            "witness = Witness()\n"
+        ) + cold_count_script(er_edge_list, "runpy").replace(
+            "runpy.run_module('repro', run_name='__main__')\n",
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "finally:\n"
+            "    print('main returned')\n",
         )
-        run_python(script)
+        out = run_python(script).stdout
+        assert CHECKED in out and "instances" in out
+        assert "main returned" not in out and "torn down" not in out
+        failed = cold_count_script(
+            er_edge_list, "runpy",
+            argv=["count", "--pattern", "PG1", "--edge-list", "/nonexistent"],
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", failed], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 4, done.stderr
+        assert CHECKED in done.stdout and "psgl: error" in done.stderr
+
+    def test_one_shot_trace_file_is_complete(self, er_edge_list, tmp_path):
+        """Every file a handler writes is closed before ``main`` exits:
+        a cold ``--trace x.jsonl`` parses to its last event."""
+        import json
+
+        trace = tmp_path / "x.jsonl"
+        argv = ["count", "--pattern", "PG1", "--edge-list", str(er_edge_list),
+                "--trace", str(trace)]
+        out = run_python(cold_count_script(er_edge_list, "runpy", argv=argv)).stdout
+        assert CHECKED in out
+        header, *events = map(json.loads, trace.read_text().splitlines())
+        assert header["kind"] == "header" and events[-1]["kind"] == "job"
+        assert f"({len(events)} events, JSONL)" in out
 
     def test_in_process_main_leaves_the_collector_alone(self, er_edge_list, capsys):
         """An embedding caller passes ``argv`` and keeps its process's
@@ -135,11 +227,10 @@ class TestCount:
         assert gc.get_freeze_count() == 0
 
     def test_user_blas_setting_is_kept(self, er_edge_list):
-        script = cold_count_script(er_edge_list, "main") + (
+        run_cold(er_edge_list, "main", (
             "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n"
             "assert os.environ['OMP_NUM_THREADS'] == '1'\n"
-        )
-        run_python(script, OPENBLAS_NUM_THREADS="2")
+        ), OPENBLAS_NUM_THREADS="2")
 
 
     def test_count_on_edge_list(self, tmp_path, capsys):

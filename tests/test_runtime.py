@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro import PSgL, triangle
-from repro.bsp import BSPEngine, ChunkedColumnarStore, ColumnarOutbox
+from repro.bsp import BSPEngine, ChunkedColumnarStore, ColumnarOutbox, ExecutionConfig
 from repro.exceptions import EngineError
 from repro.graph import Graph, hash_partition, load_mapped, write_csrbin
 from repro.graph.generators import erdos_renyi
@@ -29,6 +29,7 @@ from repro.runtime import (
     register_backend,
 )
 
+from .parity import assert_equivalent, reference_run
 from .programs import Ripple, payload_columns
 
 
@@ -158,6 +159,25 @@ class TestForkInheritance:
         assert events["spawn"].pop("transport") == "shm"
         assert events["fork"] == events["spawn"]
         assert ("mapped_file" in events["fork"]) == mapped
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize("procs", [1, 3])
+    def test_procs_counts_computing_lanes(self, monkeypatch, procs):
+        """The driver is one of ``procs`` lanes: ``procs=1`` forks no
+        child, ``procs=3`` forks two, and both runs are the serial run."""
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert_equivalent(
+            ExecutionConfig(backend="process", procs=procs),
+            reference_run(erdos_renyi(40, 0.25, seed=7), "PG3"),
+        )
+        assert len(forks) == procs - 1
 
     def test_default_procs_capped_by_affinity(self, monkeypatch):
         """Under a cpuset or ``taskset`` the pool is as wide as the CPUs

@@ -15,6 +15,7 @@ import os
 import pickle
 import queue
 import re
+import signal
 import threading
 from dataclasses import replace
 from functools import lru_cache
@@ -25,6 +26,7 @@ import pytest
 import repro
 from repro.bsp import BSPEngine, ExecutionConfig
 from repro.bsp.aggregate import AggregatorRegistry
+from repro.core import PSgL, listing
 from repro.core.listing import PSgLProgram
 from repro.exceptions import EngineError
 from repro.graph import hash_partition
@@ -217,7 +219,72 @@ class Unpicklable(PerVertex):
         self.torn_down = True
 
 
+class LaneKiller(PSgLProgram):
+    """SIGKILLs the child lane it runs on inside ``compute_columns`` at
+    superstep 1 — never the driver lane; module-level, so a spawned child
+    can unpickle it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.driver_pid = os.getpid()
+
+    def compute_columns(self, ctx, columns):
+        if ctx.superstep == 1 and os.getpid() != self.driver_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().compute_columns(ctx, columns)
+
+
+def children():
+    """This process's children, reaped or not, as ``/proc`` lists them —
+    bar the resource tracker, which spawn starts once per process."""
+    from multiprocessing import resource_tracker
+
+    me, found = os.getpid(), set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            found.add(int(entry))
+    return found - {resource_tracker._resource_tracker._pid}
+
+
 class TestFaults:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc"
+    )
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_killed_lane_is_a_typed_error(self, monkeypatch, method):
+        """Regression: a process-backend child that died mid-superstep
+        surfaced as the pool's untyped ``BrokenProcessPool`` — a
+        traceback from ``psgl count`` instead of exit code 5.  Now the
+        lane's death is an ``EngineError`` naming it, raised after it was
+        reaped, leaving no child, fd or ``psm_*`` block behind; the next
+        run on the same driver succeeds."""
+        if method == "spawn":
+            # Started once per process, with a pipe of its own: not a leak.
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
+        expected = reference()
+        driver = PSgL(
+            GRAPH,
+            num_workers=4,
+            backend=ProcessExecutor(procs=2, start_method=method),
+        )
+        pattern = expected.result.pattern
+        before = leftovers(), os.listdir("/proc/self/fd"), children()
+        monkeypatch.setattr(listing, "PSgLProgram", LaneKiller)
+        with pytest.raises(EngineError, match="was killed by SIGKILL") as died:
+            driver.run(pattern)
+        pid = int(re.search(r"process lane (\d+)", str(died.value)).group(1))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+        assert (leftovers(), os.listdir("/proc/self/fd"), children()) == before
+        monkeypatch.undo()
+        assert driver.count(pattern) == expected.result.count
+
     def test_failed_start_is_torn_down_like_any_fault(self, tmp_path):
         """Regression: ``executor.start`` and the spill set-up ran outside
         the engine's ``try``/``finally``, so a program that cannot be
