@@ -122,9 +122,9 @@ class ExecutionConfig:
     procs: Optional[int] = _knob(
         None, int,
         "threads (thread backend, default min(workers, 4)) or computing "
-        "lanes (process backend, default min(workers, cpu count)); the "
-        "driver is one lane, so process --procs 1 starts no child; "
-        "ignored by serial",
+        "lanes (process backend, default min(workers, cpu count), never "
+        "more than workers); the driver is one lane, so process --procs 1 "
+        "starts no child; ignored by serial",
     )
     wire: str = _knob(
         "columnar", str,

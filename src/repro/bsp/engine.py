@@ -258,6 +258,7 @@ class BSPEngine:
                         build_ms=(step_started - build_started) * 1000.0,
                         step_wall_ms=(merge_started - step_started) * 1000.0,
                         merge_ms=(done - merge_started) * 1000.0,
+                        lane_busy_ms=getattr(executor, "lane_busy_ms", None),
                         spilled=(
                             (
                                 spill_mgr.chunks_spilled - spilled_before[0],
@@ -417,12 +418,14 @@ class BSPEngine:
         build_ms: float,
         step_wall_ms: float,
         merge_ms: float,
+        lane_busy_ms: Optional[List[float]],
         spilled: Optional[tuple],
     ) -> None:
         """One superstep's ``worker`` / ``chunk_flush`` / ``barrier`` /
-        ``superstep`` events.  ``spilled`` is this superstep's
-        ``(chunks, bytes)`` evicted to disk, ``None`` without a spill
-        plane."""
+        ``superstep`` events.  ``lane_busy_ms`` is the executor's
+        per-lane busy time, ``None`` where it deals to no lanes;
+        ``spilled`` is this superstep's ``(chunks, bytes)`` evicted to
+        disk, ``None`` without a spill plane."""
         for result in results:
             tracer.emit(
                 "worker",
@@ -463,6 +466,9 @@ class BSPEngine:
             merge_ms=merge_ms,
             **barrier_extra,
         )
+        step_extra = {}
+        if lane_busy_ms is not None:
+            step_extra["lane_busy_ms"] = list(lane_busy_ms)
         tracer.emit(
             "superstep",
             superstep=superstep,
@@ -470,6 +476,7 @@ class BSPEngine:
             active_vertices=sum(len(batch) for batch in batches),
             batches=sum(1 for batch in batches if len(batch)),
             build_ms=build_ms,
+            **step_extra,
         )
 
     # ------------------------------------------------------------------

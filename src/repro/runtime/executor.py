@@ -473,6 +473,12 @@ class SuperstepExecutor:
     #: ``BSPResult.steals``.
     steals_total: int = 0
 
+    #: Busy wall time per lane in the last superstep, in milliseconds,
+    #: driver first, each lane timing its own share — what the engine adds
+    #: to the ``superstep`` trace event.  ``None`` where a backend does not
+    #: deal units to lanes (only the process backend does).
+    lane_busy_ms: Optional[List[float]] = None
+
     _spec: Optional[JobSpec] = None
 
     def start(self, spec: JobSpec) -> None:
@@ -510,14 +516,18 @@ class SuperstepExecutor:
 
         **Static schedule**: one unit per owner.  **Dynamic schedule**
         (``steal=True``, delivered packed batches): one unit per
-        :func:`~repro.runtime.stealing.split_batch` task.  The pool's
-        submission queue *is* the steal deque — whichever lane frees up
-        first takes the next task regardless of owner — and a task
-        counts as *stolen* when it ran on a different lane than its
-        owner's ``seq 0`` task.  Owners are then finalized on this
-        (driver) thread against the driver's program, in worker-id / seq
-        order, which keeps results bit-identical to the static schedule
-        (see :mod:`repro.runtime.stealing`).
+        :func:`~repro.runtime.stealing.split_batch` task.  *Where* a unit
+        runs is the backend's: on the thread backend the pool's
+        submission queue is the steal deque — whichever thread frees up
+        first takes the next task regardless of owner — while the process
+        backend deals the superstep's units round-robin to its lanes in
+        submission order (under the static schedule owner ``w`` of a full
+        superstep runs on lane ``w % procs``).  A task counts as *stolen*
+        when it ran on a different lane than its owner's ``seq 0`` task
+        (on processes: when it was dealt off that lane).  Owners are then
+        finalized on this (driver) thread against the driver's program,
+        in worker-id / seq order, which keeps results bit-identical to
+        the static schedule (see :mod:`repro.runtime.stealing`).
 
         ``chunk_sink`` is passed (non-None) only under pipelined shuffle:
         every chunk a worker put on the job's chunk queue is fed to it

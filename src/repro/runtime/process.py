@@ -2,25 +2,23 @@
 
 Lanes
 -----
-* ``procs=N`` computes on N *lanes*.  The driver is lane 0: it runs its
-  share of units inline against its own program, exactly as the serial
-  backend does.  Lanes 1 … N−1 are child processes the executor starts
-  itself — ``os.fork`` by default, the ``multiprocessing`` spawn context
-  where fork is missing or spawn is asked for — so ``procs=1`` starts
-  none.
+* ``procs=N`` computes on N *lanes* (at most one per logical worker).
+  The driver is lane 0: it runs its share of units inline against its
+  own program, exactly as the serial backend does.  Lanes 1 … N−1 are
+  child processes the executor starts itself — ``os.fork`` by default,
+  the ``multiprocessing`` spawn context where fork is missing or spawn
+  is asked for — so ``procs=1`` starts none.
 * A child shares one read-only data graph: a forked child inherits the
-  driver's, a spawned one maps the driver's
-  ``multiprocessing.shared_memory`` export
-  (:mod:`repro.runtime.shared_graph`).  Each child unpickles **one**
-  program replica (the pickle omits the graph; ``bind_shared`` splices
-  the shared one in) for the whole job.
-* Each child has one pipe pair carrying length-prefixed pickle frames:
-  ``(unit, args)`` down, ``("ok", result)`` or ``("err", exception)``
-  back.  A unit goes to the first idle child; while every child is busy
-  it waits in a FIFO queue, which is the steal deque under
-  ``steal=True``.  The driver takes a unit from that queue itself only
-  after handing idle children theirs, and collects finished children
-  between its own units.
+  driver's, a spawned one maps its ``multiprocessing.shared_memory``
+  export (:mod:`repro.runtime.shared_graph`).  Each child unpickles
+  **one** program replica (the pickle omits the graph; ``bind_shared``
+  splices the shared one in) for the whole job.
+* *Placement*: a child starts on the CPUs the driver thread may use,
+  minus the one the driver is on.  The driver's own mask is never touched.
+* *Dealing*: at a superstep's first ``result()`` the queued units are
+  dealt round-robin in submission order, unit ``i`` to lane ``i % N``.
+  Each child gets its whole share as one length-prefixed pickle frame on
+  its pipe pair and answers with one; the driver runs its share between.
 
 Logical workers are *location independent*: a unit's arguments — the
 packed batch, the worker's state dict, the aggregator snapshot — are all
@@ -29,11 +27,11 @@ and results stay deterministic.  Requirements on the program: picklable
 sans graph, picklable messages/outputs/worker state, and the state-delta
 hooks for driver-side mutable state.
 
-A child lane that dies — its pipe ends or stops short — fails the unit
-it held with an :class:`~repro.exceptions.EngineError` naming its pid
-and exit status, after it was reaped; the schedule then waits out the
-other lanes and re-raises.  ``close`` closes every pipe end, then reaps
-every child.
+A child lane that dies — its pipe ends or stops short — fails every unit
+of its share with an :class:`~repro.exceptions.EngineError` naming its
+pid and exit status, after it was reaped; the schedule then waits out
+the other lanes and re-raises.  ``close`` closes every pipe end, then
+reaps every child.
 """
 
 from __future__ import annotations
@@ -41,11 +39,9 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-from collections import deque
 from dataclasses import replace
-from select import select
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import EngineError
 from ..obs.tracer import NULL_TRACER
@@ -63,6 +59,8 @@ _child_attached: Optional[AttachedSharedGraph] = None
 
 #: A frame's length prefix.
 _HEADER = struct.Struct("<Q")
+
+_NOT_RUN = "unit not run: an earlier unit of its lane's share failed"
 
 
 def _init_child(
@@ -106,32 +104,42 @@ def _read_exact(fd: int, size: int) -> Optional[bytearray]:
 
 def _read_frame(fd: int) -> Optional[bytearray]:
     header = _read_exact(fd, _HEADER.size)
-    if header is None:
-        return None
-    return _read_exact(fd, _HEADER.unpack(header)[0])
+    return header and _read_exact(fd, _HEADER.unpack(header)[0])
+
+
+def _run_share(calls: List[tuple], *head: Any) -> Tuple[float, List[tuple]]:
+    """Run a lane's share of ``(unit, args)`` calls in order as ``unit(*head,
+    *args)``, stopping after the first that raises: ``(busy_ms, replies)``,
+    an ``("ok", result)`` or ``("err", exception)`` per unit run."""
+    started = perf_counter()
+    replies: List[tuple] = []
+    for unit, args in calls:
+        try:
+            replies.append(("ok", unit(*head, *args)))
+        except Exception as exc:  # noqa: BLE001 - the unit's failure
+            replies.append(("err", exc))
+            break
+    return (perf_counter() - started) * 1000.0, replies
 
 
 def _serve(down: int, up: int) -> None:
-    """A child lane's loop: run every unit it is sent on this process's
-    replica until the driver closes the pipe.  A batch's state dict
-    arrives as a copy and rides home on its result; a steal task ships
-    back only its outcome and probe-counter deltas."""
+    """A child lane's loop: read a whole share, run it on this process's
+    replica, answer with one frame — until the driver closes the pipe.  A
+    batch's state dict arrives as a copy and rides home on its result; a
+    steal task ships back only its outcome and probe-counter deltas."""
     while True:
         frame = _read_frame(down)
         if frame is None:
             return
         try:
-            unit, args = pickle.loads(frame)
-            reply = ("ok", unit(_child_spec, _child_spec.program, *args))
-        except BaseException as exc:  # noqa: BLE001 - shipped to the driver
-            reply = ("err", exc)
+            reply = _run_share(pickle.loads(frame), _child_spec, _child_spec.program)
+        except Exception as exc:  # noqa: BLE001 - the share does not unpickle
+            reply = (0.0, [("err", exc)])
         try:
             data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # noqa: BLE001 - the driver raises it typed
-            what = "result" if reply[0] == "ok" else repr(reply[1])
-            data = pickle.dumps(
-                ("err", f"process lane {os.getpid()}: {what} does not pickle: {exc}")
-            )
+            error = f"process lane {os.getpid()}: reply does not pickle: {exc}"
+            data = pickle.dumps((reply[0], [("err", error)]))
         _write_frame(up, data)
 
 
@@ -188,50 +196,63 @@ def _inherited_sizes(graph: Graph, arrays: Dict[str, Any]) -> Dict[str, int]:
     return sizes
 
 
-class _Unit:
-    """One submitted unit: what the schedule holds instead of a future
-    (``result()`` and ``cancel()``, nothing else)."""
+def _cpu_now() -> int:
+    """The calling thread's CPU: field 39 of ``/proc/thread-self/stat``."""
+    with open("/proc/thread-self/stat", "rb") as stat:
+        return int(stat.read().rsplit(b")", 1)[1].split()[36])
 
-    __slots__ = ("lanes", "call", "lane", "done", "ok", "value")
+
+class _Unit:
+    """A submitted unit: the schedule's handle (``result``, ``cancel``)."""
+
+    __slots__ = ("lanes", "call", "reply")
 
     def __init__(self, lanes: _Lanes, call: tuple):
-        self.lanes = lanes
-        self.call = call  # (unit, args)
-        self.lane: Optional[_Lane] = None  # the child running it
-        self.done = False
-        self.ok = False
-        self.value: Any = None
-
-    def finish(self, ok: bool, value: Any) -> None:
-        self.done, self.ok, self.value, self.call = True, ok, value, None
+        self.lanes, self.call = lanes, call  # call: (unit, args)
+        self.reply: Optional[tuple] = None  # ("ok", result) or ("err", exc)
 
     def result(self) -> Any:
-        if not self.done:
-            self.lanes.wait(self)
-        if self.ok:
-            return self.value
-        raise self.value
+        if self.reply is None:
+            self.lanes.deal()
+        tag, value = self.reply
+        if tag == "ok":
+            return value
+        raise value
 
     def cancel(self) -> bool:
-        if self.done or self.lane is not None:
+        """Withdraw the unit if it was not dealt yet."""
+        if self.reply is not None:
             return False
         self.lanes.queue.remove(self)
-        self.finish(False, EngineError("unit cancelled before it started"))
+        _settle([self], [], EngineError("unit cancelled before it was dealt"))
         return True
 
 
-class _Lane:
-    """One child lane: its pid, the driver's ends of its pipe pair, the
-    unit it is running, and how to reap it."""
+def _settle(share: List[_Unit], replies: List[tuple], rest: Any = None) -> None:
+    """Finish a lane's dealt ``share`` from its ``replies``, one per unit
+    it ran in order; every unit past them fails with ``rest`` or as not run."""
+    for i, unit in enumerate(share):
+        tag, value = replies[i] if i < len(replies) else ("err", rest or _NOT_RUN)
+        if tag == "err" and isinstance(value, str):
+            value = EngineError(value)
+        elif tag == "err":
+            # It outlives the job: its frames must not keep the spec alive.
+            import traceback
 
-    __slots__ = ("pid", "down", "up", "process", "unit", "status")
+            traceback.clear_frames(value.__traceback__)
+        unit.reply, unit.call = (tag, value), None
+
+
+class _Lane:
+    """One child lane: its pid, the driver's pipe ends, how to reap it."""
+
+    __slots__ = ("pid", "down", "up", "process", "status")
 
     def __init__(self, pid: int, down: int, up: int, process: Any = None):
         self.pid = pid
         self.down = down  # driver → child, write end
         self.up = up  # child → driver, read end
         self.process = process  # the spawn context's Process, else None
-        self.unit: Optional[_Unit] = None
         self.status: Optional[int] = None  # exit status once reaped
 
     def close_pipes(self) -> None:
@@ -264,13 +285,14 @@ class _Lane:
 
 
 class _Lanes:
-    """The job's child lanes and the queue of units none has taken yet;
-    ``run_here`` runs a ``(unit, args)`` call on the driver lane."""
+    """The job's child lanes and the units submitted since the last deal;
+    the driver lane runs its share as ``unit(*here, *args)``."""
 
-    def __init__(self, run_here: Callable[..., Any]):
+    def __init__(self, here: tuple):
+        self.here = here
         self.children: List[_Lane] = []
-        self.queue: Deque[_Unit] = deque()
-        self._run_here = run_here
+        self.queue: List[_Unit] = []
+        self.busy_ms: List[float] = []  # the last deal's, driver first
 
     def launch(self, init: tuple, spawn: Any = None) -> None:
         """Start one child lane: forked, or from the ``spawn`` context.
@@ -307,56 +329,63 @@ class _Lanes:
             os.close(down_r)
             os.close(up_w)
         self.children.append(lane)
+        try:  # placement, where the platform can say where the driver is
+            away = os.sched_getaffinity(0) - {_cpu_now()}
+            if away:
+                os.sched_setaffinity(lane.pid, away)
+        except (AttributeError, OSError, ValueError, IndexError):
+            pass
 
     def submit(self, unit: Callable[..., Any], args: tuple) -> _Unit:
         handle = _Unit(self, (unit, args))
         self.queue.append(handle)
-        self._dispatch()
         return handle
 
-    def wait(self, handle: _Unit) -> None:
-        """Compute until ``handle`` is done: hand idle children the
-        queue's head, run the next unit here, collect whoever finished —
-        and block on a child only when nothing is left to run."""
-        while True:
-            self._collect()
-            if handle.done:
-                return
-            if self.queue:
-                self._run(self.queue.popleft())
-            else:
-                self._receive(handle.lane)
+    def deal(self) -> None:
+        """Run every queued unit: deal them round-robin, write each child
+        its share as one frame, run the driver's share here, then read
+        each child's one reply.  A child reads its whole frame before it
+        computes and the driver reads only after it computed, so the
+        pipes cannot deadlock.  Every dealt unit has its reply when this
+        returns or raises."""
+        units, self.queue = self.queue, []
+        width = 1 + len(self.children)
+        self.busy_ms = busy = [0.0] * width
+        sent = []
+        try:
+            for i, lane in enumerate(self.children, 1):
+                if self._send(lane, units[i::width]):
+                    sent.append((i, lane))
+            mine = units[::width]
+            busy[0], replies = _run_share([u.call for u in mine], *self.here)
+            _settle(mine, replies)
+        finally:
+            try:
+                for i, lane in sent:
+                    busy[i] = self._receive(lane, units[i::width])
+            finally:
+                _settle([u for u in units if u.reply is None], [])
 
-    def _dispatch(self) -> None:
-        for lane in self.children:
-            if not self.queue:
-                return
-            if lane.unit is None and lane.status is None:
-                handle = self.queue.popleft()
-                try:
-                    data = pickle.dumps(handle.call, pickle.HIGHEST_PROTOCOL)
-                except Exception as exc:  # noqa: BLE001 - the unit's failure
-                    handle.finish(False, exc)
-                    continue
-                try:
-                    _write_frame(lane.down, data)
-                except OSError:
-                    handle.finish(False, lane.death())
-                    continue
-                handle.lane, lane.unit = lane, handle
+    @staticmethod
+    def _send(lane: _Lane, share: List[_Unit]) -> bool:
+        """Write ``share`` to ``lane`` as one frame; whether it went."""
+        if not share:
+            return False
+        try:
+            data = pickle.dumps([u.call for u in share], pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - the share's failure
+            _settle(share, [("err", exc)])
+            return False
+        try:
+            _write_frame(lane.down, data)
+        except OSError:
+            _settle(share, [], lane.death())
+            return False
+        return True
 
-    def _collect(self) -> None:
-        busy = [lane.up for lane in self.children if lane.unit is not None]
-        if busy:
-            ready = set(select(busy, [], [], 0)[0])
-            for lane in self.children:
-                if lane.up in ready:
-                    self._receive(lane)
-        self._dispatch()
-
-    def _receive(self, lane: _Lane) -> None:
-        """Read ``lane``'s reply (blocking) into the unit it ran."""
-        handle, lane.unit = lane.unit, None
+    @staticmethod
+    def _receive(lane: _Lane, share: List[_Unit]) -> float:
+        """Read ``lane``'s one reply into the ``share`` it ran; its busy ms."""
         try:
             frame = _read_frame(lane.up)
         except BaseException:
@@ -364,33 +393,18 @@ class _Lanes:
             import signal
 
             os.kill(lane.pid, signal.SIGKILL)
-            handle.finish(False, lane.death())
+            _settle(share, [], lane.death())
             raise
         if frame is None:
-            handle.finish(False, lane.death())
-            return
+            _settle(share, [], lane.death())
+            return 0.0
         try:
-            tag, value = pickle.loads(frame)
+            busy, replies = pickle.loads(frame)
         except Exception as exc:  # noqa: BLE001 - e.g. an exception class
-            tag, value = "err", f"process lane {lane.pid}: reply does not unpickle: {exc!r}"
-        if tag == "err" and isinstance(value, str):
-            value = EngineError(value)
-        handle.finish(tag == "ok", value)
-        self._dispatch()
-
-    def _run(self, handle: _Unit) -> None:
-        unit, args = handle.call
-        try:
-            handle.finish(True, self._run_here(unit, *args))
-        except BaseException as exc:
-            # The exception outlives the job; the frames it carries must
-            # not keep the job's spec (and its chunk queue) alive.
-            import traceback
-
-            traceback.clear_frames(exc.__traceback__)
-            handle.finish(False, exc)
-            if not isinstance(exc, Exception):
-                raise
+            error = f"process lane {lane.pid}: reply does not unpickle: {exc!r}"
+            busy, replies = 0.0, [("err", error)]
+        _settle(share, replies)
+        return busy
 
     def close(self) -> None:
         """Close every pipe end — an idle child reads end of file and
@@ -399,8 +413,8 @@ class _Lanes:
             lane.close_pipes()
         for lane in self.children:
             lane.reap()
-        self.children = []
-        self.queue.clear()
+        # A raised unit's traceback may outlive the job, and keep this.
+        self.children, self.queue, self.here = [], [], ()
 
 
 class ProcessExecutor(SuperstepExecutor):
@@ -408,9 +422,7 @@ class ProcessExecutor(SuperstepExecutor):
 
     name = "process"
 
-    def __init__(
-        self, procs: Optional[int] = None, start_method: Optional[str] = None
-    ):
+    def __init__(self, procs: Optional[int] = None, start_method: Optional[str] = None):
         self._procs = procs
         self._start_method = start_method
         self._lanes: Optional[_Lanes] = None
@@ -422,7 +434,8 @@ class ProcessExecutor(SuperstepExecutor):
         # fork shares the warm interpreter (fast start); spawn where it is
         # asked for or fork is missing.  Lanes are POSIX pipes either way.
         method = self._start_method or ("fork" if hasattr(os, "fork") else "spawn")
-        procs = self._procs or default_procs(spec.num_workers)
+        # A lane past one per logical worker would never be dealt a unit.
+        procs = min(self._procs or default_procs(spec.num_workers), spec.num_workers)
         context = None
         pipelined = spec.config.shuffle == "pipelined"
         if pipelined or (method != "fork" and procs > 1):
@@ -432,15 +445,11 @@ class ProcessExecutor(SuperstepExecutor):
         if pipelined:
             # One queue for the whole job, from the lanes' own context so
             # it survives spawn pickling; the driver lane puts on it too.
-            spec = replace(
-                spec, chunk_queue=context.Queue(maxsize=max(8, 2 * procs))
-            )
+            spec = replace(spec, chunk_queue=context.Queue(maxsize=max(8, 2 * procs)))
         # From here on close() releases whatever the rest got to create.
         super().start(spec)
         # The driver lane computes on the driver's own program, as serial.
-        self._lanes = lanes = _Lanes(
-            lambda unit, *args: unit(self._spec, self._spec.program, *args)
-        )
+        self._lanes = lanes = _Lanes((self._spec, self._spec.program))
         if procs > 1:
             # The program's per-vertex arrays travel with the graph, one
             # copy per machine.  A forked child binds both as a thread
@@ -448,10 +457,7 @@ class ProcessExecutor(SuperstepExecutor):
             arrays = spec.program.export_shared()
             if method == "fork":
                 source = (spec.graph, arrays)
-                sizes = (
-                    _inherited_sizes(spec.graph, arrays)
-                    if spec.tracer.enabled else None
-                )
+                sizes = spec.tracer.enabled and _inherited_sizes(spec.graph, arrays)
             else:
                 from .shared_graph import SharedGraphExport
 
@@ -463,32 +469,22 @@ class ProcessExecutor(SuperstepExecutor):
                     "export", transport="fork" if method == "fork" else "shm",
                     total_bytes=sum(sizes.values()), **sizes,
                 )
-            # What a child needs of the spec: partition, worker count,
-            # plane, chunk watermarks and queue.  Program and graph reach
-            # it as the replica bytes and the graph or its handle; the
-            # tracer stays here; and ``config.backend`` may be this very
+            # A child needs of the spec its partition, worker count, plane,
+            # chunk watermarks and queue; program and graph reach it apart,
+            # the tracer stays here, and ``config.backend`` may be this very
             # executor, which must not ride into a spawned child.
-            init = (
-                *source,
-                program_bytes,
-                replace(
-                    spec,
-                    program=None,
-                    graph=None,
-                    tracer=NULL_TRACER,
-                    config=replace(spec.config, backend=self.name),
-                ),
+            child_spec = replace(
+                spec, program=None, graph=None, tracer=NULL_TRACER,
+                config=replace(spec.config, backend=self.name),
             )
+            init = (*source, program_bytes, child_spec)
             spawn = None if method == "fork" else context
             for _ in range(procs - 1):
                 lanes.launch(init, spawn)
         if spec.tracer.enabled:
             spec.tracer.emit(
-                "executor",
-                wall_ms=(perf_counter() - setup_started) * 1000.0,
-                backend=self.name,
-                pool=procs,
-                start_method=method,
+                "executor", wall_ms=(perf_counter() - setup_started) * 1000.0,
+                backend=self.name, pool=procs, start_method=method,
             )
 
     def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> _Unit:
@@ -497,6 +493,10 @@ class ProcessExecutor(SuperstepExecutor):
         # columns, the state dict, the aggregator snapshot — are all a
         # logical worker is.
         return self._lanes.submit(unit, args)
+
+    @property
+    def lane_busy_ms(self) -> Optional[List[float]]:
+        return self._lanes.busy_ms if self._lanes is not None else None
 
     def close(self) -> None:
         if self._lanes is not None:

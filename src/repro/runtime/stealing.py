@@ -7,8 +7,9 @@ other worker idles.  Under ``steal=True`` the superstep schedule
 (:meth:`~repro.runtime.executor.SuperstepExecutor.run_superstep`) splits
 each owner's delivered :class:`~repro.bsp.message.PackedWorkerBatch` into
 ``(owner, seq)``-tagged *steal tasks* of bounded row count and submits
-every task to the backend's pool on its own, so whichever execution lane
-goes idle first runs the next one, whoever owns it.  This module is what
+every task to the backend's pool on its own, so a thread pool's first
+idle lane runs the next one, whoever owns it (the process backend deals
+the tasks round-robin to its lanes instead).  This module is what
 a task *is*: how a batch is cut (:func:`split_batch`), what runs on the
 lane (:func:`expand_steal_task`) and what runs back on the driver
 (:func:`finalize_owner`).

@@ -240,6 +240,31 @@ class TestCount:
         out = capsys.readouterr().out
         assert "instances  : 10" in out
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
+    def test_surplus_procs_are_capped_at_the_workers(
+        self, er_edge_list, capsys, monkeypatch
+    ):
+        """Regression: ``--procs 64 --workers 4`` forked 63 children, of
+        which at most 3 could ever get a unit.  Lanes are capped at the
+        worker count, as the default already was: three children, and
+        serial's count."""
+        base = ["count", "--pattern", "PG1", "--edge-list", str(er_edge_list),
+                "--workers", "4"]
+        assert main(base) == 0
+        serial = [ln for ln in capsys.readouterr().out.splitlines() if "instances" in ln]
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert main(base + ["--backend", "process", "--procs", "64"]) == 0
+        pooled = [ln for ln in capsys.readouterr().out.splitlines() if "instances" in ln]
+        assert len(forks) == 3
+        assert pooled == serial and serial
+
     def test_wire_plane_default_and_reference(self, tmp_path, capsys):
         """One plane: ``--wire columnar`` is accepted by name and prints
         nothing extra; the scalar reference is not a plane argparse

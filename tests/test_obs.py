@@ -85,6 +85,18 @@ class TestEngineTracing:
         assert tracer.meta["backend"] == "serial"
         assert tracer.meta["num_workers"] == 3
 
+    def test_process_superstep_reports_each_lanes_busy_time(self):
+        """Under the process backend the ``superstep`` event carries
+        ``lane_busy_ms``, one entry per computing lane, driver first, each
+        timed by the lane itself; in superstep 1 every lane was dealt a
+        unit.  A backend that deals to no lanes adds no such field."""
+        tracer, _ = traced_run(backend="process", procs=2)
+        (step,) = [e for e in tracer.by_kind("superstep") if e.superstep == 1]
+        busy = step.data["lane_busy_ms"]
+        assert len(busy) == 2 and all(ms > 0 for ms in busy)
+        serial, _ = traced_run()
+        assert all("lane_busy_ms" not in e.data for e in serial.by_kind("superstep"))
+
     def test_worker_events_match_ledger_rows_exactly(self):
         tracer, result = traced_run()
         for step in result.ledger.steps:

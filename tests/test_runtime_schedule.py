@@ -32,7 +32,7 @@ from repro.exceptions import EngineError
 from repro.graph import hash_partition
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
-from repro.runtime import executor
+from repro.runtime import executor, process
 from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
@@ -41,6 +41,7 @@ from repro.runtime import (
     run_inline,
     run_replica_batch,
 )
+from repro.runtime.executor import JobSpec
 
 from .parity import assert_equivalent, reference_run
 from .programs import PerVertex
@@ -375,3 +376,124 @@ class TestFaults:
                 ExecutionConfig(backend=backend, procs=2, **schedule), expected
             )
         assert leftovers() == before
+
+
+# ----------------------------------------------------------------------
+# Process lanes: placement and dealing
+# ----------------------------------------------------------------------
+def started(method):
+    """A two-lane process executor, started for a four-owner job."""
+    backend = ProcessExecutor(procs=2, start_method=method)
+    backend.start(
+        JobSpec(
+            program=PerVertex(),
+            graph=GRAPH,
+            partition=hash_partition(GRAPH.num_vertices, 4),
+            num_workers=4,
+        )
+    )
+    return backend
+
+
+def touch(spec, program, path, fail):
+    """A unit that leaves ``path`` behind, then raises if ``fail``;
+    module-level, so a spawned child can unpickle it."""
+    Path(path).touch()
+    if fail:
+        raise ValueError(f"{Path(path).name} failed")
+    return os.getpid()
+
+
+def kill_lane(spec, program, driver):
+    """A unit that SIGKILLs the child lane it runs on, never the driver."""
+    if os.getpid() != driver:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return os.getpid()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc")
+class TestDealing:
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="needs two CPUs",
+    )
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_child_lane_starts_off_the_drivers_cpu(self, monkeypatch, method):
+        """Placement: a started child may run on every CPU the driver
+        thread may, bar the one the driver was on; the driver's own mask
+        is left alone."""
+        allowed = os.sched_getaffinity(0)
+        seen = []
+        real_cpu_now = process._cpu_now
+
+        def cpu_now():
+            seen.append(real_cpu_now())
+            return seen[-1]
+
+        monkeypatch.setattr(process, "_cpu_now", cpu_now)
+        backend = started(method)
+        try:
+            (child,) = backend._lanes.children
+            assert seen and seen[-1] in allowed
+            assert os.sched_getaffinity(child.pid) == allowed - {seen[-1]}
+            assert os.sched_getaffinity(0) == allowed
+        finally:
+            backend.close()
+
+    def test_one_frame_per_child_per_superstep(self, monkeypatch):
+        """With two lanes and four owners the driver writes its child
+        exactly one frame in every superstep with a unit to deal it."""
+        writes = []
+        real_write = process._write_frame
+
+        def counted_write(fd, data):
+            writes.append(fd)
+            real_write(fd, data)
+
+        monkeypatch.setattr(process, "_write_frame", counted_write)
+        tracer = Tracer()
+        assert_equivalent(
+            ExecutionConfig(backend="process", procs=2), reference(), trace=tracer
+        )
+        dealt = [e for e in tracer.by_kind("superstep") if e.data["batches"] >= 2]
+        assert len(writes) == len(dealt) > 1
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_failed_unit_ends_its_lanes_share(self, tmp_path, method):
+        """Units 1 and 3 of four are the child's share: unit 1 raises as
+        itself, unit 3 fails typed as not run and never runs."""
+        backend = started(method)
+        try:
+            marks = [tmp_path / f"unit{i}" for i in range(4)]
+            handles = [
+                backend._submit(i, touch, str(mark), i == 1)
+                for i, mark in enumerate(marks)
+            ]
+            with pytest.raises(ValueError, match="unit1 failed"):
+                handles[1].result()
+            with pytest.raises(EngineError, match="not run"):
+                handles[3].result()
+            assert [h.result() for h in handles[::2]] == [os.getpid()] * 2
+            assert [mark.exists() for mark in marks] == [True, True, True, False]
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_killed_lane_fails_its_whole_share(self, method):
+        """A child SIGKILLed while it holds two units fails both with the
+        typed lane-death error; nothing outlives ``close``."""
+        if method == "spawn":
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
+        before = leftovers(), os.listdir("/proc/self/fd"), children()
+        backend = started(method)
+        try:
+            handles = [backend._submit(i, kill_lane, os.getpid()) for i in range(4)]
+            for handle in handles[1::2]:
+                with pytest.raises(EngineError, match="was killed by SIGKILL"):
+                    handle.result()
+            assert [h.result() for h in handles[::2]] == [os.getpid()] * 2
+        finally:
+            backend.close()
+        assert (leftovers(), os.listdir("/proc/self/fd"), children()) == before
