@@ -87,7 +87,6 @@ def _run_once(graph, pattern, workers, seed, spill_dir, watermark):
         graph,
         num_workers=workers,
         seed=seed,
-        shuffle="pipelined",
         **kwargs,
     ).run(pattern)
     wall = perf_counter() - started

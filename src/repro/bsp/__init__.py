@@ -13,9 +13,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".engine": ("BSPEngine", "BSPResult"),
     ".config": (
         "ExecutionConfig",
-        "DEFAULT_CHUNK_GPSIS",
         "KERNEL_CHOICES",
-        "SHUFFLE_MODES",
         "WIRE_PLANES",
     ),
     ".message": (

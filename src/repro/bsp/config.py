@@ -3,13 +3,14 @@
 The paper's PSgL has four user-visible parameters (distribution strategy,
 initial pattern vertex, worker count, edge index); those stay arguments
 of :class:`~repro.core.listing.PSgL`.  Everything else a caller can
-choose — backend, data plane, shuffle schedule, kernel, stealing, spill,
-budgets — is *result-neutral* by the bit-parity contract and is declared
-here, once: one field per knob, one ``__post_init__`` with every
-legality rule, one strict :meth:`ExecutionConfig.from_mapping` for
-argparse/JSON values.  ``BSPEngine``, ``PSgL``, ``psgl count`` and the
-query service read this class instead of keeping copies, and no field is
-ever part of a result-cache key.
+choose — backend, data plane, kernel, stealing, spill, budgets — is
+*result-neutral* by the bit-parity contract and is declared here, once:
+one field per knob, one ``__post_init__`` with every legality rule, one
+strict name check for keyword overrides and argparse/JSON mappings
+(:meth:`ExecutionConfig.with_overrides`,
+:meth:`ExecutionConfig.from_mapping`).  ``BSPEngine``, ``PSgL``, ``psgl
+count`` and the query service read this class instead of keeping
+copies, and no field is ever part of a result-cache key.
 
 Bottom of the stack: imports nothing from ``repro.core``,
 ``repro.runtime`` or numpy.  Backend *names* are the one thing it cannot
@@ -33,28 +34,23 @@ from ..exceptions import EngineError
 #: the parity oracle, :mod:`repro.core.reference`.
 WIRE_PLANES = ("columnar",)
 
-#: Knob values that used to be legal, with where their job went: the
-#: refusal says so instead of leaving the caller to guess.
+#: Knobs that used to be legal, with where their job went: the refusal
+#: says so instead of leaving the caller to guess.  A ``(field, value)``
+#: key retires one value of a live field, a bare name a whole field.
+_ONE_CHUNK = "a barrier ships each outbox whole, as one chunk"
 RETIRED = {
     ("wire", "object"): (
         " (the object plane is gone: wire='columnar' is the one plane, "
         "and the paper-faithful scalar path is the parity oracle "
         "repro.core.run_reference)"
     ),
+    "shuffle": f" (the pipelined shuffle is retired: {_ONE_CHUNK})",
+    "chunk_gpsis": f" (chunk watermarks are retired: {_ONE_CHUNK})",
+    "chunk_bytes": f" (chunk watermarks are retired: {_ONE_CHUNK})",
 }
-
-#: Shuffle modes: ``"strict"`` ships each worker's whole outbox at the
-#: barrier as one chunk; ``"pipelined"`` streams watermark-sized chunks
-#: to the same barrier store while workers are still computing (see
-#: docs/runtime.md §5).
-SHUFFLE_MODES = ("strict", "pipelined")
 
 #: Expansion kernels (see repro.core.kernels, which resolves them).
 KERNEL_CHOICES = ("auto", "numpy", "native")
-
-#: Default pipelined-mode flush watermark (rows per chunk) when the
-#: caller sets neither ``chunk_gpsis`` nor ``chunk_bytes``.
-DEFAULT_CHUNK_GPSIS = 8192
 
 #: Default work-stealing task granularity (rows per steal task) when
 #: ``steal=True`` and the caller sets no ``steal_tasks``.  Small enough
@@ -103,10 +99,12 @@ class ExecutionConfig:
 
     Construct it directly, derive one with :func:`dataclasses.replace`,
     or pass fields as keyword overrides to ``BSPEngine``/``PSgL``
-    (``PSgL(g, backend="process", procs=4)``).  Every path runs the same
-    ``__post_init__``, so an illegal value or combination raises
-    :class:`~repro.exceptions.EngineError` at construction.  Unset
-    watermarks resolve to their defaults there, so a config reads back
+    (``PSgL(g, backend="process", procs=4)``, through
+    :meth:`with_overrides`).  Every path runs the same ``__post_init__``,
+    so an illegal value or combination raises
+    :class:`~repro.exceptions.EngineError` at construction; so does an
+    override or mapping key that is not a field.  An unset
+    ``steal_tasks`` resolves to its default there, so a config reads back
     what will run.  ``backend`` also takes any name registered with
     :func:`repro.runtime.register_backend` or a pre-built
     :class:`~repro.runtime.SuperstepExecutor` (single-use).  The knob
@@ -131,22 +129,6 @@ class ExecutionConfig:
         "data plane: columnar, the one plane (packed Gpsi buffers, batch "
         "expansion)",
         choices=WIRE_PLANES,
-    )
-    shuffle: str = _knob(
-        "strict", str,
-        "barrier shuffle mode: strict merges whole outboxes at the "
-        "barrier; pipelined streams watermark-sized chunks while "
-        "workers still expand (identical results)",
-        choices=SHUFFLE_MODES,
-    )
-    chunk_gpsis: Optional[int] = _knob(
-        None, int,
-        "pipelined shuffle: flush a chunk every N queued Gpsis "
-        f"(default {DEFAULT_CHUNK_GPSIS} when neither watermark is set)",
-    )
-    chunk_bytes: Optional[int] = _knob(
-        None, int,
-        "pipelined shuffle: flush a chunk every N packed wire bytes",
     )
     kernel: str = _knob(
         "auto", str,
@@ -233,27 +215,17 @@ class ExecutionConfig:
                 )
             put(spec.name, value)
 
-        if self.shuffle == "pipelined":
-            if self.chunk_gpsis is None and self.chunk_bytes is None:
-                put("chunk_gpsis", DEFAULT_CHUNK_GPSIS)
-        elif self.chunk_gpsis is not None or self.chunk_bytes is not None:
-            raise EngineError(
-                "chunk watermarks only apply to shuffle='pipelined'"
-            )
         if self.steal:
-            if self.shuffle != "strict":
-                raise EngineError(
-                    "work stealing requires shuffle='strict'; stolen "
-                    "tasks buffer their sends for canonical re-merge, "
-                    "which the pipelined chunk stream cannot express"
-                )
             if self.steal_tasks is None:
                 put("steal_tasks", DEFAULT_STEAL_TASK_GPSIS)
         elif self.steal_tasks is not None:
             raise EngineError("steal_tasks only applies to steal=True")
         if (self.spill_dir is None) != (self.memory_watermark_bytes is None):
+            given, missing = "spill_dir", "memory_watermark_bytes"
+            if self.spill_dir is None:
+                given, missing = missing, given
             raise EngineError(
-                "spill_dir and memory_watermark_bytes enable the disk "
+                f"{given} requires {missing}: the two enable the disk "
                 "spill plane together; set both or neither"
             )
 
@@ -261,10 +233,25 @@ class ExecutionConfig:
     def from_mapping(cls, values: Mapping[str, Any]) -> "ExecutionConfig":
         """Build from argparse/JSON values: unknown keys are refused,
         every value is coerced strictly (see :func:`coerce`)."""
-        known = [spec.name for spec in dataclasses.fields(cls)]
-        unknown = set(values) - set(known)
-        if unknown:
-            raise EngineError(
-                f"unknown execution fields {sorted(unknown)}; known: {known}"
-            )
+        _check_names(values)
         return cls(**values)
+
+    def with_overrides(self, **overrides: Any) -> "ExecutionConfig":
+        """This config with ``overrides`` applied by field name — how
+        ``BSPEngine`` and ``PSgL`` take knobs as keywords."""
+        _check_names(overrides)
+        return dataclasses.replace(self, **overrides)
+
+
+def _check_names(names: Any) -> None:
+    """Refuse any name that is not an :class:`ExecutionConfig` field
+    with :class:`~repro.exceptions.EngineError`, naming where a retired
+    field's job went (the direct constructor keeps Python's
+    ``TypeError``)."""
+    known = [spec.name for spec in dataclasses.fields(ExecutionConfig)]
+    for name in names:
+        if name not in known:
+            raise EngineError(
+                f"unknown {name}: not an execution field"
+                + RETIRED.get(name, f"; known: {known}")
+            )

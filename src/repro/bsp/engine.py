@@ -23,7 +23,7 @@ did regardless of where it physically ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, List, Optional
 
@@ -79,7 +79,7 @@ class BSPEngine:
         Vertex-to-worker assignment.
     config:
         The :class:`~repro.bsp.config.ExecutionConfig` — backend, data
-        plane, shuffle, kernel, stealing, spill and budgets; every knob
+        plane, kernel, stealing, spill and budgets; every knob
         is declared, documented and validated there (table in
         ``docs/api.md``).  ``None`` means the defaults.
     trace:
@@ -94,8 +94,9 @@ class BSPEngine:
         cancellation — teardown and tracing run normally).
     **overrides:
         ``ExecutionConfig`` fields by name, applied over ``config`` with
-        :func:`dataclasses.replace` — ``BSPEngine(g, p, backend="process",
-        procs=4)``.  An illegal value or combination raises
+        :meth:`~repro.bsp.config.ExecutionConfig.with_overrides` —
+        ``BSPEngine(g, p, backend="process", procs=4)``.  An illegal
+        value or combination, or a name that is not a field, raises
         :class:`~repro.exceptions.EngineError` here, at construction.
     """
 
@@ -114,7 +115,7 @@ class BSPEngine:
                 f"partition covers {partition.num_vertices} vertices, "
                 f"graph has {graph.num_vertices}"
             )
-        self.config = replace(config or ExecutionConfig(), **overrides)
+        self.config = (config or ExecutionConfig()).with_overrides(**overrides)
         self.graph = graph
         self.partition = partition
         self.trace = trace
@@ -219,21 +220,7 @@ class BSPEngine:
                     # nothing can re-map its spill file again.
                     spill_mgr.prune(superstep)
                 step_started = perf_counter() if tracer.enabled else 0.0
-                # The shuffle mode is nothing but this: under pipelined
-                # shuffle the executor gets a sink, called from the
-                # schedule's drain thread while workers are still
-                # computing, so early chunks are owner-split before the
-                # barrier even starts.
-                results = executor.run_superstep(
-                    superstep,
-                    batches,
-                    registry,
-                    chunk_sink=(
-                        self._make_chunk_sink(outbox, tracer, superstep)
-                        if cfg.shuffle == "pipelined"
-                        else None
-                    ),
-                )
+                results = executor.run_superstep(superstep, batches, registry)
                 merge_started = perf_counter() if tracer.enabled else 0.0
                 inbound_per_worker = self._merge_results(
                     superstep,
@@ -371,9 +358,8 @@ class BSPEngine:
         interleaving).  Returns the raw sends per destination-owning
         worker.
 
-        Each worker's returned outbox is its last chunk — sequence
-        number ``chunks_flushed``, i.e. 0 unless earlier chunks already
-        streamed — and the ledger records the exact wire bytes it
+        Each worker's whole outbox crosses as its one chunk, sequence
+        number 0, and the ledger records the exact wire bytes it
         shipped.  Every worker ran on a program replica, so its
         aggregator contributions and state delta fold into the driver's
         ``registry`` and ``program`` here.
@@ -387,7 +373,7 @@ class BSPEngine:
             ledger.add_wire_bytes(wid, result.wire_bytes)
             for dest, count in enumerate(result.inbound):
                 inbound_per_worker[dest] += count
-            outbox.merge_chunk(wid, result.chunks_flushed, result.outbox)
+            outbox.merge_chunk(wid, 0, result.outbox)
             outputs.extend(result.outputs)
             for name, value in result.agg_contribs.items():
                 registry.aggregate(name, value)
@@ -421,8 +407,8 @@ class BSPEngine:
         lane_busy_ms: Optional[List[float]],
         spilled: Optional[tuple],
     ) -> None:
-        """One superstep's ``worker`` / ``chunk_flush`` / ``barrier`` /
-        ``superstep`` events.  ``lane_busy_ms`` is the executor's
+        """One superstep's ``worker`` / ``barrier`` / ``superstep``
+        events.  ``lane_busy_ms`` is the executor's
         per-lane busy time, ``None`` where it deals to no lanes;
         ``spilled`` is this superstep's ``(chunks, bytes)`` evicted to
         disk, ``None`` without a spill plane."""
@@ -436,24 +422,10 @@ class BSPEngine:
                 compute_calls=result.compute_calls,
                 outputs=len(result.outputs),
             )
-        for result in results:
-            for seq, (rows, nbytes, offset_ms) in enumerate(
-                result.chunk_stats or ()
-            ):
-                tracer.emit(
-                    "chunk_flush",
-                    superstep=superstep,
-                    worker=result.worker_id,
-                    wall_ms=offset_ms,
-                    seq=seq,
-                    rows=rows,
-                    nbytes=nbytes,
-                )
         barrier_extra = dict(
             wire_bytes=outbox.wire_bytes,
             chunks=outbox.chunks_merged,
             max_chunk_bytes=outbox.max_chunk_bytes,
-            max_send_bytes=max((r.max_send_bytes for r in results), default=0),
         )
         if spilled is not None:
             barrier_extra["spill_chunks"], barrier_extra["spill_bytes"] = spilled
@@ -478,32 +450,6 @@ class BSPEngine:
             build_ms=build_ms,
             **step_extra,
         )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _make_chunk_sink(store: ChunkedColumnarStore, tracer: Any, superstep: int):
-        """The pipelined barrier's ingest callback for one superstep.
-
-        Backends call it as ``sink(sender, seq, columns)`` from a single
-        drain thread; the store's merge is itself locked, and trace
-        emission stays on that one thread, so no tracer synchronisation
-        is needed.
-        """
-        if not tracer.enabled:
-            return store.merge_chunk
-
-        def sink(sender: int, seq: int, columns: Any) -> None:
-            store.merge_chunk(sender, seq, columns)
-            tracer.emit(
-                "chunk_deliver",
-                superstep=superstep,
-                worker=sender,
-                seq=seq,
-                rows=len(columns),
-                nbytes=columns.nbytes,
-            )
-
-        return sink
 
     def _initial_batches(self, initial) -> List[np.ndarray]:
         """Superstep 0's work: the initial active set (``None`` = every

@@ -15,27 +15,18 @@ still-packed :class:`PackedWorkerBatch`; no per-message object exists
 anywhere on this plane.  Its parity with the paper-faithful reference
 (:mod:`repro.core.reference`) is pinned message-for-message by tests.
 
-The *shuffle mode* (see :mod:`repro.bsp.engine`) is a delivery schedule
-over that one store, not a second one:
-
-* **strict** — each worker's whole outbox arrives at the barrier as its
-  single chunk ``(worker_id, 0)``;
-* **pipelined** — the outbox flushes watermark-sized chunks while compute
-  is still running (:class:`ColumnarOutbox`), the store ingests them
-  mid-superstep, and the remainder arrives at the barrier as the sender's
-  last chunk.
-
-Sorting chunks by ``(sender, seq)`` at finalisation yields the same row
-order either way, so the schedule changes *when* bytes move, never what
-is delivered.  Spilling (:mod:`repro.bsp.spill`) is a storage policy of
-the same store: chunks past the resident-bytes watermark wait on disk
-under their tag and rejoin before the sort.
+There is one delivery schedule, the BSP barrier's: each worker's whole
+outbox arrives at the barrier as its single chunk ``(worker_id, 0)``,
+and sorting chunks by ``(sender, seq)`` at finalisation yields worker-id
+merge order, the interleaving a serial run produces.  Spilling
+(:mod:`repro.bsp.spill`) is a storage policy of the same store: chunks
+past the resident-bytes watermark wait on disk under their tag and
+rejoin before the sort.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,105 +50,21 @@ class ColumnarOutbox:
     the outbox is a list of :class:`~repro.core.psi.GpsiColumns` chunks
     instead of a per-message dict.  Rows are self-addressed — row ``i``
     goes to ``columns.destinations()[i]`` — so nothing but the columns is
-    queued.  ``to_columns`` concatenates everything in send order.
-
-    Under the **pipelined shuffle mode** the outbox also streams: give it
-    a ``flush`` callback plus a ``chunk_gpsis`` (rows) and/or
-    ``chunk_bytes`` watermark and it hands off the pending rows as one
-    packed chunk whenever a watermark is reached, *before* an append that
-    would overflow it, and cuts a send that is itself larger at the
-    watermark — so every flushed chunk is bounded by the watermark in
-    both dimensions (one row at least) and the worker's peak buffered
-    outbox shrinks from O(superstep volume) to O(chunk).  Whatever is
-    still pending when compute ends stays in the outbox as the
-    *residual* (``to_columns``); callers ship it with the step result.
+    queued.  ``to_columns`` concatenates everything in send order: the
+    one chunk the worker ships at the barrier.
     """
 
-    __slots__ = (
-        "_chunks",
-        "_count",
-        "_pending_bytes",
-        "_flush",
-        "_chunk_gpsis",
-        "_chunk_bytes",
-        "chunks_flushed",
-        "flushed_bytes",
-        "max_append_bytes",
-    )
+    __slots__ = ("_chunks", "_count")
 
-    def __init__(
-        self,
-        flush: Optional[Callable[[Any], None]] = None,
-        chunk_gpsis: Optional[int] = None,
-        chunk_bytes: Optional[int] = None,
-    ):
+    def __init__(self):
         self._chunks: List[Any] = []
         self._count = 0
-        self._pending_bytes = 0
-        self._flush = flush
-        self._chunk_gpsis = chunk_gpsis
-        self._chunk_bytes = chunk_bytes
-        #: Chunks handed to ``flush`` so far (the residual not included).
-        self.chunks_flushed = 0
-        #: Exact bytes of every flushed chunk (residual not included).
-        self.flushed_bytes = 0
-        #: Largest single ``append`` seen, whole (before any cut).
-        self.max_append_bytes = 0
-
-    def _would_overflow(self, n: int, nbytes: int) -> bool:
-        if self._chunk_gpsis is not None and self._count + n > self._chunk_gpsis:
-            return True
-        return (
-            self._chunk_bytes is not None
-            and self._pending_bytes + nbytes > self._chunk_bytes
-        )
-
-    def _at_watermark(self) -> bool:
-        if self._chunk_gpsis is not None and self._count >= self._chunk_gpsis:
-            return True
-        return (
-            self._chunk_bytes is not None
-            and self._pending_bytes >= self._chunk_bytes
-        )
-
-    def flush_pending(self) -> None:
-        """Hand the pending rows to the flush callback as one chunk."""
-        if self._flush is None or not self._count:
-            return
-        columns = self.to_columns()
-        self._chunks = []
-        self._count = 0
-        self._pending_bytes = 0
-        self.chunks_flushed += 1
-        self.flushed_bytes += columns.nbytes
-        self._flush(columns)
-
-    def _push(self, columns: Any) -> None:
-        self._chunks.append(columns)
-        self._count += len(columns)
-        self._pending_bytes += columns.nbytes
 
     def append(self, columns: Any) -> None:
-        """Queue one packed send.  When streaming, a send larger than the
-        watermark is cut *at* the watermark (one send is a whole block's
-        children): full chunks leave at once, its tail stays pending."""
-        n = len(columns)
-        if n == 0:
-            return
-        nbytes = columns.nbytes
-        self.max_append_bytes = max(self.max_append_bytes, nbytes)
-        if self._flush is None:
-            self._push(columns)
-            return
-        if self._count and self._would_overflow(n, nbytes):
-            self.flush_pending()
-        cut = n if self._chunk_gpsis is None else self._chunk_gpsis
-        if self._chunk_bytes is not None:
-            cut = min(cut, max(1, self._chunk_bytes // (nbytes // n)))
-        for lo in range(0, n, cut):
-            self._push(columns.row_slice(lo, lo + cut))
-            if lo + cut < n or self._at_watermark():
-                self.flush_pending()
+        """Queue one packed send, whole."""
+        if len(columns):
+            self._chunks.append(columns)
+            self._count += len(columns)
 
     def to_columns(self) -> Any:
         """Everything queued, as one packed chunk in send order."""
@@ -214,13 +121,11 @@ class ChunkedColumnarStore:
     chunks in, one :class:`PackedWorkerBatch` per worker out.
 
     Every sender's outbox reaches the store as a contiguous run of chunks
-    ``seq = 0, 1, ...`` through :meth:`merge_chunk`.  Under strict
-    shuffle that is a single chunk per sender, merged at the barrier;
-    under pipelined shuffle watermark-sized chunks arrive **while senders
-    are still computing** and the remainder follows at the barrier.  Each
-    chunk is split on arrival by the worker owning each row's derived
-    destination, so what is left for :meth:`build_worker_batches` is one
-    concatenation and one stable per-vertex grouping per worker.
+    ``seq = 0, 1, ...`` through :meth:`merge_chunk`; the engine merges
+    each worker's whole outbox at the barrier as its one chunk, ``seq``
+    0.  Each chunk is split on arrival by the worker owning each row's
+    derived destination, so what is left for :meth:`build_worker_batches`
+    is one concatenation and one stable per-vertex grouping per worker.
 
     Order and parity
     ----------------
@@ -228,8 +133,7 @@ class ChunkedColumnarStore:
     outbox, and sorting all chunks by ``(sender, seq)`` at
     :meth:`finalize` is worker-id merge order — the interleaving a serial
     run produces — no matter how chunks interleaved on the way in.
-    ``merge_chunk`` is thread-safe (one drain thread per backend feeds
-    it); ``finalize`` validates that each sender's sequence numbers are
+    ``finalize`` validates that each sender's sequence numbers are
     contiguous from zero, so a lost or duplicated chunk fails loudly
     instead of corrupting the superstep.
 
@@ -249,7 +153,6 @@ class ChunkedColumnarStore:
     __slots__ = (
         "_owner_of",
         "_num_workers",
-        "_lock",
         "_pieces",
         "_seqs",
         "_finalized",
@@ -272,7 +175,6 @@ class ChunkedColumnarStore:
     ):
         self._owner_of = owner_of
         self._num_workers = num_workers
-        self._lock = threading.Lock()
         #: Per destination worker: ``(sender, seq, columns_sub)``.
         self._pieces: List[List[Tuple[int, int, Any]]] = [
             [] for _ in range(num_workers)
@@ -287,8 +189,7 @@ class ChunkedColumnarStore:
         #: Exact bytes of every chunk merged so far.
         self.wire_bytes = 0
         self.chunks_merged = 0
-        #: Largest single merged chunk — pinned by tests against
-        #: the watermark under pipelined shuffle.
+        #: Largest single merged chunk: the largest worker outbox.
         self.max_chunk_bytes = 0
 
     def _split_by_owner(self, sender: int, seq: int, columns: Any) -> None:
@@ -298,38 +199,37 @@ class ChunkedColumnarStore:
             self._pieces[w].append((sender, seq, columns.take(rows)))
 
     def merge_chunk(self, sender: int, seq: int, columns: Any) -> None:
-        """Ingest chunk ``seq`` of worker ``sender``'s outbox (thread-safe);
-        a chunk is a packed :class:`~repro.core.psi.GpsiColumns`."""
-        with self._lock:
-            if self._finalized:
-                raise EngineError(
-                    f"chunk (worker {sender}, seq {seq}) arrived after the "
-                    "barrier store was finalized"
-                )
-            seqs = self._seqs.setdefault(sender, set())
-            if seq in seqs:
-                raise EngineError(
-                    f"duplicate shuffle chunk (worker {sender}, seq {seq})"
-                )
-            seqs.add(seq)
-            n = len(columns)
-            if n == 0:
-                return
-            nbytes = columns.nbytes
-            self._count += n
-            self.wire_bytes += nbytes
-            self.chunks_merged += 1
-            if nbytes > self.max_chunk_bytes:
-                self.max_chunk_bytes = nbytes
-            if (
-                self._spill is not None
-                and self._resident_bytes + nbytes > self._watermark
-            ):
-                ref = self._spill.spill(sender, seq, columns)
-                self._spilled.append((sender, seq, ref))
-                return
-            self._resident_bytes += nbytes
-            self._split_by_owner(sender, seq, columns)
+        """Ingest chunk ``seq`` of worker ``sender``'s outbox; a chunk is
+        a packed :class:`~repro.core.psi.GpsiColumns`."""
+        if self._finalized:
+            raise EngineError(
+                f"chunk (worker {sender}, seq {seq}) arrived after the "
+                "barrier store was finalized"
+            )
+        seqs = self._seqs.setdefault(sender, set())
+        if seq in seqs:
+            raise EngineError(
+                f"duplicate shuffle chunk (worker {sender}, seq {seq})"
+            )
+        seqs.add(seq)
+        n = len(columns)
+        if n == 0:
+            return
+        nbytes = columns.nbytes
+        self._count += n
+        self.wire_bytes += nbytes
+        self.chunks_merged += 1
+        if nbytes > self.max_chunk_bytes:
+            self.max_chunk_bytes = nbytes
+        if (
+            self._spill is not None
+            and self._resident_bytes + nbytes > self._watermark
+        ):
+            ref = self._spill.spill(sender, seq, columns)
+            self._spilled.append((sender, seq, ref))
+            return
+        self._resident_bytes += nbytes
+        self._split_by_owner(sender, seq, columns)
 
     def finalize(self) -> None:
         """Order chunks by ``(sender, seq)`` and validate completeness.
@@ -337,27 +237,24 @@ class ChunkedColumnarStore:
         Idempotent.  After this the store delivers senders in worker-id
         order, each sender's rows in send order.
         """
-        with self._lock:
-            if self._finalized:
-                return
-            # Spilled chunks rejoin here, under their merge-time tag:
-            # the (sender, seq) sort below cannot tell a mapped chunk
-            # from one that never left memory.
-            for sender, seq, ref in self._spilled:
-                self._split_by_owner(
-                    sender, seq, self._spill.load(sender, seq, ref)
+        if self._finalized:
+            return
+        # Spilled chunks rejoin here, under their merge-time tag: the
+        # (sender, seq) sort below cannot tell a mapped chunk from one
+        # that never left memory.
+        for sender, seq, ref in self._spilled:
+            self._split_by_owner(sender, seq, self._spill.load(sender, seq, ref))
+        self._spilled = []
+        for sender in sorted(self._seqs):
+            seqs = sorted(self._seqs[sender])
+            if seqs != list(range(len(seqs))):
+                raise EngineError(
+                    f"shuffle chunk sequence from worker {sender} has "
+                    f"gaps: got seqs {seqs}"
                 )
-            self._spilled = []
-            for sender in sorted(self._seqs):
-                seqs = sorted(self._seqs[sender])
-                if seqs != list(range(len(seqs))):
-                    raise EngineError(
-                        f"shuffle chunk sequence from worker {sender} has "
-                        f"gaps: got seqs {seqs}"
-                    )
-            for pieces in self._pieces:
-                pieces.sort(key=lambda p: (p[0], p[1]))
-            self._finalized = True
+        for pieces in self._pieces:
+            pieces.sort(key=lambda p: (p[0], p[1]))
+        self._finalized = True
 
     def __len__(self) -> int:
         return self._count

@@ -26,7 +26,7 @@ Example
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -411,9 +411,9 @@ class PSgL:
         driver.
     config:
         The :class:`~repro.bsp.config.ExecutionConfig`: *how* the job
-        runs (backend, data plane, shuffle, kernel, stealing, spill,
-        budgets) — result-neutral by the bit-parity contract, declared
-        and validated in one place (table in ``docs/api.md``).
+        runs (backend, data plane, kernel, stealing, spill, budgets) —
+        result-neutral by the bit-parity contract, declared and validated
+        in one place (table in ``docs/api.md``).
     trace:
         Observability: ``None``/``False`` (default, zero overhead), a
         :class:`repro.obs.Tracer` to record per-superstep events into
@@ -427,8 +427,8 @@ class PSgL:
     **overrides:
         ``ExecutionConfig`` fields by name, applied over ``config`` —
         ``PSgL(g, backend="process", procs=4)``.  An illegal value or
-        combination raises :class:`~repro.exceptions.EngineError` here,
-        not inside ``run``.
+        combination, or a name that is not a field, raises
+        :class:`~repro.exceptions.EngineError` here, not inside ``run``.
 
     A custom strategy must implement ``choose_many`` (the engine routes
     whole blocks of children at once); one that implements only scalar
@@ -453,7 +453,7 @@ class PSgL:
         abort_event: Optional[threading.Event] = None,
         **overrides: object,
     ):
-        self.config = replace(config or ExecutionConfig(), **overrides)
+        self.config = (config or ExecutionConfig()).with_overrides(**overrides)
         if partition is None:
             num_workers = check_num_workers(num_workers)
         self.graph = graph

@@ -44,23 +44,9 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
     runs still record their fatal barrier): total live messages, the
     largest single worker's queue, the per-worker queue depths, and
     ``merge_ms`` (driver time merging worker results — the post-compute
-    half of the shuffle's critical path), ``wire_bytes`` and the barrier
-    store's ``chunks`` (chunks merged this superstep),
-    ``max_chunk_bytes`` and ``max_send_bytes`` —
-    under pipelined shuffle these pin the in-flight memory bound:
-    ``max_chunk_bytes`` stays within the watermark however large
-    ``max_send_bytes`` (the largest whole send, before it was cut) is.
-``chunk_flush``
-    Pipelined shuffle, one per streamed chunk: the sending worker,
-    chunk ``seq``, ``rows``/``nbytes``, and ``wall_ms`` as the offset
-    from the worker batch's start — showing *when during compute* the
-    chunk left the worker.
-``chunk_deliver``
-    Pipelined shuffle, one per chunk streamed into the barrier store
-    during compute (a worker's below-watermark remainder rides its step
-    result and is only counted in the barrier's ``chunks``).
-    ``chunk_deliver`` events interleaving with still-running compute is
-    the overlap the mode exists for.
+    half of the shuffle's critical path), ``wire_bytes``, the barrier
+    store's ``chunks`` (every non-empty worker outbox crosses whole, as
+    one chunk) and ``max_chunk_bytes`` (the largest outbox's bytes).
 ``chunk_spill``
     Spill plane (``spill_dir`` set), one per sealed chunk evicted to
     the superstep's spill file once the barrier store crossed

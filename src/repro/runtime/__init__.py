@@ -3,10 +3,10 @@
 Turns the single-process simulator into a real parallel runtime behind a
 pluggable executor interface: one read-only graph every pool process
 scans (inherited under fork, a ``multiprocessing.shared_memory``
-export under spawn), one superstep schedule (static,
-work-stealing, pipelined) that submits its units inline, to a thread
-pool or to a process pool, and deterministic message shuffling at the
-barrier.  See ``docs/runtime.md`` for the protocol.
+export under spawn), one superstep schedule (static or
+work-stealing) that submits its units inline, to a thread pool or to
+process lanes, and deterministic message shuffling at the barrier, where
+every worker's outbox arrives whole.  See ``docs/runtime.md`` for the protocol.
 """
 
 from .._lazy import lazy_exports

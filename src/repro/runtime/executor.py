@@ -18,13 +18,14 @@ One schedule, many pools
 :meth:`SuperstepExecutor.run_superstep` is the runtime's only execution
 loop: submit one unit of work per non-empty owner — or, under
 ``steal=True``, one per steal task — gather in worker-id order, cancel
-and wait out everything on failure, drain the job's chunk queue into the
-engine's sink under pipelined shuffle, finalize stolen owners canonically
-on the driver.  A backend only says *where* a unit runs: ``start`` /
-``close`` own its pool and shared resources, and one hook,
-``_submit(owner, unit, *args)``, runs ``unit(spec, program, *args)`` on a
-replica of the program and returns a *handle*: anything that answers
-``result()`` and ``cancel()`` (a ``concurrent.futures.Future`` does).
+and wait out everything on failure, finalize stolen owners canonically
+on the driver.  Every unit hands its whole outbox back on its result,
+and the engine merges it at the barrier.  A backend only says *where* a
+unit runs: ``start`` / ``close`` own its pool and shared resources, and
+one hook, ``_submit(owner, unit, *args)``, runs ``unit(spec, program,
+*args)`` on a replica of the program and returns a *handle*: anything
+that answers ``result()`` and ``cancel()`` (a
+``concurrent.futures.Future`` does).
 
 One worker contract
 -------------------
@@ -43,9 +44,7 @@ own program on the driver lane and one copy per child lane on processes.
 from __future__ import annotations
 
 import pickle
-import threading
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,10 +69,6 @@ WorkerBatch = Any
 #: large enough that per-call set-up is noise.
 EXPAND_BLOCK_ROWS = 2048
 
-#: How long the pipelined barrier waits for a superstep's missing chunks
-#: before it calls them lost.  A constant, not a knob.
-DRAIN_JOIN_SECONDS = 60.0
-
 
 def row_ranges(rows: int, step: int) -> List[Tuple[int, int]]:
     """``[lo, hi)`` cuts of ``rows`` delivered rows, ``step`` at a time —
@@ -97,17 +92,8 @@ class JobSpec:
     #: no-op tracer so executors emit unconditionally behind one flag.
     tracer: Any = NULL_TRACER
     #: The job's :class:`~repro.bsp.config.ExecutionConfig`: executors
-    #: read shuffle mode, chunk watermarks and the steal settings off it.
+    #: read the steal settings off it.
     config: ExecutionConfig = ExecutionConfig()
-    #: The job's chunk queue, filled in by a pooled backend's ``start``
-    #: under pipelined shuffle (``queue.Queue`` for threads, the pool
-    #: context's ``mp.Queue`` for processes; both bounded, so a stalled
-    #: driver back-pressures senders and in-flight chunk memory stays
-    #: O(depth × chunk)).  Workers ``put((worker_id, seq, chunk))`` while
-    #: they compute; the schedule's drain thread is the one consumer.
-    #: ``None`` means workers hold their whole outbox: the strict
-    #: schedule.
-    chunk_queue: Any = None
 
 
 @dataclass
@@ -115,9 +101,9 @@ class WorkerStepResult:
     """What one logical worker produced in one superstep.
 
     ``outbox`` is the worker's sent messages: one packed, self-addressed
-    :class:`~repro.core.psi.GpsiColumns` in send order.
-    ``messages_sent`` counts every row the worker sent (streamed chunks
-    included), matching the ledger's accounting.  ``inbound`` counts them
+    :class:`~repro.core.psi.GpsiColumns` in send order, the one chunk it
+    ships at the barrier.  ``messages_sent`` counts every row the worker
+    sent, matching the ledger's accounting.  ``inbound`` counts them
     per *destination-owning* worker, which feeds the per-worker OOM
     budget.
     """
@@ -138,21 +124,8 @@ class WorkerStepResult:
     #: process), that is how the logical worker can land on a different
     #: pool member next superstep.
     worker_state: Dict[str, Any]
-    #: Exact bytes of the packed outbox buffers.  Under pipelined shuffle
-    #: this covers streamed chunks *plus* the residual ``outbox``, so the
-    #: accounting stays mode-invariant.
+    #: Exact bytes of the packed ``outbox`` buffers.
     wire_bytes: int = 0
-    #: Pipelined shuffle: chunks streamed through the chunk queue before
-    #: this result returned (the residual ``outbox`` rides on top with
-    #: sequence number ``chunks_flushed``).  The schedule's drain uses
-    #: the sum over results as its completion count.
-    chunks_flushed: int = 0
-    #: Pipelined shuffle: ``(rows, nbytes, offset_ms)`` per streamed
-    #: chunk, offsets measured from the worker batch's start — feeds the
-    #: ``chunk_flush`` trace events.
-    chunk_stats: Optional[List[Tuple[int, int, float]]] = None
-    #: Largest single send — the slack term in the chunk-size bound.
-    max_send_bytes: int = 0
 
 
 class WorkerAggregators:
@@ -226,7 +199,7 @@ def run_replica_batch(
     runtime reduces to this function being deterministic given the same
     batch and worker state, which it is: vertices run in batch order and
     all side effects accumulate locally in program order.  Graph,
-    partition, worker count and chunk watermarks come off ``spec``;
+    partition and worker count come off ``spec``;
     ``program`` is the replica compute runs against — the driver's own
     object on the serial backend, a pickled copy on thread and process.
     Aggregator calls go to a fresh identity-value shim over the barrier
@@ -243,12 +216,6 @@ def run_replica_batch(
     end to end, and on the process backend both directions cross the
     pool boundary as a handful of numpy buffers.
 
-    A ``spec.chunk_queue`` enables the pipelined shuffle: the outbox puts
-    watermark-sized chunks on it as ``(worker_id, seq, columns)`` *while
-    compute is running*; whatever is pending at the end returns as the
-    residual ``outbox`` with ``chunks_flushed`` recording how many chunks
-    already streamed.
-
     ``drive`` replaces the compute loop over ``batch``: it is handed the
     worker's context and returns the number of active vertices it stands
     for.  The work-stealing schedule uses it to replay
@@ -261,37 +228,10 @@ def run_replica_batch(
     inbound = [0] * num_workers
     outputs: List[Any] = []
     acc = {"cost": 0.0, "sent": 0}
-    chunk_stats: Optional[List[Tuple[int, int, float]]] = None
+    col_outbox = ColumnarOutbox()
 
     def add_cost(units: float) -> None:
         acc["cost"] += units
-
-    if spec.chunk_queue is not None:
-        chunk_stats = []
-        batch_started = perf_counter()
-        # Bounded queue: when it is full the sender blocks here, so
-        # in-flight chunk memory stays O(queue depth × chunk bytes)
-        # however fast workers expand.
-        put_chunk = spec.chunk_queue.put
-
-        def _flush(chunk: Any) -> None:
-            seq = len(chunk_stats)
-            chunk_stats.append(
-                (
-                    len(chunk),
-                    chunk.nbytes,
-                    (perf_counter() - batch_started) * 1000.0,
-                )
-            )
-            put_chunk((worker_id, seq, chunk))
-
-        col_outbox = ColumnarOutbox(
-            flush=_flush,
-            chunk_gpsis=spec.config.chunk_gpsis,
-            chunk_bytes=spec.config.chunk_bytes,
-        )
-    else:
-        col_outbox = ColumnarOutbox()
 
     def send_columns(columns) -> None:
         n = len(columns)
@@ -322,10 +262,7 @@ def run_replica_batch(
     return WorkerStepResult(
         worker_id=worker_id,
         outbox=outbox,
-        wire_bytes=col_outbox.flushed_bytes + outbox.nbytes,
-        chunks_flushed=col_outbox.chunks_flushed,
-        chunk_stats=chunk_stats,
-        max_send_bytes=col_outbox.max_append_bytes,
+        wire_bytes=outbox.nbytes,
         messages_sent=acc["sent"],
         inbound=inbound,
         compute_calls=compute_calls,
@@ -371,81 +308,6 @@ def run_inline(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Completed:
     without a pool.  A failure raises here, at the submit site, which
     the schedule handles like any other failed unit."""
     return Completed(fn(*args, **kwargs))
-
-
-class _ChunkDrain:
-    """The pipelined shuffle's single consumer for one superstep.
-
-    A driver-side thread feeds the job's chunk queue into the engine's
-    sink while workers are still computing — this is where shuffle
-    overlaps compute.  The sink touches the barrier store, so one
-    consumer keeps it race-free without per-chunk lock contention from
-    the pool.  Both queue flavours (``queue.Queue``, ``mp.Queue``) serve
-    ``get(timeout=)`` / ``queue.Empty``, and polling with a timeout
-    (rather than blocking on a sentinel) means a pool process that died
-    mid-``put`` can never wedge the driver.
-    """
-
-    def __init__(self, chunk_queue: Any, sink: Callable[[int, int, Any], None]):
-        from queue import Empty  # pipelined runs only
-
-        self._empty = Empty
-        self._queue = chunk_queue
-        self._sink = sink
-        self._expected: Optional[int] = None
-        self.received = 0
-        self.errors: List[BaseException] = []
-        self._thread = threading.Thread(
-            target=self._run, name="psgl-chunk-drain", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while self._expected is None or self.received < self._expected:
-            try:
-                item = self._queue.get(timeout=0.005)
-            except self._empty:
-                continue
-            try:
-                self._sink(*item)
-            except BaseException as exc:  # noqa: BLE001 - re-raised by finish()
-                self.errors.append(exc)
-            finally:
-                self.received += 1
-
-    def finish(self, expected: int, superstep: int) -> None:
-        """Return once ``expected`` chunks went through the sink.
-
-        ``mp.Queue`` puts are asynchronous (a feeder thread ships the
-        bytes), so a worker's unit can complete before its last chunk
-        arrives; each result carries its exact flush count and the drain
-        keeps consuming until the sum is in.  Threads satisfy the same
-        count trivially.
-        """
-        self._expected = expected
-        self._thread.join(DRAIN_JOIN_SECONDS)
-        if self._thread.is_alive():
-            self.abort()
-            raise EngineError(
-                f"pipelined shuffle lost chunks: received {self.received} "
-                f"of {expected} at superstep {superstep}"
-            )
-        if self.errors:
-            raise self.errors[0]
-
-    def abort(self) -> None:
-        """Stop now (producers must already be done) and drop, best
-        effort, whatever the failed superstep left undelivered — until
-        the queue stays empty for a moment, so that a producer's feeder
-        thread (``mp.Queue``, the driver lane's included) can flush what
-        it still buffers and the executor's ``close`` can join it."""
-        self._expected = 0
-        self._thread.join()
-        try:
-            while True:
-                self._queue.get(timeout=0.01)
-        except self._empty:
-            pass
 
 
 class SuperstepExecutor:
@@ -510,7 +372,6 @@ class SuperstepExecutor:
         superstep: int,
         batches: List[WorkerBatch],
         registry: Any,
-        chunk_sink: Optional[Callable[[int, int, Any], None]] = None,
     ) -> List[WorkerStepResult]:
         """Run all non-empty batches; ``batches[w]`` belongs to worker ``w``.
 
@@ -528,23 +389,12 @@ class SuperstepExecutor:
         finalized on this (driver) thread against the driver's program,
         in worker-id / seq order, which keeps results bit-identical to
         the static schedule (see :mod:`repro.runtime.stealing`).
-
-        ``chunk_sink`` is passed (non-None) only under pipelined shuffle:
-        every chunk a worker put on the job's chunk queue is fed to it
-        from one drain thread, and this method does not return until all
-        chunks of the superstep were delivered.  A backend that set up no
-        chunk queue ignores the sink — its workers return whole outboxes
-        as their only chunk: the strict schedule, bit for bit (serial
-        does exactly that; one thread could overlap with nothing).
         """
         spec = self._spec
         steal = spec.config.steal
         if steal:
             from .stealing import expand_steal_task, finalize_owner, split_batch
         snapshot = registry.snapshot()
-        drain = None
-        if chunk_sink is not None and spec.chunk_queue is not None:
-            drain = _ChunkDrain(spec.chunk_queue, chunk_sink)
         # ``owners`` and ``handles`` are both in canonical order: owners
         # ascending, an owner's tasks in ``seq`` order.
         owners: List[Tuple[int, Optional[List[Any]]]] = []
@@ -579,8 +429,7 @@ class SuperstepExecutor:
             # pool — cancel what has not started and *wait out* what has,
             # so the engine's teardown (which unlinks the shared CSR
             # blocks in close()) can never race live workers still
-            # scanning them.  Only then stop the drain: a producer
-            # blocked on the full queue needs its consumer to finish.
+            # scanning them.
             for handle in handles:
                 handle.cancel()
             for handle in handles:
@@ -588,12 +437,6 @@ class SuperstepExecutor:
                     handle.result()
                 except BaseException:  # noqa: BLE001 - the first failure re-raises
                     pass
-            if drain is not None:
-                drain.abort()
-            # The caller's traceback keeps this frame: it must not keep
-            # the job's chunk queue too, whose named semaphores (spawn)
-            # are unlinked only when the queue is freed.
-            spec = drain = None
             raise
 
         results: List[WorkerStepResult] = []
@@ -627,8 +470,6 @@ class SuperstepExecutor:
                 )
             self._states[owner] = result.worker_state
             results.append(result)
-        if drain is not None:
-            drain.finish(sum(r.chunks_flushed for r in results), superstep)
         return results
 
     def close(self) -> None:

@@ -436,16 +436,6 @@ class ProcessExecutor(SuperstepExecutor):
         method = self._start_method or ("fork" if hasattr(os, "fork") else "spawn")
         # A lane past one per logical worker would never be dealt a unit.
         procs = min(self._procs or default_procs(spec.num_workers), spec.num_workers)
-        context = None
-        pipelined = spec.config.shuffle == "pipelined"
-        if pipelined or (method != "fork" and procs > 1):
-            import multiprocessing
-
-            context = multiprocessing.get_context(method)
-        if pipelined:
-            # One queue for the whole job, from the lanes' own context so
-            # it survives spawn pickling; the driver lane puts on it too.
-            spec = replace(spec, chunk_queue=context.Queue(maxsize=max(8, 2 * procs)))
         # From here on close() releases whatever the rest got to create.
         super().start(spec)
         # The driver lane computes on the driver's own program, as serial.
@@ -469,16 +459,20 @@ class ProcessExecutor(SuperstepExecutor):
                     "export", transport="fork" if method == "fork" else "shm",
                     total_bytes=sum(sizes.values()), **sizes,
                 )
-            # A child needs of the spec its partition, worker count, plane,
-            # chunk watermarks and queue; program and graph reach it apart,
-            # the tracer stays here, and ``config.backend`` may be this very
-            # executor, which must not ride into a spawned child.
+            # A child needs of the spec its partition, worker count and
+            # config; program and graph reach it apart, the tracer stays
+            # here, and ``config.backend`` may be this very executor, which
+            # must not ride into a spawned child.
             child_spec = replace(
                 spec, program=None, graph=None, tracer=NULL_TRACER,
                 config=replace(spec.config, backend=self.name),
             )
             init = (*source, program_bytes, child_spec)
-            spawn = None if method == "fork" else context
+            spawn = None
+            if method != "fork":
+                import multiprocessing  # spawn lanes only
+
+                spawn = multiprocessing.get_context(method)
             for _ in range(procs - 1):
                 lanes.launch(init, spawn)
         if spec.tracer.enabled:
@@ -502,10 +496,6 @@ class ProcessExecutor(SuperstepExecutor):
         if self._lanes is not None:
             self._lanes.close()
             self._lanes = None
-        if self._spec is not None and self._spec.chunk_queue is not None:
-            # The driver lane fed this queue too: join its feeder thread.
-            self._spec.chunk_queue.close()
-            self._spec.chunk_queue.join_thread()
         if self._export is not None:
             self._export.close()
             self._export = None

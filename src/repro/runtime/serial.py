@@ -17,11 +17,8 @@ from .executor import Completed, JobSpec, SuperstepExecutor, run_inline
 class SerialExecutor(SuperstepExecutor):
     """One process, one thread.
 
-    No chunk queue is ever set up, so pipelined shuffle degenerates to
-    the strict schedule (one thread computes every batch in sequence;
-    streaming chunks early could overlap with nothing).  Under
-    ``steal=True`` every task runs on the one lane, so nothing is ever
-    stolen — the degenerate dynamic schedule, which keeps the
+    Under ``steal=True`` every task runs on the one lane, so nothing is
+    ever stolen — the degenerate dynamic schedule, which keeps the
     split/expand/finalize path exercised (and bit-compared) on the
     default backend.
     """

@@ -17,9 +17,7 @@ costs.
 from __future__ import annotations
 
 import pickle
-import queue
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
@@ -51,10 +49,6 @@ class ThreadExecutor(SuperstepExecutor):
             replica.bind_shared(spec.graph, shared_arrays)
             self._replicas.append(replica)
         width = max(self._procs or min(spec.num_workers, 4), 1)
-        if spec.config.shuffle == "pipelined":
-            spec = replace(
-                spec, chunk_queue=queue.Queue(maxsize=max(4, 2 * width))
-            )
         super().start(spec)
         self._pool = ThreadPoolExecutor(max_workers=width)
         if spec.tracer.enabled:

@@ -14,6 +14,7 @@ constructors to refuse it identically (the CLI and service legs are in
 ``tests/test_config_surface.py``).
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict
 
@@ -108,19 +109,22 @@ def assert_equivalent(
 #: rows at the end.
 ILLEGAL = [
     (dict(wire="quantum"), "unknown wire"),
-    (dict(shuffle="chaotic"), "unknown shuffle"),
+    # Retired fields: refused by name, whatever the value, with the hint
+    # that says where their job went.
+    (dict(shuffle="pipelined"), "unknown shuffle: not an execution field"),
     (dict(kernel="fused"), "unknown kernel"),
     # The scalar reference is an oracle, not a plane: naming it, with or
     # without a feature of the one plane, points at that plane.
-    (dict(wire="object", shuffle="pipelined"), "wire='columnar'"),
+    (dict(wire="object", steal=True), "wire='columnar'"),
     # NaN passes every comparison and would switch the budget off.
     (dict(wall_budget_seconds=float("nan")), "must be a finite number > 0"),
     (dict(wall_budget_seconds=float("inf")), "must be a finite number > 0"),
-    (dict(chunk_gpsis=64), "chunk watermarks only apply"),
-    (dict(chunk_bytes=4096), "chunk watermarks only apply"),
-    (dict(shuffle="pipelined", chunk_gpsis=0), "chunk_gpsis must be >= 1"),
-    (dict(shuffle="pipelined", chunk_bytes=-5), "chunk_bytes must be >= 1"),
-    (dict(steal=True, shuffle="pipelined"), "requires shuffle='strict'"),
+    (dict(chunk_gpsis=64), "chunk watermarks are retired"),
+    (dict(chunk_bytes=4096), "chunk watermarks are retired"),
+    # The first name that is not a field is the one refused.
+    (dict(chunk_gpsis=0, shuffle="pipelined"), "chunk_gpsis: not an execution"),
+    (dict(chunk_bytes=-5, shuffle="pipelined"), "chunk_bytes: not an execution"),
+    (dict(steal=True, memory_watermark_bytes=1), "requires spill_dir"),
     (dict(steal_tasks=64), "steal_tasks only applies"),
     (dict(steal=True, steal_tasks=0), "steal_tasks must be >= 1"),
     (dict(spill_dir="unused"), "both or neither"),
@@ -146,6 +150,8 @@ ILLEGAL = [
     (dict(wire=None), "wire must be str"),
     (dict(steal=1), "steal must be bool"),
     (dict(wire="object"), "unknown wire 'object'"),
+    # A misspelt field is refused by name, listing the real ones.
+    (dict(backnd="thread"), r"unknown backnd: not an execution field; known: \["),
 ]
 
 _TINY = Graph(4, [(0, 1), (1, 2)])
@@ -154,14 +160,35 @@ _TINY = Graph(4, [(0, 1), (1, 2)])
 def assert_illegal(overrides: Dict[str, Any], match: str) -> None:
     """``overrides`` is refused with the same :class:`EngineError` by
     ``ExecutionConfig(...)``, ``BSPEngine(...)`` and ``PSgL(...)`` — at
-    construction, before anything runs."""
-    with pytest.raises(EngineError, match=match) as direct:
-        ExecutionConfig(**overrides)
-    for construct in (
+    construction, before anything runs.  A name that is not a field is
+    the dataclass's own business on the direct leg: Python's
+    ``TypeError`` there, the ``EngineError`` on every override leg."""
+    fields = {spec.name for spec in dataclasses.fields(ExecutionConfig)}
+    constructs = [
         lambda: BSPEngine(_TINY, hash_partition(4, 2), **overrides),
         lambda: PSgL(_TINY, **overrides),
         lambda: PSgL(_TINY, config=ExecutionConfig(), **overrides),
-    ):
-        with pytest.raises(EngineError) as via:
+    ]
+    if set(overrides) <= fields:
+        constructs.insert(0, lambda: ExecutionConfig(**overrides))
+    else:
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            ExecutionConfig(**overrides)
+    messages = set()
+    for construct in constructs:
+        with pytest.raises(EngineError, match=match) as refused:
             construct()
-        assert str(via.value) == str(direct.value)
+        messages.add(str(refused.value))
+    assert len(messages) == 1, messages
+
+
+def assert_outboxes_cross_whole(tracer, result: ListingResult) -> None:
+    """Every barrier of the traced ``result`` merged each sending
+    worker's outbox as one chunk: as many chunks as workers that sent,
+    the largest exactly the largest worker's wire bytes."""
+    barriers = tracer.by_kind("barrier")
+    assert len(barriers) == len(result.ledger.steps) > 0
+    for event, step in zip(barriers, result.ledger.steps):
+        sent = [nbytes for nbytes in step.worker_wire_bytes if nbytes]
+        assert event.data["chunks"] == len(sent)
+        assert event.data["max_chunk_bytes"] == max(sent, default=0)

@@ -32,6 +32,7 @@ from repro.cli import (
     main,
 )
 from repro.core import PSgL
+from repro.exceptions import EngineError
 from repro.graph import complete_graph
 from repro.runtime.executor import JobSpec
 from repro.service import GraphContext, SubgraphService, running_service
@@ -140,10 +141,12 @@ def test_no_signature_re_declares_a_knob():
 
 def _cli_flags(overrides):
     """``overrides`` as ``psgl count`` flags, or None when argparse
-    itself (exit 2) would refuse them: no such flag, a value outside the
-    flag's choices or type."""
+    itself (exit 2) would refuse them: no such field or flag, a value
+    outside the flag's choices or type."""
     flags = []
     for name, value in overrides.items():
+        if name not in FIELDS:
+            return None
         meta = FIELDS[name].metadata
         if not meta["cli"] or type(value) is not meta["kind"]:
             return None
@@ -195,3 +198,38 @@ class TestIllegalConfigurations:
             assert re.search(match, error["message"])
         else:  # server-owned fields are not the client's to set
             assert "unknown spec fields" in error["message"]
+
+
+class TestOverrideNames:
+    """An override key that is not a field is an ``EngineError`` on every
+    surface that takes one, as an illegal value is."""
+
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            (dict(backnd="thread"), r"unknown backnd: .*known: \['backend'"),
+            (dict(shuffle="pipelined"), "shuffle is retired: a barrier ships"),
+            (dict(chunk_gpsis=64), "watermarks are retired: a barrier ships"),
+            (dict(chunk_bytes=4096), "watermarks are retired: a barrier ships"),
+        ],
+        ids=["misspelt", "shuffle", "chunk_gpsis", "chunk_bytes"],
+    )
+    def test_refused_by_name(self, overrides, match):
+        """Regression: ``PSgL(g, backnd="thread")`` raised a raw
+        ``TypeError`` from ``dataclasses.replace``.  The argparse/JSON
+        path says the same (the other constructors: ``ILLEGAL``)."""
+        for construct in (
+            lambda: PSgL(complete_graph(4), **overrides),
+            lambda: ExecutionConfig.from_mapping(overrides),
+        ):
+            with pytest.raises(EngineError, match=match):
+                construct()
+
+    def test_retired_flags_are_gone(self, capsys):
+        """The retired fields' flags went with them: argparse refuses
+        ``--shuffle`` (exit 2) before anything runs."""
+        for flags in (["--shuffle", "pipelined"], ["--chunk-gpsis", "64"]):
+            with pytest.raises(SystemExit) as refused:
+                main(["count", "--pattern", "PG1", "--dataset", "x"] + flags)
+            assert refused.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -4,8 +4,7 @@ The engine's memory valve and the ledgers both trust ``len(store)`` to
 be the number of deliverable rows; the trace and wire ledgers trust
 ``wire_bytes`` to be exact.  These tests hammer the surfaces those
 figures are maintained through — the barrier store's merge-and-deliver
-cycle and the :class:`ColumnarOutbox` watermark machinery the pipelined
-shuffle is built on.
+cycle and the :class:`ColumnarOutbox` a worker ships whole.
 """
 
 import numpy as np
@@ -37,108 +36,52 @@ class TestMessageStoreCountInvariant:
 
 
 class TestColumnarOutboxWatermarks:
+    """The outbox has no watermark left: every send is held whole and the
+    worker ships everything as one chunk at the barrier.  The ids keep
+    their historical names; each now pins a face of that one chunk."""
+
     def pack(self, n, base=0):
         """``n`` packed rows addressed to ``base, base + 1, ...``."""
         return _cols(n, base)
 
-    def test_row_watermark_flushes_bounded_chunks(self):
-        flushed = []
-        outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=4)
-        for i in range(5):
-            outbox.append(self.pack(2, base=10 * i))
-        # 10 rows at watermark 4 → two 4-row chunks out, 2-row residual.
-        assert [len(b) for b in flushed] == [4, 4]
-        assert outbox.chunks_flushed == 2
-        assert len(outbox) == 2
-        residual = outbox.to_columns()
-        assert len(residual) == 2
-        assert outbox.flushed_bytes == sum(b.nbytes for b in flushed)
-
     def test_oversized_send_is_cut_at_the_watermark(self):
-        """A single send larger than the watermark (one send is a whole
-        block's children) leaves in watermark-sized chunks: the pending
-        rows before it flush first, its tail stays pending — so every
-        chunk is ≤ the watermark."""
-        flushed = []
-        outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=4)
+        """No send is ever cut, however large: a whole block's children
+        stay one piece, in send order, behind the sends before them."""
+        outbox = ColumnarOutbox()
         outbox.append(self.pack(2))
-        cols = self.pack(7, base=100)
-        outbox.append(cols)  # overflows: 2 flush, then 4, 3 pending
-        assert [len(b) for b in flushed] == [2, 4]
-        assert len(outbox) == 3
-        assert outbox.max_append_bytes == cols.nbytes
-        sent = np.concatenate(
-            [b.destinations() for b in flushed + [outbox.to_columns()]]
-        )
+        outbox.append(self.pack(7, base=100))
+        assert len(outbox) == 9
+        sent = outbox.to_columns().destinations()
         assert sent.tolist() == [0, 1] + list(range(100, 107))
 
     def test_one_large_append_flushes_watermark_chunks_in_order(self):
-        flushed = []
-        outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=4)
-        outbox.append(self.pack(10))
-        assert [b.destinations().tolist() for b in flushed] == [
-            [0, 1, 2, 3],
-            [4, 5, 6, 7],
-        ]
-        residual = outbox.to_columns()
-        assert residual.destinations().tolist() == [8, 9]
-        parts = flushed + [residual]
-        whole = self.pack(10)
-        assert np.array_equal(
-            np.concatenate([p.mapping for p in parts]), whole.mapping
-        )
-        assert outbox.flushed_bytes == sum(b.nbytes for b in flushed)
+        """A lone send ships as itself: no concatenation, no copy."""
+        outbox = ColumnarOutbox()
+        cols = self.pack(10)
+        outbox.append(cols)
+        assert outbox.to_columns() is cols
 
     def test_byte_watermark_cuts_an_oversized_send(self):
-        flushed = []
-        cols = self.pack(7)
-        row_bytes = cols.nbytes // 7
-        outbox = ColumnarOutbox(flush=flushed.append, chunk_bytes=3 * row_bytes + 1)
-        outbox.append(cols)
-        assert [len(b) for b in flushed] == [3, 3]
-        assert len(outbox) == 1
-
-    def test_byte_watermark(self):
-        flushed = []
-        row_bytes = self.pack(1).nbytes
-        outbox = ColumnarOutbox(flush=flushed.append, chunk_bytes=3 * row_bytes)
-        for i in range(7):
-            outbox.append(self.pack(1, base=i))
-        assert [len(b) for b in flushed] == [3, 3]
-        assert len(outbox) == 1
-
-    def test_streamed_plus_residual_equals_unwatermarked(self):
-        """Chunks + residual concatenate to exactly the batch a plain
-        outbox would ship — the identity pipelined parity rests on."""
-        plain = ColumnarOutbox()
-        streaming = []
-        chunked = ColumnarOutbox(flush=streaming.append, chunk_gpsis=3)
-        for i in range(4):
-            cols = self.pack(2, base=10 * i)
-            plain.append(cols)
-            chunked.append(cols)
-        reference = plain.to_columns()
-        parts = streaming + [chunked.to_columns()]
-        rebuilt = np.concatenate([p.mapping for p in parts])
-        assert rebuilt.tolist() == reference.mapping.tolist()
-        assert sum(p.nbytes for p in parts) == reference.nbytes
-        assert (
-            chunked.flushed_bytes + chunked.to_columns().nbytes
-            == reference.nbytes
-        )
+        """The one chunk's bytes are exactly the sends' bytes — the
+        ``wire_bytes`` a worker reports and the barrier cross-checks."""
+        outbox = ColumnarOutbox()
+        sends = [self.pack(n, base=10 * n) for n in (7, 1, 3)]
+        for cols in sends:
+            outbox.append(cols)
+        assert outbox.to_columns().nbytes == sum(c.nbytes for c in sends)
 
     def test_no_flush_callback_never_chunks(self):
         outbox = ColumnarOutbox()
         for i in range(100):
             outbox.append(self.pack(3, base=i))
-        assert outbox.chunks_flushed == 0
         assert len(outbox) == 300
+        assert len(outbox.to_columns()) == 300
 
     def test_empty_append_is_free(self):
-        flushed = []
-        outbox = ColumnarOutbox(flush=flushed.append, chunk_gpsis=1)
+        outbox = ColumnarOutbox()
         outbox.append(self.pack(0))
-        assert len(outbox) == 0 and flushed == []
+        assert len(outbox) == 0
+        assert len(outbox.to_columns()) == 0
 
 
 def _cols(n, base=0):

@@ -1,25 +1,24 @@
-"""The engine's chunk schedule: store, default watermark, trace.
+"""The engine's one shuffle schedule: store, retired knobs, trace.
 
-The barrier store takes ``(sender, seq)``-tagged chunks in any arrival
-order and must deliver as if every sender's outbox had arrived whole, in
-worker-id order — that is what makes strict and pipelined shuffle two
-schedules over one store.  These tests pin the store's surface
-(ordering, accounting, loud failure on gaps/duplicates), the watermark
-guards, and the chunk trace events that make the overlap observable.
-End-to-end parity of every schedule against the reference oracle is
+Every worker's outbox crosses the barrier whole, as its one chunk; the
+pipelined schedule that streamed watermark-sized chunks mid-compute is
+retired (the file keeps its name and test ids).  The barrier store still
+takes ``(sender, seq)``-tagged chunks in any arrival order — spill
+re-maps its chunks under the same tag — and must deliver as if every
+sender's outbox had arrived whole, in worker-id order.  These tests pin
+the store's surface (ordering, accounting, loud failure on
+gaps/duplicates), the refusal of the retired knobs, and the barrier
+trace.  End-to-end parity against the reference oracle is
 ``tests/test_plane_parity.py``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.bsp import (
-    BSPEngine,
-    ChunkedColumnarStore,
-    DEFAULT_CHUNK_GPSIS,
-    ExecutionConfig,
-    SHUFFLE_MODES,
-)
+import repro.bsp
+from repro.bsp import BSPEngine, ChunkedColumnarStore, ExecutionConfig
 from repro.core import Gpsi, PSgL, UNMAPPED, pack_gpsis, unpack_gpsis
 from repro.exceptions import EngineError
 from repro.graph import Graph, hash_partition
@@ -27,39 +26,39 @@ from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
 from repro.pattern import paper_patterns
 
-from .parity import assert_illegal
+from .parity import assert_illegal, assert_outboxes_cross_whole
 
 GRAPHS = {"er": erdos_renyi(28, 0.25, seed=13)}
 
-#: Tiny watermark so even the 28-vertex graphs stream many chunks per
-#: superstep — the trace tests see real streaming, not the degenerate
-#: everything-in-the-residual case.
-TINY_CHUNK = 4
+#: What a caller who asks for a retired knob is told.
+ONE_CHUNK = "a barrier ships each outbox whole, as one chunk"
 
 
 class TestEngineGuards:
     def test_unknown_shuffle_mode_rejected(self):
-        assert_illegal(dict(shuffle="chaotic"), "unknown shuffle")
-        assert SHUFFLE_MODES == ("strict", "pipelined")
+        """``shuffle`` is a retired field: refused by name, whatever the
+        value — the one that used to be the default included."""
+        for mode in ("chaotic", "pipelined", "strict"):
+            assert_illegal(dict(shuffle=mode), ONE_CHUNK)
+        assert not hasattr(repro.bsp, "SHUFFLE_MODES")
 
     def test_default_watermark_applied(self):
-        engine = BSPEngine(
-            Graph(4, [(0, 1), (1, 2)]),
-            hash_partition(4, 2),
-            shuffle="pipelined",
-        )
-        assert engine.config.chunk_gpsis == DEFAULT_CHUNK_GPSIS
-        assert engine.config.chunk_bytes is None
-        # An explicit byte watermark is not joined by a default row one.
-        config = ExecutionConfig(shuffle="pipelined", chunk_bytes=4096)
-        assert config.chunk_gpsis is None
+        """No watermark is left to default: the config has no chunk
+        knob, and what an engine reads back is the one schedule's."""
+        engine = BSPEngine(Graph(4, [(0, 1), (1, 2)]), hash_partition(4, 2))
+        names = {spec.name for spec in dataclasses.fields(engine.config)}
+        assert not names & {"shuffle", "chunk_gpsis", "chunk_bytes"}
+        assert engine.config == ExecutionConfig()
+        assert not hasattr(repro.bsp, "DEFAULT_CHUNK_GPSIS")
 
     def test_watermarks_refused_under_strict(self):
-        assert_illegal(dict(chunk_gpsis=64), "pipelined")
-        assert_illegal(dict(chunk_bytes=4096), "pipelined")
+        assert_illegal(dict(chunk_gpsis=64), "chunk watermarks are retired")
+        assert_illegal(dict(chunk_bytes=4096), "chunk watermarks are retired")
 
     def test_nonpositive_watermark_rejected(self):
-        assert_illegal(dict(shuffle="pipelined", chunk_gpsis=0), "chunk_gpsis")
+        """A retired field is refused by name before its value is read."""
+        assert_illegal(dict(chunk_gpsis=0), "unknown chunk_gpsis: not an")
+        assert_illegal(dict(chunk_bytes=-5), "unknown chunk_bytes: not an")
 
 
 # ----------------------------------------------------------------------
@@ -204,69 +203,35 @@ class TestChunkedStoreSemantics:
 class TestChunkTraceEvents:
     def run_traced(self, **kwargs):
         tracer = Tracer()
-        PSgL(
+        result = PSgL(
             GRAPHS["er"],
             num_workers=4,
             seed=3,
             trace=tracer,
             **kwargs,
         ).run(paper_patterns()["PG2"])
-        return tracer
-
-    def test_flush_and_deliver_events_present(self):
-        tracer = self.run_traced(
-            backend="thread", procs=2, shuffle="pipelined", chunk_gpsis=TINY_CHUNK
-        )
-        flushes = tracer.by_kind("chunk_flush")
-        delivers = tracer.by_kind("chunk_deliver")
-        assert flushes, "tiny watermark must stream at least one chunk"
-        assert delivers
-        for event in flushes:
-            assert event.data["rows"] >= 1
-            assert event.data["nbytes"] > 0
-            assert event.data["seq"] >= 0
-            assert event.wall_ms is not None and event.wall_ms >= 0
-        # One deliver per streamed chunk; each worker's below-watermark
-        # remainder rides the step result and is not a streamed chunk.
-        assert len(delivers) == len(flushes)
-        chunks = sum(b.data["chunks"] for b in tracer.by_kind("barrier"))
-        assert chunks > len(flushes)
+        return tracer, result
 
     def test_barrier_pins_chunk_size_bound(self):
-        tracer = self.run_traced(
-            backend="thread", procs=2, shuffle="pipelined", chunk_gpsis=TINY_CHUNK
-        )
-        barriers = tracer.by_kind("barrier")
-        flushes = tracer.by_kind("chunk_flush")
-        assert barriers and flushes
-        for event in barriers:
+        """The one-chunk bound: each barrier's ``max_chunk_bytes`` is that
+        superstep's largest worker ``wire_bytes``, and ``chunks`` counts
+        the workers that sent anything."""
+        tracer, result = self.run_traced(backend="thread", procs=2)
+        for event in tracer.by_kind("barrier"):
             assert "merge_ms" in event.data
-            assert "chunks" in event.data and "max_send_bytes" in event.data
-        # The watermark bound: every streamed chunk is either within the
-        # row watermark or a single oversized send flushed alone (whose
-        # size is pinned by the barrier's ``max_send_bytes``).
-        max_send = max(b.data["max_send_bytes"] for b in barriers)
-        for event in flushes:
-            assert (
-                event.data["rows"] <= TINY_CHUNK
-                or event.data["nbytes"] <= max_send
-            )
-        max_chunk = max(b.data["max_chunk_bytes"] for b in barriers)
-        per_row = max(e.data["nbytes"] / e.data["rows"] for e in flushes)
-        assert max_chunk <= max(TINY_CHUNK * per_row, max_send)
+            assert "max_send_bytes" not in event.data
+        assert_outboxes_cross_whole(tracer, result)
 
     def test_superstep_records_build_ms(self):
-        tracer = self.run_traced(shuffle="pipelined", chunk_gpsis=TINY_CHUNK)
+        tracer, _ = self.run_traced()
         for event in tracer.by_kind("superstep"):
             assert event.data["build_ms"] >= 0
 
     def test_strict_trace_has_no_chunk_events(self):
-        tracer = self.run_traced(shuffle="strict")
-        assert tracer.by_kind("chunk_flush") == []
-        assert tracer.by_kind("chunk_deliver") == []
-
-    def test_summary_identical_strict_vs_pipelined(self):
-        strict = self.run_traced(shuffle="strict")
-        pipelined = self.run_traced(shuffle="pipelined", chunk_gpsis=TINY_CHUNK)
-        assert pipelined.worker_totals() == strict.worker_totals()
-        assert pipelined.summary() == strict.summary()
+        """No backend streams: a trace, process lanes included, has no
+        per-chunk flush or delivery event."""
+        for backend in ("serial", "process"):
+            tracer, result = self.run_traced(backend=backend, procs=2)
+            kinds = {event.kind for event in tracer.events}
+            assert not kinds & {"chunk_flush", "chunk_deliver"}
+            assert_outboxes_cross_whole(tracer, result)

@@ -4,9 +4,10 @@ PSgL runs one engine (``docs/perf.md``): packed chunks through one
 barrier store, ``expand_columns``, ``choose_many``.  The paper's own
 statement of the job — one ``Gpsi`` object per message, scalar
 ``expand_gpsi`` and ``choose`` — is not a second plane but the oracle,
-:func:`repro.core.reference.run_reference`.  The engine has a delivery
-schedule (strict / pipelined), a storage policy (spill off / forced) and
-a backend, and none of them may change *what* a run computes.  This file
+:func:`repro.core.reference.run_reference`.  The engine has one delivery
+schedule (each outbox crosses the barrier whole), a storage policy
+(spill off / forced) and a backend, and none of them may change *what* a
+run computes.  This file
 pins that in one place: every engine configuration against the oracle —
 counts, instances, probe statistics, per-worker ledgers (which pin the
 RNG-dependent routing step by step) — and the exact wire bytes across
@@ -29,17 +30,23 @@ from repro.obs import Tracer
 from repro.pattern import paper_patterns
 from repro.runtime import ProcessExecutor
 
-from .parity import assert_equivalent, assert_illegal, reference_run
+from .parity import (
+    assert_equivalent,
+    assert_illegal,
+    assert_outboxes_cross_whole,
+    reference_run,
+)
 
 GRAPHS = {
     "er": erdos_renyi(28, 0.25, seed=13),
     "powerlaw": chung_lu_power_law(30, gamma=2.5, avg_degree=4, seed=5),
 }
 
-#: Tiny watermark so even the 28-vertex graphs stream many chunks per
-#: superstep — pipelined legs exercise real interleaving, not the
-#: degenerate everything-in-the-residual case.
-TINY_CHUNK = 4
+#: The schedule axis keeps both of its ids.  ``pipelined`` named the
+#: retired streaming schedule: its legs ask for it, are refused with the
+#: retired hint, then run the one schedule traced and pin that every
+#: worker's outbox crossed the barrier whole.
+SCHEDULES = ["strict", "pipelined"]
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +59,7 @@ def reference(pattern_name, graph="er", strategy="WA,0.5"):
 
 @lru_cache(maxsize=None)
 def production_baseline(pattern_name):
-    """Serial / strict / in-memory engine run: the wire-byte yardstick."""
+    """Serial / in-memory engine run: the wire-byte yardstick."""
     return assert_equivalent(ExecutionConfig(), reference(pattern_name))
 
 
@@ -60,28 +67,40 @@ def wire_bytes(result):
     return [step.worker_wire_bytes for step in result.ledger.steps]
 
 
-def production_config(backend, shuffle, spill, tmp_path):
-    kwargs = dict(backend=backend, shuffle=shuffle)
+def production_config(backend, spill, tmp_path):
+    kwargs = dict(backend=backend)
     if backend != "serial":
         kwargs["procs"] = 2
-    if shuffle == "pipelined":
-        kwargs["chunk_gpsis"] = TINY_CHUNK
     if spill:
         # Watermark of one byte: every sealed chunk goes through disk.
         kwargs.update(spill_dir=str(tmp_path), memory_watermark_bytes=1)
     return ExecutionConfig(**kwargs)
 
 
+def run_schedule(schedule, config, reference):
+    """``config`` against the oracle on ``schedule``'s leg (see
+    :data:`SCHEDULES`)."""
+    if schedule == "strict":
+        return assert_equivalent(config, reference)
+    with pytest.raises(EngineError, match="ships each outbox whole"):
+        config.with_overrides(shuffle=schedule)
+    tracer = Tracer()
+    result = assert_equivalent(config, reference, trace=tracer)
+    assert_outboxes_cross_whole(tracer, result)
+    return result
+
+
 class TestReferenceVsProduction:
     """Every engine configuration against the oracle."""
 
     @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spill"])
-    @pytest.mark.parametrize("shuffle", ["strict", "pipelined"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("pattern_name", sorted(paper_patterns()))
-    def test_matrix(self, pattern_name, backend, shuffle, spill, tmp_path):
-        result = assert_equivalent(
-            production_config(backend, shuffle, spill, tmp_path),
+    def test_matrix(self, pattern_name, backend, schedule, spill, tmp_path):
+        result = run_schedule(
+            schedule,
+            production_config(backend, spill, tmp_path),
             reference(pattern_name),
         )
         assert wire_bytes(result) == wire_bytes(
@@ -92,17 +111,17 @@ class TestReferenceVsProduction:
             assert list(tmp_path.iterdir()) == []  # cleaned up
 
     @pytest.mark.parametrize(
-        "shuffle,spill", [("strict", False), ("pipelined", True)]
+        "schedule,spill", [("strict", False), ("pipelined", True)]
     )
-    def test_spawn_process_leg(self, shuffle, spill, tmp_path):
-        """Packed chunks, replica state and the chunk queue must survive
+    def test_spawn_process_leg(self, schedule, spill, tmp_path):
+        """Packed chunks, replica state and spilled chunks must survive
         a spawn-fresh interpreter (everything crossing by pickle)."""
         config = replace(
-            production_config("process", shuffle, spill, tmp_path),
+            production_config("process", spill, tmp_path),
             backend=ProcessExecutor(procs=2, start_method="spawn"),
             procs=None,
         )
-        result = assert_equivalent(config, reference("PG2"))
+        result = run_schedule(schedule, config, reference("PG2"))
         assert wire_bytes(result) == wire_bytes(production_baseline("PG2"))
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
@@ -112,17 +131,16 @@ class TestReferenceVsProduction:
         """Each strategy's ``choose_many`` must replay its scalar
         ``choose`` RNG stream draw for draw."""
         assert_equivalent(
-            production_config(backend, "pipelined", False, None),
+            production_config(backend, False, None),
             reference(pattern_name, "powerlaw", strategy),
         )
 
     def test_byte_watermark_and_thread_pool_width(self):
-        """A bytes-denominated watermark chunks differently but delivers
-        identically (powerlaw graph: skewed outbox sizes)."""
+        """Skewed outbox sizes (powerlaw graph) on a thread pool narrower
+        than the workers deliver identically.  The byte watermark this
+        test once varied is retired: each outbox crosses whole."""
         assert_equivalent(
-            ExecutionConfig(
-                backend="thread", procs=3, shuffle="pipelined", chunk_bytes=256
-            ),
+            ExecutionConfig(backend="thread", procs=3),
             reference("PG3", "powerlaw"),
         )
 
@@ -174,7 +192,7 @@ class TestOnePayload:
 
         monkeypatch.setattr(Gpsi, "__init__", refuse)
         assert_equivalent(
-            production_config(backend, "strict", False, None), expected
+            production_config(backend, False, None), expected
         )
 
     @pytest.mark.parametrize("pattern_name", ["PG1", "PG2", "PG4", "PG5"])
@@ -195,16 +213,17 @@ class TestPlaneGuards:
         assert_illegal(dict(wire="quantum"), "unknown wire")
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs,match",
         [
-            dict(shuffle="pipelined"),
-            dict(steal=True),
-            dict(spill_dir="unused", memory_watermark_bytes=1),
+            (dict(shuffle="pipelined"), "ships each outbox whole"),
+            (dict(steal=True), "wire='columnar'"),
+            (dict(spill_dir="unused", memory_watermark_bytes=1), "wire='columnar'"),
         ],
         ids=["pipelined", "steal", "spill"],
     )
-    def test_reference_plane_refuses_production_features(self, kwargs):
+    def test_reference_plane_refuses_production_features(self, kwargs, match):
         """The reference plane is no longer selectable: naming it is an
         unknown wire whatever else is asked for, and the refusal points
-        at the one plane."""
-        assert_illegal(dict(wire="object", **kwargs), "wire='columnar'")
+        at the one plane.  A retired field beside it is refused first,
+        by name, pointing at the one schedule."""
+        assert_illegal(dict(wire="object", **kwargs), match)

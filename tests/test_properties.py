@@ -124,12 +124,7 @@ def legal_execution_kwargs(draw):
         superstep_budget=draw(st.sampled_from([None, 50])),
         wall_budget_seconds=draw(st.sampled_from([None, 600.0])),
     )
-    schedule = draw(st.sampled_from(["strict", "pipelined", "steal"]))
-    if schedule == "pipelined":
-        kwargs["shuffle"] = "pipelined"
-        kwargs["chunk_gpsis"] = draw(st.sampled_from([None, 1, 4, 64]))
-        kwargs["chunk_bytes"] = draw(st.sampled_from([None, 64, 4096]))
-    elif schedule == "steal":
+    if draw(st.booleans()):
         kwargs["steal"] = True
         kwargs["steal_tasks"] = draw(st.sampled_from([None, 1, 16]))
     if draw(st.booleans()):
@@ -152,8 +147,8 @@ class TestAnyLegalConfigurationIsEquivalent:
         drawable = {
             "backend", "procs", "wire", "kernel", "memory_budget",
             "worker_memory_budget", "max_supersteps", "superstep_budget",
-            "wall_budget_seconds", "shuffle", "chunk_gpsis", "chunk_bytes",
-            "steal", "steal_tasks", "spill_dir", "memory_watermark_bytes",
+            "wall_budget_seconds", "steal", "steal_tasks", "spill_dir",
+            "memory_watermark_bytes",
         }
         assert drawable == {
             spec.name for spec in dataclasses.fields(ExecutionConfig)

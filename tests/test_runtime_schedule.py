@@ -3,28 +3,34 @@
 ``SuperstepExecutor.run_superstep`` is the runtime's only execution loop;
 a backend is a pool plus one submit hook.  This file pins that shape
 (so a second loop cannot quietly grow back in a backend), proves a
-backend written against the hooks alone inherits the static, the
-work-stealing and the pipelined schedule bit-identically, and checks
-that a failure — at set-up or mid-superstep, under either dynamic
-schedule — propagates as itself and leaves no thread, child process,
-``/dev/shm`` block or spill directory behind.
+backend written against the hooks alone inherits the static and the
+work-stealing schedule bit-identically, and checks that a failure — at
+set-up or mid-superstep, under either schedule — propagates as itself
+and leaves no thread, child process, ``/dev/shm`` block or spill
+directory behind.
+
+Every outbox crosses the barrier whole: the pipelined schedule that
+streamed chunks mid-compute is retired.  Its legs keep their ids: a
+``pipelined`` fault leg now runs what its sibling leg does not (the
+static schedule beside ``steal``; on spawn, every chunk spilled beside
+none), and its conformance test pins that the retired schedule is
+refused.
+
 """
 
 import multiprocessing
 import os
 import pickle
-import queue
 import re
 import signal
 import threading
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.bsp import BSPEngine, ExecutionConfig
+from repro.bsp import BSPEngine, ChunkedColumnarStore, ExecutionConfig
 from repro.bsp.aggregate import AggregatorRegistry
 from repro.core import PSgL, listing
 from repro.core.listing import PSgLProgram
@@ -32,7 +38,7 @@ from repro.exceptions import EngineError
 from repro.graph import hash_partition
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
-from repro.runtime import executor, process
+from repro.runtime import process
 from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
@@ -43,14 +49,13 @@ from repro.runtime import (
 )
 from repro.runtime.executor import JobSpec
 
-from .parity import assert_equivalent, reference_run
+from .parity import assert_equivalent, assert_outboxes_cross_whole, reference_run
 from .programs import PerVertex
 
 SRC = Path(repro.__file__).resolve().parent
 GRAPH = erdos_renyi(40, 0.25, seed=7)
 
 STEAL = dict(steal=True, steal_tasks=8)
-PIPELINED = dict(shuffle="pipelined", chunk_gpsis=4)
 
 
 @lru_cache(maxsize=None)
@@ -74,11 +79,11 @@ class TestOneSchedule:
                 continue
             text = path.read_text()
             assert not calls.search(text), path
-            if path.parent == schedule.parent:
-                assert "threading.Thread(" not in text, path
         text = schedule.read_text()
-        assert text.count("threading.Thread(") == 1
         assert len(calls.findall(text)) == 2
+        # No drain: the runtime starts no thread of its own.
+        for path in sorted((SRC / "runtime").rglob("*.py")):
+            assert "threading.Thread(" not in path.read_text(), path
 
     def test_one_worker_contract_in_src(self):
         gone = re.compile(
@@ -122,8 +127,6 @@ class InlineReplicas(SuperstepExecutor):
     name = "inline-replicas"
 
     def start(self, spec):
-        if spec.config.shuffle == "pipelined":
-            spec = replace(spec, chunk_queue=queue.Queue(maxsize=4))
         super().start(spec)
         payload, arrays = pickle.dumps(spec.program), spec.program.export_shared()
         self._replicas = [pickle.loads(payload) for _ in range(spec.num_workers)]
@@ -158,17 +161,15 @@ class TestThirdPartyBackend:
         assert result.steals == 0
 
     def test_pipelined_schedule(self):
+        """The retired schedule: no backend can be asked for it, and the
+        one a third-party backend inherits ships every outbox whole,
+        with nothing of its own to set up."""
+        config = ExecutionConfig(backend=InlineReplicas())
+        with pytest.raises(EngineError, match="ships each outbox whole"):
+            config.with_overrides(shuffle="pipelined")
         tracer = Tracer()
-        assert_equivalent(
-            ExecutionConfig(backend=InlineReplicas(), **PIPELINED),
-            reference(),
-            trace=tracer,
-        )
-        # The bounded queue (depth 4) only ever empties because the
-        # inherited drain consumes while the driver thread computes.
-        flushed = tracer.by_kind("chunk_flush")
-        assert len(flushed) > 4
-        assert len(tracer.by_kind("chunk_deliver")) == len(flushed)
+        result = assert_equivalent(config, reference(), trace=tracer)
+        assert_outboxes_cross_whole(tracer, result)
 
     def test_stolen_means_off_the_lane_of_the_owners_first_task(self):
         tracer = Tracer()
@@ -326,36 +327,48 @@ class TestFaults:
         assert leftovers() == before
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("schedule", [{}, PIPELINED], ids=["static", "pipelined"])
-    def test_compute_failure_mid_superstep_under_spawn(self, schedule):
-        """A child failure on a spawn pool unlinks the exported blocks
-        and, pipelined, the chunk queue's named semaphores, although the
-        raised exception (and its traceback) is still alive.  The failing
-        program reaches the children by pickle: a patch in the driver
-        does not reach a spawned interpreter."""
+    @pytest.mark.parametrize("storage", ["static", "pipelined"])
+    def test_compute_failure_mid_superstep_under_spawn(self, storage, tmp_path):
+        """A child failure on a spawn pool unlinks the exported blocks,
+        although the raised exception (and its traceback) is still
+        alive.  The ``pipelined`` id, whose chunk queue is retired, runs
+        with every chunk spilled, so no spill file outlives it either.
+        The failing program reaches the children by pickle: a patch in
+        the driver does not reach a spawned interpreter."""
+        spill = {}
+        if storage == "pipelined":
+            spill = dict(spill_dir=str(tmp_path), memory_watermark_bytes=1)
         before = leftovers()
         engine = BSPEngine(
             GRAPH,
             hash_partition(GRAPH.num_vertices, 4),
             backend=ProcessExecutor(procs=2, start_method="spawn"),
-            **schedule,
+            **spill,
         )
         with pytest.raises(ValueError, match="injected mid-superstep failure"):
             engine.run(Explodes())
         assert leftovers() == before
+        assert list(tmp_path.iterdir()) == []
 
     def test_lost_chunk_is_a_typed_error(self, monkeypatch):
-        """Regression: a pipelined superstep whose chunks never all
-        arrive raised a bare ``RuntimeError`` — a traceback from
-        ``psgl count``, an untyped failure in the service."""
-        monkeypatch.setattr(executor, "DRAIN_JOIN_SECONDS", 0.05)
+        """A worker's outbox lost on its way into the barrier store is an
+        ``EngineError`` from the barrier's exact accounting — never a
+        wrong count — and the lanes are torn down as after any fault."""
+        merge = ChunkedColumnarStore.merge_chunk
+
+        def losing(store, sender, seq, columns):
+            if sender != 1:
+                merge(store, sender, seq, columns)
+
+        monkeypatch.setattr(ChunkedColumnarStore, "merge_chunk", losing)
         before = leftovers()
-        drain = executor._ChunkDrain(queue.Queue(), lambda *chunk: None)
-        with pytest.raises(EngineError, match="lost chunks: received 0 of 1"):
-            drain.finish(1, superstep=3)
+        with pytest.raises(EngineError, match="accounting broke at superstep 0"):
+            PSgL(GRAPH, num_workers=4, backend="process", procs=2).count(
+                reference().result.pattern
+            )
         assert leftovers() == before
 
-    @pytest.mark.parametrize("schedule", [STEAL, PIPELINED], ids=["steal", "pipelined"])
+    @pytest.mark.parametrize("schedule", [STEAL, {}], ids=["steal", "pipelined"])
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_compute_failure_mid_superstep(self, monkeypatch, backend, schedule):
         expected = reference()  # computed before anything is patched

@@ -252,7 +252,6 @@ def test_scale18_out_of_core_parity(tmp_path):
         mapped,
         num_workers=4,
         seed=3,
-        shuffle="pipelined",
         spill_dir=str(tmp_path / "spill"),
         memory_watermark_bytes=1 << 20,
     ).run(pattern)
