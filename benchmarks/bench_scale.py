@@ -44,7 +44,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core import PSgL, kernels
+from repro.core import PSgL
 from repro.graph import load_mapped, write_edge_list
 from repro.graph.binfmt import convert_edge_list
 from repro.graph.generators import rmat
@@ -66,11 +66,6 @@ def _environment_notes():
         notes.append(
             "single-core machine: workers share one core, so wall times "
             "measure the engine + spill plane, not parallel speedup"
-        )
-    if not kernels.HAVE_NUMBA:
-        notes.append(
-            "numba absent: expansion runs the numpy kernel; absolute "
-            "wall times are several times a jitted run's"
         )
     return notes
 
@@ -198,7 +193,6 @@ def run_benchmark(
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "kernel": kernels.kernel_info("auto"),
         "notes": _environment_notes(),
         "sweeps": sweeps,
     }

@@ -11,11 +11,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "sum_aggregator",
     ),
     ".engine": ("BSPEngine", "BSPResult"),
-    ".config": (
-        "ExecutionConfig",
-        "KERNEL_CHOICES",
-        "WIRE_PLANES",
-    ),
+    ".config": ("ExecutionConfig", "WIRE_PLANES"),
     ".message": (
         "ChunkedColumnarStore",
         "ColumnarOutbox",

@@ -3,7 +3,7 @@
 The paper's PSgL has four user-visible parameters (distribution strategy,
 initial pattern vertex, worker count, edge index); those stay arguments
 of :class:`~repro.core.listing.PSgL`.  Everything else a caller can
-choose — backend, data plane, kernel, stealing, spill, budgets — is
+choose — backend, data plane, stealing, spill, budgets — is
 *result-neutral* by the bit-parity contract and is declared here, once:
 one field per knob, one ``__post_init__`` with every legality rule, one
 strict name check for keyword overrides and argparse/JSON mappings
@@ -47,10 +47,11 @@ RETIRED = {
     "shuffle": f" (the pipelined shuffle is retired: {_ONE_CHUNK})",
     "chunk_gpsis": f" (chunk watermarks are retired: {_ONE_CHUNK})",
     "chunk_bytes": f" (chunk watermarks are retired: {_ONE_CHUNK})",
+    "kernel": (
+        " (the native tier is retired: expansion and probes run on numpy, "
+        "the one path)"
+    ),
 }
-
-#: Expansion kernels (see repro.core.kernels, which resolves them).
-KERNEL_CHOICES = ("auto", "numpy", "native")
 
 #: Default work-stealing task granularity (rows per steal task) when
 #: ``steal=True`` and the caller sets no ``steal_tasks``.  Small enough
@@ -129,13 +130,6 @@ class ExecutionConfig:
         "data plane: columnar, the one plane (packed Gpsi buffers, batch "
         "expansion)",
         choices=WIRE_PLANES,
-    )
-    kernel: str = _knob(
-        "auto", str,
-        "expansion/probe kernel: numpy (vectorised reference), native "
-        "(numba-jitted fused loops), or auto (native when a numba "
-        "runtime is installed, else numpy; identical results)",
-        choices=KERNEL_CHOICES,
     )
     steal: bool = _knob(
         False, bool,

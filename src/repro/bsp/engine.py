@@ -79,9 +79,8 @@ class BSPEngine:
         Vertex-to-worker assignment.
     config:
         The :class:`~repro.bsp.config.ExecutionConfig` — backend, data
-        plane, kernel, stealing, spill and budgets; every knob
-        is declared, documented and validated there (table in
-        ``docs/api.md``).  ``None`` means the defaults.
+        plane, stealing, spill and budgets; every knob is declared,
+        documented and validated there (table in ``docs/api.md``).  ``None`` means the defaults.
     trace:
         Observability: ``None``/``False`` (default, zero overhead), a
         :class:`repro.obs.Tracer` to record per-superstep events into,

@@ -352,7 +352,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     print(f"initial vp : v{result.initial_vertex + 1}")
     print(f"strategy   : {result.strategy}")
     print(f"backend    : {config.backend}")
-    print(f"kernel     : {result.kernel} (requested {config.kernel})")
     if config.steal:
         print(f"steals     : {result.steals}")
     if config.spill_dir is not None:

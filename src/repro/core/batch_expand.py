@@ -51,7 +51,6 @@ import numpy as np
 
 from ..graph.ordered import OrderedGraph
 from ..pattern.pattern import PatternGraph
-from . import kernels
 from .cost import CostParameters, DEFAULT_COSTS
 from ..unique import sorted_unique
 from .edge_index import EdgeIndexBase
@@ -158,7 +157,6 @@ def expand_columns(
     ordered: OrderedGraph,
     edge_index: EdgeIndexBase,
     costs: CostParameters = DEFAULT_COSTS,
-    kernel: str = "numpy",
 ) -> BatchOutcome:
     """Run Algorithm 1 on every row of ``columns``, each at its own
     expanding data vertex ``mapping[i, next_vertex[i]]``.
@@ -170,18 +168,7 @@ def expand_columns(
     collapses to a handful of numpy passes per group, whatever vertices
     the rows are addressed to.  Cutting a block anywhere and
     concatenating the outcomes of the pieces gives the same result.
-
-    ``kernel`` selects the per-group inner-loop implementation (see
-    :mod:`repro.core.kernels`): ``"numpy"`` is the reference, ``"native"``
-    runs the fused jitted GRAY-membership + WHITE-candidate kernels when
-    a native runtime is available (falling back to numpy otherwise), and
-    ``"auto"`` picks native exactly when numba is installed.  Outcomes
-    are bit-identical across kernels.
     """
-    use_native = kernels.resolve_kernel(kernel) == "native"
-    # Indexes the kernel cannot probe natively keep the numpy candidate
-    # path (probe parity requires the kernel to answer probes itself).
-    probe_pack = kernels.probe_pack_for(edge_index) if use_native else None
     outcome = BatchOutcome()
     n, k = columns.n, columns.k
     if n == 0:
@@ -256,19 +243,14 @@ def expand_columns(
             if group_mask >> np_ & 1:
                 # GRAY: exact adjacency verification against N(vd).
                 outcome.cost += costs.gray_check * len(live)
-                if use_native:
-                    ok = kernels.membership_sorted(
-                        graph.indptr, graph.indices, vd[live], sub_map[live, np_]
-                    )
-                else:
-                    ok = graph.has_edges(vd[live], sub_map[live, np_])
+                ok = graph.has_edges(vd[live], sub_map[live, np_])
                 alive[live[~ok]] = False
             else:
                 # WHITE: one flat candidate list over the live rows' N(vd).
                 outcome.cost += costs.scan * int(degrees[vd[live]].sum())
                 row_of, cand = _white_candidates(
                     sub_map[live], vd[live], np_, vp, black, group_mask,
-                    pattern, graph, ranks, edge_index, probe_pack,
+                    pattern, graph, ranks, edge_index,
                 )
                 per_row = np.zeros(m, dtype=np.int64)
                 per_row[live] = np.bincount(row_of, minlength=len(live))
@@ -352,7 +334,6 @@ def _white_candidates(
     graph,
     ranks: np.ndarray,
     edge_index: EdgeIndexBase,
-    probe_pack: Optional["kernels.ProbePack"],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Admissible candidates of one WHITE neighbour for every live row,
     as the flat pair ``(row_of, cand)`` — rows ascending, ``N(vd)`` order
@@ -363,10 +344,7 @@ def _white_candidates(
     over the shared arrays, and the GRAY-image prefilter issues exactly
     the probes the scalar short-circuit loop would — candidate ``c`` of
     row ``r`` is probed against image ``j`` iff it survived images
-    ``0..j-1`` — as one ``might_contain_pairs`` per image.  With a
-    ``probe_pack`` the per-(row, candidate) decisions, probes included,
-    run fused in :func:`repro.core.kernels.white_candidates` and the
-    probe counts it reports are credited to ``edge_index``.
+    ``0..j-1`` — as one ``might_contain_pairs`` per image.
     """
     n_live = len(vd)
     # Rule 1b: exclusive rank bounds from order-constrained mapped vertices.
@@ -390,17 +368,6 @@ def _white_candidates(
         for np_ in pattern.neighbors(white_vp)
         if np_ != expanding_vp and group_mask >> np_ & 1 and not black >> np_ & 1
     ]
-    if probe_pack is not None:
-        row_of, cand, queries, positives = kernels.white_candidates(
-            sub_live, vd,
-            np.array(mapped_cols, dtype=np.int64),
-            np.array(gray_cols, dtype=np.int64),
-            lower, upper, graph, ranks, pattern.degree(white_vp), probe_pack,
-        )
-        edge_index.queries += queries
-        edge_index.positives += positives
-        return row_of, cand
-
     lens = np.where(lower < upper, graph.degrees[vd], 0)
     ends = np.cumsum(lens)
     slots = np.repeat(graph.indptr[vd] - (ends - lens), lens)

@@ -149,7 +149,7 @@ class BloomFilter:
         Hashes once per *unique* key (expansion batches repeat keys
         heavily), then reads probe ``i`` only for the keys whose probes
         ``0..i-1`` all hit, stepping ``pos = (pos + h2) mod m`` like the
-        jitted twin ``kernels._bloom_contains``.
+        scalar :meth:`_probes`.
         """
         unique, _, inverse = sorted_unique(np.asarray(keys, np.uint64))
         pos, stride = self._hashes(unique)

@@ -68,28 +68,6 @@ class EdgeIndexBase:
     def __init__(self):
         self.queries = 0
         self.positives = 0
-        self.probe_kernel = "numpy"
-
-    def set_kernel(self, kernel: str) -> None:
-        """Select the batched-probe implementation (``"numpy"`` or
-        ``"native"``).
-
-        ``"native"`` routes :meth:`might_contain_pairs` through the
-        fused jitted probe loop
-        in :mod:`repro.core.kernels` when a native runtime is available;
-        answers and the ``queries``/``positives`` statistics are
-        bit-identical either way, so flipping the kernel mid-run is safe.
-        Implementations without a native probe ignore the setting.
-        """
-        from . import kernels
-
-        if kernel not in ("numpy", "native"):
-            raise ValueError(
-                f"unknown probe kernel {kernel!r} (numpy|native)"
-            )
-        self.probe_kernel = (
-            "native" if kernel == "native" and kernels.native_ready() else "numpy"
-        )
 
     def reset_statistics(self) -> None:
         """Zero the probe counters (indexes are reused across runs)."""
@@ -165,16 +143,9 @@ class BloomEdgeIndex(EdgeIndexBase):
     def might_contain(self, u: int, v: int) -> bool:
         return self._record(_edge_key(u, v, self._n) in self._bloom)
 
-    def _lookup_keys(self, keys: np.ndarray) -> np.ndarray:
-        if getattr(self, "probe_kernel", "numpy") == "native":
-            from . import kernels
-
-            return kernels.bloom_contains_many(self._bloom, keys)
-        return self._bloom.might_contain_many(keys)
-
     def might_contain_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         keys = _edge_keys_pairs(us, vs, self._n)
-        return self._record_many(self._lookup_keys(keys))
+        return self._record_many(self._bloom.might_contain_many(keys))
 
     def memory_bytes(self) -> int:
         """Index footprint (the paper notes ~2GB for Twitter's 1.2B edges)."""
@@ -212,10 +183,6 @@ class ExactEdgeIndex(EdgeIndexBase):
         k = len(self._keys)
         if k == 0:
             return np.zeros(len(keys), dtype=bool)
-        if getattr(self, "probe_kernel", "numpy") == "native":
-            from . import kernels
-
-            return kernels.sorted_contains_many(self._keys, keys)
         pos = np.searchsorted(self._keys, keys)
         return (pos < k) & (self._keys[np.minimum(pos, k - 1)] == keys)
 

@@ -45,10 +45,8 @@ from ..exceptions import (
 from ..graph.graph import Graph
 from ..graph.ordered import OrderedGraph
 from ..graph.partition import Partition, random_partition
-from ..obs.tracer import make_tracer
 from ..pattern.automorphism import automorphisms, break_automorphisms
 from ..pattern.pattern import PatternGraph
-from . import kernels
 from .batch_expand import BatchOutcome, expand_columns
 from .cost import CostParameters, DEFAULT_COSTS
 from .distribution import DistributionStrategy, make_strategy, worker_rng
@@ -81,8 +79,6 @@ class ListingResult:
     #: The tracer that observed the run (None when tracing was off);
     #: feed it to ``repro.obs`` exporters.
     trace: Optional[object] = None
-    #: Effective expansion kernel the run used (``"numpy"``/``"native"``).
-    kernel: Optional[str] = None
     #: Tasks executed by a non-home worker under the work-stealing
     #: scheduler (0 when ``steal=False`` or nothing was stolen).
     steals: int = 0
@@ -139,7 +135,6 @@ class PSgLProgram(VertexProgram):
         collect_instances: bool,
         count_per_vertex: bool = False,
         track_message_bytes: bool = False,
-        kernel: str = "numpy",
     ):
         self.pattern = pattern
         self.ordered = ordered
@@ -152,9 +147,6 @@ class PSgLProgram(VertexProgram):
         self.collect_instances = collect_instances
         self.count_per_vertex = count_per_vertex
         self.track_message_bytes = track_message_bytes
-        #: Effective expansion kernel ("numpy"/"native") — resolved by the
-        #: driver before construction so every replica agrees.
-        self.kernel = kernels.resolve_kernel(kernel)
         self.instances: List[Tuple[int, ...]] = []
         self.gpsi_by_vertex: Dict[int, int] = {}
         self.per_vertex_counts: Dict[int, int] = {}
@@ -315,7 +307,6 @@ class PSgLProgram(VertexProgram):
             self.ordered,
             self.edge_index if edge_index is None else edge_index,
             self.costs,
-            kernel=self.kernel,
         )
 
     def absorb_task_stats(self, queries: int, positives: int) -> None:
@@ -411,7 +402,7 @@ class PSgL:
         driver.
     config:
         The :class:`~repro.bsp.config.ExecutionConfig`: *how* the job
-        runs (backend, data plane, kernel, stealing, spill, budgets) —
+        runs (backend, data plane, stealing, spill, budgets) —
         result-neutral by the bit-parity contract, declared and validated
         in one place (table in ``docs/api.md``).
     trace:
@@ -572,10 +563,6 @@ class PSgL:
         pattern, initial_vertex, index = self.prepare(
             pattern, initial_vertex, initial_vertex_method, auto_break
         )
-        kernel_effective = kernels.resolve_kernel(self.config.kernel)
-        # Route the index's own batched probes through the same kernel;
-        # answers are bit-identical.
-        index.set_kernel(kernel_effective)
         program = PSgLProgram(
             pattern=pattern,
             ordered=self.ordered,
@@ -588,18 +575,12 @@ class PSgL:
             collect_instances=collect_instances,
             count_per_vertex=count_per_vertex,
             track_message_bytes=track_message_bytes,
-            kernel=kernel_effective,
         )
-        # The kernel is resolved here, not in the engine (which never
-        # expands), so the trace's description of it is recorded here too.
-        tracer = make_tracer(self.trace)
-        if tracer.enabled:
-            tracer.meta["kernel"] = kernels.kernel_info(self.config.kernel)
         engine = BSPEngine(
             self.graph,
             self.partition,
             self.config,
-            trace=tracer,
+            trace=self.trace,
             abort_event=self.abort_event,
         )
         bsp_result: BSPResult = engine.run(program)
@@ -621,7 +602,6 @@ class PSgL:
                 program.message_bytes if track_message_bytes else None
             ),
             trace=bsp_result.trace,
-            kernel=kernel_effective,
             steals=bsp_result.steals,
         )
 

@@ -143,18 +143,22 @@ def _serve(down: int, up: int) -> None:
         _write_frame(up, data)
 
 
-def _forked_lane(down: int, up: int, close: List[int], init: tuple) -> int:
-    """Fork one child lane.  The child closes every driver-side pipe end
-    it inherited — its own and the earlier lanes' — or a lane would never
-    see end of file when the driver closes it; it leaves through
-    ``os._exit``, so nothing of the driver's is flushed or torn down."""
+def _forked_lane(down: int, up: int, init: tuple) -> int:
+    """Fork one child lane.  The child closes every descriptor it
+    inherited but stdio and its own ``down``/``up``: a driver-side pipe
+    end left open in any child — this job's earlier lanes', or those of a
+    job running concurrently in the same process — would keep that lane
+    from ever seeing end of file.  It leaves through ``os._exit``, so
+    nothing of the driver's is flushed or torn down."""
     pid = os.fork()
     if pid:
         return pid
     code = 1
     try:
-        for fd in close:
-            os.close(fd)
+        lo, hi = sorted((down, up))
+        os.closerange(3, lo)
+        os.closerange(lo + 1, hi)
+        os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
         _init_child(*init)
         _serve(down, up)
         code = 0
@@ -302,10 +306,7 @@ class _Lanes:
         up_r, up_w = os.pipe()
         try:
             if spawn is None:
-                inherited = [down_w, up_r]
-                for lane in self.children:
-                    inherited += (lane.down, lane.up)
-                pid = _forked_lane(down_r, up_w, inherited, init)
+                pid = _forked_lane(down_r, up_w, init)
                 lane = _Lane(pid, down_w, up_r)
             else:
                 from multiprocessing.connection import Connection

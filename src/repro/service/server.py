@@ -48,7 +48,6 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..bsp.config import ExecutionConfig, coerce
-from ..core import kernels
 from ..core.distribution import make_strategy
 from ..core.edge_index import build_edge_index
 from ..core.listing import ListingResult, PSgL, check_num_workers
@@ -149,7 +148,7 @@ class GraphContext:
 #: policy, not a copy of the knobs: every other field — where chunks
 #: spill, how many processes run, the budgets' engine-side names — is
 #: owned by the server (its constructor arguments and ``budget`` merge).
-CLIENT_EXECUTION_FIELDS = ("backend", "wire", "kernel", "steal")
+CLIENT_EXECUTION_FIELDS = ("backend", "wire", "steal")
 
 #: Query-spec fields accepted by ``POST /jobs``, with their defaults: the
 #: query's own, then the client-settable execution fields with the
@@ -165,7 +164,7 @@ SPEC_DEFAULTS: Dict[str, Any] = {
 #: Spec fields that shape the result payload — the cache-key params.
 #: All are *query* fields: an ``ExecutionConfig`` field is result-neutral
 #: by contract and never part of a cache key, so a cached result answers
-#: any backend/wire/kernel/steal combination.
+#: any backend/wire/steal combination.
 CACHE_PARAM_FIELDS = ("workers", "seed", "collect_instances")
 
 
@@ -273,20 +272,6 @@ class SubgraphService:
             "psgl_spill_bytes_total",
             "Bytes of shuffle chunks evicted to disk past the watermark.",
         )
-        # Info-style gauge: one permanently-1 sample whose labels say what
-        # kernel="auto" resolves to on this host (numba present or not).
-        info = kernels.kernel_info("auto")
-        self._m_kernel_info = self.registry.gauge(
-            "psgl_kernel_info",
-            "Expansion-kernel capability of this service process.",
-            labelnames=("effective", "runtime", "numba"),
-        )
-        self._m_kernel_info.labels(
-            effective=info["effective"],
-            runtime=info["runtime"],
-            numba=str(info["numba"]).lower(),
-        ).set(1)
-
         self.manager = JobManager(
             runner=self._run_job,
             max_inflight=max_inflight,
@@ -461,7 +446,6 @@ class SubgraphService:
             "index_queries": int(result.index_queries),
             "index_pruned": int(result.index_pruned),
             "wall_seconds": float(result.wall_seconds),
-            "kernel": result.kernel,
             "steals": int(result.steals),
         }
         if spec["collect_instances"] and result.instances is not None:

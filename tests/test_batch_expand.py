@@ -68,13 +68,11 @@ def scalar_outcomes(gpsis, pattern, ordered, index):
 
 
 def batch_outcomes(pieces, pattern, ordered, index):
-    """One ``expand_columns`` call per piece, concatenated likewise
-    (``kernel="auto"``: the compiled kernels on CI's numba leg)."""
+    """One ``expand_columns`` call per piece, concatenated likewise."""
     out = dict(complete=[], pending=[], cost=0.0, generated=0, by_vp={})
     for gpsis in pieces:
         b = expand_columns(
-            pack_gpsis(gpsis, k=pattern.num_vertices), pattern, ordered, index,
-            kernel="auto",
+            pack_gpsis(gpsis, k=pattern.num_vertices), pattern, ordered, index
         )
         out["cost"] += b.cost
         out["generated"] += b.generated

@@ -211,8 +211,9 @@ class TestOverrideNames:
             (dict(shuffle="pipelined"), "shuffle is retired: a barrier ships"),
             (dict(chunk_gpsis=64), "watermarks are retired: a barrier ships"),
             (dict(chunk_bytes=4096), "watermarks are retired: a barrier ships"),
+            (dict(kernel="native"), "native tier is retired: expansion and"),
         ],
-        ids=["misspelt", "shuffle", "chunk_gpsis", "chunk_bytes"],
+        ids=["misspelt", "shuffle", "chunk_gpsis", "chunk_bytes", "kernel"],
     )
     def test_refused_by_name(self, overrides, match):
         """Regression: ``PSgL(g, backnd="thread")`` raised a raw
@@ -228,7 +229,11 @@ class TestOverrideNames:
     def test_retired_flags_are_gone(self, capsys):
         """The retired fields' flags went with them: argparse refuses
         ``--shuffle`` (exit 2) before anything runs."""
-        for flags in (["--shuffle", "pipelined"], ["--chunk-gpsis", "64"]):
+        for flags in (
+            ["--shuffle", "pipelined"],
+            ["--chunk-gpsis", "64"],
+            ["--kernel", "native"],
+        ):
             with pytest.raises(SystemExit) as refused:
                 main(["count", "--pattern", "PG1", "--dataset", "x"] + flags)
             assert refused.value.code == 2

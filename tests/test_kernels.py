@@ -1,14 +1,16 @@
-"""Parity tests for the native expansion kernels (:mod:`repro.core.kernels`).
+"""Parity tests for the one expansion path's probes and listing runs.
 
-The native kernels promise *bit-identical* results to the numpy
-reference — counts, instances, edge-index probe statistics and ledgers —
-with only wall-clock allowed to differ.  On machines without numba the
-``PSGL_KERNEL_INTERPRETED`` hook (patched here as
-``kernels.ALLOW_INTERPRETED``) runs the exact kernel bodies as plain
-Python, so this suite pins the native path's behaviour everywhere; the
-CI numba leg runs the same tests against the compiled kernels.
+Expansion and edge-index probes have one implementation: the numpy
+batch path (:mod:`repro.core.batch_expand`, the indexes' batched
+``might_contain_pairs`` and :meth:`BloomFilter.might_contain_many`).
+Each probe is pinned here against its scalar reference, and every
+listing run against the oracle :func:`repro.core.run_reference` —
+counts, instances, edge-index probe statistics and ledgers.  The native
+(numba) tier and its ``kernel`` knob are retired; the refusal is pinned
+too.
 """
 
+import importlib
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bsp import ExecutionConfig
-from repro.core import PSgL, kernels
+from repro.core import PSgL
 from repro.core.bloom import BloomFilter
 from repro.core.edge_index import (
     BloomEdgeIndex,
@@ -24,6 +26,7 @@ from repro.core.edge_index import (
     NullEdgeIndex,
     build_edge_index,
 )
+from repro.graph import Graph
 from repro.graph.generators import erdos_renyi
 from repro.pattern import paper_patterns
 
@@ -31,18 +34,10 @@ from .parity import assert_equivalent, assert_illegal, reference_run
 
 GRAPH = erdos_renyi(48, 0.22, seed=11)
 #: The end-to-end legs compare against the reference oracle, which is
-#: several times slower than either kernel: a smaller graph keeps PG5 cheap.
+#: several times slower than the batch path: a smaller graph keeps PG5 cheap.
 LISTING_GRAPH = erdos_renyi(36, 0.22, seed=11)
 
 INDEX_KINDS = ("none", "bloom", "exact")
-
-
-@pytest.fixture
-def interpreted_native(monkeypatch):
-    """Let ``kernel='native'`` execute (interpreted when numba is absent)."""
-    if not kernels.HAVE_NUMBA:
-        monkeypatch.setattr(kernels, "ALLOW_INTERPRETED", True)
-    yield
 
 
 @lru_cache(maxsize=None)
@@ -50,45 +45,22 @@ def reference(pattern_name, index_kind):
     return reference_run(LISTING_GRAPH, pattern_name, edge_index=index_kind)
 
 
+def scalar_contains(bloom, keys):
+    return [int(key) in bloom for key in keys]
+
+
 # ----------------------------------------------------------------------
-# Knob semantics
+# The retired knob
 # ----------------------------------------------------------------------
 class TestResolution:
     def test_choices_and_unknown(self):
-        assert kernels.KERNEL_CHOICES == ("auto", "numpy", "native")
-        with pytest.raises(ValueError):
-            kernels.resolve_kernel("fused")
-
-    def test_auto_never_picks_interpreted(self, monkeypatch):
-        # The interpreted hook is a test vehicle, slower than numpy —
-        # auto must ignore it even when enabled.
-        monkeypatch.setattr(kernels, "ALLOW_INTERPRETED", True)
-        expected = "native" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels.resolve_kernel("auto") == expected
-
-    def test_native_falls_back_without_runtime(self, monkeypatch):
-        monkeypatch.setattr(kernels, "ALLOW_INTERPRETED", False)
-        if kernels.HAVE_NUMBA:
-            assert kernels.resolve_kernel("native") == "native"
-        else:
-            assert kernels.resolve_kernel("native") == "numpy"
-
-    def test_kernel_info_shape(self):
-        info = kernels.kernel_info("auto")
-        assert set(info) == {
-            "requested", "effective", "runtime", "numba", "numba_version"
-        }
-        assert info["runtime"] in ("jit", "interpreted", "numpy")
-        assert info["numba"] == kernels.HAVE_NUMBA
-
-    def test_result_records_effective_kernel(self, interpreted_native):
-        for kernel in ("native", "numpy"):
-            result = PSgL(GRAPH, kernel=kernel).run(paper_patterns()["PG2"])
-            assert result.kernel == kernel
+        assert not hasattr(ExecutionConfig(), "kernel")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.kernels")
 
 
 # ----------------------------------------------------------------------
-# Unit parity: probe kernels vs their numpy references
+# Unit parity: batched probes vs their scalar references
 # ----------------------------------------------------------------------
 class TestProbeParity:
     def test_bloom_contains_many_matches_filter(self):
@@ -99,111 +71,94 @@ class TestProbeParity:
         probes = np.concatenate(
             [members[:100], rng.integers(0, 1 << 40, size=300, dtype=np.uint64)]
         )
-        expected = bloom.might_contain_many(probes)
-        got = kernels.bloom_contains_many(bloom, probes)
-        np.testing.assert_array_equal(got, expected)
+        got = bloom.might_contain_many(probes)
+        assert got[:100].all()
+        np.testing.assert_array_equal(got, scalar_contains(bloom, probes))
 
     def test_bloom_scalar_positions_match(self):
-        # The kernel walks (h1 + i*h2) mod m exactly like _probes does,
+        # The batch walks (h1 + i*h2) mod m exactly like _probes does,
         # so even false positives agree key-by-key.
         bloom = BloomFilter(50, fp_rate=0.2, seed=3)
         bloom.add_many(np.arange(40, dtype=np.uint64) * 7919)
         keys = np.arange(3000, dtype=np.uint64)
         np.testing.assert_array_equal(
-            kernels.bloom_contains_many(bloom, keys),
-            bloom.might_contain_many(keys),
+            bloom.might_contain_many(keys), scalar_contains(bloom, keys)
         )
 
     def test_sorted_contains_many(self):
         rng = np.random.default_rng(1)
-        haystack = np.unique(rng.integers(0, 10_000, 600).astype(np.uint64))
-        needles = rng.integers(0, 10_000, 800).astype(np.uint64)
-        expected = np.isin(needles, haystack)
-        got = kernels.sorted_contains_many(haystack, needles)
+        us = rng.integers(0, GRAPH.num_vertices, 800)
+        vs = rng.integers(0, GRAPH.num_vertices, 800)
+        index = ExactEdgeIndex(GRAPH)
+        got = index.might_contain_pairs(us, vs)
+        expected = [GRAPH.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
         np.testing.assert_array_equal(got, expected)
+        assert index.queries == 800
+        assert index.positives == sum(expected) > 0
 
     def test_membership_sorted(self):
-        # Two CSR segments, [1, 4, 9] and [16, 25]; needle i is looked
-        # up in segment vd[i] only.
-        indptr = np.array([0, 3, 5, 5], dtype=np.int64)
-        indices = np.array([1, 4, 9, 16, 25], dtype=np.int64)
-        vd = np.array([0, 0, 0, 1, 1, 0, 2], dtype=np.int64)
-        needles = np.array([0, 1, 5, 16, 26, 25, 1], dtype=np.int64)
+        # Adjacency [1, 2], [0, 2], [0, 1, 3], [2] and an empty one (4).
+        graph = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        us = np.array([0, 0, 0, 2, 2, 3, 4, 4, 1], dtype=np.int64)
+        vs = np.array([1, 3, 0, 3, 4, 2, 0, 4, 2], dtype=np.int64)
         np.testing.assert_array_equal(
-            kernels.membership_sorted(indptr, indices, vd, needles),
-            [False, True, False, True, False, False, False],
+            graph.has_edges(us, vs),
+            [True, False, False, True, False, True, False, False, True],
         )
 
     def test_empty_inputs(self):
         bloom = BloomFilter(10, fp_rate=0.1, seed=1)
-        assert len(kernels.bloom_contains_many(bloom, np.array([], np.uint64))) == 0
-        assert len(
-            kernels.sorted_contains_many(
-                np.array([], np.uint64), np.array([], np.uint64)
-            )
-        ) == 0
+        assert len(bloom.might_contain_many(np.array([], np.uint64))) == 0
+        empty = np.array([], dtype=np.int64)
+        for kind in ("bloom", "exact"):
+            index = build_edge_index(GRAPH, kind=kind, seed=5)
+            assert len(index.might_contain_pairs(empty, empty)) == 0
+            assert index.queries == index.positives == 0
 
     def test_probe_pack_covers_builtin_indexes(self):
-        for kind, cls, code in (
-            ("bloom", BloomEdgeIndex, 1),
-            ("exact", ExactEdgeIndex, 2),
-            ("none", NullEdgeIndex, 0),
+        for kind, cls in (
+            ("bloom", BloomEdgeIndex),
+            ("exact", ExactEdgeIndex),
+            ("none", NullEdgeIndex),
         ):
             index = build_edge_index(GRAPH, kind=kind, seed=5)
             assert type(index) is cls
-            pack = kernels.probe_pack_for(index)
-            assert pack is not None and pack[0] == code
+            assert index.exact is (kind == "exact")
 
     def test_probe_pack_rejects_unknown_index(self):
+        # A third-party index class runs the same path as the built-ins.
         class CustomIndex(ExactEdgeIndex):
             pass
 
-        custom = CustomIndex.__new__(CustomIndex)
-        assert kernels.probe_pack_for(custom) is None
+        assert_equivalent(
+            ExecutionConfig(),
+            reference("PG2", "exact"),
+            edge_index=CustomIndex(LISTING_GRAPH),
+        )
 
 
 # ----------------------------------------------------------------------
-# End-to-end parity: full listing runs, numpy vs native
+# End-to-end parity: full listing runs vs the oracle
 # ----------------------------------------------------------------------
 class TestListingParity:
     @pytest.mark.parametrize("index_kind", INDEX_KINDS)
     @pytest.mark.parametrize(
         "pattern_name", ["PG1", "PG2", "PG3", "PG4", "PG5"]
     )
-    def test_native_matches_numpy(
-        self, interpreted_native, pattern_name, index_kind
-    ):
-        for kernel in ("numpy", "native"):
-            assert_equivalent(
-                ExecutionConfig(kernel=kernel),
-                reference(pattern_name, index_kind),
-            )
+    def test_native_matches_numpy(self, pattern_name, index_kind):
+        assert_equivalent(ExecutionConfig(), reference(pattern_name, index_kind))
 
-    def test_parity_on_columnar_thread_backend(self, interpreted_native):
+    def test_parity_on_columnar_thread_backend(self):
         assert_equivalent(
-            ExecutionConfig(kernel="native", backend="thread"),
-            reference("PG3", "bloom"),
+            ExecutionConfig(backend="thread"), reference("PG3", "bloom")
         )
 
-    def test_trace_meta_records_kernel(self, interpreted_native):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        index = build_edge_index(GRAPH, kind="bloom", seed=5)
-        PSgL(
-            GRAPH, num_workers=2, edge_index=index,
-            kernel="native", trace=tracer,
-        ).run(paper_patterns()["PG2"])
-        info = tracer.meta["kernel"]
-        assert info["requested"] == "native"
-        assert info["effective"] == "native"
-
     def test_unknown_kernel_rejected(self):
-        assert_illegal(dict(kernel="fused"), "unknown kernel")
+        assert_illegal(dict(kernel="fused"), "native tier is retired")
 
 
 # ----------------------------------------------------------------------
-# Hypothesis sweep: random graphs, random patterns, both probe kernels
+# Hypothesis sweep: random filters, random graphs, random patterns
 # ----------------------------------------------------------------------
 class TestKernelProperties:
     @settings(deadline=None, max_examples=20)
@@ -222,8 +177,7 @@ class TestKernelProperties:
         bloom.add_many(members)
         probes = rng.integers(0, 1 << 62, size=256, dtype=np.uint64)
         np.testing.assert_array_equal(
-            kernels.bloom_contains_many(bloom, probes),
-            bloom.might_contain_many(probes),
+            bloom.might_contain_many(probes), scalar_contains(bloom, probes)
         )
 
     @settings(deadline=None, max_examples=10)
@@ -237,25 +191,11 @@ class TestKernelProperties:
     def test_listing_parity_on_random_graphs(
         self, n, p, seed, pattern_name, index_kind
     ):
-        # hypothesis shares one fixture instance across examples, so the
-        # interpreted hook is flipped by hand rather than via monkeypatch.
-        saved = kernels.ALLOW_INTERPRETED
-        kernels.ALLOW_INTERPRETED = True
-        try:
-            graph = erdos_renyi(n, p, seed=seed)
-            pattern = paper_patterns()[pattern_name]
-            results = {}
-            for kernel in ("numpy", "native"):
-                index = build_edge_index(graph, kind=index_kind, seed=seed)
-                result = PSgL(
-                    graph, num_workers=3, edge_index=index, kernel=kernel
-                ).run(pattern, collect_instances=True)
-                results[kernel] = (
-                    result.count,
-                    sorted(map(tuple, result.instances)),
-                    result.index_queries,
-                    result.index_pruned,
-                )
-            assert results["native"] == results["numpy"]
-        finally:
-            kernels.ALLOW_INTERPRETED = saved
+        graph = erdos_renyi(n, p, seed=seed)
+        assert_equivalent(
+            ExecutionConfig(),
+            reference_run(
+                graph, pattern_name, num_workers=3, edge_index=index_kind,
+                seed=seed,
+            ),
+        )

@@ -37,7 +37,6 @@ ENGINE_MODULES = (
     "repro.bsp.message",
     "repro.runtime",
     "repro.core.batch_expand",
-    "repro.core.kernels",
 )
 
 
@@ -77,7 +76,7 @@ def test_oracle_stays_small():
 
 
 def test_wire_names_the_one_plane():
-    assert len(dataclasses.fields(ExecutionConfig)) == 13
+    assert len(dataclasses.fields(ExecutionConfig)) == 12
     assert WIRE_PLANES == ("columnar",)
     assert ExecutionConfig(wire="columnar") == ExecutionConfig()
 

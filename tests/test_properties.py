@@ -19,7 +19,7 @@ from repro.baselines import (
     powergraph_triangles,
     sgia_mr_listing,
 )
-from repro.bsp import ExecutionConfig, KERNEL_CHOICES, WIRE_PLANES
+from repro.bsp import ExecutionConfig, WIRE_PLANES
 from repro.core import BloomFilter, Gpsi, binomial, expand_gpsi
 from repro.core.edge_index import ExactEdgeIndex
 from repro.graph import Graph, OrderedGraph
@@ -115,7 +115,6 @@ def legal_execution_kwargs(draw):
         backend=backend,
         procs=None if backend == "serial" else draw(st.integers(1, 3)),
         wire=draw(st.sampled_from(WIRE_PLANES)),
-        kernel=draw(st.sampled_from(KERNEL_CHOICES)),
         # Budgets far above anything a 14-vertex graph needs: legal,
         # enforced, and never the reason a run ends.
         memory_budget=draw(st.sampled_from([None, 10**9])),
@@ -145,7 +144,7 @@ class TestAnyLegalConfigurationIsEquivalent:
         # A knob added to the dataclass must be added to the strategy:
         # that is what keeps "covered by existing" true.
         drawable = {
-            "backend", "procs", "wire", "kernel", "memory_budget",
+            "backend", "procs", "wire", "memory_budget",
             "worker_memory_budget", "max_supersteps", "superstep_budget",
             "wall_budget_seconds", "steal", "steal_tasks", "spill_dir",
             "memory_watermark_bytes",

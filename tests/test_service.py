@@ -233,6 +233,51 @@ class TestResultCache:
             assert not client.count(pattern="PG1")["cached"]
 
 
+class TestConcurrentProcessJobs:
+    def test_four_process_jobs_at_once_all_complete(self):
+        """Regression: four ``backend="process"`` jobs admitted together
+        deadlocked in ``close()`` — each job's forked lane held the other
+        jobs' driver-side pipe ends, so no lane saw end of file — and
+        stayed ``running`` forever.  Every round's jobs now complete with
+        the batch driver's counts.  The service runs in a daemon thread
+        with bounded waits, so a hang fails the test, not the suite."""
+        graph = erdos_renyi(60, 0.15, seed=12)
+        patterns = ("PG1", "PG2")
+        expected = {
+            name: PSgL(graph, num_workers=4).count(paper_patterns()[name])
+            for name in patterns
+        }
+        rounds, errors = [], []
+
+        def serve():
+            try:
+                with running_service(graph, max_inflight=4) as (client, _):
+                    for round_ in range(5):
+                        jobs = [
+                            client.submit(
+                                pattern=patterns[i % 2],
+                                seed=4 * round_ + i,
+                                backend="process",
+                            )
+                            for i in range(4)
+                        ]
+                        rounds.append(
+                            [client.wait(job["id"], timeout=10) for job in jobs]
+                        )
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        thread.join(60)
+        assert not errors, errors[0]
+        assert len(rounds) == 5, f"round {len(rounds)} never finished"
+        for jobs in rounds:
+            for job in jobs:
+                assert job["state"] == "completed", job
+                assert job["result"]["count"] == expected[job["result"]["pattern"]]
+
+
 class TestBudgetsAndCancel:
     def test_over_budget_job_killed_with_structured_error(self, service_pair):
         client, _ = service_pair

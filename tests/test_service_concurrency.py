@@ -19,6 +19,8 @@ from repro.core.edge_index import build_edge_index
 from repro.graph import OrderedGraph, erdos_renyi
 from repro.pattern import paper_patterns
 
+from .test_runtime_schedule import children
+
 THREADS = 4
 PATTERNS = ["PG1", "PG2"]
 
@@ -39,8 +41,10 @@ def sequential_reference(graph, backend="serial"):
     return reference
 
 
-def run_concurrently(worker, n_threads=THREADS):
-    """Start ``n_threads`` workers together; re-raise the first failure."""
+def run_concurrently(worker, n_threads=THREADS, timeout=60.0):
+    """Start ``n_threads`` workers together; re-raise the first failure.
+    The threads are daemons joined against one deadline, so a run that
+    hangs fails the test instead of the suite."""
     results, errors = {}, []
     barrier = threading.Barrier(n_threads)
 
@@ -52,15 +56,18 @@ def run_concurrently(worker, n_threads=THREADS):
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=wrapped, args=(i,)) for i in range(n_threads)
+        threading.Thread(target=wrapped, args=(i,), daemon=True)
+        for i in range(n_threads)
     ]
     for t in threads:
         t.start()
+    deadline = time.monotonic() + timeout
     for t in threads:
-        t.join(60)
+        t.join(max(0.0, deadline - time.monotonic()))
     if errors:
         raise errors[0]
-    assert len(results) == n_threads
+    hung = n_threads - len(results)
+    assert not hung, f"{hung} of {n_threads} runs still running after {timeout}s"
     return results
 
 
@@ -151,3 +158,37 @@ class TestNoSharedMemoryLeak:
                 break
             time.sleep(0.05)
         assert not leaked, f"shared-memory segments leaked: {sorted(leaked)}"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc"
+)
+class TestConcurrentProcessJobs:
+    def test_concurrent_fork_lane_jobs_complete(self, graph):
+        """Regression: a lane forked by one job inherited the driver-side
+        pipe ends of every other job running in the process, so closing a
+        job never gave its child end of file and ``close()`` waited in
+        ``waitpid`` forever — four concurrent process-backend drivers hung
+        in their first round.  Now each forked lane keeps only its own
+        pipe pair: every round completes with the serial results and
+        leaves no child, descriptor or ``/dev/shm`` entry behind."""
+        reference = sequential_reference(graph)
+        leftovers = lambda: (  # noqa: E731
+            children(),
+            sorted(os.listdir("/proc/self/fd")),
+            sorted(os.listdir("/dev/shm")),
+        )
+        before = leftovers()
+
+        def worker(idx):
+            name = PATTERNS[idx % len(PATTERNS)]
+            result = PSgL(
+                graph, num_workers=4, backend="process", procs=2, seed=0
+            ).run(paper_patterns()[name], collect_instances=True)
+            return name, result.count, sorted(result.instances)
+
+        for round_ in range(20):
+            outcomes = run_concurrently(worker, timeout=20.0).values()
+            for name, count, instances in outcomes:
+                assert (count, instances) == reference[name], (round_, name)
+        assert leftovers() == before

