@@ -14,8 +14,8 @@ Package layout
 * :mod:`repro.pattern` — pattern graphs, automorphism breaking, the
   PG1-PG5 catalog;
 * :mod:`repro.bsp` — the Pregel/Giraph-style BSP engine;
-* :mod:`repro.runtime` — pluggable execution backends (serial, thread,
-  process with a shared-memory graph) behind ``backend=...``;
+* :mod:`repro.runtime` — pluggable execution backends (serial, and
+  process lanes over one shared read-only graph) behind ``backend=...``;
 * :mod:`repro.obs` — per-superstep tracing and metrics (``trace=...``),
   JSONL/Chrome-trace exporters and the straggler report;
 * :mod:`repro.core` — the PSgL framework itself (Gpsi expansion,

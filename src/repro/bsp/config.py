@@ -3,7 +3,7 @@
 The paper's PSgL has four user-visible parameters (distribution strategy,
 initial pattern vertex, worker count, edge index); those stay arguments
 of :class:`~repro.core.listing.PSgL`.  Everything else a caller can
-choose — backend, data plane, stealing, spill, budgets — is
+choose — backend, lanes, data plane, spill, budgets — is
 *result-neutral* by the bit-parity contract and is declared here, once:
 one field per knob, one ``__post_init__`` with every legality rule, one
 strict name check for keyword overrides and argparse/JSON mappings
@@ -38,6 +38,7 @@ WIRE_PLANES = ("columnar",)
 #: says so instead of leaving the caller to guess.  A ``(field, value)``
 #: key retires one value of a live field, a bare name a whole field.
 _ONE_CHUNK = "a barrier ships each outbox whole, as one chunk"
+_ONE_POOL = "process lanes are the one pool"
 RETIRED = {
     ("wire", "object"): (
         " (the object plane is gone: wire='columnar' is the one plane, "
@@ -51,13 +52,16 @@ RETIRED = {
         " (the native tier is retired: expansion and probes run on numpy, "
         "the one path)"
     ),
+    ("backend", "thread"): (
+        f" (the thread backend is retired: {_ONE_POOL}; use "
+        "backend='process')"
+    ),
+    "steal": (
+        f" (work stealing is retired: {_ONE_POOL}, and each superstep's "
+        "units are dealt to them whole)"
+    ),
+    "steal_tasks": f" (steal tasks are retired with work stealing: {_ONE_POOL})",
 }
-
-#: Default work-stealing task granularity (rows per steal task) when
-#: ``steal=True`` and the caller sets no ``steal_tasks``.  Small enough
-#: that a straggler's batch splits into many stealable slices, large
-#: enough that per-task overhead stays negligible against expansion.
-DEFAULT_STEAL_TASK_GPSIS = 2048
 
 
 def coerce(name: str, kind: type, value: Any) -> Any:
@@ -104,9 +108,8 @@ class ExecutionConfig:
     :meth:`with_overrides`).  Every path runs the same ``__post_init__``,
     so an illegal value or combination raises
     :class:`~repro.exceptions.EngineError` at construction; so does an
-    override or mapping key that is not a field.  An unset
-    ``steal_tasks`` resolves to its default there, so a config reads back
-    what will run.  ``backend`` also takes any name registered with
+    override or mapping key that is not a field.  ``backend`` also takes
+    any name registered with
     :func:`repro.runtime.register_backend` or a pre-built
     :class:`~repro.runtime.SuperstepExecutor` (single-use).  The knob
     table in ``docs/api.md`` is checked against these fields by
@@ -115,33 +118,20 @@ class ExecutionConfig:
 
     backend: Any = _knob(
         "serial", str,
-        "execution backend: serial (reference loop), thread, or process "
+        "execution backend: serial (reference loop) or process "
         "(real parallelism over a shared-memory graph)",
     )
     procs: Optional[int] = _knob(
         None, int,
-        "threads (thread backend, default min(workers, 4)) or computing "
-        "lanes (process backend, default min(workers, cpu count), never "
-        "more than workers); the driver is one lane, so process --procs 1 "
-        "starts no child; ignored by serial",
+        "computing lanes of the process backend (default min(workers, "
+        "cpu count), never more than workers); the driver is one lane, so "
+        "--procs 1 starts no child; ignored by serial",
     )
     wire: str = _knob(
         "columnar", str,
         "data plane: columnar, the one plane (packed Gpsi buffers, batch "
         "expansion)",
         choices=WIRE_PLANES,
-    )
-    steal: bool = _knob(
-        False, bool,
-        "work-stealing superstep scheduler: idle workers steal packed "
-        "batch slices from stragglers; results stay bit-identical to "
-        "the static schedule",
-    )
-    steal_tasks: Optional[int] = _knob(
-        None, int,
-        "work-stealing task granularity in Gpsi rows (default "
-        f"{DEFAULT_STEAL_TASK_GPSIS}; requires steal; a single vertex's "
-        "slice is never split)",
     )
     spill_dir: Optional[str] = _knob(
         None, str,
@@ -196,10 +186,11 @@ class ExecutionConfig:
                 continue  # a pre-built executor: the registry passes it through
             kind, choices = spec.metadata["kind"], spec.metadata["choices"]
             value = coerce(spec.name, kind, value)
-            if choices is not None and value not in choices:
+            retired = RETIRED.get((spec.name, value))
+            if retired is not None or (choices is not None and value not in choices):
+                available = f"; available: {list(choices)}" if choices else ""
                 raise EngineError(
-                    f"unknown {spec.name} {value!r}; available: {list(choices)}"
-                    + RETIRED.get((spec.name, value), "")
+                    f"unknown {spec.name} {value!r}{available}{retired or ''}"
                 )
             if kind is int and value < 1:
                 raise EngineError(f"{spec.name} must be >= 1, got {value}")
@@ -209,11 +200,6 @@ class ExecutionConfig:
                 )
             put(spec.name, value)
 
-        if self.steal:
-            if self.steal_tasks is None:
-                put("steal_tasks", DEFAULT_STEAL_TASK_GPSIS)
-        elif self.steal_tasks is not None:
-            raise EngineError("steal_tasks only applies to steal=True")
         if (self.spill_dir is None) != (self.memory_watermark_bytes is None):
             given, missing = "spill_dir", "memory_watermark_bytes"
             if self.spill_dir is None:

@@ -13,8 +13,8 @@ Semantics follow Pregel/Giraph:
 Execution is delegated to a pluggable :mod:`repro.runtime` backend: the
 engine builds one deterministic batch per logical worker each superstep
 (active vertices plus their delivered rows), the executor runs the
-batches — sequentially, on threads, or on a process pool over a
-shared-memory graph — and the engine merges the returned outboxes,
+batches — sequentially, or on process lanes over one shared read-only
+graph — and the engine merges the returned outboxes,
 ledger deltas and outputs in worker-id order at the barrier.  The merge
 order makes every backend reproduce the serial engine's message
 delivery order, so the cost ledger records what each *logical* worker
@@ -52,9 +52,6 @@ class BSPResult:
     aggregated: Optional[dict] = None
     #: The tracer that observed the run (None when tracing was off).
     trace: Optional[Any] = None
-    #: Number of tasks executed by a worker other than their owner
-    #: (work-stealing runs only; 0 under the static schedule).
-    steals: int = 0
 
     @property
     def makespan(self) -> float:
@@ -78,8 +75,8 @@ class BSPEngine:
     partition:
         Vertex-to-worker assignment.
     config:
-        The :class:`~repro.bsp.config.ExecutionConfig` — backend, data
-        plane, stealing, spill and budgets; every knob is declared,
+        The :class:`~repro.bsp.config.ExecutionConfig` — backend, lanes,
+        data plane, spill and budgets; every knob is declared,
         documented and validated there (table in ``docs/api.md``).  ``None`` means the defaults.
     trace:
         Observability: ``None``/``False`` (default, zero overhead), a
@@ -129,12 +126,6 @@ class BSPEngine:
     def run(self, program: VertexProgram) -> BSPResult:
         """Execute ``program`` to completion and return its results."""
         cfg = self.config
-        if cfg.steal and not program.supports_task_expansion:
-            raise EngineError(
-                "steal=True needs a program with the task-expansion "
-                "split (supports_task_expansion); "
-                f"{type(program).__name__} does not declare it"
-            )
         # Before the clock: a built-in backend imports its module here.
         executor = make_executor(cfg.backend, procs=cfg.procs)
         started = perf_counter()
@@ -174,8 +165,6 @@ class BSPEngine:
                     graph_vertices=self.graph.num_vertices,
                     graph_edges=self.graph.num_edges,
                 )
-                if cfg.steal:
-                    tracer.meta["steal_tasks"] = cfg.steal_tasks
                 if spill_mgr is not None:
                     tracer.meta["memory_watermark_bytes"] = (
                         cfg.memory_watermark_bytes
@@ -187,7 +176,6 @@ class BSPEngine:
                     partition=self.partition,
                     num_workers=self.num_workers,
                     tracer=tracer,
-                    config=cfg,
                 )
             )
             while True:
@@ -299,7 +287,6 @@ class BSPEngine:
             wall_seconds=perf_counter() - started,
             aggregated=registry.finals(),
             trace=tracer if tracer.enabled else None,
-            steals=int(getattr(executor, "steals_total", 0)),
         )
 
     # ------------------------------------------------------------------

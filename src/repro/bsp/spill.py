@@ -26,7 +26,7 @@ Spilling changes *where* a sealed chunk waits for the barrier, never its
 bytes or its ``(sender, seq)`` tag: the stores record accounting at
 merge time and re-insert mapped chunks under the same tag before the
 (sender, seq) finalize sort, so a spilled run delivers bit-identically
-to the in-memory plane (pinned by tests across serial/thread/process).
+to the in-memory plane (pinned by tests on serial and process).
 
 A spill file that disappears mid-run (operator cleanup, tmpfs eviction)
 surfaces as a clean :class:`~repro.exceptions.EngineError` naming the

@@ -94,16 +94,6 @@ class VertexProgram:
     replica hooks below.
     """
 
-    #: Whether the program additionally splits :meth:`compute_columns`
-    #: into a pure expansion half and a stateful apply half — the
-    #: contract the work-stealing scheduler requires
-    #: (``expand_task(columns, edge_index)``,
-    #: ``apply_outcome(ctx, outcome)``, ``task_probe_view()``,
-    #: ``absorb_task_stats(queries, positives)``; see
-    #: :mod:`repro.runtime.stealing`).  Programs without the split can
-    #: never run under ``steal=True``.
-    supports_task_expansion: bool = False
-
     def initialize_columns(self, ctx: ComputeContext, vertices: Any) -> None:
         """Superstep 0: one call per worker with its initial active
         vertices as an ``int64`` array, in activation order.  Sends go
@@ -138,30 +128,30 @@ class VertexProgram:
     # Replica contract (every backend)
     # ------------------------------------------------------------------
     # Every backend runs each logical worker's batch on a *replica* of
-    # the program — the driver's own object on the serial backend, a
-    # pickled copy on the thread and process backends — and merges the
-    # replica's state delta into the driver's program at the barrier.
+    # the program — the driver's own object on the serial backend and on
+    # the process backend's driver lane, a pickled copy on a child lane —
+    # and merges the replica's state delta into the driver's program at
+    # the barrier.
     # The hooks below let driver-side mutable state survive that split.
 
     def export_shared(self) -> Dict[str, Any]:
         """Read-only ``int64`` numpy arrays to ship alongside the shared
         graph, one copy per machine rather than per replica.
 
-        The process backend appends these to the shared-memory CSR export
-        (workers re-attach zero-copy views); the thread backend passes the
-        driver's arrays through by reference.  Programs that precompute
-        per-vertex arrays the hot path needs — ranks, degree statistics —
-        return them here and re-attach in :meth:`bind_shared`.  Arrays
+        A forked child lane binds the driver's arrays as they are; a
+        spawned one maps them from the shared-memory CSR export
+        (zero-copy views).  Programs that precompute per-vertex arrays
+        the hot path needs — ranks, degree statistics — return them here and re-attach in :meth:`bind_shared`.  Arrays
         returned here should be dropped from ``__getstate__`` so replicas
         never pickle a private copy."""
         return {}
 
     def bind_shared(self, graph: Graph, arrays: Dict[str, Any]) -> None:
         """Re-attach the shared graph *and* the :meth:`export_shared`
-        arrays on a freshly unpickled replica — the shared-memory CSR
-        view in the process backend, the driver's own objects in the
-        thread backend.  The default does nothing: a program that drops
-        nothing in ``__getstate__`` reads the graph off ``ctx.graph``."""
+        arrays on a freshly unpickled replica — the driver's own objects
+        in a forked child lane, the shared-memory CSR view in a spawned
+        one.  The default does nothing: a program that drops nothing in
+        ``__getstate__`` reads the graph off ``ctx.graph``."""
 
     def collect_state_delta(self) -> Any:
         """Return and *reset* the driver-relevant state this replica

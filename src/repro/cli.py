@@ -352,8 +352,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     print(f"initial vp : v{result.initial_vertex + 1}")
     print(f"strategy   : {result.strategy}")
     print(f"backend    : {config.backend}")
-    if config.steal:
-        print(f"steals     : {result.steals}")
     if config.spill_dir is not None:
         print(
             f"spilled    : {result.ledger.spill_chunks} chunk(s) / "

@@ -47,7 +47,7 @@ from ..graph.ordered import OrderedGraph
 from ..graph.partition import Partition, random_partition
 from ..pattern.automorphism import automorphisms, break_automorphisms
 from ..pattern.pattern import PatternGraph
-from .batch_expand import BatchOutcome, expand_columns
+from .batch_expand import expand_columns
 from .cost import CostParameters, DEFAULT_COSTS
 from .distribution import DistributionStrategy, make_strategy, worker_rng
 from .edge_index import EdgeIndexBase, build_edge_index
@@ -79,9 +79,6 @@ class ListingResult:
     #: The tracer that observed the run (None when tracing was off);
     #: feed it to ``repro.obs`` exporters.
     trace: Optional[object] = None
-    #: Tasks executed by a non-home worker under the work-stealing
-    #: scheduler (0 when ``steal=False`` or nothing was stolen).
-    steals: int = 0
 
     @property
     def makespan(self) -> float:
@@ -163,10 +160,9 @@ class PSgLProgram(VertexProgram):
     def __getstate__(self):
         # Ship neither the O(n + m) graph, nor the O(n) order arrays,
         # nor the O(m) edge-key column (the edge index pickles without
-        # it): replicas re-attach all three through bind_shared — the
-        # process backend exports the arrays once into shared memory next
-        # to the CSR blocks, the thread backend passes the driver's
-        # arrays by reference.
+        # it): replicas re-attach all three through bind_shared — a forked
+        # lane binds the driver's arrays, a spawned one maps them from the
+        # shared-memory export next to the CSR blocks.
         state = self.__dict__.copy()
         state.pop("ordered")
         return state
@@ -267,62 +263,12 @@ class PSgLProgram(VertexProgram):
         :class:`~repro.core.psi.GpsiColumns` (each row names its own
         expanding vertex) and emits children through
         ``ctx.send_columns`` — no per-Gpsi objects anywhere (see
-        :mod:`repro.core.batch_expand`).
-
-        Internally split into the *pure* half (:meth:`expand_task`) and
-        the *stateful* half (:meth:`apply_outcome`); the work-stealing
-        scheduler runs the two on different workers (see
-        :mod:`repro.runtime.stealing`), so any change here must keep the
-        composition identical to the split."""
-        self.apply_outcome(ctx, self.expand_task(columns))
-
-    # ------------------------------------------------------------------
-    # Task-expansion contract (work-stealing scheduler)
-    # ------------------------------------------------------------------
-    #: Stealable tasks are row ranges of the packed columns, expanded by
-    #: the pure half of :meth:`compute_columns`.
-    supports_task_expansion = True
-
-    def task_probe_view(self) -> EdgeIndexBase:
-        """A private-counter view of the edge index for one task, so
-        concurrent thieves never race on ``queries``/``positives`` (the
-        deltas come home through :meth:`absorb_task_stats`)."""
-        return self.edge_index.detached_view()
-
-    def expand_task(
-        self,
-        columns: GpsiColumns,
-        edge_index: Optional[EdgeIndexBase] = None,
-    ) -> BatchOutcome:
-        """The pure half of :meth:`compute_columns`: expansion only.
-
-        Touches no program state beyond read-only shared data (pattern,
-        order arrays, index bits) — safe to run on any worker, in any
-        order.  ``edge_index`` defaults to the program's own (the static
-        path); the stealing scheduler passes a :meth:`task_probe_view`.
+        :mod:`repro.core.batch_expand`).  Routing consumes the owner's
+        RNG and load view through ``ctx.worker_state``, in delivery order.
         """
-        return expand_columns(
-            columns,
-            self.pattern,
-            self.ordered,
-            self.edge_index if edge_index is None else edge_index,
-            self.costs,
+        outcome = expand_columns(
+            columns, self.pattern, self.ordered, self.edge_index, self.costs
         )
-
-    def absorb_task_stats(self, queries: int, positives: int) -> None:
-        """Fold one task's probe-counter delta into the program's index."""
-        self.edge_index.queries += queries
-        self.edge_index.positives += positives
-
-    def apply_outcome(
-        self, ctx: ComputeContext, outcome: BatchOutcome
-    ) -> None:
-        """The stateful half of :meth:`compute_columns`: tallies,
-        aggregation, instance collection and routing.  Consumes the
-        owner's RNG / load-view state through ``ctx.worker_state``, so it
-        must run per owner in delivery order — which is exactly how both
-        the static path and the stealing scheduler's canonical finalize
-        invoke it."""
         if "dist_rng" not in ctx.worker_state:
             ctx.worker_state["dist_rng"] = worker_rng(self.seed, ctx.worker_id)
         ctx.add_cost(outcome.cost)
@@ -402,7 +348,7 @@ class PSgL:
         driver.
     config:
         The :class:`~repro.bsp.config.ExecutionConfig`: *how* the job
-        runs (backend, data plane, stealing, spill, budgets) —
+        runs (backend, lanes, data plane, spill, budgets) —
         result-neutral by the bit-parity contract, declared and validated
         in one place (table in ``docs/api.md``).
     trace:
@@ -602,7 +548,6 @@ class PSgL:
                 program.message_bytes if track_message_bytes else None
             ),
             trace=bsp_result.trace,
-            steals=bsp_result.steals,
         )
 
     def count(self, pattern: PatternGraph, **kwargs) -> int:

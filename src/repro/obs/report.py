@@ -54,17 +54,6 @@ def straggler_report(tracer: Tracer, top: int = 5) -> str:
     barriers = {e.superstep: e.data for e in tracer.by_kind("barrier")}
     walls = {e.superstep: e.wall_ms for e in tracer.by_kind("superstep")}
 
-    # Steal events name the *victim* (worker = the owner whose task ran
-    # elsewhere); per-owner tallies show who the dynamic schedule bailed
-    # out, which is this report's straggler question answered live.
-    stolen_tasks: Dict[int, int] = {}
-    stolen_rows: Dict[int, int] = {}
-    for event in tracer.by_kind("steal"):
-        stolen_tasks[event.worker] = stolen_tasks.get(event.worker, 0) + 1
-        stolen_rows[event.worker] = stolen_rows.get(event.worker, 0) + int(
-            event.data.get("rows", 0)
-        )
-
     lines: List[str] = []
     meta = tracer.meta
     if meta:
@@ -78,11 +67,6 @@ def straggler_report(tracer: Tracer, top: int = 5) -> str:
         f"{len(step_rows)} superstep(s), {len(totals)} worker(s), "
         f"makespan {makespan:,.0f} cost units, imbalance {imbalance:.2f} (max/mean)"
     )
-    if stolen_tasks:
-        lines.append(
-            f"work stealing: {sum(stolen_tasks.values())} task(s) "
-            f"({sum(stolen_rows.values()):,} rows) ran off their owner's lane"
-        )
     spill_events = tracer.by_kind("chunk_spill")
     if spill_events:
         spill_bytes = sum(int(e.data.get("bytes", 0)) for e in spill_events)
@@ -120,14 +104,5 @@ def straggler_report(tracer: Tracer, top: int = 5) -> str:
     for worker, total in enumerate(totals):
         fraction = total / slowest_total if slowest_total else 0.0
         marker = "  <- straggler" if total == slowest_total and slowest_total else ""
-        steal_text = ""
-        if stolen_tasks.get(worker):
-            steal_text = (
-                f"  [{stolen_tasks[worker]} task(s)/"
-                f"{stolen_rows[worker]:,} rows stolen away]"
-            )
-        lines.append(
-            f"  worker {worker:>3}: {_bar(fraction)} {total:>12,.0f}"
-            f"{steal_text}{marker}"
-        )
+        lines.append(f"  worker {worker:>3}: {_bar(fraction)} {total:>12,.0f}{marker}")
     return "\n".join(lines)

@@ -16,16 +16,14 @@ reproduce the serial engine's outputs, ledger and message order exactly:
 One schedule, many pools
 ------------------------
 :meth:`SuperstepExecutor.run_superstep` is the runtime's only execution
-loop: submit one unit of work per non-empty owner — or, under
-``steal=True``, one per steal task — gather in worker-id order, cancel
-and wait out everything on failure, finalize stolen owners canonically
-on the driver.  Every unit hands its whole outbox back on its result,
-and the engine merges it at the barrier.  A backend only says *where* a
-unit runs: ``start`` / ``close`` own its pool and shared resources, and
-one hook, ``_submit(owner, unit, *args)``, runs ``unit(spec, program,
-*args)`` on a replica of the program and returns a *handle*: anything
-that answers ``result()`` and ``cancel()`` (a
-``concurrent.futures.Future`` does).
+loop: submit one unit of work per non-empty owner, gather in worker-id
+order, cancel and wait out everything on failure.  Every unit hands its
+whole outbox back on its result, and the engine merges it at the
+barrier.  A backend only says *where* a unit runs: ``start`` / ``close``
+own its lanes and shared resources, and one hook, ``_submit(owner,
+unit, *args)``, runs ``unit(spec, program, *args)`` on a replica of the
+program and returns a *handle*: anything that answers ``result()`` and
+``cancel()``.
 
 One worker contract
 -------------------
@@ -37,8 +35,8 @@ program's tallies come back as a
 :meth:`~repro.bsp.vertex_program.VertexProgram.collect_state_delta` that
 the engine merges in worker-id order.  Only *which* object is the
 replica differs: the driver's own program on the serial backend (nothing
-is pickled), a pickled copy per logical worker on threads, the driver's
-own program on the driver lane and one copy per child lane on processes.
+is pickled), the driver's own program on the driver lane and one copy
+per child lane on processes.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..bsp.config import ExecutionConfig
 from ..bsp.message import ColumnarOutbox, PackedWorkerBatch
 from ..bsp.vertex_program import ComputeContext, VertexProgram
 from ..exceptions import EngineError
@@ -63,7 +60,7 @@ from ..obs.tracer import NULL_TRACER
 # per-message objects, are what crosses any process boundary.
 WorkerBatch = Any
 
-#: Parent rows per ``compute_columns`` call under the static schedule.
+#: Parent rows per ``compute_columns`` call.
 #: A constant, not a knob: it bounds the flat temporaries of one
 #: expansion, so peak memory does not follow superstep volume, and is
 #: large enough that per-call set-up is noise.
@@ -72,7 +69,7 @@ EXPAND_BLOCK_ROWS = 2048
 
 def row_ranges(rows: int, step: int) -> List[Tuple[int, int]]:
     """``[lo, hi)`` cuts of ``rows`` delivered rows, ``step`` at a time —
-    how both schedules cut a packed batch into compute calls.  Rows carry
+    how the schedule cuts a packed batch into compute calls.  Rows carry
     their own destination vertex, so a cut may fall anywhere."""
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
@@ -91,9 +88,6 @@ class JobSpec:
     #: pool configuration, shared-memory export sizes); defaults to the
     #: no-op tracer so executors emit unconditionally behind one flag.
     tracer: Any = NULL_TRACER
-    #: The job's :class:`~repro.bsp.config.ExecutionConfig`: executors
-    #: read the steal settings off it.
-    config: ExecutionConfig = ExecutionConfig()
 
 
 @dataclass
@@ -120,9 +114,9 @@ class WorkerStepResult:
     #: What ``collect_state_delta`` returned after the batch.
     state_delta: Any
     #: The worker's private state dict as the batch left it, which the
-    #: schedule adopts: where the batch ran on a copy of the dict (a pool
-    #: process), that is how the logical worker can land on a different
-    #: pool member next superstep.
+    #: schedule adopts: where the batch ran on a copy of the dict (a child
+    #: lane), that is how the logical worker can land on a different lane
+    #: next superstep.
     worker_state: Dict[str, Any]
     #: Exact bytes of the packed ``outbox`` buffers.
     wire_bytes: int = 0
@@ -190,7 +184,6 @@ def run_replica_batch(
     batch: WorkerBatch,
     worker_state: Dict[str, Any],
     snapshot: Dict[str, Any],
-    drive: Optional[Callable[[ComputeContext], int]] = None,
 ) -> WorkerStepResult:
     """Run one logical worker's compute batch on a program replica and
     collect its effects.
@@ -201,10 +194,10 @@ def run_replica_batch(
     all side effects accumulate locally in program order.  Graph,
     partition and worker count come off ``spec``;
     ``program`` is the replica compute runs against — the driver's own
-    object on the serial backend, a pickled copy on thread and process.
-    Aggregator calls go to a fresh identity-value shim over the barrier
-    ``snapshot``, the replica's state delta is collected, and the
-    worker's state dict rides home on the result.
+    object on the serial backend and the driver lane, a pickled copy on
+    a child lane.  Aggregator calls go to a fresh identity-value shim
+    over the barrier ``snapshot``, the replica's state delta is
+    collected, and the worker's state dict rides home on the result.
 
     Nothing ever leaves packed form: superstep 0 hands the worker's
     initial vertices to ``initialize_columns`` in one call, every later
@@ -214,13 +207,7 @@ def run_replica_batch(
     flows through ``ctx.send_columns`` into a
     :class:`~repro.bsp.message.ColumnarOutbox` — no per-message object
     end to end, and on the process backend both directions cross the
-    pool boundary as a handful of numpy buffers.
-
-    ``drive`` replaces the compute loop over ``batch``: it is handed the
-    worker's context and returns the number of active vertices it stands
-    for.  The work-stealing schedule uses it to replay
-    already-expanded outcomes in canonical order — same context, same
-    outbox, same accounting as the static path, by construction.
+    lane boundary as a handful of numpy buffers.
     """
     num_workers = spec.num_workers
     owner_array = spec.partition.owner_array
@@ -253,10 +240,7 @@ def run_replica_batch(
         emit=outputs.append,
         aggregators=aggregators,
     )
-    if drive is not None:
-        compute_calls = drive(ctx)
-    else:
-        compute_calls = _compute_batch(program, ctx, batch)
+    compute_calls = _compute_batch(program, ctx, batch)
 
     outbox = col_outbox.to_columns()
     return WorkerStepResult(
@@ -329,12 +313,6 @@ class SuperstepExecutor:
     #: Registry name (filled by the backend registry on instantiation).
     name: str = "abstract"
 
-    #: Tasks executed on a different lane than their owner's first task,
-    #: accumulated across the job (work-stealing runs only; stays 0
-    #: otherwise).  The engine reads this once at job end into
-    #: ``BSPResult.steals``.
-    steals_total: int = 0
-
     #: Busy wall time per lane in the last superstep, in milliseconds,
     #: driver first, each lane timing its own share — what the engine adds
     #: to the ``superstep`` trace event.  ``None`` where a backend does not
@@ -361,10 +339,7 @@ class SuperstepExecutor:
         ``program`` being any replica of the job's program; the returned
         handle's ``result()`` is what ``unit`` returned (or raises what it
         raised), and ``cancel()`` withdraws it if it has not started.  A
-        unit is
-        :func:`run_replica_batch` (one owner's whole batch) or
-        :func:`~repro.runtime.stealing.expand_steal_task` (the pure half
-        of one steal task)."""
+        unit is :func:`run_replica_batch`: one owner's whole batch."""
         raise NotImplementedError
 
     def run_superstep(
@@ -375,59 +350,35 @@ class SuperstepExecutor:
     ) -> List[WorkerStepResult]:
         """Run all non-empty batches; ``batches[w]`` belongs to worker ``w``.
 
-        **Static schedule**: one unit per owner.  **Dynamic schedule**
-        (``steal=True``, delivered packed batches): one unit per
-        :func:`~repro.runtime.stealing.split_batch` task.  *Where* a unit
-        runs is the backend's: on the thread backend the pool's
-        submission queue is the steal deque — whichever thread frees up
-        first takes the next task regardless of owner — while the process
-        backend deals the superstep's units round-robin to its lanes in
-        submission order (under the static schedule owner ``w`` of a full
-        superstep runs on lane ``w % procs``).  A task counts as *stolen*
-        when it ran on a different lane than its owner's ``seq 0`` task
-        (on processes: when it was dealt off that lane).  Owners are then
-        finalized on this (driver) thread against the driver's program,
-        in worker-id / seq order, which keeps results bit-identical to
-        the static schedule (see :mod:`repro.runtime.stealing`).
+        One unit per owner.  *Where* a unit runs is the backend's: the
+        process backend deals the superstep's units round-robin to its
+        lanes in submission order, so owner ``w`` of a full superstep
+        runs on lane ``w % procs``.
         """
-        spec = self._spec
-        steal = spec.config.steal
-        if steal:
-            from .stealing import expand_steal_task, finalize_owner, split_batch
         snapshot = registry.snapshot()
-        # ``owners`` and ``handles`` are both in canonical order: owners
-        # ascending, an owner's tasks in ``seq`` order.
-        owners: List[Tuple[int, Optional[List[Any]]]] = []
+        owners: List[int] = []
         handles: List[Any] = []
         try:
             for owner, batch in enumerate(batches):
                 if not len(batch):
                     continue
-                if steal and isinstance(batch, PackedWorkerBatch):
-                    tasks = split_batch(owner, batch, spec.config.steal_tasks)
-                    owners.append((owner, tasks))
-                    handles.extend(
-                        self._submit(owner, expand_steal_task, task)
-                        for task in tasks
+                owners.append(owner)
+                handles.append(
+                    self._submit(
+                        owner,
+                        run_replica_batch,
+                        owner,
+                        superstep,
+                        batch,
+                        self._states[owner],
+                        snapshot,
                     )
-                else:
-                    owners.append((owner, None))
-                    handles.append(
-                        self._submit(
-                            owner,
-                            run_replica_batch,
-                            owner,
-                            superstep,
-                            batch,
-                            self._states[owner],
-                            snapshot,
-                        )
-                    )
-            done = iter([handle.result() for handle in handles])
+                )
+            results = [handle.result() for handle in handles]
         except BaseException:
-            # A unit raised.  The remaining units keep running in the
-            # pool — cancel what has not started and *wait out* what has,
-            # so the engine's teardown (which unlinks the shared CSR
+            # A unit raised.  The remaining units may still be running on
+            # other lanes — cancel what has not started and *wait out* what
+            # has, so the engine's teardown (which unlinks the shared CSR
             # blocks in close()) can never race live workers still
             # scanning them.
             for handle in handles:
@@ -439,37 +390,8 @@ class SuperstepExecutor:
                     pass
             raise
 
-        results: List[WorkerStepResult] = []
-        for owner, tasks in owners:
-            if tasks is None:
-                result = next(done)
-            else:
-                task_results = [next(done) for _ in tasks]
-                home = task_results[0].lane
-                for task, ran in zip(tasks, task_results):
-                    if ran.lane != home:
-                        self.steals_total += 1
-                        if spec.tracer.enabled:
-                            spec.tracer.emit(
-                                "steal",
-                                superstep=superstep,
-                                worker=owner,
-                                wall_ms=ran.wall_ms,
-                                seq=task.seq,
-                                lane=ran.lane,
-                                rows=task.rows,
-                            )
-                result = finalize_owner(
-                    spec,
-                    owner,
-                    superstep,
-                    len(batches[owner]),
-                    task_results,
-                    self._states[owner],
-                    snapshot,
-                )
+        for owner, result in zip(owners, results):
             self._states[owner] = result.worker_state
-            results.append(result)
         return results
 
     def close(self) -> None:

@@ -125,8 +125,7 @@ def _run_share(calls: List[tuple], *head: Any) -> Tuple[float, List[tuple]]:
 def _serve(down: int, up: int) -> None:
     """A child lane's loop: read a whole share, run it on this process's
     replica, answer with one frame — until the driver closes the pipe.  A
-    batch's state dict arrives as a copy and rides home on its result; a
-    steal task ships back only its outcome and probe-counter deltas."""
+    batch's state dict arrives as a copy and rides home on its result."""
     while True:
         frame = _read_frame(down)
         if frame is None:
@@ -443,8 +442,8 @@ class ProcessExecutor(SuperstepExecutor):
         self._lanes = lanes = _Lanes((self._spec, self._spec.program))
         if procs > 1:
             # The program's per-vertex arrays travel with the graph, one
-            # copy per machine.  A forked child binds both as a thread
-            # replica does: no shared-memory block, hence no tracker.
+            # copy per machine.  A forked child binds the driver's own
+            # arrays: no shared-memory block, hence no tracker.
             arrays = spec.program.export_shared()
             if method == "fork":
                 source = (spec.graph, arrays)
@@ -460,14 +459,9 @@ class ProcessExecutor(SuperstepExecutor):
                     "export", transport="fork" if method == "fork" else "shm",
                     total_bytes=sum(sizes.values()), **sizes,
                 )
-            # A child needs of the spec its partition, worker count and
-            # config; program and graph reach it apart, the tracer stays
-            # here, and ``config.backend`` may be this very executor, which
-            # must not ride into a spawned child.
-            child_spec = replace(
-                spec, program=None, graph=None, tracer=NULL_TRACER,
-                config=replace(spec.config, backend=self.name),
-            )
+            # A child needs of the spec its partition and worker count;
+            # program and graph reach it apart, and the tracer stays here.
+            child_spec = replace(spec, program=None, graph=None, tracer=NULL_TRACER)
             init = (*source, program_bytes, child_spec)
             spawn = None
             if method != "fork":

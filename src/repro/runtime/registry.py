@@ -4,8 +4,8 @@
 is any callable accepting ``procs`` and returning a
 :class:`~repro.runtime.executor.SuperstepExecutor`; third parties can
 register their own (e.g. an async or NUMA-aware shuffler).  The built-in
-backends import their module when first made: a serial run never loads
-the process pool's ``multiprocessing`` stack or the thread pool.
+backends are ``serial`` and ``process``, and each imports its module
+when first made: a serial run never loads the process lanes.
 """
 
 from __future__ import annotations
@@ -71,5 +71,4 @@ def _builtin(module: str, name: str) -> ExecutorFactory:
 
 
 register_backend("serial", _builtin(".serial", "SerialExecutor"))
-register_backend("thread", _builtin(".threaded", "ThreadExecutor"))
 register_backend("process", _builtin(".process", "ProcessExecutor"))

@@ -3,8 +3,8 @@
 Units run in worker-id order against the driver's own program object,
 which serves as every logical worker's replica: the batch reads the
 barrier snapshot and hands its tallies back as a state delta, exactly as
-on the thread and process backends, but nothing is pickled — so a
-program that cannot be pickled still runs here.
+on the process backend, but nothing is pickled — so a program that
+cannot be pickled still runs here.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from .executor import Completed, JobSpec, SuperstepExecutor, run_inline
 
 
 class SerialExecutor(SuperstepExecutor):
-    """One process, one thread.
-
-    Under ``steal=True`` every task runs on the one lane, so nothing is
-    ever stolen — the degenerate dynamic schedule, which keeps the
-    split/expand/finalize path exercised (and bit-compared) on the
-    default backend.
-    """
+    """One process, one lane: the replica contract with no pickling."""
 
     name = "serial"
 

@@ -47,7 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..bsp.config import ExecutionConfig, coerce
+from ..bsp.config import RETIRED, ExecutionConfig, coerce
 from ..core.distribution import make_strategy
 from ..core.edge_index import build_edge_index
 from ..core.listing import ListingResult, PSgL, check_num_workers
@@ -148,7 +148,7 @@ class GraphContext:
 #: policy, not a copy of the knobs: every other field — where chunks
 #: spill, how many processes run, the budgets' engine-side names — is
 #: owned by the server (its constructor arguments and ``budget`` merge).
-CLIENT_EXECUTION_FIELDS = ("backend", "wire", "steal")
+CLIENT_EXECUTION_FIELDS = ("backend", "wire")
 
 #: Query-spec fields accepted by ``POST /jobs``, with their defaults: the
 #: query's own, then the client-settable execution fields with the
@@ -164,7 +164,7 @@ SPEC_DEFAULTS: Dict[str, Any] = {
 #: Spec fields that shape the result payload — the cache-key params.
 #: All are *query* fields: an ``ExecutionConfig`` field is result-neutral
 #: by contract and never part of a cache key, so a cached result answers
-#: any backend/wire/steal combination.
+#: any backend/wire combination.
 CACHE_PARAM_FIELDS = ("workers", "seed", "collect_instances")
 
 
@@ -260,10 +260,6 @@ class SubgraphService:
             "psgl_http_dropped_responses",
             "Responses the client disconnected before receiving.",
         )
-        self._m_steals = self.registry.counter(
-            "psgl_steals_total",
-            "Steal-scheduler task migrations across all executed jobs.",
-        )
         self._m_spill_chunks = self.registry.counter(
             "psgl_spill_chunks_total",
             "Shuffle chunks evicted to disk past the memory watermark.",
@@ -330,11 +326,12 @@ class SubgraphService:
             {"pattern", "pattern_edges", "budget", "_hold_seconds"}
             | set(SPEC_DEFAULTS)
         )
-        unknown = set(spec) - allowed
+        unknown = sorted(set(spec) - allowed)
         if unknown:
             raise QuerySpecError(
-                f"unknown spec fields {sorted(unknown)}; "
+                f"unknown spec fields {unknown}; "
                 f"allowed: {sorted(allowed | {'priority'})}"
+                + "".join(RETIRED.get(name, "") for name in unknown)
             )
         if ("pattern" in spec) == ("pattern_edges" in spec):
             raise QuerySpecError(
@@ -343,11 +340,6 @@ class SubgraphService:
         pattern = self._pattern_for(spec)
         for name, default in SPEC_DEFAULTS.items():
             spec.setdefault(name, default)
-        if spec["backend"] not in available_backends():
-            raise QuerySpecError(
-                f"unknown backend {spec['backend']!r}; "
-                f"available: {available_backends()}"
-            )
         try:
             # Strict coercion and every legality rule are the library's
             # own, checked at submission so a bad value or combination is
@@ -361,6 +353,11 @@ class SubgraphService:
             self._config_for(spec)
         except EngineError as exc:
             raise QuerySpecError(str(exc)) from exc
+        if spec["backend"] not in available_backends():
+            raise QuerySpecError(
+                f"unknown backend {spec['backend']!r}; "
+                f"available: {available_backends()}"
+            )
         if spec.get("_hold_seconds") and not self._allow_test_hooks:
             raise QuerySpecError("_hold_seconds requires allow_test_hooks")
         try:
@@ -411,8 +408,6 @@ class SubgraphService:
         result = driver.run(
             pattern, collect_instances=spec["collect_instances"]
         )
-        if result.steals:
-            self._m_steals.inc(result.steals)
         if result.ledger.spill_chunks:
             self._m_spill_chunks.inc(result.ledger.spill_chunks)
             self._m_spill_bytes.inc(result.ledger.spill_bytes)
@@ -446,7 +441,6 @@ class SubgraphService:
             "index_queries": int(result.index_queries),
             "index_pruned": int(result.index_pruned),
             "wall_seconds": float(result.wall_seconds),
-            "steals": int(result.steals),
         }
         if spec["collect_instances"] and result.instances is not None:
             payload["instances"] = [list(m) for m in result.instances]

@@ -91,7 +91,7 @@ def assert_equivalent(
     """Run ``config`` on ``reference``'s inputs and require identical
     observables.  ``psgl_overrides`` replace non-config inputs that must
     not matter either (``trace=``, a prebuilt ``edge_index=``).  Returns
-    the run for mechanism assertions (steals, spill counters, ...)."""
+    the run for mechanism assertions (spill counters, trace events, ...)."""
     result = run_listing(
         reference.graph,
         reference.pattern_name,
@@ -115,7 +115,7 @@ ILLEGAL = [
     (dict(kernel="fused"), "unknown kernel"),
     # The scalar reference is an oracle, not a plane: naming it, with or
     # without a feature of the one plane, points at that plane.
-    (dict(wire="object", steal=True), "wire='columnar'"),
+    (dict(wire="object", procs=2), "wire='columnar'"),
     # NaN passes every comparison and would switch the budget off.
     (dict(wall_budget_seconds=float("nan")), "must be a finite number > 0"),
     (dict(wall_budget_seconds=float("inf")), "must be a finite number > 0"),
@@ -124,9 +124,10 @@ ILLEGAL = [
     # The first name that is not a field is the one refused.
     (dict(chunk_gpsis=0, shuffle="pipelined"), "chunk_gpsis: not an execution"),
     (dict(chunk_bytes=-5, shuffle="pipelined"), "chunk_bytes: not an execution"),
-    (dict(steal=True, memory_watermark_bytes=1), "requires spill_dir"),
-    (dict(steal_tasks=64), "steal_tasks only applies"),
-    (dict(steal=True, steal_tasks=0), "steal_tasks must be >= 1"),
+    (dict(backend="process", memory_watermark_bytes=1), "requires spill_dir"),
+    # Work stealing is retired: its two fields are refused by name.
+    (dict(steal_tasks=64), "steal_tasks: not an execution field"),
+    (dict(steal_tasks=0, steal=True), "steal_tasks: not an execution field"),
     (dict(spill_dir="unused"), "both or neither"),
     (dict(memory_watermark_bytes=1), "both or neither"),
     (
@@ -144,14 +145,19 @@ ILLEGAL = [
         "wall_budget_seconds must be a finite number > 0",
     ),
     # Strict coercion: no guessing what a mistyped value meant.
-    (dict(steal="false"), "steal must be bool"),
+    (dict(steal="false"), "unknown steal: not an execution field"),
     (dict(procs=2.7), "procs must be int"),
     (dict(procs="2"), "procs must be int"),
     (dict(wire=None), "wire must be str"),
-    (dict(steal=1), "steal must be bool"),
+    (dict(steal=1), "unknown steal: not an execution field"),
     (dict(wire="object"), "unknown wire 'object'"),
     # A misspelt field is refused by name, listing the real ones.
     (dict(backnd="thread"), r"unknown backnd: not an execution field; known: \["),
+    # Process lanes are the one pool: the thread backend and stealing are
+    # refused with the hint that says so.
+    (dict(steal=True), "work stealing is retired: process lanes are the one"),
+    (dict(steal_tasks=8), "steal tasks are retired with work stealing"),
+    (dict(backend="thread"), "thread backend is retired: process lanes are"),
 ]
 
 _TINY = Graph(4, [(0, 1), (1, 2)])

@@ -256,7 +256,9 @@ class TestMappedExecution:
         self.assert_parity(*self.run_pair(tmp_path, "serial"))
 
     def test_thread(self, tmp_path):
-        self.assert_parity(*self.run_pair(tmp_path, "thread", procs=2))
+        """The thread backend is retired: this leg maps the file into
+        three process lanes (the process leg runs two)."""
+        self.assert_parity(*self.run_pair(tmp_path, "process", procs=3))
 
     def test_process(self, tmp_path):
         self.assert_parity(

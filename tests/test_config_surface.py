@@ -106,7 +106,6 @@ def test_every_surface_defaults_to_the_same_config():
     graph = complete_graph(4)
     assert PSgL(graph).config == default
     assert BSPEngine(graph, PSgL(graph).partition).config == default
-    assert JobSpec.__dataclass_fields__["config"].default == default
     args = count_parser().parse_args(["--pattern", "PG1", "--dataset", "x"])
     assert (
         ExecutionConfig.from_mapping(
@@ -135,14 +134,16 @@ def test_no_signature_re_declares_a_knob():
     ):
         named = set(inspect.signature(func).parameters) & set(FIELDS)
         assert not named, f"{func.__qualname__} re-declares {sorted(named)}"
-    # Nor does the job spec: executors read the config it carries.
+    # Nor does the job spec: no executor reads a knob off it.
     assert not set(JobSpec.__dataclass_fields__) & set(FIELDS)
 
 
 def _cli_flags(overrides):
     """``overrides`` as ``psgl count`` flags, or None when argparse
     itself (exit 2) would refuse them: no such field or flag, a value
-    outside the flag's choices or type."""
+    outside the flag's choices (``--backend``'s are the registered
+    backends) or type."""
+    actions = {action.dest: action for action in count_parser()._actions}
     flags = []
     for name, value in overrides.items():
         if name not in FIELDS:
@@ -150,7 +151,7 @@ def _cli_flags(overrides):
         meta = FIELDS[name].metadata
         if not meta["cli"] or type(value) is not meta["kind"]:
             return None
-        if meta["choices"] and value not in meta["choices"]:
+        if actions[name].choices and value not in actions[name].choices:
             return None
         flag = "--" + name.replace("_", "-")
         flags += [flag] if meta["kind"] is bool else [flag, str(value)]
@@ -212,8 +213,14 @@ class TestOverrideNames:
             (dict(chunk_gpsis=64), "watermarks are retired: a barrier ships"),
             (dict(chunk_bytes=4096), "watermarks are retired: a barrier ships"),
             (dict(kernel="native"), "native tier is retired: expansion and"),
+            (dict(steal=True), "work stealing is retired: process lanes"),
+            (dict(steal_tasks=8), "steal tasks are retired with work stealing"),
+            (dict(backend="thread"), "thread backend is retired: process lanes"),
         ],
-        ids=["misspelt", "shuffle", "chunk_gpsis", "chunk_bytes", "kernel"],
+        ids=[
+            "misspelt", "shuffle", "chunk_gpsis", "chunk_bytes", "kernel",
+            "steal", "steal_tasks", "thread",
+        ],
     )
     def test_refused_by_name(self, overrides, match):
         """Regression: ``PSgL(g, backnd="thread")`` raised a raw
@@ -228,13 +235,17 @@ class TestOverrideNames:
 
     def test_retired_flags_are_gone(self, capsys):
         """The retired fields' flags went with them: argparse refuses
-        ``--shuffle`` (exit 2) before anything runs."""
-        for flags in (
-            ["--shuffle", "pipelined"],
-            ["--chunk-gpsis", "64"],
-            ["--kernel", "native"],
+        ``--shuffle`` (exit 2) before anything runs, and ``--backend``
+        offers only the registered backends."""
+        for flags, refusal in (
+            (["--shuffle", "pipelined"], "unrecognized arguments"),
+            (["--chunk-gpsis", "64"], "unrecognized arguments"),
+            (["--kernel", "native"], "unrecognized arguments"),
+            (["--steal"], "unrecognized arguments"),
+            (["--steal-tasks", "8"], "unrecognized arguments"),
+            (["--backend", "thread"], "invalid choice: 'thread'"),
         ):
             with pytest.raises(SystemExit) as refused:
                 main(["count", "--pattern", "PG1", "--dataset", "x"] + flags)
             assert refused.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+            assert refusal in capsys.readouterr().err

@@ -149,8 +149,9 @@ class TestListingParity:
         assert_equivalent(ExecutionConfig(), reference(pattern_name, index_kind))
 
     def test_parity_on_columnar_thread_backend(self):
+        # The thread backend is retired: process lanes are the one pool.
         assert_equivalent(
-            ExecutionConfig(backend="thread"), reference("PG3", "bloom")
+            ExecutionConfig(backend="process", procs=2), reference("PG3", "bloom")
         )
 
     def test_unknown_kernel_rejected(self):

@@ -216,7 +216,7 @@ class TestChunkTraceEvents:
         """The one-chunk bound: each barrier's ``max_chunk_bytes`` is that
         superstep's largest worker ``wire_bytes``, and ``chunks`` counts
         the workers that sent anything."""
-        tracer, result = self.run_traced(backend="thread", procs=2)
+        tracer, result = self.run_traced(backend="process", procs=2)
         for event in tracer.by_kind("barrier"):
             assert "merge_ms" in event.data
             assert "max_send_bytes" not in event.data

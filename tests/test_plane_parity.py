@@ -68,8 +68,16 @@ def wire_bytes(result):
 
 
 def production_config(backend, spill, tmp_path):
+    """``backend``'s leg.  The backend axis keeps its ``thread`` id: the
+    thread backend is retired, so a ``thread`` leg asks for it, is
+    refused with the retired hint, then runs on three process lanes — a
+    width no ``process`` leg deals to."""
     kwargs = dict(backend=backend)
-    if backend != "serial":
+    if backend == "thread":
+        with pytest.raises(EngineError, match="thread backend is retired"):
+            ExecutionConfig(backend=backend)
+        kwargs = dict(backend="process", procs=3)
+    elif backend != "serial":
         kwargs["procs"] = 2
     if spill:
         # Watermark of one byte: every sealed chunk goes through disk.
@@ -136,11 +144,12 @@ class TestReferenceVsProduction:
         )
 
     def test_byte_watermark_and_thread_pool_width(self):
-        """Skewed outbox sizes (powerlaw graph) on a thread pool narrower
-        than the workers deliver identically.  The byte watermark this
-        test once varied is retired: each outbox crosses whole."""
+        """Skewed outbox sizes (powerlaw graph) on fewer lanes than
+        workers deliver identically.  The byte watermark this test once
+        varied is retired (each outbox crosses whole), and so is the
+        thread pool: the lanes are processes."""
         assert_equivalent(
-            ExecutionConfig(backend="thread", procs=3),
+            ExecutionConfig(backend="process", procs=3),
             reference("PG3", "powerlaw"),
         )
 
@@ -216,7 +225,7 @@ class TestPlaneGuards:
         "kwargs,match",
         [
             (dict(shuffle="pipelined"), "ships each outbox whole"),
-            (dict(steal=True), "wire='columnar'"),
+            (dict(steal=True), "work stealing is retired"),
             (dict(spill_dir="unused", memory_watermark_bytes=1), "wire='columnar'"),
         ],
         ids=["pipelined", "steal", "spill"],
@@ -225,5 +234,5 @@ class TestPlaneGuards:
         """The reference plane is no longer selectable: naming it is an
         unknown wire whatever else is asked for, and the refusal points
         at the one plane.  A retired field beside it is refused first,
-        by name, pointing at the one schedule."""
+        by name, pointing at the one schedule or the one pool."""
         assert_illegal(dict(wire="object", **kwargs), match)

@@ -109,8 +109,8 @@ def legal_execution_kwargs(draw):
     """A legal ``ExecutionConfig``, as keyword arguments, drawn over
     every field (``spill_dir`` is a placeholder the test points at a
     real directory).  Process legs are a sixth of the draws: each forks
-    a pool."""
-    backend = draw(st.sampled_from(["serial"] * 3 + ["thread"] * 2 + ["process"]))
+    its lanes."""
+    backend = draw(st.sampled_from(["serial"] * 5 + ["process"]))
     kwargs = dict(
         backend=backend,
         procs=None if backend == "serial" else draw(st.integers(1, 3)),
@@ -123,9 +123,6 @@ def legal_execution_kwargs(draw):
         superstep_budget=draw(st.sampled_from([None, 50])),
         wall_budget_seconds=draw(st.sampled_from([None, 600.0])),
     )
-    if draw(st.booleans()):
-        kwargs["steal"] = True
-        kwargs["steal_tasks"] = draw(st.sampled_from([None, 1, 16]))
     if draw(st.booleans()):
         kwargs["spill_dir"] = "<tmp>"
         kwargs["memory_watermark_bytes"] = draw(
@@ -146,7 +143,7 @@ class TestAnyLegalConfigurationIsEquivalent:
         drawable = {
             "backend", "procs", "wire", "memory_budget",
             "worker_memory_budget", "max_supersteps", "superstep_budget",
-            "wall_budget_seconds", "steal", "steal_tasks", "spill_dir",
+            "wall_budget_seconds", "spill_dir",
             "memory_watermark_bytes",
         }
         assert drawable == {

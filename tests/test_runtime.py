@@ -21,7 +21,6 @@ from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
     SharedGraphExport,
-    ThreadExecutor,
     attach_shared_graph,
     available_backends,
     default_procs,
@@ -97,8 +96,8 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestForkInheritance:
-    """A forked pool binds the graph it inherits, as the thread backend
-    does; only spawn exports it to shared memory."""
+    """A forked lane binds the graph it inherits; only spawn exports it
+    to shared memory."""
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
     def test_fork_run_makes_no_block_and_starts_no_tracker(self):
@@ -196,12 +195,13 @@ class TestForkInheritance:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"serial", "thread", "process"} <= set(available_backends())
+        assert {"serial", "process"} <= set(available_backends())
         assert available_backends()[0] == "serial"
+        # Process lanes are the one pool: the thread backend is retired.
+        assert "thread" not in available_backends()
 
     def test_make_by_name(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadExecutor)
         assert isinstance(make_executor("process"), ProcessExecutor)
         assert isinstance(make_executor(None), SerialExecutor)
 
@@ -263,12 +263,16 @@ class TestBackendEquivalence:
         return program, result
 
     def test_thread_matches_serial(self):
+        """The thread backend is retired; its leg runs one process lane
+        per logical worker, a width the two-lane leg does not."""
+        with pytest.raises(EngineError, match="thread backend is retired"):
+            self._run("thread")
         p_serial, r_serial = self._run("serial")
-        p_thread, r_thread = self._run("thread")
-        assert p_thread.seen == p_serial.seen
-        assert r_thread.outputs == r_serial.outputs
-        assert r_thread.aggregated == r_serial.aggregated
-        assert r_thread.ledger.summary() == r_serial.ledger.summary()
+        p_lanes, r_lanes = self._run("process", procs=3)
+        assert p_lanes.seen == p_serial.seen
+        assert r_lanes.outputs == r_serial.outputs
+        assert r_lanes.aggregated == r_serial.aggregated
+        assert r_lanes.ledger.summary() == r_serial.ledger.summary()
 
     def test_process_matches_serial(self):
         p_serial, r_serial = self._run("serial")

@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 
 from repro.bsp import BSPEngine, ExecutionConfig, sum_aggregator
+from repro.exceptions import EngineError
 from repro.graph import hash_partition
 from repro.graph.generators import chung_lu_power_law, erdos_renyi
 from repro.pattern import paper_patterns
@@ -43,8 +44,12 @@ def test_process_backend_matches_serial(graph_name, pattern_name):
 
 @pytest.mark.parametrize("pattern_name", ["PG1", "PG3"])
 def test_thread_backend_matches_serial(pattern_name):
+    """The thread backend is retired: its legs run three process lanes,
+    so four logical workers are dealt unevenly (two to the driver)."""
+    with pytest.raises(EngineError, match="thread backend is retired"):
+        ExecutionConfig(backend="thread", procs=3)
     assert_equivalent(
-        ExecutionConfig(backend="thread", procs=3), reference("er", pattern_name)
+        ExecutionConfig(backend="process", procs=3), reference("er", pattern_name)
     )
 
 
@@ -107,15 +112,15 @@ class RunningTotalReader(PerVertex):
 def test_backends_agree_on_persistent_aggregator_reads():
     graph = GRAPHS["er"]
     runs = {}
-    for backend in ("serial", "thread", "process"):
+    for backend, procs in (("serial", None), ("process", 2), ("process", 3)):
         engine = BSPEngine(
-            graph, hash_partition(graph.num_vertices, 4), backend=backend, procs=2
+            graph, hash_partition(graph.num_vertices, 4), backend=backend, procs=procs
         )
         result = engine.run(RunningTotalReader())
-        runs[backend] = (result.outputs, result.aggregated)
-    assert runs["serial"] == runs["thread"] == runs["process"]
+        runs[backend, procs] = (result.outputs, result.aggregated)
+    assert runs["serial", None] == runs["process", 2] == runs["process", 3]
     # Superstep 0 reads the job's initial value everywhere.
-    assert {read for step, _, read in runs["serial"][0] if step == 0} == {0}
+    assert {read for step, _, read in runs["serial", None][0] if step == 0} == {0}
 
 
 def test_snapshot_pickled_once_per_superstep(monkeypatch):

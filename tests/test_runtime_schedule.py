@@ -1,21 +1,21 @@
 """The one superstep schedule: structure, conformance, faults.
 
 ``SuperstepExecutor.run_superstep`` is the runtime's only execution loop;
-a backend is a pool plus one submit hook.  This file pins that shape
-(so a second loop cannot quietly grow back in a backend), proves a
-backend written against the hooks alone inherits the static and the
-work-stealing schedule bit-identically, and checks that a failure — at
-set-up or mid-superstep, under either schedule — propagates as itself
-and leaves no thread, child process, ``/dev/shm`` block or spill
-directory behind.
+a backend is a pool plus one submit hook, and the built-in pools are
+``serial`` and the process lanes.  This file pins that shape (so a
+second loop or a thread pool cannot quietly grow back in a backend),
+proves a backend written against the hooks alone inherits the schedule
+bit-identically, and checks that a failure — at set-up or
+mid-superstep — propagates as itself and leaves no thread, child
+process, ``/dev/shm`` block or spill directory behind.
 
-Every outbox crosses the barrier whole: the pipelined schedule that
-streamed chunks mid-compute is retired.  Its legs keep their ids: a
-``pipelined`` fault leg now runs what its sibling leg does not (the
-static schedule beside ``steal``; on spawn, every chunk spilled beside
-none), and its conformance test pins that the retired schedule is
-refused.
-
+Every outbox crosses the barrier whole, and a superstep's units are
+dealt to the lanes whole: the pipelined schedule that streamed chunks
+mid-compute, the work-stealing schedule and the thread backend are
+retired.  Their legs keep their ids where a behaviour is left to check:
+each first pins that the retired name is refused, then runs what its
+sibling leg does not (a ``thread`` fault leg runs serial beside
+process, a ``pipelined`` one spills every chunk beside none).
 """
 
 import multiprocessing
@@ -43,9 +43,8 @@ from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
     SuperstepExecutor,
-    ThreadExecutor,
+    available_backends,
     run_inline,
-    run_replica_batch,
 )
 from repro.runtime.executor import JobSpec
 
@@ -54,8 +53,6 @@ from .programs import PerVertex
 
 SRC = Path(repro.__file__).resolve().parent
 GRAPH = erdos_renyi(40, 0.25, seed=7)
-
-STEAL = dict(steal=True, steal_tasks=8)
 
 
 @lru_cache(maxsize=None)
@@ -68,22 +65,30 @@ def reference():
 # ----------------------------------------------------------------------
 class TestOneSchedule:
     def test_backends_do_not_override_the_schedule(self):
-        for cls in (SerialExecutor, ThreadExecutor, ProcessExecutor):
+        for cls in (SerialExecutor, ProcessExecutor):
             assert "run_superstep" not in vars(cls), cls.__name__
 
     def test_drain_split_and_finalize_are_the_schedules_alone(self):
-        schedule = SRC / "runtime" / "executor.py"
-        calls = re.compile(r"(?<!def )\b(split_batch|finalize_owner)\(")
+        """The schedule is one loop of whole units: no module splits a
+        batch into steal tasks or finalizes an owner from them, and the
+        runtime starts no thread of its own (no drain)."""
+        calls = re.compile(r"\b(split_batch|finalize_owner|expand_steal_task)\b")
         for path in sorted(SRC.rglob("*.py")):
-            if path == schedule:
-                continue
-            text = path.read_text()
-            assert not calls.search(text), path
-        text = schedule.read_text()
-        assert len(calls.findall(text)) == 2
-        # No drain: the runtime starts no thread of its own.
+            assert not calls.search(path.read_text()), path
         for path in sorted((SRC / "runtime").rglob("*.py")):
             assert "threading.Thread(" not in path.read_text(), path
+
+    def test_the_runtime_imports_no_thread_pool(self):
+        """Process lanes are the one pool: no runtime module imports
+        ``threading`` or ``concurrent.futures``."""
+        imports = re.compile(
+            r"^\s*(import|from)\s+(threading|concurrent)\b", re.MULTILINE
+        )
+        for path in sorted((SRC / "runtime").rglob("*.py")):
+            assert not imports.search(path.read_text()), path
+
+    def test_the_built_in_backends_are_serial_and_process(self):
+        assert available_backends() == ["serial", "process"]
 
     def test_one_worker_contract_in_src(self):
         gone = re.compile(
@@ -95,15 +100,17 @@ class TestOneSchedule:
 
     def test_backends_are_start_close_and_one_hook(self):
         allowed = {"__init__", "start", "close", "_submit"}
-        for cls in (SerialExecutor, ThreadExecutor, ProcessExecutor):
+        for cls in (SerialExecutor, ProcessExecutor):
             methods = {n for n, v in vars(cls).items() if callable(v)}
             assert methods <= allowed, (cls.__name__, methods - allowed)
             assert "_submit" in methods, cls.__name__
 
-    @pytest.mark.parametrize("schedule", [{}, STEAL], ids=["static", "steal"])
+    @pytest.mark.parametrize("storage", ["static", "spilled"])
     def test_serial_snapshots_the_registry_once_per_superstep(
-        self, monkeypatch, schedule
+        self, monkeypatch, tmp_path, storage
     ):
+        """Once per superstep, whether the barrier keeps every chunk in
+        memory or spills every one."""
         calls = []
         original = AggregatorRegistry.snapshot
 
@@ -112,9 +119,12 @@ class TestOneSchedule:
             return original(self)
 
         monkeypatch.setattr(AggregatorRegistry, "snapshot", counting_snapshot)
-        result = assert_equivalent(
-            ExecutionConfig(backend="serial", **schedule), reference()
-        )
+        config = ExecutionConfig(backend="serial")
+        if storage == "spilled":
+            config = config.with_overrides(
+                spill_dir=str(tmp_path), memory_watermark_bytes=1
+            )
+        result = assert_equivalent(config, reference())
         assert len(calls) == result.supersteps
 
 
@@ -137,28 +147,32 @@ class InlineReplicas(SuperstepExecutor):
         return run_inline(unit, self._spec, self._replicas[owner], *args)
 
 
-class AlternatingLanes(InlineReplicas):
-    """Pretends odd-``seq`` tasks ran on another lane than even ones."""
-
-    def _submit(self, owner, unit, *args):
-        future = super()._submit(owner, unit, *args)
-        if unit is not run_replica_batch:  # a steal task
-            ran = future.result()
-            ran.lane = ran.seq % 2
-        return future
-
-
 class TestThirdPartyBackend:
     def test_static_schedule(self):
         assert_equivalent(ExecutionConfig(backend=InlineReplicas()), reference())
 
     def test_steal_schedule(self):
-        # One real lane: everything is split, expanded and finalized,
-        # nothing is stolen.
-        result = assert_equivalent(
-            ExecutionConfig(backend=InlineReplicas(), **STEAL), reference()
-        )
-        assert result.steals == 0
+        """The retired work-stealing schedule: no backend can be asked
+        for it, and the one a third-party backend inherits submits whole
+        units: one per owner with work, per superstep."""
+        config = ExecutionConfig(backend=InlineReplicas())
+        with pytest.raises(EngineError, match="work stealing is retired"):
+            config.with_overrides(steal=True)
+        backend = config.backend
+        owners = []
+        submit = backend._submit
+
+        def counting(owner, unit, *args):
+            owners.append(owner)
+            return submit(owner, unit, *args)
+
+        backend._submit = counting
+        result = assert_equivalent(config, reference())
+        active = [
+            sum(1 for calls in step.worker_compute_calls if calls)
+            for step in result.ledger.steps
+        ]
+        assert len(owners) == sum(active)
 
     def test_pipelined_schedule(self):
         """The retired schedule: no backend can be asked for it, and the
@@ -170,18 +184,6 @@ class TestThirdPartyBackend:
         tracer = Tracer()
         result = assert_equivalent(config, reference(), trace=tracer)
         assert_outboxes_cross_whole(tracer, result)
-
-    def test_stolen_means_off_the_lane_of_the_owners_first_task(self):
-        tracer = Tracer()
-        result = assert_equivalent(
-            ExecutionConfig(backend=AlternatingLanes(), **STEAL),
-            reference(),
-            trace=tracer,
-        )
-        events = tracer.by_kind("steal")
-        assert result.steals == len(events) > 0
-        # seq 0 ran on lane 0, so exactly the odd tasks count as stolen.
-        assert all(e.data["lane"] == 1 and e.data["seq"] % 2 for e in events)
 
 
 # ----------------------------------------------------------------------
@@ -368,27 +370,45 @@ class TestFaults:
             )
         assert leftovers() == before
 
-    @pytest.mark.parametrize("schedule", [STEAL, {}], ids=["steal", "pipelined"])
+    @pytest.mark.parametrize("schedule", ["steal", "pipelined"])
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_compute_failure_mid_superstep(self, monkeypatch, backend, schedule):
+    def test_compute_failure_mid_superstep(
+        self, monkeypatch, tmp_path, backend, schedule
+    ):
+        """A unit that raises mid-superstep propagates as itself.  The
+        retired names keep their legs: ``thread`` is refused, then runs
+        serial, where the unit raises at its submit site; ``steal`` is
+        refused, then runs in memory, and ``pipelined`` spills every
+        chunk, so no spill file outlives the failure either."""
         expected = reference()  # computed before anything is patched
-        real_expand = PSgLProgram.expand_task
+        real_compute = PSgLProgram.compute_columns
 
-        def exploding(self, columns, edge_index=None):
+        def exploding(self, ctx, columns):
             # Victims are picked from the rows' own destination vertices.
-            dest = columns.mapping[range(columns.n), columns.next_vertex]
-            if (dest % 5 == 0).any():
+            if (columns.destinations() % 5 == 0).any():
                 raise ValueError("injected mid-superstep failure")
-            return real_expand(self, columns, edge_index)
+            return real_compute(self, ctx, columns)
 
-        # Patched before the pool forks, so children inherit it.
-        monkeypatch.setattr(PSgLProgram, "expand_task", exploding)
+        config = ExecutionConfig(procs=2)
+        retired = {"thread": dict(backend="thread"), "steal": dict(steal=True)}
+        for name in (backend, schedule):
+            if name in retired:
+                with pytest.raises(EngineError, match="one pool"):
+                    config.with_overrides(**retired[name])
+        config = config.with_overrides(
+            backend="serial" if backend == "thread" else backend
+        )
+        if schedule == "pipelined":
+            config = config.with_overrides(
+                spill_dir=str(tmp_path), memory_watermark_bytes=1
+            )
+        # Patched before the lanes fork, so children inherit it.
+        monkeypatch.setattr(PSgLProgram, "compute_columns", exploding)
         before = leftovers()
         with pytest.raises(ValueError, match="injected mid-superstep failure"):
-            assert_equivalent(
-                ExecutionConfig(backend=backend, procs=2, **schedule), expected
-            )
+            assert_equivalent(config, expected)
         assert leftovers() == before
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

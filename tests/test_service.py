@@ -137,7 +137,7 @@ class TestSpecValidation:
         with pytest.raises(QuerySpecError, match="unknown wire"):
             client.submit(pattern="PG1", wire="quantum")
         with pytest.raises(QuerySpecError, match="unknown wire 'object'"):
-            client.submit(pattern="PG1", wire="object", steal=True)
+            client.submit(pattern="PG1", wire="object", backend="process")
         spilling = SubgraphService(
             GraphContext(complete_graph(5)),
             spill_dir=str(tmp_path),
@@ -160,6 +160,7 @@ class TestSpecValidation:
             ("workers", 0),
             ("seed", None),
             ("seed", "7"),
+            # A retired field: any value is refused by name.
             ("steal", "false"),
             ("steal", 1),
             ("collect_instances", "yes"),
@@ -185,14 +186,15 @@ class TestSpecValidation:
     def test_real_json_types_behave_as_before(self, service_pair):
         client, _ = service_pair
         spec = dict(
-            pattern="PG2", workers=2, seed=41, steal=True, collect_instances=True
+            pattern="PG2", workers=2, seed=41, backend="serial",
+            collect_instances=True,
         )
         job = client.count(**spec)
-        assert job["state"] == "completed" and job["result"]["steals"] >= 0
-        assert job["spec"]["workers"] == 2 and job["spec"]["steal"] is True
+        assert job["state"] == "completed" and job["result"]["count"] >= 0
+        assert job["spec"]["workers"] == 2 and job["spec"]["backend"] == "serial"
         # An integral float is the integer; execution fields never enter
         # the cache key, so the first answer serves this one too.
-        again = client.submit(**{**spec, "workers": 2.0, "steal": False})
+        again = client.submit(**{**spec, "workers": 2.0, "backend": "process"})
         assert again["cached"] and again["result"] == job["result"]
 
     def test_test_hooks_gated(self):

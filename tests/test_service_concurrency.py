@@ -72,9 +72,13 @@ def run_concurrently(worker, n_threads=THREADS, timeout=60.0):
 
 
 class TestSharedDriverThreadBackend:
+    """One driver shared by concurrent callers' threads.  The thread
+    backend is retired; each caller's run computes serially on its own
+    thread, which is how the service's job threads use a driver."""
+
     def test_concurrent_runs_bit_identical_to_sequential(self, graph):
         reference = sequential_reference(graph)
-        driver = PSgL(graph, num_workers=4, backend="thread", seed=0)
+        driver = PSgL(graph, num_workers=4, backend="serial", seed=0)
 
         def worker(idx):
             name = PATTERNS[idx % len(PATTERNS)]
@@ -89,7 +93,7 @@ class TestSharedDriverThreadBackend:
             assert instances == ref_instances
 
     def test_lazy_index_built_once_under_contention(self, graph):
-        driver = PSgL(graph, num_workers=4, backend="thread", seed=0)
+        driver = PSgL(graph, num_workers=4, backend="serial", seed=0)
         indices = []
 
         def worker(idx):
@@ -113,7 +117,7 @@ class TestSharedAssetsSeparateDrivers:
             driver = PSgL(
                 graph,
                 num_workers=4,
-                backend="thread",
+                backend="serial",
                 seed=0,
                 ordered=ordered,
                 edge_index=index.detached_view(),
