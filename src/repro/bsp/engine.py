@@ -146,9 +146,9 @@ class BSPEngine:
         status = "completed"
         try:
             # Everything that acquires a resource — the spill directory,
-            # the executor's pool, replicas and /dev/shm blocks — happens
-            # inside the guarded region, so a set-up that fails half-way
-            # is torn down like any other fault.
+            # the executor's lanes and their pipes — happens inside the
+            # guarded region, so a set-up that fails half-way is torn
+            # down like any other fault.
             if cfg.spill_dir is not None:
                 # Imported here: a run without a spill plane never loads it.
                 from .spill import SpillManager

@@ -128,30 +128,23 @@ class VertexProgram:
     # Replica contract (every backend)
     # ------------------------------------------------------------------
     # Every backend runs each logical worker's batch on a *replica* of
-    # the program — the driver's own object on the serial backend and on
-    # the process backend's driver lane, a pickled copy on a child lane —
-    # and merges the replica's state delta into the driver's program at
-    # the barrier.
+    # the program and merges the replica's state delta into the driver's
+    # program at the barrier.  The replica is the driver's own object on
+    # the serial backend and on the process backend's driver lane; on a
+    # child lane it is the copy the lane inherited at fork, graph and
+    # all, with nothing pickled.  A third-party backend copies the
+    # program whole.
     # The hooks below let driver-side mutable state survive that split.
 
     def export_shared(self) -> Dict[str, Any]:
-        """Read-only ``int64`` numpy arrays to ship alongside the shared
-        graph, one copy per machine rather than per replica.
+        """Read-only ``int64`` numpy arrays every replica shares with the
+        driver, one copy per machine rather than per replica.
 
-        A forked child lane binds the driver's arrays as they are; a
-        spawned one maps them from the shared-memory CSR export
-        (zero-copy views).  Programs that precompute per-vertex arrays
-        the hot path needs — ranks, degree statistics — return them here and re-attach in :meth:`bind_shared`.  Arrays
-        returned here should be dropped from ``__getstate__`` so replicas
-        never pickle a private copy."""
+        Programs that precompute per-vertex arrays the hot path needs —
+        ranks, degree statistics — return them here: the process backend
+        builds them before it forks its lanes, so every child inherits
+        the driver's copy, and sizes its ``export`` trace event by them."""
         return {}
-
-    def bind_shared(self, graph: Graph, arrays: Dict[str, Any]) -> None:
-        """Re-attach the shared graph *and* the :meth:`export_shared`
-        arrays on a freshly unpickled replica — the driver's own objects
-        in a forked child lane, the shared-memory CSR view in a spawned
-        one.  The default does nothing: a program that drops nothing in
-        ``__getstate__`` reads the graph off ``ctx.graph``."""
 
     def collect_state_delta(self) -> Any:
         """Return and *reset* the driver-relevant state this replica

@@ -27,6 +27,8 @@ which charge one query per edge either way.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..graph.graph import Graph
@@ -83,16 +85,9 @@ class EdgeIndexBase:
         never race on the counters.  This is how the query service hands
         each job its own view of the graph's one resident index.
         """
-        # Not copy.copy: that goes through __getstate__, which may drop
-        # arrays a pickled replica re-attaches (see ExactEdgeIndex).
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
+        clone = copy.copy(self)
         clone.reset_statistics()
         return clone
-
-    def attach(self, graph: Graph) -> None:
-        """Re-attach the arrays this index shares with ``graph`` after
-        unpickling.  The default shares nothing."""
 
     def might_contain(self, u: int, v: int) -> bool:
         """Whether edge ``(u, v)`` possibly exists (never a false negative
@@ -158,26 +153,15 @@ class BloomEdgeIndex(EdgeIndexBase):
 
 class ExactEdgeIndex(EdgeIndexBase):
     """Sorted-array edge index: zero false positives, larger footprint —
-    a ``uint64`` view of the graph's own :meth:`~Graph.edge_keys`.
-
-    The view is not pickled: a replica re-attaches it with
-    :meth:`attach` to the graph it runs on, whose key column the
-    process backend ships once per machine in shared memory."""
+    a ``uint64`` view of the graph's own :meth:`~Graph.edge_keys`, so a
+    forked process lane probes the key column it inherited."""
 
     exact = True
 
     def __init__(self, graph: Graph):
         super().__init__()
         self._n = graph.num_vertices
-        self.attach(graph)
-
-    def attach(self, graph: Graph) -> None:
         self._keys = graph.edge_keys().view(np.uint64)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_keys", None)
-        return state
 
     def _lookup_many(self, keys: np.ndarray) -> np.ndarray:
         k = len(self._keys)

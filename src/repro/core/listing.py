@@ -153,20 +153,9 @@ class PSgLProgram(VertexProgram):
         self.message_bytes = 0
 
     # ------------------------------------------------------------------
-    # Replica contract: pickled replicas ship without the data graph
-    # (the runtime rebinds a shared view), and on every backend the
-    # tallies cross back as per-batch deltas merged in worker-id order.
+    # Replica contract: on every backend the tallies cross back as
+    # per-batch deltas merged in worker-id order.
     # ------------------------------------------------------------------
-    def __getstate__(self):
-        # Ship neither the O(n + m) graph, nor the O(n) order arrays,
-        # nor the O(m) edge-key column (the edge index pickles without
-        # it): replicas re-attach all three through bind_shared — a forked
-        # lane binds the driver's arrays, a spawned one maps them from the
-        # shared-memory export next to the CSR blocks.
-        state = self.__dict__.copy()
-        state.pop("ordered")
-        return state
-
     def export_shared(self):
         ordered = self.ordered
         return {
@@ -175,16 +164,6 @@ class PSgLProgram(VertexProgram):
             "order_ns": ordered.ns_values,
             "edge_keys": ordered.graph.edge_keys(),
         }
-
-    def bind_shared(self, graph: Graph, arrays) -> None:
-        graph.adopt_edge_keys(arrays["edge_keys"])
-        self.ordered = OrderedGraph.from_precomputed(
-            graph,
-            arrays["order_rank"],
-            arrays["order_nb"],
-            arrays["order_ns"],
-        )
-        self.edge_index.attach(graph)
 
     def _fold_per_vertex(self) -> None:
         """Fold pending completed-mapping chunks into ``per_vertex_counts``.

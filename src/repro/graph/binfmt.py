@@ -13,11 +13,9 @@ half:
   ever exists and peak memory stays O(|V| + chunk), not O(|E|);
 * :func:`load_mapped` returns a :class:`~repro.graph.graph.Graph` whose
   CSR arrays are read-only ``np.memmap`` views into the file.  The OS
-  pages neighbour lists in on demand.  A forked worker process inherits
-  the mapping; under spawn
-  :class:`~repro.runtime.shared_graph.SharedGraphExport` recognises it
-  and hands worker processes the *file* instead of copying the arrays
-  into ``/dev/shm`` (see ``docs/scale.md``).
+  pages neighbour lists in on demand, and a forked process lane
+  inherits the mapping: every lane reads the one page cache, and
+  nothing is copied (see ``docs/scale.md``).
 
 File layout (all little-endian, arrays 8-byte aligned)
 ------------------------------------------------------
@@ -204,9 +202,8 @@ def load_mapped(path: PathLike, verify_checksum: bool = False) -> Graph:
     The returned graph's ``indptr``/``indices`` (and therefore every
     per-vertex adjacency slice) are read-only views into the mapped
     file; nothing is copied, and the OS pages data in on first touch.
-    The graph remembers its backing file (``Graph.mmap_spec``), which the
-    shared-memory export uses to hand worker processes the file path
-    instead of a ``/dev/shm`` copy.
+    The graph remembers its backing file (``Graph.mmap_spec``); forked
+    process lanes inherit the mapping itself.
 
     ``verify_checksum=True`` streams the whole array region through
     blake2b before mapping and raises

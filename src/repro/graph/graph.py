@@ -12,8 +12,8 @@ the slice ``indices[indptr[v]:indptr[v + 1]]``, which gives
 * ``O(log m)`` edge-existence tests by one ``searchsorted`` over the
   sorted edge-key column (:meth:`Graph.edge_keys`, built on first use),
 * cache-friendly neighbourhood scans for the expansion inner loop,
-* one representation whoever owns the buffers: an in-memory graph, a
-  ``/dev/shm`` block and a mapped ``.csrbin`` differ only in that.
+* one representation whoever owns the buffers: an in-memory graph and
+  a mapped ``.csrbin`` differ only in that.
 """
 
 from __future__ import annotations
@@ -34,14 +34,11 @@ class MappedCSR:
     """Where a graph's CSR arrays live on disk (``.csrbin`` mapping).
 
     Set by :func:`repro.graph.binfmt.load_mapped` on graphs whose
-    ``indptr``/``indices`` are ``np.memmap`` views.  The spawn start
-    method's shared-memory export
-    (:class:`repro.runtime.shared_graph.SharedGraphExport`) reads it to
-    hand worker processes the *file* instead of copying the arrays into
-    ``/dev/shm``; a forked worker inherits the mapping itself.
-    ``keepalive`` pins the underlying mapping for the graph's lifetime
-    and never crosses a process boundary — only the path and offsets
-    travel.
+    ``indptr``/``indices`` are ``np.memmap`` views.  A forked process
+    lane inherits the mapping itself, and the process backend's
+    ``export`` trace event reads this to report the file's bytes
+    (``mapped_file``) instead of the CSR arrays.  ``keepalive`` pins the
+    underlying mapping for the graph's lifetime.
     """
 
     path: str
@@ -120,9 +117,9 @@ class Graph:
     mmap_spec:
         Backing ``.csrbin`` mapping (:class:`MappedCSR`), or ``None``
         unless :func:`~repro.graph.binfmt.load_mapped` built the graph.
-        Non-None means the CSR arrays are views into a file on disk;
-        the shared-memory runtime then exports the file path instead of
-        a ``/dev/shm`` copy.
+        Non-None means the CSR arrays are views into a file on disk,
+        which the process backend's ``export`` trace event reports as
+        ``mapped_file``.
     """
 
     __slots__ = (
@@ -232,16 +229,6 @@ class Graph:
             self._edge_keys = keys
         return self._edge_keys
 
-    def adopt_edge_keys(self, keys: np.ndarray) -> None:
-        """Seed the :meth:`edge_keys` cache with this graph's column built
-        elsewhere — a process-backend replica adopts the driver's, shipped
-        once per machine in shared memory — instead of rebuilding it."""
-        if len(keys) != self._m:
-            raise GraphError(
-                f"edge key column has {len(keys)} entries for {self._m} edges"
-            )
-        self._edge_keys = _frozen(keys)
-
     def edges(self) -> Iterator[Edge]:
         """Iterate every undirected edge once, as ``(u, v)`` with ``u < v``."""
         us, vs = self.edge_arrays()
@@ -262,11 +249,10 @@ class Graph:
     def from_csr(cls, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
         """Wrap existing CSR arrays **without copying**.
 
-        The caller's buffers (e.g. a ``multiprocessing.shared_memory``
-        block or a file mapping) back the whole graph.  ``indptr`` is
-        checked (starts at 0, non-decreasing, ends at ``len(indices)``);
-        neighbour lists must already be sorted and duplicate/self-loop
-        free, as produced by :meth:`to_csr`.
+        The caller's buffers (e.g. a file mapping) back the whole graph.
+        ``indptr`` is checked (starts at 0, non-decreasing, ends at
+        ``len(indices)``); neighbour lists must already be sorted and
+        duplicate/self-loop free, as produced by :meth:`to_csr`.
         """
         graph = cls.__new__(cls)
         graph._wrap(indptr, indices)

@@ -55,25 +55,6 @@ class OrderedGraph:
         self._ns = np.asarray(degrees - nb, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_precomputed(
-        cls,
-        graph: Graph,
-        rank: np.ndarray,
-        nb: np.ndarray,
-        ns: np.ndarray,
-    ) -> "OrderedGraph":
-        """Rebuild around already-computed order arrays without the
-        O(sum deg) rank scan — how worker replicas reattach a shared
-        graph after crossing a process boundary."""
-        ordered = cls.__new__(cls)
-        ordered.graph = graph
-        ordered._rank = rank
-        ordered._nb = nb
-        ordered._ns = ns
-        return ordered
-
-    # ------------------------------------------------------------------
     def rank(self, v: int) -> int:
         """Position of ``v`` in the degree-based total order."""
         return int(self._rank[v])

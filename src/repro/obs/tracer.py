@@ -20,14 +20,14 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
     ``status`` (``"completed"`` or the exception class name),
     ``supersteps``, plus the job wall time.
 ``executor``
-    Backend lifecycle: backend name and its setup parameters (pool
-    width, start method, replica count) with the setup wall time.
+    Backend lifecycle: backend name and its pool width with the setup
+    wall time.
 ``export``
-    Shared-memory export sizes from the process backend: bytes per CSR
-    block (``indptr``/``indices``/``aux``) and the total.  A graph
-    loaded via ``load_mapped`` reports ``mapped_file`` instead of
-    ``indptr``/``indices`` — workers re-map the ``.csrbin`` file and no
-    CSR copy enters ``/dev/shm``.
+    What the process backend's forked lanes share with the driver:
+    bytes per CSR array (``indptr``/``indices``), the program's
+    ``export_shared`` arrays (``aux``) and the total.  A graph loaded
+    via ``load_mapped`` reports ``mapped_file`` instead of
+    ``indptr``/``indices`` — the lanes inherit the file mapping.
 ``superstep``
     One per superstep: wall time of the executor's ``run_superstep``
     call, the active-vertex count, the number of non-empty batches, and

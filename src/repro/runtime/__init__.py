@@ -2,8 +2,7 @@
 
 Turns the single-process simulator into a real parallel runtime behind a
 pluggable executor interface: one read-only graph every child lane
-scans (inherited under fork, a ``multiprocessing.shared_memory``
-export under spawn), one superstep schedule that submits its units
+scans (inherited at fork), one superstep schedule that submits its units
 inline or deals them to process lanes, and deterministic message
 shuffling at the barrier, where every worker's outbox arrives whole.  See ``docs/runtime.md`` for the protocol.
 """
@@ -24,10 +23,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".serial": ("SerialExecutor",),
     ".process": ("ProcessExecutor", "default_procs"),
     ".registry": ("available_backends", "make_executor", "register_backend"),
-    ".shared_graph": (
-        "AttachedSharedGraph",
-        "SharedGraphExport",
-        "SharedGraphHandle",
-        "attach_shared_graph",
-    ),
 })

@@ -34,14 +34,13 @@ published at the last barrier), contributions reduce locally, and the
 program's tallies come back as a
 :meth:`~repro.bsp.vertex_program.VertexProgram.collect_state_delta` that
 the engine merges in worker-id order.  Only *which* object is the
-replica differs: the driver's own program on the serial backend (nothing
-is pickled), the driver's own program on the driver lane and one copy
-per child lane on processes.
+replica differs: the driver's own program on the serial backend and on
+the process backend's driver lane, the copy a child lane inherited at
+fork on the others.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -49,7 +48,6 @@ import numpy as np
 
 from ..bsp.message import ColumnarOutbox, PackedWorkerBatch
 from ..bsp.vertex_program import ComputeContext, VertexProgram
-from ..exceptions import EngineError
 from ..graph.graph import Graph
 from ..graph.partition import Partition
 from ..obs.tracer import NULL_TRACER
@@ -85,7 +83,7 @@ class JobSpec:
     partition: Partition
     num_workers: int
     #: Observability sink for backend lifecycle events (setup wall time,
-    #: pool configuration, shared-memory export sizes); defaults to the
+    #: pool width, the sizes forked lanes share); defaults to the
     #: no-op tracer so executors emit unconditionally behind one flag.
     tracer: Any = NULL_TRACER
 
@@ -194,8 +192,8 @@ def run_replica_batch(
     all side effects accumulate locally in program order.  Graph,
     partition and worker count come off ``spec``;
     ``program`` is the replica compute runs against — the driver's own
-    object on the serial backend and the driver lane, a pickled copy on
-    a child lane.  Aggregator calls go to a fresh identity-value shim
+    object on the serial backend and the driver lane, its fork-time copy
+    on a child lane.  Aggregator calls go to a fresh identity-value shim
     over the barrier ``snapshot``, the replica's state delta is
     collected, and the worker's state dict rides home on the result.
 
@@ -256,18 +254,6 @@ def run_replica_batch(
         state_delta=program.collect_state_delta(),
         worker_state=worker_state,
     )
-
-
-def pickle_program(program: VertexProgram, backend: str) -> bytes:
-    """Serialise ``program`` for the replica contract (its ``__getstate__``
-    drops the graph), or say which program a pooled backend cannot run."""
-    try:
-        return pickle.dumps(program)
-    except (pickle.PicklingError, AttributeError, TypeError) as exc:
-        raise EngineError(
-            f"backend {backend!r} runs workers on pickled replicas of the "
-            f"program, and {type(program).__name__} does not pickle: {exc}"
-        ) from exc
 
 
 class Completed:

@@ -5,14 +5,12 @@ Lanes
 * ``procs=N`` computes on N *lanes* (at most one per logical worker).
   The driver is lane 0: it runs its share of units inline against its
   own program, exactly as the serial backend does.  Lanes 1 … N−1 are
-  child processes the executor starts itself — ``os.fork`` by default,
-  the ``multiprocessing`` spawn context where fork is missing or spawn
-  is asked for — so ``procs=1`` starts none.
-* A child shares one read-only data graph: a forked child inherits the
-  driver's, a spawned one maps its ``multiprocessing.shared_memory``
-  export (:mod:`repro.runtime.shared_graph`).  Each child unpickles
-  **one** program replica (the pickle omits the graph; ``bind_shared``
-  splices the shared one in) for the whole job.
+  child processes the executor forks itself (``os.fork``), so
+  ``procs=1`` starts none.
+* A child's program replica is the driver's program as the child
+  inherited it at fork — graph, order arrays and edge index included:
+  one read-only copy of the graph per machine, and nothing pickled,
+  unpickled or rebound at start.
 * *Placement*: a child starts on the CPUs the driver thread may use,
   minus the one the driver is on.  The driver's own mask is never touched.
 * *Dealing*: at a superstep's first ``result()`` the queued units are
@@ -24,14 +22,17 @@ Logical workers are *location independent*: a unit's arguments — the
 packed batch, the worker's state dict, the aggregator snapshot — are all
 a logical worker is, so any lane can execute any worker in any superstep
 and results stay deterministic.  Requirements on the program: picklable
-sans graph, picklable messages/outputs/worker state, and the state-delta
-hooks for driver-side mutable state.
+messages/outputs/worker state, and the state-delta hooks for driver-side
+mutable state.
 
-A child lane that dies — its pipe ends or stops short — fails every unit
-of its share with an :class:`~repro.exceptions.EngineError` naming its
-pid and exit status, after it was reaped; the schedule then waits out
-the other lanes and re-raises.  ``close`` closes every pipe end, then
-reaps every child.
+A lane that cannot start — ``os.pipe`` or ``os.fork`` fails — is an
+:class:`~repro.exceptions.EngineError`; the lanes already started are
+reaped by ``close``, which the engine calls on every exit path.  A child
+lane that dies — its pipe ends or stops short — fails every unit of its
+share with an :class:`~repro.exceptions.EngineError` naming its pid and
+exit status, after it was reaped; the schedule then waits out the other
+lanes and re-raises.  ``close`` closes every pipe end, then reaps every
+child.
 """
 
 from __future__ import annotations
@@ -45,41 +46,15 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import EngineError
 from ..obs.tracer import NULL_TRACER
-from .executor import JobSpec, SuperstepExecutor, pickle_program
+from .executor import JobSpec, SuperstepExecutor
 
-if TYPE_CHECKING:  # spawn's transport is imported only when used
+if TYPE_CHECKING:
     from ..graph.graph import Graph
-    from .shared_graph import AttachedSharedGraph, SharedGraphExport, SharedGraphHandle
-
-# Child-process state, set once when the lane starts: the job's spec
-# re-pointed at this process's program replica and graph, and under
-# spawn the attachment, which owns the mappings the graph's arrays alias.
-_child_spec: Optional[JobSpec] = None
-_child_attached: Optional[AttachedSharedGraph] = None
 
 #: A frame's length prefix.
 _HEADER = struct.Struct("<Q")
 
 _NOT_RUN = "unit not run: an earlier unit of its lane's share failed"
-
-
-def _init_child(
-    graph: Graph, arrays: Dict[str, Any], program_bytes: bytes, spec: JobSpec
-) -> None:
-    global _child_spec
-    program = pickle.loads(program_bytes)
-    program.bind_shared(graph, arrays)
-    _child_spec = replace(spec, program=program, graph=graph)
-
-
-def _attach_child(
-    handle: SharedGraphHandle, program_bytes: bytes, spec: JobSpec
-) -> None:
-    global _child_attached
-    from .shared_graph import attach_shared_graph
-
-    _child_attached = attach_shared_graph(handle)
-    _init_child(_child_attached.graph, _child_attached.aux, program_bytes, spec)
 
 
 def _write_frame(fd: int, data: bytes) -> None:
@@ -122,16 +97,17 @@ def _run_share(calls: List[tuple], *head: Any) -> Tuple[float, List[tuple]]:
     return (perf_counter() - started) * 1000.0, replies
 
 
-def _serve(down: int, up: int) -> None:
+def _serve(down: int, up: int, spec: JobSpec) -> None:
     """A child lane's loop: read a whole share, run it on this process's
-    replica, answer with one frame — until the driver closes the pipe.  A
-    batch's state dict arrives as a copy and rides home on its result."""
+    replica, ``spec.program``, answer with one frame — until the driver
+    closes the pipe.  A batch's state dict arrives as a copy and rides
+    home on its result."""
     while True:
         frame = _read_frame(down)
         if frame is None:
             return
         try:
-            reply = _run_share(pickle.loads(frame), _child_spec, _child_spec.program)
+            reply = _run_share(pickle.loads(frame), spec, spec.program)
         except Exception as exc:  # noqa: BLE001 - the share does not unpickle
             reply = (0.0, [("err", exc)])
         try:
@@ -142,12 +118,13 @@ def _serve(down: int, up: int) -> None:
         _write_frame(up, data)
 
 
-def _forked_lane(down: int, up: int, init: tuple) -> int:
-    """Fork one child lane.  The child closes every descriptor it
-    inherited but stdio and its own ``down``/``up``: a driver-side pipe
-    end left open in any child — this job's earlier lanes', or those of a
-    job running concurrently in the same process — would keep that lane
-    from ever seeing end of file.  It leaves through ``os._exit``, so
+def _forked_lane(down: int, up: int, spec: JobSpec) -> int:
+    """Fork one child lane, which serves ``spec`` on the program it
+    inherits.  The child closes every descriptor it inherited but stdio
+    and its own ``down``/``up``: a driver-side pipe end left open in any
+    child — this job's earlier lanes', or those of a job running
+    concurrently in the same process — would keep that lane from ever
+    seeing end of file.  It leaves through ``os._exit``, so
     nothing of the driver's is flushed or torn down."""
     pid = os.fork()
     if pid:
@@ -158,8 +135,7 @@ def _forked_lane(down: int, up: int, init: tuple) -> int:
         os.closerange(3, lo)
         os.closerange(lo + 1, hi)
         os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
-        _init_child(*init)
-        _serve(down, up)
+        _serve(down, up, spec)
         code = 0
     except (BrokenPipeError, KeyboardInterrupt):
         pass  # the driver is going away; it reports why
@@ -171,14 +147,6 @@ def _forked_lane(down: int, up: int, init: tuple) -> int:
         os._exit(code)
 
 
-def _spawned_lane(down: Any, up: Any, *init: Any) -> None:
-    """A spawned child lane's target: ``down`` and ``up`` are the pipe
-    ends, wrapped as ``multiprocessing`` connections only to cross the
-    spawn launch."""
-    _attach_child(*init)
-    _serve(down.fileno(), up.fileno())
-
-
 def default_procs(num_workers: int) -> int:
     """Lane count: one per logical worker, capped by the CPUs this
     process may run on (a cpuset or ``taskset`` narrows them)."""
@@ -187,9 +155,10 @@ def default_procs(num_workers: int) -> int:
     return max(1, min(num_workers, cpus))
 
 
-def _inherited_sizes(graph: Graph, arrays: Dict[str, Any]) -> Dict[str, int]:
-    """The ``export`` event's sizes under fork: those of the blocks a
-    spawn export makes (``SharedGraphExport.block_sizes``)."""
+def _export_sizes(graph: Graph, arrays: Dict[str, Any]) -> Dict[str, int]:
+    """The ``export`` event's sizes: what every child lane shares with
+    the driver — the CSR arrays (or, for a mapped graph, the file's
+    bytes) and the program's ``export_shared`` arrays."""
     indptr, indices = graph.to_csr()
     sizes = {"indptr": max(indptr.nbytes, 1), "indices": max(indices.nbytes, 1)}
     if graph.mmap_spec is not None:
@@ -247,15 +216,14 @@ def _settle(share: List[_Unit], replies: List[tuple], rest: Any = None) -> None:
 
 
 class _Lane:
-    """One child lane: its pid, the driver's pipe ends, how to reap it."""
+    """One child lane: its pid, the driver's pipe ends, its exit status."""
 
-    __slots__ = ("pid", "down", "up", "process", "status")
+    __slots__ = ("pid", "down", "up", "status")
 
-    def __init__(self, pid: int, down: int, up: int, process: Any = None):
+    def __init__(self, pid: int, down: int, up: int):
         self.pid = pid
         self.down = down  # driver → child, write end
         self.up = up  # child → driver, read end
-        self.process = process  # the spawn context's Process, else None
         self.status: Optional[int] = None  # exit status once reaped
 
     def close_pipes(self) -> None:
@@ -266,12 +234,7 @@ class _Lane:
 
     def reap(self) -> int:
         if self.status is None:
-            if self.process is not None:
-                self.process.join()
-                self.status = self.process.exitcode
-                self.process.close()  # its sentinel fd
-            else:
-                self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         return self.status
 
     def death(self) -> EngineError:
@@ -297,37 +260,27 @@ class _Lanes:
         self.queue: List[_Unit] = []
         self.busy_ms: List[float] = []  # the last deal's, driver first
 
-    def launch(self, init: tuple, spawn: Any = None) -> None:
-        """Start one child lane: forked, or from the ``spawn`` context.
-        The child binds ``init`` (``_init_child``'s arguments under fork,
-        ``_attach_child``'s under spawn); the rest is the same protocol."""
-        down_r, down_w = os.pipe()
-        up_r, up_w = os.pipe()
+    def launch(self, spec: JobSpec, number: int, total: int) -> None:
+        """Fork child lane ``number`` of ``total`` to serve ``spec``.  A
+        pipe or fork that fails — ``EAGAIN`` under a pid limit, ``EMFILE``
+        — is an ``EngineError`` and leaves no descriptor of this lane."""
+        ends: List[int] = []
         try:
-            if spawn is None:
-                pid = _forked_lane(down_r, up_w, init)
-                lane = _Lane(pid, down_w, up_r)
-            else:
-                from multiprocessing.connection import Connection
-
-                ends = (
-                    Connection(os.dup(down_r), writable=False),
-                    Connection(os.dup(up_w), readable=False),
-                )
-                process = spawn.Process(target=_spawned_lane, args=(*ends, *init))
-                try:
-                    process.start()
-                finally:
-                    for end in ends:
-                        end.close()
-                lane = _Lane(process.pid, down_w, up_r, process)
-        except BaseException:
-            os.close(down_w)
-            os.close(up_r)
+            ends += os.pipe()  # down: driver → child
+            ends += os.pipe()  # up: child → driver
+            pid = _forked_lane(ends[0], ends[3], spec)
+        except BaseException as exc:
+            for fd in ends:
+                os.close(fd)
+            if isinstance(exc, OSError):
+                raise EngineError(
+                    f"could not start process lane {number} of {total}: {exc}"
+                ) from exc
             raise
-        finally:
-            os.close(down_r)
-            os.close(up_w)
+        down_r, down_w, up_r, up_w = ends
+        os.close(down_r)
+        os.close(up_w)
+        lane = _Lane(pid, down_w, up_r)
         self.children.append(lane)
         try:  # placement, where the platform can say where the driver is
             away = os.sched_getaffinity(0) - {_cpu_now()}
@@ -422,18 +375,12 @@ class ProcessExecutor(SuperstepExecutor):
 
     name = "process"
 
-    def __init__(self, procs: Optional[int] = None, start_method: Optional[str] = None):
+    def __init__(self, procs: Optional[int] = None):
         self._procs = procs
-        self._start_method = start_method
         self._lanes: Optional[_Lanes] = None
-        self._export: Optional[SharedGraphExport] = None
 
     def start(self, spec: JobSpec) -> None:
         setup_started = perf_counter()
-        program_bytes = pickle_program(spec.program, self.name)
-        # fork shares the warm interpreter (fast start); spawn where it is
-        # asked for or fork is missing.  Lanes are POSIX pipes either way.
-        method = self._start_method or ("fork" if hasattr(os, "fork") else "spawn")
         # A lane past one per logical worker would never be dealt a unit.
         procs = min(self._procs or default_procs(spec.num_workers), spec.num_workers)
         # From here on close() releases whatever the rest got to create.
@@ -441,39 +388,20 @@ class ProcessExecutor(SuperstepExecutor):
         # The driver lane computes on the driver's own program, as serial.
         self._lanes = lanes = _Lanes((self._spec, self._spec.program))
         if procs > 1:
-            # The program's per-vertex arrays travel with the graph, one
-            # copy per machine.  A forked child binds the driver's own
-            # arrays: no shared-memory block, hence no tracker.
+            # The program's per-vertex arrays are built before the fork,
+            # so every child inherits the driver's copy: one per machine.
             arrays = spec.program.export_shared()
-            if method == "fork":
-                source = (spec.graph, arrays)
-                sizes = spec.tracer.enabled and _inherited_sizes(spec.graph, arrays)
-            else:
-                from .shared_graph import SharedGraphExport
-
-                self._export = SharedGraphExport(spec.graph, aux=arrays)
-                source = (self._export.handle,)
-                sizes = self._export.block_sizes()
             if spec.tracer.enabled:
-                spec.tracer.emit(
-                    "export", transport="fork" if method == "fork" else "shm",
-                    total_bytes=sum(sizes.values()), **sizes,
-                )
-            # A child needs of the spec its partition and worker count;
-            # program and graph reach it apart, and the tracer stays here.
-            child_spec = replace(spec, program=None, graph=None, tracer=NULL_TRACER)
-            init = (*source, program_bytes, child_spec)
-            spawn = None
-            if method != "fork":
-                import multiprocessing  # spawn lanes only
-
-                spawn = multiprocessing.get_context(method)
-            for _ in range(procs - 1):
-                lanes.launch(init, spawn)
+                sizes = _export_sizes(spec.graph, arrays)
+                spec.tracer.emit("export", total_bytes=sum(sizes.values()), **sizes)
+            # The tracer stays here.
+            child_spec = replace(spec, tracer=NULL_TRACER)
+            for lane in range(1, procs):
+                lanes.launch(child_spec, lane, procs)
         if spec.tracer.enabled:
             spec.tracer.emit(
                 "executor", wall_ms=(perf_counter() - setup_started) * 1000.0,
-                backend=self.name, pool=procs, start_method=method,
+                backend=self.name, pool=procs,
             )
 
     def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> _Unit:
@@ -491,7 +419,4 @@ class ProcessExecutor(SuperstepExecutor):
         if self._lanes is not None:
             self._lanes.close()
             self._lanes = None
-        if self._export is not None:
-            self._export.close()
-            self._export = None
         super().close()

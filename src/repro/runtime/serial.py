@@ -3,8 +3,7 @@
 Units run in worker-id order against the driver's own program object,
 which serves as every logical worker's replica: the batch reads the
 barrier snapshot and hands its tallies back as a state delta, exactly as
-on the process backend, but nothing is pickled — so a program that
-cannot be pickled still runs here.
+on the process backend's lanes.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from .executor import Completed, JobSpec, SuperstepExecutor, run_inline
 
 
 class SerialExecutor(SuperstepExecutor):
-    """One process, one lane: the replica contract with no pickling."""
+    """One process, one lane: the driver's program is every replica."""
 
     name = "serial"
 

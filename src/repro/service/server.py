@@ -126,9 +126,9 @@ class GraphContext:
     def from_csrbin(cls, path: str) -> "GraphContext":
         """Memory-map a binary ``.csrbin`` graph (see ``psgl convert``).
 
-        The CSR arrays stay file-backed: process-backend jobs hand
-        workers the file path instead of a ``/dev/shm`` copy, so a
-        larger-than-RAM graph can serve queries."""
+        The CSR arrays stay file-backed: process-backend lanes inherit
+        the mapping instead of copying it, so a larger-than-RAM graph
+        can serve queries."""
         from ..graph.binfmt import load_mapped
 
         return cls(load_mapped(path), name=str(path))

@@ -12,8 +12,8 @@ Three guarantees under test:
    errors or silent garbage.
 3. **Execution parity** — a PSgL run over a mapped graph is
    bit-identical to the same run over the in-memory copy of that graph,
-   on every backend, and the process backend ships the file path (not a
-   ``/dev/shm`` copy) to workers.
+   on every backend, and the process backend's lanes inherit the file
+   mapping (no CSR copy).
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import PSgL
-from repro.exceptions import GraphFormatError, GraphError
+from repro.exceptions import GraphFormatError
 from repro.graph import (
     ConvertStats,
     convert_edge_list,
@@ -34,8 +34,6 @@ from repro.graph import (
 from repro.graph.binfmt import HEADER_SIZE
 from repro.graph.generators import chung_lu_power_law, erdos_renyi, rmat
 from repro.pattern import paper_patterns
-from repro.runtime import ProcessExecutor
-from repro.runtime.shared_graph import SharedGraphExport
 from repro.obs import Tracer
 
 
@@ -265,27 +263,20 @@ class TestMappedExecution:
             *self.run_pair(tmp_path, "process", procs=2, wire="columnar")
         )
 
-    def test_process_spawn(self, tmp_path):
-        """Workers in a spawn-fresh interpreter re-map the file path."""
-        executor = ProcessExecutor(procs=2, start_method="spawn")
-        self.assert_parity(
-            *self.run_pair(tmp_path, executor, wire="columnar")
-        )
-
     def test_export_ships_path_not_copy(self, tmp_path):
         graph = chung_lu_power_law(40, gamma=2.5, avg_degree=4, seed=5)
         path = tmp_path / "g.csrbin"
         write_csrbin(graph, path)
         mapped = load_mapped(path)
-        export = SharedGraphExport(mapped)
-        try:
-            sizes = export.block_sizes()
-            assert "mapped_file" in sizes
-            assert "indptr" not in sizes  # no shm CSR copy
-            handle = export.handle
-            assert handle.mmap_path == str(path)
-        finally:
-            export.close()
+        assert mapped.mmap_spec.path == str(path)
+        tracer = Tracer()
+        PSgL(mapped, num_workers=3, backend="process", procs=2, trace=tracer).count(
+            paper_patterns()["PG1"]
+        )
+        (event,) = tracer.by_kind("export")
+        # The lanes inherit the mapping: the file, not a CSR copy.
+        assert "mapped_file" in event.data
+        assert "indptr" not in event.data
 
     def test_export_trace_event_reports_mapped_file(self, tmp_path):
         graph = erdos_renyi(25, 0.2, seed=2)
@@ -304,21 +295,6 @@ class TestMappedExecution:
         ).run(paper_patterns()["PG1"])
         exports = tracer.by_kind("export")
         assert exports and "mapped_file" in exports[0].data
-
-    def test_attach_missing_file_is_graph_error(self, tmp_path):
-        graph = erdos_renyi(10, 0.3, seed=1)
-        path = tmp_path / "g.csrbin"
-        write_csrbin(graph, path)
-        export = SharedGraphExport(load_mapped(path))
-        try:
-            handle = export.handle
-            path.unlink()
-            from repro.runtime.shared_graph import AttachedSharedGraph
-
-            with pytest.raises(GraphError, match="does not exist"):
-                AttachedSharedGraph(handle)
-        finally:
-            export.close()
 
 
 class TestConvertCLI:

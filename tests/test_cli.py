@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import errno
 import gc
 import os
 import subprocess
@@ -13,7 +14,6 @@ from repro import PSgL, triangle
 from repro.cli import main
 from repro.graph import complete_graph, read_edge_list, write_edge_list
 from repro.graph.generators import erdos_renyi, rmat
-from repro.runtime import ProcessExecutor
 
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -132,8 +132,8 @@ class TestCount:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_cold_process_count_loads_no_pool_machinery(self, er_edge_list):
         """Forked lanes are ``os.fork`` and two pipes: a cold process
-        count loads no ``multiprocessing``, futures or socket stack.  A
-        spawn run, which does use ``multiprocessing``, counts the same."""
+        count loads no ``multiprocessing``, futures or socket stack, and
+        counts what a serial run counts."""
         never = ("multiprocessing", "concurrent.futures", "socket",
                  "subprocess", "selectors")
         argv = ["count", "--pattern", "PG1", "--edge-list", str(er_edge_list),
@@ -143,8 +143,7 @@ class TestCount:
             "assert not loaded, loaded\n"
         ), argv=argv)
         graph, _ = read_edge_list(er_edge_list)
-        spawned = PSgL(graph, backend=ProcessExecutor(procs=2, start_method="spawn"))
-        assert f"instances  : {spawned.count(triangle()):,}" in done.stdout
+        assert f"instances  : {PSgL(graph).count(triangle()):,}" in done.stdout
 
     def test_a_failed_cold_check_fails_the_run(self, er_edge_list):
         """The exit inside ``main`` cannot swallow a check: a false one
@@ -511,6 +510,26 @@ class TestErrorHandling:
         code = main(["count", "--pattern", "PG1", "--edge-list", str(tmp_path)])
         assert code == 4
         assert capsys.readouterr().err == f"psgl: error: {tmp_path}: Is a directory\n"
+
+    def test_lane_that_cannot_start_exit_5(self, er_edge_list, capsys, monkeypatch):
+        """``os.fork`` failing with ``EAGAIN`` (a pid limit) is the
+        engine's typed error, exit 5 — not exit 4, the code for a bad
+        path."""
+        real_fork, forks = os.fork, []
+
+        def second_fork_fails():
+            forks.append(os.getpid())
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        code = main(["count", "--pattern", "PG1", "--edge-list", str(er_edge_list),
+                     "--workers", "4", "--backend", "process", "--procs", "3"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("psgl: error: could not start process lane 2 of 3: ")
+        assert "Resource temporarily unavailable" in err
 
     def test_convert_into_a_directory_exit_4(self, tmp_path, capsys):
         source = tmp_path / "k4.txt"

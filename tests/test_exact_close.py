@@ -11,15 +11,11 @@ and what it must not.
 
 import multiprocessing
 import os
-import pickle
 
-import numpy as np
 import pytest
 
 from repro.core import PSgL, UNMAPPED
 from repro.core import listing
-from repro.core.listing import PSgLProgram
-from repro.graph import Graph
 from repro.graph.generators import rmat
 from repro.pattern import get_pattern
 
@@ -103,43 +99,9 @@ def test_counting_never_assembles_instances(monkeypatch):
     assert run(graph, "PG2", "exact").count == 5015
 
 
-def _program(graph, kind):
-    driver = PSgL(graph, num_workers=4, edge_index=kind)
-    pattern, initial, index = driver.prepare(get_pattern("PG1"))
-    return PSgLProgram(
-        pattern=pattern,
-        ordered=driver.ordered,
-        partition=driver.partition,
-        strategy=driver.strategy,
-        edge_index=index,
-        initial_vertex=initial,
-        costs=driver.costs,
-        seed=0,
-        collect_instances=False,
-    )
-
-
 class TestSharedKeyColumn:
-    """The exact index's key column reaches replicas through the shared
-    export, not through the pickle."""
-
-    def test_exact_pickles_no_larger_than_bloom(self):
-        graph = rmat(13, seed=0)
-        exact = len(pickle.dumps(_program(graph, "exact")))
-        bloom = len(pickle.dumps(_program(graph, "bloom")))
-        assert exact <= bloom
-
-    def test_replica_adopts_the_exported_column(self):
-        graph = rmat(9, seed=0)
-        program = _program(graph, "exact")
-        arrays = program.export_shared()
-        replica = pickle.loads(pickle.dumps(program))
-        attached = Graph.from_csr(*graph.to_csr())
-        replica.bind_shared(attached, arrays)
-        keys = attached.edge_keys()
-        assert np.shares_memory(keys, arrays["edge_keys"])
-        assert not keys.flags.writeable
-        assert np.shares_memory(replica.edge_index._keys, keys)
+    """The exact index's key column reaches every process lane as the
+    driver's: a forked lane inherits it."""
 
     def test_process_backend_matches_serial_and_leaks_nothing(self):
         graph = rmat(8, seed=0)

@@ -1,6 +1,5 @@
 """Unit tests for repro.graph.graph."""
 
-import contextlib
 import io
 import tracemalloc
 
@@ -16,7 +15,6 @@ from repro.graph import (
     read_edge_list,
     write_csrbin,
 )
-from repro.runtime.shared_graph import AttachedSharedGraph, SharedGraphExport
 
 
 class TestConstruction:
@@ -217,7 +215,7 @@ def test_neighbor_arrays_are_int64():
 
 
 # ----------------------------------------------------------------------
-# One representation: however a graph is built or attached, it is the same
+# One representation: however a graph is built or mapped, it is the same
 # read-only CSR.
 # ----------------------------------------------------------------------
 
@@ -236,22 +234,15 @@ def _from_edge_list_text(edges):
     return graph
 
 
-@contextlib.contextmanager
 def _every_kind(graph, tmp_path):
-    """``graph`` as an in-memory, re-wrapped, mapped and attached graph."""
+    """``graph`` as an in-memory, re-wrapped and mapped graph."""
     path = tmp_path / "g.csrbin"
     write_csrbin(graph, path)
-    with SharedGraphExport(graph) as export:
-        attached = AttachedSharedGraph(export.handle)
-        try:
-            yield {
-                "memory": graph,
-                "from_csr": Graph.from_csr(*graph.to_csr()),
-                "mapped": load_mapped(path),
-                "attached": attached.graph,
-            }
-        finally:
-            attached.close()
+    return {
+        "memory": graph,
+        "from_csr": Graph.from_csr(*graph.to_csr()),
+        "mapped": load_mapped(path),
+    }
 
 
 @pytest.mark.parametrize(
@@ -270,18 +261,18 @@ def test_every_construction_is_the_same_graph(edges, tmp_path):
     ]
     assert list(reference.edges()) == expected_edges
     built = Graph(6, edges)
-    with _every_kind(built, tmp_path) as kinds:
-        kinds["read_edge_list"] = _from_edge_list_text(MESSY_EDGES)
-        kinds["from_edges"] = Graph.from_edges(MESSY_EDGES)
-        for name, g in kinds.items():
-            assert g == reference, name
-            assert g.fingerprint() == reference.fingerprint(), name
-            assert list(g.edges()) == expected_edges, name
-            for v in range(6):
-                assert g.degree(v) == reference.degree(v), name
-                assert np.array_equal(g.neighbors(v), reference.neighbors(v))
-                for u in range(6):
-                    assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in expected_edges)
+    kinds = _every_kind(built, tmp_path)
+    kinds["read_edge_list"] = _from_edge_list_text(MESSY_EDGES)
+    kinds["from_edges"] = Graph.from_edges(MESSY_EDGES)
+    for name, g in kinds.items():
+        assert g == reference, name
+        assert g.fingerprint() == reference.fingerprint(), name
+        assert list(g.edges()) == expected_edges, name
+        for v in range(6):
+            assert g.degree(v) == reference.degree(v), name
+            assert np.array_equal(g.neighbors(v), reference.neighbors(v))
+            for u in range(6):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in expected_edges)
 
 
 def test_has_edges_matches_scalar_has_edge(tmp_path):
@@ -293,11 +284,11 @@ def test_has_edges_matches_scalar_has_edge(tmp_path):
     us, vs = (a.ravel() for a in np.meshgrid(ids, ids))
     expected = [graph.has_edge(u, v) for u, v in zip(us.tolist(), vs.tolist())]
     assert sum(expected) == 2 * graph.num_edges
-    with _every_kind(graph, tmp_path) as kinds:
-        for name, g in kinds.items():
-            found = g.has_edges(us, vs)
-            assert found.dtype == bool and found.tolist() == expected, name
-            assert g.has_edges([], []).tolist() == [], name
+    kinds = _every_kind(graph, tmp_path)
+    for name, g in kinds.items():
+        found = g.has_edges(us, vs)
+        assert found.dtype == bool and found.tolist() == expected, name
+        assert g.has_edges([], []).tolist() == [], name
     assert Graph(3, []).has_edges([0, 1], [1, 2]).tolist() == [False, False]
 
 
@@ -309,14 +300,14 @@ def test_edge_keys_are_the_one_sorted_key_column(tmp_path):
 
     graph = Graph(9, MESSY_EDGES + [(0, 8), (3, 8), (5, 7), (1, 6)])
     expected = [u * 9 + v for u, v in graph.edges()]
-    with _every_kind(graph, tmp_path) as kinds:
-        for name, g in kinds.items():
-            keys = g.edge_keys()
-            assert keys.dtype == np.int64 and keys.tolist() == expected, name
-            assert len(keys) == g.num_edges and (np.diff(keys) > 0).all(), name
-            assert not keys.flags.writeable and g.edge_keys() is keys, name
-            assert np.shares_memory(ExactEdgeIndex(g)._keys, keys), name
-            assert BloomEdgeIndex(g).might_contain_pairs(*g.edge_arrays()).all()
+    kinds = _every_kind(graph, tmp_path)
+    for name, g in kinds.items():
+        keys = g.edge_keys()
+        assert keys.dtype == np.int64 and keys.tolist() == expected, name
+        assert len(keys) == g.num_edges and (np.diff(keys) > 0).all(), name
+        assert not keys.flags.writeable and g.edge_keys() is keys, name
+        assert np.shares_memory(ExactEdgeIndex(g)._keys, keys), name
+        assert BloomEdgeIndex(g).might_contain_pairs(*g.edge_arrays()).all()
     assert not hasattr(edge_index, "_all_edge_keys")
 
 
@@ -383,10 +374,10 @@ def test_malformed_edges_rejected():
 def test_graph_arrays_are_read_only(tmp_path):
     # "Do not mutate" is enforced: a write through any handed-out array would
     # leave the cached hash/fingerprint stale.
-    with _every_kind(Graph(4, [(0, 1), (1, 2), (2, 3)]), tmp_path) as kinds:
-        for name, g in kinds.items():
-            before = g.fingerprint()
-            for array in (g.neighbors(1), *g.to_csr(), g.degrees):
-                with pytest.raises(ValueError):
-                    array[0] = 2
-            assert g.fingerprint() == before, name
+    kinds = _every_kind(Graph(4, [(0, 1), (1, 2), (2, 3)]), tmp_path)
+    for name, g in kinds.items():
+        before = g.fingerprint()
+        for array in (g.neighbors(1), *g.to_csr(), g.degrees):
+            with pytest.raises(ValueError):
+                array[0] = 2
+        assert g.fingerprint() == before, name

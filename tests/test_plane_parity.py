@@ -17,7 +17,6 @@ Also here: the engine's one payload (self-addressed packed columns, no
 ``Gpsi`` object, exact wire bytes) and the plane guards.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -28,7 +27,6 @@ from repro.exceptions import EngineError
 from repro.graph.generators import chung_lu_power_law, erdos_renyi
 from repro.obs import Tracer
 from repro.pattern import paper_patterns
-from repro.runtime import ProcessExecutor
 
 from .parity import (
     assert_equivalent,
@@ -117,20 +115,6 @@ class TestReferenceVsProduction:
         if spill:
             assert result.ledger.spill_chunks >= 1
             assert list(tmp_path.iterdir()) == []  # cleaned up
-
-    @pytest.mark.parametrize(
-        "schedule,spill", [("strict", False), ("pipelined", True)]
-    )
-    def test_spawn_process_leg(self, schedule, spill, tmp_path):
-        """Packed chunks, replica state and spilled chunks must survive
-        a spawn-fresh interpreter (everything crossing by pickle)."""
-        config = replace(
-            production_config("process", spill, tmp_path),
-            backend=ProcessExecutor(procs=2, start_method="spawn"),
-            procs=None,
-        )
-        result = run_schedule(schedule, config, reference("PG2"))
-        assert wire_bytes(result) == wire_bytes(production_baseline("PG2"))
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("strategy", ["random", "roulette", "WA,0"])

@@ -1,7 +1,6 @@
-"""Unit tests for the parallel runtime: CSR export, shared-memory graph,
+"""Unit tests for the parallel runtime: CSR export, fork-inherited graph,
 backend registry, executor semantics, and engine regressions."""
 
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -20,8 +19,6 @@ from repro.obs import Tracer
 from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
-    SharedGraphExport,
-    attach_shared_graph,
     available_backends,
     default_procs,
     make_executor,
@@ -64,46 +61,14 @@ class TestCSR:
         assert rebuilt.degree(3) == 0
 
 
-class TestSharedGraph:
-    def test_export_attach_roundtrip(self):
-        g = erdos_renyi(30, 0.3, seed=1)
-        with SharedGraphExport(g) as export:
-            attached = attach_shared_graph(export.handle)
-            try:
-                assert attached.graph == g
-                assert attached.graph.has_edge(*next(iter(g.edges())))
-            finally:
-                attached.close()
-
-    def test_handle_is_small_and_picklable(self):
-        import pickle
-
-        g = erdos_renyi(50, 0.2, seed=2)
-        with SharedGraphExport(g) as export:
-            blob = pickle.dumps(export.handle)
-            # The point of shared memory: the handle, not the graph,
-            # crosses the process boundary.
-            assert len(blob) < 500
-            assert export.nbytes() >= 8 * (g.num_vertices + 1)
-
-    def test_close_is_idempotent(self):
-        export = SharedGraphExport(path_graph(3))
-        export.close()
-        export.close()
-
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
 class TestForkInheritance:
-    """A forked lane binds the graph it inherits; only spawn exports it
-    to shared memory."""
+    """A forked lane runs on the graph and program it inherits: nothing
+    is exported to shared memory."""
 
-    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
     def test_fork_run_makes_no_block_and_starts_no_tracker(self):
         """In a fresh interpreter: no ``shm_open`` call (so no ``psm_*``
-        entry in ``/dev/shm``), no resource-tracker process, and the
-        spawn transport's modules are never imported."""
+        entry in ``/dev/shm``), and no ``multiprocessing`` module loaded,
+        so no resource-tracker process can start."""
         script = (
             "import sys, _posixshmem\n"
             "opened = []\n"
@@ -112,15 +77,12 @@ class TestForkInheritance:
             "    opened.append(name)\n"
             "    return real_open(name, *args, **kwargs)\n"
             "_posixshmem.shm_open = shm_open\n"
-            "from multiprocessing import resource_tracker\n"
             "from repro import PSgL, erdos_renyi, triangle\n"
             "g = erdos_renyi(40, 0.3, seed=3)\n"
             "parallel = PSgL(g, num_workers=4, backend='process', procs=2)\n"
             "assert parallel.count(triangle()) == PSgL(g, num_workers=4).count(triangle())\n"
             "assert opened == [], opened\n"
-            "assert resource_tracker._resource_tracker._pid is None\n"
-            "spawn_only = ('repro.runtime.shared_graph', 'multiprocessing.shared_memory')\n"
-            "loaded = [m for m in spawn_only if m in sys.modules]\n"
+            "loaded = [m for m in sys.modules if m.startswith('multiprocessing')]\n"
             "assert not loaded, loaded\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
@@ -133,33 +95,29 @@ class TestForkInheritance:
         )
         assert done.returncode == 0, done.stderr
 
-    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
     @pytest.mark.parametrize("mapped", [False, True], ids=["memory", "csrbin"])
     def test_export_event_is_the_same_under_fork_and_spawn(self, tmp_path, mapped):
-        """The ``export`` event describes what children share in the
-        same sizes whichever way they got it; only ``transport`` differs."""
+        """The ``export`` event describes what the lanes share in the
+        sizes both start methods reported while spawn existed, pinned
+        exactly: 8 bytes per CSR entry (the file's array bytes for a
+        mapped graph) and 8 per entry of the program's per-vertex and
+        per-edge arrays."""
         graph = erdos_renyi(30, 0.25, seed=6)
+        n, m = graph.num_vertices, graph.num_edges
         if mapped:
             write_csrbin(graph, tmp_path / "g.csrbin")
             graph = load_mapped(tmp_path / "g.csrbin")
-        events, counts = {}, set()
-        for method in ("fork", "spawn"):
-            tracer = Tracer()
-            counts.add(PSgL(
-                graph,
-                num_workers=3,
-                backend=ProcessExecutor(procs=2, start_method=method),
-                trace=tracer,
-            ).count(triangle()))
-            (event,) = tracer.by_kind("export")
-            events[method] = dict(event.data)
-        assert len(counts) == 1
-        assert events["fork"].pop("transport") == "fork"
-        assert events["spawn"].pop("transport") == "shm"
-        assert events["fork"] == events["spawn"]
-        assert ("mapped_file" in events["fork"]) == mapped
+        tracer = Tracer()
+        parallel = PSgL(graph, num_workers=3, backend="process", procs=2, trace=tracer)
+        assert parallel.count(triangle()) == PSgL(graph, num_workers=3).count(triangle())
+        (event,) = tracer.by_kind("export")
+        csr = {"indptr": 8 * (n + 1), "indices": 8 * 2 * m}
+        if mapped:
+            csr = {"mapped_file": sum(csr.values())}
+        aux = 8 * (3 * n + m)  # rank, nb, ns per vertex; one key per edge
+        total = sum(csr.values()) + aux
+        assert dict(event.data) == {**csr, "aux": aux, "total_bytes": total}
 
-    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
     @pytest.mark.parametrize("procs", [1, 3])
     def test_procs_counts_computing_lanes(self, monkeypatch, procs):
         """The driver is one of ``procs`` lanes: ``procs=1`` forks no
@@ -395,18 +353,5 @@ class TestEngineTeardown:
             g, hash_partition(20, 2), backend="process", procs=2
         )
         engine.run(Ripple(rounds=1))
-        # A second run must re-export cleanly (fails if blocks leak/clash).
+        # A second run forks its lanes afresh: the first run's are gone.
         engine.run(Ripple(rounds=1))
-
-
-class TestOrderedPrecomputed:
-    def test_from_precomputed_matches_fresh(self):
-        from repro.graph import OrderedGraph
-
-        g = erdos_renyi(25, 0.3, seed=11)
-        fresh = OrderedGraph(g)
-        rebuilt = OrderedGraph.from_precomputed(
-            g, fresh.ranks, fresh.nb_values, fresh.ns_values
-        )
-        assert np.array_equal(rebuilt.ranks, fresh.ranks)
-        assert rebuilt.check_property1() == fresh.check_property1()

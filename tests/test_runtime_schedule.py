@@ -15,9 +15,13 @@ mid-compute, the work-stealing schedule and the thread backend are
 retired.  Their legs keep their ids where a behaviour is left to check:
 each first pins that the retired name is refused, then runs what its
 sibling leg does not (a ``thread`` fault leg runs serial beside
-process, a ``pipelined`` one spills every chunk beside none).
+process, a ``pipelined`` one spills every chunk beside none).  Lanes
+start one way, by ``os.fork``: the ``[fork]`` legs keep the ids they had
+beside the retired spawn legs.
 """
 
+import errno
+import inspect
 import multiprocessing
 import os
 import pickle
@@ -53,6 +57,10 @@ from .programs import PerVertex
 
 SRC = Path(repro.__file__).resolve().parent
 GRAPH = erdos_renyi(40, 0.25, seed=7)
+
+#: The one start method, named in the ids of the legs that had a spawn
+#: sibling.
+FORK = pytest.mark.parametrize("method", ["fork"])
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +106,17 @@ class TestOneSchedule:
         for path in sorted(SRC.rglob("*.py")):
             assert not gone.search(path.read_text()), path
 
+    def test_one_start_method(self):
+        """Lanes fork: nothing in ``src`` names the retired spawn
+        transport or its machinery, ``ProcessExecutor`` takes only
+        ``procs``, and the shared-memory export module is gone."""
+        spawn = re.compile(r"multiprocessing|spawn|shared_memory")
+        for path in sorted(SRC.rglob("*.py")):
+            assert not spawn.search(path.read_text()), path
+        assert list(inspect.signature(ProcessExecutor).parameters) == ["procs"]
+        with pytest.raises(ModuleNotFoundError):
+            import repro.runtime.shared_graph  # noqa: F401
+
     def test_backends_are_start_close_and_one_hook(self):
         allowed = {"__init__", "start", "close", "_submit"}
         for cls in (SerialExecutor, ProcessExecutor):
@@ -132,16 +151,15 @@ class TestOneSchedule:
 # Conformance: a backend is a pool and one hook
 # ----------------------------------------------------------------------
 class InlineReplicas(SuperstepExecutor):
-    """A complete third-party backend: pickled replicas, no pool at all."""
+    """A complete third-party backend: whole-program copies made by
+    pickling, no pool at all."""
 
     name = "inline-replicas"
 
     def start(self, spec):
         super().start(spec)
-        payload, arrays = pickle.dumps(spec.program), spec.program.export_shared()
+        payload = pickle.dumps(spec.program)
         self._replicas = [pickle.loads(payload) for _ in range(spec.num_workers)]
-        for replica in self._replicas:
-            replica.bind_shared(spec.graph, arrays)
 
     def _submit(self, owner, unit, *args):
         return run_inline(unit, self._spec, self._replicas[owner], *args)
@@ -198,23 +216,10 @@ def leftovers():
     )
 
 
-class Explodes(PerVertex):
-    """Raises in superstep 1 on a fifth of the vertices; module-level,
-    so a spawned child can unpickle it."""
-
-    def visit(self, ctx, vertex, payloads):
-        if ctx.superstep == 1 and vertex % 5 == 0:
-            raise ValueError("injected mid-superstep failure")
-        return vertex if ctx.superstep < 2 else None
-
-
-class Unpicklable(PerVertex):
-    """Runs anywhere but in a pool: replicas are made by pickling."""
+class Quiet(PerVertex):
+    """Visits every vertex once, sends nothing, records its teardown."""
 
     torn_down = False
-
-    def __init__(self):
-        self.hook = lambda: None
 
     def visit(self, ctx, vertex, payloads):
         return None
@@ -223,10 +228,22 @@ class Unpicklable(PerVertex):
         self.torn_down = True
 
 
+class Unpicklable(PerVertex):
+    """Holds a lambda, so it does not pickle — and need not: a child
+    lane's replica is the program it inherited at fork.  Pings its
+    neighbours once and emits what every vertex received."""
+
+    def __init__(self):
+        self.hook = lambda: None
+
+    def visit(self, ctx, vertex, payloads):
+        ctx.emit((ctx.superstep, vertex, sorted(payloads)))
+        return vertex if ctx.superstep == 0 else None
+
+
 class LaneKiller(PSgLProgram):
     """SIGKILLs the child lane it runs on inside ``compute_columns`` at
-    superstep 1 — never the driver lane; module-level, so a spawned child
-    can unpickle it."""
+    superstep 1 — never the driver lane."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -239,10 +256,7 @@ class LaneKiller(PSgLProgram):
 
 
 def children():
-    """This process's children, reaped or not, as ``/proc`` lists them —
-    bar the resource tracker, which spawn starts once per process."""
-    from multiprocessing import resource_tracker
-
+    """This process's children, reaped or not, as ``/proc`` lists them."""
     me, found = os.getpid(), set()
     for entry in filter(str.isdigit, os.listdir("/proc")):
         try:
@@ -251,14 +265,14 @@ def children():
             continue
         if int(stat.rsplit(")", 1)[1].split()[1]) == me:
             found.add(int(entry))
-    return found - {resource_tracker._resource_tracker._pid}
+    return found
 
 
 class TestFaults:
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc"
     )
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @FORK
     def test_killed_lane_is_a_typed_error(self, monkeypatch, method):
         """Regression: a process-backend child that died mid-superstep
         surfaced as the pool's untyped ``BrokenProcessPool`` — a
@@ -266,17 +280,8 @@ class TestFaults:
         lane's death is an ``EngineError`` naming it, raised after it was
         reaped, leaving no child, fd or ``psm_*`` block behind; the next
         run on the same driver succeeds."""
-        if method == "spawn":
-            # Started once per process, with a pipe of its own: not a leak.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
         expected = reference()
-        driver = PSgL(
-            GRAPH,
-            num_workers=4,
-            backend=ProcessExecutor(procs=2, start_method=method),
-        )
+        driver = PSgL(GRAPH, num_workers=4, backend=ProcessExecutor(procs=2))
         pattern = expected.result.pattern
         before = leftovers(), os.listdir("/proc/self/fd"), children()
         monkeypatch.setattr(listing, "PSgLProgram", LaneKiller)
@@ -289,68 +294,58 @@ class TestFaults:
         monkeypatch.undo()
         assert driver.count(pattern) == expected.result.count
 
-    def test_failed_start_is_torn_down_like_any_fault(self, tmp_path):
-        """Regression: ``executor.start`` and the spill set-up ran outside
-        the engine's ``try``/``finally``, so a program that cannot be
-        pickled left two ``psm_*`` blocks and a ``psgl-spill-*``
-        directory behind for the life of the process."""
-        before = leftovers()
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc"
+    )
+    def test_failed_start_is_torn_down_like_any_fault(self, monkeypatch, tmp_path):
+        """Regression: a lane that could not start — ``os.fork`` failing
+        with ``EAGAIN`` under a pid limit, ``os.pipe`` with ``EMFILE`` —
+        escaped as a raw ``OSError``, which ``psgl count`` reports as a
+        bad path (exit 4).  Now it is an ``EngineError`` naming the lane,
+        and the lane that did start, every pipe end and the spill
+        directory are torn down as after any other fault."""
+        real_fork, forks = os.fork, []
+
+        def second_fork_fails():
+            forks.append(os.getpid())
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        before = leftovers(), os.listdir("/proc/self/fd"), children()
         tracer = Tracer()
-        program = Unpicklable()
+        program = Quiet()
         engine = BSPEngine(
             GRAPH,
             hash_partition(GRAPH.num_vertices, 4),
             backend="process",
-            procs=2,
+            procs=3,
             spill_dir=str(tmp_path),
             memory_watermark_bytes=1,
             trace=tracer,
         )
-        with pytest.raises(EngineError, match="Unpicklable"):
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        with pytest.raises(EngineError, match="could not start process lane 2 of 3"):
             engine.run(program)
-        assert leftovers() == before
+        monkeypatch.undo()
+        assert len(forks) == 2
+        assert (leftovers(), os.listdir("/proc/self/fd"), children()) == before
         assert list(tmp_path.iterdir()) == []
         assert program.torn_down
         assert tracer.by_kind("job")[-1].data["status"] == "EngineError"
 
-    def test_failed_start_is_torn_down_under_spawn(self, tmp_path):
-        """The same fault on a spawn pool, whose set-up differs from
-        fork's: spawn is the start method that exports to ``/dev/shm``."""
-        before = leftovers()
-        engine = BSPEngine(
-            GRAPH,
-            hash_partition(GRAPH.num_vertices, 4),
-            backend=ProcessExecutor(procs=2, start_method="spawn"),
-            spill_dir=str(tmp_path),
-            memory_watermark_bytes=1,
-        )
-        with pytest.raises(EngineError, match="Unpicklable"):
-            engine.run(Unpicklable())
-        assert leftovers() == before
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("storage", ["static", "pipelined"])
-    def test_compute_failure_mid_superstep_under_spawn(self, storage, tmp_path):
-        """A child failure on a spawn pool unlinks the exported blocks,
-        although the raised exception (and its traceback) is still
-        alive.  The ``pipelined`` id, whose chunk queue is retired, runs
-        with every chunk spilled, so no spill file outlives it either.
-        The failing program reaches the children by pickle: a patch in
-        the driver does not reach a spawned interpreter."""
-        spill = {}
-        if storage == "pipelined":
-            spill = dict(spill_dir=str(tmp_path), memory_watermark_bytes=1)
-        before = leftovers()
-        engine = BSPEngine(
-            GRAPH,
-            hash_partition(GRAPH.num_vertices, 4),
-            backend=ProcessExecutor(procs=2, start_method="spawn"),
-            **spill,
-        )
-        with pytest.raises(ValueError, match="injected mid-superstep failure"):
-            engine.run(Explodes())
-        assert leftovers() == before
-        assert list(tmp_path.iterdir()) == []
+    def test_an_unpicklable_program_runs_on_lanes(self):
+        """Nothing pickles the program: one that holds a lambda counts on
+        two process lanes what it counts serially."""
+        partition = hash_partition(GRAPH.num_vertices, 4)
+        runs = [
+            BSPEngine(GRAPH, partition, backend=backend, procs=2).run(Unpicklable())
+            for backend in ("serial", "process")
+        ]
+        serial, lanes = runs
+        assert len(serial.outputs) == GRAPH.num_vertices * 2
+        assert sorted(lanes.outputs) == sorted(serial.outputs)
+        assert lanes.ledger.summary() == serial.ledger.summary()
 
     def test_lost_chunk_is_a_typed_error(self, monkeypatch):
         """A worker's outbox lost on its way into the barrier store is an
@@ -414,9 +409,9 @@ class TestFaults:
 # ----------------------------------------------------------------------
 # Process lanes: placement and dealing
 # ----------------------------------------------------------------------
-def started(method):
+def started():
     """A two-lane process executor, started for a four-owner job."""
-    backend = ProcessExecutor(procs=2, start_method=method)
+    backend = ProcessExecutor(procs=2)
     backend.start(
         JobSpec(
             program=PerVertex(),
@@ -429,8 +424,7 @@ def started(method):
 
 
 def touch(spec, program, path, fail):
-    """A unit that leaves ``path`` behind, then raises if ``fail``;
-    module-level, so a spawned child can unpickle it."""
+    """A unit that leaves ``path`` behind, then raises if ``fail``."""
     Path(path).touch()
     if fail:
         raise ValueError(f"{Path(path).name} failed")
@@ -450,7 +444,7 @@ class TestDealing:
         len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
         reason="needs two CPUs",
     )
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @FORK
     def test_a_child_lane_starts_off_the_drivers_cpu(self, monkeypatch, method):
         """Placement: a started child may run on every CPU the driver
         thread may, bar the one the driver was on; the driver's own mask
@@ -464,7 +458,7 @@ class TestDealing:
             return seen[-1]
 
         monkeypatch.setattr(process, "_cpu_now", cpu_now)
-        backend = started(method)
+        backend = started()
         try:
             (child,) = backend._lanes.children
             assert seen and seen[-1] in allowed
@@ -491,11 +485,11 @@ class TestDealing:
         dealt = [e for e in tracer.by_kind("superstep") if e.data["batches"] >= 2]
         assert len(writes) == len(dealt) > 1
 
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @FORK
     def test_a_failed_unit_ends_its_lanes_share(self, tmp_path, method):
         """Units 1 and 3 of four are the child's share: unit 1 raises as
         itself, unit 3 fails typed as not run and never runs."""
-        backend = started(method)
+        backend = started()
         try:
             marks = [tmp_path / f"unit{i}" for i in range(4)]
             handles = [
@@ -511,16 +505,12 @@ class TestDealing:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @FORK
     def test_a_killed_lane_fails_its_whole_share(self, method):
         """A child SIGKILLed while it holds two units fails both with the
         typed lane-death error; nothing outlives ``close``."""
-        if method == "spawn":
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
         before = leftovers(), os.listdir("/proc/self/fd"), children()
-        backend = started(method)
+        backend = started()
         try:
             handles = [backend._submit(i, kill_lane, os.getpid()) for i in range(4)]
             for handle in handles[1::2]:
