@@ -14,8 +14,8 @@ Package layout
 * :mod:`repro.pattern` — pattern graphs, automorphism breaking, the
   PG1-PG5 catalog;
 * :mod:`repro.bsp` — the Pregel/Giraph-style BSP engine;
-* :mod:`repro.runtime` — pluggable execution backends (serial, and
-  process lanes over one shared read-only graph) behind ``backend=...``;
+* :mod:`repro.runtime` — the two execution backends (serial, and
+  process lanes over one read-only graph) behind ``backend=...``;
 * :mod:`repro.obs` — per-superstep tracing and metrics (``trace=...``),
   JSONL/Chrome-trace exporters and the straggler report;
 * :mod:`repro.core` — the PSgL framework itself (Gpsi expansion,
@@ -78,7 +78,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "square",
         "triangle",
     ),
-    ".runtime": ("available_backends", "make_executor", "register_backend"),
     ".obs": ("Tracer", "straggler_report", "write_chrome_trace", "write_jsonl"),
 })
 __all__ += ["__version__"]

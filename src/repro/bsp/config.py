@@ -13,9 +13,7 @@ count`` and the query service read this class instead of keeping
 copies, and no field is ever part of a result-cache key.
 
 Bottom of the stack: imports nothing from ``repro.core``,
-``repro.runtime`` or numpy.  Backend *names* are the one thing it cannot
-check (:mod:`repro.runtime.registry` is open to third parties); an
-unknown name surfaces when the engine resolves it.
+``repro.runtime`` or numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +31,9 @@ from ..exceptions import EngineError
 #: plane keep working; the paper-faithful scalar path is not a plane but
 #: the parity oracle, :mod:`repro.core.reference`.
 WIRE_PLANES = ("columnar",)
+
+#: Execution backends: inline on the driver, or forked process lanes.
+BACKENDS = ("serial", "process")
 
 #: Knobs that used to be legal, with where their job went: the refusal
 #: says so instead of leaving the caller to guess.  A ``(field, value)``
@@ -109,9 +110,8 @@ class ExecutionConfig:
     so an illegal value or combination raises
     :class:`~repro.exceptions.EngineError` at construction; so does an
     override or mapping key that is not a field.  ``backend`` also takes
-    any name registered with
-    :func:`repro.runtime.register_backend` or a pre-built
-    :class:`~repro.runtime.SuperstepExecutor` (single-use).  The knob
+    a pre-built :class:`~repro.runtime.SuperstepExecutor` (single-use),
+    the seam a test backend plugs into.  The knob
     table in ``docs/api.md`` is checked against these fields by
     ``tests/test_config_surface.py``.
     """
@@ -119,7 +119,8 @@ class ExecutionConfig:
     backend: Any = _knob(
         "serial", str,
         "execution backend: serial (reference loop) or process "
-        "(real parallelism over a shared-memory graph)",
+        "(real parallelism on forked lanes over one read-only graph)",
+        choices=BACKENDS,
     )
     procs: Optional[int] = _knob(
         None, int,
@@ -183,7 +184,7 @@ class ExecutionConfig:
             if value is None and spec.default is None:
                 continue  # an optional knob left unset
             if spec.name == "backend" and hasattr(value, "run_superstep"):
-                continue  # a pre-built executor: the registry passes it through
+                continue  # a pre-built executor: the engine runs it as is
             kind, choices = spec.metadata["kind"], spec.metadata["choices"]
             value = coerce(spec.name, kind, value)
             retired = RETIRED.get((spec.name, value))

@@ -10,7 +10,7 @@ Semantics follow Pregel/Giraph:
   delivered at the end of superstep ``i-1``, block by block.
 * The job **halts** when a superstep ends with no pending messages.
 
-Execution is delegated to a pluggable :mod:`repro.runtime` backend: the
+Execution is delegated to a :mod:`repro.runtime` backend: the
 engine builds one deterministic batch per logical worker each superstep
 (active vertices plus their delivered rows), the executor runs the
 batches — sequentially, or on process lanes over one shared read-only
@@ -33,8 +33,7 @@ from ..exceptions import BudgetExceededError, EngineError, JobCancelled
 from ..graph.graph import Graph
 from ..graph.partition import Partition
 from ..obs.tracer import make_tracer
-from ..runtime.executor import JobSpec
-from ..runtime.registry import make_executor
+from ..runtime.executor import JobSpec, SuperstepExecutor
 from .aggregate import AggregatorRegistry
 from .config import ExecutionConfig
 from .message import ChunkedColumnarStore
@@ -126,8 +125,14 @@ class BSPEngine:
     def run(self, program: VertexProgram) -> BSPResult:
         """Execute ``program`` to completion and return its results."""
         cfg = self.config
-        # Before the clock: a built-in backend imports its module here.
-        executor = make_executor(cfg.backend, procs=cfg.procs)
+        # Before the clock: the process backend imports its module here.
+        executor = cfg.backend  # a pre-built executor, in tests
+        if executor == "serial":
+            executor = SuperstepExecutor()
+        elif executor == "process":
+            from ..runtime.process import ProcessExecutor
+
+            executor = ProcessExecutor(cfg.procs)
         started = perf_counter()
         ledger = CostLedger(
             self.num_workers, cfg.memory_budget, cfg.worker_memory_budget

@@ -58,7 +58,6 @@ from .exceptions import (  # noqa: E402
     QuerySpecError,
     ReproError,
 )
-from .runtime.registry import available_backends  # noqa: E402
 
 
 def _count_execution_fields():
@@ -80,12 +79,7 @@ def _add_execution_flag(parser, spec: dataclasses.Field) -> None:
         flag,
         type=spec.metadata["kind"],
         default=spec.default,
-        # Backend names live in the runtime's open registry.
-        choices=(
-            available_backends()
-            if spec.name == "backend"
-            else spec.metadata["choices"]
-        ),
+        choices=spec.metadata["choices"],
         help=spec.metadata["help"],
     )
 

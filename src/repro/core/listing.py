@@ -147,7 +147,7 @@ class PSgLProgram(VertexProgram):
         self.instances: List[Tuple[int, ...]] = []
         self.gpsi_by_vertex: Dict[int, int] = {}
         self.per_vertex_counts: Dict[int, int] = {}
-        #: Completed-instance mapping arrays awaiting the bincount fold
+        #: Mapping arrays of completed instances awaiting the bincount fold
         #: into ``per_vertex_counts`` (see :meth:`_fold_per_vertex`).
         self._pvc_chunks: List[np.ndarray] = []
         self.message_bytes = 0

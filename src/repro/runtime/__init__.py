@@ -1,10 +1,11 @@
 """Parallel execution runtime for the BSP engine.
 
-Turns the single-process simulator into a real parallel runtime behind a
-pluggable executor interface: one read-only graph every child lane
-scans (inherited at fork), one superstep schedule that submits its units
-inline or deals them to process lanes, and deterministic message
-shuffling at the barrier, where every worker's outbox arrives whole.  See ``docs/runtime.md`` for the protocol.
+Turns the single-process simulator into a real parallel runtime: one
+read-only graph every child lane scans (inherited at fork), one
+superstep schedule that runs its units inline (``serial``) or deals them
+to process lanes (``process``), and deterministic message shuffling at
+the barrier, where every worker's outbox arrives whole.  See
+``docs/runtime.md`` for the protocol.
 """
 
 from .._lazy import lazy_exports
@@ -17,10 +18,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "WorkerBatch",
         "WorkerStepResult",
         "fresh_aggregators",
-        "run_inline",
         "run_replica_batch",
     ),
-    ".serial": ("SerialExecutor",),
     ".process": ("ProcessExecutor", "default_procs"),
-    ".registry": ("available_backends", "make_executor", "register_backend"),
 })

@@ -13,17 +13,17 @@ reproduce the serial engine's outputs, ledger and message order exactly:
 * the merge concatenates per-worker effects in the same order the serial
   loop interleaved them (worker 0's sends always precede worker 1's).
 
-One schedule, many pools
-------------------------
+One schedule, two pools
+-----------------------
 :meth:`SuperstepExecutor.run_superstep` is the runtime's only execution
-loop: submit one unit of work per non-empty owner, gather in worker-id
-order, cancel and wait out everything on failure.  Every unit hands its
-whole outbox back on its result, and the engine merges it at the
-barrier.  A backend only says *where* a unit runs: ``start`` / ``close``
-own its lanes and shared resources, and one hook, ``_submit(owner,
-unit, *args)``, runs ``unit(spec, program, *args)`` on a replica of the
-program and returns a *handle*: anything that answers ``result()`` and
-``cancel()``.
+loop: one unit per non-empty owner, run through one hook,
+``_run(calls)``, and the first failure in worker-id order raised.  Every
+unit hands its whole outbox back on its result, and the engine merges it
+at the barrier.  The base class is the serial backend: its ``_run`` runs
+every unit inline on the driver's own program.  The process backend
+(:mod:`repro.runtime.process`) only says *where* units run instead:
+``start`` / ``close`` own its lanes, and its ``_run`` deals the calls to
+them.
 
 One worker contract
 -------------------
@@ -42,7 +42,8 @@ fork on the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from time import perf_counter
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -256,48 +257,36 @@ def run_replica_batch(
     )
 
 
-class Completed:
-    """The handle of a unit that already ran: ``result()`` returns its
-    value, ``cancel()`` fails, as a finished future's would."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any):
-        self._value = value
-
-    def result(self) -> Any:
-        return self._value
-
-    def cancel(self) -> bool:
-        return False
-
-
-def run_inline(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Completed:
-    """Run ``fn(*args, **kwargs)`` on the calling thread; return its
-    result as a :class:`Completed` handle — the submit hook of a backend
-    without a pool.  A failure raises here, at the submit site, which
-    the schedule handles like any other failed unit."""
-    return Completed(fn(*args, **kwargs))
+def _run_share(calls: List[tuple], *head: Any) -> Tuple[float, List[tuple]]:
+    """Run a lane's share of ``(unit, args)`` calls in order as ``unit(*head,
+    *args)``, stopping after the first that raises: ``(busy_ms, replies)``,
+    an ``("ok", result)`` or ``("err", exception)`` per unit run."""
+    started = perf_counter()
+    replies: List[tuple] = []
+    for unit, args in calls:
+        try:
+            replies.append(("ok", unit(*head, *args)))
+        except Exception as exc:  # noqa: BLE001 - the unit's failure
+            replies.append(("err", exc))
+            break
+    return (perf_counter() - started) * 1000.0, replies
 
 
 class SuperstepExecutor:
-    """The superstep schedule over a pluggable pool.
+    """The superstep schedule, and the serial backend.
 
     Lifecycle: ``start(spec)`` once per job, ``run_superstep(...)`` once
     per superstep, ``close()`` exactly once (the engine guarantees it in a
     ``finally``, also when ``start`` itself failed half-way).
 
-    Writing a backend means saying where work runs, not how a superstep
-    is scheduled: extend ``start`` / ``close`` for the pool and whatever
-    it shares (calling the base versions, which keep the spec and the
-    per-logical-worker state dicts), and implement :meth:`_submit`.
-    Overriding ``run_superstep`` wholesale remains legal; it must return
-    results sorted by ``worker_id`` and may omit workers with empty
-    batches.
+    A backend says where units run, not how a superstep is scheduled: it
+    extends ``start`` / ``close`` for its lanes (calling the base
+    versions, which keep the spec and the per-logical-worker state dicts)
+    and overrides :meth:`_run`.
     """
 
-    #: Registry name (filled by the backend registry on instantiation).
-    name: str = "abstract"
+    #: The backend's name, as ``ExecutionConfig.backend`` spells it.
+    name: str = "serial"
 
     #: Busy wall time per lane in the last superstep, in milliseconds,
     #: driver first, each lane timing its own share — what the engine adds
@@ -308,7 +297,8 @@ class SuperstepExecutor:
     _spec: Optional[JobSpec] = None
 
     def start(self, spec: JobSpec) -> None:
-        """Prepare for a job (export shared state, warm pools, ...)."""
+        """Prepare for a job: keep the spec and one state dict per logical
+        worker, and say so on the trace."""
         self._spec = spec
         # One private state dict per logical worker, alive for the job —
         # the paper's per-worker "local view of the entire workload
@@ -319,14 +309,17 @@ class SuperstepExecutor:
         self._states: List[Dict[str, Any]] = [
             {} for _ in range(spec.num_workers)
         ]
+        if spec.tracer.enabled:
+            spec.tracer.emit("executor", backend=self.name, pool=None)
 
-    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> Any:
-        """Run ``unit(spec, program, *args)`` for logical worker ``owner``,
-        ``program`` being any replica of the job's program; the returned
-        handle's ``result()`` is what ``unit`` returned (or raises what it
-        raised), and ``cancel()`` withdraws it if it has not started.  A
-        unit is :func:`run_replica_batch`: one owner's whole batch."""
-        raise NotImplementedError
+    def _run(self, calls: List[tuple]) -> List[tuple]:
+        """Run a superstep's ``(unit, args)`` calls, in worker-id order, as
+        ``unit(spec, program, *args)`` on a replica of the job's program;
+        return their replies in call order, ``("ok", result)`` or ``("err",
+        exception)``.  A lane's share stops at its first failure.  Here
+        every call runs inline on the driver's own program, so the replies
+        end at the first failure, which keeps its traceback."""
+        return _run_share(calls, self._spec, self._spec.program)[1]
 
     def run_superstep(
         self,
@@ -336,52 +329,31 @@ class SuperstepExecutor:
     ) -> List[WorkerStepResult]:
         """Run all non-empty batches; ``batches[w]`` belongs to worker ``w``.
 
-        One unit per owner.  *Where* a unit runs is the backend's: the
-        process backend deals the superstep's units round-robin to its
-        lanes in submission order, so owner ``w`` of a full superstep
-        runs on lane ``w % procs``.
+        One unit per owner, and the first failure in worker-id order is
+        raised.  *Where* a unit runs is :meth:`_run`'s: the process backend
+        deals the superstep's units round-robin to its lanes, so owner
+        ``w`` of a full superstep runs on lane ``w % procs``.
         """
         snapshot = registry.snapshot()
-        owners: List[int] = []
-        handles: List[Any] = []
-        try:
-            for owner, batch in enumerate(batches):
-                if not len(batch):
-                    continue
-                owners.append(owner)
-                handles.append(
-                    self._submit(
-                        owner,
-                        run_replica_batch,
-                        owner,
-                        superstep,
-                        batch,
-                        self._states[owner],
-                        snapshot,
-                    )
-                )
-            results = [handle.result() for handle in handles]
-        except BaseException:
-            # A unit raised.  The remaining units may still be running on
-            # other lanes — cancel what has not started and *wait out* what
-            # has, so the engine's teardown (which unlinks the shared CSR
-            # blocks in close()) can never race live workers still
-            # scanning them.
-            for handle in handles:
-                handle.cancel()
-            for handle in handles:
-                try:
-                    handle.result()
-                except BaseException:  # noqa: BLE001 - the first failure re-raises
-                    pass
-            raise
-
+        owners = [owner for owner, batch in enumerate(batches) if len(batch)]
+        replies = self._run([
+            (
+                run_replica_batch,
+                (owner, superstep, batches[owner], self._states[owner], snapshot),
+            )
+            for owner in owners
+        ])
+        results = []
+        for tag, value in replies:
+            if tag == "err":
+                raise value
+            results.append(value)
         for owner, result in zip(owners, results):
             self._states[owner] = result.worker_state
         return results
 
     def close(self) -> None:
-        """Tear down pools and shared resources (idempotent, and safe
-        after a ``start`` that raised half-way)."""
+        """Tear down the job's lanes (idempotent, and safe after a
+        ``start`` that raised half-way)."""
         self._spec = None
         self._states = []

@@ -13,10 +13,10 @@ Lanes
   unpickled or rebound at start.
 * *Placement*: a child starts on the CPUs the driver thread may use,
   minus the one the driver is on.  The driver's own mask is never touched.
-* *Dealing*: at a superstep's first ``result()`` the queued units are
-  dealt round-robin in submission order, unit ``i`` to lane ``i % N``.
-  Each child gets its whole share as one length-prefixed pickle frame on
-  its pipe pair and answers with one; the driver runs its share between.
+* *Dealing*: a superstep's units are dealt round-robin in worker-id
+  order, unit ``i`` to lane ``i % N``.  Each child gets its whole share
+  as one length-prefixed pickle frame on its pipe pair and answers with
+  one; the driver runs its share between.
 
 Logical workers are *location independent*: a unit's arguments — the
 packed batch, the worker's state dict, the aggregator snapshot — are all
@@ -30,8 +30,8 @@ A lane that cannot start — ``os.pipe`` or ``os.fork`` fails — is an
 reaped by ``close``, which the engine calls on every exit path.  A child
 lane that dies — its pipe ends or stops short — fails every unit of its
 share with an :class:`~repro.exceptions.EngineError` naming its pid and
-exit status, after it was reaped; the schedule then waits out the other
-lanes and re-raises.  ``close`` closes every pipe end, then reaps every
+exit status, after it was reaped; the other lanes still answer before
+the schedule raises.  ``close`` closes every pipe end, then reaps every
 child.
 """
 
@@ -42,11 +42,11 @@ import pickle
 import struct
 from dataclasses import replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..exceptions import EngineError
 from ..obs.tracer import NULL_TRACER
-from .executor import JobSpec, SuperstepExecutor
+from .executor import JobSpec, SuperstepExecutor, _run_share
 
 if TYPE_CHECKING:
     from ..graph.graph import Graph
@@ -80,21 +80,6 @@ def _read_exact(fd: int, size: int) -> Optional[bytearray]:
 def _read_frame(fd: int) -> Optional[bytearray]:
     header = _read_exact(fd, _HEADER.size)
     return header and _read_exact(fd, _HEADER.unpack(header)[0])
-
-
-def _run_share(calls: List[tuple], *head: Any) -> Tuple[float, List[tuple]]:
-    """Run a lane's share of ``(unit, args)`` calls in order as ``unit(*head,
-    *args)``, stopping after the first that raises: ``(busy_ms, replies)``,
-    an ``("ok", result)`` or ``("err", exception)`` per unit run."""
-    started = perf_counter()
-    replies: List[tuple] = []
-    for unit, args in calls:
-        try:
-            replies.append(("ok", unit(*head, *args)))
-        except Exception as exc:  # noqa: BLE001 - the unit's failure
-            replies.append(("err", exc))
-            break
-    return (perf_counter() - started) * 1000.0, replies
 
 
 def _serve(down: int, up: int, spec: JobSpec) -> None:
@@ -174,36 +159,11 @@ def _cpu_now() -> int:
         return int(stat.read().rsplit(b")", 1)[1].split()[36])
 
 
-class _Unit:
-    """A submitted unit: the schedule's handle (``result``, ``cancel``)."""
-
-    __slots__ = ("lanes", "call", "reply")
-
-    def __init__(self, lanes: _Lanes, call: tuple):
-        self.lanes, self.call = lanes, call  # call: (unit, args)
-        self.reply: Optional[tuple] = None  # ("ok", result) or ("err", exc)
-
-    def result(self) -> Any:
-        if self.reply is None:
-            self.lanes.deal()
-        tag, value = self.reply
-        if tag == "ok":
-            return value
-        raise value
-
-    def cancel(self) -> bool:
-        """Withdraw the unit if it was not dealt yet."""
-        if self.reply is not None:
-            return False
-        self.lanes.queue.remove(self)
-        _settle([self], [], EngineError("unit cancelled before it was dealt"))
-        return True
-
-
-def _settle(share: List[_Unit], replies: List[tuple], rest: Any = None) -> None:
-    """Finish a lane's dealt ``share`` from its ``replies``, one per unit
-    it ran in order; every unit past them fails with ``rest`` or as not run."""
-    for i, unit in enumerate(share):
+def _settle(replies: List[tuple], count: int, rest: Any = None) -> List[tuple]:
+    """A lane's ``count`` replies, from the ``replies`` of the units it ran
+    in order; every unit past them fails with ``rest`` or as not run."""
+    settled = []
+    for i in range(count):
         tag, value = replies[i] if i < len(replies) else ("err", rest or _NOT_RUN)
         if tag == "err" and isinstance(value, str):
             value = EngineError(value)
@@ -212,7 +172,8 @@ def _settle(share: List[_Unit], replies: List[tuple], rest: Any = None) -> None:
             import traceback
 
             traceback.clear_frames(value.__traceback__)
-        unit.reply, unit.call = (tag, value), None
+        settled.append((tag, value))
+    return settled
 
 
 class _Lane:
@@ -251,13 +212,12 @@ class _Lane:
 
 
 class _Lanes:
-    """The job's child lanes and the units submitted since the last deal;
-    the driver lane runs its share as ``unit(*here, *args)``."""
+    """The job's child lanes; the driver lane runs its share as
+    ``unit(*here, *args)``."""
 
     def __init__(self, here: tuple):
         self.here = here
         self.children: List[_Lane] = []
-        self.queue: List[_Unit] = []
         self.busy_ms: List[float] = []  # the last deal's, driver first
 
     def launch(self, spec: JobSpec, number: int, total: int) -> None:
@@ -289,56 +249,52 @@ class _Lanes:
         except (AttributeError, OSError, ValueError, IndexError):
             pass
 
-    def submit(self, unit: Callable[..., Any], args: tuple) -> _Unit:
-        handle = _Unit(self, (unit, args))
-        self.queue.append(handle)
-        return handle
-
-    def deal(self) -> None:
-        """Run every queued unit: deal them round-robin, write each child
-        its share as one frame, run the driver's share here, then read
-        each child's one reply.  A child reads its whole frame before it
-        computes and the driver reads only after it computed, so the
-        pipes cannot deadlock.  Every dealt unit has its reply when this
-        returns or raises."""
-        units, self.queue = self.queue, []
+    def deal(self, calls: List[tuple]) -> List[tuple]:
+        """Run ``calls``: deal them round-robin, write each child its share
+        as one frame, run the driver's share here, then read each child's
+        one reply.  A child reads its whole frame before it computes and
+        the driver reads only after it computed, so the pipes cannot
+        deadlock.  One reply per call, in call order."""
         width = 1 + len(self.children)
         self.busy_ms = busy = [0.0] * width
+        replies: List[tuple] = [None] * len(calls)
         sent = []
         try:
             for i, lane in enumerate(self.children, 1):
-                if self._send(lane, units[i::width]):
+                failed = self._send(lane, calls[i::width])
+                if failed is None:
                     sent.append((i, lane))
-            mine = units[::width]
-            busy[0], replies = _run_share([u.call for u in mine], *self.here)
-            _settle(mine, replies)
+                else:
+                    replies[i::width] = failed
+            busy[0], mine = _run_share(calls[::width], *self.here)
+            replies[::width] = _settle(mine, len(replies[::width]))
         finally:
-            try:
-                for i, lane in sent:
-                    busy[i] = self._receive(lane, units[i::width])
-            finally:
-                _settle([u for u in units if u.reply is None], [])
+            for i, lane in sent:
+                busy[i], replies[i::width] = self._receive(
+                    lane, len(replies[i::width])
+                )
+        return replies
 
     @staticmethod
-    def _send(lane: _Lane, share: List[_Unit]) -> bool:
-        """Write ``share`` to ``lane`` as one frame; whether it went."""
+    def _send(lane: _Lane, share: List[tuple]) -> Optional[List[tuple]]:
+        """Write ``share`` to ``lane`` as one frame: None if it went, else
+        the share's replies."""
         if not share:
-            return False
+            return []
         try:
-            data = pickle.dumps([u.call for u in share], pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(share, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # noqa: BLE001 - the share's failure
-            _settle(share, [("err", exc)])
-            return False
+            return _settle([("err", exc)], len(share))
         try:
             _write_frame(lane.down, data)
         except OSError:
-            _settle(share, [], lane.death())
-            return False
-        return True
+            return _settle([], len(share), lane.death())
+        return None
 
     @staticmethod
-    def _receive(lane: _Lane, share: List[_Unit]) -> float:
-        """Read ``lane``'s one reply into the ``share`` it ran; its busy ms."""
+    def _receive(lane: _Lane, count: int) -> tuple:
+        """Read ``lane``'s one reply to the ``count`` units it was dealt:
+        its busy ms and their replies."""
         try:
             frame = _read_frame(lane.up)
         except BaseException:
@@ -346,18 +302,16 @@ class _Lanes:
             import signal
 
             os.kill(lane.pid, signal.SIGKILL)
-            _settle(share, [], lane.death())
+            lane.death()
             raise
         if frame is None:
-            _settle(share, [], lane.death())
-            return 0.0
+            return 0.0, _settle([], count, lane.death())
         try:
             busy, replies = pickle.loads(frame)
         except Exception as exc:  # noqa: BLE001 - e.g. an exception class
             error = f"process lane {lane.pid}: reply does not unpickle: {exc!r}"
             busy, replies = 0.0, [("err", error)]
-        _settle(share, replies)
-        return busy
+        return busy, _settle(replies, count)
 
     def close(self) -> None:
         """Close every pipe end — an idle child reads end of file and
@@ -367,7 +321,7 @@ class _Lanes:
         for lane in self.children:
             lane.reap()
         # A raised unit's traceback may outlive the job, and keep this.
-        self.children, self.queue, self.here = [], [], ()
+        self.children, self.here = [], ()
 
 
 class ProcessExecutor(SuperstepExecutor):
@@ -383,8 +337,10 @@ class ProcessExecutor(SuperstepExecutor):
         setup_started = perf_counter()
         # A lane past one per logical worker would never be dealt a unit.
         procs = min(self._procs or default_procs(spec.num_workers), spec.num_workers)
-        # From here on close() releases whatever the rest got to create.
-        super().start(spec)
+        # Every lane, the driver's too, runs on a spec without the tracer,
+        # which stays here for this backend's own events.  From here on
+        # close() releases whatever the rest got to create.
+        super().start(replace(spec, tracer=NULL_TRACER))
         # The driver lane computes on the driver's own program, as serial.
         self._lanes = lanes = _Lanes((self._spec, self._spec.program))
         if procs > 1:
@@ -394,22 +350,20 @@ class ProcessExecutor(SuperstepExecutor):
             if spec.tracer.enabled:
                 sizes = _export_sizes(spec.graph, arrays)
                 spec.tracer.emit("export", total_bytes=sum(sizes.values()), **sizes)
-            # The tracer stays here.
-            child_spec = replace(spec, tracer=NULL_TRACER)
             for lane in range(1, procs):
-                lanes.launch(child_spec, lane, procs)
+                lanes.launch(self._spec, lane, procs)
         if spec.tracer.enabled:
             spec.tracer.emit(
                 "executor", wall_ms=(perf_counter() - setup_started) * 1000.0,
                 backend=self.name, pool=procs,
             )
 
-    def _submit(self, owner: int, unit: Callable[..., Any], *args: Any) -> _Unit:
+    def _run(self, calls: List[tuple]) -> List[tuple]:
         # Any lane may run any owner's unit: the program and the graph
         # are resident in every child, and the unit's arguments — packed
         # columns, the state dict, the aggregator snapshot — are all a
         # logical worker is.
-        return self._lanes.submit(unit, args)
+        return self._lanes.deal(calls)
 
     @property
     def lane_busy_ms(self) -> Optional[List[float]]:

@@ -47,7 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..bsp.config import RETIRED, ExecutionConfig, coerce
+from ..bsp.config import BACKENDS, RETIRED, ExecutionConfig, coerce
 from ..core.distribution import make_strategy
 from ..core.edge_index import build_edge_index
 from ..core.listing import ListingResult, PSgL, check_num_workers
@@ -65,7 +65,6 @@ from ..graph.ordered import OrderedGraph
 from ..obs import SCHEMA, Tracer, straggler_report
 from ..pattern.catalog import get_pattern, pattern_from_edges
 from ..pattern.pattern import PatternGraph
-from ..runtime import available_backends
 from .budget import ResourceBudget
 from .cache import ResultCache, cache_key
 from .jobs import Job, JobManager, JobState, PRIORITIES, TERMINAL_STATES
@@ -353,11 +352,6 @@ class SubgraphService:
             self._config_for(spec)
         except EngineError as exc:
             raise QuerySpecError(str(exc)) from exc
-        if spec["backend"] not in available_backends():
-            raise QuerySpecError(
-                f"unknown backend {spec['backend']!r}; "
-                f"available: {available_backends()}"
-            )
         if spec.get("_hold_seconds") and not self._allow_test_hooks:
             raise QuerySpecError("_hold_seconds requires allow_test_hooks")
         try:
@@ -453,7 +447,7 @@ class SubgraphService:
         return {
             "service": "psgl",
             "graph": self.context.info(),
-            "backends": list(available_backends()),
+            "backends": list(BACKENDS),
             "max_inflight": self.manager.max_inflight,
             "max_queue_depth": self.manager.max_queue_depth,
             "default_budget": self.default_budget.to_json(),

@@ -158,6 +158,12 @@ ILLEGAL = [
     (dict(steal=True), "work stealing is retired: process lanes are the one"),
     (dict(steal_tasks=8), "steal tasks are retired with work stealing"),
     (dict(backend="thread"), "thread backend is retired: process lanes are"),
+    # The backend set is closed: a name outside it is refused at
+    # construction, not when the engine first runs.
+    (
+        dict(backend="gpu-cluster"),
+        r"unknown backend 'gpu-cluster'.*\['serial', 'process'\]",
+    ),
 ]
 
 _TINY = Graph(4, [(0, 1), (1, 2)])

@@ -19,8 +19,8 @@ from repro.graph.generators import erdos_renyi, rmat
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Modules a cold serial ``psgl count`` on a text edge list never loads:
-#: other subcommands' machinery, unused backends and the pools behind
-#: them (serial hands back completed handles, not futures), the parity
+#: other subcommands' machinery, the unused process backend and any pool
+#: (serial runs its units inline, on the driver), the parity
 #: oracle and its scalar expansion and codec, the spill plane, and
 #: ``numpy.ma`` (``np.unique`` imports it lazily, ~20 ms: no grouping on
 #: the count path may go through it).

@@ -141,8 +141,7 @@ def test_no_signature_re_declares_a_knob():
 def _cli_flags(overrides):
     """``overrides`` as ``psgl count`` flags, or None when argparse
     itself (exit 2) would refuse them: no such field or flag, a value
-    outside the flag's choices (``--backend``'s are the registered
-    backends) or type."""
+    outside the flag's choices or type."""
     actions = {action.dest: action for action in count_parser()._actions}
     flags = []
     for name, value in overrides.items():
@@ -236,7 +235,7 @@ class TestOverrideNames:
     def test_retired_flags_are_gone(self, capsys):
         """The retired fields' flags went with them: argparse refuses
         ``--shuffle`` (exit 2) before anything runs, and ``--backend``
-        offers only the registered backends."""
+        offers only the two backends."""
         for flags, refusal in (
             (["--shuffle", "pipelined"], "unrecognized arguments"),
             (["--chunk-gpsis", "64"], "unrecognized arguments"),
@@ -244,6 +243,7 @@ class TestOverrideNames:
             (["--steal"], "unrecognized arguments"),
             (["--steal-tasks", "8"], "unrecognized arguments"),
             (["--backend", "thread"], "invalid choice: 'thread'"),
+            (["--backend", "gpu-cluster"], "invalid choice: 'gpu-cluster'"),
         ):
             with pytest.raises(SystemExit) as refused:
                 main(["count", "--pattern", "PG1", "--dataset", "x"] + flags)

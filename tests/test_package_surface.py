@@ -53,9 +53,6 @@ PUBLIC = [
     "paper_patterns",
     "square",
     "triangle",
-    "available_backends",
-    "make_executor",
-    "register_backend",
     "Tracer",
     "straggler_report",
     "write_chrome_trace",

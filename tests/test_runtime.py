@@ -1,5 +1,5 @@
 """Unit tests for the parallel runtime: CSR export, fork-inherited graph,
-backend registry, executor semantics, and engine regressions."""
+executor semantics, and engine regressions."""
 
 import os
 import subprocess
@@ -16,14 +16,7 @@ from repro.exceptions import EngineError
 from repro.graph import Graph, hash_partition, load_mapped, write_csrbin
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
-from repro.runtime import (
-    ProcessExecutor,
-    SerialExecutor,
-    available_backends,
-    default_procs,
-    make_executor,
-    register_backend,
-)
+from repro.runtime import default_procs
 
 from .parity import assert_equivalent, reference_run
 from .programs import Ripple, payload_columns
@@ -149,36 +142,6 @@ class TestForkInheritance:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert default_procs(4) == 4
         assert default_procs(16) == 8
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"serial", "process"} <= set(available_backends())
-        assert available_backends()[0] == "serial"
-        # Process lanes are the one pool: the thread backend is retired.
-        assert "thread" not in available_backends()
-
-    def test_make_by_name(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("process"), ProcessExecutor)
-        assert isinstance(make_executor(None), SerialExecutor)
-
-    def test_instance_passthrough(self):
-        executor = SerialExecutor()
-        assert make_executor(executor) is executor
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(EngineError):
-            make_executor("gpu-cluster")
-
-    def test_custom_backend_registration(self):
-        register_backend("custom-serial", SerialExecutor)
-        try:
-            assert isinstance(make_executor("custom-serial"), SerialExecutor)
-        finally:
-            import repro.runtime.registry as reg
-
-            del reg._BACKENDS["custom-serial"]
 
 
 class TestMessageStoreBatches:

@@ -1,13 +1,13 @@
 """The one superstep schedule: structure, conformance, faults.
 
 ``SuperstepExecutor.run_superstep`` is the runtime's only execution loop;
-a backend is a pool plus one submit hook, and the built-in pools are
-``serial`` and the process lanes.  This file pins that shape (so a
-second loop or a thread pool cannot quietly grow back in a backend),
-proves a backend written against the hooks alone inherits the schedule
-bit-identically, and checks that a failure — at set-up or
-mid-superstep — propagates as itself and leaves no thread, child
-process, ``/dev/shm`` block or spill directory behind.
+a backend is a pool plus one hook, ``_run(calls)``, and the two backends
+are ``serial`` (the base executor itself) and the process lanes.  This
+file pins that shape (so a second loop or a thread pool cannot quietly
+grow back in a backend), proves a backend written against the hooks
+alone inherits the schedule bit-identically, and checks that a failure
+— at set-up or mid-superstep — propagates as itself and leaves no
+thread, child process, ``/dev/shm`` block or spill directory behind.
 
 Every outbox crosses the barrier whole, and a superstep's units are
 dealt to the lanes whole: the pipelined schedule that streamed chunks
@@ -20,6 +20,7 @@ start one way, by ``os.fork``: the ``[fork]`` legs keep the ids they had
 beside the retired spawn legs.
 """
 
+import dataclasses
 import errno
 import inspect
 import multiprocessing
@@ -43,13 +44,7 @@ from repro.graph import hash_partition
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
 from repro.runtime import process
-from repro.runtime import (
-    ProcessExecutor,
-    SerialExecutor,
-    SuperstepExecutor,
-    available_backends,
-    run_inline,
-)
+from repro.runtime import ProcessExecutor, SuperstepExecutor
 from repro.runtime.executor import JobSpec
 
 from .parity import assert_equivalent, assert_outboxes_cross_whole, reference_run
@@ -73,7 +68,7 @@ def reference():
 # ----------------------------------------------------------------------
 class TestOneSchedule:
     def test_backends_do_not_override_the_schedule(self):
-        for cls in (SerialExecutor, ProcessExecutor):
+        for cls in (ProcessExecutor, InlineReplicas):
             assert "run_superstep" not in vars(cls), cls.__name__
 
     def test_drain_split_and_finalize_are_the_schedules_alone(self):
@@ -96,12 +91,22 @@ class TestOneSchedule:
             assert not imports.search(path.read_text()), path
 
     def test_the_built_in_backends_are_serial_and_process(self):
-        assert available_backends() == ["serial", "process"]
+        """The backend set is closed: the config field declares it, and
+        the registry that kept it open is gone."""
+        (backend,) = [
+            spec for spec in dataclasses.fields(ExecutionConfig)
+            if spec.name == "backend"
+        ]
+        assert backend.metadata["choices"] == ("serial", "process")
+        for module in ("registry", "serial"):
+            with pytest.raises(ModuleNotFoundError):
+                __import__(f"repro.runtime.{module}")
 
     def test_one_worker_contract_in_src(self):
         gone = re.compile(
-            r"inprocess|run_worker_batch|_submit_batch|_submit_task|"
-            r"collect_delta|from_replicas|pre_application|bind_graph"
+            r"inprocess|run_worker_batch|_submit|collect_delta|from_replicas|"
+            r"pre_application|bind_graph|register_backend|make_executor|"
+            r"available_backends|run_inline|SerialExecutor"
         )
         for path in sorted(SRC.rglob("*.py")):
             assert not gone.search(path.read_text()), path
@@ -118,11 +123,11 @@ class TestOneSchedule:
             import repro.runtime.shared_graph  # noqa: F401
 
     def test_backends_are_start_close_and_one_hook(self):
-        allowed = {"__init__", "start", "close", "_submit"}
-        for cls in (SerialExecutor, ProcessExecutor):
+        allowed = {"__init__", "start", "close", "_run"}
+        for cls in (ProcessExecutor, InlineReplicas):
             methods = {n for n, v in vars(cls).items() if callable(v)}
             assert methods <= allowed, (cls.__name__, methods - allowed)
-            assert "_submit" in methods, cls.__name__
+            assert "_run" in methods, cls.__name__
 
     @pytest.mark.parametrize("storage", ["static", "spilled"])
     def test_serial_snapshots_the_registry_once_per_superstep(
@@ -161,8 +166,12 @@ class InlineReplicas(SuperstepExecutor):
         payload = pickle.dumps(spec.program)
         self._replicas = [pickle.loads(payload) for _ in range(spec.num_workers)]
 
-    def _submit(self, owner, unit, *args):
-        return run_inline(unit, self._spec, self._replicas[owner], *args)
+    def _run(self, calls):
+        # A call's first argument is its owner.
+        return [
+            ("ok", unit(self._spec, self._replicas[args[0]], *args))
+            for unit, args in calls
+        ]
 
 
 class TestThirdPartyBackend:
@@ -171,20 +180,22 @@ class TestThirdPartyBackend:
 
     def test_steal_schedule(self):
         """The retired work-stealing schedule: no backend can be asked
-        for it, and the one a third-party backend inherits submits whole
-        units: one per owner with work, per superstep."""
+        for it, and the one a third-party backend inherits runs whole
+        units: one per owner with work, per superstep, in owner order."""
         config = ExecutionConfig(backend=InlineReplicas())
         with pytest.raises(EngineError, match="work stealing is retired"):
             config.with_overrides(steal=True)
         backend = config.backend
         owners = []
-        submit = backend._submit
+        run = backend._run
 
-        def counting(owner, unit, *args):
-            owners.append(owner)
-            return submit(owner, unit, *args)
+        def counting(calls):
+            step = [args[0] for _, args in calls]
+            assert step == sorted(set(step))
+            owners.extend(step)
+            return run(calls)
 
-        backend._submit = counting
+        backend._run = counting
         result = assert_equivalent(config, reference())
         active = [
             sum(1 for calls in step.worker_compute_calls if calls)
@@ -253,6 +264,35 @@ class LaneKiller(PSgLProgram):
         if ctx.superstep == 1 and os.getpid() != self.driver_pid:
             os.kill(os.getpid(), signal.SIGKILL)
         return super().compute_columns(ctx, columns)
+
+
+class TwoArgError(Exception):
+    """Pickles with its one ``Exception`` argument, so unpickling calls
+    ``TwoArgError(a)``, which raises ``TypeError``."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+class ChildFault(PerVertex):
+    """Pings its neighbours at superstep 0; at superstep 1, on a child
+    lane only, makes the lane's reply fail its codec: it emits a lambda
+    (``"pickle"``: the reply does not pickle) or raises a
+    :class:`TwoArgError` (``"unpickle"``: it does not unpickle)."""
+
+    def __init__(self, fault):
+        self.fault = fault
+        self.driver_pid = os.getpid()
+
+    def visit(self, ctx, vertex, payloads):
+        if ctx.superstep == 0:
+            return vertex
+        if os.getpid() != self.driver_pid:
+            if self.fault == "pickle":
+                ctx.emit(lambda: None)
+            else:
+                raise TwoArgError("a", "b")
+        return None
 
 
 def children():
@@ -347,6 +387,37 @@ class TestFaults:
         assert sorted(lanes.outputs) == sorted(serial.outputs)
         assert lanes.ledger.summary() == serial.ledger.summary()
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc"
+    )
+    @pytest.mark.parametrize(
+        "fault,error",
+        [
+            ("pickle", r"process lane \d+: reply does not pickle: "),
+            ("unpickle", r"process lane \d+: reply does not unpickle: TypeError\("),
+        ],
+        ids=["pickle", "unpickle"],
+    )
+    def test_a_reply_the_lane_codec_refuses_is_a_typed_error(
+        self, tmp_path, fault, error
+    ):
+        """A child lane's reply that does not pickle there, or does not
+        unpickle on the driver, is an ``EngineError`` naming the lane,
+        and leaves no child, descriptor or spill entry behind."""
+        before = leftovers(), os.listdir("/proc/self/fd"), children()
+        engine = BSPEngine(
+            GRAPH,
+            hash_partition(GRAPH.num_vertices, 4),
+            backend="process",
+            procs=2,
+            spill_dir=str(tmp_path),
+            memory_watermark_bytes=1,
+        )
+        with pytest.raises(EngineError, match=error):
+            engine.run(ChildFault(fault))
+        assert (leftovers(), os.listdir("/proc/self/fd"), children()) == before
+        assert list(tmp_path.iterdir()) == []
+
     def test_lost_chunk_is_a_typed_error(self, monkeypatch):
         """A worker's outbox lost on its way into the barrier store is an
         ``EngineError`` from the barrier's exact accounting — never a
@@ -372,7 +443,7 @@ class TestFaults:
     ):
         """A unit that raises mid-superstep propagates as itself.  The
         retired names keep their legs: ``thread`` is refused, then runs
-        serial, where the unit raises at its submit site; ``steal`` is
+        serial, where the unit's own exception re-raises; ``steal`` is
         refused, then runs in memory, and ``pipelined`` spills every
         chunk, so no spill file outlives the failure either."""
         expected = reference()  # computed before anything is patched
@@ -400,10 +471,19 @@ class TestFaults:
         # Patched before the lanes fork, so children inherit it.
         monkeypatch.setattr(PSgLProgram, "compute_columns", exploding)
         before = leftovers()
-        with pytest.raises(ValueError, match="injected mid-superstep failure"):
+        with pytest.raises(
+            ValueError, match="injected mid-superstep failure"
+        ) as raised:
             assert_equivalent(config, expected)
         assert leftovers() == before
         assert list(tmp_path.iterdir()) == []
+        if backend == "thread":
+            # Serial keeps the failure's frames: it raised where it ran.
+            tb = raised.value.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            assert tb.tb_frame.f_code.co_name == "exploding"
+            assert "columns" in tb.tb_frame.f_locals
 
 
 # ----------------------------------------------------------------------
@@ -492,15 +572,15 @@ class TestDealing:
         backend = started()
         try:
             marks = [tmp_path / f"unit{i}" for i in range(4)]
-            handles = [
-                backend._submit(i, touch, str(mark), i == 1)
-                for i, mark in enumerate(marks)
-            ]
-            with pytest.raises(ValueError, match="unit1 failed"):
-                handles[1].result()
-            with pytest.raises(EngineError, match="not run"):
-                handles[3].result()
-            assert [h.result() for h in handles[::2]] == [os.getpid()] * 2
+            replies = backend._run(
+                [(touch, (str(mark), i == 1)) for i, mark in enumerate(marks)]
+            )
+            assert [tag for tag, _ in replies] == ["ok", "err", "ok", "err"]
+            assert isinstance(replies[1][1], ValueError)
+            assert str(replies[1][1]) == "unit1 failed"
+            assert isinstance(replies[3][1], EngineError)
+            assert "not run" in str(replies[3][1])
+            assert [value for _, value in replies[::2]] == [os.getpid()] * 2
             assert [mark.exists() for mark in marks] == [True, True, True, False]
         finally:
             backend.close()
@@ -512,11 +592,11 @@ class TestDealing:
         before = leftovers(), os.listdir("/proc/self/fd"), children()
         backend = started()
         try:
-            handles = [backend._submit(i, kill_lane, os.getpid()) for i in range(4)]
-            for handle in handles[1::2]:
-                with pytest.raises(EngineError, match="was killed by SIGKILL"):
-                    handle.result()
-            assert [h.result() for h in handles[::2]] == [os.getpid()] * 2
+            replies = backend._run([(kill_lane, (os.getpid(),))] * 4)
+            for tag, value in replies[1::2]:
+                assert tag == "err" and isinstance(value, EngineError)
+                assert "was killed by SIGKILL" in str(value)
+            assert replies[::2] == [("ok", os.getpid())] * 2
         finally:
             backend.close()
         assert (leftovers(), os.listdir("/proc/self/fd"), children()) == before

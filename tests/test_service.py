@@ -52,6 +52,7 @@ class TestLifecycle:
         info = client.info()
         assert info["graph"]["vertices"] == 12
         assert info["graph"]["fingerprint"] == service.context.fingerprint
+        assert info["backends"] == ["serial", "process"]
 
     def test_counts_match_batch_driver(self, service_pair):
         client, _ = service_pair
