@@ -3,7 +3,7 @@
 The paper's PSgL has four user-visible parameters (distribution strategy,
 initial pattern vertex, worker count, edge index); those stay arguments
 of :class:`~repro.core.listing.PSgL`.  Everything else a caller can
-choose — backend, lanes, data plane, spill, budgets — is
+choose — backend, lanes, data plane, budgets — is
 *result-neutral* by the bit-parity contract and is declared here, once:
 one field per knob, one ``__post_init__`` with every legality rule, one
 strict name check for keyword overrides and argparse/JSON mappings
@@ -62,6 +62,12 @@ RETIRED = {
         "units are dealt to them whole)"
     ),
     "steal_tasks": f" (steal tasks are retired with work stealing: {_ONE_POOL})",
+    **dict.fromkeys(
+        ("spill_dir", "memory_watermark_bytes"),
+        " (the spill plane is retired: the barrier store is no longer where "
+        "a job's memory goes; memory_budget / worker_memory_budget cap live "
+        "Gpsis)",
+    ),
 }
 
 
@@ -134,17 +140,6 @@ class ExecutionConfig:
         "expansion)",
         choices=WIRE_PLANES,
     )
-    spill_dir: Optional[str] = _knob(
-        None, str,
-        "out-of-core shuffle: spill sealed columnar chunks here once the "
-        "barrier store exceeds the watermark (set together with "
-        "memory_watermark_bytes)",
-    )
-    memory_watermark_bytes: Optional[int] = _knob(
-        None, int,
-        "resident-bytes watermark for the barrier store before chunks "
-        "spill to spill_dir (results stay bit-identical)",
-    )
     memory_budget: Optional[int] = _knob(
         None, int,
         "cap on in-flight Gpsis at a superstep barrier; crossing it "
@@ -200,15 +195,6 @@ class ExecutionConfig:
                     f"{spec.name} must be a finite number > 0, got {value}"
                 )
             put(spec.name, value)
-
-        if (self.spill_dir is None) != (self.memory_watermark_bytes is None):
-            given, missing = "spill_dir", "memory_watermark_bytes"
-            if self.spill_dir is None:
-                given, missing = missing, given
-            raise EngineError(
-                f"{given} requires {missing}: the two enable the disk "
-                "spill plane together; set both or neither"
-            )
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, Any]) -> "ExecutionConfig":

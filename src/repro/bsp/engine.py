@@ -75,7 +75,7 @@ class BSPEngine:
         Vertex-to-worker assignment.
     config:
         The :class:`~repro.bsp.config.ExecutionConfig` — backend, lanes,
-        data plane, spill and budgets; every knob is declared,
+        data plane and budgets; every knob is declared,
         documented and validated there (table in ``docs/api.md``).  ``None`` means the defaults.
     trace:
         Observability: ``None``/``False`` (default, zero overhead), a
@@ -146,23 +146,13 @@ class BSPEngine:
         initial = program.initial_active_vertices(self.graph)
 
         tracer = make_tracer(self.trace)
-        spill_mgr = None
         superstep = 0
         status = "completed"
         try:
-            # Everything that acquires a resource — the spill directory,
-            # the executor's lanes and their pipes — happens inside the
-            # guarded region, so a set-up that fails half-way is torn
-            # down like any other fault.
-            if cfg.spill_dir is not None:
-                # Imported here: a run without a spill plane never loads it.
-                from .spill import SpillManager
-
-                spill_mgr = SpillManager(
-                    cfg.spill_dir,
-                    cfg.memory_watermark_bytes,
-                    tracer if tracer.enabled else None,
-                )
+            # Everything that acquires a resource — the executor's lanes
+            # and their pipes — happens inside the guarded region, so a
+            # set-up that fails half-way is torn down like any other
+            # fault.
             if tracer.enabled:
                 tracer.meta.update(
                     backend=executor.name,
@@ -170,10 +160,6 @@ class BSPEngine:
                     graph_vertices=self.graph.num_vertices,
                     graph_edges=self.graph.num_edges,
                 )
-                if spill_mgr is not None:
-                    tracer.meta["memory_watermark_bytes"] = (
-                        cfg.memory_watermark_bytes
-                    )
             executor.start(
                 JobSpec(
                     program=program,
@@ -186,20 +172,8 @@ class BSPEngine:
             while True:
                 self._check_limits(superstep, started)
                 ledger.begin_superstep(superstep)
-                spilled_before = (
-                    (spill_mgr.chunks_spilled, spill_mgr.bytes_spilled)
-                    if spill_mgr is not None
-                    else (0, 0)
-                )
                 outbox = ChunkedColumnarStore(
-                    self.partition.owner_array,
-                    self.num_workers,
-                    spill=(
-                        spill_mgr.for_superstep(superstep)
-                        if spill_mgr is not None
-                        else None
-                    ),
-                    watermark_bytes=cfg.memory_watermark_bytes,
+                    self.partition.owner_array, self.num_workers
                 )
 
                 build_started = perf_counter() if tracer.enabled else 0.0
@@ -207,10 +181,6 @@ class BSPEngine:
                     batches = self._initial_batches(initial)
                 else:
                     batches = inbox.build_worker_batches()
-                if spill_mgr is not None:
-                    # The previous superstep's messages are delivered;
-                    # nothing can re-map its spill file again.
-                    spill_mgr.prune(superstep)
                 step_started = perf_counter() if tracer.enabled else 0.0
                 results = executor.run_superstep(superstep, batches, registry)
                 merge_started = perf_counter() if tracer.enabled else 0.0
@@ -238,14 +208,6 @@ class BSPEngine:
                         step_wall_ms=(merge_started - step_started) * 1000.0,
                         merge_ms=(done - merge_started) * 1000.0,
                         lane_busy_ms=getattr(executor, "lane_busy_ms", None),
-                        spilled=(
-                            (
-                                spill_mgr.chunks_spilled - spilled_before[0],
-                                spill_mgr.bytes_spilled - spilled_before[1],
-                            )
-                            if spill_mgr is not None
-                            else None
-                        ),
                     )
 
                 registry.end_superstep()
@@ -267,16 +229,6 @@ class BSPEngine:
             raise
         finally:
             executor.close()
-            if spill_mgr is not None:
-                # Recorded even on aborted runs: the straggler report and
-                # service metrics read these off the ledger, and summary()
-                # deliberately excludes them so spilled and in-memory
-                # ledgers still compare equal.
-                ledger.spill_chunks = spill_mgr.chunks_spilled
-                ledger.spill_bytes = spill_mgr.bytes_spilled
-                ledger.spill_chunks_mapped = spill_mgr.chunks_mapped
-                ledger.spill_bytes_mapped = spill_mgr.bytes_mapped
-                spill_mgr.close()
             if tracer.enabled:
                 tracer.emit(
                     "job",
@@ -349,8 +301,8 @@ class BSPEngine:
         interleaving).  Returns the raw sends per destination-owning
         worker.
 
-        Each worker's whole outbox crosses as its one chunk, sequence
-        number 0, and the ledger records the exact wire bytes it
+        Each worker's whole outbox crosses as its one chunk, and the
+        ledger records the exact wire bytes it
         shipped.  Every worker ran on a program replica, so its
         aggregator contributions and state delta fold into the driver's
         ``registry`` and ``program`` here.
@@ -364,7 +316,7 @@ class BSPEngine:
             ledger.add_wire_bytes(wid, result.wire_bytes)
             for dest, count in enumerate(result.inbound):
                 inbound_per_worker[dest] += count
-            outbox.merge_chunk(wid, 0, result.outbox)
+            outbox.merge_chunk(wid, result.outbox)
             outputs.extend(result.outputs)
             for name, value in result.agg_contribs.items():
                 registry.aggregate(name, value)
@@ -396,13 +348,10 @@ class BSPEngine:
         step_wall_ms: float,
         merge_ms: float,
         lane_busy_ms: Optional[List[float]],
-        spilled: Optional[tuple],
     ) -> None:
         """One superstep's ``worker`` / ``barrier`` / ``superstep``
         events.  ``lane_busy_ms`` is the executor's
-        per-lane busy time, ``None`` where it deals to no lanes;
-        ``spilled`` is this superstep's ``(chunks, bytes)`` evicted to
-        disk, ``None`` without a spill plane."""
+        per-lane busy time, ``None`` where it deals to no lanes."""
         for result in results:
             tracer.emit(
                 "worker",
@@ -413,13 +362,6 @@ class BSPEngine:
                 compute_calls=result.compute_calls,
                 outputs=len(result.outputs),
             )
-        barrier_extra = dict(
-            wire_bytes=outbox.wire_bytes,
-            chunks=outbox.chunks_merged,
-            max_chunk_bytes=outbox.max_chunk_bytes,
-        )
-        if spilled is not None:
-            barrier_extra["spill_chunks"], barrier_extra["spill_bytes"] = spilled
         tracer.emit(
             "barrier",
             superstep=superstep,
@@ -427,7 +369,9 @@ class BSPEngine:
             max_worker_live=max(inbound_per_worker),
             queue_depths=list(inbound_per_worker),
             merge_ms=merge_ms,
-            **barrier_extra,
+            wire_bytes=outbox.wire_bytes,
+            chunks=outbox.chunks_merged,
+            max_chunk_bytes=outbox.max_chunk_bytes,
         )
         step_extra = {}
         if lane_busy_ms is not None:

@@ -83,15 +83,6 @@ class CostLedger:
         self.peak_worker_live = 0
         self.total_emitted = 0
         self._current: Optional[SuperstepStats] = None
-        # Spill-plane volume (filled by the engine when spill_dir is set;
-        # zeros on in-memory runs).  Deliberately NOT part of summary():
-        # spilling changes where chunks wait, never what the run did, so
-        # a spilled ledger must summarise identically to an in-memory one
-        # — the parity tests compare summaries directly.
-        self.spill_chunks = 0
-        self.spill_bytes = 0
-        self.spill_chunks_mapped = 0
-        self.spill_bytes_mapped = 0
 
     # ------------------------------------------------------------------
     def _require_open(self) -> SuperstepStats:

@@ -17,8 +17,7 @@ Examples
     psgl count --pattern PG1 --dataset wikitalk --workers 16
     psgl count --pattern C5 --edge-list my_graph.txt --strategy WA,0.5
     psgl convert soc-LiveJournal1.txt lj.csrbin
-    psgl count --pattern PG2 --csrbin lj.csrbin --backend process \\
-        --spill-dir /tmp/spill --memory-watermark-bytes 64000000
+    psgl count --pattern PG2 --csrbin lj.csrbin --backend process --procs 4
     psgl bench --experiments fig3 fig8 --scale 0.5 --out results/
     psgl serve --dataset wikitalk --port 8707
 
@@ -277,10 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip per-job tracing (disables /jobs/<id>/trace)",
     )
-    # The server-owned execution fields, applied to every executed job.
-    for spec in dataclasses.fields(ExecutionConfig):
-        if spec.name in ("spill_dir", "memory_watermark_bytes"):
-            _add_execution_flag(serve, spec)
     return parser
 
 
@@ -346,11 +341,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     print(f"initial vp : v{result.initial_vertex + 1}")
     print(f"strategy   : {result.strategy}")
     print(f"backend    : {config.backend}")
-    if config.spill_dir is not None:
-        print(
-            f"spilled    : {result.ledger.spill_chunks} chunk(s) / "
-            f"{result.ledger.spill_bytes:,} bytes past the watermark"
-        )
     print(f"wall time  : {result.wall_seconds:.3f}s")
     if tracer is not None and args.trace:
         from .obs.exporters import write_chrome_trace, write_jsonl
@@ -483,8 +473,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         cache=ResultCache(max_bytes=args.cache_bytes),
         trace_jobs=not args.no_job_traces,
-        spill_dir=args.spill_dir,
-        memory_watermark_bytes=args.memory_watermark_bytes,
     )
 
     def _ready(server) -> None:
@@ -499,7 +487,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 #: Exit-code mapping for library errors, most specific first.  Scripts
 #: can branch on the family without parsing stderr; 1 stays reserved
-#: for unexpected failures and 2 for argparse usage errors.
+#: for unexpected failures and 2 for argparse usage errors.  An
+#: allocation failure (``MemoryError``, on the driver or re-raised from a
+#: process lane) is not a library error and exits ``EXIT_OUT_OF_MEMORY``.
 EXIT_CODES = (
     (PatternError, 3),
     (QuerySpecError, 3),
@@ -509,6 +499,7 @@ EXIT_CODES = (
     (DistributionError, 5),
     (ReproError, 7),
 )
+EXIT_OUT_OF_MEMORY = 8
 
 
 def _exit_code_for(exc: ReproError) -> int:
@@ -572,6 +563,12 @@ def _run(argv: Optional[List[str]]) -> int:
         else:
             print(f"psgl: error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # numpy's message names the shape it could not allocate; a bare
+        # MemoryError has none.
+        reason = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"psgl: error: out of memory: {reason}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     except KeyboardInterrupt:
         return 130
 

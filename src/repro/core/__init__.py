@@ -8,11 +8,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".candidates": ("candidate_set_scalar", "combination_consistent"),
     ".codec": (
         "CodecError",
-        "decode_batch",
-        "decode_columns",
         "decode_gpsi",
-        "encode_batch",
-        "encode_columns",
         "encode_gpsi",
         "encoded_size",
         "encoded_size_batch",

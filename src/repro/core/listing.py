@@ -327,7 +327,7 @@ class PSgL:
         driver.
     config:
         The :class:`~repro.bsp.config.ExecutionConfig`: *how* the job
-        runs (backend, lanes, data plane, spill, budgets) —
+        runs (backend, lanes, data plane, budgets) —
         result-neutral by the bit-parity contract, declared and validated
         in one place (table in ``docs/api.md``).
     trace:

@@ -67,15 +67,6 @@ def straggler_report(tracer: Tracer, top: int = 5) -> str:
         f"{len(step_rows)} superstep(s), {len(totals)} worker(s), "
         f"makespan {makespan:,.0f} cost units, imbalance {imbalance:.2f} (max/mean)"
     )
-    spill_events = tracer.by_kind("chunk_spill")
-    if spill_events:
-        spill_bytes = sum(int(e.data.get("bytes", 0)) for e in spill_events)
-        mapped = len(tracer.by_kind("chunk_map"))
-        lines.append(
-            f"spill plane: {len(spill_events)} chunk(s) / "
-            f"{spill_bytes:,} bytes evicted past the watermark, "
-            f"{mapped} re-mapped at delivery"
-        )
 
     lines.append("")
     lines.append(f"costliest supersteps (top {min(top, len(step_rows))}):")

@@ -47,17 +47,6 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
     half of the shuffle's critical path), ``wire_bytes``, the barrier
     store's ``chunks`` (every non-empty worker outbox crosses whole, as
     one chunk) and ``max_chunk_bytes`` (the largest outbox's bytes).
-``chunk_spill``
-    Spill plane (``spill_dir`` set), one per sealed chunk evicted to
-    the superstep's spill file once the barrier store crossed
-    ``memory_watermark_bytes``: the sending worker, chunk ``seq``, and
-    the record's ``bytes``/``rows``.  The ``barrier`` event adds the
-    per-superstep totals (``spill_chunks``/``spill_bytes``).
-``chunk_map``
-    Spill plane, one per spilled chunk re-mapped at delivery (the
-    mirror of ``chunk_spill``; same coordinates).  Every spilled chunk
-    maps back exactly once — an imbalance means a superstep died
-    between spill and delivery.
 
 Workers whose batch was empty in a superstep emit no ``worker`` event;
 their cost/message/compute contribution is zero by construction.

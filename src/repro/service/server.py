@@ -144,9 +144,9 @@ class GraphContext:
 
 
 #: The ``ExecutionConfig`` fields an HTTP client may set.  This is input
-#: policy, not a copy of the knobs: every other field — where chunks
-#: spill, how many processes run, the budgets' engine-side names — is
-#: owned by the server (its constructor arguments and ``budget`` merge).
+#: policy, not a copy of the knobs: every other field — how many
+#: processes run, the budgets' engine-side names — is owned by the
+#: server (its defaults and the ``budget`` merge).
 CLIENT_EXECUTION_FIELDS = ("backend", "wire")
 
 #: Query-spec fields accepted by ``POST /jobs``, with their defaults: the
@@ -200,19 +200,12 @@ class SubgraphService:
         cache: Optional[ResultCache] = None,
         trace_jobs: bool = True,
         allow_test_hooks: bool = False,
-        spill_dir: Optional[str] = None,
-        memory_watermark_bytes: Optional[int] = None,
     ):
         self.context = context
         self.default_budget = default_budget or ResourceBudget()
         self.cache = cache if cache is not None else ResultCache()
         self.trace_jobs = trace_jobs
         self._allow_test_hooks = allow_test_hooks
-        # Server-owned execution fields, applied under every job's
-        # client-settable ones (a half-set spill pair fails right here).
-        self.base_config = ExecutionConfig(
-            spill_dir=spill_dir, memory_watermark_bytes=memory_watermark_bytes
-        )
 
         self.registry = MetricsRegistry()
         self._m_jobs = self.registry.counter(
@@ -258,14 +251,6 @@ class SubgraphService:
         self._m_dropped = self.registry.counter(
             "psgl_http_dropped_responses",
             "Responses the client disconnected before receiving.",
-        )
-        self._m_spill_chunks = self.registry.counter(
-            "psgl_spill_chunks_total",
-            "Shuffle chunks evicted to disk past the memory watermark.",
-        )
-        self._m_spill_bytes = self.registry.counter(
-            "psgl_spill_bytes_total",
-            "Bytes of shuffle chunks evicted to disk past the watermark.",
         )
         self.manager = JobManager(
             runner=self._run_job,
@@ -363,10 +348,9 @@ class SubgraphService:
 
     def _config_for(self, spec: Dict[str, Any]) -> ExecutionConfig:
         """The job's execution config: the client's allow-listed fields
-        over the server-owned ones."""
-        return replace(
-            self.base_config,
-            **{name: spec[name] for name in CLIENT_EXECUTION_FIELDS},
+        over the defaults."""
+        return ExecutionConfig(
+            **{name: spec[name] for name in CLIENT_EXECUTION_FIELDS}
         )
 
     def _pattern_for(self, spec: Dict[str, Any]) -> PatternGraph:
@@ -402,9 +386,6 @@ class SubgraphService:
         result = driver.run(
             pattern, collect_instances=spec["collect_instances"]
         )
-        if result.ledger.spill_chunks:
-            self._m_spill_chunks.inc(result.ledger.spill_chunks)
-            self._m_spill_bytes.inc(result.ledger.spill_bytes)
         payload = self._payload(result, spec)
         key = cache_key(
             self.context.fingerprint,

@@ -5,7 +5,7 @@ Every ``ExecutionConfig`` field is result-neutral by contract, so every
 configuration on the inputs a *reference* run was computed from — the
 paper-faithful scalar simulator, :mod:`repro.core.reference` — and
 require identical :func:`observables`.  Feature files keep their mechanism tests (forced
-stragglers, spill-file failures, trace events) and express parity as
+stragglers, lane faults, trace events) and express parity as
 ``assert_equivalent(ExecutionConfig(...), reference)``.
 
 The complement lives here too: :data:`ILLEGAL` lists every illegal value
@@ -91,7 +91,7 @@ def assert_equivalent(
     """Run ``config`` on ``reference``'s inputs and require identical
     observables.  ``psgl_overrides`` replace non-config inputs that must
     not matter either (``trace=``, a prebuilt ``edge_index=``).  Returns
-    the run for mechanism assertions (spill counters, trace events, ...)."""
+    the run for mechanism assertions (ledger counters, trace events, ...)."""
     result = run_listing(
         reference.graph,
         reference.pattern_name,
@@ -124,15 +124,24 @@ ILLEGAL = [
     # The first name that is not a field is the one refused.
     (dict(chunk_gpsis=0, shuffle="pipelined"), "chunk_gpsis: not an execution"),
     (dict(chunk_bytes=-5, shuffle="pipelined"), "chunk_bytes: not an execution"),
-    (dict(backend="process", memory_watermark_bytes=1), "requires spill_dir"),
+    # A retired field beside a live one is refused by name all the same.
+    (
+        dict(backend="process", memory_watermark_bytes=1),
+        "the spill plane is retired: the barrier store is no longer where",
+    ),
     # Work stealing is retired: its two fields are refused by name.
     (dict(steal_tasks=64), "steal_tasks: not an execution field"),
     (dict(steal_tasks=0, steal=True), "steal_tasks: not an execution field"),
-    (dict(spill_dir="unused"), "both or neither"),
-    (dict(memory_watermark_bytes=1), "both or neither"),
+    # The spill plane is retired: its two fields are refused by name,
+    # with the hint that says where a job's memory is capped now.
+    (dict(spill_dir="unused"), "spill_dir: not an execution field"),
     (
-        dict(spill_dir="unused", memory_watermark_bytes=0),
-        "memory_watermark_bytes must be >= 1",
+        dict(memory_watermark_bytes=1),
+        "a job's memory goes; memory_budget / worker_memory_budget cap",
+    ),
+    (
+        dict(memory_watermark_bytes=0, spill_dir="unused"),
+        "memory_watermark_bytes: not an execution field",
     ),
     (dict(procs=0), "procs must be >= 1"),
     (dict(backend="process", procs=-1), "procs must be >= 1"),

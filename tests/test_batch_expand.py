@@ -18,7 +18,7 @@ counters.  These tests pin that equivalence at the kernel level:
 3. the ``useful_grays_for`` memo on :class:`PatternGraph` (it is keyed
    per pattern instance and must never leak across patterns).
 
-Whole listing jobs — every strategy, backend, shuffle and spill setting
+Whole listing jobs — every strategy, backend, shuffle and graph storage
 against the reference oracle — are ``tests/test_plane_parity.py``.
 """
 

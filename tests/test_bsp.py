@@ -100,7 +100,7 @@ class TestMessageStore:
 
     def test_add_take(self):
         store = ChunkedColumnarStore(self.OWNERS, 2)
-        store.merge_chunk(0, 0, payload_columns([2, 2], [7, 8]))
+        store.merge_chunk(0, payload_columns([2, 2], [7, 8]))
         assert len(store) == 2
         batch = store.build_worker_batches()[0]
         assert batch.vertices.tolist() == [2]
@@ -108,12 +108,12 @@ class TestMessageStore:
 
     def test_take_missing_vertex(self):
         store = ChunkedColumnarStore(self.OWNERS, 2)
-        store.merge_chunk(0, 0, payload_columns([2], [1]))
+        store.merge_chunk(0, payload_columns([2], [1]))
         assert not len(store.build_worker_batches()[1])
 
     def test_destinations(self):
         store = ChunkedColumnarStore(self.OWNERS, 2)
-        store.merge_chunk(0, 0, payload_columns([4, 1, 2, 4], [0, 1, 2, 3]))
+        store.merge_chunk(0, payload_columns([4, 1, 2, 4], [0, 1, 2, 3]))
         batches = store.build_worker_batches()
         # Per owning worker, the next superstep's active set in first-send
         # order, each vertex's rows together.
@@ -124,7 +124,7 @@ class TestMessageStore:
     def test_bool(self):
         store = ChunkedColumnarStore(self.OWNERS, 2)
         assert not store
-        store.merge_chunk(0, 0, payload_columns([0], [1]))
+        store.merge_chunk(0, payload_columns([0], [1]))
         assert store
 
 

@@ -21,7 +21,7 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 #: Modules a cold serial ``psgl count`` on a text edge list never loads:
 #: other subcommands' machinery, the unused process backend and any pool
 #: (serial runs its units inline, on the driver), the parity
-#: oracle and its scalar expansion and codec, the spill plane, and
+#: oracle and its scalar expansion and codec, and
 #: ``numpy.ma`` (``np.unique`` imports it lazily, ~20 ms: no grouping on
 #: the count path may go through it).
 COLD_COUNT_NEVER_LOADS = (
@@ -30,7 +30,6 @@ COLD_COUNT_NEVER_LOADS = (
     "repro.core.expansion",
     "repro.core.candidates",
     "repro.core.codec",
-    "repro.bsp.spill",
     "repro.bench",
     "repro.service",
     "repro.graph.stats",
@@ -530,6 +529,49 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("psgl: error: could not start process lane 2 of 3: ")
         assert "Resource temporarily unavailable" in err
+
+    def test_allocation_failure_exit_8(self, er_edge_list, capsys, monkeypatch):
+        """A ``MemoryError`` out of the expansion (numpy's names the
+        allocation) is one line and exit 8, never a traceback."""
+        from repro.core.listing import PSgLProgram
+
+        def out_of_memory(self, ctx, columns):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(PSgLProgram, "compute_columns", out_of_memory)
+        code = main(["count", "--pattern", "PG1", "--edge-list", str(er_edge_list),
+                     "--workers", "4"])
+        assert code == 8
+        assert capsys.readouterr().err == (
+            "psgl: error: out of memory: Unable to allocate 8.00 GiB for an array\n"
+        )
+
+    def test_allocation_failure_on_a_child_lane_exit_8(
+        self, er_edge_list, capsys, monkeypatch
+    ):
+        """Only the child lane runs out: its ``("err", MemoryError)``
+        reply is re-raised on the driver, which exits 8 with one line and
+        leaves no lane behind."""
+        from repro.core.listing import PSgLProgram
+
+        from .test_runtime_schedule import children
+
+        driver, real_compute = os.getpid(), PSgLProgram.compute_columns
+
+        def child_out_of_memory(self, ctx, columns):
+            if os.getpid() != driver:
+                raise MemoryError()
+            return real_compute(self, ctx, columns)
+
+        monkeypatch.setattr(PSgLProgram, "compute_columns", child_out_of_memory)
+        before = children()
+        code = main(["count", "--pattern", "PG1", "--edge-list", str(er_edge_list),
+                     "--workers", "4", "--backend", "process", "--procs", "2"])
+        assert code == 8
+        err = capsys.readouterr().err
+        assert err == "psgl: error: out of memory: MemoryError\n"
+        assert "Traceback" not in err
+        assert children() == before
 
     def test_convert_into_a_directory_exit_4(self, tmp_path, capsys):
         source = tmp_path / "k4.txt"

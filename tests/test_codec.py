@@ -1,26 +1,24 @@
-"""Unit and property tests for the Gpsi wire codec (scalar and batch)."""
+"""Unit and property tests for the scalar Gpsi wire codec, and for the
+packed columns the engine ships instead: their round trip and the two
+byte accountings (``GpsiColumns.nbytes``, the engine's wire bytes, and
+``encoded_size_batch``, the scalar codec's volume of the same rows)."""
 
-import numpy as np
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (
     CodecError,
     Gpsi,
-    GpsiColumns,
     UNMAPPED,
-    decode_batch,
-    decode_columns,
     decode_gpsi,
-    encode_batch,
-    encode_columns,
     encode_gpsi,
     encoded_size,
     encoded_size_batch,
     pack_gpsis,
     unpack_gpsis,
 )
-from repro.core.codec import batch_encoded_size
 
 
 @st.composite
@@ -153,11 +151,20 @@ class TestEncodedSizeArithmetic:
             assert encoded_size(g) == len(encode_gpsi(g))
 
 
+def row_bytes(k):
+    """Packed bytes per row: 8-byte cells, 32-bit BLACK words, one next
+    byte."""
+    return 8 * k + 4 * -(-k // 32) + 1
+
+
 class TestBatchRoundTrip:
+    """The packed columns are the engine's one payload: what a lane frame
+    pickles and the barrier store merges."""
+
     def test_empty_batch(self):
-        data = encode_batch([], k=4)
-        assert decode_batch(data) == []
-        assert len(data) == batch_encoded_size(0, 4)
+        columns = pack_gpsis([], k=4)
+        assert unpack_gpsis(columns) == []
+        assert columns.nbytes == encoded_size_batch(columns) == 0
 
     def test_empty_pack_requires_k(self):
         with pytest.raises(ValueError):
@@ -165,32 +172,37 @@ class TestBatchRoundTrip:
 
     def test_one_vertex_pattern(self):
         gpsis = [Gpsi((7,), 0b1, 0), Gpsi((UNMAPPED,), 0, -1)]
-        assert decode_batch(encode_batch(gpsis)) == gpsis
+        assert unpack_gpsis(pack_gpsis(gpsis)) == gpsis
 
     def test_unmapped_cells_and_unset_next(self):
         gpsis = [
             Gpsi((5, UNMAPPED, 1_000_000, 0), 0b1001, 3),
             Gpsi((UNMAPPED, UNMAPPED, UNMAPPED, 2), 0, -1),
         ]
-        assert decode_batch(encode_batch(gpsis)) == gpsis
+        assert unpack_gpsis(pack_gpsis(gpsis)) == gpsis
 
     def test_wide_pattern_multiword_black(self):
-        # 0xFE vertices — the codec's ceiling; black spans 8 mask words.
+        # 0xFE vertices — the scalar codec's ceiling; black spans 8 mask
+        # words, so the scalar accounting takes its wide-mask path.
         k = 0xFE
         mapping = tuple(range(k))
         black = (1 << k) - 1
         gpsis = [Gpsi(mapping, black, k - 1), Gpsi(mapping, 1 << 200, -1)]
-        assert decode_batch(encode_batch(gpsis)) == gpsis
+        columns = pack_gpsis(gpsis)
+        assert unpack_gpsis(columns) == gpsis
+        assert encoded_size_batch(columns) == sum(map(encoded_size, gpsis))
 
     def test_pattern_too_large_rejected(self):
         g = Gpsi(tuple(range(0xFF)), 0, 0)
         with pytest.raises(CodecError):
-            encode_batch([g])
+            encode_gpsi(g)
 
     @given(gpsi_batches())
     def test_roundtrip_property(self, batch):
+        """Through pickle, the codec of a process lane's frames."""
         gpsis, k = batch
-        assert decode_batch(encode_batch(gpsis, k)) == gpsis
+        columns = pickle.loads(pickle.dumps(pack_gpsis(gpsis, k)))
+        assert unpack_gpsis(columns) == gpsis
 
     @given(gpsi_batches())
     def test_pack_unpack_property(self, batch):
@@ -214,9 +226,10 @@ class TestBatchRoundTrip:
 
     @given(gpsi_batches())
     def test_batch_encoded_size_is_exact(self, batch):
+        """The engine's wire bytes are the packed buffers, exactly."""
         gpsis, k = batch
         columns = pack_gpsis(gpsis, k)
-        assert len(encode_columns(columns)) == batch_encoded_size(len(gpsis), k)
+        assert columns.nbytes == len(gpsis) * row_bytes(k)
 
     @given(gpsi_batches())
     def test_encoded_size_batch_independent_of_next(self, batch):
@@ -237,81 +250,14 @@ class TestBatchRoundTrip:
 
     @given(st.lists(valid_gpsis(k=4, max_id=500), min_size=1, max_size=30))
     def test_columnar_vs_scalar_bytes_per_gpsi(self, gpsis):
-        """Cross-check the two layouts' wire volume on random Gpsis: the
-        columnar format is fixed-width (8k + 4*words + 1 per instance plus
-        one 8-byte header per batch), the scalar codec varint-compressed;
-        for small ids scalar stays below fixed-width, and both accountings
-        must be internally exact."""
+        """Cross-check the two accountings on random Gpsis: the packed
+        columns are fixed-width (8k + 4*words + 1 per instance), the
+        scalar codec varint-compressed; for small ids scalar stays below
+        fixed-width, and both must be internally exact."""
         columns = pack_gpsis(gpsis)
         n, k = len(gpsis), 4
-        columnar = batch_encoded_size(n, k)
+        columnar = columns.nbytes
         scalar = encoded_size_batch(columns)
-        assert columnar == 8 + n * (8 * k + 4 + 1)
+        assert columnar == n * (8 * k + 4 + 1)
         assert scalar == sum(len(encode_gpsi(g)) for g in gpsis)
         assert scalar <= columnar
-
-
-class TestBatchValidation:
-    def _data(self):
-        return bytearray(
-            encode_batch([Gpsi((3, UNMAPPED), 0b01, 1), Gpsi((4, 5), 0b11, -1)])
-        )
-
-    def test_truncated_header(self):
-        with pytest.raises(CodecError):
-            decode_columns(b"GC\x01")
-
-    def test_bad_magic(self):
-        data = self._data()
-        data[0] = ord("X")
-        with pytest.raises(CodecError):
-            decode_columns(bytes(data))
-
-    def test_bad_version(self):
-        data = self._data()
-        data[2] = 99
-        with pytest.raises(CodecError):
-            decode_columns(bytes(data))
-
-    def test_length_mismatch(self):
-        data = self._data()
-        with pytest.raises(CodecError):
-            decode_columns(bytes(data[:-1]))
-        with pytest.raises(CodecError):
-            decode_columns(bytes(data) + b"\x00")
-
-    def test_next_vertex_out_of_range(self):
-        columns = GpsiColumns(
-            np.array([[1, 2]], dtype=np.int64),
-            np.array([[0]], dtype=np.uint32),
-            np.array([2], dtype=np.uint8),  # |Vp| is 2, 0xFF would be unset
-        )
-        with pytest.raises(CodecError):
-            decode_columns(encode_columns(columns))
-
-    def test_mapping_below_unmapped(self):
-        columns = GpsiColumns(
-            np.array([[-2, 0]], dtype=np.int64),
-            np.array([[0]], dtype=np.uint32),
-            np.array([0], dtype=np.uint8),
-        )
-        with pytest.raises(CodecError):
-            decode_columns(encode_columns(columns))
-
-    def test_black_mask_too_wide(self):
-        columns = GpsiColumns(
-            np.array([[1, 2]], dtype=np.int64),
-            np.array([[0b100]], dtype=np.uint32),  # bit 2 for |Vp|=2
-            np.array([0], dtype=np.uint8),
-        )
-        with pytest.raises(CodecError):
-            decode_columns(encode_columns(columns))
-
-    def test_black_unmapped_inconsistency(self):
-        columns = GpsiColumns(
-            np.array([[UNMAPPED, 2]], dtype=np.int64),
-            np.array([[0b01]], dtype=np.uint32),  # BLACK v1 but unmapped
-            np.array([1], dtype=np.uint8),
-        )
-        with pytest.raises(CodecError):
-            decode_columns(encode_columns(columns))

@@ -242,6 +242,8 @@ class TestOverrideNames:
             (["--kernel", "native"], "unrecognized arguments"),
             (["--steal"], "unrecognized arguments"),
             (["--steal-tasks", "8"], "unrecognized arguments"),
+            (["--spill-dir", "x"], "unrecognized arguments"),
+            (["--memory-watermark-bytes", "1"], "unrecognized arguments"),
             (["--backend", "thread"], "invalid choice: 'thread'"),
             (["--backend", "gpu-cluster"], "invalid choice: 'gpu-cluster'"),
         ):

@@ -21,18 +21,18 @@ def g(dest):
 
 class TestMessageStoreCountInvariant:
     def test_count_tracks_takes_through_merge_cycle(self):
-        """``len(store)`` counts every merged row across senders and
-        chunks, and delivery hands out exactly those rows — senders in
-        worker-id order, each sender's chunks in ``seq`` order."""
+        """``len(store)`` counts every merged row across senders, and
+        delivery hands out exactly those rows — senders in worker-id
+        order, whatever order their outboxes arrived in."""
         store = ChunkedColumnarStore(np.zeros(40, dtype=np.int64), 1)
-        store.merge_chunk(0, 0, _cols(2, base=10))
-        store.merge_chunk(1, 0, _cols(3, base=20))
-        store.merge_chunk(0, 1, _cols(1, base=30))
+        store.merge_chunk(0, _cols(2, base=10))
+        store.merge_chunk(2, _cols(1, base=30))
+        store.merge_chunk(1, _cols(3, base=20))
         assert len(store) == 6
         assert store.wire_bytes == 6 * _cols(1).nbytes
         batch = store.build_worker_batches()[0]
         assert len(batch.columns) == 6
-        assert batch.vertices.tolist() == [10, 11, 30, 20, 21, 22]
+        assert batch.vertices.tolist() == [10, 11, 20, 21, 22, 30]
 
 
 class TestColumnarOutboxWatermarks:

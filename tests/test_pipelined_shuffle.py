@@ -2,13 +2,12 @@
 
 Every worker's outbox crosses the barrier whole, as its one chunk; the
 pipelined schedule that streamed watermark-sized chunks mid-compute is
-retired (the file keeps its name and test ids).  The barrier store still
-takes ``(sender, seq)``-tagged chunks in any arrival order — spill
-re-maps its chunks under the same tag — and must deliver as if every
-sender's outbox had arrived whole, in worker-id order.  These tests pin
-the store's surface (ordering, accounting, loud failure on
-gaps/duplicates), the refusal of the retired knobs, and the barrier
-trace.  End-to-end parity against the reference oracle is
+retired (the file keeps its name and test ids).  The barrier store
+takes one outbox per sender, in any arrival order, and must deliver
+them in worker-id order.  These tests pin the store's surface
+(ordering, accounting, loud failure on a second outbox from one sender
+or one after the barrier closed), the refusal of the retired knobs, and
+the barrier trace.  End-to-end parity against the reference oracle is
 ``tests/test_plane_parity.py``.
 """
 
@@ -82,19 +81,11 @@ def outbox_batches():
     )
 
 
-def split_rows(whole, size):
-    """Slice a packed outbox into ``size``-row chunks, in send order."""
-    return [
-        whole.take(np.arange(start, min(start + size, len(whole))))
-        for start in range(0, len(whole), size)
-    ]
-
-
 OWNERS = np.zeros(10, dtype=np.int64)
 OWNERS[5] = 1  # v5 on worker 1; v2, v9 on worker 0
 
-#: What the two outboxes must deliver, whatever the chunking: per worker,
-#: vertices in first-send order (worker 0's sends precede worker 1's),
+#: What the two outboxes must deliver, whatever their arrival order: per
+#: worker, vertices in first-send order (worker 0's sends precede worker 1's),
 #: each vertex's payloads in send order.
 EXPECTED = [
     [(2, [g(2, 1), g(2, 3)]), (9, [g(9, 4)])],
@@ -127,30 +118,28 @@ class TestChunkedStoreSemantics:
     def test_one_chunk_per_sender_is_the_strict_schedule(self):
         b0, b1 = outbox_batches()
         store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, 0, b0)
-        store.merge_chunk(1, 0, b1)
+        store.merge_chunk(0, b0)
+        store.merge_chunk(1, b1)
         assert delivered(store) == EXPECTED
         assert len(store) == 6 and store.chunks_merged == 2
         assert store.wire_bytes == b0.nbytes + b1.nbytes
 
     def test_out_of_order_chunks_deliver_in_worker_id_order(self):
-        """Chunks arriving in scrambled (sender, seq) order must deliver
-        exactly what whole outboxes merged in worker-id order deliver."""
+        """Outboxes arriving in reverse worker order (a lane that
+        answered first) deliver exactly what worker-id order delivers."""
         b0, b1 = outbox_batches()
-        chunks = [(0, i, c) for i, c in enumerate(split_rows(b0, 1))]
-        chunks += [(1, i, c) for i, c in enumerate(split_rows(b1, 2))]
         store = ChunkedColumnarStore(OWNERS, 2)
-        for sender, seq, chunk in reversed(chunks):  # worst-case arrival
-            store.merge_chunk(sender, seq, chunk)
+        store.merge_chunk(1, b1)
+        store.merge_chunk(0, b0)
         assert len(store) == 6
         assert store.wire_bytes == b0.nbytes + b1.nbytes
-        assert store.max_chunk_bytes == split_rows(b1, 2)[0].nbytes
+        assert store.max_chunk_bytes == b1.nbytes
         assert delivered(store) == EXPECTED
 
     def test_workers_without_messages_get_falsy_batches(self):
         b0, _ = outbox_batches()
         store = ChunkedColumnarStore(OWNERS, 3)
-        store.merge_chunk(0, 0, b0)
+        store.merge_chunk(0, b0)
         batches = store.build_worker_batches()
         assert batches[2] == []
         assert [len(b) for b in batches[:2]] == [1, 1]  # v2 | v5
@@ -165,39 +154,34 @@ class TestChunkedStoreSemantics:
         assert b0.nbytes == len(b0) * (8 * 3 + 4 + 1)
 
     def test_duplicate_seq_rejected(self):
+        """A sender ships one outbox per superstep: a second is refused."""
         b0, _ = outbox_batches()
         store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, 0, b0)
-        with pytest.raises(EngineError, match="duplicate"):
-            store.merge_chunk(0, 0, b0)
-
-    def test_seq_gap_fails_at_finalize(self):
-        b0, _ = outbox_batches()
-        store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, 0, b0)
-        store.merge_chunk(0, 2, b0)  # seq 1 never arrives
-        with pytest.raises(EngineError, match="gaps"):
-            store.finalize()
+        store.merge_chunk(0, b0)
+        with pytest.raises(EngineError, match="duplicate outbox from worker 0"):
+            store.merge_chunk(0, b0)
 
     def test_chunk_after_finalize_rejected(self):
-        b0, _ = outbox_batches()
+        b0, b1 = outbox_batches()
         store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, 0, b0)
+        store.merge_chunk(0, b0)
         store.finalize()
         with pytest.raises(EngineError, match="finalized"):
-            store.merge_chunk(0, 1, b0)
+            store.merge_chunk(1, b1)
 
     def test_empty_chunk_counts_toward_sequence_only(self):
-        """An empty chunk must keep the seq contiguous without adding
-        rows, bytes, or activating anything."""
-        b0, _ = outbox_batches()
+        """An empty outbox adds no rows, bytes or merged chunk, yet it is
+        its sender's one outbox: a second from that sender is refused."""
+        _, b1 = outbox_batches()
         store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, 0, batch())
-        store.merge_chunk(0, 1, b0)
+        store.merge_chunk(0, batch())
+        store.merge_chunk(1, b1)
+        with pytest.raises(EngineError, match="duplicate outbox"):
+            store.merge_chunk(0, b1)
         store.finalize()
-        assert len(store) == len(b0)
+        assert len(store) == len(b1)
         assert store.chunks_merged == 1
-        assert store.wire_bytes == b0.nbytes
+        assert store.wire_bytes == b1.nbytes
 
 
 class TestChunkTraceEvents:

@@ -5,9 +5,9 @@ barrier store, ``expand_columns``, ``choose_many``.  The paper's own
 statement of the job — one ``Gpsi`` object per message, scalar
 ``expand_gpsi`` and ``choose`` — is not a second plane but the oracle,
 :func:`repro.core.reference.run_reference`.  The engine has one delivery
-schedule (each outbox crosses the barrier whole), a storage policy
-(spill off / forced) and a backend, and none of them may change *what* a
-run computes.  This file
+schedule (each outbox crosses the barrier whole) and a backend, reads
+its graph from memory or from a memory-mapped ``.csrbin``, and none of
+them may change *what* a run computes.  This file
 pins that in one place: every engine configuration against the oracle —
 counts, instances, probe statistics, per-worker ledgers (which pin the
 RNG-dependent routing step by step) — and the exact wire bytes across
@@ -17,6 +17,7 @@ Also here: the engine's one payload (self-addressed packed columns, no
 ``Gpsi`` object, exact wire bytes) and the plane guards.
 """
 
+import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -24,6 +25,7 @@ import pytest
 from repro.bsp import ExecutionConfig
 from repro.core import Gpsi, PSgL
 from repro.exceptions import EngineError
+from repro.graph.binfmt import load_mapped, write_csrbin
 from repro.graph.generators import chung_lu_power_law, erdos_renyi
 from repro.obs import Tracer
 from repro.pattern import paper_patterns
@@ -46,6 +48,12 @@ GRAPHS = {
 #: worker's outbox crossed the barrier whole.
 SCHEDULES = ["strict", "pipelined"]
 
+#: The graph axis keeps the ids of the storage axis it replaced.
+#: ``spill`` named the retired spill plane: its legs ask for it, are
+#: refused with the retired hint, then run on the oracle's graph written
+#: to ``.csrbin`` and memory-mapped back, the out-of-core graph.
+STORAGE_IDS = ["memory", "spill"]
+
 
 @lru_cache(maxsize=None)
 def reference(pattern_name, graph="er", strategy="WA,0.5"):
@@ -65,7 +73,7 @@ def wire_bytes(result):
     return [step.worker_wire_bytes for step in result.ledger.steps]
 
 
-def production_config(backend, spill, tmp_path):
+def production_config(backend):
     """``backend``'s leg.  The backend axis keeps its ``thread`` id: the
     thread backend is retired, so a ``thread`` leg asks for it, is
     refused with the retired hint, then runs on three process lanes — a
@@ -77,10 +85,18 @@ def production_config(backend, spill, tmp_path):
         kwargs = dict(backend="process", procs=3)
     elif backend != "serial":
         kwargs["procs"] = 2
-    if spill:
-        # Watermark of one byte: every sealed chunk goes through disk.
-        kwargs.update(spill_dir=str(tmp_path), memory_watermark_bytes=1)
     return ExecutionConfig(**kwargs)
+
+
+def mapped(reference, tmp_path):
+    """``reference`` with its graph written to ``.csrbin`` and opened
+    back as memory-mapped views: a run on it must equal the oracle's run
+    on the in-memory graph."""
+    with pytest.raises(EngineError, match="spill plane is retired"):
+        ExecutionConfig().with_overrides(spill_dir=str(tmp_path))
+    path = tmp_path / "graph.csrbin"
+    write_csrbin(reference.graph, path)
+    return dataclasses.replace(reference, graph=load_mapped(path))
 
 
 def run_schedule(schedule, config, reference):
@@ -99,22 +115,19 @@ def run_schedule(schedule, config, reference):
 class TestReferenceVsProduction:
     """Every engine configuration against the oracle."""
 
-    @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spill"])
+    @pytest.mark.parametrize("on_disk", [False, True], ids=STORAGE_IDS)
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("pattern_name", sorted(paper_patterns()))
-    def test_matrix(self, pattern_name, backend, schedule, spill, tmp_path):
-        result = run_schedule(
-            schedule,
-            production_config(backend, spill, tmp_path),
-            reference(pattern_name),
-        )
+    def test_matrix(self, pattern_name, backend, schedule, on_disk, tmp_path):
+        oracle = reference(pattern_name)
+        if on_disk:
+            oracle = mapped(oracle, tmp_path)
+            assert oracle.graph.mmap_spec is not None
+        result = run_schedule(schedule, production_config(backend), oracle)
         assert wire_bytes(result) == wire_bytes(
             production_baseline(pattern_name)
         )
-        if spill:
-            assert result.ledger.spill_chunks >= 1
-            assert list(tmp_path.iterdir()) == []  # cleaned up
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("strategy", ["random", "roulette", "WA,0"])
@@ -123,7 +136,7 @@ class TestReferenceVsProduction:
         """Each strategy's ``choose_many`` must replay its scalar
         ``choose`` RNG stream draw for draw."""
         assert_equivalent(
-            production_config(backend, False, None),
+            production_config(backend),
             reference(pattern_name, "powerlaw", strategy),
         )
 
@@ -185,7 +198,7 @@ class TestOnePayload:
 
         monkeypatch.setattr(Gpsi, "__init__", refuse)
         assert_equivalent(
-            production_config(backend, False, None), expected
+            production_config(backend), expected
         )
 
     @pytest.mark.parametrize("pattern_name", ["PG1", "PG2", "PG4", "PG5"])
@@ -210,7 +223,7 @@ class TestPlaneGuards:
         [
             (dict(shuffle="pipelined"), "ships each outbox whole"),
             (dict(steal=True), "work stealing is retired"),
-            (dict(spill_dir="unused", memory_watermark_bytes=1), "wire='columnar'"),
+            (dict(spill_dir="unused"), "spill plane is retired"),
         ],
         ids=["pipelined", "steal", "spill"],
     )
@@ -218,5 +231,6 @@ class TestPlaneGuards:
         """The reference plane is no longer selectable: naming it is an
         unknown wire whatever else is asked for, and the refusal points
         at the one plane.  A retired field beside it is refused first,
-        by name, pointing at the one schedule or the one pool."""
+        by name, pointing at the one schedule, the one pool or the
+        retired spill plane."""
         assert_illegal(dict(wire="object", **kwargs), match)

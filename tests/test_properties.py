@@ -107,9 +107,8 @@ class TestExactOnceEnumeration:
 @st.composite
 def legal_execution_kwargs(draw):
     """A legal ``ExecutionConfig``, as keyword arguments, drawn over
-    every field (``spill_dir`` is a placeholder the test points at a
-    real directory).  Process legs are a sixth of the draws: each forks
-    its lanes."""
+    every field.  Process legs are a sixth of the draws: each forks its
+    lanes."""
     backend = draw(st.sampled_from(["serial"] * 5 + ["process"]))
     kwargs = dict(
         backend=backend,
@@ -123,11 +122,6 @@ def legal_execution_kwargs(draw):
         superstep_budget=draw(st.sampled_from([None, 50])),
         wall_budget_seconds=draw(st.sampled_from([None, 600.0])),
     )
-    if draw(st.booleans()):
-        kwargs["spill_dir"] = "<tmp>"
-        kwargs["memory_watermark_bytes"] = draw(
-            st.sampled_from([1, 512, 1 << 30])
-        )
     return kwargs
 
 
@@ -143,8 +137,7 @@ class TestAnyLegalConfigurationIsEquivalent:
         drawable = {
             "backend", "procs", "wire", "memory_budget",
             "worker_memory_budget", "max_supersteps", "superstep_budget",
-            "wall_budget_seconds", "spill_dir",
-            "memory_watermark_bytes",
+            "wall_budget_seconds",
         }
         assert drawable == {
             spec.name for spec in dataclasses.fields(ExecutionConfig)
@@ -159,10 +152,8 @@ class TestAnyLegalConfigurationIsEquivalent:
         legal_execution_kwargs(),
     )
     def test_drawn_config_matches_reference_and_oracle(
-        self, tmp_path_factory, graph, pattern_name, workers, seed, kwargs
+        self, graph, pattern_name, workers, seed, kwargs
     ):
-        if "spill_dir" in kwargs:
-            kwargs["spill_dir"] = str(tmp_path_factory.mktemp("spill"))
         reference = reference_run(
             graph, pattern_name, num_workers=workers, seed=seed
         )

@@ -155,7 +155,7 @@ class TestMessageStoreBatches:
         outbox.append(payload_columns([2, 1], [10, 11]))
         outbox.append(payload_columns([2], [12]))
         merged = self.store()
-        merged.merge_chunk(0, 0, outbox.to_columns())
+        merged.merge_chunk(0, outbox.to_columns())
         assert len(merged) == 3
         batch = merged.build_worker_batches()[0]
         assert batch.vertices.tolist() == [2, 1]
@@ -164,8 +164,8 @@ class TestMessageStoreBatches:
     def test_merge_preserves_worker_order(self):
         # Worker 1's chunk arrives first; delivery is still worker order.
         merged = self.store()
-        merged.merge_chunk(1, 0, payload_columns([5, 6], [20, 21]))
-        merged.merge_chunk(0, 0, payload_columns([5], [10]))
+        merged.merge_chunk(1, payload_columns([5, 6], [20, 21]))
+        merged.merge_chunk(0, payload_columns([5], [10]))
         batch = merged.build_worker_batches()[0]
         assert batch.vertices.tolist() == [5, 6]
         assert batch.columns.mapping[:, 1].tolist() == [10, 20, 21]

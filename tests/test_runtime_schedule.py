@@ -7,7 +7,7 @@ file pins that shape (so a second loop or a thread pool cannot quietly
 grow back in a backend), proves a backend written against the hooks
 alone inherits the schedule bit-identically, and checks that a failure
 — at set-up or mid-superstep — propagates as itself and leaves no
-thread, child process, ``/dev/shm`` block or spill directory behind.
+thread, child process or ``/dev/shm`` block behind.
 
 Every outbox crosses the barrier whole, and a superstep's units are
 dealt to the lanes whole: the pipelined schedule that streamed chunks
@@ -15,7 +15,7 @@ mid-compute, the work-stealing schedule and the thread backend are
 retired.  Their legs keep their ids where a behaviour is left to check:
 each first pins that the retired name is refused, then runs what its
 sibling leg does not (a ``thread`` fault leg runs serial beside
-process, a ``pipelined`` one spills every chunk beside none).  Lanes
+process, a ``pipelined`` one is traced beside an untraced one).  Lanes
 start one way, by ``os.fork``: the ``[fork]`` legs keep the ids they had
 beside the retired spawn legs.
 """
@@ -129,12 +129,12 @@ class TestOneSchedule:
             assert methods <= allowed, (cls.__name__, methods - allowed)
             assert "_run" in methods, cls.__name__
 
-    @pytest.mark.parametrize("storage", ["static", "spilled"])
+    @pytest.mark.parametrize("storage", ["static"])
     def test_serial_snapshots_the_registry_once_per_superstep(
-        self, monkeypatch, tmp_path, storage
+        self, monkeypatch, storage
     ):
-        """Once per superstep, whether the barrier keeps every chunk in
-        memory or spills every one."""
+        """Once per superstep (the barrier keeps every outbox in memory;
+        ``static`` is the id this leg had beside the retired spill leg)."""
         calls = []
         original = AggregatorRegistry.snapshot
 
@@ -143,12 +143,7 @@ class TestOneSchedule:
             return original(self)
 
         monkeypatch.setattr(AggregatorRegistry, "snapshot", counting_snapshot)
-        config = ExecutionConfig(backend="serial")
-        if storage == "spilled":
-            config = config.with_overrides(
-                spill_dir=str(tmp_path), memory_watermark_bytes=1
-            )
-        result = assert_equivalent(config, reference())
+        result = assert_equivalent(ExecutionConfig(backend="serial"), reference())
         assert len(calls) == result.supersteps
 
 
@@ -337,13 +332,13 @@ class TestFaults:
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc"
     )
-    def test_failed_start_is_torn_down_like_any_fault(self, monkeypatch, tmp_path):
+    def test_failed_start_is_torn_down_like_any_fault(self, monkeypatch):
         """Regression: a lane that could not start — ``os.fork`` failing
         with ``EAGAIN`` under a pid limit, ``os.pipe`` with ``EMFILE`` —
         escaped as a raw ``OSError``, which ``psgl count`` reports as a
         bad path (exit 4).  Now it is an ``EngineError`` naming the lane,
-        and the lane that did start, every pipe end and the spill
-        directory are torn down as after any other fault."""
+        and the lane that did start and every pipe end are torn down as
+        after any other fault."""
         real_fork, forks = os.fork, []
 
         def second_fork_fails():
@@ -360,8 +355,6 @@ class TestFaults:
             hash_partition(GRAPH.num_vertices, 4),
             backend="process",
             procs=3,
-            spill_dir=str(tmp_path),
-            memory_watermark_bytes=1,
             trace=tracer,
         )
         monkeypatch.setattr(os, "fork", second_fork_fails)
@@ -370,7 +363,6 @@ class TestFaults:
         monkeypatch.undo()
         assert len(forks) == 2
         assert (leftovers(), os.listdir("/proc/self/fd"), children()) == before
-        assert list(tmp_path.iterdir()) == []
         assert program.torn_down
         assert tracer.by_kind("job")[-1].data["status"] == "EngineError"
 
@@ -398,25 +390,20 @@ class TestFaults:
         ],
         ids=["pickle", "unpickle"],
     )
-    def test_a_reply_the_lane_codec_refuses_is_a_typed_error(
-        self, tmp_path, fault, error
-    ):
+    def test_a_reply_the_lane_codec_refuses_is_a_typed_error(self, fault, error):
         """A child lane's reply that does not pickle there, or does not
         unpickle on the driver, is an ``EngineError`` naming the lane,
-        and leaves no child, descriptor or spill entry behind."""
+        and leaves no child or descriptor behind."""
         before = leftovers(), os.listdir("/proc/self/fd"), children()
         engine = BSPEngine(
             GRAPH,
             hash_partition(GRAPH.num_vertices, 4),
             backend="process",
             procs=2,
-            spill_dir=str(tmp_path),
-            memory_watermark_bytes=1,
         )
         with pytest.raises(EngineError, match=error):
             engine.run(ChildFault(fault))
         assert (leftovers(), os.listdir("/proc/self/fd"), children()) == before
-        assert list(tmp_path.iterdir()) == []
 
     def test_lost_chunk_is_a_typed_error(self, monkeypatch):
         """A worker's outbox lost on its way into the barrier store is an
@@ -424,9 +411,9 @@ class TestFaults:
         wrong count — and the lanes are torn down as after any fault."""
         merge = ChunkedColumnarStore.merge_chunk
 
-        def losing(store, sender, seq, columns):
+        def losing(store, sender, columns):
             if sender != 1:
-                merge(store, sender, seq, columns)
+                merge(store, sender, columns)
 
         monkeypatch.setattr(ChunkedColumnarStore, "merge_chunk", losing)
         before = leftovers()
@@ -438,14 +425,12 @@ class TestFaults:
 
     @pytest.mark.parametrize("schedule", ["steal", "pipelined"])
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_compute_failure_mid_superstep(
-        self, monkeypatch, tmp_path, backend, schedule
-    ):
+    def test_compute_failure_mid_superstep(self, monkeypatch, backend, schedule):
         """A unit that raises mid-superstep propagates as itself.  The
         retired names keep their legs: ``thread`` is refused, then runs
         serial, where the unit's own exception re-raises; ``steal`` is
-        refused, then runs in memory, and ``pipelined`` spills every
-        chunk, so no spill file outlives the failure either."""
+        refused, then runs untraced, and ``pipelined`` runs traced, so
+        the trace's ``job`` event records the failure."""
         expected = reference()  # computed before anything is patched
         real_compute = PSgLProgram.compute_columns
 
@@ -464,19 +449,17 @@ class TestFaults:
         config = config.with_overrides(
             backend="serial" if backend == "thread" else backend
         )
-        if schedule == "pipelined":
-            config = config.with_overrides(
-                spill_dir=str(tmp_path), memory_watermark_bytes=1
-            )
+        tracer = Tracer() if schedule == "pipelined" else None
         # Patched before the lanes fork, so children inherit it.
         monkeypatch.setattr(PSgLProgram, "compute_columns", exploding)
         before = leftovers()
         with pytest.raises(
             ValueError, match="injected mid-superstep failure"
         ) as raised:
-            assert_equivalent(config, expected)
+            assert_equivalent(config, expected, trace=tracer)
         assert leftovers() == before
-        assert list(tmp_path.iterdir()) == []
+        if tracer is not None:
+            assert tracer.by_kind("job")[-1].data["status"] == "ValueError"
         if backend == "thread":
             # Serial keeps the failure's frames: it raised where it ran.
             tb = raised.value.__traceback__

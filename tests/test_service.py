@@ -131,27 +131,26 @@ class TestSpecValidation:
         named = client.count(pattern="PG1", seed=902, wire="columnar")
         assert named["result"]["count"] == default["result"]["count"]
 
-    def test_plane_legality_is_the_engines_rule(self, service_pair, tmp_path):
+    def test_plane_legality_is_the_engines_rule(self, service_pair):
         """The service re-derives nothing: an unknown plane — the scalar
-        reference included — is the engine's error, surfaced as a 400."""
+        reference included — is the engine's error, surfaced as a 400,
+        and so is a retired spill field, with the config's hint."""
         client, _ = service_pair
         with pytest.raises(QuerySpecError, match="unknown wire"):
             client.submit(pattern="PG1", wire="quantum")
         with pytest.raises(QuerySpecError, match="unknown wire 'object'"):
             client.submit(pattern="PG1", wire="object", backend="process")
-        spilling = SubgraphService(
-            GraphContext(complete_graph(5)),
-            spill_dir=str(tmp_path),
-            memory_watermark_bytes=1,
-        )
+        service = SubgraphService(GraphContext(complete_graph(5)))
         try:
             with pytest.raises(QuerySpecError, match="unknown wire 'object'"):
-                spilling.submit({"pattern": "PG1", "wire": "object"})
-            job, cached = spilling.submit({"pattern": "PG1"})
+                service.submit({"pattern": "PG1", "wire": "object"})
+            with pytest.raises(QuerySpecError, match="spill plane is retired"):
+                service.submit({"pattern": "PG1", "spill_dir": "/unused"})
+            job, cached = service.submit({"pattern": "PG1"})
             assert not cached
-            assert spilling.manager.wait(job.id, 10.0).result["count"] == 10
+            assert service.manager.wait(job.id, 10.0).result["count"] == 10
         finally:
-            spilling.close()
+            service.close()
 
     @pytest.mark.parametrize(
         "field,value",

@@ -1,52 +1,53 @@
-"""Tests for the out-of-core spill plane of the columnar shuffle.
+"""The spill plane is retired: one in-memory barrier store.
 
-The contract under test is the one ``docs/scale.md`` promises: setting
-``spill_dir``/``memory_watermark_bytes`` changes *where sealed chunks
-wait* between send and delivery — never what the run computes.  A run
-that spills every chunk (watermark = 1 byte) must be bit-identical to
-the unbounded in-memory run: same count, same instances, same ledger
-summary (the every-backend, both-shuffles sweep of that is part of
-``tests/test_plane_parity.py``).
+The barrier store once evicted sealed chunks to disk past a
+resident-bytes watermark.  Since instances close where they are
+generated and every outbox crosses the barrier whole, the store is no
+longer where a job's memory goes, and spilling raised the peak instead
+of bounding it (``docs/perf.md``, "Spill plane").  So the plane is gone:
+``spill_dir`` and ``memory_watermark_bytes`` are refused by name on
+every surface, the store takes one outbox per sender, and the columnar
+byte codec that only spill files used is deleted.
 
-Also covered: the spill observability surface (``chunk_spill``/
-``chunk_map`` trace events, ledger counters, the straggler report
-line), knob validation, cleanup of spill files, and the mid-run
-deletion failure mode (a vanished spill file must surface as a clean
-:class:`~repro.exceptions.EngineError`).
+This file keeps the spill plane's test ids where a behaviour is left to
+check — the refusals, a trace and a ledger with no spill in them, the
+store's one outbox per sender — and the out-of-core half that stays:
+a memory-mapped ``.csrbin`` graph lists what the in-memory graph lists.
 """
 
+import importlib
+import inspect
+import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.bsp import ExecutionConfig
-from repro.bsp.spill import SpillManager, SpillRef
-from repro.core import GpsiColumns, PSgL
-from repro.core.codec import encode_columns
+import repro.core
+import repro.core.codec
+from repro.bsp import ChunkedColumnarStore
+from repro.cli import main
+from repro.core import PSgL
 from repro.exceptions import EngineError
-from repro.graph import Graph, Partition
+from repro.graph import Graph, Partition, complete_graph
 from repro.graph.generators import erdos_renyi, rmat
 from repro.obs import Tracer, straggler_report
 from repro.pattern import paper_patterns
+from repro.service import running_service
 
-from .parity import assert_equivalent, assert_illegal, reference_run
+from .parity import assert_illegal, assert_outboxes_cross_whole, reference_run
 
 GRAPH = erdos_renyi(30, 0.22, seed=11)
 PATTERN = paper_patterns()["PG2"]
 
+#: The refusal's hint, as every surface words it.
+RETIRED = r"not an execution field \(the spill plane is retired"
 
-def run_listing(spill_dir, watermark):
-    """One traced spilling run, for the mechanism tests."""
+
+def run_traced():
+    """One traced run, for the trace and ledger tests."""
     tracer = Tracer()
-    result = PSgL(
-        GRAPH,
-        num_workers=4,
-        seed=3,
-        spill_dir=str(spill_dir),
-        memory_watermark_bytes=watermark,
-        trace=tracer,
-    ).run(PATTERN)
+    result = PSgL(GRAPH, num_workers=4, seed=3, trace=tracer).run(PATTERN)
     return result, tracer
 
 
@@ -55,42 +56,25 @@ def reference():
     return reference_run(GRAPH, "PG2", seed=3)
 
 
-class TestSpillParity:
-    """Forced spill (watermark = 1 byte) on every backend and shuffle is
-    part of the plane matrix in ``tests/test_plane_parity.py``; this
-    keeps the partial regime."""
-
-    def test_intermediate_watermark(self, tmp_path, reference):
-        """A watermark between 0 and the peak spills some chunks but not
-        all — the partial regime must be as exact as the total one."""
-        assert_equivalent(
-            ExecutionConfig(
-                spill_dir=str(tmp_path), memory_watermark_bytes=64 * 1024
-            ),
-            reference,
-        )
-
-
 class TestSpillObservability:
-    def test_events_and_ledger_agree(self, tmp_path):
-        result, tracer = run_listing(tmp_path, 1)
-        spills = tracer.by_kind("chunk_spill")
-        maps = tracer.by_kind("chunk_map")
-        assert len(spills) == result.ledger.spill_chunks
-        assert len(maps) == result.ledger.spill_chunks_mapped
-        # every spilled chunk is re-mapped exactly once
-        assert len(maps) == len(spills)
-        assert result.ledger.spill_bytes == sum(
-            e.data["bytes"] for e in spills
-        )
-        assert result.ledger.spill_bytes_mapped == result.ledger.spill_bytes
+    """A trace and a ledger carry no spill: no event kind, no barrier
+    field, no counter, no report line."""
 
-    def test_spill_events_name_the_sending_worker(self, tmp_path):
-        """Regression: under strict shuffle a spilled chunk used to be
-        tagged with its *arrival slot*, so once an earlier worker's
-        outbox was empty every later event named the wrong worker.
-        Worker 0 owns only isolated vertices here — it never sends —
-        and a 1-byte watermark spills every chunk of workers 1..3."""
+    def test_events_and_ledger_agree(self):
+        """The barrier events' bytes are the ledger's wire bytes."""
+        result, tracer = run_traced()
+        barriers = tracer.by_kind("barrier")
+        assert sum(e.data["wire_bytes"] for e in barriers) == (
+            result.ledger.total_wire_bytes()
+        )
+        assert max(e.data["live_messages"] for e in barriers) == (
+            result.ledger.peak_live_messages
+        )
+
+    def test_spill_events_name_the_sending_worker(self):
+        """The store is keyed by sender: worker 0 owns only isolated
+        vertices here and never sends, and every barrier merged exactly
+        one outbox per worker that did."""
         n = GRAPH.num_vertices
         graph = Graph(n + 4, list(GRAPH.edges()))
         owner = np.concatenate([1 + np.arange(n) % 3, np.zeros(4, dtype=np.int64)])
@@ -100,132 +84,94 @@ class TestSpillObservability:
             num_workers=4,
             partition=Partition(owner, 4),
             seed=3,
-            spill_dir=str(tmp_path),
-            memory_watermark_bytes=1,
             trace=tracer,
         ).run(PATTERN)
         assert result.count == PSgL(GRAPH, num_workers=4, seed=3).run(PATTERN).count
-        senders = {
-            (e.superstep, e.worker)
-            for e in tracer.by_kind("worker")
-            if e.data["messages"]
-        }
-        assert {w for _, w in senders} == {1, 2, 3}
-        for kind in ("chunk_spill", "chunk_map"):
-            events = tracer.by_kind(kind)
-            assert {(e.superstep, e.worker) for e in events} == senders
-            assert all(e.data["seq"] == 0 for e in events)
+        senders = {e.worker for e in tracer.by_kind("worker") if e.data["messages"]}
+        assert senders == {1, 2, 3}
+        assert_outboxes_cross_whole(tracer, result)
 
-    def test_summary_excludes_spill_counters(self, tmp_path, reference):
-        """summary() must not leak spill volume, or parity comparisons
-        between spilled and in-memory runs would break by design."""
-        result, _ = run_listing(tmp_path, 1)
-        assert result.ledger.spill_chunks > 0
+    def test_summary_excludes_spill_counters(self, reference):
+        result, _ = run_traced()
+        assert not [name for name in vars(result.ledger) if "spill" in name]
         assert result.ledger.summary() == reference.result.ledger.summary()
 
-    def test_straggler_report_mentions_spill(self, tmp_path):
-        _, tracer = run_listing(tmp_path, 1)
-        report = straggler_report(tracer)
-        assert "spill plane" in report
-        assert "re-mapped at delivery" in report
+    def test_no_spill_no_events(self):
+        _, tracer = run_traced()
+        assert not {e.kind for e in tracer.events} & {"chunk_spill", "chunk_map"}
+        assert "memory_watermark_bytes" not in tracer.meta
+        assert "spill" not in straggler_report(tracer)
 
-    def test_no_spill_no_events(self, tmp_path):
-        result, tracer = run_listing(tmp_path, 1 << 40)
-        assert result.ledger.spill_chunks == 0
-        assert not tracer.by_kind("chunk_spill")
-        report = straggler_report(tracer)
-        assert "spill plane" not in report
-
-    def test_barrier_events_carry_deltas(self, tmp_path):
-        _, tracer = run_listing(tmp_path, 1)
-        barrier_totals = sum(
-            e.data.get("spill_chunks", 0) for e in tracer.by_kind("barrier")
-        )
-        assert barrier_totals == len(tracer.by_kind("chunk_spill"))
+    def test_barrier_events_carry_deltas(self):
+        """Each barrier carries its own bytes and chunks, and nothing
+        about a disk."""
+        _, tracer = run_traced()
+        for event in tracer.by_kind("barrier"):
+            assert {"wire_bytes", "chunks", "max_chunk_bytes"} <= set(event.data)
+            assert not [key for key in event.data if "spill" in key]
 
     def test_spill_dir_cleaned_up(self, tmp_path):
-        run_listing(tmp_path, 1)
-        # the private run directory is removed; the parent stays
+        """``PSgL(g, spill_dir=...)`` is refused at construction, naming
+        the retirement, and nothing is created in the directory."""
+        with pytest.raises(EngineError, match=RETIRED):
+            PSgL(GRAPH, num_workers=4, spill_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
 
 class TestKnobValidation:
     def test_spill_dir_alone_rejected(self, tmp_path):
-        assert_illegal(dict(spill_dir=str(tmp_path)), "both or neither")
+        assert_illegal(dict(spill_dir=str(tmp_path)), "unknown spill_dir: " + RETIRED)
 
     def test_watermark_alone_rejected(self):
-        assert_illegal(dict(memory_watermark_bytes=1), "both or neither")
+        assert_illegal(
+            dict(memory_watermark_bytes=1), "unknown memory_watermark_bytes: " + RETIRED
+        )
 
-    def test_object_wire_rejected(self, tmp_path):
+    def test_object_wire_rejected(self):
         # The object plane is gone: naming it is an unknown wire, and
         # the refusal points at the one plane.
-        assert_illegal(
-            dict(wire="object", spill_dir=str(tmp_path), memory_watermark_bytes=1),
-            "wire='columnar'",
-        )
+        assert_illegal(dict(wire="object"), "wire='columnar'")
 
     def test_non_positive_watermark_rejected(self, tmp_path):
+        """A retired field is refused by name before its value is read."""
         assert_illegal(
-            dict(spill_dir=str(tmp_path), memory_watermark_bytes=0), ">= 1"
+            dict(spill_dir=str(tmp_path), memory_watermark_bytes=0),
+            "unknown spill_dir: " + RETIRED,
         )
 
 
-def _sample_columns(n=8, k=4):
-    mapping = np.arange(n * k, dtype=np.int64).reshape(n, k)
-    black = np.ones((n, 1), dtype=np.uint32)
-    next_vertex = np.full(n, 2, dtype=np.uint8)
-    return GpsiColumns(mapping, black, next_vertex)
+class TestOneBarrierStore:
+    def test_the_spill_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.bsp.spill")
 
+    def test_merge_chunk_takes_one_outbox_per_sender(self):
+        parameters = inspect.signature(ChunkedColumnarStore.merge_chunk).parameters
+        assert list(parameters) == ["self", "sender", "columns"]
 
-class TestSpillFileFailures:
-    """Disk-level failures surface as EngineError, not numpy garbage."""
+    def test_the_columnar_byte_codec_is_gone(self):
+        for name in ("encode_columns", "decode_columns", "map_columns",
+                     "encode_batch", "decode_batch", "batch_encoded_size"):
+            assert not hasattr(repro.core.codec, name), name
+            assert name not in repro.core.__all__, name
+        assert hasattr(repro.core.codec, "encoded_size_batch")
 
-    def test_deleted_spill_file_is_engine_error(self, tmp_path):
-        manager = SpillManager(str(tmp_path), watermark_bytes=1)
-        try:
-            spill = manager.for_superstep(0)
-            columns = _sample_columns()
-            ref = spill.spill(0, 0, columns)
-            assert isinstance(ref, SpillRef)
-            os.unlink(spill.path)
-            with pytest.raises(EngineError, match="vanished mid-run"):
-                spill.load(0, 0, ref)
-        finally:
-            manager.close()
+    def test_serve_has_no_spill_flags(self, capsys):
+        for flags in (["--memory-watermark-bytes", "1"], ["--spill-dir", "x"]):
+            with pytest.raises(SystemExit) as refused:
+                main(["serve", "--dataset", "x"] + flags)
+            assert refused.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_truncated_spill_file_is_engine_error(self, tmp_path):
-        manager = SpillManager(str(tmp_path), watermark_bytes=1)
-        try:
-            spill = manager.for_superstep(0)
-            columns = _sample_columns()
-            ref = spill.spill(0, 0, columns)
-            spill.close()  # flush the write handle; the file stays
-            with open(spill.path, "r+b") as fh:
-                fh.truncate(ref.nbytes // 2)
-            with pytest.raises(EngineError, match="truncated mid-run"):
-                spill.load(0, 0, ref)
-        finally:
-            manager.close()
-
-    def test_roundtrip_is_exact(self, tmp_path):
-        manager = SpillManager(str(tmp_path), watermark_bytes=1)
-        try:
-            spill = manager.for_superstep(0)
-            columns = _sample_columns()
-            ref = spill.spill(1, 2, columns)
-            # The record is the encoded columns alone: no dest prefix.
-            assert ref.nbytes == len(encode_columns(columns))
-            got_columns = spill.load(1, 2, ref)
-            np.testing.assert_array_equal(
-                got_columns.destinations(), columns.destinations()
-            )
-            np.testing.assert_array_equal(got_columns.mapping, columns.mapping)
-            np.testing.assert_array_equal(got_columns.black, columns.black)
-            np.testing.assert_array_equal(
-                got_columns.next_vertex, columns.next_vertex
-            )
-        finally:
-            manager.close()
+    def test_post_jobs_refuses_both_fields_by_name(self):
+        with running_service(complete_graph(4)) as (client, _):
+            for name, value in (("spill_dir", "/unused"), ("memory_watermark_bytes", 1)):
+                status, text = client._request(
+                    "POST", "/jobs", {"pattern": "PG1", name: value}
+                )
+                error = json.loads(text)["error"]
+                assert (status, error["type"]) == (400, "QuerySpecError")
+                assert "spill plane is retired" in error["message"]
 
 
 @pytest.mark.skipif(
@@ -234,27 +180,19 @@ class TestSpillFileFailures:
     "set RUN_SCALE18=1 to run (CI smoke covers a smaller scale)",
 )
 def test_scale18_out_of_core_parity(tmp_path):
-    """ISSUE acceptance: PG2 on R-MAT scale 18 via .csrbin + mmap with a
-    sub-footprint watermark spills and still matches in-memory."""
-    from repro.graph import load_mapped, write_edge_list
+    """PG2 on R-MAT scale 18 through an edge list, ``psgl convert``'s
+    ``.csrbin`` and ``load_mapped`` lists exactly what the same edge list
+    read into memory lists."""
+    from repro.graph import load_mapped, read_edge_list, write_edge_list
     from repro.graph.binfmt import convert_edge_list
 
-    graph = rmat(18, avg_degree=8.0, seed=1)
     src = tmp_path / "edges.txt"
-    write_edge_list(graph, src)
+    write_edge_list(rmat(18, avg_degree=8.0, seed=1), src)
     convert_edge_list(src, tmp_path / "g.csrbin")
-    mapped = load_mapped(tmp_path / "g.csrbin")
-    pattern = paper_patterns()["PG2"]
-    ref = PSgL(
-        mapped, num_workers=4, seed=3
-    ).run(pattern)
-    spilled = PSgL(
-        mapped,
-        num_workers=4,
-        seed=3,
-        spill_dir=str(tmp_path / "spill"),
-        memory_watermark_bytes=1 << 20,
-    ).run(pattern)
-    assert spilled.count == ref.count
-    assert spilled.ledger.summary() == ref.ledger.summary()
-    assert spilled.ledger.spill_chunks >= 1
+    mapped = load_mapped(tmp_path / "g.csrbin", verify_checksum=True)
+    graph, _ = read_edge_list(src)
+    assert mapped.mmap_spec is not None
+    in_memory = PSgL(graph, num_workers=4, seed=3).run(PATTERN)
+    out_of_core = PSgL(mapped, num_workers=4, seed=3).run(PATTERN)
+    assert out_of_core.count == in_memory.count
+    assert out_of_core.ledger.summary() == in_memory.ledger.summary()
