@@ -137,7 +137,7 @@ class VertexProgram:
     # The hooks below let driver-side mutable state survive that split.
 
     def export_shared(self) -> Dict[str, Any]:
-        """Read-only ``int64`` numpy arrays every replica shares with the
+        """Read-only 64-bit numpy arrays every replica shares with the
         driver, one copy per machine rather than per replica.
 
         Programs that precompute per-vertex arrays the hot path needs —

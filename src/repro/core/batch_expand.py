@@ -15,8 +15,8 @@ without ever constructing a :class:`~repro.core.psi.Gpsi`:
    pattern neighbours, the completeness of its children and their
    ``useful_grays``; nothing in Algorithm 1 needs them to share a data
    vertex;
-2. per group, GRAY verification is one ``searchsorted`` over the graph's
-   sorted edge-key column (:meth:`Graph.has_edges
+2. per group, GRAY verification is one lookup in the graph's hashed
+   edge-key table (:meth:`Graph.has_edges
    <repro.graph.graph.Graph.has_edges>`) and WHITE candidate generation
    one flat ragged gather of every row's ``N(vd)`` with a ``row_of``
    index (degree/rank/injectivity rules against the shared
@@ -27,7 +27,9 @@ without ever constructing a :class:`~repro.core.psi.Gpsi`:
    lists, and each extension is checked against the earlier images in
    :func:`~repro.core.candidates.combination_consistent`'s colex pair
    order — a combination failing a pair is never extended, and a prefix
-   is probed once for all the combinations sharing it;
+   is probed once for all the combinations sharing it.  A level is built
+   in parts of at most :data:`JOIN_LEVEL_ROWS` rows, cut between
+   prefixes, each joined to the end before the next;
 4. children are merged back into the parents' delivery order, so every
    downstream consumer — distribution strategies, RNG streams, outbox row
    order, the cost ledger — observes exactly the sequence the object path
@@ -125,10 +127,10 @@ class BatchOutcome:
         return self._complete_chunks[0]
 
 
-#: Attempted combinations per cross-product run (see
-#: :func:`_cross_product`): bounds its temporaries, a few hundred bytes
-#: per combination once the consistency probes hash them.
-CROSS_BLOCK_COMBOS = 1 << 13
+#: Rows one join level of :func:`_cross_product` builds at once, unless a
+#: single parent row builds more: bounds its temporaries, a few hundred
+#: bytes per row once the consistency probes hash them.
+JOIN_LEVEL_ROWS = 1 << 14
 
 
 def _combine_black_words(words: np.ndarray) -> int:
@@ -393,6 +395,19 @@ def _white_candidates(
     return row_of, cand
 
 
+def _runs(sizes: np.ndarray, bound: int) -> List[Tuple[int, int]]:
+    """Cut rows into consecutive ``(lo, hi)`` runs whose ``sizes`` sum to
+    at most ``bound``; a row larger than ``bound`` is a run by itself."""
+    ends = np.cumsum(sizes)
+    runs, lo = [], 0
+    while lo < len(sizes):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, base + bound, side="right")), lo + 1)
+        runs.append((lo, hi))
+        lo = hi
+    return runs
+
+
 def _cross_product(
     sub_map: np.ndarray,
     live: np.ndarray,
@@ -414,9 +429,12 @@ def _cross_product(
     the ``prod(|C_l|, l > j)`` full combinations the scalar loop probes
     it for, so it is probed once and the other ``weight - 1`` probes
     are credited to the index's statistics.  The ledger still prices
-    every attempted combination (Equation 2).  Rows are taken in runs of
-    about :data:`CROSS_BLOCK_COMBOS` attempted combinations (one row at
-    least), which bounds every join level.
+    every attempted combination (Equation 2).
+
+    A level that would build more than :data:`JOIN_LEVEL_ROWS` rows is
+    split between its prefixes, and each part is joined through the
+    remaining levels before the next one starts, so children keep
+    product order; a single prefix that builds more runs whole.
     """
     # weights[j][r]: full combinations of row r sharing a level-j prefix.
     weights: List[np.ndarray] = []
@@ -425,53 +443,59 @@ def _cross_product(
         weights.append(weight)
         weight = weight * per_row
     weights.reverse()
-    combos = weight[live]
-    begins = np.cumsum(combos) - combos
-    cuts = np.flatnonzero(np.diff(begins // CROSS_BLOCK_COMBOS)) + 1
-    bounds = [0, *cuts.tolist(), len(live)]
     white_vps = [wp for wp, _, _ in whites]
     starts = [np.cumsum(per_row) - per_row for _, per_row, _ in whites]
     order = pattern.partial_order
-    maps: List[np.ndarray] = []
-    parents: List[np.ndarray] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        parent = live[lo:hi]
-        images: List[np.ndarray] = []
-        for j, (pb, per_row, cand) in enumerate(whites):
-            size = per_row[parent]
-            ends = np.cumsum(size)
-            slots = np.repeat(starts[j][parent] - (ends - size), size)
-            b = cand[slots + np.arange(len(slots))]
-            parent = np.repeat(parent, size)
-            images = [np.repeat(image, size) for image in images]
-            ok = np.ones(len(b), dtype=bool)
-            for pa, a in zip(white_vps, images):
-                ok &= a != b
-                if (pa, pb) in order:
-                    ok &= ranks[a] < ranks[b]
-                if (pb, pa) in order:
-                    ok &= ranks[b] < ranks[a]
-                if pattern.has_edge(pa, pb):
-                    idx = np.flatnonzero(ok)
-                    if len(idx) == 0:
-                        break
-                    res = edge_index.might_contain_pairs(a[idx], b[idx])
-                    ok[idx] = res
-                    if j + 1 < len(whites):  # the last level weighs 1
-                        extra = weights[j][parent[idx]] - 1
-                        edge_index.queries += int(extra.sum())
-                        edge_index.positives += int(extra[res].sum())
-            if not ok.all():
-                keep = np.flatnonzero(ok)
-                parent = parent[keep]
-                images = [image[keep] for image in images]
-                b = b[keep]
-            images.append(b)
-            if len(parent) == 0:
-                break
-        child_map = sub_map[parent]
-        for wp, image in zip(white_vps, images):
-            child_map[:, wp] = image
-        maps.append(child_map)
-        parents.append(parent)
-    return np.concatenate(maps), np.concatenate(parents), int(combos.sum())
+    maps: List[np.ndarray] = [sub_map[live[:0]]]
+    parents: List[np.ndarray] = [live[:0]]
+    # Level-j prefixes still to extend, as (j, parent rows, their images);
+    # the top of the stack is the earliest in product order.
+    stack = [(0, live, [])]
+    while stack:
+        j, parent, images = stack.pop()
+        if j == len(whites):
+            child_map = sub_map[parent]
+            for wp, image in zip(white_vps, images):
+                child_map[:, wp] = image
+            maps.append(child_map)
+            parents.append(parent)
+            continue
+        pb, per_row, cand = whites[j]
+        size = per_row[parent]
+        runs = _runs(size, JOIN_LEVEL_ROWS)
+        if len(runs) > 1:
+            stack.extend(
+                (j, parent[lo:hi], [image[lo:hi] for image in images])
+                for lo, hi in reversed(runs)
+            )
+            continue
+        ends = np.cumsum(size)
+        slots = np.repeat(starts[j][parent] - (ends - size), size)
+        b = cand[slots + np.arange(len(slots))]
+        parent = np.repeat(parent, size)
+        images = [np.repeat(image, size) for image in images]
+        ok = np.ones(len(b), dtype=bool)
+        for pa, a in zip(white_vps, images):
+            ok &= a != b
+            if (pa, pb) in order:
+                ok &= ranks[a] < ranks[b]
+            if (pb, pa) in order:
+                ok &= ranks[b] < ranks[a]
+            if pattern.has_edge(pa, pb):
+                idx = np.flatnonzero(ok)
+                if len(idx) == 0:
+                    break
+                res = edge_index.might_contain_pairs(a[idx], b[idx])
+                ok[idx] = res
+                if j + 1 < len(whites):  # the last level weighs 1
+                    extra = weights[j][parent[idx]] - 1
+                    edge_index.queries += int(extra.sum())
+                    edge_index.positives += int(extra[res].sum())
+        if not ok.all():
+            keep = np.flatnonzero(ok)
+            parent = parent[keep]
+            images = [image[keep] for image in images]
+            b = b[keep]
+        if len(parent):
+            stack.append((j + 1, parent, images + [b]))
+    return np.concatenate(maps), np.concatenate(parents), int(weight[live].sum())

@@ -10,10 +10,10 @@ when the corresponding GRAY vertex is later expanded).
 Three interchangeable implementations support the Table 2 ablation:
 
 * :class:`BloomEdgeIndex` — the paper's index;
-* :class:`ExactEdgeIndex` — a sorted key array over edges (an upper bound
-  on what any such index can prune; also how the tests validate the
-  bloom).  Its positives are proofs, so a fully mapped Gpsi closes where
-  it is generated (:attr:`EdgeIndexBase.exact`);
+* :class:`ExactEdgeIndex` — the graph's own hashed edge-key table (an
+  upper bound on what any such index can prune; also how the tests
+  validate the bloom).  Its positives are proofs, so a fully mapped Gpsi
+  closes where it is generated (:attr:`EdgeIndexBase.exact`);
 * :class:`NullEdgeIndex` — claims every edge exists, i.e. the index
   disabled ("w/o index" columns).
 
@@ -50,9 +50,10 @@ def _edge_keys_pairs(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
     """
     a = np.asarray(us, dtype=np.int64)
     b = np.asarray(vs, dtype=np.int64)
-    lo = np.minimum(a, b).astype(np.uint64)
-    hi = np.maximum(a, b).astype(np.uint64)
-    return lo * np.uint64(n) + hi
+    keys = np.minimum(a, b)
+    keys *= n
+    keys += np.maximum(a, b)
+    return keys.view(np.uint64)
 
 
 class EdgeIndexBase:
@@ -133,7 +134,7 @@ class BloomEdgeIndex(EdgeIndexBase):
         super().__init__()
         self._n = graph.num_vertices
         self._bloom = BloomFilter(max(graph.num_edges, 1), fp_rate, seed)
-        self._bloom.add_many(graph.edge_keys())
+        self._bloom.add_many(graph.edge_table().keys())
 
     def might_contain(self, u: int, v: int) -> bool:
         return self._record(_edge_key(u, v, self._n) in self._bloom)
@@ -152,31 +153,23 @@ class BloomEdgeIndex(EdgeIndexBase):
 
 
 class ExactEdgeIndex(EdgeIndexBase):
-    """Sorted-array edge index: zero false positives, larger footprint —
-    a ``uint64`` view of the graph's own :meth:`~Graph.edge_keys`, so a
-    forked process lane probes the key column it inherited."""
+    """Hashed edge index: zero false positives, larger footprint — the
+    graph's own :meth:`~Graph.edge_table`, so a forked process lane
+    probes the table it inherited."""
 
     exact = True
 
     def __init__(self, graph: Graph):
         super().__init__()
         self._n = graph.num_vertices
-        self._keys = graph.edge_keys().view(np.uint64)
-
-    def _lookup_many(self, keys: np.ndarray) -> np.ndarray:
-        k = len(self._keys)
-        if k == 0:
-            return np.zeros(len(keys), dtype=bool)
-        pos = np.searchsorted(self._keys, keys)
-        return (pos < k) & (self._keys[np.minimum(pos, k - 1)] == keys)
+        self._table = graph.edge_table()
 
     def might_contain(self, u: int, v: int) -> bool:
-        key = np.uint64(_edge_key(u, v, self._n))
-        return self._record(bool(self._lookup_many(np.array([key]))[0]))
+        return self._record(self._table.contains_key(_edge_key(u, v, self._n)))
 
     def might_contain_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         keys = _edge_keys_pairs(us, vs, self._n)
-        return self._record_many(self._lookup_many(keys))
+        return self._record_many(self._table.contains(keys))
 
 
 class NullEdgeIndex(EdgeIndexBase):

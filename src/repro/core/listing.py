@@ -162,7 +162,7 @@ class PSgLProgram(VertexProgram):
             "order_rank": ordered.ranks,
             "order_nb": ordered.nb_values,
             "order_ns": ordered.ns_values,
-            "edge_keys": ordered.graph.edge_keys(),
+            "edge_table": ordered.graph.edge_table().slots,
         }
 
     def _fold_per_vertex(self) -> None:

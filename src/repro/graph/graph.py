@@ -9,8 +9,8 @@ The graph *is* its CSR: two read-only, contiguous ``int64`` arrays —
 neighbour lists back to back) — plus the derived ``degrees``.  ``N(v)`` is
 the slice ``indices[indptr[v]:indptr[v + 1]]``, which gives
 
-* ``O(log m)`` edge-existence tests by one ``searchsorted`` over the
-  sorted edge-key column (:meth:`Graph.edge_keys`, built on first use),
+* expected ``O(1)`` edge-existence tests in the graph's hashed
+  edge-key table (:meth:`Graph.edge_table`, built on first use),
 * cache-friendly neighbourhood scans for the expansion inner loop,
 * one representation whoever owns the buffers: an in-memory graph and
   a mapped ``.csrbin`` differ only in that.
@@ -45,6 +45,90 @@ class MappedCSR:
     indptr_offset: int
     indices_offset: int
     keepalive: Any = field(default=None, repr=False)
+
+
+#: Fibonacci hashing's multiplier, ``2**64`` over the golden ratio.  It is
+#: odd, so ``key * _HASH_MULTIPLIER mod 2**64`` is a bijection, undone by
+#: multiplying with ``_HASH_INVERSE``.
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+_HASH_INVERSE = pow(_HASH_MULTIPLIER, -1, 1 << 64)
+_MASK64 = (1 << 64) - 1
+#: An empty slot.  No canonical key ``min * n + max`` reaches it: ``n``
+#: is capped at ``2**31`` vertices.
+EMPTY_SLOT = np.uint64(_MASK64)
+
+
+class EdgeTable:
+    """Open-addressing hash set of a graph's canonical edge keys
+    (``min * n + max``, one per undirected edge).
+
+    ``slots`` holds ``C + max_probe`` ``uint64`` words, where ``C`` is
+    the smallest power of two at least ``2m`` (one or two words of table
+    per key, so at most 32 bytes per edge, plus the tail).  A key's home
+    is the top ``log2 C`` bits of ``key * _HASH_MULTIPLIER mod 2**64``.
+    The keys are laid out by linear probing in home order, without
+    wrap-around: key ``i`` of the home-sorted keys takes slot
+    ``max(home_i, slot_{i-1} + 1)``.  So no key lies more than
+    ``max_probe`` slots past its home, and every slot from a key's home
+    to its own slot is occupied.  A lookup compares a key with the
+    ``max_probe + 1`` slots from its home on (only the first, if that one
+    is empty): exact for any key set, colliding or not.
+    """
+
+    __slots__ = ("slots", "shift", "max_probe")
+
+    def __init__(self, keys: np.ndarray):
+        """Build over ``keys``, which must be unique and non-negative."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        bits = max(1, (2 * len(keys) - 1).bit_length())
+        self.shift = np.uint64(64 - bits)
+        # Sorting the hashes sorts the keys by home; the inverse multiply
+        # turns each hash back into its key.
+        hashed = np.sort(keys * np.uint64(_HASH_MULTIPLIER))
+        home = (hashed >> self.shift).astype(np.int64)
+        rank = np.arange(len(keys))
+        slot = rank + np.maximum.accumulate(home - rank)
+        self.max_probe = int((slot - home).max(initial=0))
+        slots = np.full((1 << bits) + self.max_probe, EMPTY_SLOT)
+        slots[slot] = hashed * np.uint64(_HASH_INVERSE)
+        slots.flags.writeable = False
+        self.slots = slots
+
+    def keys(self) -> np.ndarray:
+        """Every key in the table, in slot order (a fresh array)."""
+        return self.slots[self.slots != EMPTY_SLOT]
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """One bool per ``uint64`` key: whether it is in the table.
+
+        One gather at every key's home; the keys that missed on an
+        occupied slot are then compared with the ``max_probe`` slots past
+        their home, one gather per slot."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        at = keys * np.uint64(_HASH_MULTIPLIER)
+        at >>= self.shift
+        at = at.view(np.int64)  # a slot number: below 2**63
+        got = self.slots.take(at)
+        found = got == keys
+        if self.max_probe:
+            walk = np.flatnonzero(~found & (got != EMPTY_SLOT))
+            at, want = at[walk], keys[walk]
+            hit = np.zeros(len(walk), dtype=bool)
+            for _ in range(self.max_probe):
+                at += 1
+                hit |= self.slots.take(at) == want
+            found[walk] = hit
+        return found
+
+    def contains_key(self, key: int) -> bool:
+        """Scalar :meth:`contains`: the same walk in Python integers."""
+        at = (key * _HASH_MULTIPLIER & _MASK64) >> int(self.shift)
+        for got in self.slots[at:at + self.max_probe + 1].tolist():
+            if got == key:
+                return True
+            if got == _MASK64:
+                return False
+        return False
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -124,7 +208,7 @@ class Graph:
 
     __slots__ = (
         "indptr", "indices", "degrees", "mmap_spec",
-        "_n", "_m", "_hash", "_fingerprint", "_edge_keys",
+        "_n", "_m", "_hash", "_fingerprint", "_edge_table",
     )
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge]):
@@ -155,7 +239,7 @@ class Graph:
         self._m = len(indices) // 2
         self._hash = None
         self._fingerprint = None
-        self._edge_keys = None
+        self._edge_table: Optional[EdgeTable] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -196,19 +280,16 @@ class Graph:
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`has_edge`: one bool per ``(us[i], vs[i])``.
 
-        One ``searchsorted`` of every pair's canonical ``(min, max)`` key
-        in :meth:`edge_keys`; ids outside the graph are masked off, since
+        Every pair's canonical ``(min, max)`` key is looked up in
+        :meth:`edge_table`; ids outside the graph are masked off, since
         their keys may alias a real edge's.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        n, keys = self._n, self.edge_keys()
-        if not len(keys):
-            return np.zeros(len(us), dtype=bool)
+        n = self._n
         inside = (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
         needles = np.minimum(us, vs) * n + np.maximum(us, vs)
-        at = np.searchsorted(keys, needles)
-        return inside & (keys.take(at, mode="clip") == needles)
+        return inside & self.edge_table().contains(needles.view(np.uint64))
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every undirected edge once, as ``(us, vs)`` arrays with
@@ -217,17 +298,15 @@ class Graph:
         once = us < self.indices  # each edge at its (u < v) slot
         return us[once], self.indices[once]
 
-    def edge_keys(self) -> np.ndarray:
-        """``u * n + v`` for every edge of :meth:`edge_arrays`: ascending,
-        unique, read-only ``int64``, built on first use and cached (8 bytes
-        per edge).  The one sorted key column behind :meth:`has_edges` and
-        both edge indexes."""
-        if self._edge_keys is None:
+    def edge_table(self) -> EdgeTable:
+        """The :class:`EdgeTable` of every edge's ``u * n + v`` key
+        (``u < v``), built on first use and cached: the graph's one exact
+        membership structure, behind :meth:`has_edges` and both edge
+        indexes."""
+        if self._edge_table is None:
             us, vs = self.edge_arrays()
-            keys = us * self._n + vs  # sorted by (u, v): no sort needed
-            keys.flags.writeable = False
-            self._edge_keys = keys
-        return self._edge_keys
+            self._edge_table = EdgeTable(us * self._n + vs)
+        return self._edge_table
 
     def edges(self) -> Iterator[Edge]:
         """Iterate every undirected edge once, as ``(u, v)`` with ``u < v``."""

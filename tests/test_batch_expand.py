@@ -186,16 +186,41 @@ class TestKernelParity:
         if index_kind != "bloom":
             assert count == drive_parity(GRAPHS["planted"], pattern, "exact")
 
-    @pytest.mark.parametrize("pattern_name", ["PG2", "PG4", "K5"])
+    @pytest.mark.parametrize("pattern_name", [*sorted(paper_patterns()), "K5"])
     def test_cross_product_runs_do_not_change_the_outcome(
         self, monkeypatch, pattern_name
     ):
-        # Tiny runs: every cross product is cut between (never inside) rows.
+        # Tiny join levels: every level is cut between (never inside)
+        # prefixes, and no level builds more than the bound or one
+        # prefix's own extension.
         from repro.core import batch_expand
 
-        monkeypatch.setattr(batch_expand, "CROSS_BLOCK_COMBOS", 5)
+        real_runs = batch_expand._runs
+        built = []
+
+        def checked_runs(sizes, bound):
+            assert bound == batch_expand.JOIN_LEVEL_ROWS
+            runs = real_runs(sizes, bound)
+            assert [lo for lo, _ in runs] == [0, *(hi for _, hi in runs[:-1])]
+            assert runs[-1][1] == len(sizes)
+            for lo, hi in runs:
+                rows = int(sizes[lo:hi].sum())
+                assert rows <= max(bound, int(sizes[lo])) and (
+                    rows <= bound or hi - lo == 1
+                )
+                built.append((rows > bound, hi - lo > 1))
+            return runs
+
+        monkeypatch.setattr(batch_expand, "_runs", checked_runs)
         graph = GRAPHS["planted" if pattern_name == "K5" else "powerlaw"]
-        drive_parity(graph, get_pattern(pattern_name), "bloom")
+        pattern = get_pattern(pattern_name)
+        for bound in (1, 5):
+            monkeypatch.setattr(batch_expand, "JOIN_LEVEL_ROWS", bound)
+            for index_kind in ("exact", "bloom", "none"):
+                drive_parity(graph, pattern, index_kind)
+        # Both cuts happened: a lone prefix past the bound, and runs of
+        # several prefixes within it.
+        assert any(big for big, _ in built) and any(many for _, many in built)
 
     def test_empty_slice_is_noop(self):
         graph = GRAPHS["er"]

@@ -277,6 +277,11 @@ class TestMappedExecution:
         # The lanes inherit the mapping: the file, not a CSR copy.
         assert "mapped_file" in event.data
         assert "indptr" not in event.data
+        # The edge-key table is built from the mapping before the fork
+        # and shipped beside the order arrays.
+        n = mapped.num_vertices
+        assert event.data["mapped_file"] == 8 * (n + 1 + 2 * mapped.num_edges)
+        assert event.data["aux"] == 8 * 3 * n + mapped.edge_table().slots.nbytes
 
     def test_export_trace_event_reports_mapped_file(self, tmp_path):
         graph = erdos_renyi(25, 0.2, seed=2)

@@ -100,8 +100,8 @@ def test_counting_never_assembles_instances(monkeypatch):
 
 
 class TestSharedKeyColumn:
-    """The exact index's key column reaches every process lane as the
-    driver's: a forked lane inherits it."""
+    """The exact index's edge-key table reaches every process lane as
+    the driver's: a forked lane inherits it."""
 
     def test_process_backend_matches_serial_and_leaks_nothing(self):
         graph = rmat(8, seed=0)

@@ -292,23 +292,44 @@ def test_has_edges_matches_scalar_has_edge(tmp_path):
     assert Graph(3, []).has_edges([0, 1], [1, 2]).tolist() == [False, False]
 
 
-def test_edge_keys_are_the_one_sorted_key_column(tmp_path):
-    """``edge_keys()`` is built once per graph on every kind, and both
-    edge indexes build from it: the exact index as a view, no copy."""
+def test_edge_keys_are_the_one_sorted_key_column(tmp_path, monkeypatch):
+    """The hashed edge-key table, which replaced the sorted key column
+    this test is named after, is built once per graph on every kind and
+    holds exactly the ``u * n + v`` keys.  ``has_edges``, both edge
+    indexes and an index's ``detached_view`` read that one table."""
     from repro.core import edge_index
     from repro.core.edge_index import BloomEdgeIndex, ExactEdgeIndex
+    from repro.graph.graph import EdgeTable
 
+    readers = []
+    for method in ("contains", "keys"):
+        real = getattr(EdgeTable, method)
+
+        def spy(table, *args, _real=real):
+            readers.append(table)
+            return _real(table, *args)
+
+        monkeypatch.setattr(EdgeTable, method, spy)
     graph = Graph(9, MESSY_EDGES + [(0, 8), (3, 8), (5, 7), (1, 6)])
-    expected = [u * 9 + v for u, v in graph.edges()]
-    kinds = _every_kind(graph, tmp_path)
-    for name, g in kinds.items():
-        keys = g.edge_keys()
-        assert keys.dtype == np.int64 and keys.tolist() == expected, name
-        assert len(keys) == g.num_edges and (np.diff(keys) > 0).all(), name
-        assert not keys.flags.writeable and g.edge_keys() is keys, name
-        assert np.shares_memory(ExactEdgeIndex(g)._keys, keys), name
+    expected = sorted(u * 9 + v for u, v in graph.edges())
+    capacity = 1 << (2 * graph.num_edges - 1).bit_length()
+    for name, g in _every_kind(graph, tmp_path).items():
+        table = g.edge_table()
+        assert g.edge_table() is table, name
+        assert sorted(table.keys().tolist()) == expected, name
+        slots = table.slots
+        assert slots.dtype == np.uint64 and not slots.flags.writeable, name
+        assert len(slots) == capacity + table.max_probe, name
+        readers.clear()
+        assert g.has_edges(*g.edge_arrays()).all(), name
+        exact = ExactEdgeIndex(g)
+        assert exact.detached_view().might_contain_pairs(*g.edge_arrays()).all()
         assert BloomEdgeIndex(g).might_contain_pairs(*g.edge_arrays()).all()
+        # has_edges, the exact index's view, the bloom build.
+        assert readers == [table, table, table], name
+        assert g.edge_table() is table, name
     assert not hasattr(edge_index, "_all_edge_keys")
+    assert not hasattr(Graph, "edge_keys")
 
 
 def test_from_csr_wraps_the_callers_buffers(tmp_path):

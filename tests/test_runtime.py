@@ -93,8 +93,8 @@ class TestForkInheritance:
         """The ``export`` event describes what the lanes share in the
         sizes both start methods reported while spawn existed, pinned
         exactly: 8 bytes per CSR entry (the file's array bytes for a
-        mapped graph) and 8 per entry of the program's per-vertex and
-        per-edge arrays."""
+        mapped graph) and 8 per entry of the program's per-vertex arrays
+        and of the graph's edge-key table."""
         graph = erdos_renyi(30, 0.25, seed=6)
         n, m = graph.num_vertices, graph.num_edges
         if mapped:
@@ -107,7 +107,10 @@ class TestForkInheritance:
         csr = {"indptr": 8 * (n + 1), "indices": 8 * 2 * m}
         if mapped:
             csr = {"mapped_file": sum(csr.values())}
-        aux = 8 * (3 * n + m)  # rank, nb, ns per vertex; one key per edge
+        # rank, nb, ns per vertex; the table's power-of-two capacity
+        # (at least 2m) and its probe tail.
+        slots = (1 << (2 * m - 1).bit_length()) + graph.edge_table().max_probe
+        aux = 8 * (3 * n + slots)
         total = sum(csr.values()) + aux
         assert dict(event.data) == {**csr, "aux": aux, "total_bytes": total}
 
