@@ -62,6 +62,10 @@ RETIRED = {
         "units are dealt to them whole)"
     ),
     "steal_tasks": f" (steal tasks are retired with work stealing: {_ONE_POOL})",
+    "max_supersteps": (
+        " (the superstep cap is superstep_budget, default 1000: one cap, and "
+        "crossing it raises BudgetExceededError)"
+    ),
     **dict.fromkeys(
         ("spill_dir", "memory_watermark_bytes"),
         " (the spill plane is retired: the barrier store is no longer where "
@@ -152,16 +156,10 @@ class ExecutionConfig:
         "'OOM on some nodes' mode)",
         cli=False,
     )
-    max_supersteps: int = _knob(
+    superstep_budget: int = _knob(
         1000, int,
-        "safety valve against non-terminating programs: crossing it "
-        "raises EngineError",
-        cli=False,
-    )
-    superstep_budget: Optional[int] = _knob(
-        None, int,
-        "per-job superstep budget; crossing it raises BudgetExceededError "
-        "(a clean resource kill, unlike max_supersteps)",
+        "per-job superstep cap, also the valve against a program that "
+        "never halts; crossing it raises BudgetExceededError",
         cli=False,
     )
     wall_budget_seconds: Optional[float] = _knob(

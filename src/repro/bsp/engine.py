@@ -221,8 +221,8 @@ class BSPEngine:
                 inbox = outbox
                 superstep += 1
         except Exception as exc:
-            # Teardown runs on every exit path — simulated OOM, the
-            # max_supersteps guard, a set-up that failed, or a fault
+            # Teardown runs on every exit path — a budget kill (the
+            # superstep cap included), a set-up that failed, or a fault
             # inside compute.
             status = type(exc).__name__
             program.post_application()
@@ -248,23 +248,15 @@ class BSPEngine:
 
     # ------------------------------------------------------------------
     def _check_limits(self, superstep: int, started: float) -> None:
-        """The superstep-boundary guards: the runaway-program cap,
-        cooperative cancellation, and the superstep and wall budgets."""
+        """The superstep-boundary guards: cooperative cancellation, the
+        superstep budget (the runaway-program cap) and the wall budget."""
         cfg = self.config
-        if superstep >= cfg.max_supersteps:
-            raise EngineError(
-                f"exceeded max_supersteps={cfg.max_supersteps}; "
-                "program may not terminate"
-            )
         if self.abort_event is not None and self.abort_event.is_set():
             raise JobCancelled(
                 f"job aborted at superstep {superstep} "
                 "(cancellation requested)"
             )
-        if (
-            cfg.superstep_budget is not None
-            and superstep >= cfg.superstep_budget
-        ):
+        if superstep >= cfg.superstep_budget:
             raise BudgetExceededError(
                 f"superstep budget of {cfg.superstep_budget} "
                 f"exhausted at superstep {superstep}",

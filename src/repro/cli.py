@@ -257,7 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-supersteps",
         type=int,
         default=None,
-        help="default per-job superstep budget (requests may tighten it)",
+        help="default per-job superstep budget (1000 when unset); a "
+        "request's own budget axis replaces it, tighter or looser",
     )
     serve.add_argument(
         "--max-wall-seconds",
@@ -449,8 +450,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import GraphContext, ResourceBudget, ResultCache, SubgraphService, serve
+    from .service import GraphContext, ResultCache, SubgraphService, serve
+    from .service.server import BUDGET_FIELDS, apply_budget
 
+    # A bad default is refused before the graph is loaded.
+    default_budget = {name: getattr(args, name, None) for name in BUDGET_FIELDS}
+    apply_budget(ExecutionConfig(), default_budget)
     if args.dataset:
         print(f"loading dataset {args.dataset}@{args.scale} ...")
         context = GraphContext.from_dataset(args.dataset, args.scale)
@@ -466,11 +471,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         context,
         max_inflight=args.max_inflight,
         max_queue_depth=args.max_queue_depth,
-        default_budget=ResourceBudget(
-            max_live_gpsis=args.max_live_gpsis,
-            max_supersteps=args.max_supersteps,
-            max_wall_seconds=args.max_wall_seconds,
-        ),
+        default_budget=default_budget,
         cache=ResultCache(max_bytes=args.cache_bytes),
         trace_jobs=not args.no_job_traces,
     )

@@ -22,7 +22,6 @@ See ``docs/service.md``.
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".budget": ("ResourceBudget",),
     ".cache": ("ResultCache", "cache_key"),
     ".client": ("ServiceClient", "running_service"),
     ".jobs": (

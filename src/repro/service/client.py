@@ -20,11 +20,10 @@ import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from ..exceptions import AdmissionError, QuerySpecError, ReproError
 from ..graph.graph import Graph
-from .budget import ResourceBudget
 from .cache import ResultCache
 from .metrics import parse_metrics
 from .server import GraphContext, SubgraphService, make_server
@@ -168,7 +167,7 @@ def running_service(
     name: str = "test-graph",
     max_inflight: int = 2,
     max_queue_depth: int = 32,
-    default_budget: Optional[ResourceBudget] = None,
+    default_budget: Optional[Mapping[str, Any]] = None,
     cache: Optional[ResultCache] = None,
     allow_test_hooks: bool = False,
     trace_jobs: bool = True,

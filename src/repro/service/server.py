@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..bsp.config import BACKENDS, RETIRED, ExecutionConfig, coerce
@@ -65,7 +64,6 @@ from ..graph.ordered import OrderedGraph
 from ..obs import SCHEMA, Tracer, straggler_report
 from ..pattern.catalog import get_pattern, pattern_from_edges
 from ..pattern.pattern import PatternGraph
-from .budget import ResourceBudget
 from .cache import ResultCache, cache_key
 from .jobs import Job, JobManager, JobState, PRIORITIES, TERMINAL_STATES
 from .metrics import MetricsRegistry
@@ -145,9 +143,20 @@ class GraphContext:
 
 #: The ``ExecutionConfig`` fields an HTTP client may set.  This is input
 #: policy, not a copy of the knobs: every other field — how many
-#: processes run, the budgets' engine-side names — is owned by the
-#: server (its defaults and the ``budget`` merge).
+#: processes run, the budgets — is owned by the server (its defaults
+#: and the ``budget`` merge).
 CLIENT_EXECUTION_FIELDS = ("backend", "wire")
+
+#: The client's names for the four budget fields: the keys of a spec's
+#: ``budget`` object, of the server default and of ``psgl serve``'s
+#: ``--max-*`` flags.  The only place these names are spelt; the values
+#: are ``ExecutionConfig`` fields, which declare and check every budget.
+BUDGET_FIELDS = {
+    "max_live_gpsis": "memory_budget",
+    "max_worker_live_gpsis": "worker_memory_budget",
+    "max_supersteps": "superstep_budget",
+    "max_wall_seconds": "wall_budget_seconds",
+}
 
 #: Query-spec fields accepted by ``POST /jobs``, with their defaults: the
 #: query's own, then the client-settable execution fields with the
@@ -167,6 +176,27 @@ SPEC_DEFAULTS: Dict[str, Any] = {
 CACHE_PARAM_FIELDS = ("workers", "seed", "collect_instances")
 
 
+def apply_budget(
+    config: ExecutionConfig, budget: Mapping[str, Any]
+) -> ExecutionConfig:
+    """``config`` with each set axis of ``budget`` (client names) applied
+    to its field, one by one: the config's own coercion and rules, its
+    :class:`~repro.exceptions.EngineError` prefixed with the axis's
+    client name."""
+    unknown = sorted(set(budget) - set(BUDGET_FIELDS))
+    if unknown:
+        raise EngineError(
+            f"unknown budget fields {unknown}; allowed: {list(BUDGET_FIELDS)}"
+        )
+    for name, value in budget.items():
+        try:
+            if value is not None:  # JSON null: unset, the default applies
+                config = config.with_overrides(**{BUDGET_FIELDS[name]: value})
+        except EngineError as exc:
+            raise EngineError(f"budget field {name}: {exc}") from None
+    return config
+
+
 class SubgraphService:
     """Query execution, caching, admission and metrics over one graph.
 
@@ -177,8 +207,11 @@ class SubgraphService:
     max_inflight / max_queue_depth:
         Worker-pool width and admission-control queue bound (429 past it).
     default_budget:
-        Applied underneath every request's own budget (unset axes only),
-        so no job ever runs truly unbounded unless the server says so.
+        Budget axes by client name (:data:`BUDGET_FIELDS`; ``None`` is
+        unset), applied underneath every request's own ``budget``: an
+        axis the request sets replaces the default's.  Checked here, so
+        an illegal default is an ``EngineError`` at construction, not a
+        failure of every job.
     cache:
         The :class:`~repro.service.cache.ResultCache`; pass
         ``ResultCache(max_bytes=0)`` to disable caching.
@@ -196,13 +229,17 @@ class SubgraphService:
         context: GraphContext,
         max_inflight: int = 2,
         max_queue_depth: int = 32,
-        default_budget: Optional[ResourceBudget] = None,
+        default_budget: Optional[Mapping[str, Any]] = None,
         cache: Optional[ResultCache] = None,
         trace_jobs: bool = True,
         allow_test_hooks: bool = False,
     ):
         self.context = context
-        self.default_budget = default_budget or ResourceBudget()
+        self.default_budget = {
+            name: value for name, value in (default_budget or {}).items()
+            if value is not None
+        }
+        apply_budget(ExecutionConfig(), self.default_budget)
         self.cache = cache if cache is not None else ResultCache()
         self.trace_jobs = trace_jobs
         self._allow_test_hooks = allow_test_hooks
@@ -324,6 +361,8 @@ class SubgraphService:
         pattern = self._pattern_for(spec)
         for name, default in SPEC_DEFAULTS.items():
             spec.setdefault(name, default)
+        if spec.get("_hold_seconds") and not self._allow_test_hooks:
+            raise QuerySpecError("_hold_seconds requires allow_test_hooks")
         try:
             # Strict coercion and every legality rule are the library's
             # own, checked at submission so a bad value or combination is
@@ -335,23 +374,22 @@ class SubgraphService:
                 "collect_instances", bool, spec["collect_instances"]
             )
             self._config_for(spec)
-        except EngineError as exc:
-            raise QuerySpecError(str(exc)) from exc
-        if spec.get("_hold_seconds") and not self._allow_test_hooks:
-            raise QuerySpecError("_hold_seconds requires allow_test_hooks")
-        try:
             strategy_name = make_strategy(spec["strategy"]).name
-        except DistributionError as exc:
+        except (EngineError, DistributionError) as exc:
             raise QuerySpecError(str(exc)) from exc
-        ResourceBudget.from_json(spec.get("budget"))  # validate early → 400
         return spec, priority, pattern, strategy_name
 
     def _config_for(self, spec: Dict[str, Any]) -> ExecutionConfig:
         """The job's execution config: the client's allow-listed fields
-        over the defaults."""
-        return ExecutionConfig(
+        over the defaults, then the server's default budget, then the
+        axes the request's ``budget`` sets."""
+        budget = spec.get("budget")
+        if budget is not None and not isinstance(budget, dict):
+            raise QuerySpecError("budget must be a JSON object")
+        config = ExecutionConfig(
             **{name: spec[name] for name in CLIENT_EXECUTION_FIELDS}
         )
+        return apply_budget(apply_budget(config, self.default_budget), budget or {})
 
     def _pattern_for(self, spec: Dict[str, Any]) -> PatternGraph:
         try:
@@ -369,9 +407,6 @@ class SubgraphService:
         if self._allow_test_hooks and spec.get("_hold_seconds"):
             self._test_hold(job, float(spec["_hold_seconds"]))
         pattern = self._pattern_for(spec)
-        budget = ResourceBudget.from_json(spec.get("budget")).merged_over(
-            self.default_budget
-        )
         driver = PSgL(
             self.context.graph,
             num_workers=spec["workers"],
@@ -379,7 +414,7 @@ class SubgraphService:
             edge_index=self.context.edge_index.detached_view(),
             seed=spec["seed"],
             ordered=self.context.ordered,
-            config=replace(self._config_for(spec), **budget.psgl_kwargs()),
+            config=self._config_for(spec),
             trace=job.tracer,
             abort_event=job.abort_event,
         )
@@ -431,7 +466,7 @@ class SubgraphService:
             "backends": list(BACKENDS),
             "max_inflight": self.manager.max_inflight,
             "max_queue_depth": self.manager.max_queue_depth,
-            "default_budget": self.default_budget.to_json(),
+            "default_budget": self.default_budget,
             "cache": self.cache.stats(),
         }
 

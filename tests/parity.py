@@ -147,7 +147,12 @@ ILLEGAL = [
     (dict(backend="process", procs=-1), "procs must be >= 1"),
     (dict(memory_budget=0), "memory_budget must be >= 1"),
     (dict(worker_memory_budget=-1), "worker_memory_budget must be >= 1"),
-    (dict(max_supersteps=0), "max_supersteps must be >= 1"),
+    # The superstep cap is one field: the retired name is refused by name.
+    (
+        dict(max_supersteps=0),
+        r"max_supersteps: not an execution field \(the superstep cap is "
+        "superstep_budget",
+    ),
     (dict(superstep_budget=0), "superstep_budget must be >= 1"),
     (
         dict(wall_budget_seconds=0),

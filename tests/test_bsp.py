@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.bsp import BSPEngine, ChunkedColumnarStore, CostLedger, VertexProgram
-from repro.exceptions import EngineError, SimulatedOOMError
+from repro.exceptions import BudgetExceededError, EngineError, SimulatedOOMError
 from repro.graph import Graph, Partition, hash_partition, random_partition
 
 from .programs import Ripple, payload_columns
@@ -51,9 +51,17 @@ class TestEngineBasics:
         assert result.supersteps == 1
 
     def test_max_supersteps_guard(self):
-        engine = BSPEngine(path_graph(2), hash_partition(2, 1), max_supersteps=5)
-        with pytest.raises(EngineError):
+        """One superstep cap, ``superstep_budget``: crossing it is a budget
+        kill, by default at 1000 supersteps for a program that never
+        halts."""
+        engine = BSPEngine(path_graph(2), hash_partition(2, 1), superstep_budget=5)
+        with pytest.raises(BudgetExceededError) as killed:
             engine.run(Ripple(rounds=100))
+        assert (killed.value.resource, killed.value.budget) == ("supersteps", 5)
+        with pytest.raises(BudgetExceededError) as killed:
+            BSPEngine(path_graph(2), hash_partition(2, 1)).run(Ripple(rounds=10**6))
+        assert (killed.value.resource, killed.value.budget) == ("supersteps", 1000)
+        assert killed.value.used == 1000
 
     def test_initial_active_subset(self):
         class OnlyZero(Ripple):

@@ -37,6 +37,7 @@ from repro.graph import complete_graph
 from repro.runtime.executor import JobSpec
 from repro.service import GraphContext, SubgraphService, running_service
 from repro.service.server import (
+    BUDGET_FIELDS,
     CACHE_PARAM_FIELDS,
     CLIENT_EXECUTION_FIELDS,
     SPEC_DEFAULTS,
@@ -62,9 +63,13 @@ def documented_knobs():
     return rows
 
 
-def count_parser():
+def subcommand_parser(name):
     subparsers = _build_parser()._subparsers._group_actions[0]
-    return subparsers.choices["count"]
+    return subparsers.choices[name]
+
+
+def count_parser():
+    return subcommand_parser("count")
 
 
 def test_docs_table_names_every_field_with_its_default():
@@ -99,6 +104,32 @@ def test_service_allow_list_and_defaults_come_from_the_dataclass():
     # No execution field is ever part of a result-cache key.
     assert not set(CACHE_PARAM_FIELDS) & set(FIELDS)
     assert set(SPEC_DEFAULTS) & set(FIELDS) == set(CLIENT_EXECUTION_FIELDS)
+
+
+def test_budget_names_map_onto_the_budget_fields():
+    """The service's client names for the budget (``BUDGET_FIELDS``) are
+    spelt once: they map onto exactly the four budget fields of the
+    dataclass, the docs table names the same pairs, and every ``psgl
+    serve --max-*`` flag is one of them or an admission-control knob."""
+    budget_fields = {name for name in FIELDS if "budget" in name}
+    assert len(budget_fields) == 4
+    assert sorted(BUDGET_FIELDS.values()) == sorted(budget_fields)
+    documented = {}  # the "service client may set" column's budget names
+    for line in API_MD.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5:
+            for name in re.findall(r"`budget\.(\w+)`", cells[4]):
+                documented[name] = cells[0].strip("`")
+    assert documented == BUDGET_FIELDS
+    service_params = inspect.signature(SubgraphService.__init__).parameters
+    budget_flags = []
+    for action in subcommand_parser("serve")._actions:
+        if action.option_strings[0].startswith("--max-"):
+            if action.dest in BUDGET_FIELDS:
+                budget_flags.append(action.dest)
+            else:
+                assert action.dest in service_params, action.option_strings
+    assert budget_flags == ["max_supersteps", "max_wall_seconds", "max_live_gpsis"]
 
 
 def test_every_surface_defaults_to_the_same_config():
@@ -215,10 +246,11 @@ class TestOverrideNames:
             (dict(steal=True), "work stealing is retired: process lanes"),
             (dict(steal_tasks=8), "steal tasks are retired with work stealing"),
             (dict(backend="thread"), "thread backend is retired: process lanes"),
+            (dict(max_supersteps=5), "superstep cap is superstep_budget, default"),
         ],
         ids=[
             "misspelt", "shuffle", "chunk_gpsis", "chunk_bytes", "kernel",
-            "steal", "steal_tasks", "thread",
+            "steal", "steal_tasks", "thread", "max_supersteps",
         ],
     )
     def test_refused_by_name(self, overrides, match):
@@ -231,6 +263,17 @@ class TestOverrideNames:
         ):
             with pytest.raises(EngineError, match=match):
                 construct()
+
+    def test_retired_superstep_cap_is_refused_by_the_service(self, http_service):
+        """``max_supersteps`` is the client's name for a *budget* axis; at
+        the top of a spec it is the retired field, refused with the hint."""
+        status, text = http_service._request(
+            "POST", "/jobs", {"pattern": "PG1", "max_supersteps": 5}
+        )
+        error = json.loads(text)["error"]
+        assert (status, error["type"]) == (400, "QuerySpecError")
+        assert "unknown spec fields ['max_supersteps']" in error["message"]
+        assert "superstep cap is superstep_budget" in error["message"]
 
     def test_retired_flags_are_gone(self, capsys):
         """The retired fields' flags went with them: argparse refuses

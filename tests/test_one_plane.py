@@ -76,7 +76,7 @@ def test_oracle_stays_small():
 
 
 def test_wire_names_the_one_plane():
-    assert len(dataclasses.fields(ExecutionConfig)) == 8
+    assert len(dataclasses.fields(ExecutionConfig)) == 7
     assert WIRE_PLANES == ("columnar",)
     assert ExecutionConfig(wire="columnar") == ExecutionConfig()
 

@@ -118,8 +118,7 @@ def legal_execution_kwargs(draw):
         # enforced, and never the reason a run ends.
         memory_budget=draw(st.sampled_from([None, 10**9])),
         worker_memory_budget=draw(st.sampled_from([None, 10**9])),
-        max_supersteps=draw(st.sampled_from([1000, 50])),
-        superstep_budget=draw(st.sampled_from([None, 50])),
+        superstep_budget=draw(st.sampled_from([1000, 50])),
         wall_budget_seconds=draw(st.sampled_from([None, 600.0])),
     )
     return kwargs
@@ -136,8 +135,7 @@ class TestAnyLegalConfigurationIsEquivalent:
         # that is what keeps "covered by existing" true.
         drawable = {
             "backend", "procs", "wire", "memory_budget",
-            "worker_memory_budget", "max_supersteps", "superstep_budget",
-            "wall_budget_seconds",
+            "worker_memory_budget", "superstep_budget", "wall_budget_seconds",
         }
         assert drawable == {
             spec.name for spec in dataclasses.fields(ExecutionConfig)

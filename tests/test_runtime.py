@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro import PSgL, triangle
 from repro.bsp import BSPEngine, ChunkedColumnarStore, ColumnarOutbox, ExecutionConfig
-from repro.exceptions import EngineError
+from repro.exceptions import BudgetExceededError, EngineError
 from repro.graph import Graph, hash_partition, load_mapped, write_csrbin
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
@@ -285,7 +285,8 @@ class TestProcessChildFailure:
 
 class TestEngineTeardown:
     def test_post_application_called_on_max_supersteps(self):
-        """Regression: the max_supersteps overflow path must tear the
+        """Regression: the superstep cap (``superstep_budget``, which
+        took over from the retired ``max_supersteps``) must tear the
         program down exactly like the OOM path does."""
 
         class PingPong(Ripple):
@@ -296,9 +297,9 @@ class TestEngineTeardown:
 
         program = PingPong(rounds=100)
         engine = BSPEngine(
-            path_graph(2), hash_partition(2, 1), max_supersteps=4
+            path_graph(2), hash_partition(2, 1), superstep_budget=4
         )
-        with pytest.raises(EngineError):
+        with pytest.raises(BudgetExceededError):
             engine.run(program)
         assert program.torn_down
 

@@ -12,10 +12,12 @@ import time
 
 import pytest
 
+from repro.bsp import ExecutionConfig
 from repro.core import PSgL
 from repro.exceptions import (
     AdmissionError,
     BudgetExceededError,
+    EngineError,
     JobCancelled,
     QuerySpecError,
 )
@@ -27,13 +29,13 @@ from repro.service import (
     Job,
     JobManager,
     MetricsRegistry,
-    ResourceBudget,
     ResultCache,
     SubgraphService,
     cache_key,
     parse_metrics,
     running_service,
 )
+from repro.service.server import apply_budget
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +115,10 @@ class TestSpecValidation:
         client, _ = service_pair
         with pytest.raises(QuerySpecError, match="budget"):
             client.submit(pattern="PG1", budget={"max_meals": 3})
-        with pytest.raises(QuerySpecError, match="> 0"):
+        with pytest.raises(
+            QuerySpecError,
+            match="budget field max_supersteps: superstep_budget must be >= 1",
+        ):
             client.submit(pattern="PG1", budget={"max_supersteps": -1})
 
     def test_bad_backend_rejected(self, service_pair):
@@ -285,9 +290,14 @@ class TestBudgetsAndCancel:
         client, _ = service_pair
         job = client.count(pattern="PG4", budget={"max_supersteps": 1}, seed=5)
         assert job["state"] == "killed"
-        assert job["error"]["type"] == "BudgetExceededError"
-        assert job["error"]["resource"] == "supersteps"
-        assert job["error"]["budget"] == 1
+        assert job["error"] == {
+            "type": "BudgetExceededError",
+            "message": "superstep budget of 1 exhausted at superstep 1",
+            "resource": "supersteps",
+            "used": 1,
+            "budget": 1,
+            "where": "superstep 1",
+        }
 
     def test_memory_budget_kill(self, service_pair):
         client, _ = service_pair
@@ -311,8 +321,9 @@ class TestBudgetsAndCancel:
     def test_default_budget_applies_underneath(self):
         with running_service(
             complete_graph(10),
-            default_budget=ResourceBudget(max_supersteps=1),
+            default_budget={"max_supersteps": 1, "max_live_gpsis": None},
         ) as (client, _):
+            assert client.info()["default_budget"] == {"max_supersteps": 1}
             job = client.count(pattern="PG4")
             assert job["state"] == "killed"
             # ...but an explicit laxer budget on the request wins its axis.
@@ -548,30 +559,50 @@ class TestResultCacheUnit:
         assert cache.get(k1) is not None
 
 
-class TestResourceBudgetUnit:
-    def test_from_json_validates(self):
-        budget = ResourceBudget.from_json(
-            {"max_supersteps": 3, "max_wall_seconds": 1.5}
+class TestBudgetAxes:
+    """A ``budget`` object is the four budget fields of ``ExecutionConfig``
+    under the client's names, applied with the config's own rules."""
+
+    def test_name_map_applies_each_axis_to_its_field(self):
+        config = apply_budget(
+            ExecutionConfig(),
+            {
+                "max_live_gpsis": 7,
+                "max_worker_live_gpsis": None,  # unset: keeps its value
+                "max_supersteps": 3,
+                "max_wall_seconds": 1.5,
+            },
         )
-        assert budget.max_supersteps == 3
-        assert budget.max_wall_seconds == 1.5
-        assert ResourceBudget.from_json(None) == ResourceBudget()
+        assert config == ExecutionConfig(
+            memory_budget=7, superstep_budget=3, wall_budget_seconds=1.5
+        )
+        assert apply_budget(ExecutionConfig(), {}) == ExecutionConfig()
 
-    def test_merged_over_fills_only_unset_axes(self):
-        base = ResourceBudget(max_supersteps=5, max_live_gpsis=100)
-        request = ResourceBudget(max_supersteps=2)
-        merged = request.merged_over(base)
-        assert merged.max_supersteps == 2
-        assert merged.max_live_gpsis == 100
+    def test_request_axes_merge_over_the_default(self):
+        service = SubgraphService(
+            GraphContext(complete_graph(5)),
+            default_budget={"max_supersteps": 5, "max_live_gpsis": 100},
+        )
+        try:
+            budget = {"max_supersteps": 20, "max_live_gpsis": None}
+            spec, *_ = service._normalize({"pattern": "PG1", "budget": budget})
+            config = service._config_for(spec)
+            assert (config.superstep_budget, config.memory_budget) == (20, 100)
+        finally:
+            service.close()
 
-    def test_psgl_kwargs_shape(self):
-        kwargs = ResourceBudget(max_supersteps=4).psgl_kwargs()
-        assert kwargs == {
-            "memory_budget": None,
-            "worker_memory_budget": None,
-            "superstep_budget": 4,
-            "wall_budget_seconds": None,
-        }
+    def test_bad_axis_is_the_configs_error_under_the_client_name(self):
+        for budget, match in (
+            ({"max_supersteps": 0}, "budget field max_supersteps: "
+             "superstep_budget must be >= 1, got 0"),
+            ({"max_live_gpsis": 2.5}, "budget field max_live_gpsis: "
+             "memory_budget must be int, got 2.5"),
+            ({"max_wall_seconds": -1}, "budget field max_wall_seconds: "
+             "wall_budget_seconds must be a finite number > 0"),
+            ({"max_meals": 3}, r"unknown budget fields \['max_meals'\]"),
+        ):
+            with pytest.raises(EngineError, match=match):
+                apply_budget(ExecutionConfig(), budget)
 
 
 class TestMetricsUnit:

@@ -18,6 +18,14 @@
   JSON parser accepts) passed the ``<= 0`` check, replaced the server's
   default axis, and disabled the wall-clock kill — ``elapsed > nan`` is
   never true.  Non-finite budgets are 400s now.
+* A ``budget`` that was not a JSON object was a 500 (``5``: "'int'
+  object is not iterable"; a list: ``AttributeError``), a guess
+  (``"xy"``: "unknown budget fields ['x', 'y']") or a silent "no budget"
+  (``0``, ``[]``).  Anything but ``null`` or an object is a 400 now.
+* An illegal server default budget (``max_supersteps`` 0, a NaN wall
+  clock) was accepted, and then every job failed with the config's
+  ``EngineError``.  The service refuses it at construction, and ``psgl
+  serve`` exits 5 before the graph is loaded.
 """
 
 import json
@@ -28,12 +36,14 @@ import types
 
 import pytest
 
+from repro.cli import main
+from repro.exceptions import EngineError
 from repro.graph import complete_graph
 from repro.service import jobs as jobs_mod
 from repro.service import running_service
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobManager, JobState
-from repro.service.server import ServiceHTTPHandler
+from repro.service.server import GraphContext, ServiceHTTPHandler, SubgraphService
 
 
 # ----------------------------------------------------------------------
@@ -273,3 +283,65 @@ class TestNonFiniteBudget:
             error = json.loads(text)["error"]
             assert error["type"] == "QuerySpecError"
             assert "finite number > 0" in error["message"]
+
+
+# ----------------------------------------------------------------------
+# A budget that is not a JSON object
+# ----------------------------------------------------------------------
+class TestNonObjectBudget:
+    @pytest.mark.parametrize("budget", [5, 0, ["max_supersteps"], [], "xy", True])
+    def test_is_a_400_and_the_service_answers_the_next_job(self, budget):
+        with running_service(complete_graph(6)) as (client, _):
+            status, text = client._request(
+                "POST", "/jobs", {"pattern": "PG1", "budget": budget}
+            )
+            assert status == 400
+            error = json.loads(text)["error"]
+            assert error == {
+                "type": "QuerySpecError",
+                "message": "budget must be a JSON object",
+            }
+            assert client.count(pattern="PG1")["state"] == "completed"
+
+    def test_null_is_no_budget_and_the_default_applies(self):
+        with running_service(
+            complete_graph(6), default_budget={"max_supersteps": 1}
+        ) as (client, _):
+            for budget in (None, {"max_supersteps": None}):
+                job = client.count(pattern="PG4", budget=budget)
+                assert job["state"] == "killed", job
+                assert job["error"]["budget"] == 1
+
+
+# ----------------------------------------------------------------------
+# An illegal server default budget
+# ----------------------------------------------------------------------
+class TestInvalidDefaultBudget:
+    @pytest.mark.parametrize(
+        "default,match",
+        [
+            ({"max_supersteps": 0}, "budget field max_supersteps: superstep_budget"),
+            ({"max_wall_seconds": float("nan")}, "budget field max_wall_seconds: "),
+            ({"max_supersteps": 2.5}, "superstep_budget must be int"),
+            ({"max_meals": 3}, "unknown budget fields"),
+        ],
+    )
+    def test_refused_at_construction(self, default, match):
+        with pytest.raises(EngineError, match=match):
+            SubgraphService(GraphContext(complete_graph(4)), default_budget=default)
+
+    @pytest.mark.parametrize(
+        "flags,match",
+        [
+            (["--max-supersteps", "0"], "max_supersteps: superstep_budget must"),
+            (["--max-wall-seconds", "nan"], "max_wall_seconds: wall_budget_seconds"),
+            (["--max-live-gpsis", "-3"], "max_live_gpsis: memory_budget must be"),
+        ],
+    )
+    def test_serve_exits_5_before_reading_the_graph(self, flags, match, capsys):
+        code = main(["serve", "--edge-list", "/no/such/file.txt"] + flags)
+        err = capsys.readouterr().err
+        # Exit 5 (EngineError), not 4: the missing file was never opened.
+        assert code == 5
+        assert err.startswith("psgl: error: budget field ") and match in err
+        assert "Traceback" not in err
