@@ -27,7 +27,9 @@ much cheaper than regenerating it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Dict, List, Optional
 
 from ..exceptions import GraphError
@@ -176,8 +178,16 @@ def dataset_names() -> List[str]:
     return [spec.name for spec in _SPECS]
 
 
+def check_scale(scale: object) -> None:
+    """Raise :class:`~repro.exceptions.GraphError` unless ``scale`` is a
+    finite number > 0 — what every ``--scale`` flag passes through."""
+    if not (isinstance(scale, Real) and math.isfinite(scale) and scale > 0):
+        raise GraphError(f"scale must be a finite number > 0, got {scale!r}")
+
+
 def load_dataset(name: str, scale: float = 1.0) -> Graph:
     """Build (or fetch from cache) the analog called ``name``."""
+    check_scale(scale)
     if name not in SPECS:
         raise GraphError(
             f"unknown dataset {name!r}; available: {', '.join(dataset_names())}"

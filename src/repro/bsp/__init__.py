@@ -3,13 +3,6 @@
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".aggregate": (
-        "Aggregator",
-        "AggregatorRegistry",
-        "max_aggregator",
-        "min_aggregator",
-        "sum_aggregator",
-    ),
     ".engine": ("BSPEngine", "BSPResult"),
     ".config": ("ExecutionConfig", "WIRE_PLANES"),
     ".message": (

@@ -14,9 +14,10 @@ Execution is delegated to a :mod:`repro.runtime` backend: the
 engine builds one deterministic batch per logical worker each superstep
 (active vertices plus their delivered rows), the executor runs the
 batches — sequentially, or on process lanes over one shared read-only
-graph — and the engine merges the returned outboxes,
-ledger deltas and outputs in worker-id order at the barrier.  The merge
-order makes every backend reproduce the serial engine's message
+graph — and the engine merges the returned outboxes, ledger deltas and
+program state deltas in worker-id order at the barrier.  A program's
+state delta is the only way a worker's effects reach the driver.  The
+merge order makes every backend reproduce the serial engine's message
 delivery order, so the cost ledger records what each *logical* worker
 did regardless of where it physically ran.
 """
@@ -34,7 +35,6 @@ from ..graph.graph import Graph
 from ..graph.partition import Partition
 from ..obs.tracer import make_tracer
 from ..runtime.executor import JobSpec, SuperstepExecutor
-from .aggregate import AggregatorRegistry
 from .config import ExecutionConfig
 from .message import ChunkedColumnarStore
 from .metrics import CostLedger
@@ -45,10 +45,8 @@ from .vertex_program import VertexProgram
 class BSPResult:
     """Everything a finished (or OOM-aborted) job produced."""
 
-    outputs: List[Any]
     ledger: CostLedger
     wall_seconds: float
-    aggregated: Optional[dict] = None
     #: The tracer that observed the run (None when tracing was off).
     trace: Optional[Any] = None
 
@@ -137,11 +135,7 @@ class BSPEngine:
         ledger = CostLedger(
             self.num_workers, cfg.memory_budget, cfg.worker_memory_budget
         )
-        outputs: List[Any] = []
         inbox = None  # superstep 0 delivers nothing
-        registry = AggregatorRegistry(
-            program.aggregators(), program.persistent_aggregators()
-        )
 
         initial = program.initial_active_vertices(self.graph)
 
@@ -182,16 +176,10 @@ class BSPEngine:
                 else:
                     batches = inbox.build_worker_batches()
                 step_started = perf_counter() if tracer.enabled else 0.0
-                results = executor.run_superstep(superstep, batches, registry)
+                results = executor.run_superstep(superstep, batches)
                 merge_started = perf_counter() if tracer.enabled else 0.0
                 inbound_per_worker = self._merge_results(
-                    superstep,
-                    results,
-                    outbox,
-                    ledger,
-                    outputs,
-                    registry,
-                    program,
+                    superstep, results, outbox, ledger, program
                 )
                 if tracer.enabled:
                     # Emitted before the budget check so an OOM-aborted
@@ -210,8 +198,6 @@ class BSPEngine:
                         lane_busy_ms=getattr(executor, "lane_busy_ms", None),
                     )
 
-                registry.end_superstep()
-                ledger.total_emitted = len(outputs)
                 ledger.end_superstep(
                     live_messages=len(outbox),
                     max_worker_live=max(inbound_per_worker),
@@ -235,14 +221,11 @@ class BSPEngine:
                     wall_ms=(perf_counter() - started) * 1000.0,
                     status=status,
                     supersteps=ledger.num_supersteps,
-                    outputs=len(outputs),
                 )
         program.post_application()
         return BSPResult(
-            outputs=outputs,
             ledger=ledger,
             wall_seconds=perf_counter() - started,
-            aggregated=registry.finals(),
             trace=tracer if tracer.enabled else None,
         )
 
@@ -284,8 +267,6 @@ class BSPEngine:
         results: List[Any],
         outbox: ChunkedColumnarStore,
         ledger: CostLedger,
-        outputs: List[Any],
-        registry: AggregatorRegistry,
         program: VertexProgram,
     ) -> List[int]:
         """The barrier: shuffle messages into ``outbox`` and fold
@@ -295,9 +276,8 @@ class BSPEngine:
 
         Each worker's whole outbox crosses as its one chunk, and the
         ledger records the exact wire bytes it
-        shipped.  Every worker ran on a program replica, so its
-        aggregator contributions and state delta fold into the driver's
-        ``registry`` and ``program`` here.
+        shipped.  Every worker ran on a program replica, so its state
+        delta folds into the driver's ``program`` here.
         """
         inbound_per_worker = [0] * self.num_workers
         for result in results:
@@ -309,9 +289,6 @@ class BSPEngine:
             for dest, count in enumerate(result.inbound):
                 inbound_per_worker[dest] += count
             outbox.merge_chunk(wid, result.outbox)
-            outputs.extend(result.outputs)
-            for name, value in result.agg_contribs.items():
-                registry.aggregate(name, value)
             program.merge_state_delta(result.state_delta)
         # Exact accounting: the store must hold precisely what the
         # workers' own counters say was sent — any lost, duplicated or
@@ -352,7 +329,6 @@ class BSPEngine:
                 cost=result.cost,
                 messages=result.messages_sent,
                 compute_calls=result.compute_calls,
-                outputs=len(result.outputs),
             )
         tracer.emit(
             "barrier",

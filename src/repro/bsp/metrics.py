@@ -18,7 +18,7 @@ reproduce the paper's OOM table cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..exceptions import EngineError, SimulatedOOMError
@@ -35,7 +35,7 @@ class SuperstepStats:
     #: Exact bytes each worker's packed outbox shipped across the barrier
     #: (zeros from a driver that moves no packed buffers, such as the
     #: scalar reference).
-    worker_wire_bytes: Optional[List[int]] = None
+    worker_wire_bytes: List[int]
 
     @property
     def max_cost(self) -> float:
@@ -81,7 +81,6 @@ class CostLedger:
         self.steps: List[SuperstepStats] = []
         self.peak_live_messages = 0
         self.peak_worker_live = 0
-        self.total_emitted = 0
         self._current: Optional[SuperstepStats] = None
 
     # ------------------------------------------------------------------
@@ -146,14 +145,6 @@ class CostLedger:
         """Charge ``units`` of work to ``worker`` in the current superstep."""
         self._require_open().worker_cost[worker] += units
 
-    def count_message(self, worker: int) -> None:
-        """Record one message produced by ``worker``."""
-        self._require_open().worker_messages[worker] += 1
-
-    def count_compute(self, worker: int) -> None:
-        """Record one vertex-program invocation on ``worker``."""
-        self._require_open().worker_compute_calls[worker] += 1
-
     def add_messages(self, worker: int, count: int) -> None:
         """Record ``count`` messages produced by ``worker`` (bulk form,
         used when merging a worker's whole superstep at the barrier)."""
@@ -194,13 +185,7 @@ class CostLedger:
     def total_wire_bytes(self) -> int:
         """Exact barrier bytes over the whole run (0 when nothing measured
         them; see :meth:`add_wire_bytes`)."""
-        return int(
-            sum(
-                sum(s.worker_wire_bytes)
-                for s in self.steps
-                if s.worker_wire_bytes is not None
-            )
-        )
+        return int(sum(sum(s.worker_wire_bytes) for s in self.steps))
 
     def worker_totals(self) -> List[float]:
         """Per-worker cost summed over all supersteps (Figure 5's bars)."""

@@ -8,8 +8,11 @@ rows (:class:`~repro.core.psi.GpsiColumns`), and the program sees them
 as such: :meth:`VertexProgram.initialize_columns` gets one worker's
 initial vertices in one call, :meth:`VertexProgram.compute_columns` one
 delivered block of rows per call.  The program does its work through
-the :class:`ComputeContext`, which routes messages, charges simulated
-cost to the executing worker, and collects outputs.
+the :class:`ComputeContext`, which routes messages and charges
+simulated cost to the executing worker.  Whatever else a program
+produces — instances, counts, statistics — it keeps on itself and hands
+to the driver through the state-delta hooks, the one way a worker's
+effects reach the driver.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..graph.graph import Graph
-from .aggregate import Aggregator
 
 
 class ComputeContext:
@@ -33,8 +35,6 @@ class ComputeContext:
         "worker_state",
         "_send_columns",
         "_add_cost",
-        "_emit",
-        "_aggregators",
     )
 
     def __init__(
@@ -45,8 +45,6 @@ class ComputeContext:
         worker_state: Dict[str, Any],
         send_columns: Callable[[Any], None],
         add_cost: Callable[[float], None],
-        emit: Callable[[Any], None],
-        aggregators: Any,
     ):
         self.graph = graph
         self.superstep = superstep
@@ -54,8 +52,6 @@ class ComputeContext:
         self.worker_state = worker_state
         self._send_columns = send_columns
         self._add_cost = add_cost
-        self._emit = emit
-        self._aggregators = aggregators
 
     def send_columns(self, columns: Any) -> None:
         """Bulk-send a packed :class:`~repro.core.psi.GpsiColumns` batch
@@ -69,28 +65,13 @@ class ComputeContext:
         """Charge ``units`` of simulated work to the executing worker."""
         self._add_cost(units)
 
-    def emit(self, value: Any) -> None:
-        """Record an output (e.g. a found subgraph instance)."""
-        self._emit(value)
-
-    def aggregate(self, name: str, value: Any) -> None:
-        """Contribute ``value`` to a named aggregator (visible next
-        superstep; persistent aggregators accumulate across the job)."""
-        self._aggregators.aggregate(name, value)
-
-    def aggregated(self, name: str) -> Any:
-        """Read an aggregator as of the last barrier: last superstep's
-        reduction (per-step) or the running total (persistent) — never
-        this superstep's contributions, on any backend."""
-        return self._aggregators.visible(name)
-
 
 class VertexProgram:
     """Base class for vertex-centric algorithms.
 
     Subclasses implement :meth:`initialize_columns` and
     :meth:`compute_columns`; they may also override
-    :meth:`post_application`, the aggregator declarations and the
+    :meth:`post_application`, :meth:`initial_active_vertices` and the
     replica hooks below.
     """
 
@@ -116,14 +97,6 @@ class VertexProgram:
         """Vertices active at superstep 0; ``None`` means all of them."""
         return None
 
-    def aggregators(self) -> Dict[str, "Aggregator"]:
-        """Per-superstep aggregators (values visible one superstep later)."""
-        return {}
-
-    def persistent_aggregators(self) -> Dict[str, "Aggregator"]:
-        """Aggregators accumulating across the whole job (Giraph-style)."""
-        return {}
-
     # ------------------------------------------------------------------
     # Replica contract (every backend)
     # ------------------------------------------------------------------
@@ -134,7 +107,9 @@ class VertexProgram:
     # child lane it is the copy the lane inherited at fork, graph and
     # all, with nothing pickled.  A third-party backend copies the
     # program whole.
-    # The hooks below let driver-side mutable state survive that split.
+    # The hooks below let driver-side mutable state survive that split;
+    # they are the only way a worker's effects — instances, counts,
+    # statistics — reach the driver.
 
     def export_shared(self) -> Dict[str, Any]:
         """Read-only 64-bit numpy arrays every replica shares with the

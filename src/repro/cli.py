@@ -298,7 +298,7 @@ def _load_graph_source(args: argparse.Namespace):
 
 def _cmd_count(args: argparse.Namespace) -> int:
     from .core.distribution import make_strategy
-    from .core.listing import PSgL, check_num_workers
+    from .core.listing import PSgL, check_num_workers, check_seed
     from .pattern.catalog import describe, get_pattern, pattern_from_edges
 
     # Everything that can be refused without the graph is refused first:
@@ -307,6 +307,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         {spec.name: getattr(args, spec.name) for spec in _count_execution_fields()}
     )
     check_num_workers(args.workers)
+    check_seed(args.seed)
     strategy = make_strategy(args.strategy)
     if args.pattern:
         pattern = get_pattern(args.pattern)
@@ -438,8 +439,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench.datasets import check_scale
     from .bench.runner import run_all
 
+    check_scale(args.scale)  # not every experiment loads a dataset
     run_all(
         scale=args.scale,
         experiments=args.experiments,

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..bsp.aggregate import sum_aggregator
 from ..bsp.config import ExecutionConfig, coerce
 from ..bsp.engine import BSPEngine, BSPResult
 from ..bsp.metrics import CostLedger
@@ -144,6 +143,8 @@ class PSgLProgram(VertexProgram):
         self.collect_instances = collect_instances
         self.count_per_vertex = count_per_vertex
         self.track_message_bytes = track_message_bytes
+        #: Complete instances found (the job's count).
+        self.found = 0
         self.instances: List[Tuple[int, ...]] = []
         self.gpsi_by_vertex: Dict[int, int] = {}
         self.per_vertex_counts: Dict[int, int] = {}
@@ -187,6 +188,7 @@ class PSgLProgram(VertexProgram):
     def collect_state_delta(self):
         self._fold_per_vertex()
         delta = (
+            self.found,
             self.gpsi_by_vertex,
             self.instances,
             self.per_vertex_counts,
@@ -194,6 +196,7 @@ class PSgLProgram(VertexProgram):
             self.edge_index.queries,
             self.edge_index.positives,
         )
+        self.found = 0
         self.gpsi_by_vertex = {}
         self.instances = []
         self.per_vertex_counts = {}
@@ -204,7 +207,11 @@ class PSgLProgram(VertexProgram):
     def merge_state_delta(self, delta) -> None:
         if delta is None:
             return
-        gpsi_by_vertex, instances, per_vertex, msg_bytes, queries, positives = delta
+        (
+            found, gpsi_by_vertex, instances, per_vertex, msg_bytes, queries,
+            positives,
+        ) = delta
+        self.found += found
         for vp, n in gpsi_by_vertex.items():
             self.gpsi_by_vertex[vp] = self.gpsi_by_vertex.get(vp, 0) + n
         self.instances.extend(instances)
@@ -216,11 +223,6 @@ class PSgLProgram(VertexProgram):
         # independent.
         self.edge_index.queries += queries
         self.edge_index.positives += positives
-
-    def persistent_aggregators(self):
-        # The global instance counter lives in a Giraph-style persistent
-        # aggregator rather than driver-side mutable state.
-        return {"found": sum_aggregator(0)}
 
     # ------------------------------------------------------------------
     def initialize_columns(self, ctx: ComputeContext, vertices: np.ndarray) -> None:
@@ -254,7 +256,7 @@ class PSgLProgram(VertexProgram):
         for vp, n in outcome.generated_by_vp.items():
             self.gpsi_by_vertex[vp] = self.gpsi_by_vertex.get(vp, 0) + n
         if outcome.n_complete:
-            ctx.aggregate("found", outcome.n_complete)
+            self.found += outcome.n_complete
             if self.collect_instances:
                 self.instances.extend(map(tuple, outcome.complete.tolist()))
             if self.count_per_vertex:
@@ -288,6 +290,16 @@ def check_num_workers(num_workers: object) -> int:
     if num_workers < 1:
         raise EngineError(f"num_workers must be >= 1, got {num_workers}")
     return num_workers
+
+
+def check_seed(seed: object) -> int:
+    """The master seed as an int >= 0, or
+    :class:`~repro.exceptions.EngineError` — shared like
+    :func:`check_num_workers` (numpy refuses a negative seed)."""
+    seed = coerce("seed", int, seed)
+    if seed < 0:
+        raise EngineError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 class PSgL:
@@ -372,6 +384,7 @@ class PSgL:
         self.config = (config or ExecutionConfig()).with_overrides(**overrides)
         if partition is None:
             num_workers = check_num_workers(num_workers)
+        seed = check_seed(seed)
         self.graph = graph
         if ordered is not None and ordered.graph is not graph:
             raise GraphError(
@@ -510,7 +523,7 @@ class PSgL:
         )
         bsp_result: BSPResult = engine.run(program)
         return ListingResult(
-            count=int(bsp_result.aggregated["found"]),
+            count=program.found,
             pattern=pattern,
             initial_vertex=initial_vertex,
             strategy=self.strategy.name,

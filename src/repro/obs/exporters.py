@@ -173,7 +173,6 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
                             "cost": event.data.get("cost", 0.0),
                             "messages": event.data.get("messages", 0),
                             "compute_calls": event.data.get("compute_calls", 0),
-                            "outputs": event.data.get("outputs", 0),
                         },
                     }
                 )

@@ -36,7 +36,7 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
 ``worker``
     One per (superstep, logical worker with a non-empty batch): the
     ledger delta that worker produced — ``cost``, ``messages``,
-    ``compute_calls``, ``outputs`` — identical on every backend because
+    ``compute_calls`` — identical on every backend because
     it is read from the merged :class:`WorkerStepResult` at the barrier,
     after process-backend children shipped their deltas home.
 ``barrier``

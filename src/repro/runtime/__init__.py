@@ -14,10 +14,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".executor": (
         "JobSpec",
         "SuperstepExecutor",
-        "WorkerAggregators",
         "WorkerBatch",
         "WorkerStepResult",
-        "fresh_aggregators",
         "run_replica_batch",
     ),
     ".process": ("ProcessExecutor", "default_procs"),

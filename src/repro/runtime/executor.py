@@ -5,11 +5,11 @@ worker's active vertices with their delivered rows, in deterministic
 order — and hands all batches to a :class:`SuperstepExecutor`, which
 returns one :class:`WorkerStepResult` per non-empty batch.  The engine
 then merges results **in worker-id order**, which makes every backend
-reproduce the serial engine's outputs, ledger and message order exactly:
+reproduce the serial engine's state, ledger and message order exactly:
 
 * per-worker iteration order is fixed by the batch,
-* per-worker accumulation (cost, sends, outputs) happens locally in that
-  order, and
+* per-worker accumulation (cost, sends, the program's state delta)
+  happens locally in that order, and
 * the merge concatenates per-worker effects in the same order the serial
   loop interleaved them (worker 0's sends always precede worker 1's).
 
@@ -28,12 +28,12 @@ them.
 One worker contract
 -------------------
 Every batch runs the way a Giraph worker does, through
-:func:`run_replica_batch`: aggregator reads answer from the one
-``registry.snapshot()`` the schedule takes per superstep (the values
-published at the last barrier), contributions reduce locally, and the
-program's tallies come back as a
+:func:`run_replica_batch`: the program computes over the batch, and its
+tallies come back as a
 :meth:`~repro.bsp.vertex_program.VertexProgram.collect_state_delta` that
-the engine merges in worker-id order.  Only *which* object is the
+the engine merges in worker-id order — the one way a worker's effects
+reach the driver.  A unit's arguments are its batch and its worker's
+state dict.  Only *which* object is the
 replica differs: the driver's own program on the serial backend and on
 the process backend's driver lane, the copy a child lane inherited at
 fork on the others.
@@ -107,9 +107,6 @@ class WorkerStepResult:
     inbound: List[int]
     compute_calls: int
     cost: float
-    outputs: List[Any]
-    #: Reduced aggregator contributions (touched aggregators only).
-    agg_contribs: Dict[str, Any]
     #: What ``collect_state_delta`` returned after the batch.
     state_delta: Any
     #: The worker's private state dict as the batch left it, which the
@@ -119,45 +116,6 @@ class WorkerStepResult:
     worker_state: Dict[str, Any]
     #: Exact bytes of the packed ``outbox`` buffers.
     wire_bytes: int = 0
-
-
-class WorkerAggregators:
-    """Per-batch aggregator shim: what ``ctx.aggregate`` and
-    ``ctx.aggregated`` reach on every backend.
-
-    Contributions fold into fresh identity-initialised aggregators (so the
-    batch's reduced contribution can be shipped to the driver and merged
-    there); reads answer from the barrier snapshot the driver provided.
-    """
-
-    __slots__ = ("_aggs", "_snapshot", "_touched")
-
-    def __init__(self, aggs: Dict[str, Any], snapshot: Dict[str, Any]):
-        self._aggs = aggs
-        self._snapshot = snapshot
-        self._touched: set = set()
-
-    def aggregate(self, name: str, value: Any) -> None:
-        if name not in self._aggs:
-            raise KeyError(f"unknown aggregator {name!r}")
-        self._aggs[name].aggregate(value)
-        self._touched.add(name)
-
-    def visible(self, name: str) -> Any:
-        if name not in self._snapshot:
-            raise KeyError(f"unknown aggregator {name!r}")
-        return self._snapshot[name]
-
-    def contributions(self) -> Dict[str, Any]:
-        """Reduced contributions of this batch (touched aggregators only)."""
-        return {name: self._aggs[name].value for name in self._touched}
-
-
-def fresh_aggregators(program: VertexProgram) -> Dict[str, Any]:
-    """Identity-initialised aggregator instances for one batch."""
-    aggs = dict(program.aggregators())
-    aggs.update(program.persistent_aggregators())
-    return aggs
 
 
 def _compute_batch(
@@ -182,7 +140,6 @@ def run_replica_batch(
     superstep: int,
     batch: WorkerBatch,
     worker_state: Dict[str, Any],
-    snapshot: Dict[str, Any],
 ) -> WorkerStepResult:
     """Run one logical worker's compute batch on a program replica and
     collect its effects.
@@ -194,9 +151,8 @@ def run_replica_batch(
     partition and worker count come off ``spec``;
     ``program`` is the replica compute runs against — the driver's own
     object on the serial backend and the driver lane, its fork-time copy
-    on a child lane.  Aggregator calls go to a fresh identity-value shim
-    over the barrier ``snapshot``, the replica's state delta is
-    collected, and the worker's state dict rides home on the result.
+    on a child lane.  The replica's state delta is collected, and the
+    worker's state dict rides home on the result.
 
     Nothing ever leaves packed form: superstep 0 hands the worker's
     initial vertices to ``initialize_columns`` in one call, every later
@@ -210,9 +166,7 @@ def run_replica_batch(
     """
     num_workers = spec.num_workers
     owner_array = spec.partition.owner_array
-    aggregators = WorkerAggregators(fresh_aggregators(program), snapshot)
     inbound = [0] * num_workers
-    outputs: List[Any] = []
     acc = {"cost": 0.0, "sent": 0}
     col_outbox = ColumnarOutbox()
 
@@ -236,8 +190,6 @@ def run_replica_batch(
         worker_state=worker_state,
         send_columns=send_columns,
         add_cost=add_cost,
-        emit=outputs.append,
-        aggregators=aggregators,
     )
     compute_calls = _compute_batch(program, ctx, batch)
 
@@ -250,8 +202,6 @@ def run_replica_batch(
         inbound=inbound,
         compute_calls=compute_calls,
         cost=acc["cost"],
-        outputs=outputs,
-        agg_contribs=aggregators.contributions(),
         state_delta=program.collect_state_delta(),
         worker_state=worker_state,
     )
@@ -325,7 +275,6 @@ class SuperstepExecutor:
         self,
         superstep: int,
         batches: List[WorkerBatch],
-        registry: Any,
     ) -> List[WorkerStepResult]:
         """Run all non-empty batches; ``batches[w]`` belongs to worker ``w``.
 
@@ -334,12 +283,11 @@ class SuperstepExecutor:
         deals the superstep's units round-robin to its lanes, so owner
         ``w`` of a full superstep runs on lane ``w % procs``.
         """
-        snapshot = registry.snapshot()
         owners = [owner for owner, batch in enumerate(batches) if len(batch)]
         replies = self._run([
             (
                 run_replica_batch,
-                (owner, superstep, batches[owner], self._states[owner], snapshot),
+                (owner, superstep, batches[owner], self._states[owner]),
             )
             for owner in owners
         ])

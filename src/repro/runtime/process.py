@@ -19,10 +19,10 @@ Lanes
   one; the driver runs its share between.
 
 Logical workers are *location independent*: a unit's arguments — the
-packed batch, the worker's state dict, the aggregator snapshot — are all
-a logical worker is, so any lane can execute any worker in any superstep
-and results stay deterministic.  Requirements on the program: picklable
-messages/outputs/worker state, and the state-delta hooks for driver-side
+packed batch and the worker's state dict — are all a logical worker
+is, so any lane can execute any worker in any superstep and results
+stay deterministic.  Requirements on the program: picklable worker
+state and state deltas, and the state-delta hooks for driver-side
 mutable state.
 
 A lane that cannot start — ``os.pipe`` or ``os.fork`` fails — is an
@@ -361,8 +361,7 @@ class ProcessExecutor(SuperstepExecutor):
     def _run(self, calls: List[tuple]) -> List[tuple]:
         # Any lane may run any owner's unit: the program and the graph
         # are resident in every child, and the unit's arguments — packed
-        # columns, the state dict, the aggregator snapshot — are all a
-        # logical worker is.
+        # columns and the state dict — are all a logical worker is.
         return self._lanes.deal(calls)
 
     @property

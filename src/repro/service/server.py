@@ -49,7 +49,7 @@ from urllib.parse import parse_qs, urlparse
 from ..bsp.config import BACKENDS, RETIRED, ExecutionConfig, coerce
 from ..core.distribution import make_strategy
 from ..core.edge_index import build_edge_index
-from ..core.listing import ListingResult, PSgL, check_num_workers
+from ..core.listing import ListingResult, PSgL, check_num_workers, check_seed
 from ..exceptions import (
     AdmissionError,
     DistributionError,
@@ -369,7 +369,7 @@ class SubgraphService:
             # a 400, not a failed job — and never a guess ("false" is not
             # False, 2.7 workers is not 2).
             spec["workers"] = check_num_workers(spec["workers"])
-            spec["seed"] = coerce("seed", int, spec["seed"])
+            spec["seed"] = check_seed(spec["seed"])
             spec["collect_instances"] = coerce(
                 "collect_instances", bool, spec["collect_instances"]
             )

@@ -10,7 +10,7 @@ calls back into the textbook one-vertex-at-a-time shape.
 
 import numpy as np
 
-from repro.bsp import VertexProgram, sum_aggregator
+from repro.bsp import VertexProgram
 from repro.core import GpsiColumns
 
 
@@ -67,33 +67,35 @@ class Ripple(PerVertex):
     ``rounds`` supersteps.
 
     An active vertex costs ``1 + skew * worker_id`` plus one unit per
-    ping it received; every ping is emitted as ``(superstep, vertex,
-    sender)``, counted by the persistent ``hops`` aggregator and tallied
-    per sender in ``seen``, which reaches the driver through the
-    parallel-safe delta hooks.
+    ping it received; every ping is recorded in ``pings`` as
+    ``(superstep, vertex, sender)``, counted in ``hops`` and tallied per
+    sender in ``seen``, all of which reach the driver through the
+    state-delta hooks.
     """
 
     def __init__(self, rounds=3, skew=0.0):
         self.rounds = rounds
         self.skew = skew
         self.seen = {}
-
-    def persistent_aggregators(self):
-        return {"hops": sum_aggregator(0)}
+        self.pings = []
+        self.hops = 0
 
     def visit(self, ctx, vertex, senders):
         for sender in senders:
             self.seen[sender] = self.seen.get(sender, 0) + 1
-            ctx.emit((ctx.superstep, vertex, sender))
-        ctx.aggregate("hops", len(senders))
+            self.pings.append((ctx.superstep, vertex, sender))
+        self.hops += len(senders)
         ctx.add_cost(1.0 + self.skew * ctx.worker_id + len(senders))
         return vertex if ctx.superstep < self.rounds else None
 
     def collect_state_delta(self):
-        delta = self.seen
-        self.seen = {}
+        delta = self.seen, self.pings, self.hops
+        self.seen, self.pings, self.hops = {}, [], 0
         return delta
 
     def merge_state_delta(self, delta):
-        for key, n in delta.items():
+        seen, pings, hops = delta
+        for key, n in seen.items():
             self.seen[key] = self.seen.get(key, 0) + n
+        self.pings.extend(pings)
+        self.hops += hops

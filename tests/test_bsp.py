@@ -1,12 +1,23 @@
 """Unit tests for the BSP engine, its barrier store, metrics and
 partitions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine, ChunkedColumnarStore, CostLedger, VertexProgram
+from repro.bsp import (
+    BSPEngine,
+    BSPResult,
+    ChunkedColumnarStore,
+    ComputeContext,
+    CostLedger,
+    VertexProgram,
+)
 from repro.exceptions import BudgetExceededError, EngineError, SimulatedOOMError
 from repro.graph import Graph, Partition, hash_partition, random_partition
+from repro.obs import Tracer
+from repro.runtime import WorkerStepResult
 
 from .programs import Ripple, payload_columns
 
@@ -24,9 +35,10 @@ class TestEngineBasics:
         program = Ripple(rounds=1)
         result = engine.run(program)
         assert result.supersteps == 2
-        assert sorted(result.outputs) == [
+        assert sorted(program.pings) == [
             (1, 0, 1), (1, 1, 0), (1, 1, 2), (1, 2, 1), (1, 2, 3), (1, 3, 2),
         ]
+        assert program.hops == 6
         assert program.seen == {0: 1, 1: 2, 2: 2, 3: 1}
 
     def test_messages_counted(self):
@@ -68,11 +80,10 @@ class TestEngineBasics:
             def initial_active_vertices(self, graph):
                 return [0]
 
-        result = BSPEngine(path_graph(4), hash_partition(4, 2)).run(
-            OnlyZero(rounds=1)
-        )
+        program = OnlyZero(rounds=1)
+        result = BSPEngine(path_graph(4), hash_partition(4, 2)).run(program)
         assert sum(result.ledger.steps[0].worker_compute_calls) == 1
-        assert result.outputs == [(1, 1, 0)]  # only vertex 0 pinged
+        assert program.pings == [(1, 1, 0)]  # only vertex 0 pinged
 
     def test_memory_budget_triggers_oom(self):
         # Superstep 0 puts 6 pings in flight.
@@ -99,6 +110,29 @@ class TestEngineBasics:
         BSPEngine(path_graph(4), hash_partition(4, 2)).run(Counter())
         # each worker computed its 2 vertices twice (superstep 0 and 1)
         assert all(n == 4 for n in Counter.totals.values())
+
+
+class TestOneWayHome:
+    def test_the_state_delta_is_the_only_channel(self):
+        """A worker's effects reach the driver only through the program's
+        state delta: the aggregator plane, ``emit`` and the outputs list
+        are gone, and no trace event counts outputs."""
+        with pytest.raises(ModuleNotFoundError):
+            import repro.bsp.aggregate  # noqa: F401
+        for name in ("emit", "aggregate", "aggregated"):
+            assert not hasattr(ComputeContext, name), name
+        for name in ("aggregators", "persistent_aggregators"):
+            assert not hasattr(VertexProgram, name), name
+        fields = {f.name for f in dataclasses.fields(BSPResult)}
+        assert not fields & {"outputs", "aggregated"}
+        fields = {f.name for f in dataclasses.fields(WorkerStepResult)}
+        assert not fields & {"outputs", "agg_contribs"}
+        tracer = Tracer()
+        program = Ripple(rounds=1)
+        BSPEngine(path_graph(4), hash_partition(4, 2), trace=tracer).run(program)
+        assert program.hops == 6
+        assert tracer.by_kind("worker") and tracer.by_kind("job")
+        assert not any("outputs" in event.data for event in tracer.events)
 
 
 class TestMessageStore:
@@ -196,10 +230,6 @@ class TestCostLedger:
         ledger = CostLedger(2)
         with pytest.raises(EngineError):
             ledger.add_cost(0, 1.0)
-        with pytest.raises(EngineError):
-            ledger.count_message(0)
-        with pytest.raises(EngineError):
-            ledger.count_compute(0)
         with pytest.raises(EngineError):
             ledger.add_messages(0, 2)
         with pytest.raises(EngineError):

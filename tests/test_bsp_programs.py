@@ -2,8 +2,7 @@
 
 PageRank, connected components and single-source shortest paths exercise
 what the engine promises any vertex program beyond PSgL's: data-dependent
-halting, a declared initial active set, and aggregator visibility across
-supersteps.  Reductions a Pregel combiner would do (the rank sum, the
+halting and a declared initial active set.  Reductions a Pregel combiner would do (the rank sum, the
 minimum label, the shortest candidate) happen on the receiving side.
 """
 
@@ -11,7 +10,7 @@ import struct
 
 import pytest
 
-from repro.bsp import BSPEngine, max_aggregator, min_aggregator, sum_aggregator
+from repro.bsp import BSPEngine
 from repro.graph import Graph, complete_graph, hash_partition
 
 from .programs import PerVertex
@@ -28,15 +27,12 @@ def bits_float(bits):
 
 
 class PageRank(PerVertex):
-    """Fixed-iteration PageRank with a mass aggregator."""
+    """Fixed-iteration PageRank; ``ranks`` holds each vertex's latest rank."""
 
     def __init__(self, iterations=10, damping=0.85):
         self.iterations = iterations
         self.damping = damping
         self.ranks = {}
-
-    def aggregators(self):
-        return {"mass": sum_aggregator(0.0)}
 
     def visit(self, ctx, vertex, shares):
         n = ctx.graph.num_vertices
@@ -46,7 +42,6 @@ class PageRank(PerVertex):
             received = sum(bits_float(share) for share in shares)
             rank = (1 - self.damping) / n + self.damping * received
         self.ranks[vertex] = rank
-        ctx.aggregate("mass", rank)
         degree = ctx.graph.degree(vertex)
         if ctx.superstep < self.iterations and degree:
             return float_bits(rank / degree)
@@ -98,8 +93,8 @@ class TestPageRank:
     def test_mass_conserved(self):
         g = complete_graph(6)
         program = PageRank(iterations=8)
-        result = BSPEngine(g, hash_partition(6, 2)).run(program)
-        assert result.aggregated["mass"] == pytest.approx(1.0, abs=1e-6)
+        BSPEngine(g, hash_partition(6, 2)).run(program)
+        assert sum(program.ranks.values()) == pytest.approx(1.0, abs=1e-6)
 
     def test_symmetric_graph_uniform_ranks(self):
         g = complete_graph(5)
@@ -151,60 +146,3 @@ class TestSSSP:
         BSPEngine(g, hash_partition(4, 2)).run(program)
         assert 2 not in program.dist and 3 not in program.dist
 
-
-class TestAggregatorSemantics:
-    def test_per_step_visible_next_superstep(self):
-        observed = []
-
-        class Observer(PerVertex):
-            def aggregators(self):
-                return {"tick": sum_aggregator(0)}
-
-            def visit(self, ctx, vertex, payloads):
-                observed.append((ctx.superstep, ctx.aggregated("tick")))
-                ctx.aggregate("tick", 1)
-                return vertex if ctx.superstep == 0 else None
-
-        g = Graph(3, [(0, 1), (1, 2)])
-        BSPEngine(g, hash_partition(3, 1)).run(Observer())
-        step0 = [v for s, v in observed if s == 0]
-        step1 = [v for s, v in observed if s == 1]
-        assert len(step1) == 3  # every vertex was pinged back
-        assert all(v == 0 for v in step0)  # nothing visible yet
-        assert all(v == 3 for v in step1)  # superstep 0's total
-
-    def test_persistent_accumulates(self):
-        class Accumulator(PerVertex):
-            def persistent_aggregators(self):
-                return {"total": sum_aggregator(0)}
-
-            def visit(self, ctx, vertex, payloads):
-                ctx.aggregate("total", 1)
-                return vertex if ctx.superstep == 0 else None
-
-        g = Graph(4, [(0, 1), (2, 3)])
-        result = BSPEngine(g, hash_partition(4, 2)).run(Accumulator())
-        assert result.aggregated["total"] == 8  # 4 vertices x 2 supersteps
-
-    def test_min_max_aggregators(self):
-        class Extremes(PerVertex):
-            def aggregators(self):
-                return {"lo": min_aggregator(), "hi": max_aggregator()}
-
-            def visit(self, ctx, vertex, payloads):
-                ctx.aggregate("lo", vertex)
-                ctx.aggregate("hi", vertex)
-
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        result = BSPEngine(g, hash_partition(5, 2)).run(Extremes())
-        assert result.aggregated["lo"] == 0
-        assert result.aggregated["hi"] == 4
-
-    def test_unknown_aggregator_raises(self):
-        class Bad(PerVertex):
-            def visit(self, ctx, vertex, payloads):
-                ctx.aggregate("nope", 1)
-
-        g = Graph(2, [(0, 1)])
-        with pytest.raises(KeyError):
-            BSPEngine(g, hash_partition(2, 1)).run(Bad())

@@ -497,6 +497,34 @@ class TestErrorHandling:
         assert code == 4
         assert "psgl: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["count", "stats", "serve", "bench"])
+    def test_bad_scale_exit_4(self, command, scale, capsys):
+        """Regression: ``--scale -1`` / ``nan`` / ``inf`` ended in a
+        ``TypeError``, ``ValueError`` or ``OverflowError`` traceback, and
+        ``--scale 0`` silently built the floor graph.  Every ``--scale``
+        flag is refused in one line, exit 4."""
+        argv = [command, "--scale", scale]
+        if command != "bench":
+            argv += ["--dataset", "wikitalk"]
+        if command == "count":
+            argv += ["--pattern", "PG1"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"psgl: error: scale must be a finite number > 0, got {float(scale)!r}\n"
+        )
+
+    def test_negative_seed_exit_5_before_the_graph_is_read(self, capsys):
+        """Regression: ``--seed -5`` ended in numpy's raw ``ValueError:
+        expected non-negative integer`` traceback, after the graph was
+        read."""
+        code = main(
+            ["count", "--pattern", "PG1", "--edge-list", "/nonexistent",
+             "--seed", "-5"]
+        )
+        assert code == 5
+        assert capsys.readouterr().err == "psgl: error: seed must be >= 0, got -5\n"
+
     def test_missing_edge_list_exit_4(self, capsys):
         code = main(
             ["count", "--pattern", "PG1", "--edge-list", "/no/such/file.txt"]

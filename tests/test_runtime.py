@@ -194,16 +194,16 @@ class TestBackendEquivalence:
         p_serial, r_serial = self._run("serial")
         p_lanes, r_lanes = self._run("process", procs=3)
         assert p_lanes.seen == p_serial.seen
-        assert r_lanes.outputs == r_serial.outputs
-        assert r_lanes.aggregated == r_serial.aggregated
+        assert p_lanes.pings == p_serial.pings
+        assert p_lanes.hops == p_serial.hops
         assert r_lanes.ledger.summary() == r_serial.ledger.summary()
 
     def test_process_matches_serial(self):
         p_serial, r_serial = self._run("serial")
         p_proc, r_proc = self._run("process")
         assert p_proc.seen == p_serial.seen
-        assert r_proc.outputs == r_serial.outputs
-        assert r_proc.aggregated == r_serial.aggregated
+        assert p_proc.pings == p_serial.pings
+        assert p_proc.hops == p_serial.hops
         for s_serial, s_proc in zip(r_serial.ledger.steps, r_proc.ledger.steps):
             assert s_proc.worker_cost == s_serial.worker_cost
             assert s_proc.worker_messages == s_serial.worker_messages

@@ -11,14 +11,14 @@ from functools import lru_cache
 
 import pytest
 
-from repro.bsp import BSPEngine, ExecutionConfig, sum_aggregator
+from repro.bsp import BSPEngine, ExecutionConfig
 from repro.exceptions import EngineError
 from repro.graph import hash_partition
 from repro.graph.generators import chung_lu_power_law, erdos_renyi
 from repro.pattern import paper_patterns
 
-from .parity import assert_equivalent, reference_run
-from .programs import PerVertex
+from .parity import assert_equivalent, reference_run, run_listing
+from .programs import Ripple
 
 GRAPHS = {
     "er": erdos_renyi(28, 0.25, seed=13),
@@ -63,85 +63,24 @@ def test_process_backend_respects_strategy_determinism():
         )
 
 
-class SnapshotEcho(PerVertex):
-    """Emits what each vertex *sees* through the per-superstep aggregator
-    snapshot, so any skew in how the snapshot reaches pool processes —
-    staleness, per-worker divergence — changes the outputs, not just the
-    final aggregate."""
-
-    def __init__(self, rounds=3):
-        self.rounds = rounds
-
-    def visit(self, ctx, vertex, messages):
-        if ctx.superstep:
-            ctx.emit((vertex, ctx.superstep, ctx.aggregated("activity")))
-        ctx.aggregate("activity", 1 + len(messages))
-        return vertex if ctx.superstep < self.rounds else None
-
-    def aggregators(self):
-        return {"activity": sum_aggregator(0)}
-
-
-def test_aggregator_snapshot_parity_on_process_backend():
+def test_backends_agree_on_delta_order():
+    """The workers' state deltas merge in worker-id order on every
+    backend, so an order-dependent delta — Ripple's ping list — comes out
+    identical, not just equal as a multiset, serially and on two or three
+    process lanes."""
     graph = GRAPHS["er"]
-    runs = {}
-    for backend in ("serial", "process"):
-        engine = BSPEngine(
-            graph, hash_partition(graph.num_vertices, 4), backend=backend, procs=2
-        )
-        result = engine.run(SnapshotEcho(rounds=3))
-        runs[backend] = (result.outputs, result.aggregated)
-    assert runs["process"] == runs["serial"]
-
-
-class RunningTotalReader(PerVertex):
-    """Emits the persistent ``total`` each vertex reads *before* adding 1
-    to it, so a backend whose reads see this superstep's contributions —
-    rather than the value published at the last barrier — emits
-    different outputs, not just a different final aggregate."""
-
-    def visit(self, ctx, vertex, messages):
-        ctx.emit((ctx.superstep, vertex, ctx.aggregated("total")))
-        ctx.aggregate("total", 1)
-        return vertex if ctx.superstep < 2 else None
-
-    def persistent_aggregators(self):
-        return {"total": sum_aggregator(0)}
-
-
-def test_backends_agree_on_persistent_aggregator_reads():
-    graph = GRAPHS["er"]
+    partition = hash_partition(graph.num_vertices, 4)
     runs = {}
     for backend, procs in (("serial", None), ("process", 2), ("process", 3)):
-        engine = BSPEngine(
-            graph, hash_partition(graph.num_vertices, 4), backend=backend, procs=procs
-        )
-        result = engine.run(RunningTotalReader())
-        runs[backend, procs] = (result.outputs, result.aggregated)
+        program = Ripple(rounds=2)
+        BSPEngine(graph, partition, backend=backend, procs=procs).run(program)
+        runs[backend, procs] = (program.pings, program.hops, program.seen)
     assert runs["serial", None] == runs["process", 2] == runs["process", 3]
-    # Superstep 0 reads the job's initial value everywhere.
-    assert {read for step, _, read in runs["serial", None][0] if step == 0} == {0}
-
-
-def test_snapshot_pickled_once_per_superstep(monkeypatch):
-    """The driver must snapshot the aggregator registry once per
-    superstep, not once per submitted worker batch."""
-    from repro.bsp.aggregate import AggregatorRegistry
-
-    calls = []
-    original = AggregatorRegistry.snapshot
-
-    def counting_snapshot(self):
-        calls.append(1)
-        return original(self)
-
-    monkeypatch.setattr(AggregatorRegistry, "snapshot", counting_snapshot)
-    graph = GRAPHS["er"]
-    engine = BSPEngine(
-        graph, hash_partition(graph.num_vertices, 4), backend="process", procs=2
-    )
-    result = engine.run(SnapshotEcho(rounds=3))
-    assert len(calls) == result.supersteps
+    pings, hops, _ = runs["serial", None]
+    assert hops == len(pings) > 0
+    # Within a superstep, worker 0's pings precede worker 1's, and so on.
+    owners = [(step, partition.owner_array[vertex]) for step, vertex, _ in pings]
+    assert owners == sorted(owners)
 
 
 def test_per_vertex_counts_and_message_bytes_parity():
@@ -149,3 +88,22 @@ def test_per_vertex_counts_and_message_bytes_parity():
         PROCESS, reference("powerlaw", "PG1", num_workers=3, seed=1)
     )
     assert result.per_vertex_counts and result.message_bytes
+
+
+def test_count_is_the_merged_delta():
+    """The instance count travels in the program's state delta: a plain
+    ``int`` (the service ``json.dumps`` it) equal to the instances listed,
+    serially, on two process lanes and in the scalar oracle — and so do
+    the other delta-borne statistics."""
+    ref = reference("powerlaw", "PG1", num_workers=3, seed=1)
+    runs = [ref.result] + [
+        run_listing(ref.graph, ref.pattern_name, config, **ref.psgl_kwargs)
+        for config in (ExecutionConfig(backend="serial"), PROCESS)
+    ]
+    for result in runs:
+        assert type(result.count) is int
+        assert result.count == len(result.instances) > 0
+    stats = [
+        (r.gpsi_by_vertex, r.index_queries, r.message_bytes) for r in runs
+    ]
+    assert stats[0] == stats[1] == stats[2]

@@ -36,7 +36,6 @@ import pytest
 
 import repro
 from repro.bsp import BSPEngine, ChunkedColumnarStore, ExecutionConfig
-from repro.bsp.aggregate import AggregatorRegistry
 from repro.core import PSgL, listing
 from repro.core.listing import PSgLProgram
 from repro.exceptions import EngineError
@@ -129,23 +128,6 @@ class TestOneSchedule:
             assert methods <= allowed, (cls.__name__, methods - allowed)
             assert "_run" in methods, cls.__name__
 
-    @pytest.mark.parametrize("storage", ["static"])
-    def test_serial_snapshots_the_registry_once_per_superstep(
-        self, monkeypatch, storage
-    ):
-        """Once per superstep (the barrier keeps every outbox in memory;
-        ``static`` is the id this leg had beside the retired spill leg)."""
-        calls = []
-        original = AggregatorRegistry.snapshot
-
-        def counting_snapshot(self):
-            calls.append(1)
-            return original(self)
-
-        monkeypatch.setattr(AggregatorRegistry, "snapshot", counting_snapshot)
-        result = assert_equivalent(ExecutionConfig(backend="serial"), reference())
-        assert len(calls) == result.supersteps
-
 
 # ----------------------------------------------------------------------
 # Conformance: a backend is a pool and one hook
@@ -237,14 +219,23 @@ class Quiet(PerVertex):
 class Unpicklable(PerVertex):
     """Holds a lambda, so it does not pickle — and need not: a child
     lane's replica is the program it inherited at fork.  Pings its
-    neighbours once and emits what every vertex received."""
+    neighbours once and records what every vertex received in its
+    state delta."""
 
     def __init__(self):
         self.hook = lambda: None
+        self.received = []
 
     def visit(self, ctx, vertex, payloads):
-        ctx.emit((ctx.superstep, vertex, sorted(payloads)))
+        self.received.append((ctx.superstep, vertex, sorted(payloads)))
         return vertex if ctx.superstep == 0 else None
+
+    def collect_state_delta(self):
+        delta, self.received = self.received, []
+        return delta
+
+    def merge_state_delta(self, delta):
+        self.received.extend(delta)
 
 
 class LaneKiller(PSgLProgram):
@@ -271,23 +262,28 @@ class TwoArgError(Exception):
 
 class ChildFault(PerVertex):
     """Pings its neighbours at superstep 0; at superstep 1, on a child
-    lane only, makes the lane's reply fail its codec: it emits a lambda
-    (``"pickle"``: the reply does not pickle) or raises a
+    lane only, makes the lane's reply fail its codec: it puts a lambda in
+    its state delta (``"pickle"``: the reply does not pickle) or raises a
     :class:`TwoArgError` (``"unpickle"``: it does not unpickle)."""
 
     def __init__(self, fault):
         self.fault = fault
         self.driver_pid = os.getpid()
+        self.delta = None
 
     def visit(self, ctx, vertex, payloads):
         if ctx.superstep == 0:
             return vertex
         if os.getpid() != self.driver_pid:
             if self.fault == "pickle":
-                ctx.emit(lambda: None)
+                self.delta = lambda: None
             else:
                 raise TwoArgError("a", "b")
         return None
+
+    def collect_state_delta(self):
+        delta, self.delta = self.delta, None
+        return delta
 
 
 def children():
@@ -370,14 +366,15 @@ class TestFaults:
         """Nothing pickles the program: one that holds a lambda counts on
         two process lanes what it counts serially."""
         partition = hash_partition(GRAPH.num_vertices, 4)
-        runs = [
-            BSPEngine(GRAPH, partition, backend=backend, procs=2).run(Unpicklable())
-            for backend in ("serial", "process")
-        ]
-        serial, lanes = runs
-        assert len(serial.outputs) == GRAPH.num_vertices * 2
-        assert sorted(lanes.outputs) == sorted(serial.outputs)
-        assert lanes.ledger.summary() == serial.ledger.summary()
+        runs = {}
+        for backend in ("serial", "process"):
+            program = Unpicklable()
+            result = BSPEngine(GRAPH, partition, backend=backend, procs=2).run(
+                program
+            )
+            runs[backend] = program.received, result.ledger.summary()
+        assert len(runs["serial"][0]) == GRAPH.num_vertices * 2
+        assert runs["process"] == runs["serial"]
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc"

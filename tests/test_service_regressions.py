@@ -26,6 +26,8 @@
   clock) was accepted, and then every job failed with the config's
   ``EngineError``.  The service refuses it at construction, and ``psgl
   serve`` exits 5 before the graph is loaded.
+* A negative ``seed`` was accepted, and the job then failed with numpy's
+  ``ValueError: expected non-negative integer``.  It is a 400 now.
 """
 
 import json
@@ -37,6 +39,7 @@ import types
 import pytest
 
 from repro.cli import main
+from repro.core import PSgL
 from repro.exceptions import EngineError
 from repro.graph import complete_graph
 from repro.service import jobs as jobs_mod
@@ -264,6 +267,27 @@ class TestMalformedStrategy:
             assert status == 400
             assert json.loads(text)["error"]["type"] == "QuerySpecError"
             assert client.count(pattern="PG1")["state"] == "completed"
+
+
+# ----------------------------------------------------------------------
+# A negative seed
+# ----------------------------------------------------------------------
+class TestNegativeSeed:
+    @pytest.mark.parametrize("seed", [-5, -1])
+    def test_is_a_400_and_the_service_answers_the_next_job(self, seed):
+        with running_service(complete_graph(6)) as (client, _):
+            status, text = client._request(
+                "POST", "/jobs", {"pattern": "PG1", "seed": seed}
+            )
+            assert status == 400
+            error = json.loads(text)["error"]
+            assert error["type"] == "QuerySpecError"
+            assert "seed must be" in error["message"]
+            assert client.count(pattern="PG1", seed=0)["state"] == "completed"
+
+    def test_the_driver_refuses_it(self):
+        with pytest.raises(EngineError, match="seed must be >= 0, got -1"):
+            PSgL(complete_graph(4), seed=-1)
 
 
 # ----------------------------------------------------------------------
