@@ -5,11 +5,6 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".engine": ("BSPEngine", "BSPResult"),
     ".config": ("ExecutionConfig", "WIRE_PLANES"),
-    ".message": (
-        "ChunkedColumnarStore",
-        "ColumnarOutbox",
-        "PackedWorkerBatch",
-    ),
     ".metrics": ("CostLedger", "SuperstepStats"),
     ".vertex_program": ("ComputeContext", "VertexProgram"),
 })

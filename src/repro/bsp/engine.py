@@ -14,11 +14,12 @@ Execution is delegated to a :mod:`repro.runtime` backend: the
 engine builds one deterministic batch per logical worker each superstep
 (active vertices plus their delivered rows), the executor runs the
 batches — sequentially, or on process lanes over one shared read-only
-graph — and the engine merges the returned outboxes, ledger deltas and
-program state deltas in worker-id order at the barrier.  A program's
-state delta is the only way a worker's effects reach the driver.  The
-merge order makes every backend reproduce the serial engine's message
-delivery order, so the cost ledger records what each *logical* worker
+graph — and at the barrier the engine folds ledger deltas and program
+state deltas in worker-id order and delivers every returned outbox in
+one pass (:func:`~repro.bsp.message.deliver`).  A program's state delta
+is the only way a worker's effects reach the driver.  Worker-id order
+makes every backend reproduce the serial engine's message delivery
+order, so the cost ledger records what each *logical* worker
 did regardless of where it physically ran.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from ..graph.partition import Partition
 from ..obs.tracer import make_tracer
 from ..runtime.executor import JobSpec, SuperstepExecutor
 from .config import ExecutionConfig
-from .message import ChunkedColumnarStore
+from .message import deliver
 from .metrics import CostLedger
 from .vertex_program import VertexProgram
 
@@ -135,8 +136,6 @@ class BSPEngine:
         ledger = CostLedger(
             self.num_workers, cfg.memory_budget, cfg.worker_memory_budget
         )
-        inbox = None  # superstep 0 delivers nothing
-
         initial = program.initial_active_vertices(self.graph)
 
         tracer = make_tracer(self.trace)
@@ -158,28 +157,23 @@ class BSPEngine:
                 JobSpec(
                     program=program,
                     graph=self.graph,
-                    partition=self.partition,
                     num_workers=self.num_workers,
                     tracer=tracer,
                 )
             )
+            build_started = perf_counter()
+            batches = self._initial_batches(initial)
+            # Later supersteps' batches are built by the previous
+            # barrier, inside its ``merge_ms``.
+            build_ms = (perf_counter() - build_started) * 1000.0
             while True:
                 self._check_limits(superstep, started)
                 ledger.begin_superstep(superstep)
-                outbox = ChunkedColumnarStore(
-                    self.partition.owner_array, self.num_workers
-                )
-
-                build_started = perf_counter() if tracer.enabled else 0.0
-                if superstep == 0:
-                    batches = self._initial_batches(initial)
-                else:
-                    batches = inbox.build_worker_batches()
                 step_started = perf_counter() if tracer.enabled else 0.0
                 results = executor.run_superstep(superstep, batches)
                 merge_started = perf_counter() if tracer.enabled else 0.0
-                inbound_per_worker = self._merge_results(
-                    superstep, results, outbox, ledger, program
+                delivered, inbound, wire = self._barrier(
+                    superstep, results, ledger, program
                 )
                 if tracer.enabled:
                     # Emitted before the budget check so an OOM-aborted
@@ -190,21 +184,21 @@ class BSPEngine:
                         superstep,
                         batches,
                         results,
-                        outbox,
-                        inbound_per_worker,
-                        build_ms=(step_started - build_started) * 1000.0,
+                        inbound,
+                        wire,
+                        build_ms=build_ms,
                         step_wall_ms=(merge_started - step_started) * 1000.0,
                         merge_ms=(done - merge_started) * 1000.0,
                         lane_busy_ms=getattr(executor, "lane_busy_ms", None),
                     )
 
+                live = sum(inbound)
                 ledger.end_superstep(
-                    live_messages=len(outbox),
-                    max_worker_live=max(inbound_per_worker),
+                    live_messages=live, max_worker_live=max(inbound)
                 )
-                if not outbox:
+                if not live:
                     break
-                inbox = outbox
+                batches, build_ms = delivered, 0.0
                 superstep += 1
         except Exception as exc:
             # Teardown runs on every exit path — a budget kill (the
@@ -261,49 +255,47 @@ class BSPEngine:
                     where=f"superstep {superstep}",
                 )
 
-    def _merge_results(
+    def _barrier(
         self,
         superstep: int,
         results: List[Any],
-        outbox: ChunkedColumnarStore,
         ledger: CostLedger,
         program: VertexProgram,
-    ) -> List[int]:
-        """The barrier: shuffle messages into ``outbox`` and fold
-        per-worker effects in worker-id order (= the serial engine's
-        interleaving).  Returns the raw sends per destination-owning
-        worker.
+    ) -> Tuple[List[Any], List[int], List[int]]:
+        """The barrier: fold per-worker effects in worker-id order (= the
+        serial engine's interleaving) and deliver every outbox.
 
-        Each worker's whole outbox crosses as its one chunk, and the
-        ledger records the exact wire bytes it
-        shipped.  Every worker ran on a program replica, so its state
-        delta folds into the driver's ``program`` here.
+        Returns ``(batches, inbound, wire)``: next superstep's batch per
+        worker, the rows delivered to each, and the exact wire bytes of
+        each result's outbox, which the ledger also records.  Every
+        worker ran on a program replica, so its state delta folds into
+        the driver's ``program`` here.
         """
-        inbound_per_worker = [0] * self.num_workers
+        wire = []
         for result in results:
             wid = result.worker_id
+            nbytes = sum(chunk.nbytes for chunk in result.outbox)
+            wire.append(nbytes)
             ledger.add_cost(wid, result.cost)
             ledger.add_messages(wid, result.messages_sent)
             ledger.add_compute(wid, result.compute_calls)
-            ledger.add_wire_bytes(wid, result.wire_bytes)
-            for dest, count in enumerate(result.inbound):
-                inbound_per_worker[dest] += count
-            outbox.merge_chunk(wid, result.outbox)
+            ledger.add_wire_bytes(wid, nbytes)
             program.merge_state_delta(result.state_delta)
-        # Exact accounting: the store must hold precisely what the
-        # workers' own counters say was sent — any lost, duplicated or
-        # torn chunk fails the superstep here instead of corrupting it.
-        outbox.finalize()
-        sent_rows = sum(r.messages_sent for r in results)
-        sent_bytes = sum(r.wire_bytes for r in results)
-        if (len(outbox), outbox.wire_bytes) != (sent_rows, sent_bytes):
+        batches, inbound = deliver(
+            [result.outbox for result in results],
+            self.partition.owner_array,
+            self.num_workers,
+        )
+        # Exact accounting: the barrier must deliver precisely what the
+        # workers' own counters say was sent — any lost or duplicated
+        # rows fail the superstep here instead of corrupting it.
+        sent = sum(result.messages_sent for result in results)
+        if sum(inbound) != sent:
             raise EngineError(
-                "shuffle accounting broke at superstep "
-                f"{superstep}: store holds {len(outbox)} rows / "
-                f"{outbox.wire_bytes} wire bytes, workers sent "
-                f"{sent_rows} rows / {sent_bytes} bytes"
+                f"shuffle accounting broke at superstep {superstep}: "
+                f"delivered {sum(inbound)} rows, workers sent {sent}"
             )
-        return inbound_per_worker
+        return batches, inbound, wire
 
     @staticmethod
     def _trace_superstep(
@@ -311,15 +303,16 @@ class BSPEngine:
         superstep: int,
         batches: List[Any],
         results: List[Any],
-        outbox: ChunkedColumnarStore,
-        inbound_per_worker: List[int],
+        inbound: List[int],
+        wire: List[int],
         build_ms: float,
         step_wall_ms: float,
         merge_ms: float,
         lane_busy_ms: Optional[List[float]],
     ) -> None:
         """One superstep's ``worker`` / ``barrier`` / ``superstep``
-        events.  ``lane_busy_ms`` is the executor's
+        events.  ``inbound`` is the rows delivered per worker, ``wire``
+        the bytes each sender shipped, ``lane_busy_ms`` the executor's
         per-lane busy time, ``None`` where it deals to no lanes."""
         for result in results:
             tracer.emit(
@@ -333,13 +326,13 @@ class BSPEngine:
         tracer.emit(
             "barrier",
             superstep=superstep,
-            live_messages=len(outbox),
-            max_worker_live=max(inbound_per_worker),
-            queue_depths=list(inbound_per_worker),
+            live_messages=sum(inbound),
+            max_worker_live=max(inbound),
+            queue_depths=list(inbound),
             merge_ms=merge_ms,
-            wire_bytes=outbox.wire_bytes,
-            chunks=outbox.chunks_merged,
-            max_chunk_bytes=outbox.max_chunk_bytes,
+            wire_bytes=sum(wire),
+            chunks=sum(1 for nbytes in wire if nbytes),
+            max_chunk_bytes=max(wire, default=0),
         )
         step_extra = {}
         if lane_busy_ms is not None:

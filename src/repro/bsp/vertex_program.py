@@ -17,7 +17,7 @@ effects reach the driver.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..graph.graph import Graph
 
@@ -25,17 +25,12 @@ from ..graph.graph import Graph
 class ComputeContext:
     """Everything a vertex program may touch during one call.
 
-    One instance serves one worker's batch in one superstep.
+    One instance serves one worker's batch in one superstep, and holds
+    what the batch produced: ``sent``, its packed sends in send order,
+    and ``cost``, the simulated work charged to the worker.
     """
 
-    __slots__ = (
-        "graph",
-        "superstep",
-        "worker_id",
-        "worker_state",
-        "_send_columns",
-        "_add_cost",
-    )
+    __slots__ = ("graph", "superstep", "worker_id", "worker_state", "sent", "cost")
 
     def __init__(
         self,
@@ -43,27 +38,26 @@ class ComputeContext:
         superstep: int,
         worker_id: int,
         worker_state: Dict[str, Any],
-        send_columns: Callable[[Any], None],
-        add_cost: Callable[[float], None],
     ):
         self.graph = graph
         self.superstep = superstep
         self.worker_id = worker_id
         self.worker_state = worker_state
-        self._send_columns = send_columns
-        self._add_cost = add_cost
+        self.sent: List[Any] = []
+        self.cost = 0.0
 
     def send_columns(self, columns: Any) -> None:
         """Bulk-send a packed :class:`~repro.core.psi.GpsiColumns` batch
         (delivered next superstep).  Every row is self-addressed: it goes
         to the data vertex ``columns.destinations()`` names for it, the
-        image of its ``next_vertex``.  The rows flow straight into the
-        worker's packed outbox."""
-        self._send_columns(columns)
+        image of its ``next_vertex``.  The batch is kept whole, as one
+        chunk of the worker's sends."""
+        if len(columns):
+            self.sent.append(columns)
 
     def add_cost(self, units: float) -> None:
         """Charge ``units`` of simulated work to the executing worker."""
-        self._add_cost(units)
+        self.cost += units
 
 
 class VertexProgram:

@@ -96,6 +96,11 @@ def _experiment_id(value: str) -> str:
     return value
 
 
+#: ``--scale`` on a subcommand that reads one graph: it shrinks a
+#: registered analog, and is refused beside a file source (see ``_run``).
+SCALE_HELP = "shrink the --dataset analog (default 1.0)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psgl",
@@ -122,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     count.add_argument("--workers", type=int, default=8)
     count.add_argument("--strategy", default="WA,0.5")
-    count.add_argument("--scale", type=float, default=1.0)
+    count.add_argument("--scale", type=float, default=None, help=SCALE_HELP)
     count.add_argument("--seed", type=int, default=0)
     count.add_argument(
         "--trace",
@@ -191,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats_source.add_argument("--dataset", help="a registered synthetic analog")
     stats_source.add_argument("--edge-list", help="path to an edge list")
     stats_source.add_argument("--csrbin", help="path to a binary .csrbin graph")
-    stats.add_argument("--scale", type=float, default=1.0)
+    stats.add_argument("--scale", type=float, default=None, help=SCALE_HELP)
 
     bench = sub.add_parser("bench", help="regenerate paper tables and figures")
     bench.add_argument(
@@ -221,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_source.add_argument("--dataset", help="a registered synthetic analog")
     serve_source.add_argument("--edge-list", help="path to an edge list")
     serve_source.add_argument("--csrbin", help="path to a binary .csrbin graph")
-    serve.add_argument("--scale", type=float, default=1.0)
+    serve.add_argument("--scale", type=float, default=None, help=SCALE_HELP)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",
@@ -460,14 +465,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     default_budget = {name: getattr(args, name, None) for name in BUDGET_FIELDS}
     apply_budget(ExecutionConfig(), default_budget)
     if args.dataset:
-        print(f"loading dataset {args.dataset}@{args.scale} ...")
-        context = GraphContext.from_dataset(args.dataset, args.scale)
-    elif args.csrbin:
-        print(f"mapping csrbin {args.csrbin} ...")
-        context = GraphContext.from_csrbin(args.csrbin)
+        name = f"{args.dataset}@{args.scale}"
+        print(f"loading dataset {name} ...")
     else:
-        print(f"loading edge list {args.edge_list} ...")
-        context = GraphContext.from_edge_list(args.edge_list)
+        name = args.csrbin or args.edge_list
+        print(f"{'mapping csrbin' if args.csrbin else 'loading edge list'} "
+              f"{name} ...")
+    context = GraphContext(_load_graph_source(args), name=name)
     print(f"graph      : {context.graph}")
     print(f"fingerprint: {context.fingerprint}")
     service = SubgraphService(
@@ -546,6 +550,15 @@ def _exit(code: int) -> None:
 
 def _run(argv: Optional[List[str]]) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command in ("count", "stats", "serve"):
+        # --scale shrinks a registered analog; a graph read from a file is
+        # read as it is, so a --scale beside one is a usage error.
+        if args.scale is not None and not args.dataset:
+            print("psgl: error: --scale applies only to --dataset, not to a "
+                  "graph read from --edge-list or --csrbin", file=sys.stderr)
+            return 2
+        if args.scale is None:
+            args.scale = 1.0
     handlers = {
         "count": _cmd_count,
         "convert": _cmd_convert,
@@ -560,6 +573,10 @@ def _run(argv: Optional[List[str]]) -> int:
     except ReproError as exc:
         print(f"psgl: error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    except BrokenPipeError:
+        # The reader went away (``psgl count ... | head``): nothing is
+        # wrong with the input, so no message and not the bad-input code.
+        return 141  # 128 + SIGPIPE
     except OSError as exc:
         # A path the user gave: its name and the system's reason.
         if exc.filename is not None and exc.strerror:

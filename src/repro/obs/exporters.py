@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Iterator, List, Union
 
 from .tracer import SCHEMA, TraceEvent, Tracer
 
@@ -43,16 +43,19 @@ PathLike = Union[str, Path]
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
+def jsonl_lines(tracer: Tracer) -> Iterator[str]:
+    """``tracer`` as schema-tagged JSON lines, each ending in a newline:
+    the header, then one line per event."""
+    yield json.dumps({"kind": "header", "schema": SCHEMA, "meta": tracer.meta}) + "\n"
+    for event in tracer.events:
+        yield json.dumps(event.to_json()) + "\n"
+
+
 def write_jsonl(tracer: Tracer, path: PathLike) -> Path:
     """Write ``tracer`` as schema-tagged JSON lines; returns the path."""
     path = Path(path)
     with path.open("w") as fh:
-        fh.write(
-            json.dumps({"kind": "header", "schema": SCHEMA, "meta": tracer.meta})
-            + "\n"
-        )
-        for event in tracer.events:
-            fh.write(json.dumps(event.to_json()) + "\n")
+        fh.writelines(jsonl_lines(tracer))
     return path
 
 

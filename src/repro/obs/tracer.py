@@ -31,8 +31,9 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
 ``superstep``
     One per superstep: wall time of the executor's ``run_superstep``
     call, the active-vertex count, the number of non-empty batches, and
-    ``build_ms`` (driver time spent building the per-worker batches —
-    the pre-barrier half of the shuffle's critical path).
+    ``build_ms`` (driver time splitting superstep 0's initial vertices
+    into per-worker batches; ``0.0`` after that, since every later
+    superstep's batches are built by the previous barrier).
 ``worker``
     One per (superstep, logical worker with a non-empty batch): the
     ledger delta that worker produced — ``cost``, ``messages``,
@@ -43,10 +44,11 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
     One per superstep, *before* the memory-budget check (so OOM-aborted
     runs still record their fatal barrier): total live messages, the
     largest single worker's queue, the per-worker queue depths, and
-    ``merge_ms`` (driver time merging worker results — the post-compute
-    half of the shuffle's critical path), ``wire_bytes``, the barrier
-    store's ``chunks`` (every non-empty worker outbox crosses whole, as
-    one chunk) and ``max_chunk_bytes`` (the largest outbox's bytes).
+    ``merge_ms`` (driver time folding worker results and delivering
+    their outboxes into the next superstep's batches, grouping included
+    — the shuffle's driver-side critical path), ``wire_bytes``,
+    ``chunks`` (the workers that sent anything; each outbox crosses
+    whole) and ``max_chunk_bytes`` (the largest outbox's bytes).
 
 Workers whose batch was empty in a superstep emit no ``worker`` event;
 their cost/message/compute contribution is zero by construction.

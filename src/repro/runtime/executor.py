@@ -18,9 +18,11 @@ One schedule, two pools
 :meth:`SuperstepExecutor.run_superstep` is the runtime's only execution
 loop: one unit per non-empty owner, run through one hook,
 ``_run(calls)``, and the first failure in worker-id order raised.  Every
-unit hands its whole outbox back on its result, and the engine merges it
-at the barrier.  The base class is the serial backend: its ``_run`` runs
-every unit inline on the driver's own program.  The process backend
+unit hands its whole outbox back on its result, and the engine delivers
+every outbox at the barrier in one pass
+(:func:`repro.bsp.message.deliver`).  The base class is the serial
+backend: its ``_run`` runs every unit inline on the driver's own
+program.  The process backend
 (:mod:`repro.runtime.process`) only says *where* units run instead:
 ``start`` / ``close`` own its lanes, and its ``_run`` deals the calls to
 them.
@@ -45,12 +47,9 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..bsp.message import ColumnarOutbox, PackedWorkerBatch
+from ..bsp.message import PackedWorkerBatch
 from ..bsp.vertex_program import ComputeContext, VertexProgram
 from ..graph.graph import Graph
-from ..graph.partition import Partition
 from ..obs.tracer import NULL_TRACER
 
 # One logical worker's superstep input: its initial vertices as one
@@ -81,7 +80,6 @@ class JobSpec:
 
     program: VertexProgram
     graph: Graph
-    partition: Partition
     num_workers: int
     #: Observability sink for backend lifecycle events (setup wall time,
     #: pool width, the sizes forked lanes share); defaults to the
@@ -93,18 +91,15 @@ class JobSpec:
 class WorkerStepResult:
     """What one logical worker produced in one superstep.
 
-    ``outbox`` is the worker's sent messages: one packed, self-addressed
-    :class:`~repro.core.psi.GpsiColumns` in send order, the one chunk it
+    ``outbox`` is the worker's sent messages: its packed, self-addressed
+    :class:`~repro.core.psi.GpsiColumns` chunks in send order, what it
     ships at the barrier.  ``messages_sent`` counts every row the worker
-    sent, matching the ledger's accounting.  ``inbound`` counts them
-    per *destination-owning* worker, which feeds the per-worker OOM
-    budget.
+    sent, matching the ledger's accounting.
     """
 
     worker_id: int
-    outbox: Any
+    outbox: List[Any]
     messages_sent: int
-    inbound: List[int]
     compute_calls: int
     cost: float
     #: What ``collect_state_delta`` returned after the batch.
@@ -114,8 +109,6 @@ class WorkerStepResult:
     #: lane), that is how the logical worker can land on a different lane
     #: next superstep.
     worker_state: Dict[str, Any]
-    #: Exact bytes of the packed ``outbox`` buffers.
-    wire_bytes: int = 0
 
 
 def _compute_batch(
@@ -147,11 +140,10 @@ def run_replica_batch(
     This is the kernel every backend shares; determinism of the whole
     runtime reduces to this function being deterministic given the same
     batch and worker state, which it is: vertices run in batch order and
-    all side effects accumulate locally in program order.  Graph,
-    partition and worker count come off ``spec``;
-    ``program`` is the replica compute runs against — the driver's own
-    object on the serial backend and the driver lane, its fork-time copy
-    on a child lane.  The replica's state delta is collected, and the
+    all side effects accumulate locally in program order.  The graph
+    comes off ``spec``; ``program`` is the replica compute runs against —
+    the driver's own object on the serial backend and the driver lane,
+    its fork-time copy on a child lane.  The replica's state delta is collected, and the
     worker's state dict rides home on the result.
 
     Nothing ever leaves packed form: superstep 0 hands the worker's
@@ -159,49 +151,18 @@ def run_replica_batch(
     superstep cuts the delivered
     :class:`~repro.bsp.message.PackedWorkerBatch` into row blocks
     (:func:`row_ranges`) handed to ``compute_columns``, and every send
-    flows through ``ctx.send_columns`` into a
-    :class:`~repro.bsp.message.ColumnarOutbox` — no per-message object
-    end to end, and on the process backend both directions cross the
-    lane boundary as a handful of numpy buffers.
+    is kept whole on the :class:`~repro.bsp.vertex_program.ComputeContext`
+    — no per-message object end to end, and on the process backend both
+    directions cross the lane boundary as a handful of numpy buffers.
     """
-    num_workers = spec.num_workers
-    owner_array = spec.partition.owner_array
-    inbound = [0] * num_workers
-    acc = {"cost": 0.0, "sent": 0}
-    col_outbox = ColumnarOutbox()
-
-    def add_cost(units: float) -> None:
-        acc["cost"] += units
-
-    def send_columns(columns) -> None:
-        n = len(columns)
-        if not n:
-            return
-        col_outbox.append(columns)
-        acc["sent"] += n
-        owners = owner_array[columns.destinations()]
-        for w, c in enumerate(np.bincount(owners, minlength=num_workers)):
-            inbound[w] += int(c)
-
-    ctx = ComputeContext(
-        graph=spec.graph,
-        superstep=superstep,
-        worker_id=worker_id,
-        worker_state=worker_state,
-        send_columns=send_columns,
-        add_cost=add_cost,
-    )
+    ctx = ComputeContext(spec.graph, superstep, worker_id, worker_state)
     compute_calls = _compute_batch(program, ctx, batch)
-
-    outbox = col_outbox.to_columns()
     return WorkerStepResult(
         worker_id=worker_id,
-        outbox=outbox,
-        wire_bytes=outbox.nbytes,
-        messages_sent=acc["sent"],
-        inbound=inbound,
+        outbox=ctx.sent,
+        messages_sent=sum(len(chunk) for chunk in ctx.sent),
         compute_calls=compute_calls,
-        cost=acc["cost"],
+        cost=ctx.cost,
         state_delta=program.collect_state_delta(),
         worker_state=worker_state,
     )

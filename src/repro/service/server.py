@@ -61,7 +61,8 @@ from ..exceptions import (
 )
 from ..graph.graph import Graph
 from ..graph.ordered import OrderedGraph
-from ..obs import SCHEMA, Tracer, straggler_report
+from ..obs import Tracer, straggler_report
+from ..obs.exporters import jsonl_lines
 from ..pattern.catalog import get_pattern, pattern_from_edges
 from ..pattern.pattern import PatternGraph
 from .cache import ResultCache, cache_key
@@ -103,32 +104,6 @@ class GraphContext:
         )
         self.edge_index_kind = edge_index_kind
         self.fingerprint = graph.fingerprint()
-
-    @classmethod
-    def from_dataset(cls, name: str, scale: float = 1.0) -> "GraphContext":
-        """Load a registered synthetic analog (see ``psgl datasets``)."""
-        from ..bench.datasets import load_dataset
-
-        return cls(load_dataset(name, scale), name=f"{name}@{scale}")
-
-    @classmethod
-    def from_edge_list(cls, path: str) -> "GraphContext":
-        """Load a whitespace edge-list file."""
-        from ..graph.io import read_edge_list
-
-        graph, _ = read_edge_list(path)
-        return cls(graph, name=str(path))
-
-    @classmethod
-    def from_csrbin(cls, path: str) -> "GraphContext":
-        """Memory-map a binary ``.csrbin`` graph (see ``psgl convert``).
-
-        The CSR arrays stay file-backed: process-backend lanes inherit
-        the mapping instead of copying it, so a larger-than-RAM graph
-        can serve queries."""
-        from ..graph.binfmt import load_mapped
-
-        return cls(load_mapped(path), name=str(path))
 
     def info(self) -> Dict[str, Any]:
         return {
@@ -480,16 +455,9 @@ class SubgraphService:
 
     def trace_jsonl(self, job: Job) -> Optional[str]:
         """The job's trace as schema-tagged JSON lines (None if untraced)."""
-        tracer = job.tracer
-        if tracer is None:
+        if job.tracer is None:
             return None
-        lines = [
-            json.dumps(
-                {"kind": "header", "schema": SCHEMA, "meta": tracer.meta}
-            )
-        ]
-        lines.extend(json.dumps(e.to_json()) for e in tracer.events)
-        return "\n".join(lines) + "\n"
+        return "".join(jsonl_lines(job.tracer))
 
     def trace_report(self, job: Job) -> Optional[str]:
         if job.tracer is None:

@@ -1,4 +1,4 @@
-"""Unit tests for the BSP engine, its barrier store, metrics and
+"""Unit tests for the BSP engine, its barrier, metrics and
 partitions."""
 
 import dataclasses
@@ -9,11 +9,11 @@ import pytest
 from repro.bsp import (
     BSPEngine,
     BSPResult,
-    ChunkedColumnarStore,
     ComputeContext,
     CostLedger,
     VertexProgram,
 )
+from repro.bsp.message import deliver
 from repro.exceptions import BudgetExceededError, EngineError, SimulatedOOMError
 from repro.graph import Graph, Partition, hash_partition, random_partition
 from repro.obs import Tracer
@@ -136,38 +136,38 @@ class TestOneWayHome:
 
 
 class TestMessageStore:
-    """The barrier store: packed rows in, per-worker deliveries out."""
+    """The barrier: packed rows in, per-worker deliveries out."""
 
     OWNERS = Partition(np.array([0, 1, 0, 1, 0, 1]), 2).owner_array
 
+    def deliver(self, *sends):
+        return deliver([[payload_columns(*s)] for s in sends], self.OWNERS, 2)
+
     def test_add_take(self):
-        store = ChunkedColumnarStore(self.OWNERS, 2)
-        store.merge_chunk(0, payload_columns([2, 2], [7, 8]))
-        assert len(store) == 2
-        batch = store.build_worker_batches()[0]
-        assert batch.vertices.tolist() == [2]
-        assert batch.columns.mapping[:, 1].tolist() == [7, 8]
+        batches, inbound = self.deliver(([2, 2], [7, 8]))
+        assert inbound == [2, 0]
+        assert len(batches[0]) == 1
+        assert batches[0].columns.mapping.tolist() == [[2, 7], [2, 8]]
 
     def test_take_missing_vertex(self):
-        store = ChunkedColumnarStore(self.OWNERS, 2)
-        store.merge_chunk(0, payload_columns([2], [1]))
-        assert not len(store.build_worker_batches()[1])
+        batches, _ = self.deliver(([2], [1]))
+        assert not len(batches[1])
 
     def test_destinations(self):
-        store = ChunkedColumnarStore(self.OWNERS, 2)
-        store.merge_chunk(0, payload_columns([4, 1, 2, 4], [0, 1, 2, 3]))
-        batches = store.build_worker_batches()
+        batches, inbound = self.deliver(([4, 1, 2, 4], [0, 1, 2, 3]))
         # Per owning worker, the next superstep's active set in first-send
         # order, each vertex's rows together.
-        assert batches[0].vertices.tolist() == [4, 2]
+        assert (len(batches[0]), len(batches[1]), inbound) == (2, 1, [3, 1])
+        assert batches[0].columns.mapping[:, 0].tolist() == [4, 4, 2]
         assert batches[0].columns.mapping[:, 1].tolist() == [0, 3, 2]
-        assert batches[1].vertices.tolist() == [1]
+        assert batches[1].columns.mapping[:, 0].tolist() == [1]
 
     def test_bool(self):
-        store = ChunkedColumnarStore(self.OWNERS, 2)
-        assert not store
-        store.merge_chunk(0, payload_columns([0], [1]))
-        assert store
+        """Nothing sent delivers nothing: every batch is falsy."""
+        batches, inbound = self.deliver()
+        assert not any(batches) and inbound == [0, 0]
+        batches, inbound = self.deliver(([0], [1]))
+        assert batches[0] and not batches[1] and inbound == [1, 0]
 
 
 class TestCostLedger:

@@ -460,6 +460,40 @@ class TestStats:
 class TestErrorHandling:
     """Library errors become one-line messages with family exit codes."""
 
+    def test_broken_pipe_is_not_a_path_error(self, er_edge_list, capsys,
+                                             monkeypatch):
+        """``psgl count ... | head -3``: the reader leaving early is no
+        bad input — no message, and 141 (128 + SIGPIPE), not exit 4."""
+
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        code = main(["count", "--pattern", "PG1", "--edge-list",
+                     str(er_edge_list)])
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["count", "stats", "serve"])
+    def test_scale_beside_a_file_source_is_a_usage_error(self, command,
+                                                         capsys):
+        """``--scale`` shrinks a ``--dataset`` analog only: beside
+        ``--edge-list`` or ``--csrbin`` it used to be ignored silently.
+        It is refused in one line, exit 2, before the graph is read (the
+        path does not exist, which would be exit 4)."""
+        for source in ("--edge-list", "--csrbin"):
+            argv = [command, source, "/nonexistent", "--scale", "nan"]
+            if command == "count":
+                argv += ["--pattern", "PG1"]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("psgl: error: ") and err.count("\n") == 1
+            assert "--scale" in err and "--dataset" in err
+
     def test_unknown_pattern_exit_3(self, capsys):
         code = main(["count", "--pattern", "PG99", "--dataset", "randgraph"])
         assert code == 3
@@ -743,6 +777,7 @@ class TestServe:
         assert job["state"] == "completed"
         assert job["result"]["count"] == 56  # C(8, 3)
         assert client.submit(pattern="PG1")["cached"]
+        assert client.info()["graph"]["name"] == str(edge_list)
 
 
 class TestCustomPattern:

@@ -1,25 +1,23 @@
-"""The engine's one shuffle schedule: store, retired knobs, trace.
+"""The engine's one shuffle schedule: barrier, retired knobs, trace.
 
-Every worker's outbox crosses the barrier whole, as its one chunk; the
-pipelined schedule that streamed watermark-sized chunks mid-compute is
-retired (the file keeps its name and test ids).  The barrier store
-takes one outbox per sender, in any arrival order, and must deliver
-them in worker-id order.  These tests pin the store's surface
-(ordering, accounting, loud failure on a second outbox from one sender
-or one after the barrier closed), the refusal of the retired knobs, and
-the barrier trace.  End-to-end parity against the reference oracle is
+Every worker's outbox crosses the barrier whole; the pipelined schedule
+that streamed watermark-sized chunks mid-compute is retired (the file
+keeps its name and test ids).  The barrier is one function,
+``deliver``, which takes every sender's sends in worker-id order and
+delivers them in that order.  These tests pin its surface (ordering,
+accounting, an outbox consumed once), the refusal of the retired knobs,
+and the barrier trace.  End-to-end parity against the reference oracle is
 ``tests/test_plane_parity.py``.
 """
 
 import dataclasses
 
 import numpy as np
-import pytest
 
 import repro.bsp
-from repro.bsp import BSPEngine, ChunkedColumnarStore, ExecutionConfig
+from repro.bsp import BSPEngine, ExecutionConfig
+from repro.bsp.message import deliver
 from repro.core import Gpsi, PSgL, UNMAPPED, pack_gpsis, unpack_gpsis
-from repro.exceptions import EngineError
 from repro.graph import Graph, hash_partition
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
@@ -61,7 +59,7 @@ class TestEngineGuards:
 
 
 # ----------------------------------------------------------------------
-# ChunkedColumnarStore unit semantics
+# The barrier function's unit semantics
 # ----------------------------------------------------------------------
 def g(dest, i):
     """Gpsi ``i`` routed to ``dest``: its next vertex (v1) maps there."""
@@ -84,64 +82,64 @@ def outbox_batches():
 OWNERS = np.zeros(10, dtype=np.int64)
 OWNERS[5] = 1  # v5 on worker 1; v2, v9 on worker 0
 
-#: What the two outboxes must deliver, whatever their arrival order: per
-#: worker, vertices in first-send order (worker 0's sends precede worker 1's),
-#: each vertex's payloads in send order.
+#: What the two outboxes must deliver: per worker, vertices in first-send
+#: order (worker 0's sends precede worker 1's), each vertex's payloads in
+#: send order.
 EXPECTED = [
     [(2, [g(2, 1), g(2, 3)]), (9, [g(9, 4)])],
     [(5, [g(5, 0), g(5, 2), g(5, 5)])],
 ]
 
 
-def delivered(store):
-    """Decode ``build_worker_batches`` to ``(vertex, payloads)`` lists;
+def delivered(batches):
+    """Decode ``deliver``'s batches to ``(vertex, payloads)`` lists;
     each row's vertex is the destination it derives."""
     out = []
-    for packed in store.build_worker_batches():
+    for packed in batches:
         if not packed:
             out.append([])
             continue
         dest = packed.columns.destinations().tolist()
         gpsis = unpack_gpsis(packed.columns)
+        vertices = list(dict.fromkeys(dest))
+        assert len(packed) == len(vertices)
         out.append(
             [
                 (vertex, [p for d, p in zip(dest, gpsis) if d == vertex])
-                for vertex in packed.vertices.tolist()
+                for vertex in vertices
             ]
         )
         # Grouped delivery: each vertex's rows are one consecutive run.
-        assert dest == sorted(dest, key=packed.vertices.tolist().index)
+        assert dest == sorted(dest, key=vertices.index)
     return out
 
 
 class TestChunkedStoreSemantics:
+    """The ids keep the retired barrier store's names; each now pins the
+    face of :func:`deliver` that replaced it."""
+
     def test_one_chunk_per_sender_is_the_strict_schedule(self):
         b0, b1 = outbox_batches()
-        store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, b0)
-        store.merge_chunk(1, b1)
-        assert delivered(store) == EXPECTED
-        assert len(store) == 6 and store.chunks_merged == 2
-        assert store.wire_bytes == b0.nbytes + b1.nbytes
+        batches, inbound = deliver([[b0], [b1]], OWNERS, 2)
+        assert delivered(batches) == EXPECTED
+        assert inbound == [3, 3]
+        assert sum(len(b.columns) for b in batches) == 6
 
     def test_out_of_order_chunks_deliver_in_worker_id_order(self):
-        """Outboxes arriving in reverse worker order (a lane that
-        answered first) deliver exactly what worker-id order delivers."""
+        """Delivery follows the outboxes' position, which is worker-id
+        order, not where a sender cut its sends: chunks cut anywhere
+        deliver exactly what one whole chunk per sender delivers."""
         b0, b1 = outbox_batches()
-        store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(1, b1)
-        store.merge_chunk(0, b0)
-        assert len(store) == 6
-        assert store.wire_bytes == b0.nbytes + b1.nbytes
-        assert store.max_chunk_bytes == b1.nbytes
-        assert delivered(store) == EXPECTED
+        cut = [[b0.row_slice(0, 1), b0.row_slice(1, 3)],
+               [b1.row_slice(0, 2), b1.row_slice(2, 3)]]
+        batches, inbound = deliver(cut, OWNERS, 2)
+        assert inbound == [3, 3]
+        assert delivered(batches) == EXPECTED
 
     def test_workers_without_messages_get_falsy_batches(self):
         b0, _ = outbox_batches()
-        store = ChunkedColumnarStore(OWNERS, 3)
-        store.merge_chunk(0, b0)
-        batches = store.build_worker_batches()
-        assert batches[2] == []
+        batches, inbound = deliver([[b0]], OWNERS, 3)
+        assert batches[2] == [] and inbound == [1, 2, 0]
         assert [len(b) for b in batches[:2]] == [1, 1]  # v2 | v5
 
     def test_batch_nbytes_is_exact_buffer_size(self):
@@ -154,34 +152,28 @@ class TestChunkedStoreSemantics:
         assert b0.nbytes == len(b0) * (8 * 3 + 4 + 1)
 
     def test_duplicate_seq_rejected(self):
-        """A sender ships one outbox per superstep: a second is refused."""
-        b0, _ = outbox_batches()
-        store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, b0)
-        with pytest.raises(EngineError, match="duplicate outbox from worker 0"):
-            store.merge_chunk(0, b0)
+        """No sender's rows are delivered twice: ``deliver`` consumes its
+        outboxes, so handing the same lists over again delivers nothing."""
+        b0, b1 = outbox_batches()
+        outboxes = [[b0], [b1]]
+        deliver(outboxes, OWNERS, 2)
+        assert outboxes == [[], []]
+        assert deliver(outboxes, OWNERS, 2) == ([[], []], [0, 0])
 
     def test_chunk_after_finalize_rejected(self):
+        """What was delivered is a copy: a sender's chunk changed after
+        the barrier does not reach the delivered batches."""
         b0, b1 = outbox_batches()
-        store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, b0)
-        store.finalize()
-        with pytest.raises(EngineError, match="finalized"):
-            store.merge_chunk(1, b1)
+        batches, _ = deliver([[b0], [b1]], OWNERS, 2)
+        b0.mapping[:] = -7
+        assert delivered(batches) == EXPECTED
 
     def test_empty_chunk_counts_toward_sequence_only(self):
-        """An empty outbox adds no rows, bytes or merged chunk, yet it is
-        its sender's one outbox: a second from that sender is refused."""
+        """An empty outbox or chunk adds no rows, bytes or batch."""
         _, b1 = outbox_batches()
-        store = ChunkedColumnarStore(OWNERS, 2)
-        store.merge_chunk(0, batch())
-        store.merge_chunk(1, b1)
-        with pytest.raises(EngineError, match="duplicate outbox"):
-            store.merge_chunk(0, b1)
-        store.finalize()
-        assert len(store) == len(b1)
-        assert store.chunks_merged == 1
-        assert store.wire_bytes == b1.nbytes
+        batches, inbound = deliver([[batch()], [b1, batch()]], OWNERS, 2)
+        assert sum(inbound) == len(b1)
+        assert sum(b.columns.nbytes for b in batches if b) == b1.nbytes
 
 
 class TestChunkTraceEvents:

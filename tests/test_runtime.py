@@ -11,7 +11,8 @@ import pytest
 
 import repro
 from repro import PSgL, triangle
-from repro.bsp import BSPEngine, ChunkedColumnarStore, ColumnarOutbox, ExecutionConfig
+from repro.bsp import BSPEngine, ComputeContext, ExecutionConfig
+from repro.bsp.message import deliver
 from repro.exceptions import BudgetExceededError, EngineError
 from repro.graph import Graph, hash_partition, load_mapped, write_csrbin
 from repro.graph.generators import erdos_renyi
@@ -148,30 +149,27 @@ class TestForkInheritance:
 
 
 class TestMessageStoreBatches:
-    """A worker's outbox crosses the barrier as one packed chunk."""
+    """A worker's sends cross the barrier whole, as packed chunks."""
 
-    def store(self):
-        return ChunkedColumnarStore(np.zeros(8, dtype=np.int64), 1)
+    def deliver(self, outboxes):
+        batches, inbound = deliver(outboxes, np.zeros(8, dtype=np.int64), 1)
+        assert inbound == [len(batches[0].columns)]
+        return batches[0]
 
     def test_as_batch_merge_batch_roundtrip(self):
-        outbox = ColumnarOutbox()
-        outbox.append(payload_columns([2, 1], [10, 11]))
-        outbox.append(payload_columns([2], [12]))
-        merged = self.store()
-        merged.merge_chunk(0, outbox.to_columns())
-        assert len(merged) == 3
-        batch = merged.build_worker_batches()[0]
-        assert batch.vertices.tolist() == [2, 1]
-        assert batch.columns.mapping[:, 1].tolist() == [10, 12, 11]
+        ctx = ComputeContext(None, 0, 0, {})
+        ctx.send_columns(payload_columns([2, 1], [10, 11]))
+        ctx.send_columns(payload_columns([2], [12]))
+        batch = self.deliver([ctx.sent])
+        assert len(batch) == 2  # v2, then v1
+        assert batch.columns.mapping.tolist() == [[2, 10], [2, 12], [1, 11]]
 
     def test_merge_preserves_worker_order(self):
-        # Worker 1's chunk arrives first; delivery is still worker order.
-        merged = self.store()
-        merged.merge_chunk(1, payload_columns([5, 6], [20, 21]))
-        merged.merge_chunk(0, payload_columns([5], [10]))
-        batch = merged.build_worker_batches()[0]
-        assert batch.vertices.tolist() == [5, 6]
-        assert batch.columns.mapping[:, 1].tolist() == [10, 20, 21]
+        # Worker 0's sends precede worker 1's, whichever came first.
+        batch = self.deliver([[payload_columns([5], [10])],
+                              [payload_columns([6, 5], [20, 21])]])
+        assert len(batch) == 2  # v5, then v6
+        assert batch.columns.mapping.tolist() == [[5, 10], [5, 21], [6, 20]]
 
 
 class TestBackendEquivalence:

@@ -35,7 +35,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bsp import BSPEngine, ChunkedColumnarStore, ExecutionConfig
+from repro.bsp import BSPEngine, ExecutionConfig
+from repro.bsp import engine as engine_module
 from repro.core import PSgL, listing
 from repro.core.listing import PSgLProgram
 from repro.exceptions import EngineError
@@ -403,16 +404,16 @@ class TestFaults:
         assert (leftovers(), os.listdir("/proc/self/fd"), children()) == before
 
     def test_lost_chunk_is_a_typed_error(self, monkeypatch):
-        """A worker's outbox lost on its way into the barrier store is an
+        """A worker's outbox lost on its way through the barrier is an
         ``EngineError`` from the barrier's exact accounting — never a
         wrong count — and the lanes are torn down as after any fault."""
-        merge = ChunkedColumnarStore.merge_chunk
+        real = engine_module.deliver
 
-        def losing(store, sender, columns):
-            if sender != 1:
-                merge(store, sender, columns)
+        def losing(outboxes, owner_of, num_workers):
+            outboxes[1].clear()
+            return real(outboxes, owner_of, num_workers)
 
-        monkeypatch.setattr(ChunkedColumnarStore, "merge_chunk", losing)
+        monkeypatch.setattr(engine_module, "deliver", losing)
         before = leftovers()
         with pytest.raises(EngineError, match="accounting broke at superstep 0"):
             PSgL(GRAPH, num_workers=4, backend="process", procs=2).count(
@@ -476,7 +477,6 @@ def started():
         JobSpec(
             program=PerVertex(),
             graph=GRAPH,
-            partition=hash_partition(GRAPH.num_vertices, 4),
             num_workers=4,
         )
     )

@@ -9,6 +9,7 @@ metrics endpoints) is exercised, not just the Python objects.
 import json
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.exceptions import (
     QuerySpecError,
 )
 from repro.graph import complete_graph, erdos_renyi
-from repro.obs import SCHEMA
+from repro.obs import SCHEMA, write_jsonl
 from repro.pattern import paper_patterns
 from repro.service import (
     GraphContext,
@@ -446,6 +447,19 @@ class TestTraceEndpoint:
             events = [json.loads(line) for line in lines[1:]]
             kinds = {e["kind"] for e in events}
             assert {"job", "superstep", "worker", "barrier"} <= kinds
+
+    def test_trace_stream_is_the_bytes_write_jsonl_writes(self, tmp_path):
+        """The endpoint and ``write_jsonl`` share one serializer: the
+        bytes served are the file written for the same tracer."""
+        with running_service(complete_graph(8)) as (client, service):
+            job = client.count(pattern="PG1")
+            url = f"{client.base_url}/jobs/{job['id']}/trace"
+            with urllib.request.urlopen(url, timeout=30) as resp:
+                served = resp.read()
+            tracer = service.manager.get(job["id"]).tracer
+            written = write_jsonl(tracer, tmp_path / "trace.jsonl")
+            assert served == written.read_bytes()
+            assert served.count(b"\n") == 1 + len(tracer.events)
 
     def test_trace_report(self):
         with running_service(complete_graph(8)) as (client, _):

@@ -25,7 +25,7 @@ import pytest
 
 import repro.core
 import repro.core.codec
-from repro.bsp import ChunkedColumnarStore
+from repro.bsp.message import deliver
 from repro.cli import main
 from repro.core import PSgL
 from repro.exceptions import EngineError
@@ -146,8 +146,11 @@ class TestOneBarrierStore:
             importlib.import_module("repro.bsp.spill")
 
     def test_merge_chunk_takes_one_outbox_per_sender(self):
-        parameters = inspect.signature(ChunkedColumnarStore.merge_chunk).parameters
-        assert list(parameters) == ["self", "sender", "columns"]
+        """The barrier is one function over every sender's outbox, in
+        worker-id order, and no store object is left to merge into."""
+        parameters = inspect.signature(deliver).parameters
+        assert list(parameters) == ["outboxes", "owner_of", "num_workers"]
+        assert not hasattr(repro.bsp.message, "ChunkedColumnarStore")
 
     def test_the_columnar_byte_codec_is_gone(self):
         for name in ("encode_columns", "decode_columns", "map_columns",

@@ -9,7 +9,6 @@ here: the knobs' refusal, and the way a delivered batch is cut into
 ``compute_columns`` blocks — at row ranges, wherever they fall.
 """
 
-import numpy as np
 import pytest
 
 from repro.bsp import BSPEngine
@@ -69,9 +68,7 @@ def make_batch(vertices, counts):
         def __len__(self):
             return self.hi - self.lo
 
-    return PackedWorkerBatch(
-        np.asarray(vertices, dtype=np.int64), FakeColumns(0, int(sum(counts)))
-    )
+    return PackedWorkerBatch(len(vertices), FakeColumns(0, int(sum(counts))))
 
 
 def blocks(monkeypatch, batch, block_rows):
@@ -85,7 +82,7 @@ def blocks(monkeypatch, batch, block_rows):
 
     monkeypatch.setattr(executor, "EXPAND_BLOCK_ROWS", block_rows)
     active = executor._compute_batch(Recorder(), None, batch)
-    assert active == len(batch.vertices)  # compute_calls: active vertices
+    assert active == batch.num_vertices  # compute_calls: active vertices
     return calls
 
 
