@@ -322,6 +322,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if vertex is not None and not 1 <= vertex <= pattern.num_vertices:
         raise PatternError(f"initial vertex {vertex} out of range for "
                            f"{pattern.name} (1..{pattern.num_vertices})")
+    if args.trace:
+        # An unwritable trace path must not cost a whole job; append
+        # keeps an existing file as it is until the job ends.
+        Path(args.trace).open("a").close()
     graph = _load_graph_source(args)
     tracer = None
     if args.trace or args.trace_report:

@@ -18,10 +18,13 @@ without ever constructing a :class:`~repro.core.psi.Gpsi`:
 2. per group, GRAY verification is one lookup in the graph's hashed
    edge-key table (:meth:`Graph.has_edges
    <repro.graph.graph.Graph.has_edges>`) and WHITE candidate generation
-   one flat ragged gather of every row's ``N(vd)`` with a ``row_of``
-   index (degree/rank/injectivity rules against the shared
-   ``degrees``/``ranks`` arrays, GRAY-image prefilter through one pairwise
-   batch probe per image);
+   one flat ragged gather with a ``row_of`` index — of each row's rank
+   window only: the degree and rank rules are one open rank interval
+   per row, found with two binary searches in the rank-keyed adjacency
+   (:attr:`OrderedGraph.rank_keys
+   <repro.graph.ordered.OrderedGraph.rank_keys>`); injectivity is a mask,
+   the GRAY-image prefilter one pairwise batch probe per image, and one
+   sort restores ``N(vd)`` order;
 3. the candidate cross product is a prefix join: combinations grow one
    WHITE vertex at a time by segment repeats over the flat candidate
    lists, and each extension is checked against the earlier images in
@@ -36,7 +39,9 @@ without ever constructing a :class:`~repro.core.psi.Gpsi`:
    would have produced.  Under an exact edge index a fully mapped child is
    complete at once (see :attr:`EdgeIndexBase.exact
    <repro.core.edge_index.EdgeIndexBase.exact>`); complete rows are only
-   counted unless a consumer reads them.
+   counted unless a consumer reads them, and a closing group with one
+   WHITE vertex — every candidate a child, no pair to join — is counted
+   without running the cross product at all.
 
 Parity with the scalar reference is *bit-identical* for instance sets,
 counts, per-group costs (with the default integer-valued
@@ -47,7 +52,8 @@ and ledger totals; ``tests/test_batch_expand.py`` pins all of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,8 +100,8 @@ class BatchOutcome:
     is the per-expanding-vertex Gpsi tally (the Table 2 statistic).
 
     ``n_complete`` counts the complete rows; the ordered ``complete``
-    array is only assembled from its per-group chunks when read, so a
-    run that only counts never concatenates or sorts its instances.
+    array is only built, group by group, when read, so a run that only
+    counts never materialises, concatenates or sorts its instances.
     """
 
     pending: Optional[PendingChildren] = None
@@ -103,28 +109,30 @@ class BatchOutcome:
     generated: int = 0
     generated_by_vp: Dict[int, int] = field(default_factory=dict)
     n_complete: int = 0
-    _complete_chunks: List[np.ndarray] = field(default_factory=list, repr=False)
-    _complete_order: List[np.ndarray] = field(default_factory=list, repr=False)
+    _closing: List[Callable[[], Tuple[np.ndarray, np.ndarray]]] = field(
+        default_factory=list, repr=False
+    )
+    _complete: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def add_complete(self, rows: np.ndarray, order: np.ndarray) -> None:
-        """Record one group's complete rows and their delivery-order keys."""
-        self._complete_chunks.append(rows)
-        self._complete_order.append(order)
-        self.n_complete += len(rows)
+    def add_complete(
+        self, n: int, build: Callable[[], Tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        """Record one group's ``n`` complete rows: ``build()`` returns
+        them and their delivery-order keys, and runs on first read."""
+        self._closing.append(build)
+        self.n_complete += n
 
     @property
     def complete(self) -> Optional[np.ndarray]:
         """The complete rows in delivery order (``None`` when there are
-        none), assembled on first read."""
-        chunks = self._complete_chunks
-        if not chunks:
-            return None
-        if len(chunks) > 1:
-            order = np.concatenate(self._complete_order)
-            perm = np.argsort(order, kind="stable")
-            self._complete_chunks = [np.concatenate(chunks, axis=0)[perm]]
-            self._complete_order = [order[perm]]
-        return self._complete_chunks[0]
+        none), built on first read."""
+        if self._complete is None and self._closing:
+            chunks, orders = zip(*(build() for build in self._closing))
+            rows = np.concatenate(chunks, axis=0)
+            if len(chunks) > 1:
+                rows = rows[np.argsort(np.concatenate(orders), kind="stable")]
+            self._complete = rows
+        return self._complete
 
 
 #: Rows one join level of :func:`_cross_product` builds at once, unless a
@@ -215,7 +223,6 @@ def expand_columns(
     pending_groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
 
     words = columns.black.shape[1]
-    ranks = ordered.ranks
     degrees = graph.degrees
 
     for g in range(len(first_idx)):
@@ -252,7 +259,7 @@ def expand_columns(
                 outcome.cost += costs.scan * int(degrees[vd[live]].sum())
                 row_of, cand = _white_candidates(
                     sub_map[live], vd[live], np_, vp, black, group_mask,
-                    pattern, graph, ranks, edge_index,
+                    pattern, ordered, edge_index,
                 )
                 per_row = np.zeros(m, dtype=np.int64)
                 per_row[live] = np.bincount(row_of, minlength=len(live))
@@ -263,21 +270,34 @@ def expand_columns(
         if len(live) == 0:
             continue
 
-        if not whites:
-            # Verification-only expansion: colours change, mapping stays.
-            child_map = sub_map[live]
-            child_order = rows[live]
-            child_mask = group_mask
+        child_mask = group_mask
+        for wp, _, _ in whites:
+            child_mask |= 1 << wp
+        full = child_mask == (1 << k) - 1
+        uncovered = _uncovered(new_black, pattern) if full else 0
+        # A full mapping under an exact index closes here: each uncovered
+        # edge was proved by the probe that admitted its later-mapped
+        # endpoint.
+        closes = full and (edge_index.exact or not uncovered)
+        if closes and len(whites) == 1:
+            # Count on close: every candidate is a child, so the children
+            # are counted now and built only if a consumer reads them.
+            n_children = int(whites[0][1][live].sum())
+            outcome.cost += costs.ce * n_children
+            children = partial(_one_white_children, sub_map, live, whites[0], rows)
         else:
-            child_map, parent, attempted = _cross_product(
-                sub_map, live, whites, pattern, ranks, edge_index
-            )
-            outcome.cost += costs.ce * attempted
-            child_order = rows[parent]
-            child_mask = group_mask
-            for wp, _, _ in whites:
-                child_mask |= 1 << wp
-        n_children = child_map.shape[0]
+            if not whites:
+                # Verification-only expansion: colours change, mapping stays.
+                child_map = sub_map[live]
+                child_order = rows[live]
+            else:
+                child_map, parent, attempted = _cross_product(
+                    sub_map, live, whites, pattern, ordered.ranks, edge_index
+                )
+                outcome.cost += costs.ce * attempted
+                child_order = rows[parent]
+            n_children = child_map.shape[0]
+            children = partial(_built, child_map, child_order)
         if n_children == 0:
             continue
 
@@ -285,14 +305,10 @@ def expand_columns(
         outcome.generated_by_vp[vp] = (
             outcome.generated_by_vp.get(vp, 0) + n_children
         )
-        full = child_mask == (1 << k) - 1
-        uncovered = _uncovered(new_black, pattern) if full else 0
-        if full and (edge_index.exact or not uncovered):
-            # A full mapping under an exact index closes here: each
-            # uncovered edge was proved by the probe that admitted its
-            # later-mapped endpoint.  Charge its verification here too.
+        if closes:
+            # The uncovered edges' verification is charged here too.
             outcome.cost += costs.gray_check * uncovered * n_children
-            outcome.add_complete(child_map, child_order)
+            outcome.add_complete(n_children, children)
         else:
             pending_chunks.append(child_map)
             pending_black.append(
@@ -333,25 +349,33 @@ def _white_candidates(
     black: int,
     group_mask: int,
     pattern: PatternGraph,
-    graph,
-    ranks: np.ndarray,
+    ordered: OrderedGraph,
     edge_index: EdgeIndexBase,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Admissible candidates of one WHITE neighbour for every live row,
     as the flat pair ``(row_of, cand)`` — rows ascending, ``N(vd)`` order
     within a row.
 
-    Vectorises Algorithm 5 over the concatenated ``N(vd)`` segments of
-    the rows: the degree rule, rank bounds and injectivity are gathers
-    over the shared arrays, and the GRAY-image prefilter issues exactly
+    Vectorises Algorithm 5 over the rows.  Rules 1a and 1b are one rank
+    window per row — ranks sort by degree first, so the degree floor is
+    a lower rank bound — and only the window's slots of the rank-keyed
+    adjacency (:attr:`OrderedGraph.rank_keys
+    <repro.graph.ordered.OrderedGraph.rank_keys>`) are gathered.
+    Injectivity is a mask, and the GRAY-image prefilter issues exactly
     the probes the scalar short-circuit loop would — candidate ``c`` of
     row ``r`` is probed against image ``j`` iff it survived images
-    ``0..j-1`` — as one ``might_contain_pairs`` per image.
+    ``0..j-1`` — as one ``might_contain_pairs`` per image.  The
+    survivors are then put back into ``N(vd)`` order with one sort.
     """
+    ranks = ordered.ranks
+    shift = ordered.rank_shift
+    low_bits = (1 << shift) - 1
     n_live = len(vd)
-    # Rule 1b: exclusive rank bounds from order-constrained mapped vertices.
-    lower = np.full(n_live, -1, dtype=np.int64)
-    upper = np.full(n_live, graph.num_vertices, dtype=np.int64)
+    # Rules 1a + 1b: the open rank window (lower, upper) of every row.
+    lower = np.full(
+        n_live, ordered.rank_floor(pattern.degree(white_vp)) - 1, dtype=np.int64
+    )
+    upper = np.full(n_live, ordered.graph.num_vertices, dtype=np.int64)
     for below in pattern.must_rank_below(white_vp):
         if group_mask >> below & 1:
             np.maximum(lower, ranks[sub_live[:, below]], out=lower)
@@ -370,17 +394,13 @@ def _white_candidates(
         for np_ in pattern.neighbors(white_vp)
         if np_ != expanding_vp and group_mask >> np_ & 1 and not black >> np_ & 1
     ]
-    lens = np.where(lower < upper, graph.degrees[vd], 0)
-    ends = np.cumsum(lens)
-    slots = np.repeat(graph.indptr[vd] - (ends - lens), lens)
-    slots += np.arange(len(slots))
-    cand = graph.indices[slots]
+    keys = ordered.rank_keys
+    base = vd << shift
+    lo = np.searchsorted(keys, base + lower + 1)
+    lens = np.maximum(np.searchsorted(keys, base + upper) - lo, 0)
+    cand = ordered.by_rank[keys[_ragged_slots(lo, lens)] & low_bits]
     row_of = np.repeat(np.arange(n_live), lens)
-    # Rules 1a + 1b + injectivity as one mask over the flat list.
-    keep = graph.degrees[cand] >= pattern.degree(white_vp)
-    cand_ranks = ranks[cand]
-    keep &= cand_ranks > lower[row_of]
-    keep &= cand_ranks < upper[row_of]
+    keep = np.ones(len(cand), dtype=bool)
     for col in mapped_cols:
         keep &= cand != sub_live[row_of, col]
     row_of, cand = row_of[keep], cand[keep]
@@ -392,7 +412,41 @@ def _white_candidates(
             break
         res = edge_index.might_contain_pairs(cand, sub_live[row_of, np_])
         row_of, cand = row_of[res], cand[res]
-    return row_of, cand
+    # Back from rank order to N(vd)'s vertex-id order within each row.
+    key = row_of << shift | cand
+    key.sort()
+    return key >> shift, key & low_bits
+
+
+def _ragged_slots(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The flat slots of the segments ``[starts[i], starts[i] + lens[i])``,
+    one after the other."""
+    ends = np.cumsum(lens)
+    slots = np.repeat(starts - (ends - lens), lens)
+    slots += np.arange(len(slots))
+    return slots
+
+
+def _one_white_children(
+    sub_map: np.ndarray,
+    live: np.ndarray,
+    white: Tuple[int, np.ndarray, np.ndarray],
+    rows: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The children of a group with one WHITE vertex and their delivery-
+    order keys: every candidate of every live row, in
+    :func:`_cross_product`'s order — with no second image there is no
+    pair to check."""
+    wp, per_row, cand = white
+    size = per_row[live]
+    child_map = np.repeat(sub_map[live], size, axis=0)
+    child_map[:, wp] = cand[_ragged_slots((np.cumsum(per_row) - per_row)[live], size)]
+    return child_map, np.repeat(rows[live], size)
+
+
+def _built(rows: np.ndarray, order: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Children the group had to build anyway, handed back as they are."""
+    return rows, order
 
 
 def _runs(sizes: np.ndarray, bound: int) -> List[Tuple[int, int]]:
@@ -469,9 +523,7 @@ def _cross_product(
                 for lo, hi in reversed(runs)
             )
             continue
-        ends = np.cumsum(size)
-        slots = np.repeat(starts[j][parent] - (ends - size), size)
-        b = cand[slots + np.arange(len(slots))]
+        b = cand[_ragged_slots(starts[j][parent], size)]
         parent = np.repeat(parent, size)
         images = [np.repeat(image, size) for image in images]
         ok = np.ones(len(b), dtype=bool)

@@ -163,6 +163,8 @@ class PSgLProgram(VertexProgram):
             "order_rank": ordered.ranks,
             "order_nb": ordered.nb_values,
             "order_ns": ordered.ns_values,
+            "order_by_rank": ordered.by_rank,
+            "order_rank_keys": ordered.rank_keys,
             "edge_table": ordered.graph.edge_table().slots,
         }
 

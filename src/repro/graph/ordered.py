@@ -14,6 +14,12 @@ For each vertex the paper then defines
 and observes (Property 1) that the ``nb`` distribution is *more skewed* than
 the raw degree distribution while ``ns`` is *more balanced*.  Both quantities
 drive the deterministic initial-pattern-vertex rule (Theorem 5).
+
+Because ranks sort by degree first, every candidate rule of Algorithm 5
+that bounds a vertex by degree or by order is a rank interval, and the
+adjacency keyed by rank (:attr:`OrderedGraph.rank_keys`) answers "the
+neighbours of ``u`` ranked strictly between ``a`` and ``b``" with two
+binary searches.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class OrderedGraph:
     ``0..n-1`` so comparisons are single integer compares in the hot loops.
     """
 
-    __slots__ = ("graph", "_rank", "_nb", "_ns")
+    __slots__ = ("graph", "_rank", "_nb", "_ns", "_by_rank", "_rank_keys")
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -44,6 +50,8 @@ class OrderedGraph:
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         self._rank = rank
+        self._by_rank = order
+        self._rank_keys = None
         # nb/ns in one vectorised pass over the CSR arrays: flag every
         # adjacency slot whose target ranks below its source, then reduce
         # per-vertex via a prefix sum over the slice boundaries.
@@ -63,6 +71,39 @@ class OrderedGraph:
     def ranks(self) -> np.ndarray:
         """Rank of every vertex (a permutation of ``0..n-1``)."""
         return self._rank
+
+    @property
+    def by_rank(self) -> np.ndarray:
+        """The vertex of every rank: ``by_rank[ranks[v]] == v``."""
+        return self._by_rank
+
+    @property
+    def rank_shift(self) -> int:
+        """Bits of a rank: every rank is below ``1 << rank_shift``."""
+        return max(self.graph.num_vertices - 1, 1).bit_length()
+
+    @property
+    def rank_keys(self) -> np.ndarray:
+        """Every adjacency slot keyed ``u << rank_shift | rank[v]``,
+        sorted: the neighbours of ``u`` in rank order, ``u``-major.  Built
+        on first use and cached; one int64 per directed edge."""
+        if self._rank_keys is None:
+            graph = self.graph
+            keys = np.repeat(
+                np.arange(graph.num_vertices, dtype=np.int64) << self.rank_shift,
+                graph.degrees,
+            )
+            keys |= self._rank[graph.indices]
+            keys.sort()
+            keys.flags.writeable = False
+            self._rank_keys = keys
+        return self._rank_keys
+
+    def rank_floor(self, degree: int) -> int:
+        """The lowest rank whose vertex has at least ``degree`` neighbours
+        (``n`` when none has): ranks sort by degree first, so the degree
+        rule is a rank bound."""
+        return int(np.count_nonzero(self.graph.degrees < degree))
 
     def precedes(self, u: int, v: int) -> bool:
         """Whether ``u < v`` in the paper's order."""

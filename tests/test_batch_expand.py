@@ -30,7 +30,7 @@ from repro.core import Gpsi, expand_columns, expand_gpsi, pack_gpsis
 from repro.core.edge_index import ExactEdgeIndex, build_edge_index
 from repro.core.init_vertex import select_initial_vertex
 from repro.graph import Graph, OrderedGraph
-from repro.graph.generators import chung_lu_power_law, erdos_renyi
+from repro.graph.generators import chung_lu_power_law, erdos_renyi, rmat
 from repro.pattern import PatternGraph, get_pattern, paper_patterns
 
 
@@ -282,7 +282,6 @@ class TestJoinAccounting:
     @pytest.mark.parametrize("pattern_name", sorted(paper_patterns()))
     def test_statistics_and_ledger_are_unchanged(self, pattern_name, index_kind):
         from repro.core import PSgL
-        from repro.graph.generators import rmat
 
         result = PSgL(
             rmat(8, seed=0), num_workers=4, edge_index=index_kind, seed=0
@@ -395,7 +394,6 @@ class TestDispatchShape:
         return calls, result
 
     def test_calls_do_not_grow_with_the_graph(self, monkeypatch):
-        from repro.graph.generators import rmat
         from repro.runtime.executor import EXPAND_BLOCK_ROWS
 
         small, small_run = self.entry_point_calls(monkeypatch, rmat(7, seed=3))
@@ -487,3 +485,151 @@ class TestUsefulGraysCache:
         assert clone.useful_grays_for(0b00001, 0b00011) == (
             pattern.useful_grays_for(0b00001, 0b00011)
         )
+
+
+def gather_then_mask(
+    sub_live, vd, white_vp, expanding_vp, black, group_mask, pattern,
+    ordered, edge_index,
+):
+    """Algorithm 5 as a mask over every ``N(vd)`` slot: the candidate
+    scan the rank window replaced, kept as its oracle."""
+    graph, ranks = ordered.graph, ordered.ranks
+    n_live = len(vd)
+    lower = np.full(n_live, -1, dtype=np.int64)
+    upper = np.full(n_live, graph.num_vertices, dtype=np.int64)
+    for below in pattern.must_rank_below(white_vp):
+        if group_mask >> below & 1:
+            np.maximum(lower, ranks[sub_live[:, below]], out=lower)
+    for above in pattern.must_rank_above(white_vp):
+        if group_mask >> above & 1:
+            np.minimum(upper, ranks[sub_live[:, above]], out=upper)
+    lens = graph.degrees[vd]
+    cand = np.concatenate(
+        [graph.indices[graph.indptr[v]:graph.indptr[v + 1]] for v in vd]
+        + [np.zeros(0, dtype=np.int64)]
+    )
+    row_of = np.repeat(np.arange(n_live), lens)
+    keep = graph.degrees[cand] >= pattern.degree(white_vp)
+    keep &= ranks[cand] > lower[row_of]
+    keep &= ranks[cand] < upper[row_of]
+    for col in range(sub_live.shape[1]):
+        if group_mask >> col & 1 and col != expanding_vp:
+            keep &= cand != sub_live[row_of, col]
+    row_of, cand = row_of[keep], cand[keep]
+    for np_ in pattern.neighbors(white_vp):
+        if np_ == expanding_vp or not group_mask >> np_ & 1 or black >> np_ & 1:
+            continue
+        if len(cand) == 0:
+            break
+        res = edge_index.might_contain_pairs(cand, sub_live[row_of, np_])
+        row_of, cand = row_of[res], cand[res]
+    return row_of, cand
+
+
+def check_windows(graph, pattern_name, index_kind) -> int:
+    """List ``pattern_name`` on ``graph`` with every ``_white_candidates``
+    call checked against :func:`gather_then_mask` — same arrays, same
+    probe statistics; returns how many calls were checked."""
+    from unittest import mock
+
+    from repro.core import PSgL, batch_expand
+
+    real = batch_expand._white_candidates
+    calls = []
+
+    def checked(*args):
+        index = args[-1]
+        before = index.queries, index.positives
+        got = real(*args)
+        after = index.queries, index.positives
+        want = gather_then_mask(*args)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (index.queries - after[0], index.positives - after[1]) == (
+            after[0] - before[0], after[1] - before[1]
+        )
+        index.queries, index.positives = after
+        calls.append(1)
+        return got
+
+    with mock.patch.object(batch_expand, "_white_candidates", checked):
+        PSgL(graph, num_workers=3, edge_index=index_kind).run(
+            get_pattern(pattern_name)
+        )
+    return len(calls)
+
+
+WINDOW_PATTERNS = ["PG1", "PG2", "PG3", "PG4", "PG5", "C5"]
+
+
+class TestRankWindow:
+    """``_white_candidates`` gathers only each row's rank window (Rules
+    1a and 1b) yet returns what masking every ``N(vd)`` slot returned:
+    the same ``(row_of, cand)`` in the same order, and the same probes."""
+
+    @pytest.mark.parametrize("index_kind", ["exact", "bloom"])
+    @pytest.mark.parametrize("pattern_name", WINDOW_PATTERNS)
+    def test_matches_gather_then_mask(self, pattern_name, index_kind):
+        assert check_windows(GRAPHS["powerlaw"], pattern_name, index_kind) > 0
+
+    @settings(
+        deadline=None,
+        max_examples=40,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        graph=random_graphs(max_vertices=24, edge_fraction=0.5),
+        pattern_name=st.sampled_from(WINDOW_PATTERNS),
+        index_kind=st.sampled_from(["exact", "bloom"]),
+    )
+    def test_matches_gather_then_mask_on_random_graphs(
+        self, graph, pattern_name, index_kind
+    ):
+        check_windows(graph, pattern_name, index_kind)
+
+
+class TestCountOnClose:
+    """Under an exact index a group whose one WHITE vertex completes the
+    mapping is counted without being built: a count-only run never joins
+    or materialises it, and a run that reads its instances gets them in
+    the oracle's order."""
+
+    @pytest.mark.parametrize("pattern_name", ["PG2", "PG3"])
+    def test_count_only_builds_no_closing_child(self, monkeypatch, pattern_name):
+        from repro.core import PSgL, batch_expand, run_reference
+        from repro.core.psi import UNMAPPED
+
+        joins, builds = [], []
+        real_join = batch_expand._cross_product
+        real_build = batch_expand._one_white_children
+
+        def counted_join(sub_map, live, whites, *rest):
+            unmapped = int((sub_map[0] == UNMAPPED).sum())
+            joins.append(len(whites) == 1 and unmapped == 1)
+            return real_join(sub_map, live, whites, *rest)
+
+        def counted_build(*args):
+            builds.append(1)
+            return real_build(*args)
+
+        monkeypatch.setattr(batch_expand, "_cross_product", counted_join)
+        monkeypatch.setattr(batch_expand, "_one_white_children", counted_build)
+        graph = rmat(8, seed=2)
+        pattern = paper_patterns()[pattern_name]
+
+        def psgl():
+            return PSgL(graph, num_workers=4, edge_index="exact", seed=0)
+
+        counted = psgl().run(pattern)
+        assert counted.count > 0
+        # No single-WHITE closing group was joined, and none was built.
+        assert not any(joins) and not builds
+        for flags in (dict(collect_instances=True), dict(count_per_vertex=True)):
+            got = psgl().run(pattern, **flags)
+            want = run_reference(psgl(), pattern, **flags)
+            assert got.count == want.count == counted.count
+            assert got.instances == want.instances  # order included
+            assert got.per_vertex_counts == want.per_vertex_counts
+            assert got.ledger.summary() == want.ledger.summary()
+        # Reading the instances built the closing groups, joining none.
+        assert builds and not any(joins)

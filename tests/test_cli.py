@@ -478,6 +478,21 @@ class TestErrorHandling:
         assert code == 141
         assert capsys.readouterr().err == ""
 
+    def test_unwritable_trace_path_is_refused_before_the_job(
+        self, er_edge_list, tmp_path, capsys
+    ):
+        """An unwritable ``--trace`` path used to be found only after the
+        whole job ran and printed its results.  It is refused before the
+        graph is read: with a missing graph too, the trace path is named."""
+        trace = "/nonexistent/dir/t.json"
+        for source in (er_edge_list, tmp_path / "missing.txt"):
+            code = main(["count", "--pattern", "PG1", "--edge-list",
+                         str(source), "--trace", trace])
+            assert code == 4
+            out, err = capsys.readouterr()
+            assert "instances" not in out
+            assert err == f"psgl: error: {trace}: No such file or directory\n"
+
     @pytest.mark.parametrize("command", ["count", "stats", "serve"])
     def test_scale_beside_a_file_source_is_a_usage_error(self, command,
                                                          capsys):

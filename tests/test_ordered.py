@@ -35,6 +35,38 @@ class TestRanking:
                     assert og.precedes(u, v) != og.precedes(v, u)
 
 
+class TestRankWindowArrays:
+    """The rank -> vertex map, the rank-keyed adjacency and the degree
+    floor as a rank: what ``_white_candidates`` searches."""
+
+    GRAPH = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5), (2, 5)])
+
+    def test_by_rank_inverts_ranks(self):
+        og = OrderedGraph(self.GRAPH)
+        assert og.by_rank[og.ranks].tolist() == list(range(7))
+
+    def test_rank_keys_list_each_neighbourhood_in_rank_order(self):
+        g = self.GRAPH
+        og = OrderedGraph(g)
+        keys = og.rank_keys
+        assert keys is og.rank_keys and not keys.flags.writeable
+        assert len(keys) == 2 * g.num_edges and (keys[1:] > keys[:-1]).all()
+        shift = og.rank_shift
+        for u in g.vertices():
+            mine = keys[(keys >> shift) == u] & ((1 << shift) - 1)
+            assert og.by_rank[mine].tolist() == sorted(
+                g.neighbors(u).tolist(), key=og.rank
+            )
+
+    def test_rank_floor_is_the_first_rank_of_the_degree(self):
+        g = self.GRAPH  # degrees 3 2 3 2 2 2 0
+        og = OrderedGraph(g)
+        for degree in range(5):
+            floor = og.rank_floor(degree)
+            admitted = {int(v) for v in og.by_rank[floor:]}
+            assert admitted == {v for v in g.vertices() if g.degree(v) >= degree}
+
+
 class TestNbNs:
     def test_nb_plus_ns_is_degree(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
