@@ -8,7 +8,7 @@ Subcommands
 ``stats``     degree statistics and the Property 1 skew report
 ``bench``     regenerate paper tables/figures (all or selected)
 ``serve``     run the resident subgraph-query service (docs/service.md)
-``convert``   stream an edge list into the binary ``.csrbin`` format
+``convert``   read an edge list and write it in the binary ``.csrbin`` format
 
 Examples
 --------
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     convert = sub.add_parser(
         "convert",
-        help="stream an edge list into the binary .csrbin graph format",
+        help="read an edge list and write it as a binary .csrbin graph",
     )
     convert.add_argument("source", help="whitespace edge-list file to read")
     convert.add_argument("target", help=".csrbin file to write")
@@ -177,18 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--allow-self-loops",
         action="store_true",
         help="drop self loops instead of treating them as an error",
-    )
-    convert.add_argument(
-        "--chunk-bytes",
-        type=int,
-        default=None,
-        help="text bytes parsed per streaming chunk (default 16 MiB)",
-    )
-    convert.add_argument(
-        "--tmp-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for staging temp files (default: next to target)",
     )
 
     stats = sub.add_parser("stats", help="degree statistics and skew report")
@@ -409,16 +397,11 @@ def _cmd_patterns(_: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     from .graph import binfmt
 
-    kwargs = {}
-    if args.chunk_bytes is not None:
-        kwargs["chunk_bytes"] = args.chunk_bytes
     stats = binfmt.convert_edge_list(
         args.source,
         args.target,
         dedup=not args.no_dedup,
         allow_self_loops=args.allow_self_loops,
-        tmp_dir=args.tmp_dir,
-        **kwargs,
     )
     print(f"source     : {args.source}")
     print(f"target     : {args.target} ({stats.output_bytes:,} bytes)")

@@ -7,10 +7,9 @@ half:
 
 * :func:`write_csrbin` / :func:`convert_edge_list` produce a flat binary
   file holding the same CSR ``indptr``/``indices`` arrays
-  :meth:`~repro.graph.graph.Graph.to_csr` exports — the converter
-  streams a SNAP-style text edge list in fixed-size chunks and stages
-  everything through ``numpy`` temp files, so no Python object per edge
-  ever exists and peak memory stays O(|V| + chunk), not O(|E|);
+  :meth:`~repro.graph.graph.Graph.to_csr` exports — the converter is
+  the one edge-list reader (:mod:`repro.graph.io`) followed by
+  :func:`write_csrbin`;
 * :func:`load_mapped` returns a :class:`~repro.graph.graph.Graph` whose
   CSR arrays are read-only ``np.memmap`` views into the file.  The OS
   pages neighbour lists in on demand, and a forked process lane
@@ -43,10 +42,9 @@ from __future__ import annotations
 import errno
 import hashlib
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -61,9 +59,9 @@ VERSION = 1
 HEADER_SIZE = 64
 _CHECKSUM_OFFSET = 32
 
-#: Bytes hashed/copied per step when streaming a file (checksums, temp
-#: staging).  4 MiB keeps syscall overhead negligible without holding
-#: more than one chunk resident.
+#: Bytes hashed per step by ``load_mapped(verify_checksum=True)``.  4 MiB
+#: keeps syscall overhead negligible without holding more than one chunk
+#: resident.
 STREAM_CHUNK_BYTES = 4 << 20
 
 
@@ -208,8 +206,7 @@ def load_mapped(path: PathLike, verify_checksum: bool = False) -> Graph:
     ``verify_checksum=True`` streams the whole array region through
     blake2b before mapping and raises
     :class:`~repro.exceptions.GraphFormatError` on a mismatch — reading
-    every byte defeats lazy mapping, so it is opt-in (the converter
-    already verifies what it wrote).
+    every byte defeats lazy mapping, so it is opt-in.
     """
     path = Path(path)
     header = read_header(path)
@@ -246,83 +243,6 @@ def load_mapped(path: PathLike, verify_checksum: bool = False) -> Graph:
     return graph
 
 
-# ----------------------------------------------------------------------
-# Streaming edge-list -> .csrbin conversion
-# ----------------------------------------------------------------------
-
-
-class _PairStage:
-    """Append-only temp file of packed ``(u, v)`` int64 pairs.
-
-    The converter's only O(|E|) state lives here, on disk; readers get
-    it back as a ``(N, 2)`` memmap and iterate it in bounded slices.
-    """
-
-    def __init__(self, directory: Path):
-        fd, name = tempfile.mkstemp(suffix=".pairs", dir=directory)
-        self._fh = os.fdopen(fd, "w+b")
-        self.path = Path(name)
-        self.rows = 0
-
-    def append(self, pairs: np.ndarray) -> None:
-        if len(pairs):
-            self._fh.write(np.ascontiguousarray(pairs, dtype="<i8").tobytes())
-            self.rows += len(pairs)
-
-    def as_memmap(self, mode: str = "r") -> np.ndarray:
-        self._fh.flush()
-        if self.rows == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.memmap(
-            self.path, dtype="<i8", mode=mode, shape=(self.rows, 2)
-        )
-
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        finally:
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-
-
-def _stage_sorted_keys(
-    pairs_mm: np.ndarray,
-    num_vertices: int,
-    directory: Path,
-) -> Tuple[Path, np.ndarray]:
-    """Write ``u * n + v`` keys for every staged pair and sort on disk.
-
-    Returns the temp file path and a sorted int64 memmap over it.  The
-    in-place ``memmap.sort`` lets the OS page the working set, so the
-    sort's resident footprint is bounded even for edge lists that dwarf
-    RAM.
-    """
-    n = max(num_vertices, 1)
-    if num_vertices and num_vertices > (1 << 31):
-        raise GraphFormatError(
-            f"cannot convert: {num_vertices} vertices overflows the "
-            "int64 sort key (u * n + v)"
-        )
-    fd, name = tempfile.mkstemp(suffix=".keys", dir=directory)
-    key_path = Path(name)
-    with os.fdopen(fd, "wb") as fh:
-        for start in range(0, len(pairs_mm), _ROWS_PER_SLICE):
-            block = np.asarray(pairs_mm[start:start + _ROWS_PER_SLICE])
-            keys = block[:, 0] * n + block[:, 1]
-            fh.write(np.ascontiguousarray(keys, dtype="<i8").tobytes())
-    if len(pairs_mm) == 0:
-        return key_path, np.empty(0, dtype=np.int64)
-    keys_mm = np.memmap(key_path, dtype="<i8", mode="r+")
-    keys_mm.sort()
-    return key_path, keys_mm
-
-
-#: Pair rows processed per staged slice (~16 MiB of int64 pairs).
-_ROWS_PER_SLICE = 1 << 20
-
-
 def convert_edge_list(
     source: PathLike,
     target: PathLike,
@@ -330,182 +250,42 @@ def convert_edge_list(
     dedup: bool = True,
     allow_self_loops: bool = False,
     chunk_bytes: int = graph_io.DEFAULT_CHUNK_BYTES,
-    tmp_dir: Optional[PathLike] = None,
 ) -> ConvertStats:
-    """Stream a SNAP-style edge list into a ``.csrbin`` file.
+    """Read a SNAP-style edge list and write it as a ``.csrbin`` file.
 
-    The pipeline never holds a Python object per edge: text chunks parse
-    straight into int64 arrays (:func:`repro.graph.io.iter_edge_chunks`),
-    pairs stage through a temp file, id compaction/canonicalisation run
-    slice-by-slice over its memmap, and the CSR build sorts composite
-    keys in place on disk.  Peak resident memory is O(|V| + chunk).
-
-    ``dedup``/``allow_self_loops`` mirror :func:`repro.graph.io.read_edge_list`:
-    by default duplicate undirected edges collapse silently (the paper's
+    The edge list goes through the reader behind
+    :func:`repro.graph.io.read_edge_list`, with the same keywords: by
+    default duplicate undirected edges collapse silently (the paper's
     preprocessing) and self loops are an explicit
     :class:`~repro.exceptions.GraphFormatError`; ``dedup=False`` makes
-    duplicates an error too, ``allow_self_loops=True`` drops loops.
+    duplicates an error too, ``allow_self_loops=True`` drops loops.  The
+    file written is ``write_csrbin`` of that graph, byte for byte.
 
-    Temp files land next to ``target`` (or in ``tmp_dir``) so staging
-    stays on the same filesystem as the output.  An ``OSError`` names a
-    path the caller gave: a ``target`` that is a directory is refused
-    before staging begins, and a temp file that cannot be created is
-    reported against ``tmp_dir`` or, without one, ``target``.
+    ``target`` is checked before the source is read: a directory is
+    refused, a missing parent directory is created, and an ``OSError``
+    there names ``target``.
     """
-    source = Path(source)
     target = Path(target)
     if target.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-    directory = Path(tmp_dir) if tmp_dir is not None else target.parent
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        stage = _PairStage(directory)
+        target.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        staging_for = tmp_dir if tmp_dir is not None else target
-        raise OSError(exc.errno, exc.strerror, str(staging_for)) from exc
-    key_path: Optional[Path] = None
-    raw_edges = 0
-    self_loops = 0
-    try:
-        # ---- pass 1: parse text chunks into the pair stage ----------
-        max_id = -1
-        for pairs, linenos in graph_io.iter_edge_chunks(
-            source, chunk_bytes=chunk_bytes
-        ):
-            raw_edges += len(pairs)
-            if bool(np.any(pairs < 0)):
-                bad = int(np.flatnonzero((pairs < 0).any(axis=1))[0])
-                raise GraphFormatError(
-                    f"negative vertex id in edge "
-                    f"({int(pairs[bad, 0])}, {int(pairs[bad, 1])}) "
-                    f"at line {int(linenos[bad])}"
-                )
-            loops = pairs[:, 0] == pairs[:, 1]
-            if bool(np.any(loops)):
-                if not allow_self_loops:
-                    row = int(np.flatnonzero(loops)[0])
-                    bad = int(pairs[row, 0])
-                    raise GraphFormatError(
-                        f"self loop ({bad}, {bad}) at line "
-                        f"{int(linenos[row])}; pass allow_self_loops=True to "
-                        "drop self loops"
-                    )
-                self_loops += int(loops.sum())
-                pairs = pairs[~loops]
-            if len(pairs):
-                max_id = max(max_id, int(pairs.max()))
-            # Canonicalise (min, max) now so dedup is a plain key sort.
-            lo = np.minimum(pairs[:, 0], pairs[:, 1])
-            hi = np.maximum(pairs[:, 0], pairs[:, 1])
-            stage.append(np.column_stack([lo, hi]))
-
-        # ---- pass 2: compact ids slice-by-slice over the stage ------
-        pairs_mm = stage.as_memmap(mode="r+")
-        present = np.zeros(max_id + 1, dtype=bool)
-        for start in range(0, len(pairs_mm), _ROWS_PER_SLICE):
-            block = np.asarray(pairs_mm[start:start + _ROWS_PER_SLICE])
-            present[block.ravel()] = True
-        original_ids = np.flatnonzero(present)
-        num_vertices = len(original_ids)
-        dense_of = np.empty(max_id + 1, dtype=np.int64)
-        dense_of[original_ids] = np.arange(num_vertices, dtype=np.int64)
-        for start in range(0, len(pairs_mm), _ROWS_PER_SLICE):
-            block = np.asarray(pairs_mm[start:start + _ROWS_PER_SLICE])
-            pairs_mm[start:start + _ROWS_PER_SLICE] = dense_of[block]
-
-        # ---- pass 3: sort undirected keys, dedup, emit CSR ----------
-        key_path, keys = _stage_sorted_keys(pairs_mm, num_vertices, directory)
-        n = max(num_vertices, 1)
-        duplicates = 0
-        degrees = np.zeros(num_vertices, dtype=np.int64)
-        unique_edges = 0
-        for start in range(0, len(keys), _ROWS_PER_SLICE):
-            block = np.asarray(keys[start:start + _ROWS_PER_SLICE])
-            # A key equal to its predecessor (within or across slices)
-            # is a duplicate undirected edge.
-            prev = keys[start - 1] if start else None
-            fresh = np.ones(len(block), dtype=bool)
-            fresh[1:] = block[1:] != block[:-1]
-            if prev is not None and len(block):
-                fresh[0] = block[0] != prev
-            dupes_here = int(len(block) - fresh.sum())
-            if dupes_here and not dedup:
-                bad = int(block[int(np.flatnonzero(~fresh)[0])])
-                raise GraphFormatError(
-                    f"duplicate edge ({int(original_ids[bad // n])}, "
-                    f"{int(original_ids[bad % n])}); "
-                    "pass dedup=True to collapse duplicates"
-                )
-            duplicates += dupes_here
-            uniq = block[fresh]
-            unique_edges += len(uniq)
-            degrees += np.bincount(uniq // n, minlength=num_vertices)
-            degrees += np.bincount(uniq % n, minlength=num_vertices)
-
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-
-        # Directed keys (src * n + dst), both directions of each unique
-        # edge, sorted in place: the sorted remainders ARE the CSR
-        # indices and the quotients group into indptr runs.
-        fd, name = tempfile.mkstemp(suffix=".dkeys", dir=directory)
-        dkey_path = Path(name)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                for start in range(0, len(keys), _ROWS_PER_SLICE):
-                    block = np.asarray(keys[start:start + _ROWS_PER_SLICE])
-                    prev = keys[start - 1] if start else None
-                    fresh = np.ones(len(block), dtype=bool)
-                    fresh[1:] = block[1:] != block[:-1]
-                    if prev is not None and len(block):
-                        fresh[0] = block[0] != prev
-                    uniq = block[fresh]
-                    u, v = uniq // n, uniq % n
-                    both = np.concatenate([uniq, v * n + u])
-                    fh.write(np.ascontiguousarray(both, dtype="<i8").tobytes())
-            if unique_edges:
-                dkeys = np.memmap(dkey_path, dtype="<i8", mode="r+")
-                dkeys.sort()
-            else:
-                dkeys = np.empty(0, dtype=np.int64)
-
-            # ---- pass 4: stream the .csrbin out, checksumming -------
-            digest = hashlib.blake2b(digest_size=16)
-            indptr_le = np.ascontiguousarray(indptr, dtype="<i8")
-            digest.update(indptr_le.tobytes())
-            with open(target, "wb") as fh:
-                fh.write(bytes(HEADER_SIZE))  # placeholder header
-                fh.write(indptr_le.tobytes())
-                for start in range(0, len(dkeys), _ROWS_PER_SLICE):
-                    block = np.asarray(dkeys[start:start + _ROWS_PER_SLICE])
-                    chunk = np.ascontiguousarray(
-                        block % n, dtype="<i8"
-                    ).tobytes()
-                    digest.update(chunk)
-                    fh.write(chunk)
-                fh.seek(0)
-                fh.write(
-                    _pack_header(num_vertices, len(dkeys), digest.digest())
-                )
-        finally:
-            try:
-                dkey_path.unlink()
-            except OSError:
-                pass
-    finally:
-        stage.close()
-        if key_path is not None:
-            try:
-                key_path.unlink()
-            except OSError:
-                pass
-    # Paranoia: re-validate what we wrote before declaring success.
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
+    graph, _, raw_edges, self_loops = graph_io._read_edges(
+        source,
+        dedup=dedup,
+        allow_self_loops=allow_self_loops,
+        chunk_bytes=chunk_bytes,
+    )
+    write_csrbin(graph, target)
+    # Re-validate what was written before declaring success.
     header = read_header(target)
     return ConvertStats(
-        num_vertices=num_vertices,
-        num_edges=unique_edges,
+        num_vertices=graph.num_vertices,
+        num_edges=graph.num_edges,
         raw_edges=raw_edges,
-        duplicates_dropped=duplicates,
+        duplicates_dropped=raw_edges - self_loops - graph.num_edges,
         self_loops_dropped=self_loops,
         output_bytes=header.file_size,
     )

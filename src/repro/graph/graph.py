@@ -159,15 +159,22 @@ def _csr_from_pairs(n: int, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if n > (1 << 31):
         raise GraphError(f"{n} vertices overflow the int64 edge sort key")
     base = max(n, 1)
-    us, vs = pairs[:, 0], pairs[:, 1]
-    keys = np.append(us * base + vs, vs * base + us)
+    m = len(pairs)
+    # Both directions' keys written in place: one 2m array, no temporaries.
+    keys = np.empty(2 * m, dtype=np.int64)
+    head, tail = keys[:m], keys[m:]
+    np.multiply(pairs[:, 0], base, out=head)
+    head += pairs[:, 1]
+    np.multiply(pairs[:, 1], base, out=tail)
+    tail += pairs[:, 0]
     keys.sort()
     fresh = np.ones(len(keys), dtype=bool)
     fresh[1:] = keys[1:] != keys[:-1]  # not np.unique: it imports numpy.ma
-    keys = keys[fresh]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // base, minlength=n), out=indptr[1:])
-    return indptr, keys % base
+    if not fresh.all():
+        keys = keys[fresh]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * base)
+    np.remainder(keys, base, out=keys)
+    return indptr, keys
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

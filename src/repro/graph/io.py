@@ -9,9 +9,10 @@ paper's preprocessing of the raw releases.
 Parsing is chunked and vectorised: the file reads in fixed-size byte
 chunks, each chunk's tokens convert to ``int64`` in one ``numpy`` call,
 and compaction/dedup run as array passes — no per-line Python tuple ever
-exists, which is what makes million-edge SNAP files practical (the
-streaming ``.csrbin`` converter in :mod:`repro.graph.binfmt` builds on
-the same chunk iterator).  Comment lines are dropped inside the
+exists, which is what makes million-edge SNAP files practical.  This is
+the one edge-list reader: ``psgl convert``
+(:func:`repro.graph.binfmt.convert_edge_list`) is this read followed by
+``write_csrbin``.  Comment lines are dropped inside the
 vectorised pass; chunks that do not fit the strict two-column shape —
 extra columns, malformed tokens — fall back to the original scalar
 per-line parser, which preserves the exact
@@ -38,6 +39,7 @@ from typing import Dict, Iterator, List, TextIO, Tuple, Union
 import numpy as np
 
 from ..exceptions import GraphFormatError
+from ..unique import sorted_unique
 from .graph import Graph
 
 PathLike = Union[str, Path]
@@ -161,25 +163,89 @@ def _parse_chunk(
     return tokens.reshape(-1, 2), linenos
 
 
-def iter_edge_chunks(
-    source: Union[PathLike, TextIO],
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Stream ``(pairs, linenos)`` arrays from an edge list.
+def _compact(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(original_ids, dense)``: the ids ``raw`` names, ascending, and
+    ``raw`` renumbered to their positions ``0..n-1`` (in place when the
+    table is used: ``raw`` is the reader's own copy).
 
-    Each ``pairs`` is an ``(n, 2)`` int64 array of raw (uncompacted)
-    vertex ids in file order; ``linenos`` gives the 1-based line number
-    of each row, so consumers can attribute problems exactly.  Memory
-    stays bounded by ``chunk_bytes`` regardless of file size — this is
-    the primitive both :func:`read_edge_list` and the out-of-core
-    converter (:func:`repro.graph.binfmt.convert_edge_list`) parse with.
+    A direct table indexed by id when the largest id is below twice the
+    ids read (near-contiguous ids, as every R-MAT file has); otherwise a
+    sort, so sparse ids never allocate by their magnitude.
     """
+    flat = raw.ravel()
+    top = int(flat.max()) if len(flat) else -1
+    if top < 2 * len(flat):
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[flat] = True
+        original_ids = np.flatnonzero(seen)
+        dense_of = np.empty(top + 1, dtype=np.int64)
+        dense_of[original_ids] = np.arange(len(original_ids))
+        # Every id is in range; mode="raise" would buffer a copy of ``out``.
+        return original_ids, np.take(dense_of, raw, out=raw, mode="clip")
+    original_ids, _, inverse = sorted_unique(flat)
+    return original_ids, inverse.reshape(-1, 2)
+
+
+def _read_edges(
+    source: Union[PathLike, TextIO],
+    *,
+    dedup: bool,
+    allow_self_loops: bool,
+    chunk_bytes: int,
+) -> Tuple[Graph, np.ndarray, int, int]:
+    """The one edge-list read behind :func:`read_edge_list` and
+    :func:`repro.graph.binfmt.convert_edge_list`.
+
+    Returns ``(graph, original_ids, raw_edges, self_loops_dropped)``:
+    ``original_ids[d]`` is dense vertex ``d``'s id in the file and
+    ``raw_edges`` the edge lines parsed, loops and duplicates included.
+    """
+    chunks: List[np.ndarray] = []
+    first_loop = None
     lineno = 1
     for data in _read_raw_chunks(source, chunk_bytes):
         pairs, linenos = _parse_chunk(data, lineno)
-        if len(pairs):
-            yield pairs, linenos
         lineno += data.count(b"\n")
+        if bool(np.any(pairs < 0)):
+            bad = int(np.flatnonzero((pairs < 0).any(axis=1))[0])
+            raise GraphFormatError(
+                f"negative vertex id in edge "
+                f"({int(pairs[bad, 0])}, {int(pairs[bad, 1])}) "
+                f"at line {int(linenos[bad])}"
+            )
+        if first_loop is None:
+            loops = pairs[:, 0] == pairs[:, 1]
+            if bool(np.any(loops)):
+                row = int(np.flatnonzero(loops)[0])
+                first_loop = (int(pairs[row, 0]), int(linenos[row]))
+        chunks.append(pairs)
+    raw = (
+        np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    )
+    del chunks
+    if first_loop is not None and not allow_self_loops:
+        loop_id, line = first_loop
+        raise GraphFormatError(
+            f"self loop ({loop_id}, {loop_id}) at line {line}; "
+            "pass allow_self_loops=True to drop self loops"
+        )
+    raw_edges = len(raw)
+    if first_loop is not None:
+        raw = raw[raw[:, 0] != raw[:, 1]]
+    original_ids, dense = _compact(raw)
+    del raw
+    n = len(original_ids)
+    graph = Graph(n, dense)
+    if not dedup and graph.num_edges != len(dense):
+        # Error path only: name the smallest duplicated (min, max) edge.
+        keys = np.sort(dense.min(axis=1) * n + dense.max(axis=1))
+        bad = int(keys[1:][keys[1:] == keys[:-1]][0])
+        raise GraphFormatError(
+            f"duplicate edge ({int(original_ids[bad // n])}, "
+            f"{int(original_ids[bad % n])}); "
+            "pass dedup=True to collapse duplicates"
+        )
+    return graph, original_ids, raw_edges, raw_edges - len(dense)
 
 
 def read_edge_list(
@@ -204,8 +270,8 @@ def read_edge_list(
         Drop self loops when ``True``; the default treats a self loop as
         a format error (the graph model is loop-free).
     chunk_bytes:
-        Parser chunk size; memory use is bounded by O(edges seen so
-        far), never by Python object count.
+        Text bytes parsed per chunk (default 1 MiB); memory use is
+        bounded by O(edges seen so far), never by Python object count.
 
     Negative vertex ids are always a format error (they would survive
     id compaction and poison the CSR build), reported with the offending
@@ -217,53 +283,13 @@ def read_edge_list(
         ``graph`` with dense ids, and ``id_map`` from dense id back to the
         original id in the file.
     """
-    chunks: List[np.ndarray] = []
-    first_loop_line = None
-    loop_id = None
-    for pairs, linenos in iter_edge_chunks(source, chunk_bytes):
-        if bool(np.any(pairs < 0)):
-            bad = int(np.flatnonzero((pairs < 0).any(axis=1))[0])
-            raise GraphFormatError(
-                f"negative vertex id in edge "
-                f"({int(pairs[bad, 0])}, {int(pairs[bad, 1])}) "
-                f"at line {int(linenos[bad])}"
-            )
-        if first_loop_line is None:
-            loops = pairs[:, 0] == pairs[:, 1]
-            if bool(np.any(loops)):
-                row = int(np.flatnonzero(loops)[0])
-                first_loop_line = int(linenos[row])
-                loop_id = int(pairs[row, 0])
-        chunks.append(pairs)
-    raw = (
-        np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    graph, original_ids, _, _ = _read_edges(
+        source,
+        dedup=dedup,
+        allow_self_loops=allow_self_loops,
+        chunk_bytes=chunk_bytes,
     )
-    if first_loop_line is not None and not allow_self_loops:
-        raise GraphFormatError(
-            f"self loop ({loop_id}, {loop_id}) at line {first_loop_line}; "
-            "pass allow_self_loops=True to drop self loops"
-        )
-    loops = raw[:, 0] == raw[:, 1]
-    if bool(np.any(loops)):
-        raw = raw[~loops]
-
-    # Compact non-contiguous ids to 0..n-1 (sorted original-id order,
-    # matching the original sorted-set compaction).
-    original_ids, inverse = np.unique(raw, return_inverse=True)
-    dense = inverse.reshape(-1, 2).astype(np.int64)
-    n = len(original_ids)
-    id_map = {i: int(orig) for i, orig in enumerate(original_ids)}
-    graph = Graph(n, dense)
-    if not dedup and graph.num_edges != len(dense):
-        # Error path only: name the smallest duplicated (min, max) edge.
-        keys = dense.min(axis=1) * n + dense.max(axis=1)
-        uniq_keys, key_counts = np.unique(keys, return_counts=True)
-        bad = int(uniq_keys[int(np.argmax(key_counts > 1))])
-        raise GraphFormatError(
-            f"duplicate edge ({id_map[bad // n]}, {id_map[bad % n]}); "
-            "pass dedup=True to collapse duplicates"
-        )
-    return graph, id_map
+    return graph, dict(enumerate(original_ids.tolist()))
 
 
 def write_edge_list(graph: Graph, target: Union[PathLike, TextIO]) -> None:

@@ -523,6 +523,8 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
             self.send_response(code)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
@@ -553,7 +555,15 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": obj})
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length", "0")
+        length = int(declared) if declared.strip().isdecimal() else -1
+        if length < 0:
+            # Where the body ends is unknown, so no later request on this
+            # connection could be framed: answer, then hang up.
+            self.close_connection = True
+            raise QuerySpecError(
+                f"Content-Length must be a byte count, got {declared!r}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

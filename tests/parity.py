@@ -37,7 +37,7 @@ def observables(result: ListingResult) -> Dict[str, Any]:
     """Everything a run computes, in a form that compares with ``==``."""
     return {
         "count": result.count,
-        "instances": sorted(result.instances),
+        "instances": list(result.instances),
         "supersteps": result.supersteps,
         "gpsi_by_vertex": result.gpsi_by_vertex,
         "index": (result.index_queries, result.index_pruned),

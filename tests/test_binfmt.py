@@ -3,9 +3,8 @@
 Three guarantees under test:
 
 1. **Fidelity** — ``write_csrbin``/``load_mapped`` round-trip a graph
-   exactly, and the streaming converter produces the same graph as the
-   in-memory ``read_edge_list`` parser on the same file (modulo the id
-   compaction both perform identically).
+   exactly, and the converter writes ``write_csrbin`` of the graph
+   ``read_edge_list`` reads from the same file, byte for byte.
 2. **Hostility** — corrupted files (truncated, wrong magic, wrong
    version, short body, flipped payload bytes) surface as
    :class:`~repro.exceptions.GraphFormatError`, never as numpy shape
@@ -18,6 +17,7 @@ Three guarantees under test:
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cli import main
 from repro.core import PSgL
@@ -40,6 +40,14 @@ from repro.obs import Tracer
 @pytest.fixture
 def rmat_graph():
     return rmat(8, avg_degree=5.0, seed=7)
+
+
+def file_edges(graph, id_map):
+    """``graph``'s edges in the file's ids, as ``(min, max)`` pairs."""
+    return {
+        (min(id_map[u], id_map[v]), max(id_map[u], id_map[v]))
+        for u, v in zip(*(a.tolist() for a in graph.edge_arrays()))
+    }
 
 
 def roundtrip(graph, tmp_path, name="g.csrbin", **load_kwargs):
@@ -97,7 +105,7 @@ class TestConverter:
 
     def test_tiny_chunks_same_output(self, tmp_path, rmat_graph):
         """Chunk boundaries must be invisible: a 64-byte text chunk and
-        the default 16 MiB chunk produce byte-identical files."""
+        the default 1 MiB chunk produce byte-identical files."""
         src = tmp_path / "edges.txt"
         write_edge_list(rmat_graph, src)
         convert_edge_list(src, tmp_path / "big.csrbin")
@@ -156,6 +164,70 @@ class TestConverter:
         src.write_text("0 1\n2 -3\n")
         with pytest.raises(GraphFormatError, match="at line 2"):
             convert_edge_list(src, tmp_path / "g.csrbin")
+
+    def test_sparse_ids_convert_like_reader(self, tmp_path):
+        """Ids far above the edge count compact by sorting: no table is
+        sized by the largest id (4e10 ids would be 37 GiB of them)."""
+        src = tmp_path / "edges.txt"
+        src.write_text("# sparse\n1 40000000000\n40000000000 7\n7 1\n3 7\n")
+        ref, id_map = read_edge_list(src)
+        stats = convert_edge_list(src, tmp_path / "g.csrbin")
+        assert load_mapped(tmp_path / "g.csrbin") == ref
+        assert id_map == {0: 1, 1: 3, 2: 7, 3: 40000000000}
+        assert file_edges(ref, id_map) == {
+            (1, 40000000000), (7, 40000000000), (1, 7), (3, 7)
+        }
+        assert (stats.num_vertices, stats.num_edges) == (4, 4)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=30
+        ),
+        reversed_dupes=st.integers(0, 5),
+        comments=st.lists(st.sampled_from(["# c", "% c", ""]), max_size=4),
+        # 1 keeps ids dense (the id table); 3 straddles the cut-over at
+        # twice the ids read; 1e10 is far past it (the sort).
+        spread=st.sampled_from([1, 3, 10**10]),
+        chunk_bytes=st.sampled_from([7, 64, 1 << 20]),
+    )
+    def test_equals_write_csrbin_of_the_reader(
+        self, tmp_path, edges, reversed_dupes, comments, spread, chunk_bytes
+    ):
+        """``convert_edge_list`` is ``write_csrbin(read_edge_list(...))``,
+        byte for byte, on duplicates, reversed duplicates, comment lines
+        and self loops, with ids on both sides of the table/sort cut-over."""
+        edges = [(u * spread, v * spread) for u, v in edges]
+        edges += [(v, u) for u, v in edges[:reversed_dupes]]
+        lines = [f"{u} {v}" for u, v in edges]
+        for at, comment in enumerate(comments):
+            lines.insert(at * 3, comment)
+        src = tmp_path / "edges.txt"
+        src.write_text("\n".join(lines) + "\n")
+        ref, id_map = read_edge_list(src, allow_self_loops=True)
+        assert file_edges(ref, id_map) == {
+            (min(u, v), max(u, v)) for u, v in edges if u != v
+        }
+        write_csrbin(ref, tmp_path / "ref.csrbin")
+        stats = convert_edge_list(
+            src, tmp_path / "g.csrbin",
+            allow_self_loops=True, chunk_bytes=chunk_bytes,
+        )
+        written = (tmp_path / "g.csrbin").read_bytes()
+        assert written == (tmp_path / "ref.csrbin").read_bytes()
+        loops = sum(u == v for u, v in edges)
+        assert stats == ConvertStats(
+            num_vertices=ref.num_vertices,
+            num_edges=ref.num_edges,
+            raw_edges=len(edges),
+            duplicates_dropped=len(edges) - loops - ref.num_edges,
+            self_loops_dropped=loops,
+            output_bytes=len(written),
+        )
 
 
 class TestCorruptFiles:

@@ -664,23 +664,28 @@ class TestErrorHandling:
     def test_convert_staging_failure_names_the_users_path(
         self, tmp_path, capsys, staging
     ):
-        """The temp file cannot be created: the error names the path the
-        user typed, never the staging file, and nothing is left behind."""
+        """The target's directory cannot be created: the error names the
+        path the user typed, and nothing is left behind.  Nothing is
+        staged on disk, so ``--tmp-dir`` is no option: a usage error,
+        exit 2, before anything is created."""
         source = tmp_path / "k4.txt"
         write_edge_list(complete_graph(4), source)
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         if staging == "target":
             named = blocker / "g.csrbin"
-            argv = ["convert", str(source), str(named)]
+            code = main(["convert", str(source), str(named)])
+            assert code == 4
+            err = capsys.readouterr().err
+            assert err.startswith(f"psgl: error: {named}: ")
+            assert err.count("\n") == 1
         else:
-            named = blocker / "tmp"
-            argv = ["convert", str(source), str(tmp_path / "g.csrbin"),
-                    "--tmp-dir", str(named)]
-        code = main(argv)
-        assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith(f"psgl: error: {named}: ") and err.count("\n") == 1
+            with pytest.raises(SystemExit) as refused:
+                main(["convert", str(source), str(tmp_path / "g.csrbin"),
+                      "--tmp-dir", str(blocker / "tmp")])
+            assert refused.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --tmp-dir" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-file", "k4.txt"]
 

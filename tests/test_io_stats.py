@@ -103,7 +103,7 @@ class TestParserKnobs:
 
     def test_tiny_chunks_match_default(self, tmp_path):
         """Chunk boundaries (mid-line splits included) must not change
-        the parse: a 7-byte chunk equals the default 16 MiB chunk."""
+        the parse: a 7-byte chunk equals the default 1 MiB chunk."""
         from repro.graph.generators import erdos_renyi
 
         g = erdos_renyi(40, 0.15, seed=9)

@@ -28,13 +28,18 @@
   serve`` exits 5 before the graph is loaded.
 * A negative ``seed`` was accepted, and the job then failed with numpy's
   ``ValueError: expected non-negative integer``.  It is a 400 now.
+* ``POST /jobs`` with ``Content-Length: -1`` blocked its handler thread
+  until the client hung up (``rfile.read(-1)``), and ``Content-Length:
+  abc`` was a 500.  A length that is not a byte count is a 400 now, and
+  the connection closes after the answer.
 """
 
 import json
-
+import socket
 import threading
 import time
 import types
+from urllib.parse import urlparse
 
 import pytest
 
@@ -266,6 +271,40 @@ class TestMalformedStrategy:
             )
             assert status == 400
             assert json.loads(text)["error"]["type"] == "QuerySpecError"
+            assert client.count(pattern="PG1")["state"] == "completed"
+
+
+# ----------------------------------------------------------------------
+# A malformed Content-Length
+# ----------------------------------------------------------------------
+def raw_post(base_url, content_length):
+    """POST /jobs with no body over a bare socket; the whole reply up to
+    the server's hang-up.  A server still waiting on a body trips the
+    timeout."""
+    url = urlparse(base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Type: "
+            b"application/json\r\nContent-Length: "
+            + content_length + b"\r\n\r\n"
+        )
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("content_length", [b"-1", b"abc", b"1.5", b""])
+    def test_is_a_400_and_the_connection_closes(self, content_length):
+        with running_service(complete_graph(6)) as (client, _):
+            reply = raw_post(client.base_url, content_length)
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), head
+            assert b"\r\nConnection: close" in head
+            error = json.loads(body)["error"]
+            assert error["type"] == "QuerySpecError"
+            assert "Content-Length must be a byte count" in error["message"]
             assert client.count(pattern="PG1")["state"] == "completed"
 
 
