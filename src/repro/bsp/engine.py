@@ -25,12 +25,12 @@ did regardless of where it physically ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
+from .._record import Record
 from ..exceptions import BudgetExceededError, EngineError, JobCancelled
 from ..graph.graph import Graph
 from ..graph.partition import Partition
@@ -42,14 +42,21 @@ from .metrics import CostLedger
 from .vertex_program import VertexProgram
 
 
-@dataclass
-class BSPResult:
-    """Everything a finished (or OOM-aborted) job produced."""
+class BSPResult(Record):
+    """Everything a finished (or OOM-aborted) job produced; ``trace`` is
+    the tracer that observed the run (None when tracing was off)."""
 
-    ledger: CostLedger
-    wall_seconds: float
-    #: The tracer that observed the run (None when tracing was off).
-    trace: Optional[Any] = None
+    __slots__ = ("ledger", "wall_seconds", "trace")
+
+    def __init__(
+        self,
+        ledger: CostLedger,
+        wall_seconds: float,
+        trace: Optional[Any] = None,
+    ) -> None:
+        self.ledger = ledger
+        self.wall_seconds = wall_seconds
+        self.trace = trace
 
     @property
     def makespan(self) -> float:

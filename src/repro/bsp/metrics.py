@@ -18,24 +18,38 @@ reproduce the paper's OOM table cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from .._record import Record
 from ..exceptions import EngineError, SimulatedOOMError
 
 
-@dataclass
-class SuperstepStats:
-    """Per-superstep snapshot across all workers."""
+class SuperstepStats(Record):
+    """Per-superstep snapshot across all workers.
 
-    superstep: int
-    worker_cost: List[float]
-    worker_messages: List[int]
-    worker_compute_calls: List[int]
-    #: Exact bytes each worker's packed outbox shipped across the barrier
-    #: (zeros from a driver that moves no packed buffers, such as the
-    #: scalar reference).
-    worker_wire_bytes: List[int]
+    ``worker_wire_bytes`` is the exact bytes each worker's packed outbox
+    shipped across the barrier (zeros from a driver that moves no packed
+    buffers, such as the scalar reference).
+    """
+
+    __slots__ = (
+        "superstep", "worker_cost", "worker_messages",
+        "worker_compute_calls", "worker_wire_bytes",
+    )
+
+    def __init__(
+        self,
+        superstep: int,
+        worker_cost: List[float],
+        worker_messages: List[int],
+        worker_compute_calls: List[int],
+        worker_wire_bytes: List[int],
+    ) -> None:
+        self.superstep = superstep
+        self.worker_cost = worker_cost
+        self.worker_messages = worker_messages
+        self.worker_compute_calls = worker_compute_calls
+        self.worker_wire_bytes = worker_wire_bytes
 
     @property
     def max_cost(self) -> float:

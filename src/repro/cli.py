@@ -283,10 +283,10 @@ def _load_graph_source(args: argparse.Namespace):
         from .graph.binfmt import load_mapped
 
         return load_mapped(args.csrbin)
-    from .graph.io import read_edge_list
+    from .graph.io import _read_edges
 
-    graph, _ = read_edge_list(args.edge_list)
-    return graph
+    # No command here prints original ids: skip read_edge_list's id map.
+    return _read_edges(args.edge_list)[0]
 
 
 def _cmd_count(args: argparse.Namespace) -> int:

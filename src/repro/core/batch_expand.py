@@ -51,12 +51,12 @@ and ledger totals; ``tests/test_batch_expand.py`` pins all of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .._record import Record
 from ..graph.ordered import OrderedGraph
 from ..pattern.pattern import PatternGraph
 from .cost import CostParameters, DEFAULT_COSTS
@@ -65,8 +65,7 @@ from .edge_index import EdgeIndexBase
 from .psi import GpsiColumns, PACKED_UNSET_NEXT, UNMAPPED
 
 
-@dataclass
-class PendingChildren:
+class PendingChildren(Record):
     """Incomplete children of one batch expansion, still in columns.
 
     ``groups`` is the group table — one ``(grays, white_counts)`` pair per
@@ -77,10 +76,19 @@ class PendingChildren:
     strategy's ``choose_many`` needs.
     """
 
-    mapping: np.ndarray
-    black: np.ndarray
-    group_of: np.ndarray
-    groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    __slots__ = ("mapping", "black", "group_of", "groups")
+
+    def __init__(
+        self,
+        mapping: np.ndarray,
+        black: np.ndarray,
+        group_of: np.ndarray,
+        groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
+    ) -> None:
+        self.mapping = mapping
+        self.black = black
+        self.group_of = group_of
+        self.groups = groups
 
     @property
     def n(self) -> int:
@@ -90,8 +98,7 @@ class PendingChildren:
         return self.n
 
 
-@dataclass
-class BatchOutcome:
+class BatchOutcome(Record):
     """What expanding one delivered block of rows produced.
 
     ``complete`` rows and ``pending`` children are both in the object
@@ -104,15 +111,19 @@ class BatchOutcome:
     counts never materialises, concatenates or sorts its instances.
     """
 
-    pending: Optional[PendingChildren] = None
-    cost: float = 0.0
-    generated: int = 0
-    generated_by_vp: Dict[int, int] = field(default_factory=dict)
-    n_complete: int = 0
-    _closing: List[Callable[[], Tuple[np.ndarray, np.ndarray]]] = field(
-        default_factory=list, repr=False
+    __slots__ = (
+        "pending", "cost", "generated", "generated_by_vp", "n_complete",
+        "_closing", "_complete",
     )
-    _complete: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __init__(self) -> None:
+        self.pending: Optional[PendingChildren] = None
+        self.cost = 0.0
+        self.generated = 0
+        self.generated_by_vp: Dict[int, int] = {}
+        self.n_complete = 0
+        self._closing: List[Callable[[], Tuple[np.ndarray, np.ndarray]]] = []
+        self._complete: Optional[np.ndarray] = None
 
     def add_complete(
         self, n: int, build: Callable[[], Tuple[np.ndarray, np.ndarray]]
@@ -284,13 +295,20 @@ def expand_columns(
             # are counted now and built only if a consumer reads them.
             n_children = int(whites[0][1][live].sum())
             outcome.cost += costs.ce * n_children
-            children = partial(_one_white_children, sub_map, live, whites[0], rows)
+            children = partial(
+                _one_white_children, sub_map, live, whites[0], rows,
+                ordered.rank_shift,
+            )
         else:
             if not whites:
                 # Verification-only expansion: colours change, mapping stays.
                 child_map = sub_map[live]
                 child_order = rows[live]
             else:
+                whites = [
+                    (wp, per_row, _vertex_order(per_row, cand, ordered.rank_shift))
+                    for wp, per_row, cand in whites
+                ]
                 child_map, parent, attempted = _cross_product(
                     sub_map, live, whites, pattern, ordered.ranks, edge_index
                 )
@@ -353,8 +371,9 @@ def _white_candidates(
     edge_index: EdgeIndexBase,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Admissible candidates of one WHITE neighbour for every live row,
-    as the flat pair ``(row_of, cand)`` — rows ascending, ``N(vd)`` order
-    within a row.
+    as the flat pair ``(row_of, cand)`` — rows ascending, rank order
+    within a row (:func:`_vertex_order` puts a row's candidates back in
+    ``N(vd)`` order, for the consumers that build children).
 
     Vectorises Algorithm 5 over the rows.  Rules 1a and 1b are one rank
     window per row — ranks sort by degree first, so the degree floor is
@@ -364,8 +383,7 @@ def _white_candidates(
     Injectivity is a mask, and the GRAY-image prefilter issues exactly
     the probes the scalar short-circuit loop would — candidate ``c`` of
     row ``r`` is probed against image ``j`` iff it survived images
-    ``0..j-1`` — as one ``might_contain_pairs`` per image.  The
-    survivors are then put back into ``N(vd)`` order with one sort.
+    ``0..j-1`` — as one ``might_contain_pairs`` per image.
     """
     ranks = ordered.ranks
     shift = ordered.rank_shift
@@ -412,10 +430,15 @@ def _white_candidates(
             break
         res = edge_index.might_contain_pairs(cand, sub_live[row_of, np_])
         row_of, cand = row_of[res], cand[res]
-    # Back from rank order to N(vd)'s vertex-id order within each row.
-    key = row_of << shift | cand
+    return row_of, cand
+
+
+def _vertex_order(per_row: np.ndarray, cand: np.ndarray, shift: int) -> np.ndarray:
+    """Flat candidates, ``per_row[r]`` of them for row ``r`` in rank
+    order, put back into ``N(vd)``'s vertex-id order within each row."""
+    key = np.repeat(np.arange(len(per_row)), per_row) << shift | cand
     key.sort()
-    return key >> shift, key & low_bits
+    return key & ((1 << shift) - 1)
 
 
 def _ragged_slots(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -432,12 +455,15 @@ def _one_white_children(
     live: np.ndarray,
     white: Tuple[int, np.ndarray, np.ndarray],
     rows: np.ndarray,
+    shift: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The children of a group with one WHITE vertex and their delivery-
     order keys: every candidate of every live row, in
     :func:`_cross_product`'s order — with no second image there is no
-    pair to check."""
+    pair to check.  Only a read of the complete rows gets here, so a run
+    that only counts never sorts the candidates."""
     wp, per_row, cand = white
+    cand = _vertex_order(per_row, cand, shift)
     size = per_row[live]
     child_map = np.repeat(sub_map[live], size, axis=0)
     child_map[:, wp] = cand[_ragged_slots((np.cumsum(per_row) - per_row)[live], size)]

@@ -19,8 +19,9 @@ re-weight them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict
+
+from .._record import FrozenRecord
 
 # Estimates can explode for hub vertices; cap to keep arithmetic sane
 # without changing any argmin decision (everything above the cap is
@@ -28,8 +29,7 @@ from typing import Dict
 _ESTIMATE_CAP = 1e18
 
 
-@dataclass(frozen=True)
-class CostParameters:
+class CostParameters(FrozenRecord):
     """Unit costs used by the ledger and the estimators.
 
     ``gray_check`` is one exact adjacency probe (costg contribution per
@@ -38,9 +38,14 @@ class CostParameters:
     materialising and routing one new Gpsi.
     """
 
-    gray_check: float = 1.0
-    scan: float = 1.0
-    ce: float = 1.0
+    __slots__ = ("gray_check", "scan", "ce")
+
+    def __init__(
+        self, gray_check: float = 1.0, scan: float = 1.0, ce: float = 1.0
+    ) -> None:
+        object.__setattr__(self, "gray_check", gray_check)
+        object.__setattr__(self, "scan", scan)
+        object.__setattr__(self, "ce", ce)
 
 
 DEFAULT_COSTS = CostParameters()

@@ -26,11 +26,11 @@ Example
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .._record import Record
 from ..bsp.config import ExecutionConfig, coerce
 from ..bsp.engine import BSPEngine, BSPResult
 from ..bsp.metrics import CostLedger
@@ -54,30 +54,51 @@ from .init_vertex import select_initial_vertex
 from .psi import GpsiColumns
 
 
-@dataclass
-class ListingResult:
+class ListingResult(Record):
     """Outcome of one subgraph listing job.
 
     ``makespan`` is the simulated runtime per Equation 3 (cost units);
     ``gpsi_by_vertex`` counts intermediate results per expanding pattern
-    vertex (the Table 2 statistic).
+    vertex (the Table 2 statistic); ``trace`` is the tracer that observed
+    the run (None when tracing was off) — feed it to ``repro.obs``
+    exporters.
     """
 
-    count: int
-    pattern: PatternGraph
-    initial_vertex: int
-    strategy: str
-    ledger: CostLedger
-    wall_seconds: float
-    instances: Optional[List[Tuple[int, ...]]] = None
-    gpsi_by_vertex: Dict[int, int] = field(default_factory=dict)
-    index_queries: int = 0
-    index_pruned: int = 0
-    per_vertex_counts: Optional[Dict[int, int]] = None
-    message_bytes: Optional[int] = None
-    #: The tracer that observed the run (None when tracing was off);
-    #: feed it to ``repro.obs`` exporters.
-    trace: Optional[object] = None
+    __slots__ = (
+        "count", "pattern", "initial_vertex", "strategy", "ledger",
+        "wall_seconds", "instances", "gpsi_by_vertex", "index_queries",
+        "index_pruned", "per_vertex_counts", "message_bytes", "trace",
+    )
+
+    def __init__(
+        self,
+        count: int,
+        pattern: PatternGraph,
+        initial_vertex: int,
+        strategy: str,
+        ledger: CostLedger,
+        wall_seconds: float,
+        instances: Optional[List[Tuple[int, ...]]] = None,
+        gpsi_by_vertex: Optional[Dict[int, int]] = None,
+        index_queries: int = 0,
+        index_pruned: int = 0,
+        per_vertex_counts: Optional[Dict[int, int]] = None,
+        message_bytes: Optional[int] = None,
+        trace: Optional[object] = None,
+    ) -> None:
+        self.count = count
+        self.pattern = pattern
+        self.initial_vertex = initial_vertex
+        self.strategy = strategy
+        self.ledger = ledger
+        self.wall_seconds = wall_seconds
+        self.instances = instances
+        self.gpsi_by_vertex = {} if gpsi_by_vertex is None else gpsi_by_vertex
+        self.index_queries = index_queries
+        self.index_pruned = index_pruned
+        self.per_vertex_counts = per_vertex_counts
+        self.message_bytes = message_bytes
+        self.trace = trace
 
     @property
     def makespan(self) -> float:

@@ -21,11 +21,11 @@ the whole framework.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .._record import FrozenRecord
 from ..pattern.pattern import PatternGraph
 
 UNMAPPED = -1
@@ -169,8 +169,7 @@ def _black_words(k: int) -> int:
     return max(1, (k + 31) // 32)
 
 
-@dataclass(frozen=True)
-class GpsiColumns:
+class GpsiColumns(FrozenRecord):
     """A batch of ``n`` Gpsis as contiguous struct-of-arrays columns.
 
     * ``mapping`` — ``int64 (n, k)`` matrix; :data:`UNMAPPED` cells stay -1;
@@ -184,9 +183,14 @@ class GpsiColumns:
     call per Gpsi, and no destination column: see :meth:`destinations`.
     """
 
-    mapping: np.ndarray
-    black: np.ndarray
-    next_vertex: np.ndarray
+    __slots__ = ("mapping", "black", "next_vertex")
+
+    def __init__(
+        self, mapping: np.ndarray, black: np.ndarray, next_vertex: np.ndarray
+    ) -> None:
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "black", black)
+        object.__setattr__(self, "next_vertex", next_vertex)
 
     @property
     def n(self) -> int:

@@ -19,18 +19,17 @@ the slice ``indices[indptr[v]:indptr[v + 1]]``, which gives
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from .._record import FrozenRecord
 from ..exceptions import GraphError
 
 Edge = Tuple[int, int]
 
 
-@dataclass(frozen=True, eq=False)
-class MappedCSR:
+class MappedCSR(FrozenRecord):
     """Where a graph's CSR arrays live on disk (``.csrbin`` mapping).
 
     Set by :func:`repro.graph.binfmt.load_mapped` on graphs whose
@@ -41,10 +40,19 @@ class MappedCSR:
     underlying mapping for the graph's lifetime.
     """
 
-    path: str
-    indptr_offset: int
-    indices_offset: int
-    keepalive: Any = field(default=None, repr=False)
+    __slots__ = ("path", "indptr_offset", "indices_offset", "keepalive")
+
+    def __init__(
+        self,
+        path: str,
+        indptr_offset: int,
+        indices_offset: int,
+        keepalive: Any = None,
+    ) -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "indptr_offset", indptr_offset)
+        object.__setattr__(self, "indices_offset", indices_offset)
+        object.__setattr__(self, "keepalive", keepalive)
 
 
 #: Fibonacci hashing's multiplier, ``2**64`` over the golden ratio.  It is

@@ -7,17 +7,28 @@ comments allowed.  Non-contiguous vertex ids are compacted to ``0..n-1``
 paper's preprocessing of the raw releases.
 
 Parsing is chunked and vectorised: the file reads in fixed-size byte
-chunks, each chunk's tokens convert to ``int64`` in one ``numpy`` call,
-and compaction/dedup run as array passes — no per-line Python tuple ever
-exists, which is what makes million-edge SNAP files practical.  This is
-the one edge-list reader: ``psgl convert``
+chunks, and each chunk is one pass (:func:`_parse_chunk`) — a byte-kind
+lookup, the token starts and stops, per-line token counts from where
+the newlines fall among the token starts, and every token converted to
+``int64`` in one ``np.fromstring`` call.  Nothing wider than a byte is
+held per input byte, and no per-line Python object ever exists, which is
+what makes million-edge SNAP files practical; compaction and dedup run
+as array passes.  This is the one edge-list reader (:func:`_read_edges`):
+:func:`read_edge_list` adds the id map, ``psgl count``/``stats``/``serve
+--edge-list`` take only the graph, and ``psgl convert``
 (:func:`repro.graph.binfmt.convert_edge_list`) is this read followed by
-``write_csrbin``.  Comment lines are dropped inside the
-vectorised pass; chunks that do not fit the strict two-column shape —
-extra columns, malformed tokens — fall back to the original scalar
-per-line parser, which preserves the exact
-``line N:`` diagnostics in :class:`~repro.exceptions.GraphFormatError`
-and the lenient "extra columns ignored" behaviour.
+``write_csrbin``.
+
+Comment lines are cut out inside the vectorised pass.  A chunk the pass
+cannot prove well-formed — a line without exactly two tokens, a token
+that is not an optionally signed decimal, one longer than 18 characters
+(which might not fit ``int64``) — goes whole to the per-line parser
+(:func:`_parse_chunk_scalar`), which keeps the exact ``line N:``
+diagnostics in :class:`~repro.exceptions.GraphFormatError` (an id
+outside ``int64`` included) and the lenient "extra columns ignored"
+behaviour.  The two agree on every chunk (a hypothesis test in
+``tests/test_io_stats.py``), except that a lone ``\\r`` ends a line for
+the per-line parser and is blank space for the vectorised one.
 
 Correctness knobs (matching the paper's preprocessing, which adds the
 reciprocal edge and eliminates loops explicitly):
@@ -49,6 +60,21 @@ PathLike = Union[str, Path]
 DEFAULT_CHUNK_BYTES = 1 << 20
 
 _COMMENT_PREFIXES = (b"#", b"%")
+#: Rows the pair buffer of :func:`_read_edges` starts with (1 MiB).
+_FIRST_ROWS = 1 << 16
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+#: Longest token the fast path converts: every number of 18 characters
+#: fits ``int64``, and ``np.fromstring`` clamps one that does not to
+#: ``2**63 - 1`` without a word, so longer tokens take the checked path.
+_MAX_FAST_CHARS = 18
+#: Each byte's kind for :func:`_parse_chunk`: ASCII whitespace as
+#: ``bytes.split`` sees it, a decimal digit, a sign, or anything else.
+_WS, _DIGIT, _SIGN, _OTHER = 0, 1, 2, 3
+_BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_KIND[list(b" \t\n\r\x0b\x0c")] = _WS
+_BYTE_KIND[list(b"0123456789")] = _DIGIT
+_BYTE_KIND[list(b"+-")] = _SIGN
 
 
 def _read_raw_chunks(
@@ -83,9 +109,9 @@ def _parse_chunk_scalar(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Reference per-line parser: exact diagnostics, lenient extra columns.
 
-    This is the original small-file code path, kept both for inputs the
-    vectorised parser cannot shape-check (>2 columns) and to attribute
-    errors in malformed lines to exact line numbers.
+    The checked path: :func:`_parse_chunk` defers a whole chunk here
+    whenever it cannot prove every line well-formed, so each malformed
+    line is reported with its exact line number.
     """
     pairs: List[Tuple[int, int]] = []
     linenos: List[int] = []
@@ -100,15 +126,25 @@ def _parse_chunk_scalar(
                 f"line {first_lineno + offset}: expected two ids, got {text!r}"
             )
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            pair = (int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise GraphFormatError(
                 f"line {first_lineno + offset}: non-integer id in {text!r}"
             ) from exc
+        if not (_INT64_MIN <= min(pair) and max(pair) <= _INT64_MAX):
+            raise GraphFormatError(
+                f"line {first_lineno + offset}: id outside the int64 range "
+                f"in {text!r}"
+            )
+        pairs.append(pair)
         linenos.append(first_lineno + offset)
     if not pairs:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+        return _no_pairs()
     return np.array(pairs, dtype=np.int64), np.array(linenos, dtype=np.int64)
+
+
+def _no_pairs() -> Tuple[np.ndarray, np.ndarray]:
+    return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
 def _parse_chunk(
@@ -116,51 +152,66 @@ def _parse_chunk(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Parse one chunk of complete lines into ``(pairs, linenos)`` arrays.
 
-    Fast path: drop comment lines (first token starting with ``#`` or
-    ``%``) and verify every other non-blank line carries exactly two
-    tokens with one vectorised pass over the raw bytes, then convert all
-    tokens in a single ``np.array(..., dtype=int64)`` call.  A malformed
-    line or an extra column defers to :func:`_parse_chunk_scalar`.
+    One pass classifies the bytes and finds where each token starts and
+    stops; each line's token count is where its newline falls among the
+    token starts, so nothing wider than a byte is held per input byte.
+    Comment lines (first token starting with ``#`` or ``%``) are cut out
+    whole.  When every other line is blank or two decimal tokens (digits
+    after at most one leading sign) of at most :data:`_MAX_FAST_CHARS`
+    characters, so each fits ``int64``, every token converts in one
+    ``np.fromstring`` call.  Anything else — an extra column, a malformed
+    or overlong token — defers the whole chunk to
+    :func:`_parse_chunk_scalar`.
     """
-    if not data:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
     buf = np.frombuffer(data, dtype=np.uint8)
-    is_nl = buf == 0x0A
-    is_ws = (
-        is_nl
-        | (buf == 0x20)  # space
-        | (buf == 0x09)  # \t
-        | (buf == 0x0D)  # \r
-        | (buf == 0x0B)  # \v
-        | (buf == 0x0C)  # \f
-    )
-    token_start = ~is_ws
-    token_start[1:] &= is_ws[:-1]
-    # Line index of each byte = newlines strictly before it.
-    line_id = np.cumsum(is_nl) - is_nl
-    num_lines = int(is_nl.sum()) + (0 if is_nl[-1] else 1)
-    starts = np.flatnonzero(token_start)
-    token_line = line_id[starts]
-    first = np.ones(len(starts), dtype=bool)
-    first[1:] = token_line[1:] != token_line[:-1]
-    lead = buf[starts[first]]
-    comment = np.zeros(num_lines, dtype=bool)
-    comment[token_line[first][(lead == 0x23) | (lead == 0x25)]] = True  # '#' '%'
-    counts = np.bincount(token_line, minlength=num_lines)
-    counts[comment] = 0
-    if not bool(np.all((counts == 0) | (counts == 2))):
-        return _parse_chunk_scalar(data, first_lineno)
+    kind = _BYTE_KIND[buf]
+    # Flips of "is whitespace": a token starts at an even flip and stops
+    # (exclusive) at the odd one after it.
+    flips = np.flatnonzero(np.diff(kind == _WS, prepend=True, append=True))
+    starts, lengths = flips[0::2], flips[1::2] - flips[0::2]
+    if not len(starts):
+        return _no_pairs()
+    # Last byte of each line; a line owns the tokens that start up to it.
+    ends = np.flatnonzero(buf == 0x0A)
+    if data[-1:] != b"\n":
+        ends = np.append(ends, len(buf) - 1)
+    upto = np.searchsorted(starts, ends, side="right")
+    counts = np.diff(upto, prepend=0)
+    lead = buf[starts[np.minimum(upto - counts, len(starts) - 1)]]
+    comment = (counts > 0) & ((lead == 0x23) | (lead == 0x25))  # '#' '%'
+    text = data
     if comment.any():
-        # Cut comment lines out whole, newline included: every kept line
-        # still ends in its own newline, so no two tokens merge.
-        data = buf[~comment[line_id]].tobytes()
-    try:
-        tokens = np.array(data.split(), dtype=np.int64)
-    except (ValueError, OverflowError):
+        kept = np.repeat(~comment, np.diff(ends, prepend=-1))
+        kind = kind[kept]
+        lengths = lengths[np.repeat(~comment, counts)]
+        counts[comment] = 0
+        # Every kept line still ends in its own newline, so no two
+        # tokens merge.
+        text = buf[kept].tobytes()
+    rows = np.flatnonzero(counts == 2)
+    if (
+        bool(np.any(counts[counts != 2]))
+        or bool(np.any(kind == _OTHER))
+        or _misplaced_sign(kind)
+        or (len(lengths) and int(lengths.max()) > _MAX_FAST_CHARS)
+    ):
         return _parse_chunk_scalar(data, first_lineno)
-    # Rows are exactly the lines with two tokens (the rest are blank).
-    linenos = first_lineno + np.flatnonzero(counts == 2).astype(np.int64)
-    return tokens.reshape(-1, 2), linenos
+    if not len(rows):
+        return _no_pairs()
+    # Exactly this many tokens, each a well-formed decimal: allocated
+    # once at their final size, not grown while parsing.
+    tokens = np.fromstring(text, dtype=np.int64, sep=" ", count=2 * len(rows))
+    return tokens.reshape(-1, 2), first_lineno + rows
+
+
+def _misplaced_sign(kind: np.ndarray) -> bool:
+    """Whether a sign byte is anywhere but first in a token and right
+    before a digit — the one place ``int()`` takes it."""
+    signs = np.flatnonzero(kind == _SIGN)
+    if not len(signs):
+        return False
+    padded = np.concatenate(([_WS], kind, [_WS]))
+    return bool(np.any((padded[signs] != _WS) | (padded[signs + 2] != _DIGIT)))
 
 
 def _compact(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -189,9 +240,9 @@ def _compact(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _read_edges(
     source: Union[PathLike, TextIO],
     *,
-    dedup: bool,
-    allow_self_loops: bool,
-    chunk_bytes: int,
+    dedup: bool = True,
+    allow_self_loops: bool = False,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> Tuple[Graph, np.ndarray, int, int]:
     """The one edge-list read behind :func:`read_edge_list` and
     :func:`repro.graph.binfmt.convert_edge_list`.
@@ -200,7 +251,13 @@ def _read_edges(
     ``original_ids[d]`` is dense vertex ``d``'s id in the file and
     ``raw_edges`` the edge lines parsed, loops and duplicates included.
     """
-    chunks: List[np.ndarray] = []
+    # Every chunk's pairs are copied into one buffer that doubles when
+    # full, and freed: the read holds one copy of the pairs (two for a
+    # moment at a doubling) plus one chunk, and no chunk-sized array
+    # outlives its iteration (parked chunks fragment the heap and stay
+    # resident after a join).
+    raw = np.empty((_FIRST_ROWS, 2), dtype=np.int64)
+    rows = 0
     first_loop = None
     lineno = 1
     for data in _read_raw_chunks(source, chunk_bytes):
@@ -218,11 +275,14 @@ def _read_edges(
             if bool(np.any(loops)):
                 row = int(np.flatnonzero(loops)[0])
                 first_loop = (int(pairs[row, 0]), int(linenos[row]))
-        chunks.append(pairs)
-    raw = (
-        np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    )
-    del chunks
+        if rows + len(pairs) > len(raw):
+            grown = np.empty((max(2 * len(raw), rows + len(pairs)), 2), np.int64)
+            grown[:rows] = raw[:rows]
+            raw = grown
+        raw[rows:rows + len(pairs)] = pairs
+        rows += len(pairs)
+    # Pages past ``rows`` were never written, so they were never resident.
+    raw = raw[:rows]
     if first_loop is not None and not allow_self_loops:
         loop_id, line = first_loop
         raise GraphFormatError(

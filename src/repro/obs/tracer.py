@@ -64,22 +64,32 @@ attribute load per superstep, not per vertex — unmeasurable next to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
+
+from .._record import Record
 
 #: Version tag written by every exporter and checked by every reader.
 SCHEMA = "repro.obs/v1"
 
 
-@dataclass
-class TraceEvent:
+class TraceEvent(Record):
     """One structured trace row (see the module docstring for kinds)."""
 
-    kind: str
-    superstep: Optional[int] = None
-    worker: Optional[int] = None
-    wall_ms: Optional[float] = None
-    data: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("kind", "superstep", "worker", "wall_ms", "data")
+
+    def __init__(
+        self,
+        kind: str,
+        superstep: Optional[int] = None,
+        worker: Optional[int] = None,
+        wall_ms: Optional[float] = None,
+        data: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.kind = kind
+        self.superstep = superstep
+        self.worker = worker
+        self.wall_ms = wall_ms
+        self.data = {} if data is None else data
 
     def to_json(self) -> Dict[str, Any]:
         """Flat JSON-ready dict (omits unset coordinates)."""

@@ -43,10 +43,10 @@ fork on the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
+from .._record import Record
 from ..bsp.message import PackedWorkerBatch
 from ..bsp.vertex_program import ComputeContext, VertexProgram
 from ..graph.graph import Graph
@@ -72,43 +72,68 @@ def row_ranges(rows: int, step: int) -> List[Tuple[int, int]]:
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-@dataclass
-class JobSpec:
+class JobSpec(Record):
     """Everything an executor needs to set up a job, and everything a
     worker batch reads while it runs (:func:`run_replica_batch` takes the
-    spec, not a dozen copies of its fields)."""
+    spec, not a dozen copies of its fields).
 
-    program: VertexProgram
-    graph: Graph
-    num_workers: int
-    #: Observability sink for backend lifecycle events (setup wall time,
-    #: pool width, the sizes forked lanes share); defaults to the
-    #: no-op tracer so executors emit unconditionally behind one flag.
-    tracer: Any = NULL_TRACER
+    ``tracer`` is the observability sink for backend lifecycle events
+    (setup wall time, pool width, the sizes forked lanes share); it
+    defaults to the no-op tracer so executors emit unconditionally
+    behind one flag.
+    """
+
+    __slots__ = ("program", "graph", "num_workers", "tracer")
+
+    def __init__(
+        self,
+        program: VertexProgram,
+        graph: Graph,
+        num_workers: int,
+        tracer: Any = NULL_TRACER,
+    ) -> None:
+        self.program = program
+        self.graph = graph
+        self.num_workers = num_workers
+        self.tracer = tracer
 
 
-@dataclass
-class WorkerStepResult:
+class WorkerStepResult(Record):
     """What one logical worker produced in one superstep.
 
     ``outbox`` is the worker's sent messages: its packed, self-addressed
     :class:`~repro.core.psi.GpsiColumns` chunks in send order, what it
     ships at the barrier.  ``messages_sent`` counts every row the worker
-    sent, matching the ledger's accounting.
+    sent, matching the ledger's accounting.  ``state_delta`` is what
+    ``collect_state_delta`` returned after the batch.  ``worker_state``
+    is the worker's private state dict as the batch left it, which the
+    schedule adopts: where the batch ran on a copy of the dict (a child
+    lane), that is how the logical worker can land on a different lane
+    next superstep.
     """
 
-    worker_id: int
-    outbox: List[Any]
-    messages_sent: int
-    compute_calls: int
-    cost: float
-    #: What ``collect_state_delta`` returned after the batch.
-    state_delta: Any
-    #: The worker's private state dict as the batch left it, which the
-    #: schedule adopts: where the batch ran on a copy of the dict (a child
-    #: lane), that is how the logical worker can land on a different lane
-    #: next superstep.
-    worker_state: Dict[str, Any]
+    __slots__ = (
+        "worker_id", "outbox", "messages_sent", "compute_calls", "cost",
+        "state_delta", "worker_state",
+    )
+
+    def __init__(
+        self,
+        worker_id: int,
+        outbox: List[Any],
+        messages_sent: int,
+        compute_calls: int,
+        cost: float,
+        state_delta: Any,
+        worker_state: Dict[str, Any],
+    ) -> None:
+        self.worker_id = worker_id
+        self.outbox = outbox
+        self.messages_sent = messages_sent
+        self.compute_calls = compute_calls
+        self.cost = cost
+        self.state_delta = state_delta
+        self.worker_state = worker_state
 
 
 def _compute_batch(

@@ -40,12 +40,10 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-from dataclasses import replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..exceptions import EngineError
-from ..obs.tracer import NULL_TRACER
 from .executor import JobSpec, SuperstepExecutor, _run_share
 
 if TYPE_CHECKING:
@@ -340,7 +338,7 @@ class ProcessExecutor(SuperstepExecutor):
         # Every lane, the driver's too, runs on a spec without the tracer,
         # which stays here for this backend's own events.  From here on
         # close() releases whatever the rest got to create.
-        super().start(replace(spec, tracer=NULL_TRACER))
+        super().start(JobSpec(spec.program, spec.graph, spec.num_workers))
         # The driver lane computes on the driver's own program, as serial.
         self._lanes = lanes = _Lanes((self._spec, self._spec.program))
         if procs > 1:

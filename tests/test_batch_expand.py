@@ -543,7 +543,15 @@ def check_windows(graph, pattern_name, index_kind) -> int:
         got = real(*args)
         after = index.queries, index.positives
         want = gather_then_mask(*args)
-        for a, b in zip(got, want):
+        # Rows ascending, rank order within a row; by vertex id, the
+        # oracle's arrays exactly.
+        row_of, cand = got
+        ranks = args[7].ranks[cand]
+        same_row = row_of[1:] == row_of[:-1]
+        assert np.all(row_of[1:] >= row_of[:-1])
+        assert np.all(ranks[1:][same_row] > ranks[:-1][same_row])
+        by_vertex = np.lexsort((cand, row_of))
+        for a, b in zip((row_of[by_vertex], cand[by_vertex]), want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert (index.queries - after[0], index.positives - after[1]) == (
             after[0] - before[0], after[1] - before[1]

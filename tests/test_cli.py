@@ -144,6 +144,25 @@ class TestCount:
         graph, _ = read_edge_list(er_edge_list)
         assert f"instances  : {PSgL(graph).count(triangle()):,}" in done.stdout
 
+    def test_cold_count_builds_no_dataclass_but_the_config(self, er_edge_list):
+        """``@dataclass`` compiles each class's methods when the class is
+        made; the records a count imports are plain ``__slots__`` classes,
+        and only ``ExecutionConfig``, whose field metadata renders the
+        flags, is a dataclass."""
+        done = run_cold(er_edge_list, "runpy", (
+            "import dataclasses\n"
+            "found = sorted(\n"
+            "    f'{name}.{attr}'\n"
+            "    for name, module in list(sys.modules.items())\n"
+            "    if name.startswith('repro.')\n"
+            "    for attr, value in vars(module).items()\n"
+            "    if isinstance(value, type) and value.__module__ == name\n"
+            "    and dataclasses.is_dataclass(value)\n"
+            ")\n"
+            "assert found == ['repro.bsp.config.ExecutionConfig'], found\n"
+        ))
+        assert "instances" in done.stdout
+
     def test_a_failed_cold_check_fails_the_run(self, er_edge_list):
         """The exit inside ``main`` cannot swallow a check: a false one
         fails the run."""
@@ -688,6 +707,26 @@ class TestErrorHandling:
             assert "unrecognized arguments: --tmp-dir" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-file", "k4.txt"]
+
+    @pytest.mark.parametrize("command", ["count", "convert"])
+    def test_id_outside_int64_is_a_format_error(self, tmp_path, capsys,
+                                                command):
+        """An id that does not fit ``int64`` used to end in a raw
+        ``OverflowError`` traceback, exit 1: it is one line naming the
+        file's line, exit 4, and nothing is written."""
+        source = tmp_path / "big.txt"
+        source.write_text("0 1\n1 99999999999999999999\n")
+        if command == "count":
+            argv = ["count", "--pattern", "PG1", "--edge-list", str(source)]
+        else:
+            argv = ["convert", str(source), str(tmp_path / "g.csrbin")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "psgl: error: line 2: id outside the int64 range in "
+            "'1 99999999999999999999'\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs Linux /proc")
     def test_convert_into_proc_names_the_target(self, tmp_path, capsys):

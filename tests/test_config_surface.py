@@ -166,7 +166,7 @@ def test_no_signature_re_declares_a_knob():
         named = set(inspect.signature(func).parameters) & set(FIELDS)
         assert not named, f"{func.__qualname__} re-declares {sorted(named)}"
     # Nor does the job spec: no executor reads a knob off it.
-    assert not set(JobSpec.__dataclass_fields__) & set(FIELDS)
+    assert not set(JobSpec.__slots__) & set(FIELDS)
 
 
 def _cli_flags(overrides):

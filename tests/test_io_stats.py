@@ -2,7 +2,9 @@
 
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphFormatError
 from repro.graph import (
@@ -148,6 +150,117 @@ class TestParserKnobs:
             read_edge_list(io.StringIO("# header\n\n0 1\n5 5\n"))
         with pytest.raises(GraphFormatError, match=r"\(-1, 2\) at line 3"):
             read_edge_list(io.StringIO("0 1\n% comment\n-1 2\n"))
+
+
+    def test_id_outside_int64_names_the_line(self):
+        """An id past ``int64`` used to escape as a raw ``OverflowError``;
+        the fast path's one-call conversion would clamp it silently."""
+        for text, line in (
+            ("0 1\n1 99999999999999999999\n", 2),
+            ("9223372036854775808 1\n", 1),
+            ("# c\n0 1\n-9223372036854775809 2\n", 3),
+        ):
+            with pytest.raises(GraphFormatError, match=f"^line {line}: id outside"):
+                read_edge_list(io.StringIO(text))
+        g, id_map = read_edge_list(io.StringIO("9223372036854775807 0\n"))
+        assert id_map == {0: 0, 1: 2**63 - 1}
+
+    def test_malformed_line_after_a_comment_names_its_own_line(self):
+        """The fast path cuts comment lines out before converting; the
+        checked path must still see them, or line numbers shift."""
+        with pytest.raises(GraphFormatError, match=r"^line 3: non-integer id"):
+            read_edge_list(io.StringIO("# c\n0 1\n1 x\n"))
+
+
+def _token():
+    """One id-like token: a decimal with an optional sign and leading
+    zeros, sometimes 18-20 digits long, or a token ``int()`` refuses."""
+    number = st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "", "", "+", "-"]),
+        st.sampled_from(["", "", "0", "00"]),
+        st.one_of(
+            st.integers(0, 999),
+            st.integers(10**17, 10**20),
+            st.sampled_from([2**63 - 1, 2**63, 10**19]),
+        ),
+    )
+    junk = st.sampled_from(
+        ["x", "1_0", "1.5", "0x1", "-", "+", "--1", "+-2", "1-2", "3+", "#"]
+    )
+    return st.one_of(number, number, number, junk)
+
+
+_SEPARATOR = st.sampled_from([" ", " ", "\t", "\x0b", "\x0c", "  "])
+_LINE = st.one_of(
+    # Mostly well-formed pairs, so that whole chunks take the fast path.
+    st.builds("{}{}{}".format, st.integers(0, 99), _SEPARATOR,
+              st.integers(0, 99)),
+    st.builds("{}{}{}".format, st.integers(0, 99), _SEPARATOR,
+              st.integers(0, 99)),
+    st.lists(_token(), min_size=2, max_size=2).map(" ".join),
+    st.lists(_token(), min_size=1, max_size=4).map("\t".join),
+    st.builds("{}{}".format, st.sampled_from(["#", "%"]),
+              st.text(alphabet=" \t-+#%x0123456789", max_size=8)),
+    st.just(""),
+)
+_CHUNK = st.lists(
+    st.tuples(
+        st.sampled_from(["", "", " ", "\t", "\x0c"]),
+        _LINE,
+        st.sampled_from(["", "", " ", "\t"]),
+        st.sampled_from(["\n", "\n", "\r\n"]),
+    ),
+    max_size=8,
+).map(lambda lines: "".join("".join(parts) for parts in lines))
+
+
+def _outcome(read):
+    """What ``read()`` gave: its arrays as lists, or its error text."""
+    try:
+        return "ok", [a.tolist() if isinstance(a, np.ndarray) else a
+                      for a in read()]
+    except GraphFormatError as exc:
+        return "error", str(exc)
+
+
+class TestParserParity:
+    """The vectorised parser against the per-line one, as the contract:
+    any chunk it cannot prove well-formed must go to the checked path."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(chunk=_CHUNK, unterminated=st.booleans(), first=st.integers(1, 50))
+    def test_fast_path_equals_the_scalar_parser(self, chunk, unterminated, first):
+        """Same pairs and line numbers, or the same error text: over
+        tabs, ``\\r\\n``, ``\\v``, ``\\f``, blank and comment lines,
+        signs, leading zeros, 18-20 digit ids, extra columns and
+        non-digit tokens."""
+        from repro.graph.io import _parse_chunk, _parse_chunk_scalar
+
+        if unterminated:
+            chunk = chunk.rstrip("\r\n")
+        data = chunk.encode()
+        assert _outcome(lambda: _parse_chunk(data, first)) == _outcome(
+            lambda: _parse_chunk_scalar(data, first)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunk=_CHUNK)
+    def test_chunk_size_does_not_change_the_read(self, chunk):
+        """``read_edge_list`` at 7-byte, 64-byte and 1 MiB chunks: the
+        same graph and id map, or a format error at every size (which
+        fault a read names first can depend on where a chunk ends)."""
+        reads = [
+            _outcome(lambda: read_edge_list(
+                io.BytesIO(chunk.encode()), allow_self_loops=True,
+                chunk_bytes=size,
+            ))
+            for size in (7, 64, 1 << 20)
+        ]
+        if reads[-1][0] == "ok":
+            assert reads[0] == reads[1] == reads[-1]
+        else:
+            assert {kind for kind, _ in reads} == {"error"}
 
 
 class TestDegreeStats:

@@ -1,6 +1,11 @@
 """Unit tests for the partial subgraph instance (Gpsi) data structure."""
 
-from repro.core import Gpsi, UNMAPPED
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.core import CostParameters, Gpsi, GpsiColumns, UNMAPPED
 from repro.pattern import clique4, square, triangle
 
 
@@ -104,3 +109,35 @@ class TestPlumbing:
     def test_repr_shows_question_marks(self):
         text = repr(Gpsi((5, UNMAPPED), 0, 0))
         assert "?" in text and "5" in text
+
+
+class TestRecords:
+    """The records that replaced dataclasses keep their contract: frozen
+    ones refuse assignment and hash and pickle by value, and none has a
+    per-instance ``__dict__``."""
+
+    def test_frozen_records(self):
+        columns = GpsiColumns.initial(triangle(), 0, np.arange(3))
+        costs = CostParameters(gray_check=2.0, ce=3.0)
+        for record, name in ((columns, "mapping"), (costs, "scan")):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+        clone = pickle.loads(pickle.dumps(columns))
+        assert all(np.array_equal(getattr(clone, f), getattr(columns, f))
+                   for f in GpsiColumns.__slots__)
+        assert pickle.loads(pickle.dumps(costs)) == costs
+        assert hash(costs) == hash(CostParameters(2.0, 1.0, 3.0))
+        assert costs != CostParameters()
+        assert repr(costs) == "CostParameters(gray_check=2.0, scan=1.0, ce=3.0)"
+
+    def test_mutable_records_take_only_their_fields(self):
+        from repro.obs import TraceEvent
+
+        event = TraceEvent("superstep", superstep=1)
+        event.worker = 2
+        with pytest.raises(AttributeError):
+            event.extra = 1
+        assert event == TraceEvent("superstep", 1, 2)
+        assert event != TraceEvent("superstep", 1, 3)
