@@ -52,7 +52,9 @@ def _num_white_neighbors(gpsi: Gpsi, pattern: PatternGraph, vp: int) -> int:
 
 def worker_rng(seed: int, worker_id: int) -> np.random.Generator:
     """Logical worker ``worker_id``'s private routing RNG in a job seeded
-    ``seed`` — the ``dist_rng`` of its state dict.  One stream per
+    ``seed`` — the ``dist_rng`` of its state dict, which
+    :meth:`DistributionStrategy._rng` builds from the state's
+    ``dist_seed`` pair on the worker's first draw.  One stream per
     worker: routing needs no cross-worker coordination and replays draw
     for draw wherever the worker runs."""
     return np.random.default_rng((seed + 1) * 1_000_003 + worker_id)
@@ -140,11 +142,16 @@ class DistributionStrategy:
 
     @staticmethod
     def _rng(worker_state: Dict[str, Any]) -> np.random.Generator:
+        """The worker's routing RNG, built from its ``dist_seed``
+        ``(seed, worker_id)`` pair on the first draw: a strategy that
+        never draws (workload-aware) never imports ``numpy.random``."""
         rng = worker_state.get("dist_rng")
         if rng is None:
-            raise DistributionError(
-                "worker RNG missing; the listing driver must seed it"
-            )
+            if "dist_seed" not in worker_state:
+                raise DistributionError(
+                    "worker RNG missing; the listing driver must seed it"
+                )
+            rng = worker_state["dist_rng"] = worker_rng(*worker_state["dist_seed"])
         return rng
 
 

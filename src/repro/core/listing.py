@@ -48,7 +48,7 @@ from ..pattern.automorphism import automorphisms, break_automorphisms
 from ..pattern.pattern import PatternGraph
 from .batch_expand import expand_columns
 from .cost import CostParameters, DEFAULT_COSTS
-from .distribution import DistributionStrategy, make_strategy, worker_rng
+from .distribution import DistributionStrategy, make_strategy
 from .edge_index import EdgeIndexBase, build_edge_index
 from .init_vertex import select_initial_vertex
 from .psi import GpsiColumns
@@ -273,8 +273,7 @@ class PSgLProgram(VertexProgram):
         outcome = expand_columns(
             columns, self.pattern, self.ordered, self.edge_index, self.costs
         )
-        if "dist_rng" not in ctx.worker_state:
-            ctx.worker_state["dist_rng"] = worker_rng(self.seed, ctx.worker_id)
+        ctx.worker_state.setdefault("dist_seed", (self.seed, ctx.worker_id))
         ctx.add_cost(outcome.cost)
         for vp, n in outcome.generated_by_vp.items():
             self.gpsi_by_vertex[vp] = self.gpsi_by_vertex.get(vp, 0) + n

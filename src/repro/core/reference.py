@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 from ..bsp.metrics import CostLedger
 from ..pattern.pattern import PatternGraph
 from .codec import encoded_size
-from .distribution import worker_rng
 from .expansion import expand_gpsi
 from .listing import ListingResult, PSgL
 from .psi import Gpsi
@@ -157,9 +156,10 @@ def run_reference(
         num_workers, config.memory_budget, config.worker_memory_budget
     )
     # Each logical worker's private view (Section 6): its routing RNG
-    # stream and, for workload-aware routing, its local load vector.
+    # stream (seeded here, built on its first draw) and, for
+    # workload-aware routing, its local load vector.
     states = [
-        {"dist_rng": worker_rng(driver.seed, w)} for w in range(num_workers)
+        {"dist_seed": (driver.seed, w)} for w in range(num_workers)
     ]
 
     # Superstep 0 activates every data vertex, with nothing delivered.

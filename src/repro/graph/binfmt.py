@@ -40,7 +40,6 @@ escape this module.
 from __future__ import annotations
 
 import errno
-import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,6 +159,8 @@ def read_header(path: PathLike) -> CSRBinHeader:
 
 def _checksum_file_arrays(path: Path, header: CSRBinHeader) -> bytes:
     """blake2b-128 of the array region, streamed in bounded chunks."""
+    import hashlib  # loads OpenSSL (~5 ms): not on a count's path
+
     digest = hashlib.blake2b(digest_size=16)
     with open(path, "rb") as fh:
         fh.seek(HEADER_SIZE)
@@ -182,6 +183,8 @@ def write_csrbin(graph: Graph, path: PathLike) -> CSRBinHeader:
     inconsistent ``indptr``), hashed and written through the buffer
     protocol — no byte-string copy of either.
     """
+    import hashlib  # loads OpenSSL (~5 ms): not on a count's path
+
     indptr, indices = (a.astype("<i8", copy=False) for a in graph.to_csr())
     digest = hashlib.blake2b(digest_size=16)
     digest.update(indptr)

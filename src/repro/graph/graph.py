@@ -18,7 +18,6 @@ the slice ``indices[indptr[v]:indptr[v + 1]]``, which gives
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -427,6 +426,8 @@ class Graph:
         ``/graph``.
         """
         if self._fingerprint is None:
+            import hashlib  # loads OpenSSL (~5 ms): not on a count's path
+
             digest = hashlib.blake2b(digest_size=16)
             digest.update(np.int64(self._n).tobytes())
             digest.update(self.indptr)

@@ -25,10 +25,12 @@ that is not an optionally signed decimal, one longer than 18 characters
 (which might not fit ``int64``) — goes whole to the per-line parser
 (:func:`_parse_chunk_scalar`), which keeps the exact ``line N:``
 diagnostics in :class:`~repro.exceptions.GraphFormatError` (an id
-outside ``int64`` included) and the lenient "extra columns ignored"
-behaviour.  The two agree on every chunk (a hypothesis test in
-``tests/test_io_stats.py``), except that a lone ``\\r`` ends a line for
-the per-line parser and is blank space for the vectorised one.
+outside ``int64`` and a negative id included) and the lenient "extra
+columns ignored" behaviour.  A lone ``\\r`` ends a line, as
+``bytes.splitlines`` has it, so a chunk holding one goes to the per-line
+parser too.  The two agree on every chunk (a hypothesis test in
+``tests/test_io_stats.py``), so of two faults in a file the read names
+the earlier line's, whatever the chunk size.
 
 Correctness knobs (matching the paper's preprocessing, which adds the
 reciprocal edge and eliminates loops explicitly):
@@ -136,6 +138,8 @@ def _parse_chunk_scalar(
                 f"line {first_lineno + offset}: id outside the int64 range "
                 f"in {text!r}"
             )
+        if min(pair) < 0:
+            raise _negative_id(pair, first_lineno + offset)
         pairs.append(pair)
         linenos.append(first_lineno + offset)
     if not pairs:
@@ -145,6 +149,12 @@ def _parse_chunk_scalar(
 
 def _no_pairs() -> Tuple[np.ndarray, np.ndarray]:
     return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
+def _negative_id(pair: Tuple[int, int], lineno: int) -> GraphFormatError:
+    """Both parsers' refusal of a negative id: it would survive id
+    compaction and poison the CSR build."""
+    return GraphFormatError(f"negative vertex id in edge {pair} at line {lineno}")
 
 
 def _parse_chunk(
@@ -160,9 +170,13 @@ def _parse_chunk(
     after at most one leading sign) of at most :data:`_MAX_FAST_CHARS`
     characters, so each fits ``int64``, every token converts in one
     ``np.fromstring`` call.  Anything else — an extra column, a malformed
-    or overlong token — defers the whole chunk to
-    :func:`_parse_chunk_scalar`.
+    or overlong token, a lone ``\\r`` (a line break this pass does not
+    split on) — defers the whole chunk to :func:`_parse_chunk_scalar`,
+    which names the line.  Only a well-formed chunk is converted here, so
+    its first negative id is its first fault.
     """
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return _parse_chunk_scalar(data, first_lineno)
     buf = np.frombuffer(data, dtype=np.uint8)
     kind = _BYTE_KIND[buf]
     # Flips of "is whitespace": a token starts at an even flip and stops
@@ -201,7 +215,11 @@ def _parse_chunk(
     # Exactly this many tokens, each a well-formed decimal: allocated
     # once at their final size, not grown while parsing.
     tokens = np.fromstring(text, dtype=np.int64, sep=" ", count=2 * len(rows))
-    return tokens.reshape(-1, 2), first_lineno + rows
+    pairs = tokens.reshape(-1, 2)
+    if int(tokens.min()) < 0:
+        bad = int(np.flatnonzero(pairs.min(axis=1) < 0)[0])
+        raise _negative_id(tuple(pairs[bad].tolist()), first_lineno + int(rows[bad]))
+    return pairs, first_lineno + rows
 
 
 def _misplaced_sign(kind: np.ndarray) -> bool:
@@ -262,14 +280,8 @@ def _read_edges(
     lineno = 1
     for data in _read_raw_chunks(source, chunk_bytes):
         pairs, linenos = _parse_chunk(data, lineno)
-        lineno += data.count(b"\n")
-        if bool(np.any(pairs < 0)):
-            bad = int(np.flatnonzero((pairs < 0).any(axis=1))[0])
-            raise GraphFormatError(
-                f"negative vertex id in edge "
-                f"({int(pairs[bad, 0])}, {int(pairs[bad, 1])}) "
-                f"at line {int(linenos[bad])}"
-            )
+        # Lines end as ``bytes.splitlines`` ends them: ``\n``, ``\r\n``, lone ``\r``.
+        lineno += data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
         if first_loop is None:
             loops = pairs[:, 0] == pairs[:, 1]
             if bool(np.any(loops)):

@@ -8,11 +8,13 @@ partitions used in ablations.
 
 from __future__ import annotations
 
+import os
 from typing import List
 
 import numpy as np
 
 from ..exceptions import GraphError
+from ._pcg64 import K_LIMIT, bounded_integers
 
 
 class Partition:
@@ -62,9 +64,25 @@ class Partition:
 
 
 def random_partition(num_vertices: int, num_workers: int, seed: int = 0) -> Partition:
-    """The paper's default: each vertex to a uniformly random worker."""
-    rng = np.random.default_rng(seed)
-    return Partition(rng.integers(0, num_workers, size=num_vertices), num_workers)
+    """The paper's default: each vertex to a uniformly random worker.
+
+    The owners are ``np.random.default_rng(seed).integers(0, num_workers,
+    size=num_vertices)`` — numpy's PCG64 stream, reproduced with plain
+    numpy arithmetic (:mod:`repro.graph._pcg64`), so a count never
+    imports ``numpy.random``.  ``seed=None`` draws 128 bits of OS
+    entropy, as numpy does.  ``num_workers`` must be below ``2**32``
+    (numpy's 64-bit draw is not reproduced): :class:`GraphError`.
+    """
+    if num_workers < 1:
+        raise GraphError(f"need >= 1 worker, got {num_workers}")
+    if num_workers >= K_LIMIT:
+        raise GraphError(
+            f"random_partition supports < 2**32 workers, got {num_workers}"
+        )
+    if seed is None:
+        seed = int.from_bytes(os.urandom(16), "little")
+    owner = bounded_integers(seed, num_workers, num_vertices)
+    return Partition(owner, num_workers)
 
 
 def hash_partition(num_vertices: int, num_workers: int) -> Partition:

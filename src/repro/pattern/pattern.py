@@ -13,7 +13,6 @@ pruning rules (Algorithm 5).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import PartialOrderError, PatternError
@@ -267,6 +266,8 @@ class PatternGraph:
         serve wrong results.
         """
         if self._canonical_key is None:
+            import hashlib  # loads OpenSSL (~5 ms): not on a count's path
+
             digest = hashlib.blake2b(digest_size=16)
             digest.update(repr(self.canonical_form()).encode("ascii"))
             self._canonical_key = digest.hexdigest()

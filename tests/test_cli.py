@@ -18,13 +18,19 @@ from repro.graph.generators import erdos_renyi, rmat
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
+#: Modules no cold ``psgl count`` loads: ``numpy.random`` (the random
+#: partition is numpy's PCG64 stream, reproduced in plain numpy, and
+#: workload-aware routing draws nothing) and OpenSSL's hashing (a count
+#: hashes nothing).
+COLD_COUNT_NEVER_RANDOM = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
+
 #: Modules a cold serial ``psgl count`` on a text edge list never loads:
 #: other subcommands' machinery, the unused process backend and any pool
 #: (serial runs its units inline, on the driver), the parity
-#: oracle and its scalar expansion and codec, and
+#: oracle and its scalar expansion and codec,
 #: ``numpy.ma`` (``np.unique`` imports it lazily, ~20 ms: no grouping on
-#: the count path may go through it).
-COLD_COUNT_NEVER_LOADS = (
+#: the count path may go through it), and the random/hashing stack above.
+COLD_COUNT_NEVER_LOADS = COLD_COUNT_NEVER_RANDOM + (
     "numpy.ma",
     "repro.core.reference",
     "repro.core.expansion",
@@ -142,6 +148,26 @@ class TestCount:
             "assert not loaded, loaded\n"
         ), argv=argv)
         graph, _ = read_edge_list(er_edge_list)
+        assert f"instances  : {PSgL(graph).count(triangle()):,}" in done.stdout
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_cold_csrbin_process_count_loads_no_random_or_openssl(
+        self, er_edge_list, tmp_path
+    ):
+        """A memory-mapped graph on forked lanes: the ``.csrbin`` load
+        verifies no checksum, and the partition and routing draw through
+        no ``numpy.random``, on the driver or in a lane's reply."""
+        from repro.graph.binfmt import write_csrbin
+
+        graph, _ = read_edge_list(er_edge_list)
+        csrbin = tmp_path / "er.csrbin"
+        write_csrbin(graph, csrbin)
+        argv = ["count", "--pattern", "PG1", "--csrbin", str(csrbin),
+                "--backend", "process", "--procs", "2"]
+        done = run_cold(er_edge_list, "runpy", (
+            f"loaded = [m for m in {COLD_COUNT_NEVER_RANDOM!r} if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        ), argv=argv)
         assert f"instances  : {PSgL(graph).count(triangle()):,}" in done.stdout
 
     def test_cold_count_builds_no_dataclass_but_the_config(self, er_edge_list):
