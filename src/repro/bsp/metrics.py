@@ -171,9 +171,10 @@ class CostLedger:
     def add_wire_bytes(self, worker: int, nbytes: int) -> None:
         """Record exact barrier bytes shipped by ``worker``'s outbox.
 
-        The engine reports its packed-column sizes here; the scalar
-        reference moves no buffers, and its volume stays with the
-        codec-based accounting (``track_message_bytes``)."""
+        The engine reports its packed-column sizes here: every routed
+        Gpsi is one row of ``8k + 4 * ceil(k / 32) + 1`` bytes for a
+        ``k``-vertex pattern.  The scalar reference moves no buffers and
+        records none."""
         self._require_open().worker_wire_bytes[worker] += nbytes
 
     # ------------------------------------------------------------------

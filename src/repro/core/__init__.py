@@ -6,13 +6,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".batch_expand": ("BatchOutcome", "PendingChildren", "expand_columns"),
     ".bloom": ("BloomFilter", "optimal_parameters"),
     ".candidates": ("candidate_set_scalar", "combination_consistent"),
-    ".codec": (
-        "CodecError",
-        "decode_gpsi",
-        "encode_gpsi",
-        "encoded_size",
-        "encoded_size_batch",
-    ),
     ".cost": (
         "CostParameters",
         "DEFAULT_COSTS",

@@ -44,9 +44,8 @@ without ever constructing a :class:`~repro.core.psi.Gpsi`:
    without running the cross product at all.
 
 Parity with the scalar reference is *bit-identical* for instance sets,
-counts, per-group costs (with the default integer-valued
-:class:`~repro.core.cost.CostParameters`), edge-index probe statistics
-and ledger totals; ``tests/test_batch_expand.py`` pins all of it.
+counts, per-group costs, edge-index probe statistics and ledger totals;
+``tests/test_batch_expand.py`` pins all of it.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ import numpy as np
 from .._record import Record
 from ..graph.ordered import OrderedGraph
 from ..pattern.pattern import PatternGraph
-from .cost import CostParameters, DEFAULT_COSTS
+from .cost import DEFAULT_COSTS
 from ..unique import sorted_unique
 from .edge_index import EdgeIndexBase
 from .psi import GpsiColumns, PACKED_UNSET_NEXT, UNMAPPED
@@ -177,7 +176,6 @@ def expand_columns(
     pattern: PatternGraph,
     ordered: OrderedGraph,
     edge_index: EdgeIndexBase,
-    costs: CostParameters = DEFAULT_COSTS,
 ) -> BatchOutcome:
     """Run Algorithm 1 on every row of ``columns``, each at its own
     expanding data vertex ``mapping[i, next_vertex[i]]``.
@@ -190,6 +188,7 @@ def expand_columns(
     the rows are addressed to.  Cutting a block anywhere and
     concatenating the outcomes of the pieces gives the same result.
     """
+    costs = DEFAULT_COSTS
     outcome = BatchOutcome()
     n, k = columns.n, columns.k
     if n == 0:

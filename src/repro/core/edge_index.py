@@ -31,8 +31,13 @@ import copy
 
 import numpy as np
 
+from ..bsp.config import coerce
+from ..exceptions import EngineError
 from ..graph.graph import Graph
 from .bloom import BloomFilter
+
+#: The index kinds :func:`build_edge_index` builds, by name.
+EDGE_INDEX_KINDS = ("bloom", "exact", "none")
 
 
 def _edge_key(u: int, v: int, n: int) -> int:
@@ -183,12 +188,27 @@ class NullEdgeIndex(EdgeIndexBase):
         return self._record_many(np.ones(len(us), dtype=bool))
 
 
+def check_edge_index(kind: object, fp_rate: object) -> None:
+    """Refuse an unknown ``kind``, or a false-positive rate outside
+    (0, 1) for the bloom index (the only kind that reads it), with
+    :class:`~repro.exceptions.EngineError` — shared by
+    :func:`build_edge_index` and :class:`~repro.core.listing.PSgL`,
+    which refuses at construction what its first run would build."""
+    if kind not in EDGE_INDEX_KINDS:
+        raise EngineError(
+            f"unknown edge index {kind!r}; available: {list(EDGE_INDEX_KINDS)}"
+        )
+    if kind == "bloom":
+        fp = coerce("edge_index_fp", float, fp_rate)
+        if not 0.0 < fp < 1.0:
+            raise EngineError(f"edge_index_fp must be in (0, 1), got {fp_rate!r}")
+
+
 def build_edge_index(graph: Graph, kind: str = "bloom", fp_rate: float = 0.01, seed: int = 0) -> EdgeIndexBase:
-    """Factory: ``kind`` in ``{"bloom", "exact", "none"}``."""
+    """Factory: ``kind`` in :data:`EDGE_INDEX_KINDS`."""
+    check_edge_index(kind, fp_rate)
     if kind == "bloom":
         return BloomEdgeIndex(graph, fp_rate=fp_rate, seed=seed)
     if kind == "exact":
         return ExactEdgeIndex(graph)
-    if kind == "none":
-        return NullEdgeIndex()
-    raise ValueError(f"unknown edge index kind {kind!r}")
+    return NullEdgeIndex()

@@ -33,7 +33,7 @@ from typing import List, Tuple
 from ..graph.ordered import OrderedGraph
 from ..pattern.pattern import PatternGraph
 from .candidates import candidate_set_scalar, combination_consistent
-from .cost import CostParameters, DEFAULT_COSTS
+from .cost import DEFAULT_COSTS
 from .edge_index import EdgeIndexBase
 from .psi import Gpsi
 
@@ -63,15 +63,16 @@ def expand_gpsi(
     pattern: PatternGraph,
     ordered: OrderedGraph,
     edge_index: EdgeIndexBase,
-    costs: CostParameters = DEFAULT_COSTS,
 ) -> ExpansionOutcome:
     """Run Algorithm 1 on one Gpsi; the caller routes the outcome.
 
     This is the reference expansion — one Gpsi, one candidate at a time
     (:mod:`repro.core.reference`).  The engine runs
     :func:`repro.core.batch_expand.expand_columns` instead, with identical
-    results, costs and index statistics.
+    results, costs and index statistics.  Costs are the paper's unit
+    constants, :data:`~repro.core.cost.DEFAULT_COSTS`.
     """
+    costs = DEFAULT_COSTS
     outcome = ExpansionOutcome()
     vp = gpsi.next_vertex
     vd = gpsi.mapping[vp]
@@ -101,7 +102,7 @@ def expand_gpsi(
     if not white_lists:
         # Verification-only expansion: colours change, mapping does not.
         advanced = Gpsi(gpsi.mapping, new_black, -1)
-        _classify(advanced, pattern, edge_index, costs, outcome)
+        _classify(advanced, pattern, edge_index, outcome)
         outcome.generated += 1
         return outcome
 
@@ -120,7 +121,7 @@ def expand_gpsi(
         for wv, cand in zip(white_vps, combo):
             mapping[wv] = cand
         new_gpsi = Gpsi(tuple(mapping), new_black, -1)
-        _classify(new_gpsi, pattern, edge_index, costs, outcome)
+        _classify(new_gpsi, pattern, edge_index, outcome)
         outcome.generated += 1
         for wv in white_vps:
             mapping[wv] = gpsi.mapping[wv]
@@ -131,13 +132,12 @@ def _classify(
     new_gpsi: Gpsi,
     pattern: PatternGraph,
     edge_index: EdgeIndexBase,
-    costs: CostParameters,
     outcome: ExpansionOutcome,
 ) -> None:
     if new_gpsi.fully_mapped():
         uncovered = len(new_gpsi.uncovered_edges(pattern))
         if edge_index.exact or not uncovered:
-            outcome.cost += costs.gray_check * uncovered
+            outcome.cost += DEFAULT_COSTS.gray_check * uncovered
             outcome.complete.append(new_gpsi.mapping)
             return
     outcome.pending.append(new_gpsi)

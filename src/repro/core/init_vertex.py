@@ -184,37 +184,20 @@ def estimate_initial_vertex_cost(
     return total_cost
 
 
-def select_initial_vertex(
-    pattern: PatternGraph,
-    graph: Graph,
-    method: str = "auto",
-    costs: CostParameters = DEFAULT_COSTS,
-    stats: Optional[DegreeStatistics] = None,
-) -> int:
-    """Choose the initial pattern vertex.
-
-    ``method``:
-
-    * ``"auto"`` — deterministic rule when it applies, cost model otherwise;
-    * ``"deterministic"`` — Theorem 5's rule only (falls back to vertex 0
-      when the pattern is not a cycle/clique);
-    * ``"cost-model"`` — always run Algorithm 4;
-    * ``"first"`` — vertex 0 (the no-optimisation baseline in Figure 6).
-    """
-    if method == "first":
-        return 0
-    if method in ("auto", "deterministic"):
-        rule = deterministic_initial_vertex(pattern)
-        if rule is not None:
-            return rule
-        if method == "deterministic":
-            return 0
-    if stats is None:
-        stats = DegreeStatistics.of(graph)
+def select_initial_vertex(pattern: PatternGraph, graph: Graph) -> int:
+    """Choose the initial pattern vertex: Theorem 5's rule when it
+    applies (:func:`deterministic_initial_vertex`), otherwise the vertex
+    Algorithm 4's cost model (:func:`estimate_initial_vertex_cost`)
+    rates cheapest, the lowest on a tie.  Vertex 0 — Figure 6's
+    no-optimisation baseline — is ``PSgL.run(initial_vertex=0)``."""
+    rule = deterministic_initial_vertex(pattern)
+    if rule is not None:
+        return rule
+    stats = DegreeStatistics.of(graph)
     best_vertex = 0
     best_cost = float("inf")
     for v in range(pattern.num_vertices):
-        estimated = estimate_initial_vertex_cost(pattern, v, stats, costs)
+        estimated = estimate_initial_vertex_cost(pattern, v, stats)
         if estimated < best_cost:
             best_cost = estimated
             best_vertex = v

@@ -47,9 +47,8 @@ from ..graph.partition import Partition, random_partition
 from ..pattern.automorphism import automorphisms, break_automorphisms
 from ..pattern.pattern import PatternGraph
 from .batch_expand import expand_columns
-from .cost import CostParameters, DEFAULT_COSTS
 from .distribution import DistributionStrategy, make_strategy
-from .edge_index import EdgeIndexBase, build_edge_index
+from .edge_index import EdgeIndexBase, build_edge_index, check_edge_index
 from .init_vertex import select_initial_vertex
 from .psi import GpsiColumns
 
@@ -67,7 +66,7 @@ class ListingResult(Record):
     __slots__ = (
         "count", "pattern", "initial_vertex", "strategy", "ledger",
         "wall_seconds", "instances", "gpsi_by_vertex", "index_queries",
-        "index_pruned", "per_vertex_counts", "message_bytes", "trace",
+        "index_pruned", "per_vertex_counts", "trace",
     )
 
     def __init__(
@@ -83,7 +82,6 @@ class ListingResult(Record):
         index_queries: int = 0,
         index_pruned: int = 0,
         per_vertex_counts: Optional[Dict[int, int]] = None,
-        message_bytes: Optional[int] = None,
         trace: Optional[object] = None,
     ) -> None:
         self.count = count
@@ -97,7 +95,6 @@ class ListingResult(Record):
         self.index_queries = index_queries
         self.index_pruned = index_pruned
         self.per_vertex_counts = per_vertex_counts
-        self.message_bytes = message_bytes
         self.trace = trace
 
     @property
@@ -147,11 +144,9 @@ class PSgLProgram(VertexProgram):
         strategy: DistributionStrategy,
         edge_index: EdgeIndexBase,
         initial_vertex: int,
-        costs: CostParameters,
         seed: int,
         collect_instances: bool,
         count_per_vertex: bool = False,
-        track_message_bytes: bool = False,
     ):
         self.pattern = pattern
         self.ordered = ordered
@@ -159,11 +154,9 @@ class PSgLProgram(VertexProgram):
         self.strategy = strategy
         self.edge_index = edge_index
         self.initial_vertex = initial_vertex
-        self.costs = costs
         self.seed = seed
         self.collect_instances = collect_instances
         self.count_per_vertex = count_per_vertex
-        self.track_message_bytes = track_message_bytes
         #: Complete instances found (the job's count).
         self.found = 0
         self.instances: List[Tuple[int, ...]] = []
@@ -172,7 +165,6 @@ class PSgLProgram(VertexProgram):
         #: Mapping arrays of completed instances awaiting the bincount fold
         #: into ``per_vertex_counts`` (see :meth:`_fold_per_vertex`).
         self._pvc_chunks: List[np.ndarray] = []
-        self.message_bytes = 0
 
     # ------------------------------------------------------------------
     # Replica contract: on every backend the tallies cross back as
@@ -215,7 +207,6 @@ class PSgLProgram(VertexProgram):
             self.gpsi_by_vertex,
             self.instances,
             self.per_vertex_counts,
-            self.message_bytes,
             self.edge_index.queries,
             self.edge_index.positives,
         )
@@ -223,24 +214,19 @@ class PSgLProgram(VertexProgram):
         self.gpsi_by_vertex = {}
         self.instances = []
         self.per_vertex_counts = {}
-        self.message_bytes = 0
         self.edge_index.reset_statistics()
         return delta
 
     def merge_state_delta(self, delta) -> None:
         if delta is None:
             return
-        (
-            found, gpsi_by_vertex, instances, per_vertex, msg_bytes, queries,
-            positives,
-        ) = delta
+        found, gpsi_by_vertex, instances, per_vertex, queries, positives = delta
         self.found += found
         for vp, n in gpsi_by_vertex.items():
             self.gpsi_by_vertex[vp] = self.gpsi_by_vertex.get(vp, 0) + n
         self.instances.extend(instances)
         for vd, n in per_vertex.items():
             self.per_vertex_counts[vd] = self.per_vertex_counts.get(vd, 0) + n
-        self.message_bytes += msg_bytes
         # Replicas probed their own index copies; fold the probe counters
         # into the driver's so ListingResult statistics stay backend-
         # independent.
@@ -271,7 +257,7 @@ class PSgLProgram(VertexProgram):
         RNG and load view through ``ctx.worker_state``, in delivery order.
         """
         outcome = expand_columns(
-            columns, self.pattern, self.ordered, self.edge_index, self.costs
+            columns, self.pattern, self.ordered, self.edge_index
         )
         ctx.worker_state.setdefault("dist_seed", (self.seed, ctx.worker_id))
         ctx.add_cost(outcome.cost)
@@ -294,14 +280,9 @@ class PSgLProgram(VertexProgram):
             self.partition,
             ctx.worker_state,
         )
-        addressed = GpsiColumns(
-            pending.mapping, pending.black, chosen.astype(np.uint8)
+        ctx.send_columns(
+            GpsiColumns(pending.mapping, pending.black, chosen.astype(np.uint8))
         )
-        if self.track_message_bytes:
-            from .codec import encoded_size_batch
-
-            self.message_bytes += encoded_size_batch(addressed)
-        ctx.send_columns(addressed)
 
 
 def check_num_workers(num_workers: object) -> int:
@@ -346,13 +327,13 @@ class PSgL:
         lets a resident server build the index once and hand each job a
         cheap :meth:`~repro.core.edge_index.EdgeIndexBase.detached_view`.
     edge_index_fp:
-        Target false-positive rate of the bloom index.
+        Target false-positive rate of the bloom index, in (0, 1).  An
+        unknown index kind, or a bloom rate outside (0, 1), raises
+        :class:`~repro.exceptions.EngineError` here, not inside ``run``.
     partition:
         Optional explicit partition; defaults to the paper's random one.
     seed:
         Master seed for partitioning and the stochastic strategies.
-    costs:
-        The cost-model constants (:mod:`repro.core.cost`).
     ordered:
         Optional prebuilt :class:`~repro.graph.ordered.OrderedGraph` of
         ``graph``.  The degree order is deterministic, so a long-lived
@@ -395,7 +376,6 @@ class PSgL:
         edge_index_fp: float = 0.01,
         partition: Optional[Partition] = None,
         seed: int = 0,
-        costs: CostParameters = DEFAULT_COSTS,
         ordered: Optional[OrderedGraph] = None,
         config: Optional[ExecutionConfig] = None,
         *,
@@ -430,6 +410,7 @@ class PSgL:
             self.edge_index_kind = edge_index.__class__.__name__
             self._edge_index: Optional[EdgeIndexBase] = edge_index
         else:
+            check_edge_index(edge_index, edge_index_fp)
             self.edge_index_kind = edge_index
             self._edge_index = None
         self.edge_index_fp = edge_index_fp
@@ -437,7 +418,6 @@ class PSgL:
         #: driver (the index itself is read-only once built).
         self._index_lock = threading.Lock()
         self.seed = seed
-        self.costs = costs
         self.trace = trace
         self.abort_event = abort_event
 
@@ -446,8 +426,6 @@ class PSgL:
         self,
         pattern: PatternGraph,
         initial_vertex: Optional[int] = None,
-        initial_vertex_method: str = "auto",
-        auto_break: bool = True,
     ) -> Tuple[PatternGraph, int, EdgeIndexBase]:
         """Steps 2–4 of the pipeline: the pattern with its automorphisms
         broken, the initial pattern vertex, and this driver's edge index
@@ -456,13 +434,10 @@ class PSgL:
         arguments are :meth:`run`'s."""
         if pattern.num_vertices < 1:
             raise PatternError("cannot list an empty pattern")
-        if auto_break and not pattern.partial_order:
-            if len(automorphisms(pattern)) > 1:
-                pattern = break_automorphisms(pattern)
+        if not pattern.partial_order and len(automorphisms(pattern)) > 1:
+            pattern = break_automorphisms(pattern)
         if initial_vertex is None:
-            initial_vertex = select_initial_vertex(
-                pattern, self.graph, method=initial_vertex_method
-            )
+            initial_vertex = select_initial_vertex(pattern, self.graph)
         elif not 0 <= initial_vertex < pattern.num_vertices:
             raise PatternError(
                 f"initial vertex {initial_vertex} out of range for {pattern.name}"
@@ -490,39 +465,32 @@ class PSgL:
         self,
         pattern: PatternGraph,
         initial_vertex: Optional[int] = None,
-        initial_vertex_method: str = "auto",
-        auto_break: bool = True,
         collect_instances: bool = False,
         count_per_vertex: bool = False,
-        track_message_bytes: bool = False,
     ) -> ListingResult:
         """List all instances of ``pattern`` in the data graph.
 
         Parameters
         ----------
         pattern:
-            The pattern graph.  If it carries no partial order and
-            ``auto_break`` is set, automorphism breaking runs first so
-            every instance is reported exactly once.
+            The pattern graph.  If it carries no partial order,
+            automorphism breaking runs first so every instance is
+            reported exactly once.
         initial_vertex:
             Force a specific initial pattern vertex (used by the Figure 6
-            ablation); default selects per ``initial_vertex_method``.
-        initial_vertex_method:
-            ``"auto"``, ``"deterministic"``, ``"cost-model"`` or
-            ``"first"`` (see :func:`repro.core.init_vertex.select_initial_vertex`).
+            ablation); by default
+            :func:`repro.core.init_vertex.select_initial_vertex` picks it.
         collect_instances:
             Also materialise the instance mappings (memory permitting).
         count_per_vertex:
             Also count, per data vertex, the instances it participates in
             (e.g. per-vertex triangle counts for local clustering
             coefficients).
-        track_message_bytes:
-            Also account the wire volume of every routed Gpsi using the
-            compact codec (slower; for communication studies).
+
+        The wire volume of the routed Gpsis is the ledger's
+        ``total_wire_bytes()``, measured on every run.
         """
-        pattern, initial_vertex, index = self.prepare(
-            pattern, initial_vertex, initial_vertex_method, auto_break
-        )
+        pattern, initial_vertex, index = self.prepare(pattern, initial_vertex)
         program = PSgLProgram(
             pattern=pattern,
             ordered=self.ordered,
@@ -530,11 +498,9 @@ class PSgL:
             strategy=self.strategy,
             edge_index=index,
             initial_vertex=initial_vertex,
-            costs=self.costs,
             seed=self.seed,
             collect_instances=collect_instances,
             count_per_vertex=count_per_vertex,
-            track_message_bytes=track_message_bytes,
         )
         engine = BSPEngine(
             self.graph,
@@ -557,9 +523,6 @@ class PSgL:
             index_pruned=index.pruned,
             per_vertex_counts=(
                 dict(program.per_vertex_counts) if count_per_vertex else None
-            ),
-            message_bytes=(
-                program.message_bytes if track_message_bytes else None
             ),
             trace=bsp_result.trace,
         )

@@ -30,7 +30,7 @@ from ..pattern.pattern import PatternGraph
 
 UNMAPPED = -1
 
-#: ``next_vertex`` sentinel in the packed uint8 column (mirrors the codec).
+#: ``next_vertex`` sentinel in the packed uint8 column (no next vertex).
 PACKED_UNSET_NEXT = 0xFF
 
 
@@ -317,7 +317,7 @@ def pack_gpsis(gpsis: Sequence[Gpsi], k: int = None) -> GpsiColumns:
 def unpack_gpsis(columns: GpsiColumns) -> List[Gpsi]:
     """Materialise :class:`Gpsi` objects from packed columns (the
     inverse of :func:`pack_gpsis`; the engine itself never decodes —
-    this serves the codec and tests that compare rows with objects).
+    this serves tests that compare rows with objects).
     """
     rows = columns.mapping.tolist()
     nv = columns.next_vertex.astype(np.int64)

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..bsp.metrics import CostLedger
 from ..pattern.pattern import PatternGraph
-from .codec import encoded_size
 from .expansion import expand_gpsi
 from .listing import ListingResult, PSgL
 from .psi import Gpsi
@@ -60,7 +59,6 @@ class _Job:
         index,
         collect_instances: bool,
         count_per_vertex: bool,
-        track_bytes: bool,
     ):
         self.driver = driver
         self.pattern = pattern
@@ -68,12 +66,10 @@ class _Job:
         self.index = index
         self.collect_instances = collect_instances
         self.count_per_vertex = count_per_vertex
-        self.track_bytes = track_bytes
         self.found = 0
         self.instances: List[Tuple[int, ...]] = []
         self.per_vertex: Counter = Counter()
         self.gpsi_by_vertex: Dict[int, int] = {}
-        self.message_bytes = 0
 
     def generated(self, vp: int, n: int) -> None:
         self.gpsi_by_vertex[vp] = self.gpsi_by_vertex.get(vp, 0) + n
@@ -90,9 +86,7 @@ class _Job:
         """Algorithm 1 on one Gpsi, Algorithm 3 on each pending child;
         returns the expansion's cost."""
         driver, pattern = self.driver, self.pattern
-        outcome = expand_gpsi(
-            gpsi, pattern, driver.ordered, self.index, driver.costs
-        )
+        outcome = expand_gpsi(gpsi, pattern, driver.ordered, self.index)
         if outcome.generated:
             self.generated(gpsi.next_vertex, outcome.generated)
         self.found += len(outcome.complete)
@@ -110,10 +104,7 @@ class _Job:
                 driver.partition,
                 state,
             )
-            addressed = child.with_next(chosen)
-            if self.track_bytes:
-                self.message_bytes += encoded_size(addressed)
-            send(child.mapping[chosen], addressed)
+            send(child.mapping[chosen], child.with_next(chosen))
         return outcome.cost
 
 
@@ -121,33 +112,22 @@ def run_reference(
     driver: PSgL,
     pattern: PatternGraph,
     initial_vertex: Optional[int] = None,
-    initial_vertex_method: str = "auto",
-    auto_break: bool = True,
     collect_instances: bool = False,
     count_per_vertex: bool = False,
-    track_message_bytes: bool = False,
 ) -> ListingResult:
     """List ``pattern`` on ``driver``'s inputs the paper's way.
 
     Takes :meth:`PSgL.run`'s arguments and returns what it returns.
-    ``driver`` supplies the graph, partition, strategy, costs and seed
+    ``driver`` supplies the graph, partition, strategy and seed
     and prepares the pattern and index exactly as its own ``run`` does;
     of its execution config only the two memory budgets apply (the
     ledger enforces them) — the rest says how the engine runs, and
     nothing here runs on the engine.
     """
     started = perf_counter()
-    pattern, initial_vertex, index = driver.prepare(
-        pattern, initial_vertex, initial_vertex_method, auto_break
-    )
+    pattern, initial_vertex, index = driver.prepare(pattern, initial_vertex)
     job = _Job(
-        driver,
-        pattern,
-        initial_vertex,
-        index,
-        collect_instances,
-        count_per_vertex,
-        track_message_bytes,
+        driver, pattern, initial_vertex, index, collect_instances, count_per_vertex
     )
     partition = driver.partition
     num_workers = partition.num_workers
@@ -208,5 +188,4 @@ def run_reference(
         index_queries=index.queries,
         index_pruned=index.pruned,
         per_vertex_counts=dict(job.per_vertex) if count_per_vertex else None,
-        message_bytes=job.message_bytes if track_message_bytes else None,
     )

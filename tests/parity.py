@@ -28,9 +28,13 @@ from repro.graph import Graph, hash_partition
 from repro.pattern import paper_patterns
 
 #: Everything optional a run can report, switched on so it is compared.
-RUN_FLAGS = dict(
-    collect_instances=True, count_per_vertex=True, track_message_bytes=True
-)
+RUN_FLAGS = dict(collect_instances=True, count_per_vertex=True)
+
+
+def row_bytes(k: int) -> int:
+    """Wire bytes of one packed Gpsi row of a ``k``-vertex pattern: 8-byte
+    mapping cells, 32-bit BLACK words, one next-vertex byte."""
+    return 8 * k + 4 * -(-k // 32) + 1
 
 
 def observables(result: ListingResult) -> Dict[str, Any]:
@@ -42,7 +46,6 @@ def observables(result: ListingResult) -> Dict[str, Any]:
         "gpsi_by_vertex": result.gpsi_by_vertex,
         "index": (result.index_queries, result.index_pruned),
         "per_vertex_counts": result.per_vertex_counts,
-        "message_bytes": result.message_bytes,
         "summary": result.ledger.summary(),
         # Per-step, per-worker: a single diverging RNG draw in the
         # distribution strategy moves a Gpsi to another worker and shows
@@ -91,7 +94,12 @@ def assert_equivalent(
     """Run ``config`` on ``reference``'s inputs and require identical
     observables.  ``psgl_overrides`` replace non-config inputs that must
     not matter either (``trace=``, a prebuilt ``edge_index=``).  Returns
-    the run for mechanism assertions (ledger counters, trace events, ...)."""
+    the run for mechanism assertions (ledger counters, trace events, ...).
+
+    The oracle ships no buffers, so wire volume is checked on the run
+    alone: every routed Gpsi is one packed row, so each worker's wire
+    bytes per step are its messages times :func:`row_bytes`, and volume
+    parity follows from the message parity compared above."""
     result = run_listing(
         reference.graph,
         reference.pattern_name,
@@ -100,6 +108,9 @@ def assert_equivalent(
     )
     assert result.count == len(result.instances)
     assert observables(result) == observables(reference.result)
+    row = row_bytes(result.pattern.num_vertices)
+    for step in result.ledger.steps:
+        assert step.worker_wire_bytes == [row * sent for sent in step.worker_messages]
     return result
 
 

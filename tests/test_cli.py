@@ -27,7 +27,7 @@ COLD_COUNT_NEVER_RANDOM = ("numpy.random", "secrets", "hmac", "hashlib", "_hashl
 #: Modules a cold serial ``psgl count`` on a text edge list never loads:
 #: other subcommands' machinery, the unused process backend and any pool
 #: (serial runs its units inline, on the driver), the parity
-#: oracle and its scalar expansion and codec,
+#: oracle and its scalar expansion,
 #: ``numpy.ma`` (``np.unique`` imports it lazily, ~20 ms: no grouping on
 #: the count path may go through it), and the random/hashing stack above.
 COLD_COUNT_NEVER_LOADS = COLD_COUNT_NEVER_RANDOM + (
@@ -35,7 +35,6 @@ COLD_COUNT_NEVER_LOADS = COLD_COUNT_NEVER_RANDOM + (
     "repro.core.reference",
     "repro.core.expansion",
     "repro.core.candidates",
-    "repro.core.codec",
     "repro.bench",
     "repro.service",
     "repro.graph.stats",

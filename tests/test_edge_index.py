@@ -10,6 +10,7 @@ from repro.core import (
     build_edge_index,
 )
 from repro.core.edge_index import EdgeIndexBase
+from repro.exceptions import EngineError
 from repro.graph import complete_graph, erdos_renyi
 
 
@@ -88,7 +89,7 @@ class TestFactory:
         assert isinstance(build_edge_index(complete_graph(3), "none"), NullEdgeIndex)
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EngineError, match="unknown edge index 'magic'"):
             build_edge_index(complete_graph(3), "magic")
 
 

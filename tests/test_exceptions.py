@@ -33,11 +33,6 @@ class TestHierarchy:
     def test_partial_order_error_is_pattern_error(self):
         assert issubclass(PartialOrderError, PatternError)
 
-    def test_codec_error_in_hierarchy(self):
-        from repro.core import CodecError
-
-        assert issubclass(CodecError, ReproError)
-
     def test_one_except_catches_everything(self):
         """A caller can fence the whole library with one except clause."""
         from repro import PSgL, complete_graph, triangle

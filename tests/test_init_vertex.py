@@ -2,6 +2,7 @@
 
 from repro.core import (
     DegreeStatistics,
+    PSgL,
     deterministic_initial_vertex,
     estimate_initial_vertex_cost,
     is_clique,
@@ -96,24 +97,34 @@ class TestCostModel:
 
 
 class TestSelect:
+    """``select_initial_vertex(pattern, graph)`` applies one rule: Theorem
+    5 where it applies, Algorithm 4's cheapest vertex otherwise."""
+
     def test_method_first(self):
+        """Figure 6's no-optimisation baseline, vertex 0, is a forced
+        initial vertex, not a selection rule."""
         g = erdos_renyi(50, 0.1, seed=5)
-        assert select_initial_vertex(square(), g, method="first") == 0
+        result = PSgL(g, num_workers=2).run(house(), initial_vertex=0)
+        assert result.initial_vertex == 0
 
     def test_method_auto_uses_rule_for_cycles(self):
         g = erdos_renyi(50, 0.1, seed=6)
-        assert select_initial_vertex(square(), g, method="auto") == 0
+        assert select_initial_vertex(square(), g) == 0
+        assert deterministic_initial_vertex(square()) == 0
 
     def test_method_deterministic_fallback(self):
-        g = erdos_renyi(50, 0.1, seed=7)
-        assert select_initial_vertex(diamond(), g, method="deterministic") == 0
+        """Theorem 5 has no rule for a diamond, so the cost model picks."""
+        assert deterministic_initial_vertex(diamond()) is None
 
     def test_cost_model_returns_valid_vertex(self):
         g = chung_lu_power_law(300, 2.0, avg_degree=5, seed=8)
-        v = select_initial_vertex(house(), g, method="cost-model")
-        assert 0 <= v < 5
+        stats = DegreeStatistics.of(g)
+        estimates = [
+            estimate_initial_vertex_cost(house(), v, stats) for v in range(5)
+        ]
+        assert select_initial_vertex(house(), g) == estimates.index(min(estimates))
 
     def test_auto_on_general_pattern_runs_model(self):
         g = chung_lu_power_law(300, 2.0, avg_degree=5, seed=9)
-        v = select_initial_vertex(diamond(), g, method="auto")
+        v = select_initial_vertex(diamond(), g)
         assert 0 <= v < 4

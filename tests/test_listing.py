@@ -1,10 +1,14 @@
 """Integration tests for the PSgL driver: counts, statistics, options."""
 
+import inspect
+
 import pytest
 
 from repro import PSgL, SimulatedOOMError
 from repro.baselines import count_instances
-from repro.exceptions import PatternError
+from repro.core import DEFAULT_COSTS, run_reference, select_initial_vertex
+from repro.core.edge_index import build_edge_index
+from repro.exceptions import EngineError, PatternError
 from repro.graph import (
     Graph,
     complete_graph,
@@ -198,6 +202,68 @@ class TestErrorPaths:
         except SimulatedOOMError as exc:
             assert exc.live > exc.budget == 10
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (dict(edge_index="blom"), r"unknown edge index 'blom'; available: "
+             r"\['bloom', 'exact', 'none'\]"),
+            (dict(edge_index=None), "unknown edge index None"),
+            (dict(edge_index_fp=1.5), r"edge_index_fp must be in \(0, 1\), got 1.5"),
+            (dict(edge_index_fp=0.0), r"edge_index_fp must be in \(0, 1\)"),
+            (dict(edge_index_fp=float("nan")), r"edge_index_fp must be in \(0, 1\)"),
+            (dict(edge_index_fp="0.01"), "edge_index_fp must be float"),
+        ],
+        ids=["misspelt", "none", "fp-above-one", "fp-zero", "fp-nan", "fp-str"],
+    )
+    def test_bad_edge_index_refused_at_construction(self, kwargs, match):
+        """Regression: a misspelt kind or an out-of-range bloom rate was
+        accepted here and failed only in ``run()``, with a raw
+        ``ValueError`` or an untyped ``ReproError``."""
+        g = complete_graph(4)
+        with pytest.raises(EngineError, match=match):
+            PSgL(g, **kwargs)
+        fp = kwargs.get("edge_index_fp", 0.01)
+        with pytest.raises(EngineError, match=match):
+            build_edge_index(g, kind=kwargs.get("edge_index", "bloom"), fp_rate=fp)
+
+    @pytest.mark.parametrize("kind", ["exact", "none"])
+    def test_fp_rate_is_read_only_by_the_bloom_index(self, kind):
+        g = complete_graph(4)
+        assert PSgL(g, edge_index=kind, edge_index_fp=1.5).count(triangle()) == 4
+        build_edge_index(g, kind=kind, fp_rate=1.5)
+
+
+class TestListingSurface:
+    """The listing API takes only what its callers pass: the paper's
+    strategy, initial vertex, worker count and edge index."""
+
+    def test_knob_counts(self):
+        def names(func):
+            return [n for n in inspect.signature(func).parameters if n != "self"]
+
+        assert names(PSgL.run) == [
+            "pattern", "initial_vertex", "collect_instances", "count_per_vertex",
+        ]
+        assert names(run_reference) == ["driver"] + names(PSgL.run)
+        assert names(PSgL.prepare) == ["pattern", "initial_vertex"]
+        assert names(select_initial_vertex) == ["pattern", "graph"]
+        assert len(names(PSgL.__init__)) == 13  # 12 and **overrides
+        assert "costs" not in names(PSgL.__init__)
+
+    @pytest.mark.parametrize(
+        "option", ["auto_break", "initial_vertex_method", "track_message_bytes"]
+    )
+    def test_removed_run_options_are_type_errors(self, option):
+        psgl = PSgL(complete_graph(4))
+        with pytest.raises(TypeError, match=option):
+            psgl.run(triangle(), **{option: True})
+        with pytest.raises(TypeError, match=option):
+            run_reference(psgl, triangle(), **{option: True})
+
+    def test_costs_is_not_an_execution_field(self):
+        with pytest.raises(EngineError, match="unknown costs: not an execution"):
+            PSgL(complete_graph(4), costs=DEFAULT_COSTS)
+
 
 class TestDeterminism:
     def test_same_seed_same_ledger(self):
@@ -238,14 +304,22 @@ class TestPerVertexCounts:
 
 
 class TestMessageBytes:
+    """Message volume is the ledger's measured wire bytes, on every run."""
+
     def test_tracked_when_requested(self):
         g = complete_graph(6)
-        result = PSgL(g, num_workers=2).run(square(), track_message_bytes=True)
-        # every routed Gpsi costs at least the 2-byte header + mask
-        assert result.message_bytes >= 3 * result.total_gpsis / 2
+        result = PSgL(g, num_workers=2).run(square())
+        # every routed Gpsi is one packed row: 4 eight-byte cells, one
+        # 32-bit BLACK word, one next-vertex byte
+        assert result.total_gpsis > 0
+        assert result.ledger.total_wire_bytes() == 37 * result.total_gpsis
 
     def test_off_by_default(self):
-        assert PSgL(complete_graph(4)).run(triangle()).message_bytes is None
+        """No flag turns on a second, codec-priced accounting."""
+        result = PSgL(complete_graph(4)).run(triangle())
+        assert not hasattr(result, "message_bytes")
+        with pytest.raises(TypeError, match="track_message_bytes"):
+            PSgL(complete_graph(4)).run(triangle(), track_message_bytes=True)
 
 
 class TestIndexReuse:

@@ -35,6 +35,7 @@ from .parity import (
     assert_illegal,
     assert_outboxes_cross_whole,
     reference_run,
+    row_bytes,
 )
 
 GRAPHS = {
@@ -205,12 +206,11 @@ class TestOnePayload:
     def test_wire_bytes_are_the_packed_columns_only(self, pattern_name):
         """Per step and worker: rows x (8k mapping + 4 per 32-bit BLACK
         word + 1 next-vertex byte) — no destination column."""
-        k = paper_patterns()[pattern_name].num_vertices
-        row_bytes = 8 * k + 4 * -(-k // 32) + 1
+        row = row_bytes(paper_patterns()[pattern_name].num_vertices)
         result = production_baseline(pattern_name)
         for step in result.ledger.steps:
             assert step.worker_wire_bytes == [
-                row_bytes * sent for sent in step.worker_messages
+                row * sent for sent in step.worker_messages
             ]
 
 

@@ -1,12 +1,52 @@
-"""Unit tests for the partial subgraph instance (Gpsi) data structure."""
+"""Unit tests for the partial subgraph instance (Gpsi) data structure
+and its packed form, the engine's one wire format."""
 
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.core import CostParameters, Gpsi, GpsiColumns, UNMAPPED
+from repro.core import (
+    CostParameters,
+    Gpsi,
+    GpsiColumns,
+    UNMAPPED,
+    pack_gpsis,
+    unpack_gpsis,
+)
 from repro.pattern import clique4, square, triangle
+
+from .parity import row_bytes
+
+
+@st.composite
+def valid_gpsis(draw, k=None, max_id=2**48):
+    """Structurally valid Gpsis: black only on mapped cells, next in range."""
+    if k is None:
+        k = draw(st.integers(min_value=1, max_value=8))
+    mapping = draw(
+        st.lists(
+            st.one_of(st.just(UNMAPPED), st.integers(min_value=0, max_value=max_id)),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    black_seed = draw(st.integers(min_value=0))
+    black = 0
+    for vp in range(k):
+        if mapping[vp] != UNMAPPED and black_seed >> vp & 1:
+            black |= 1 << vp
+    next_vertex = draw(st.integers(min_value=-1, max_value=k - 1))
+    return Gpsi(tuple(mapping), black, next_vertex)
+
+
+@st.composite
+def gpsi_batches(draw):
+    """(gpsis, k) with every instance sharing one pattern size."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    gpsis = draw(st.lists(valid_gpsis(k=k), min_size=0, max_size=12))
+    return gpsis, k
 
 
 class TestInitial:
@@ -141,3 +181,57 @@ class TestRecords:
             event.extra = 1
         assert event == TraceEvent("superstep", 1, 2)
         assert event != TraceEvent("superstep", 1, 3)
+
+
+class TestBatchRoundTrip:
+    """The packed columns are the engine's one payload: what a lane frame
+    pickles and the barrier delivers."""
+
+    def test_empty_batch(self):
+        columns = pack_gpsis([], k=4)
+        assert unpack_gpsis(columns) == []
+        assert columns.nbytes == 0
+
+    def test_empty_pack_requires_k(self):
+        with pytest.raises(ValueError):
+            pack_gpsis([])
+
+    def test_one_vertex_pattern(self):
+        gpsis = [Gpsi((7,), 0b1, 0), Gpsi((UNMAPPED,), 0, -1)]
+        assert unpack_gpsis(pack_gpsis(gpsis)) == gpsis
+
+    def test_unmapped_cells_and_unset_next(self):
+        gpsis = [
+            Gpsi((5, UNMAPPED, 1_000_000, 0), 0b1001, 3),
+            Gpsi((UNMAPPED, UNMAPPED, UNMAPPED, 2), 0, -1),
+        ]
+        assert unpack_gpsis(pack_gpsis(gpsis)) == gpsis
+
+    def test_wide_pattern_multiword_black(self):
+        # 0xFE vertices: black spans 8 mask words.
+        k = 0xFE
+        mapping = tuple(range(k))
+        black = (1 << k) - 1
+        gpsis = [Gpsi(mapping, black, k - 1), Gpsi(mapping, 1 << 200, -1)]
+        columns = pack_gpsis(gpsis)
+        assert unpack_gpsis(columns) == gpsis
+        assert columns.nbytes == 2 * row_bytes(k)
+
+    @given(gpsi_batches())
+    def test_roundtrip_property(self, batch):
+        """Through pickle, the codec of a process lane's frames."""
+        gpsis, k = batch
+        columns = pickle.loads(pickle.dumps(pack_gpsis(gpsis, k)))
+        assert unpack_gpsis(columns) == gpsis
+
+    @given(gpsi_batches())
+    def test_pack_unpack_property(self, batch):
+        gpsis, k = batch
+        assert unpack_gpsis(pack_gpsis(gpsis, k)) == gpsis
+
+    @given(gpsi_batches())
+    def test_batch_encoded_size_is_exact(self, batch):
+        """The engine's wire bytes are the packed buffers, exactly."""
+        gpsis, k = batch
+        columns = pack_gpsis(gpsis, k)
+        assert columns.nbytes == len(gpsis) * row_bytes(k)

@@ -6,8 +6,8 @@ generated and every outbox crosses the barrier whole, the store is no
 longer where a job's memory goes, and spilling raised the peak instead
 of bounding it (``docs/perf.md``, "Spill plane").  So the plane is gone:
 ``spill_dir`` and ``memory_watermark_bytes`` are refused by name on
-every surface, the store takes one outbox per sender, and the columnar
-byte codec that only spill files used is deleted.
+every surface, the store takes one outbox per sender, and no byte
+codec is left: the packed columns are the one wire format.
 
 This file keeps the spill plane's test ids where a behaviour is left to
 check — the refusals, a trace and a ledger with no spill in them, the
@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 import repro.core
-import repro.core.codec
 from repro.bsp.message import deliver
 from repro.cli import main
 from repro.core import PSgL
@@ -153,11 +152,15 @@ class TestOneBarrierStore:
         assert not hasattr(repro.bsp.message, "ChunkedColumnarStore")
 
     def test_the_columnar_byte_codec_is_gone(self):
+        """No codec module is left, columnar or scalar: the wire format is
+        the packed columns, sized by the ledger's wire bytes."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.codec")
         for name in ("encode_columns", "decode_columns", "map_columns",
-                     "encode_batch", "decode_batch", "batch_encoded_size"):
-            assert not hasattr(repro.core.codec, name), name
+                     "encode_batch", "decode_batch", "batch_encoded_size",
+                     "encode_gpsi", "decode_gpsi", "encoded_size",
+                     "encoded_size_batch", "CodecError"):
             assert name not in repro.core.__all__, name
-        assert hasattr(repro.core.codec, "encoded_size_batch")
 
     def test_serve_has_no_spill_flags(self, capsys):
         for flags in (["--memory-watermark-bytes", "1"], ["--spill-dir", "x"]):
