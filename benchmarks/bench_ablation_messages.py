@@ -4,21 +4,17 @@ Section 6: the messages carry the Gpsi plus its status information, and
 the Gpsi stream dominates PSgL's network traffic.  This bench reads the
 wire volume the barrier measured (``CostLedger.total_wire_bytes``) per
 pattern and shows (a) the index slashes bytes as well as counts, and
-(b) every message is one fixed-width packed row: ``8k`` bytes of
+(b) every message is one fixed-width packed row: ``4k`` bytes of
 mapping, ``4 * ceil(k / 32)`` of BLACK mask and one next-vertex byte for
-a ``k``-vertex pattern, exactly.
+a ``k``-vertex pattern, exactly (``repro.core.psi.row_bytes``).
 """
 
 from conftest import run_once
 
 from repro.bench import format_table, load_dataset
 from repro.core import PSgL
+from repro.core.psi import row_bytes
 from repro.pattern import paper_patterns
-
-
-def row_bytes(k):
-    """Wire bytes of one packed Gpsi row of a ``k``-vertex pattern."""
-    return 8 * k + 4 * -(-k // 32) + 1
 
 
 def _sweep(scale):

@@ -39,10 +39,21 @@ class ExperimentReport:
     data: Dict[str, object] = field(default_factory=dict)
     seconds: float = 0.0
 
-    def render(self) -> str:
-        """Full printable block."""
-        header = f"== {self.experiment}: {self.title} ({self.seconds:.1f}s) =="
+    def render(self, timed: bool = True) -> str:
+        """Full printable block; ``timed=False`` leaves the run time out
+        of the header, so the text depends on the results alone."""
+        took = f" ({self.seconds:.1f}s)" if timed else ""
+        header = f"== {self.experiment}: {self.title}{took} =="
         return f"{header}\n{self.text}\n"
+
+
+def write_report(report: ExperimentReport, out_dir: Path) -> Path:
+    """Persist ``report`` as ``<out_dir>/<experiment>.txt`` without its run
+    time: a rerun with the same results rewrites the same bytes."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{report.experiment}.txt"
+    path.write_text(report.render(timed=False))
+    return path
 
 
 def _module_for(experiment: str):
@@ -105,8 +116,7 @@ def run_all(
         if progress:
             progress(report.render())
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"{experiment}.txt").write_text(report.render())
+            write_report(report, out_dir)
         if tracer is not None and tracer.events:
             trace_dir.mkdir(parents=True, exist_ok=True)
             trace_path = write_chrome_trace(

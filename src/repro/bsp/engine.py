@@ -320,7 +320,11 @@ class BSPEngine:
         """One superstep's ``worker`` / ``barrier`` / ``superstep``
         events.  ``inbound`` is the rows delivered per worker, ``wire``
         the bytes each sender shipped, ``lane_busy_ms`` the executor's
-        per-lane busy time, ``None`` where it deals to no lanes."""
+        per-lane busy time, ``None`` where it deals to no lanes.  The
+        barrier's ``peak_rss_mb`` is the driver's peak resident set so
+        far (``ru_maxrss``, KiB on Linux), sampled after delivery."""
+        import resource
+
         for result in results:
             tracer.emit(
                 "worker",
@@ -340,6 +344,7 @@ class BSPEngine:
             wire_bytes=sum(wire),
             chunks=sum(1 for nbytes in wire if nbytes),
             max_chunk_bytes=max(wire, default=0),
+            peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         )
         step_extra = {}
         if lane_busy_ms is not None:

@@ -60,10 +60,13 @@ def deliver(
     delivery order of the paper-faithful reference.
 
     One concatenation, one owner gather and one stable sort on
-    ``owner * U + first-send rank``; each owner's batch is a view of the
-    sorted rows.  Consumes ``outboxes``: each list is emptied once
-    concatenated, so the delivered rows replace the sent chunks in memory
-    instead of doubling them.
+    ``owner * U + first-send rank`` (built in ``int64``); each owner's
+    batch is a view of the sorted rows.  Consumes ``outboxes``: each
+    list is emptied once concatenated, so the delivered rows replace the
+    sent chunks in memory instead of doubling them.  Each index array is
+    dropped as soon as it has been used, and the rows are permuted one
+    column at a time, so above the rows themselves the barrier holds a
+    few ids per row and one column's copy.
     """
     chunks = [chunk for outbox in outboxes for chunk in outbox if len(chunk)]
     for outbox in outboxes:
@@ -73,14 +76,28 @@ def deliver(
     columns = type(chunks[0]).concat(chunks)
     del chunks
     dest = columns.destinations()
-    owner = owner_of[dest]
     uniq, first_idx, inverse = sorted_unique(dest)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first_idx)] = np.arange(len(uniq))
-    order = np.argsort(owner * len(uniq) + rank[inverse], kind="stable")
-    columns = columns.take(order)
+    owner = owner_of[dest]
+    del dest
     inbound = np.bincount(owner, minlength=num_workers)
     vertices = np.bincount(owner[first_idx], minlength=num_workers)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[np.argsort(first_idx)] = np.arange(len(uniq))
+    key = owner.astype(np.int64, copy=False)
+    del owner
+    key *= len(uniq)
+    key += rank[inverse]
+    del inverse
+    order = np.argsort(key, kind="stable")
+    del key
+    packed = type(columns)
+    mapping, black, next_vertex = columns.mapping, columns.black, columns.next_vertex
+    del columns
+    mapping = mapping[order]
+    black = black[order]
+    next_vertex = next_vertex[order]
+    del order
+    columns = packed(mapping, black, next_vertex)
     bounds = np.concatenate(([0], np.cumsum(inbound))).tolist()
     batches = [
         PackedWorkerBatch(int(vertices[w]),

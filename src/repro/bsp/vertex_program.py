@@ -106,8 +106,8 @@ class VertexProgram:
     # statistics — reach the driver.
 
     def export_shared(self) -> Dict[str, Any]:
-        """Read-only 64-bit numpy arrays every replica shares with the
-        driver, one copy per machine rather than per replica.
+        """Read-only numpy arrays every replica shares with the driver,
+        one copy per machine rather than per replica.
 
         Programs that precompute per-vertex arrays the hot path needs —
         ranks, degree statistics — return them here: the process backend

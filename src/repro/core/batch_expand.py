@@ -382,7 +382,8 @@ def _white_candidates(
     Injectivity is a mask, and the GRAY-image prefilter issues exactly
     the probes the scalar short-circuit loop would — candidate ``c`` of
     row ``r`` is probed against image ``j`` iff it survived images
-    ``0..j-1`` — as one ``might_contain_pairs`` per image.
+    ``0..j-1`` — as one ``might_contain_pairs`` per image.  Candidates
+    are ``int32``, like the rows they land in; ``row_of`` is too.
     """
     ranks = ordered.ranks
     shift = ordered.rank_shift
@@ -393,17 +394,20 @@ def _white_candidates(
         n_live, ordered.rank_floor(pattern.degree(white_vp)) - 1, dtype=np.int64
     )
     upper = np.full(n_live, ordered.graph.num_vertices, dtype=np.int64)
+    bounded = {expanding_vp}  # a candidate is a neighbour of vd, never vd
     for below in pattern.must_rank_below(white_vp):
         if group_mask >> below & 1:
             np.maximum(lower, ranks[sub_live[:, below]], out=lower)
+            bounded.add(below)
     for above in pattern.must_rank_above(white_vp):
         if group_mask >> above & 1:
             np.minimum(upper, ranks[sub_live[:, above]], out=upper)
-    # A candidate is a neighbour of vd, so it never equals vd's own image.
+            bounded.add(above)
+    # The open window already excludes the images that bound it.
     mapped_cols = [
         col
         for col in range(sub_live.shape[1])
-        if group_mask >> col & 1 and col != expanding_vp
+        if group_mask >> col & 1 and col not in bounded
     ]
     # Only GRAY (mapped, unexpanded) images prefilter.
     gray_cols = [
@@ -412,32 +416,40 @@ def _white_candidates(
         if np_ != expanding_vp and group_mask >> np_ & 1 and not black >> np_ & 1
     ]
     keys = ordered.rank_keys
-    base = vd << shift
+    base = vd.astype(np.int64) << shift
     lo = np.searchsorted(keys, base + lower + 1)
     lens = np.maximum(np.searchsorted(keys, base + upper) - lo, 0)
-    cand = ordered.by_rank[keys[_ragged_slots(lo, lens)] & low_bits]
-    row_of = np.repeat(np.arange(n_live), lens)
-    keep = np.ones(len(cand), dtype=bool)
-    for col in mapped_cols:
-        keep &= cand != sub_live[row_of, col]
-    row_of, cand = row_of[keep], cand[keep]
+    window = keys[_ragged_slots(lo, lens)]
+    window &= low_bits
+    cand = ordered.by_rank[window]
+    del window
+    row_of = np.repeat(np.arange(n_live, dtype=np.int32), lens)
+    if mapped_cols:
+        keep = np.ones(len(cand), dtype=bool)
+        for col in mapped_cols:
+            keep &= cand != np.repeat(sub_live[:, col], lens)
+        row_of, cand = row_of[keep], cand[keep]
     # Rule 2: GRAY-image prefilter, one image at a time in pattern-
     # neighbour order, compressing between images (probe-count parity
     # with the scalar loop).
     for np_ in gray_cols:
         if len(cand) == 0:
             break
-        res = edge_index.might_contain_pairs(cand, sub_live[row_of, np_])
+        res = edge_index.might_contain_pairs(cand, sub_live[:, np_][row_of])
         row_of, cand = row_of[res], cand[res]
     return row_of, cand
 
 
 def _vertex_order(per_row: np.ndarray, cand: np.ndarray, shift: int) -> np.ndarray:
     """Flat candidates, ``per_row[r]`` of them for row ``r`` in rank
-    order, put back into ``N(vd)``'s vertex-id order within each row."""
-    key = np.repeat(np.arange(len(per_row)), per_row) << shift | cand
+    order, put back into ``N(vd)``'s vertex-id order within each row.
+    The ``row << shift | cand`` key is ``int64``; the result has
+    ``cand``'s dtype."""
+    key = np.repeat(np.arange(len(per_row), dtype=np.int64), per_row) << shift
+    key |= cand
     key.sort()
-    return key & ((1 << shift) - 1)
+    key &= (1 << shift) - 1
+    return key.astype(cand.dtype)
 
 
 def _ragged_slots(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -554,10 +566,11 @@ def _cross_product(
         ok = np.ones(len(b), dtype=bool)
         for pa, a in zip(white_vps, images):
             ok &= a != b
+            # ``take``: a 4-byte index array is slow to fancy-index with.
             if (pa, pb) in order:
-                ok &= ranks[a] < ranks[b]
+                ok &= ranks.take(a) < ranks.take(b)
             if (pb, pa) in order:
-                ok &= ranks[b] < ranks[a]
+                ok &= ranks.take(b) < ranks.take(a)
             if pattern.has_edge(pa, pb):
                 idx = np.flatnonzero(ok)
                 if len(idx) == 0:

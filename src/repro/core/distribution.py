@@ -218,7 +218,7 @@ class RouletteStrategy(DistributionStrategy):
         width = vps.shape[1]
         valid = np.arange(width) < lens[rows, None]
         images = mapping[multi[:, None], vps]
-        weights = 1.0 / np.maximum(graph.degrees[images], 1)
+        weights = 1.0 / np.maximum(graph.degrees.take(images), 1)
         total = np.zeros(m)
         for pos in range(width):
             total = np.where(valid[:, pos], total + weights[:, pos], total)
@@ -292,8 +292,8 @@ class WorkloadAwareStrategy(DistributionStrategy):
         # slots read a last row of inf, which can never win the strict
         # ``<`` below.
         images = mapping[np.arange(n)[:, None], group_vps[group_of]]
-        targets = partition.owner_array[images]
-        image_degrees = graph.degrees[images]
+        targets = partition.owner_array.take(images)
+        image_degrees = graph.degrees.take(images)
         white_values = {w for _, whites in groups for w in whites}
         inf_row = max(white_values) + 1
         group_whites = _padded([whites for _, whites in groups], inf_row)

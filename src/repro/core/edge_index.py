@@ -51,13 +51,12 @@ def _edge_keys_pairs(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
     """Canonical keys of elementwise ``(us[i], vs[i])`` edges, as ``uint64``.
 
     Matches :func:`_edge_key` value-for-value: keys are ``min * n + max``
-    and ``n**2`` fits 64 bits for any graph this package can hold.
+    and ``n**2`` fits 64 bits for any graph this package can hold.  The
+    ids may be 4-byte; the key is built in ``int64``.
     """
-    a = np.asarray(us, dtype=np.int64)
-    b = np.asarray(vs, dtype=np.int64)
-    keys = np.minimum(a, b)
+    keys = np.minimum(us, vs).astype(np.int64, copy=False)
     keys *= n
-    keys += np.maximum(a, b)
+    keys += np.maximum(us, vs)
     return keys.view(np.uint64)
 
 

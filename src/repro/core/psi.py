@@ -16,7 +16,8 @@ prefilter and may admit false positives).
 
 Instances are immutable; expansion produces new ones.  The ``black`` set
 is a bitmask so Gpsis stay small — they are the dominant memory cost of
-the whole framework.
+the whole framework, which is also why a packed row stores its data
+vertices as 4-byte ids (:func:`row_bytes`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .._record import FrozenRecord
+from ..graph.graph import VERTEX_ID
 from ..pattern.pattern import PatternGraph
 
 UNMAPPED = -1
@@ -169,10 +171,19 @@ def _black_words(k: int) -> int:
     return max(1, (k + 31) // 32)
 
 
+def row_bytes(k: int) -> int:
+    """Wire bytes of one packed Gpsi row of a ``k``-vertex pattern:
+    ``4k + 4⌈k/32⌉ + 1`` — 4-byte mapping cells, 32-bit BLACK words and
+    one next-vertex byte."""
+    return np.dtype(VERTEX_ID).itemsize * k + 4 * _black_words(k) + 1
+
+
 class GpsiColumns(FrozenRecord):
     """A batch of ``n`` Gpsis as contiguous struct-of-arrays columns.
 
-    * ``mapping`` — ``int64 (n, k)`` matrix; :data:`UNMAPPED` cells stay -1;
+    * ``mapping`` — ``int32 (n, k)`` matrix of data-vertex ids
+      (:data:`~repro.graph.graph.VERTEX_ID`); :data:`UNMAPPED` cells stay
+      -1;
     * ``black`` — ``uint32 (n, ceil(k/32))`` little-endian mask words (one
       column for every pattern the paper runs, |Vp| <= 32);
     * ``next_vertex`` — ``uint8 (n,)`` with :data:`PACKED_UNSET_NEXT`
@@ -181,6 +192,8 @@ class GpsiColumns(FrozenRecord):
     This is the one unit the columnar message plane ships across the BSP
     barrier — three buffers per chunk instead of one pickled constructor
     call per Gpsi, and no destination column: see :meth:`destinations`.
+    A row is :func:`row_bytes` ``(k)`` bytes, which is all the ledger's
+    wire bytes count.
     """
 
     __slots__ = ("mapping", "black", "next_vertex")
@@ -242,7 +255,7 @@ class GpsiColumns(FrozenRecord):
         """The initialization phase's one-pair Gpsis, one row per data
         vertex — the packed twin of :meth:`Gpsi.initial`."""
         n, k = len(data_vertices), pattern.num_vertices
-        mapping = np.full((n, k), UNMAPPED, dtype=np.int64)
+        mapping = np.full((n, k), UNMAPPED, dtype=VERTEX_ID)
         mapping[:, init_vertex] = data_vertices
         return cls(
             mapping,
@@ -254,7 +267,7 @@ class GpsiColumns(FrozenRecord):
     def empty(cls, k: int) -> "GpsiColumns":
         """A zero-instance batch for a ``k``-vertex pattern."""
         return cls(
-            np.empty((0, k), dtype=np.int64),
+            np.empty((0, k), dtype=VERTEX_ID),
             np.empty((0, _black_words(k)), dtype=np.uint32),
             np.empty(0, dtype=np.uint8),
         )
@@ -290,7 +303,7 @@ def pack_gpsis(gpsis: Sequence[Gpsi], k: int = None) -> GpsiColumns:
     k = len(gpsis[0].mapping)
     mapping = np.fromiter(
         (cell for g in gpsis for cell in g.mapping),
-        dtype=np.int64,
+        dtype=VERTEX_ID,
         count=n * k,
     ).reshape(n, k)
     words = _black_words(k)

@@ -54,6 +54,12 @@ class MappedCSR(FrozenRecord):
         object.__setattr__(self, "keepalive", keepalive)
 
 
+#: The dtype of vertex ids on the data plane: packed rows, candidates and
+#: the rank -> vertex map.  A graph holds at most ``2**31`` vertices, so
+#: every id fits, and so does the unmapped marker -1; a key that shifts or
+#: multiplies ids is built in ``int64``.  The CSR itself stays ``int64``.
+VERTEX_ID = np.int32
+
 #: Fibonacci hashing's multiplier, ``2**64`` over the golden ratio.  It is
 #: odd, so ``key * _HASH_MULTIPLIER mod 2**64`` is a bijection, undone by
 #: multiplying with ``_HASH_INVERSE``.
@@ -235,9 +241,13 @@ class Graph:
     def _wrap(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         """Adopt CSR arrays after an O(n) shape check that never reads
         ``indices`` (a mapped ``.csrbin`` stays lazily paged)."""
-        indptr, indices = _frozen(indptr), _frozen(indices)
         if len(indptr) == 0:
             raise GraphError("indptr must have at least one entry")
+        if len(indptr) - 1 > np.iinfo(VERTEX_ID).max + 1:
+            raise GraphError(
+                f"{len(indptr) - 1} vertices overflow the 4-byte vertex ids"
+            )
+        indptr, indices = _frozen(indptr), _frozen(indices)
         degrees = np.diff(indptr)
         if indptr[0] != 0 or indptr[-1] != len(indices):
             raise GraphError(
@@ -296,7 +306,8 @@ class Graph:
 
         Every pair's canonical ``(min, max)`` key is looked up in
         :meth:`edge_table`; ids outside the graph are masked off, since
-        their keys may alias a real edge's.
+        their keys may alias a real edge's.  The ids may be 4-byte; the
+        key is built in ``int64``.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)

@@ -28,7 +28,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .graph import Graph
+from .graph import VERTEX_ID, Graph
 
 
 class OrderedGraph:
@@ -50,7 +50,7 @@ class OrderedGraph:
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         self._rank = rank
-        self._by_rank = order
+        self._by_rank = order.astype(VERTEX_ID)  # what candidates are
         self._rank_keys = None
         # nb/ns in one vectorised pass over the CSR arrays: flag every
         # adjacency slot whose target ranks below its source, then reduce
@@ -74,7 +74,8 @@ class OrderedGraph:
 
     @property
     def by_rank(self) -> np.ndarray:
-        """The vertex of every rank: ``by_rank[ranks[v]] == v``."""
+        """The vertex of every rank, as :data:`~repro.graph.graph.VERTEX_ID`:
+        ``by_rank[ranks[v]] == v``."""
         return self._by_rank
 
     @property

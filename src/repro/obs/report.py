@@ -67,6 +67,11 @@ def straggler_report(tracer: Tracer, top: int = 5) -> str:
         f"{len(step_rows)} superstep(s), {len(totals)} worker(s), "
         f"makespan {makespan:,.0f} cost units, imbalance {imbalance:.2f} (max/mean)"
     )
+    peaks = [
+        e.data["peak_rss_mb"] for e in tracer.by_kind("barrier") if "peak_rss_mb" in e.data
+    ]
+    if peaks:
+        lines.append(f"peak RSS {max(peaks):,.1f} MiB (driver, at the barriers)")
 
     lines.append("")
     lines.append(f"costliest supersteps (top {min(top, len(step_rows))}):")

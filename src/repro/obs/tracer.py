@@ -48,7 +48,8 @@ the runtime backends emit these kinds (schema ``repro.obs/v1``):
     their outboxes into the next superstep's batches, grouping included
     — the shuffle's driver-side critical path), ``wire_bytes``,
     ``chunks`` (the workers that sent anything; each outbox crosses
-    whole) and ``max_chunk_bytes`` (the largest outbox's bytes).
+    whole), ``max_chunk_bytes`` (the largest outbox's bytes) and
+    ``peak_rss_mb`` (the driver's peak resident set so far, MiB).
 
 Workers whose batch was empty in a superstep emit no ``worker`` event;
 their cost/message/compute contribution is zero by construction.

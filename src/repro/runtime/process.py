@@ -147,7 +147,7 @@ def _export_sizes(graph: Graph, arrays: Dict[str, Any]) -> Dict[str, int]:
     if graph.mmap_spec is not None:
         sizes = {"mapped_file": indptr.nbytes + indices.nbytes}
     if arrays:
-        sizes["aux"] = max(8 * sum(map(len, arrays.values())), 1)
+        sizes["aux"] = max(sum(array.nbytes for array in arrays.values()), 1)
     return sizes
 
 

@@ -27,10 +27,18 @@ def sorted_unique(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     else:
         order = np.argsort(keys, kind="stable")
     ranked = keys[order]
-    changed = ranked[1:] != ranked[:-1]
     fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = changed.any(axis=1) if keys.ndim == 2 else changed
+    if keys.ndim == 2:
+        fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    else:
+        np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
+    uniq = ranked[starts]
+    del ranked
+    # The barrier groups every row it delivers here: one n-length
+    # temporary at a time beside ``order`` and ``inverse``.
+    group = np.cumsum(fresh)
+    group -= 1
     inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(fresh) - 1
-    return ranked[starts], order[starts], inverse
+    inverse[order] = group
+    return uniq, order[starts], inverse

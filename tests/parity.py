@@ -23,18 +23,13 @@ import pytest
 from repro.bsp import BSPEngine, ExecutionConfig
 from repro.core import PSgL, run_reference
 from repro.core.listing import ListingResult
+from repro.core.psi import row_bytes
 from repro.exceptions import EngineError
 from repro.graph import Graph, hash_partition
 from repro.pattern import paper_patterns
 
 #: Everything optional a run can report, switched on so it is compared.
 RUN_FLAGS = dict(collect_instances=True, count_per_vertex=True)
-
-
-def row_bytes(k: int) -> int:
-    """Wire bytes of one packed Gpsi row of a ``k``-vertex pattern: 8-byte
-    mapping cells, 32-bit BLACK words, one next-vertex byte."""
-    return 8 * k + 4 * -(-k // 32) + 1
 
 
 def observables(result: ListingResult) -> Dict[str, Any]:

@@ -523,7 +523,8 @@ def gather_then_mask(
             break
         res = edge_index.might_contain_pairs(cand, sub_live[row_of, np_])
         row_of, cand = row_of[res], cand[res]
-    return row_of, cand
+    # Both come back as the packed rows' 4-byte ids.
+    return row_of.astype(np.int32), cand.astype(np.int32)
 
 
 def check_windows(graph, pattern_name, index_kind) -> int:

@@ -141,3 +141,20 @@ class TestRunner:
         )
         assert len(reports) == 1
         assert (tmp_path / "table1.txt").exists()
+
+
+class TestByteStableReports:
+    def test_reports_differing_only_in_seconds_write_identical_text(self, tmp_path):
+        """A committed report holds results, not the run time: a rerun
+        with the same results rewrites the same bytes."""
+        from repro.bench import ExperimentReport
+        from repro.bench.runner import write_report
+
+        texts = []
+        for seconds in (17.7, 3.2):
+            report = ExperimentReport("table2", "Pruning ratio", "a | b\n1 | 2",
+                                      seconds=seconds)
+            texts.append(write_report(report, tmp_path / str(seconds)).read_bytes())
+            assert f"({seconds}s)" in report.render()
+        assert texts[0] == texts[1]
+        assert texts[0].decode() == "== table2: Pruning ratio ==\na | b\n1 | 2\n"

@@ -354,7 +354,7 @@ class TestMappedExecution:
         n, m = mapped.num_vertices, mapped.num_edges
         assert event.data["mapped_file"] == 8 * (n + 1 + 2 * m)
         assert event.data["aux"] == (
-            8 * (4 * n + 2 * m) + mapped.edge_table().slots.nbytes
+            8 * (3 * n + 2 * m) + 4 * n + mapped.edge_table().slots.nbytes
         )
 
     def test_export_trace_event_reports_mapped_file(self, tmp_path):

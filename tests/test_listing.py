@@ -309,10 +309,10 @@ class TestMessageBytes:
     def test_tracked_when_requested(self):
         g = complete_graph(6)
         result = PSgL(g, num_workers=2).run(square())
-        # every routed Gpsi is one packed row: 4 eight-byte cells, one
+        # every routed Gpsi is one packed row: 4 four-byte cells, one
         # 32-bit BLACK word, one next-vertex byte
         assert result.total_gpsis > 0
-        assert result.ledger.total_wire_bytes() == 37 * result.total_gpsis
+        assert result.ledger.total_wire_bytes() == 21 * result.total_gpsis
 
     def test_off_by_default(self):
         """No flag turns on a second, codec-priced accounting."""

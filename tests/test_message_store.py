@@ -147,3 +147,44 @@ class TestDeliverMatchesPerOwnerGrouping:
             assert len(batch) == len(order)
             got = [(d, t) for t, d in batch.columns.mapping[:, :2].tolist()]
             assert got == expected
+
+
+def _outboxes(num_rows, k, num_senders, num_vertices, seed):
+    """``num_senders`` outboxes of random ``k``-column rows, one chunk
+    each, built here so the caller holds no other reference to them."""
+    rng = np.random.default_rng(seed)
+    per = num_rows // num_senders
+    outboxes = []
+    for _ in range(num_senders):
+        mapping = rng.integers(0, num_vertices, size=(per, k)).astype(np.int32)
+        outboxes.append([GpsiColumns(
+            mapping,
+            np.zeros((per, 1), dtype=np.uint32),
+            rng.integers(0, k, size=per).astype(np.uint8),
+        )])
+    return outboxes
+
+
+class TestBarrierMemory:
+    def test_traced_peak_is_at_most_one_and_a_half_times_the_rows(self):
+        """200,000 five-column rows from four senders to four owners:
+        above what it was handed, ``deliver`` holds at most half the
+        delivered bytes again — the index arrays are dropped as soon as
+        they are used and the rows are permuted one column at a time."""
+        import tracemalloc
+
+        num_vertices, num_workers = 50_000, 4
+        owner_of = np.arange(num_vertices, dtype=np.int64) % num_workers
+        tracemalloc.start()
+        try:
+            outboxes = _outboxes(200_000, 5, num_workers, num_vertices, seed=3)
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            batches, inbound = deliver(outboxes, owner_of, num_workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        delivered = sum(batch.columns.nbytes for batch in batches if batch)
+        assert sum(inbound) == 200_000
+        assert delivered == 200_000 * (4 * 5 + 4 + 1)
+        assert peak - entry <= 1.5 * delivered, (peak - entry) / delivered

@@ -164,14 +164,16 @@ class TestBackendIndependence:
 
     def test_serial_vs_process_traces_identical(self):
         def rows(tracer):
-            # Wall-time diagnostics (barrier merge_ms) are inherently
-            # backend-dependent; every semantic field must be identical.
+            # Wall-time and OS diagnostics (barrier merge_ms and
+            # peak_rss_mb) are inherently backend-dependent; every
+            # semantic field must be identical.
             out = []
             for e in tracer.events:
                 if e.kind not in ("worker", "barrier"):
                     continue
                 row = e.to_json()
                 row.get("data", {}).pop("merge_ms", None)
+                row.get("data", {}).pop("peak_rss_mb", None)
                 out.append(row)
             return out
 
@@ -322,3 +324,26 @@ class TestStragglerReport:
             "worker", superstep=2, worker=1, wall_ms=3.5, data={"cost": 7.0}
         )
         assert TraceEvent.from_json(event.to_json()) == event
+
+
+class TestPeakRss:
+    """Each barrier samples the driver's peak RSS, only when traced."""
+
+    def test_barriers_carry_the_driver_peak_so_far(self):
+        import resource
+
+        def peak():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+        before = peak()
+        tracer, _ = traced_run()
+        after = peak()
+        samples = [e.data["peak_rss_mb"] for e in tracer.by_kind("barrier")]
+        assert len(samples) == len(tracer.by_kind("superstep")) > 0
+        assert before <= samples[0]
+        assert samples == sorted(samples) and samples[-1] <= after
+
+    def test_report_prints_the_maximum(self):
+        tracer, _ = traced_run()
+        top = max(e.data["peak_rss_mb"] for e in tracer.by_kind("barrier"))
+        assert f"peak RSS {top:,.1f} MiB" in straggler_report(tracer)

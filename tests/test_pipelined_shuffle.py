@@ -18,6 +18,7 @@ import repro.bsp
 from repro.bsp import BSPEngine, ExecutionConfig
 from repro.bsp.message import deliver
 from repro.core import Gpsi, PSgL, UNMAPPED, pack_gpsis, unpack_gpsis
+from repro.core.psi import row_bytes
 from repro.graph import Graph, hash_partition
 from repro.graph.generators import erdos_renyi
 from repro.obs import Tracer
@@ -149,7 +150,7 @@ class TestChunkedStoreSemantics:
         assert b0.nbytes == (
             b0.mapping.nbytes + b0.black.nbytes + b0.next_vertex.nbytes
         )
-        assert b0.nbytes == len(b0) * (8 * 3 + 4 + 1)
+        assert b0.nbytes == len(b0) * row_bytes(3) == len(b0) * (4 * 3 + 4 + 1)
 
     def test_duplicate_seq_rejected(self):
         """No sender's rows are delivered twice: ``deliver`` consumes its

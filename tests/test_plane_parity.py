@@ -27,6 +27,7 @@ from repro.core import Gpsi, PSgL
 from repro.exceptions import EngineError
 from repro.graph.binfmt import load_mapped, write_csrbin
 from repro.graph.generators import chung_lu_power_law, erdos_renyi
+from repro.core.psi import row_bytes
 from repro.obs import Tracer
 from repro.pattern import paper_patterns
 
@@ -35,7 +36,6 @@ from .parity import (
     assert_illegal,
     assert_outboxes_cross_whole,
     reference_run,
-    row_bytes,
 )
 
 GRAPHS = {
@@ -204,7 +204,7 @@ class TestOnePayload:
 
     @pytest.mark.parametrize("pattern_name", ["PG1", "PG2", "PG4", "PG5"])
     def test_wire_bytes_are_the_packed_columns_only(self, pattern_name):
-        """Per step and worker: rows x (8k mapping + 4 per 32-bit BLACK
+        """Per step and worker: rows x (4k mapping + 4 per 32-bit BLACK
         word + 1 next-vertex byte) — no destination column."""
         row = row_bytes(paper_patterns()[pattern_name].num_vertices)
         result = production_baseline(pattern_name)

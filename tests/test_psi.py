@@ -15,14 +15,15 @@ from repro.core import (
     pack_gpsis,
     unpack_gpsis,
 )
+from repro.core.psi import row_bytes
 from repro.pattern import clique4, square, triangle
 
-from .parity import row_bytes
 
 
 @st.composite
-def valid_gpsis(draw, k=None, max_id=2**48):
-    """Structurally valid Gpsis: black only on mapped cells, next in range."""
+def valid_gpsis(draw, k=None, max_id=2**31 - 1):
+    """Structurally valid Gpsis: black only on mapped cells, next in range,
+    ids up to the largest a graph of ``2**31`` vertices holds."""
     if k is None:
         k = draw(st.integers(min_value=1, max_value=8))
     mapping = draw(

@@ -94,8 +94,9 @@ class TestForkInheritance:
         """The ``export`` event describes what the lanes share in the
         sizes both start methods reported while spawn existed, pinned
         exactly: 8 bytes per CSR entry (the file's array bytes for a
-        mapped graph) and 8 per entry of the program's per-vertex arrays,
-        of its rank-keyed adjacency and of the graph's edge-key table."""
+        mapped graph) and the bytes of the program's per-vertex arrays
+        (8 per entry, 4 for the rank -> vertex map), of its rank-keyed
+        adjacency and of the graph's edge-key table."""
         graph = erdos_renyi(30, 0.25, seed=6)
         n, m = graph.num_vertices, graph.num_edges
         if mapped:
@@ -108,11 +109,11 @@ class TestForkInheritance:
         csr = {"indptr": 8 * (n + 1), "indices": 8 * 2 * m}
         if mapped:
             csr = {"mapped_file": sum(csr.values())}
-        # rank, nb, ns and the rank -> vertex map per vertex; one rank
-        # key per directed edge; the table's power-of-two capacity (at
-        # least 2m) and its probe tail.
+        # rank, nb and ns per vertex; the 4-byte rank -> vertex map; one
+        # rank key per directed edge; the table's power-of-two capacity
+        # (at least 2m) and its probe tail.
         slots = (1 << (2 * m - 1).bit_length()) + graph.edge_table().max_probe
-        aux = 8 * (4 * n + 2 * m + slots)
+        aux = 8 * (3 * n + 2 * m + slots) + 4 * n
         total = sum(csr.values()) + aux
         assert dict(event.data) == {**csr, "aux": aux, "total_bytes": total}
 
