@@ -9,10 +9,12 @@ fails if that site computes in ``int32``.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.bsp import engine
 from repro.bsp.message import deliver
 from repro.core import PSgL, UNMAPPED
 from repro.core.batch_expand import _vertex_order, _white_candidates
@@ -46,10 +48,6 @@ class TestDtypes:
         def spy(outboxes, owner_of, num_workers):
             sent.extend(chunk for outbox in outboxes for chunk in outbox)
             return real(outboxes, owner_of, num_workers)
-
-        from unittest import mock
-
-        from repro.bsp import engine
 
         graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 0)])
         with mock.patch.object(engine, "deliver", spy):
